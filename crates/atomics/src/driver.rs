@@ -19,8 +19,8 @@
 use crate::memory::{HwEventKind, HwMemory};
 use crate::supervisor::{CrashSupervisor, InjectedCrash};
 use llsc_shmem::{
-    Action, Algorithm, CrashPlan, ExecutionBackend, Feedback, ProcessId, RecoverySpec, RunError,
-    Value,
+    panic_message, Action, Algorithm, CrashPlan, ExecutionBackend, Feedback, ProcessId,
+    RecoverySpec, RunError, Value,
 };
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -324,17 +324,6 @@ fn drive_supervised(
     }
 }
 
-/// Extracts the human-readable part of a `join()` panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// How often stuck threads and the watchdog notice each other.
 const WATCHDOG_POLL: Duration = Duration::from_millis(2);
 
@@ -467,7 +456,7 @@ fn run_threads_inner(
             Err(payload) => {
                 return Err(HwRunError::ThreadPanic {
                     pid,
-                    message: panic_message(payload),
+                    message: panic_message(payload.as_ref()),
                 })
             }
             Ok(Err(ThreadStop::Aborted)) => stuck.push(pid),

@@ -2151,6 +2151,56 @@ pub fn e20_case(idx: usize, n: usize, intensity: usize, seed: u64, max_events: u
     case
 }
 
+/// One E20 trial's degradation class and cost.
+#[derive(Debug)]
+pub(crate) struct E20Trial {
+    pub(crate) class: String,
+    pub(crate) crashes: u64,
+    pub(crate) recoveries: u64,
+    pub(crate) spurious_sc: u64,
+    pub(crate) corruptions: u64,
+    pub(crate) cc_rmrs: u64,
+    pub(crate) dsm_rmrs: u64,
+}
+
+/// Runs one E20 trial — shared by [`e20_chaos_recovery_sweep`] and the
+/// job runner — and reads its class and cost counters off the same run.
+///
+/// # Panics
+///
+/// When a chaos-free trial (`intensity == 0`) does not recover, and when
+/// the execution itself panicked (its payload is re-raised), so the
+/// enclosing sweep records the trial as failed.
+pub(crate) fn e20_trial(
+    case: &ReproCase,
+    alg: &dyn Algorithm,
+    intensity: usize,
+    seed: u64,
+) -> E20Trial {
+    let run = crate::repro::run_case_with(case, alg);
+    if intensity == 0 {
+        assert!(
+            run.class == "recovered",
+            "{}: chaos-free trial must recover, got {} ({}) (seed {seed:#018x})",
+            alg.name(),
+            run.class,
+            run.outcome_debug,
+        );
+    }
+    if let Some(payload) = run.panic {
+        panic!("{payload}");
+    }
+    E20Trial {
+        class: run.class,
+        crashes: run.counters.total_crashes(),
+        recoveries: run.counters.total_recoveries(),
+        spurious_sc: run.faults.0,
+        corruptions: run.faults.1,
+        cc_rmrs: run.counters.total_cc_rmrs(),
+        dsm_rmrs: run.counters.total_dsm_rmrs(),
+    }
+}
+
 /// E20: cross-backend chaos validation, simulator half. Each trial
 /// tailors a seeded [`ChaosPlan`] to its algorithm's capability arm
 /// ([`crate::xcheck::chaos_arm`]): the hardened wakeup trio faces
@@ -2193,38 +2243,7 @@ pub fn e20_chaos_recovery_sweep(
         |trial, &(a, intensity, _rep)| {
             let alg = e20_algorithm(a, n);
             let case = e20_case(a, n, intensity, trial.seed, max_events);
-            let run = crate::repro::run_case_with(&case, alg.as_ref());
-            if intensity == 0 {
-                assert!(
-                    run.class == "recovered",
-                    "{}: chaos-free trial must recover, got {} ({}) (seed {:#018x})",
-                    names[a],
-                    run.class,
-                    run.outcome_debug,
-                    trial.seed
-                );
-            }
-            // Re-execute for the cost counters (run_case_with classifies
-            // but does not bill); the replay is deterministic, so the
-            // second drive sees the identical run.
-            let replayed = llsc_shmem::repro::execute(&case, alg.as_ref());
-            let counters = replayed.exec.run().counters();
-            let (spurious_sc, corruptions) = match replayed.outcome {
-                RunOutcome::FaultInjected {
-                    spurious_sc,
-                    corruptions,
-                } => (spurious_sc, corruptions),
-                _ => (0, 0),
-            };
-            (
-                run.class,
-                counters.total_crashes(),
-                counters.total_recoveries(),
-                spurious_sc,
-                corruptions,
-                counters.total_cc_rmrs(),
-                counters.total_dsm_rmrs(),
-            )
+            e20_trial(&case, alg.as_ref(), intensity, trial.seed)
         },
         |trial, &(a, intensity, _rep)| {
             let recovery = e20_recovery(a, n);
@@ -2274,9 +2293,9 @@ pub fn e20_chaos_recovery_sweep(
         }
         let cell = cells.last_mut().expect("cell pushed above");
         match result {
-            Ok((class, crashes, recoveries, sc, co, cc, dsm)) => {
+            Ok(t) => {
                 cell.trials += 1;
-                match class.as_str() {
+                match t.class.as_str() {
                     "recovered" => cell.recovered += 1,
                     "detected-wrong" => cell.detected_wrong += 1,
                     "silent-wrong" => cell.silent_wrong += 1,
@@ -2284,12 +2303,12 @@ pub fn e20_chaos_recovery_sweep(
                     "crashed" => cell.crashed += 1,
                     _ => cell.aborted += 1,
                 }
-                cell.crashes += crashes;
-                cell.recoveries += recoveries;
-                cell.spurious_sc += sc;
-                cell.corruptions += co;
-                cell.cc_rmrs += cc;
-                cell.dsm_rmrs += dsm;
+                cell.crashes += t.crashes;
+                cell.recoveries += t.recoveries;
+                cell.spurious_sc += t.spurious_sc;
+                cell.corruptions += t.corruptions;
+                cell.cc_rmrs += t.cc_rmrs;
+                cell.dsm_rmrs += t.dsm_rmrs;
             }
             Err(fail) => failures.push(fail),
         }

@@ -255,18 +255,11 @@ impl HarnessOpts {
                 self.emit_with_failures(&refs, &[])
             }
             Err(panic) => {
-                let payload = if let Some(s) = panic.downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = panic.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "non-string panic payload".to_string()
-                };
                 let failure = TrialFailure {
                     index: 0,
                     seed: self.seed,
                     derived_seed: self.seed,
-                    payload,
+                    payload: llsc_shmem::panic_message(panic.as_ref()),
                     context: "experiment aborted; no tables were produced".to_string(),
                     attempts: 1,
                     repro: None,

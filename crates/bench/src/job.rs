@@ -15,18 +15,22 @@
 //!
 //! The robustness semantics, in one place:
 //!
-//! * **chunk watchdog** — each chunk attempt runs under an optional
-//!   wall-clock deadline; on expiry the runner raises the global sweep
-//!   abort ([`llsc_shmem::sweep::request_sweep_abort`]), in-flight trials
-//!   panic at their next executor poll, and the attempt is recorded as a
-//!   timeout.
+//! * **cancellation** — a job runs under one [`CancelToken`]
+//!   ([`JobControl::cancel`]). Each chunk attempt derives from it a token
+//!   that shares its flag and carries the chunk's wall-clock deadline,
+//!   and hands that token to the chunk's [`Sweep`]; the executor polls it
+//!   every 512 events, so in-flight trials panic promptly once the job is
+//!   cancelled or the deadline passes. Nothing is global: concurrent jobs
+//!   in one process cannot stop each other.
+//! * **chunk timeout** — a chunk attempt that unwinds after its deadline
+//!   is recorded as a `timeout` failure (and retried like any other).
 //! * **bounded retry with deterministic backoff** — a failed chunk
 //!   attempt sleeps `backoff_ms · 2^attempt` and retries, up to the
 //!   spec's retry budget.
-//! * **interrupt flush** — a [`JobControl`] interrupt flag (wired to
-//!   SIGINT/SIGTERM by the `llsc job` CLI) aborts the in-flight chunk,
-//!   flushes a final checkpoint, and exits with the interrupted status;
-//!   nothing completed is lost.
+//! * **interrupt flush** — cancelling the job's token (the `llsc job` CLI
+//!   does so from its SIGINT/SIGTERM handler) aborts the in-flight
+//!   chunk, flushes a final checkpoint, and exits with the interrupted
+//!   status; nothing completed is lost.
 //! * **graceful degradation** — a chunk that exhausts its retry budget
 //!   is recorded in the job manifest as failed; the job still completes,
 //!   emitting a *partial* artifact (rows whose trials all finished) plus
@@ -48,15 +52,16 @@ use llsc_core::{
     ExpectationSample,
 };
 use llsc_shmem::json;
-use llsc_shmem::sweep::{clear_sweep_abort, request_sweep_abort};
-use llsc_shmem::{atomic_write, checkpoint, Algorithm, SeededTosses, Sweep, ZeroTosses};
+use llsc_shmem::{
+    atomic_write, checkpoint, panic_message, Algorithm, CancelToken, SeededTosses, Sweep,
+    ZeroTosses,
+};
 use llsc_wakeup::{correct_algorithms, randomized_algorithms};
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// The experiments a job can drive.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -706,16 +711,16 @@ impl JobStatus {
     }
 }
 
-/// Cooperative control handles for a running job: an interrupt flag (the
-/// CLI wires SIGINT/SIGTERM to it) and a deterministic stop-after hook
-/// used by the kill/resume tests to simulate a crash at an exact chunk
-/// boundary.
+/// Cooperative control handles for a running job: the job's cancel token
+/// (the CLI cancels it from SIGINT/SIGTERM) and a deterministic
+/// stop-after hook used by the kill/resume tests to simulate a crash at
+/// an exact chunk boundary.
 #[derive(Clone, Debug, Default)]
 pub struct JobControl {
-    /// Set to request a graceful stop: the in-flight chunk is aborted,
+    /// Cancel to request a graceful stop: the in-flight chunk is aborted,
     /// a final checkpoint is flushed, and the runner returns
     /// [`JobStatus::Interrupted`].
-    pub interrupt: Arc<AtomicBool>,
+    pub cancel: CancelToken,
     /// Stop (as if interrupted) after this many chunks have been
     /// *executed by this invocation* — a crash simulation for tests.
     pub stop_after_chunks: Option<usize>,
@@ -728,7 +733,7 @@ impl JobControl {
     }
 
     fn interrupted(&self) -> bool {
-        self.interrupt.load(Ordering::SeqCst)
+        self.cancel.is_cancelled()
     }
 }
 
@@ -864,47 +869,21 @@ enum AttemptOutcome {
     Failed { kind: &'static str, message: String },
 }
 
-/// Runs one chunk attempt under the wall-clock watchdog and the
-/// interrupt flag. The body executes on a scoped worker thread; on
-/// timeout or interrupt the monitor raises the global sweep abort, the
-/// body's in-flight trials panic at their next executor poll, and the
-/// unwound attempt is classified here. The abort flag is always cleared
-/// before returning.
+/// Runs one chunk attempt on the calling thread under `catch_unwind`.
+/// `body` receives the attempt's token — the job's token narrowed to the
+/// chunk deadline — and runs its sweep under it, so trials panic at their
+/// next executor poll once the job is cancelled or the deadline passes.
+/// An unwound attempt is classified by which of the two happened.
 fn run_chunk_guarded(
+    job: &CancelToken,
     timeout: Option<Duration>,
-    interrupt: &AtomicBool,
-    body: impl FnOnce() -> Result<Vec<TrialRecord>, String> + Send,
+    body: impl FnOnce(&CancelToken) -> Result<Vec<TrialRecord>, String>,
 ) -> AttemptOutcome {
-    type BodyResult = std::thread::Result<Result<Vec<TrialRecord>, String>>;
-    let done = AtomicBool::new(false);
-    let slot: Mutex<Option<BodyResult>> = Mutex::new(None);
-    let mut timed_out = false;
-    std::thread::scope(|scope| {
-        scope.spawn(|| {
-            let result = catch_unwind(AssertUnwindSafe(body));
-            *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
-            done.store(true, Ordering::SeqCst);
-        });
-        let started = Instant::now();
-        while !done.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_millis(5));
-            if interrupt.load(Ordering::SeqCst) {
-                request_sweep_abort();
-            } else if let Some(limit) = timeout {
-                if !timed_out && started.elapsed() > limit {
-                    timed_out = true;
-                    request_sweep_abort();
-                }
-            }
-        }
-    });
-    clear_sweep_abort();
-    let result = slot
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .take()
-        .expect("worker stored its result before setting done");
-    match result {
+    let token = match timeout {
+        Some(limit) => job.with_timeout(limit),
+        None => job.clone(),
+    };
+    match catch_unwind(AssertUnwindSafe(|| body(&token))) {
         Ok(Ok(records)) => AttemptOutcome::Success(records),
         Ok(Err(message)) => AttemptOutcome::Failed {
             kind: "run-error",
@@ -912,9 +891,9 @@ fn run_chunk_guarded(
         },
         Err(panic) => {
             let message = panic_message(panic.as_ref());
-            if interrupt.load(Ordering::SeqCst) {
+            if token.is_cancelled() {
                 AttemptOutcome::Interrupted
-            } else if timed_out {
+            } else if token.is_expired() {
                 AttemptOutcome::Failed {
                     kind: "timeout",
                     message: format!("chunk exceeded its wall-clock budget ({message})"),
@@ -926,16 +905,6 @@ fn run_chunk_guarded(
                 }
             }
         }
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 
@@ -952,10 +921,13 @@ fn run_chunk_body(
     start: usize,
     len: usize,
     threads: usize,
+    cancel: &CancelToken,
 ) -> Result<Vec<TrialRecord>, String> {
     let algs = spec.algorithms();
     let cfg = spec.adversary_config();
-    let sweep = Sweep::with_threads(threads).seeded(spec.seed);
+    let sweep = Sweep::with_threads(threads)
+        .seeded(spec.seed)
+        .with_cancel(cancel.clone());
     let end = start + len;
     let mut records = Vec::with_capacity(len);
     for (cell_index, cell) in cells.iter().enumerate() {
@@ -1050,56 +1022,30 @@ fn run_chunk_body(
                                 recovery.budget = spec.respawn_budget;
                             }
                         }
-                        let run = crate::repro::run_case_with(&case, alg.as_ref());
-                        if cell.intensity == 0 {
-                            assert!(
-                                run.class == "recovered",
-                                "{}: chaos-free trial must recover, got {} ({}) (seed {:#018x})",
-                                alg.name(),
-                                run.class,
-                                run.outcome_debug,
-                                trial.seed
-                            );
-                        }
-                        // Re-execute for the cost counters (run_case_with
-                        // classifies but does not bill); the replay is
-                        // deterministic, so the second drive sees the
-                        // identical run.
-                        let replayed = llsc_shmem::repro::execute(&case, alg.as_ref());
-                        let counters = replayed.exec.run().counters();
-                        let (spurious_sc, corruptions) = match replayed.outcome {
-                            llsc_shmem::RunOutcome::FaultInjected {
-                                spurious_sc,
-                                corruptions,
-                            } => (spurious_sc, corruptions),
-                            _ => (0, 0),
-                        };
-                        (
-                            run.class,
-                            counters.total_crashes(),
-                            counters.total_recoveries(),
-                            spurious_sc,
-                            corruptions,
-                            counters.total_cc_rmrs(),
-                            counters.total_dsm_rmrs(),
+                        crate::experiments::e20_trial(
+                            &case,
+                            alg.as_ref(),
+                            cell.intensity,
+                            trial.seed,
                         )
                     },
                 );
-                records.extend(chunk.into_iter().enumerate().map(
-                    |(i, (class, crashes, recoveries, spurious_sc, corruptions, cc, dsm))| {
-                        TrialRecord::Chaos {
+                records.extend(
+                    chunk
+                        .into_iter()
+                        .enumerate()
+                        .map(|(i, t)| TrialRecord::Chaos {
                             index: lo + i,
                             cell: cell_index,
-                            class,
-                            crashes,
-                            recoveries,
-                            spurious_sc,
-                            corruptions,
-                            cc_rmrs: cc,
-                            dsm_rmrs: dsm,
-                        }
-                    },
-                ));
+                            class: t.class,
+                            crashes: t.crashes,
+                            recoveries: t.recoveries,
+                            spurious_sc: t.spurious_sc,
+                            corruptions: t.corruptions,
+                            cc_rmrs: t.cc_rmrs,
+                            dsm_rmrs: t.dsm_rmrs,
+                        }),
+                );
             }
         }
     }
@@ -1500,11 +1446,9 @@ fn drive(
         for attempt in 0..attempts {
             if attempt > 0 && spec.backoff_ms > 0 {
                 // Deterministic exponential backoff, interrupt-aware.
-                let sleep = Duration::from_millis(spec.backoff_ms << (attempt - 1));
-                let waited = Instant::now();
-                while waited.elapsed() < sleep && !control.interrupted() {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
+                control
+                    .cancel
+                    .sleep(Duration::from_millis(spec.backoff_ms << (attempt - 1)));
             }
             if control.interrupted() {
                 interrupted = true;
@@ -1512,8 +1456,8 @@ fn drive(
             }
             let timeout =
                 (spec.chunk_timeout_ms > 0).then(|| Duration::from_millis(spec.chunk_timeout_ms));
-            let outcome = run_chunk_guarded(timeout, &control.interrupt, || {
-                run_chunk_body(spec, &cells, start, len, threads)
+            let outcome = run_chunk_guarded(&control.cancel, timeout, |cancel| {
+                run_chunk_body(spec, &cells, start, len, threads, cancel)
             });
             match outcome {
                 AttemptOutcome::Success(records) => {
@@ -1726,7 +1670,6 @@ pub fn job_status(dir: &Path) -> Result<String, String> {
 mod tests {
     use super::*;
     use llsc_shmem::rng::trial_seed;
-    use llsc_shmem::sweep::sweep_abort_requested;
 
     fn scratch_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("llsc-job-{name}-{}", std::process::id()));
@@ -1988,34 +1931,59 @@ mod tests {
 
     #[test]
     fn guarded_chunk_classifies_interrupts() {
-        let interrupt = AtomicBool::new(true);
-        // The body mimics an executor-polling trial: it spins until the
-        // monitor raises the global abort, then panics like
-        // `check_trial_deadline` does.
-        let outcome = run_chunk_guarded(None, &interrupt, || loop {
-            if sweep_abort_requested() {
-                panic!("sweep abort requested after 0 recorded events");
-            }
-            std::thread::sleep(Duration::from_millis(1));
+        let job = CancelToken::new();
+        job.cancel();
+        // The body polls its token the way the executor does; the job is
+        // already cancelled, so the first poll unwinds the attempt.
+        let outcome = run_chunk_guarded(&job, None, |token| loop {
+            token.check(0);
         });
         assert!(matches!(outcome, AttemptOutcome::Interrupted));
-        assert!(!sweep_abort_requested(), "abort flag is cleared afterwards");
     }
 
     #[test]
     fn guarded_chunk_classifies_timeouts() {
-        let interrupt = AtomicBool::new(false);
-        let outcome = run_chunk_guarded(Some(Duration::from_millis(30)), &interrupt, || loop {
-            if sweep_abort_requested() {
-                panic!("sweep abort requested after 0 recorded events");
-            }
-            std::thread::sleep(Duration::from_millis(1));
+        let job = CancelToken::new();
+        let outcome = run_chunk_guarded(&job, Some(Duration::from_millis(30)), |token| loop {
+            token.check(0);
         });
         match outcome {
-            AttemptOutcome::Failed { kind, .. } => assert_eq!(kind, "timeout"),
+            AttemptOutcome::Failed { kind, message } => {
+                assert_eq!(kind, "timeout");
+                assert!(message.contains("deadline exceeded"), "{message}");
+            }
             _ => panic!("expected a timeout failure"),
         }
-        assert!(!sweep_abort_requested());
+        assert!(
+            !job.is_cancelled(),
+            "a chunk deadline never cancels the job"
+        );
+    }
+
+    #[test]
+    fn guarded_chunk_classifies_plain_panics() {
+        let outcome = run_chunk_guarded(&CancelToken::new(), None, |_| panic!("boom"));
+        match outcome {
+            AttemptOutcome::Failed { kind, message } => {
+                assert_eq!(kind, "panic");
+                assert_eq!(message, "boom");
+            }
+            _ => panic!("expected a panic failure"),
+        }
+    }
+
+    #[test]
+    fn cancelled_job_stops_with_a_resumable_checkpoint() {
+        let dir = scratch_dir("cancelled");
+        let spec = tiny_e4_spec();
+        let control = JobControl::new();
+        control.cancel.cancel();
+        let report = run_job(&dir, &spec, 2, &control).unwrap();
+        assert_eq!(report.status, JobStatus::Interrupted);
+        assert_eq!(report.completed_chunks, 0);
+        let resumed = resume_job(&dir, 2, &JobControl::new()).unwrap();
+        assert_eq!(resumed.status, JobStatus::Complete);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use crate::experiments::{e15_algorithm, e16_algorithm, e16_unhardened_twin, e19_algorithm};
 use llsc_core::check_wakeup;
 use llsc_shmem::repro::{execute, shrink, ReproCase, ShrinkReport};
-use llsc_shmem::{Algorithm, ProcessId, RunOutcome};
+use llsc_shmem::{panic_message, Algorithm, OpCounters, ProcessId, RunOutcome};
 use llsc_wakeup::check_mutex_tokens;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -111,6 +111,13 @@ pub struct CaseRun {
     pub detected: u64,
     /// Whether the recorded run satisfied the wakeup specification.
     pub safe: bool,
+    /// The run's cost counters (empty on panic).
+    pub counters: OpCounters,
+    /// Spurious SC failures and register corruptions the fault plan
+    /// delivered ([`RunOutcome::FaultInjected`]; zero otherwise).
+    pub faults: (u64, u64),
+    /// The panic payload, stringified, when the execution panicked.
+    pub panic: Option<String>,
 }
 
 /// Executes `case` against an already-resolved algorithm, under panic
@@ -145,22 +152,35 @@ pub fn run_case_with(case: &ReproCase, alg: &dyn Algorithm) -> CaseRun {
         } else {
             check_wakeup(replayed.exec.run()).ok()
         };
-        (replayed.outcome, replayed.trace, detected, safe)
+        let counters = replayed.exec.run().counters();
+        (replayed.outcome, replayed.trace, detected, safe, counters)
     }));
     match replayed {
-        Ok((outcome, trace, detected, safe)) => CaseRun {
+        Ok((outcome, trace, detected, safe, counters)) => CaseRun {
             outcome_debug: format!("{outcome:?}"),
             class: classify(&outcome, safe, detected).to_string(),
             trace,
             detected,
             safe,
+            counters,
+            faults: match outcome {
+                RunOutcome::FaultInjected {
+                    spurious_sc,
+                    corruptions,
+                } => (spurious_sc, corruptions),
+                _ => (0, 0),
+            },
+            panic: None,
         },
-        Err(_) => CaseRun {
+        Err(payload) => CaseRun {
             outcome_debug: "panic".to_string(),
             class: "panic".to_string(),
             trace: Vec::new(),
             detected: 0,
             safe: false,
+            counters: OpCounters::default(),
+            faults: (0, 0),
+            panic: Some(panic_message(payload.as_ref())),
         },
     }
 }

@@ -9,6 +9,7 @@ use llsc_bench::job::{
 };
 use llsc_shmem::checkpoint;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("llsc-jobtest-{name}-{}", std::process::id()));
@@ -39,7 +40,11 @@ fn stop_after(chunks: usize) -> JobControl {
 
 /// The clean-run artifact every interrupted variant must reproduce.
 fn uninterrupted_artifact(spec: &JobSpec, threads: usize) -> String {
-    let dir = scratch(&format!("clean-{threads}"));
+    // Tests run in parallel, so each reference run needs a directory of
+    // its own: a shared one is wiped by the next test's `scratch`.
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
+    let run = RUNS.fetch_add(1, Ordering::Relaxed);
+    let dir = scratch(&format!("clean-{threads}-{run}"));
     let report = run_job(&dir, spec, threads, &JobControl::new()).unwrap();
     assert_eq!(report.status, JobStatus::Complete);
     let artifact = std::fs::read_to_string(report.artifact.unwrap()).unwrap();

@@ -516,9 +516,9 @@ impl Executor {
 
     /// Counts one toss/shared-op event against the budget; reports (and
     /// stickies) [`RunError::BudgetExhausted`] when the budget fires.
-    /// Also polls the ambient per-trial wall-clock deadline (armed by
-    /// [`Sweep`](crate::Sweep) timeouts) every 512 events, so a hung
-    /// trial panics into a structured
+    /// Also polls the trial's [`CancelToken`](crate::CancelToken)
+    /// (installed by [`Sweep`](crate::Sweep) workers) every 512 events, so
+    /// a cancelled or timed-out trial panics into a structured
     /// [`TrialFailure`](crate::TrialFailure) instead of stalling its
     /// sweep.
     fn guard_events(&mut self) -> Result<(), RunError> {
@@ -531,7 +531,7 @@ impl Executor {
             return Err(err);
         }
         if self.recorded_events.is_multiple_of(512) {
-            crate::sweep::check_trial_deadline(self.recorded_events);
+            crate::cancel::check_trial_token(self.recorded_events);
         }
         Ok(())
     }

@@ -35,8 +35,8 @@
 //! semantics of real hardware — are injected deterministically by a seeded
 //! [`FaultPlan`] ([`Executor::set_fault_plan`]), and the [`Sweep`] trial
 //! engine isolates per-trial panics into [`TrialFailure`] rows
-//! ([`Sweep::run_fallible`]), with optional deterministic retries and
-//! per-trial wall-clock deadlines.
+//! ([`Sweep::run_fallible`]), with optional deterministic retries,
+//! per-trial wall-clock deadlines, and a per-sweep [`CancelToken`].
 //!
 //! ## Example
 //!
@@ -74,6 +74,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod cancel;
 mod chaos;
 mod coin;
 mod crash;
@@ -100,6 +101,7 @@ pub mod rng;
 pub mod sweep;
 
 pub use backend::{drive_program, run_sequential, BackendRun, ExecutionBackend, SimBackend};
+pub use cancel::{panic_message, CancelToken};
 pub use chaos::ChaosPlan;
 pub use checkpoint::{CheckpointError, LoadedCheckpoint, SkippedCheckpoint};
 pub use coin::{ConstantTosses, MapTosses, SeededTosses, TossAssignment, ZeroTosses};

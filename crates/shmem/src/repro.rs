@@ -817,7 +817,7 @@ mod tests {
         // triages under the round-robin stand-in.
         let hw = ReproCase {
             schedule: ScheduleSpec::Hardware,
-            ..case.clone()
+            ..case
         };
         let triaged = execute(&hw, &alg);
         assert_eq!(triaged.outcome, first.outcome);

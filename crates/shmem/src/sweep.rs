@@ -26,41 +26,13 @@
 //! assert_eq!(serial, parallel);
 //! ```
 
+use crate::cancel::{self, panic_message, CancelToken, InstalledToken};
 use crate::rng::{retry_seed, trial_seed};
-use std::cell::Cell;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
-use std::time::{Duration, Instant};
-
-/// Process-wide cooperative abort for in-flight sweeps.
-///
-/// The resumable job runner's chunk watchdog and signal handler both need
-/// a way to stop a sweep that is already running: set this flag and every
-/// trial that polls [`check_trial_deadline`] (the executor's event guard
-/// does, every 512 events) panics into its failure path at the next poll.
-/// The flag is process-global — one job per process is the supported
-/// shape — and must be cleared (see [`clear_sweep_abort`]) before the
-/// next sweep runs.
-static SWEEP_ABORT: AtomicBool = AtomicBool::new(false);
-
-/// Requests that every in-flight sweep trial abandon work at its next
-/// deadline poll. Async-signal-safe (a single atomic store), so signal
-/// handlers may call it directly.
-pub fn request_sweep_abort() {
-    SWEEP_ABORT.store(true, Ordering::SeqCst);
-}
-
-/// Clears a previously requested sweep abort.
-pub fn clear_sweep_abort() {
-    SWEEP_ABORT.store(false, Ordering::SeqCst);
-}
-
-/// Whether a sweep abort is currently requested.
-pub fn sweep_abort_requested() -> bool {
-    SWEEP_ABORT.load(Ordering::SeqCst)
-}
+use std::time::Duration;
 
 /// One unit of work within a sweep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -124,61 +96,10 @@ impl fmt::Display for TrialFailure {
     }
 }
 
-/// Stringifies a panic payload (the `Box<dyn Any>` from `catch_unwind`).
-fn payload_string(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
-}
-
-thread_local! {
-    /// The wall-clock deadline of the trial currently running on this
-    /// worker thread, if its sweep configured one.
-    static TRIAL_DEADLINE: Cell<Option<Instant>> = const { Cell::new(None) };
-}
-
-/// Polls the ambient per-trial deadline; called from long-running loops
-/// inside a trial (the executor's event guard does). Panics — into the
-/// trial's [`TrialFailure`] — when the deadline has passed. A no-op on
-/// threads with no armed deadline, so code under test or outside sweeps
-/// is unaffected.
-pub(crate) fn check_trial_deadline(events: u64) {
-    if sweep_abort_requested() {
-        panic!("sweep abort requested after {events} recorded events");
-    }
-    let expired = TRIAL_DEADLINE.with(|d| d.get().is_some_and(|t| Instant::now() >= t));
-    if expired {
-        panic!("trial wall-clock deadline exceeded after {events} recorded events");
-    }
-}
-
-/// Arms the calling thread's trial deadline for one attempt; the guard
-/// restores the previous state on drop, *including* across the unwind of
-/// a timed-out (panicking) trial.
-struct DeadlineGuard {
-    prev: Option<Instant>,
-}
-
-fn arm_deadline(timeout: Option<Duration>) -> DeadlineGuard {
-    let prev = TRIAL_DEADLINE.with(Cell::get);
-    TRIAL_DEADLINE.with(|d| d.set(timeout.map(|t| Instant::now() + t)));
-    DeadlineGuard { prev }
-}
-
-impl Drop for DeadlineGuard {
-    fn drop(&mut self) {
-        let prev = self.prev;
-        TRIAL_DEADLINE.with(|d| d.set(prev));
-    }
-}
-
 /// A batch of independent deterministic trials: thread count, sweep seed,
-/// retry budget, and optional per-trial wall-clock deadline.
-#[derive(Clone, Copy, Debug)]
+/// retry budget, optional per-trial wall-clock deadline, and the
+/// [`CancelToken`] its trials answer to.
+#[derive(Clone, Debug)]
 pub struct Sweep {
     /// Worker threads to fan trials out over (clamped to at least 1).
     pub threads: usize,
@@ -194,6 +115,11 @@ pub struct Sweep {
     /// trials that finish in time are untouched, so passing artifacts
     /// stay byte-identical.
     pub trial_timeout: Option<Duration>,
+    /// The token every trial of this sweep polls (through the executor's
+    /// event guard): cancelling it, or passing its deadline, panics the
+    /// in-flight trials into their failure path. Each sweep owns its
+    /// own token unless one is handed in with [`Sweep::with_cancel`].
+    pub cancel: CancelToken,
 }
 
 impl Default for Sweep {
@@ -210,6 +136,7 @@ impl Sweep {
             seed: 0,
             retries: 0,
             trial_timeout: None,
+            cancel: CancelToken::new(),
         }
     }
 
@@ -238,6 +165,22 @@ impl Sweep {
     pub fn with_trial_timeout(mut self, timeout: Duration) -> Self {
         self.trial_timeout = Some(timeout);
         self
+    }
+
+    /// Sets the token the sweep's trials answer to (builder style); see
+    /// [`Sweep::cancel`].
+    pub fn with_cancel(mut self, token: CancelToken) -> Self {
+        self.cancel = token;
+        self
+    }
+
+    /// Installs the sweep's token, narrowed by the per-trial deadline, on
+    /// the calling worker thread for one trial attempt.
+    fn arm_trial(&self) -> InstalledToken {
+        cancel::install(match self.trial_timeout {
+            Some(timeout) => self.cancel.with_timeout(timeout),
+            None => self.cancel.clone(),
+        })
     }
 
     /// Runs `f` once per item and returns the outputs in item order.
@@ -323,10 +266,10 @@ impl Sweep {
                     index: t.index,
                     seed: retry_seed(t.seed, attempt),
                 };
-                let _deadline = arm_deadline(self.trial_timeout);
+                let _token = self.arm_trial();
                 match catch_unwind(AssertUnwindSafe(|| f(attempt_trial, item))) {
                     Ok(out) => return Ok(out),
-                    Err(payload) => last_payload = payload_string(payload),
+                    Err(payload) => last_payload = panic_message(payload.as_ref()),
                 }
             }
             Err(TrialFailure {
@@ -448,7 +391,7 @@ impl Sweep {
                 .iter()
                 .enumerate()
                 .map(|(i, item)| {
-                    let _deadline = arm_deadline(self.trial_timeout);
+                    let _token = self.arm_trial();
                     f(&mut scratch, trial(i), item)
                 })
                 .collect();
@@ -462,7 +405,7 @@ impl Sweep {
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         let Some(item) = items.get(i) else { break };
-                        let _deadline = arm_deadline(self.trial_timeout);
+                        let _token = self.arm_trial();
                         let out = f(&mut scratch, trial(i), item);
                         *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
                     }
@@ -559,7 +502,7 @@ impl Sweep {
             let mut scratch = init();
             return (0..count)
                 .map(|i| {
-                    let _deadline = arm_deadline(self.trial_timeout);
+                    let _token = self.arm_trial();
                     f(&mut scratch, trial(i))
                 })
                 .collect();
@@ -578,7 +521,7 @@ impl Sweep {
                         }
                         let end = (start + block).min(count);
                         for (i, slot) in slots[start..end].iter().enumerate() {
-                            let _deadline = arm_deadline(self.trial_timeout);
+                            let _token = self.arm_trial();
                             let out = f(&mut scratch, trial(start + i));
                             *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
                         }
@@ -629,11 +572,11 @@ pub fn threads_or_default(explicit: Option<usize>) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Tests that exercise the ambient deadline/abort machinery hold this
-    /// lock: the abort flag is process-global, so a concurrently running
-    /// deadline test could otherwise observe another test's abort.
-    static AMBIENT_STATE: Mutex<()> = Mutex::new(());
+    use crate::cancel::check_trial_token;
+    use crate::{Action, Executor, ExecutorConfig, Feedback, Operation, Program, RegisterId};
+    use crate::{FnAlgorithm, Value, ZeroTosses};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
 
     #[test]
     fn results_are_in_index_order() {
@@ -963,10 +906,13 @@ mod tests {
 
     #[test]
     fn trial_timeout_converts_a_hung_trial_into_a_failure() {
-        let _ambient = AMBIENT_STATE.lock().unwrap_or_else(PoisonError::into_inner);
         use std::time::Duration;
+        // The per-trial timeout nests inside the sweep token's (far later)
+        // deadline and expires on its own, without touching the token.
+        let token = CancelToken::new().with_timeout(Duration::from_secs(3600));
         let items: Vec<u64> = (0..3).collect();
         let out = Sweep::sequential()
+            .with_cancel(token.clone())
             .with_trial_timeout(Duration::from_millis(10))
             .run_fallible(&items, |_, &x| {
                 if x == 1 {
@@ -976,7 +922,7 @@ mod tests {
                     loop {
                         events += 1;
                         if events.is_multiple_of(512) {
-                            check_trial_deadline(events);
+                            check_trial_token(events);
                         }
                     }
                 }
@@ -990,11 +936,11 @@ mod tests {
             "{}",
             f.payload
         );
+        assert!(!token.is_cancelled() && !token.is_expired());
     }
 
     #[test]
     fn scratch_sweeps_honor_the_trial_timeout() {
-        let _ambient = AMBIENT_STATE.lock().unwrap_or_else(PoisonError::into_inner);
         use std::time::Duration;
         // The PR 4 scratch paths used to skip deadline arming entirely; a
         // hung trial now panics out of the sweep at any thread count.
@@ -1014,13 +960,13 @@ mod tests {
                             loop {
                                 events += 1;
                                 if events.is_multiple_of(512) {
-                                    check_trial_deadline(events);
+                                    check_trial_token(events);
                                 }
                             }
                         },
                     )
             }));
-            let payload = payload_string(result.unwrap_err());
+            let payload = panic_message(result.unwrap_err().as_ref());
             if threads == 1 {
                 assert!(
                     payload.contains("wall-clock deadline exceeded"),
@@ -1031,7 +977,7 @@ mod tests {
             // the sequential path can assert on the message — the unwrap
             // above already proves the parallel path times out too.)
         }
-        check_trial_deadline(0); // the guard restored the disarmed state
+        check_trial_token(0); // the guard restored the disarmed state
     }
 
     #[test]
@@ -1065,22 +1011,109 @@ mod tests {
     }
 
     #[test]
-    fn sweep_abort_panics_polling_trials_and_clears() {
-        let _ambient = AMBIENT_STATE.lock().unwrap_or_else(PoisonError::into_inner);
-        assert!(!sweep_abort_requested());
-        request_sweep_abort();
-        assert!(sweep_abort_requested());
-        let result = catch_unwind(AssertUnwindSafe(|| check_trial_deadline(7)));
-        let payload = payload_string(result.unwrap_err());
-        assert!(payload.contains("sweep abort requested"), "{payload}");
-        clear_sweep_abort();
-        assert!(!sweep_abort_requested());
-        check_trial_deadline(7); // no abort, no deadline: a no-op again
+    fn cancelled_token_panics_polling_trials_and_is_scoped_to_its_sweep() {
+        let token = CancelToken::new();
+        let sweep = Sweep::with_threads(2).with_cancel(token.clone());
+        let items: Vec<u64> = (0..4).collect();
+        let live = sweep.run_fallible(&items, |_, &x| {
+            check_trial_token(7); // an uncancelled token is a no-op
+            x
+        });
+        assert!(live.iter().all(Result::is_ok));
+        token.cancel();
+        let cancelled = sweep.run_fallible(&items, |_, &x| {
+            check_trial_token(7);
+            x
+        });
+        for r in &cancelled {
+            let f = r.as_ref().unwrap_err();
+            assert!(f.payload.contains("sweep cancelled after 7"), "{f}");
+        }
+        // The worker's guard uninstalled the token: outside the sweep the
+        // poll is a no-op again, and a fresh sweep has a fresh token.
+        check_trial_token(7);
+        assert_eq!(Sweep::with_threads(2).run(&items, |_, &x| x), items);
+    }
+
+    /// Swaps register 0 `left` times (forever when `None`), then returns.
+    struct Swapper {
+        left: Option<u64>,
+    }
+
+    impl Program for Swapper {
+        fn next(&mut self, _: Feedback) -> Action {
+            match &mut self.left {
+                Some(0) => Action::Return(Value::from(0i64)),
+                Some(k) => {
+                    *k -= 1;
+                    Action::Invoke(Operation::Swap(RegisterId(0), Value::from(1i64)))
+                }
+                None => Action::Invoke(Operation::Swap(RegisterId(0), Value::from(1i64))),
+            }
+        }
+    }
+
+    /// Drives one executor trial of `swaps` swaps per process (forever
+    /// when `None`) and returns its event count.
+    fn executor_trial(t: Trial, swaps: Option<u64>) -> u64 {
+        let alg = FnAlgorithm::new("swapper", move |_, _| {
+            Box::new(Swapper { left: swaps }) as Box<dyn Program>
+        });
+        let mut exec = Executor::new(&alg, 2, Arc::new(ZeroTosses), ExecutorConfig::default());
+        while exec.step_round_robin().expect("within budget") {}
+        exec.recorded_events() ^ t.seed
+    }
+
+    #[test]
+    fn cancelling_one_sweep_leaves_a_concurrent_sweep_untouched() {
+        // Two sweeps on two threads, each with its own token. Sweep A's
+        // trials spin through the executor until A is cancelled; sweep B
+        // runs all of its trials after that cancel, and every one of them
+        // must still match an uncancelled run (a process-global abort
+        // flag failed them all).
+        let items: Vec<u64> = (0..8).collect();
+        let b_trial = |t: Trial, _: &u64| executor_trial(t, Some(2_000));
+        let baseline = Sweep::with_threads(2)
+            .seeded(5)
+            .run_fallible(&items, b_trial);
+        assert!(baseline.iter().all(Result::is_ok));
+
+        let a_token = CancelToken::new();
+        let a_running = AtomicBool::new(false);
+        let a_cancelled = AtomicBool::new(false);
+        let (a_out, b_out) = std::thread::scope(|scope| {
+            let a = scope.spawn(|| {
+                Sweep::with_threads(2)
+                    .with_cancel(a_token.clone())
+                    .run_fallible(&items, |t, _| {
+                        a_running.store(true, Ordering::SeqCst);
+                        executor_trial(t, None)
+                    })
+            });
+            let b = scope.spawn(|| {
+                while !a_cancelled.load(Ordering::SeqCst) {
+                    std::hint::spin_loop();
+                }
+                Sweep::with_threads(2)
+                    .seeded(5)
+                    .run_fallible(&items, b_trial)
+            });
+            while !a_running.load(Ordering::SeqCst) {
+                std::hint::spin_loop();
+            }
+            a_token.cancel();
+            a_cancelled.store(true, Ordering::SeqCst);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(b_out, baseline, "B is independent of A's token");
+        for r in &a_out {
+            let f = r.as_ref().unwrap_err();
+            assert!(f.payload.contains("sweep cancelled"), "{f}");
+        }
     }
 
     #[test]
     fn deadline_is_cleared_after_each_trial_even_across_unwind() {
-        let _ambient = AMBIENT_STATE.lock().unwrap_or_else(PoisonError::into_inner);
         use std::time::Duration;
         // A timed sweep whose trial panics must not leave a stale
         // deadline armed on the worker thread.
@@ -1088,6 +1121,6 @@ mod tests {
             .with_trial_timeout(Duration::from_millis(1))
             .run_fallible(&[0usize], |_, _| -> usize { panic!("bad") });
         std::thread::sleep(Duration::from_millis(2));
-        check_trial_deadline(0); // must not panic: no deadline armed here
+        check_trial_token(0); // must not panic: no deadline armed here
     }
 }

@@ -810,40 +810,44 @@ fn cmd_universal(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// SIGINT/SIGTERM wiring for `llsc job`: the handler (required to be
-/// async-signal-safe, so it only stores two atomics) raises both a local
-/// interrupted flag and the global sweep abort, converting in-flight
-/// trials into prompt panics the job runner classifies as an interrupt
-/// and answers with a final checkpoint flush.
+/// SIGINT/SIGTERM wiring for `llsc job`: the handler cancels the job's
+/// token — one atomic store, so it is async-signal-safe — which turns the
+/// in-flight trials into prompt panics the job runner classifies as an
+/// interrupt and answers with a final checkpoint flush.
 mod signals {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use llsc_lowerbound::shmem::CancelToken;
+    use std::sync::OnceLock;
 
-    static INTERRUPTED: AtomicBool = AtomicBool::new(false);
+    /// The running job's token, reachable from the handler.
+    static JOB_TOKEN: OnceLock<CancelToken> = OnceLock::new();
 
     extern "C" {
         fn signal(signum: i32, handler: usize) -> usize;
     }
 
     extern "C" fn on_signal(_sig: i32) {
-        INTERRUPTED.store(true, Ordering::SeqCst);
-        llsc_lowerbound::shmem::sweep::request_sweep_abort();
+        if let Some(token) = JOB_TOKEN.get() {
+            token.cancel();
+        }
     }
 
     const SIGINT: i32 = 2;
     const SIGTERM: i32 = 15;
 
-    /// Installs the handlers for SIGINT and SIGTERM.
-    pub fn install() {
+    /// Installs the handlers for SIGINT and SIGTERM and returns the token
+    /// they cancel.
+    pub fn install() -> CancelToken {
+        let token = JOB_TOKEN.get_or_init(CancelToken::new).clone();
         let handler = on_signal as extern "C" fn(i32) as usize;
+        // SAFETY: `signal` is the C library's; `on_signal` has the
+        // `void (*)(int)` signature it expects and only touches atomics
+        // (the `OnceLock` state and the token's flag), which is
+        // async-signal-safe.
         unsafe {
             signal(SIGINT, handler);
             signal(SIGTERM, handler);
         }
-    }
-
-    /// `true` once either signal has been delivered.
-    pub fn interrupted() -> bool {
-        INTERRUPTED.load(Ordering::SeqCst)
+        token
     }
 }
 
@@ -920,18 +924,10 @@ fn cmd_job(args: &[String]) -> ExitCode {
     }
 
     fn control_with_signals() -> JobControl {
-        signals::install();
-        let control = JobControl::new();
-        let flag = control.interrupt.clone();
-        // The handler itself may only touch atomics; this relay forwards
-        // the static flag into the runner's shared handle.
-        std::thread::spawn(move || loop {
-            if signals::interrupted() {
-                flag.store(true, std::sync::atomic::Ordering::SeqCst);
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        });
-        control
+        JobControl {
+            cancel: signals::install(),
+            ..JobControl::new()
+        }
     }
 
     let run = || -> Result<u8, String> {
