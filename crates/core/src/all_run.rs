@@ -4,7 +4,7 @@
 use crate::rounds::{execute_round_with, MoveOrder, RoundRecord};
 use crate::upsets::UpTracker;
 use llsc_shmem::{
-    Algorithm, Executor, ExecutorConfig, Interaction, ProcMask, ProcessId, RegisterId, Run,
+    Algorithm, Executor, ExecutorConfig, ProcHistory, ProcMask, ProcessId, RegisterId, Run,
     TossAssignment, Value,
 };
 use std::collections::BTreeMap;
@@ -129,12 +129,13 @@ impl RoundedRun {
     /// The prefix of `p`'s interaction history up to the end of round `r`.
     /// For deterministic-given-coins programs this prefix determines
     /// `state(p, r, Σ)`.
-    pub fn history_at(&self, p: ProcessId, r: usize) -> &[Interaction] {
-        if r == 0 {
-            &[]
+    pub fn history_at(&self, p: ProcessId, r: usize) -> ProcHistory<'_> {
+        let len = if r == 0 {
+            0
         } else {
-            &self.run.history(p)[..self.rounds[r - 1].end_history_len[p.0]]
-        }
+            self.rounds[r - 1].end_history_len[p.0]
+        };
+        self.run.history(p).prefix(len)
     }
 
     /// `t(p, r)`: shared-memory steps performed by `p` by the end of round

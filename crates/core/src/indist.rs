@@ -168,7 +168,7 @@ pub fn check_indistinguishability(all: &AllRun, srun: &SRun) -> IndistReport {
             let h_s = srun.base.history_at(p, sr);
             if !content_mismatch[p.0] {
                 let common = h_all.len().min(h_s.len());
-                if h_all[verified[p.0]..common] != h_s[verified[p.0]..common] {
+                if h_all.range(verified[p.0]..common) != h_s.range(verified[p.0]..common) {
                     content_mismatch[p.0] = true;
                 } else {
                     verified[p.0] = common;

@@ -564,4 +564,50 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn flow_report_agrees_with_per_register_queries() {
+        let mut rng = XorShift64::new(0x5EC2_E71E);
+        for case in 0..240 {
+            let n = 1 + rng.index(24);
+            let cfg = match case % 4 {
+                0 => chain(n),
+                // Fan-in: fresh sources moved into a few shared sinks.
+                1 => {
+                    let sinks = 1 + rng.below(3);
+                    MoveConfig::from_iter(
+                        (0..n).map(|i| (p(i), reg(sinks + i as u64), reg(rng.below(sinks)))),
+                    )
+                }
+                // A chain whose last register also receives a fan-in.
+                2 => {
+                    let len = n.div_ceil(2) as u64;
+                    MoveConfig::from_iter((0..n).map(|i| {
+                        let k = i as u64;
+                        let (src, dst) = if k < len {
+                            (k, k + 1)
+                        } else {
+                            (len + 1 + k, len)
+                        };
+                        (p(i), reg(src), reg(dst))
+                    }))
+                }
+                _ => random_move_config(n, 2 + rng.below(10), rng.next_u64()),
+            };
+            let sigma = secretive_complete_schedule(&cfg);
+            let flows = flow_report(&sigma, &cfg);
+            // A complete schedule lands a move in every destination and
+            // nowhere else.
+            assert!(
+                flows.keys().copied().eq(cfg.destinations()),
+                "case {case}: {cfg}"
+            );
+            // Every register the configuration names, plus untouched ones.
+            for r in (0..2 * n as u64 + 8).map(reg) {
+                let (src, mvs) = flows.get(&r).cloned().unwrap_or((r, Vec::new()));
+                assert_eq!(src, source(r, &sigma, &cfg), "case {case} {r}: {cfg}");
+                assert_eq!(mvs, movers(r, &sigma, &cfg), "case {case} {r}: {cfg}");
+            }
+        }
+    }
 }

@@ -232,6 +232,25 @@ impl UpTracker {
                 .get(&p)
                 .expect("knowledge sources were saved above")
         };
+        // `(source(R, σ_r), movers(R, σ_r))` for every register a move
+        // landed in (rules R3 and P4), from one pass over σ_r.
+        let flows = if rec.moves_into.is_empty() {
+            BTreeMap::new()
+        } else {
+            secretive::flow_report(&rec.sigma, &rec.move_config)
+        };
+        // `UP(source, r-1)` joined with every mover's `UP(q, r-1)`; a
+        // register no move landed in is its own source with no movers.
+        let moved_in = |r: RegisterId| -> ProcSet {
+            let (src, mvs) = flows
+                .get(&r)
+                .map_or((r, &[][..]), |(src, mvs)| (*src, mvs.as_slice()));
+            let mut up = old_reg(src);
+            for &q in mvs {
+                up.union_with(old_proc(q));
+            }
+            up
+        };
 
         // ---- Register rules (use only round r-1 values) ----
         // Collect the registers affected this round.
@@ -250,13 +269,7 @@ impl UpTracker {
                 old_proc(last).clone()
             } else {
                 // Rule R3: moves into R (no swap on R, no successful SC).
-                let src = secretive::source(r, &rec.sigma, &rec.move_config);
-                let mvs = secretive::movers(r, &rec.sigma, &rec.move_config);
-                let mut up = old_reg(src);
-                for q in mvs {
-                    up.union_with(old_proc(q));
-                }
-                up
+                moved_in(r)
             };
             // Rule R4 (else: unchanged) is the default — untouched entries
             // keep their round-(r-1) values.
@@ -285,12 +298,7 @@ impl UpTracker {
                     if my_pos == 0 {
                         if rec.moves_into.contains_key(&r) {
                             // Rule P4: first swapper, after moves into R.
-                            let src = secretive::source(r, &rec.sigma, &rec.move_config);
-                            let mvs = secretive::movers(r, &rec.sigma, &rec.move_config);
-                            up.union_with(&old_reg(src));
-                            for q in mvs {
-                                up.union_with(old_proc(q));
-                            }
+                            up.union_with(&moved_in(r));
                         } else {
                             // Rule P3: first swapper, no moves into R.
                             up.union_with(&old_reg(r));

@@ -1,9 +1,9 @@
 //! The deterministic discrete-event engine.
 
 use crate::{
-    Action, Algorithm, CcTracker, FaultInjector, FaultPlan, FaultStats, Feedback, Interaction,
-    Operation, ProcessId, Program, Response, Run, RunError, RunEvent, RunOutcome, Scheduler,
-    SharedMemory, TossAssignment, Value,
+    Action, Algorithm, CcTracker, FaultInjector, FaultPlan, FaultStats, Feedback, Operation,
+    ProcessId, Program, Response, Run, RunError, RunEvent, RunOutcome, Scheduler, SharedMemory,
+    TossAssignment, Value,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -108,6 +108,18 @@ struct ProcState {
     /// termination is resolved eagerly.
     pending: Option<Action>,
     activated: bool,
+}
+
+impl ProcState {
+    /// Advances the program with `feedback` without recording anything —
+    /// the restore-replay twin of [`Executor::feed`]: the cloned run
+    /// already contains every event this feedback corresponds to.
+    fn replay_feedback(&mut self, feedback: Feedback) {
+        self.pending = match self.program.next(feedback) {
+            Action::Return(_) => None,
+            other => Some(other),
+        };
+    }
 }
 
 impl fmt::Debug for ProcState {
@@ -300,30 +312,20 @@ impl Executor {
         self.rmr_cc.clone_from(&snap.rmr_cc);
         self.recorded_events = snap.recorded_events;
         for &p in activate {
-            self.procs[p.0].activated = true;
-            self.replay_feedback(p, Feedback::Start);
-            for i in 0..self.run.history(p).len() {
-                let fb = match &self.run.history(p)[i] {
-                    Interaction::Toss(c) => Feedback::Coin(*c),
-                    Interaction::Op(_, resp) => Feedback::Response(resp.clone()),
+            let proc = &mut self.procs[p.0];
+            proc.activated = true;
+            proc.replay_feedback(Feedback::Start);
+            for ev in self.run.history(p).iter() {
+                let fb = match ev {
+                    RunEvent::Toss { outcome, .. } => Feedback::Coin(*outcome),
+                    RunEvent::SharedOp { resp, .. } => Feedback::Response(resp.clone()),
                     // Termination is the program's *output* (already in
                     // the cloned run), not a feedback to replay.
-                    Interaction::Returned(_) => break,
+                    RunEvent::Terminated { .. } => break,
                 };
-                self.replay_feedback(p, fb);
+                proc.replay_feedback(fb);
             }
         }
-    }
-
-    /// Advances `p`'s program with `feedback` without recording anything —
-    /// the restore-replay twin of [`Executor::feed`]: the cloned run
-    /// already contains every event this feedback corresponds to.
-    fn replay_feedback(&mut self, p: ProcessId, feedback: Feedback) {
-        let action = self.procs[p.0].program.next(feedback);
-        self.procs[p.0].pending = match action {
-            Action::Return(_) => None,
-            other => Some(other),
-        };
     }
 
     /// Arms the memory-fault adversary: faults from `plan` are delivered

@@ -119,7 +119,7 @@ pub use repro::{
     Provenance, RecoverySpec, Replayed, ReproCase, ScheduleSpec, ShrinkReport, TossSpec,
 };
 pub use rmr::{dsm_cost, dsm_home, dsm_remote, CcTracker};
-pub use run::{Interaction, OpCounters, Run, RunEvent};
+pub use run::{OpCounters, ProcHistory, Run, RunEvent};
 pub use scheduler::{
     ListScheduler, PartitionScheduler, RandomScheduler, RecordingScheduler, RoundRobinScheduler,
     Scheduler, SequentialScheduler,

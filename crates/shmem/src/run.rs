@@ -3,6 +3,7 @@
 
 use crate::{Operation, ProcessId, Response, Value};
 use std::fmt;
+use std::ops::Range;
 
 /// One event of a run: a single step by a single process.
 ///
@@ -72,22 +73,84 @@ impl fmt::Display for RunEvent {
     }
 }
 
-/// One entry of a process's *interaction history*: everything the process
-/// has locally observed.
+/// A process's *interaction history*: everything it has locally observed
+/// — its tosses, shared operations with their responses, and its
+/// termination — as a borrowed view of its events in [`Run::events`].
 ///
 /// For a deterministic-given-coins program, the interaction history (plus
 /// the program text) determines the process's automaton state. The
 /// indistinguishability checker of `llsc-core` therefore compares
 /// interaction histories where Lemma 5.2 compares `state(p, r, Σ)`, and
 /// toss counts where it compares `numtosses(p, r, Σ)`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Interaction {
-    /// A coin toss and its outcome.
-    Toss(u64),
-    /// A shared-memory operation and its response.
-    Op(Operation, Response),
-    /// Termination with a return value.
-    Returned(Value),
+///
+/// Two views are equal iff they hold equal events in the same order.
+/// Between histories of the same process that compares exactly what the
+/// process observed: the pid is fixed, and a toss's index follows from the
+/// prefix before it, which has already compared equal.
+#[derive(Clone, Copy)]
+pub struct ProcHistory<'a> {
+    events: &'a [RunEvent],
+    /// Positions in `events` of this process's events, in order.
+    indices: &'a [u32],
+}
+
+impl<'a> ProcHistory<'a> {
+    /// The number of events in the history.
+    pub fn len(&self) -> usize {
+        self.indices.len()
+    }
+
+    /// `true` iff the process has observed nothing.
+    pub fn is_empty(&self) -> bool {
+        self.indices.is_empty()
+    }
+
+    /// The first `len` events of the history.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds [`ProcHistory::len`].
+    pub fn prefix(&self, len: usize) -> ProcHistory<'a> {
+        self.range(0..len)
+    }
+
+    /// The events at positions `range` of the history.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is out of bounds, like slice indexing.
+    pub fn range(&self, range: Range<usize>) -> ProcHistory<'a> {
+        ProcHistory {
+            events: self.events,
+            indices: &self.indices[range],
+        }
+    }
+
+    /// The history's events, in order.
+    pub fn iter(&self) -> impl Iterator<Item = &'a RunEvent> + 'a {
+        let events = self.events;
+        self.indices.iter().map(move |&k| &events[position(k)])
+    }
+}
+
+impl PartialEq for ProcHistory<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for ProcHistory<'_> {}
+
+impl fmt::Debug for ProcHistory<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The `events` position an index entry names (lossless: indices are
+/// `u32` and `usize` is at least 32 bits wide on every supported target).
+fn position(k: u32) -> usize {
+    usize::try_from(k).expect("usize holds every u32")
 }
 
 /// A recorded run: the global event sequence plus per-process accounting.
@@ -99,11 +162,15 @@ pub enum Interaction {
 pub struct Run {
     n: usize,
     details: bool,
+    /// Every event, in execution order: the only copy of each operation
+    /// and response (empty in lightweight mode).
     events: Vec<RunEvent>,
     /// Total events recorded, maintained even in lightweight mode (where
     /// `events` itself stays empty).
     event_count: u64,
-    histories: Vec<Vec<Interaction>>,
+    /// Per process, the positions in `events` of its events, in order:
+    /// the index lists behind [`Run::history`].
+    histories: Vec<Vec<u32>>,
     shared_steps: Vec<u64>,
     tosses: Vec<u64>,
     verdicts: Vec<Option<Value>>,
@@ -266,29 +333,27 @@ impl Run {
         let pid = ev.pid();
         self.check_live(pid);
         match &ev {
-            RunEvent::Toss { outcome, .. } => {
-                self.tosses[pid.0] += 1;
-                if self.details {
-                    self.histories[pid.0].push(Interaction::Toss(*outcome));
-                }
-            }
-            RunEvent::SharedOp { op, resp, .. } => {
-                self.shared_steps[pid.0] += 1;
-                if self.details {
-                    self.histories[pid.0].push(Interaction::Op(op.clone(), resp.clone()));
-                }
-            }
-            RunEvent::Terminated { value, .. } => {
-                self.verdicts[pid.0] = Some(value.clone());
-                if self.details {
-                    self.histories[pid.0].push(Interaction::Returned(value.clone()));
-                }
-            }
+            RunEvent::Toss { .. } => self.tosses[pid.0] += 1,
+            RunEvent::SharedOp { .. } => self.shared_steps[pid.0] += 1,
+            RunEvent::Terminated { value, .. } => self.verdicts[pid.0] = Some(value.clone()),
         }
         self.event_count += 1;
         if self.details {
-            self.events.push(ev);
+            self.push_event(ev);
         }
+    }
+
+    /// Appends a detailed event to the log and its position to the
+    /// process's index list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the log already holds `u32::MAX + 1` events.
+    fn push_event(&mut self, ev: RunEvent) {
+        let k = u32::try_from(self.events.len())
+            .expect("a detailed run holds at most 2^32 events; record longer runs lightweight");
+        self.histories[ev.pid().0].push(k);
+        self.events.push(ev);
     }
 
     /// Records a shared-memory step from borrowed parts: equivalent to
@@ -304,8 +369,7 @@ impl Run {
         self.shared_steps[pid.0] += 1;
         self.event_count += 1;
         if self.details {
-            self.histories[pid.0].push(Interaction::Op(op.clone(), resp.clone()));
-            self.events.push(RunEvent::SharedOp {
+            self.push_event(RunEvent::SharedOp {
                 pid,
                 op: op.clone(),
                 resp: resp.clone(),
@@ -496,9 +560,13 @@ impl Run {
             .map(|(i, _)| ProcessId(i))
     }
 
-    /// `p`'s interaction history: everything `p` has observed, in order.
-    pub fn history(&self, p: ProcessId) -> &[Interaction] {
-        &self.histories[p.0]
+    /// `p`'s interaction history: everything `p` has observed, in order
+    /// (empty in lightweight mode).
+    pub fn history(&self, p: ProcessId) -> ProcHistory<'_> {
+        ProcHistory {
+            events: &self.events,
+            indices: &self.histories[p.0],
+        }
     }
 
     /// `true` iff `p` has taken at least one step (toss, shared op, or
@@ -512,7 +580,7 @@ impl Run {
     /// Used by the wakeup checker's "everyone took a step before anyone
     /// returned 1" condition.
     pub fn first_step_index(&self, p: ProcessId) -> Option<usize> {
-        self.events.iter().position(|e| e.pid() == p)
+        self.histories[p.0].first().map(|&k| position(k))
     }
 }
 
@@ -608,10 +676,56 @@ mod tests {
             outcome: 7,
         });
         run.record(op_event(0));
-        let h = run.history(ProcessId(0));
+        let h: Vec<&RunEvent> = run.history(ProcessId(0)).iter().collect();
         assert_eq!(h.len(), 2);
-        assert_eq!(h[0], Interaction::Toss(7));
-        assert!(matches!(h[1], Interaction::Op(..)));
+        assert!(matches!(h[0], RunEvent::Toss { outcome: 7, .. }));
+        assert!(matches!(h[1], RunEvent::SharedOp { .. }));
+    }
+
+    #[test]
+    fn history_views_slice_and_compare_by_content() {
+        let (mut a, mut b) = (Run::new(2), Run::new(2));
+        a.record(op_event(0));
+        a.record(op_event(1));
+        a.record(op_event(0));
+        // The same per-process history at different global positions.
+        b.record(op_event(0));
+        b.record(op_event(0));
+        let (ha, hb) = (a.history(ProcessId(0)), b.history(ProcessId(0)));
+        assert_eq!(ha, hb);
+        assert_eq!(ha.prefix(1), hb.range(1..2));
+        assert_ne!(ha.prefix(1), hb);
+        assert_ne!(ha.prefix(1), a.history(ProcessId(1)));
+        assert_eq!(
+            format!("{:?}", a.history(ProcessId(1))),
+            format!("[{:?}]", op_event(1))
+        );
+    }
+
+    #[test]
+    fn lightweight_runs_keep_no_history_and_reset_clears_it() {
+        for lightweight in [false, true] {
+            let mut run = if lightweight {
+                Run::lightweight(2)
+            } else {
+                Run::new(2)
+            };
+            run.record(op_event(1));
+            run.record(op_event(0));
+            assert_eq!(run.history(ProcessId(0)).is_empty(), lightweight);
+            run.reset();
+            assert!(run.events().is_empty());
+            for p in ProcessId::all(2) {
+                assert!(run.history(p).is_empty());
+                assert_eq!(run.first_step_index(p), None);
+            }
+            // Positions restart at the front of the emptied log.
+            run.record(op_event(0));
+            if !lightweight {
+                assert_eq!(run.first_step_index(ProcessId(0)), Some(0));
+                assert!(run.history(ProcessId(0)).iter().eq([&op_event(0)]));
+            }
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use llsc_lowerbound::bench::xcheck::{
     e18_case, xcheck_universal, xcheck_wakeup, BackendKind, XcheckConfig,
 };
 use llsc_lowerbound::core::{
-    build_all_run, indist_all_subsets, is_secretive, movers, random_move_config,
+    build_all_run, flow_report, indist_all_subsets, is_secretive, random_move_config,
     secretive_complete_schedule, standard_portfolio, stress_wakeup_sweep, trace_all_run,
     verify_lower_bound, AdversaryConfig, MoveConfig,
 };
@@ -672,8 +672,9 @@ fn cmd_secretive(opts: &Opts) -> Result<(), String> {
     println!("secretive schedule: [{}]", names.join(", "));
     println!("is_secretive: {}", is_secretive(&sigma, &cfg));
     let mut worst = 0;
-    for r in cfg.destinations() {
-        let m = movers(r, &sigma, &cfg);
+    // A complete schedule lands a move in every destination, so the flow
+    // map's keys are exactly `cfg.destinations()`, in id order.
+    for (r, (_, m)) in flow_report(&sigma, &cfg) {
         worst = worst.max(m.len());
         let ms: Vec<String> = m.iter().map(ToString::to_string).collect();
         println!("  movers({r}) = [{}]", ms.join(", "));

@@ -7,7 +7,7 @@ use llsc_lowerbound::core::{
     build_all_run, ceil_log4, check_wakeup, estimate_expected_complexity, verify_lower_bound,
     AdversaryConfig, WakeupViolation,
 };
-use llsc_lowerbound::shmem::{SeededTosses, ZeroTosses};
+use llsc_lowerbound::shmem::{ProcessId, RunEvent, SeededTosses, ZeroTosses};
 use llsc_lowerbound::universal::{AdtTreeUniversal, HerlihyUniversal, MsQueue, TreiberStack};
 use llsc_lowerbound::wakeup::{
     correct_algorithms, randomized_algorithms, strawman_algorithms, ObjectWakeup, ReductionKind,
@@ -194,5 +194,42 @@ fn adversary_runs_are_reproducible_across_invocations() {
         let b = build_all_run(alg.as_ref(), 10, Arc::new(SeededTosses::new(5)), &cfg).unwrap();
         assert_eq!(a.base.run.events(), b.base.run.events(), "{}", alg.name());
         assert_eq!(a.base.num_rounds(), b.base.num_rounds());
+    }
+}
+
+#[test]
+fn history_views_match_the_event_log() {
+    let cfg = AdversaryConfig::default();
+    for alg in correct_algorithms()
+        .into_iter()
+        .chain(randomized_algorithms())
+    {
+        for n in [4, 8] {
+            let all = build_all_run(alg.as_ref(), n, Arc::new(SeededTosses::new(5)), &cfg).unwrap();
+            let run = &all.base.run;
+            for p in ProcessId::all(n) {
+                // A process's history is the event log filtered to it.
+                let filtered: Vec<&RunEvent> =
+                    run.events().iter().filter(|e| e.pid() == p).collect();
+                let history: Vec<&RunEvent> = run.history(p).iter().collect();
+                assert_eq!(history, filtered, "{} n={n} {p}", alg.name());
+                assert_eq!(
+                    run.first_step_index(p),
+                    run.events().iter().position(|e| e.pid() == p),
+                    "{} n={n} {p}",
+                    alg.name()
+                );
+                // Each round's prefix ends where the round record says.
+                for (i, rec) in all.base.rounds.iter().enumerate() {
+                    let view = all.base.history_at(p, i + 1);
+                    assert_eq!(
+                        view.len(),
+                        rec.end_history_len[p.0],
+                        "{} n={n} {p}",
+                        alg.name()
+                    );
+                }
+            }
+        }
     }
 }
