@@ -2,13 +2,13 @@
 //! round-structured-run record shared with the `(S, A)`-run.
 
 use crate::rounds::{execute_round_with, MoveOrder, RoundRecord};
-use crate::upsets::UpTracker;
+use crate::upsets::{ProcSet, UpTracker};
 use llsc_shmem::{
-    Algorithm, Executor, ExecutorConfig, ProcHistory, ProcMask, ProcessId, RegisterId, Run,
+    Algorithm, Executor, ExecutorConfig, OpKind, ProcHistory, ProcMask, ProcessId, RegisterId, Run,
     TossAssignment, Value,
 };
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Limits for adversary-run construction.
 #[derive(Clone, Copy, Debug)]
@@ -87,33 +87,36 @@ pub struct RoundedRun {
 }
 
 impl RoundedRun {
+    /// `val(R, r, Σ)` and `Pset(R, r, Σ)`, borrowed: the value and the
+    /// registered process set of `reg` at the end of round `r` (round 0 =
+    /// initial configuration).
+    pub fn register_at(&self, reg: RegisterId, r: usize) -> (&Value, &ProcMask) {
+        static UNIT: Value = Value::Unit;
+        static EMPTY: ProcMask = ProcMask::new();
+        let end = r
+            .checked_sub(1)
+            .and_then(|i| self.rounds[i].end_registers.as_ref()?.get(&reg));
+        match end {
+            Some(state) => (state.value(), state.pset()),
+            None => (self.initial_memory.get(&reg).unwrap_or(&UNIT), &EMPTY),
+        }
+    }
+
     /// `val(R, r, Σ)`: the value of register `reg` at the end of round `r`
     /// (round 0 = initial configuration).
     pub fn value_at(&self, reg: RegisterId, r: usize) -> Value {
-        if r == 0 {
-            return self.initial_value(reg);
-        }
-        self.rounds[r - 1]
-            .end_values
-            .get(&reg)
-            .cloned()
-            .unwrap_or_else(|| self.initial_value(reg))
-    }
-
-    fn initial_value(&self, reg: RegisterId) -> Value {
-        self.initial_memory.get(&reg).cloned().unwrap_or_default()
+        self.register_at(reg, r).0.clone()
     }
 
     /// `Pset(R, r, Σ)`: the registered process set at the end of round `r`.
     pub fn pset_at(&self, reg: RegisterId, r: usize) -> ProcMask {
-        if r == 0 {
-            return ProcMask::new();
-        }
-        self.rounds[r - 1]
-            .end_psets
-            .get(&reg)
-            .cloned()
-            .unwrap_or_default()
+        self.register_at(reg, r).1.clone()
+    }
+
+    /// `true` iff every round recorded its end-of-round register snapshot
+    /// ([`AdversaryConfig::record_snapshots`]).
+    pub fn has_snapshots(&self) -> bool {
+        self.rounds.iter().all(|rec| rec.end_registers.is_some())
     }
 
     /// `numtosses(p, r, Σ)`: coin tosses performed by `p` by the end of
@@ -155,10 +158,14 @@ impl RoundedRun {
 
     /// Every register touched at any point of the run, in id order.
     pub fn touched_registers(&self) -> Vec<RegisterId> {
-        match self.rounds.last() {
-            // Snapshots are cumulative: the last round lists every touched
-            // register.
-            Some(last) => last.end_values.keys().copied().collect(),
+        // Snapshots are cumulative: the last round lists every touched
+        // register.
+        match self
+            .rounds
+            .last()
+            .and_then(|last| last.end_registers.as_ref())
+        {
+            Some(regs) => regs.keys().copied().collect(),
             None => Vec::new(),
         }
     }
@@ -167,18 +174,115 @@ impl RoundedRun {
 /// The `(All, A)`-run: the unique unextendable run permitted by the
 /// Figure-2 adversary under toss assignment `A`, together with the
 /// `UP`-set history that the `(S, A)`-runs and Theorem 6.1 need.
-#[derive(Clone, Debug)]
+///
+/// The subset checkers read an index of the run's subset-independent
+/// facts, built on their first call and kept for the run's lifetime, so a
+/// sweep over `2^n` subsets builds it once. Mutating `base` or `up` after
+/// a check has run is not reflected in it; a clone starts without one.
+#[derive(Debug)]
 pub struct AllRun {
     /// The rounds, events, and snapshots.
     pub base: RoundedRun,
     /// `UP(p, r)` / `UP(R, r)` for every completed round.
     pub up: UpTracker,
+    index: OnceLock<CheckIndex>,
+}
+
+impl Clone for AllRun {
+    fn clone(&self) -> Self {
+        AllRun::new(self.base.clone(), self.up.clone())
+    }
 }
 
 impl AllRun {
+    fn new(base: RoundedRun, up: UpTracker) -> AllRun {
+        AllRun {
+            base,
+            up,
+            index: OnceLock::new(),
+        }
+    }
+
     /// Convenience accessor: number of processes.
     pub fn n(&self) -> usize {
         self.base.n
+    }
+
+    /// The run's check index, built on first use.
+    pub(crate) fn check_index(&self) -> &CheckIndex {
+        self.index
+            .get_or_init(|| CheckIndex::build(&self.base, &self.up))
+    }
+}
+
+/// The facts about an `(All, A)`-run that the Lemma 5.2 and appendix-claim
+/// checkers need for every subset `S` but that do not depend on `S`.
+#[derive(Debug)]
+pub(crate) struct CheckIndex {
+    n: usize,
+    /// `ops[(r - 1) * n + p]`: `p`'s `(kind, register)` in round `r`, if
+    /// it performed a shared operation.
+    ops: Vec<Option<(OpKind, RegisterId)>>,
+    /// Per round (index `r - 1`): the registers SC'd, sorted and
+    /// deduplicated.
+    sc_registers: Vec<Vec<RegisterId>>,
+    /// Every register the run touched, in id order.
+    touched: Vec<RegisterId>,
+    /// `up_regs[r * touched.len() + i]`: `UP(touched[i], r)`, for rounds
+    /// `0..=rounds`.
+    up_regs: Vec<ProcSet>,
+}
+
+impl CheckIndex {
+    fn build(base: &RoundedRun, up: &UpTracker) -> CheckIndex {
+        let n = base.n;
+        let mut ops = vec![None; base.num_rounds() * n];
+        let mut sc_registers = Vec::with_capacity(base.num_rounds());
+        for (i, rec) in base.rounds.iter().enumerate() {
+            let row = &mut ops[i * n..(i + 1) * n];
+            let mut scs = Vec::new();
+            for o in &rec.ops {
+                row[o.p.0] = Some((o.kind, o.register));
+                if o.kind == OpKind::Sc {
+                    scs.push(o.register);
+                }
+            }
+            scs.sort_unstable();
+            scs.dedup();
+            sc_registers.push(scs);
+        }
+        let touched = base.touched_registers();
+        let up_regs = (0..=base.num_rounds())
+            .flat_map(|r| touched.iter().map(move |&reg| up.reg(reg, r).clone()))
+            .collect();
+        CheckIndex {
+            n,
+            ops,
+            sc_registers,
+            touched,
+            up_regs,
+        }
+    }
+
+    /// `p`'s `(kind, register)` in round `r >= 1`, if it performed a
+    /// shared operation.
+    pub(crate) fn op(&self, r: usize, p: ProcessId) -> Option<(OpKind, RegisterId)> {
+        self.ops[(r - 1) * self.n + p.0]
+    }
+
+    /// The registers SC'd in round `r >= 1`, in id order.
+    pub(crate) fn sc_registers(&self, r: usize) -> &[RegisterId] {
+        &self.sc_registers[r - 1]
+    }
+
+    /// Every register the run touched, in id order.
+    pub(crate) fn touched(&self) -> &[RegisterId] {
+        &self.touched
+    }
+
+    /// `UP(R, r)` for `R = touched()[i]`.
+    pub(crate) fn up_reg(&self, i: usize, r: usize) -> &ProcSet {
+        &self.up_regs[r * self.touched.len() + i]
     }
 }
 
@@ -245,8 +349,8 @@ pub fn build_all_run(
 
     let completed = exec.all_terminated();
     let outcome = exec.run_outcome();
-    Ok(AllRun {
-        base: RoundedRun {
+    Ok(AllRun::new(
+        RoundedRun {
             n,
             rounds,
             run: exec.into_run(),
@@ -255,7 +359,7 @@ pub fn build_all_run(
             outcome,
         },
         up,
-    })
+    ))
 }
 
 #[cfg(test)]

@@ -31,7 +31,6 @@
 use crate::all_run::AllRun;
 use crate::s_run::SRun;
 use llsc_shmem::{OpKind, ProcessId, RegisterId};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A violation of one of the appendix claims.
@@ -116,7 +115,7 @@ impl fmt::Display for ClaimViolation {
 }
 
 /// The outcome of checking the appendix claims on one run pair.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ClaimsReport {
     /// Rounds examined.
     pub rounds_checked: usize,
@@ -149,33 +148,25 @@ impl fmt::Display for ClaimsReport {
 pub fn check_appendix_claims(all: &AllRun, srun: &SRun) -> ClaimsReport {
     let n = all.n();
     let s = &srun.s;
+    let index = all.check_index();
     let mut report = ClaimsReport::default();
+    // The (S, A)-run's per-process `(kind, register)` in the current round.
+    let mut s_ops: Vec<Option<(OpKind, RegisterId)>> = vec![None; n];
 
     for r in 1..=all.base.num_rounds() {
         report.rounds_checked += 1;
         let all_rec = &all.base.rounds[r - 1];
         let s_rec = srun.base.rounds.get(r - 1);
-
-        // Per-process op summaries for this round.
-        let all_ops: BTreeMap<ProcessId, (OpKind, RegisterId)> = all_rec
-            .ops
-            .iter()
-            .map(|o| (o.p, (o.kind, o.register)))
-            .collect();
-        let s_ops: BTreeMap<ProcessId, (OpKind, RegisterId)> = s_rec
-            .map(|rec| {
-                rec.ops
-                    .iter()
-                    .map(|o| (o.p, (o.kind, o.register)))
-                    .collect()
-            })
-            .unwrap_or_default();
+        s_ops.fill(None);
+        for o in s_rec.iter().flat_map(|rec| &rec.ops) {
+            s_ops[o.p.0] = Some((o.kind, o.register));
+        }
 
         // ---- A.2: participation and operation agreement ----
         for p in ProcessId::all(n) {
             report.instances += 1;
             let eligible = all.up.proc(p, r - 1).is_subset(s);
-            match (eligible, s_ops.get(&p)) {
+            match (eligible, s_ops[p.0]) {
                 (false, Some(_)) => report.violations.push(ClaimViolation::Participation {
                     p,
                     round: r,
@@ -187,7 +178,7 @@ pub fn check_appendix_claims(all: &AllRun, srun: &SRun) -> ClaimsReport {
                     // same (kind, register). Early-terminated runs (the
                     // (S, A)-run may stop once all participants finish)
                     // are exempt via s_rec presence.
-                    if let (Some(expect), Some(rec)) = (all_ops.get(&p), s_rec) {
+                    if let (Some(expect), Some(rec)) = (index.op(r, p), s_rec) {
                         let s_terminated_before =
                             srun.base.run.verdict(p).is_some() && !rec.participants.contains(&p);
                         if !s_terminated_before {
@@ -237,9 +228,7 @@ pub fn check_appendix_claims(all: &AllRun, srun: &SRun) -> ClaimsReport {
         // ---- A.4: successful SCs only grow UP(R) ----
         for &reg in all_rec.successful_sc.keys() {
             report.instances += 1;
-            let before = all.up.reg(reg, r - 1);
-            let after = all.up.reg(reg, r);
-            if !before.is_subset(&after) {
+            if !all.up.reg(reg, r - 1).is_subset(all.up.reg(reg, r)) {
                 report
                     .violations
                     .push(ClaimViolation::UpShrank { r: reg, round: r });
@@ -261,13 +250,7 @@ pub fn check_appendix_claims(all: &AllRun, srun: &SRun) -> ClaimsReport {
         }
 
         // ---- A.6 / A.9: SC success agreement for registers inside S ----
-        let sc_registers: std::collections::BTreeSet<RegisterId> = all_rec
-            .ops
-            .iter()
-            .filter(|o| o.kind == OpKind::Sc)
-            .map(|o| o.register)
-            .collect();
-        for reg in sc_registers {
+        for &reg in index.sc_registers(r) {
             if !all.up.reg(reg, r).is_subset(s) {
                 continue;
             }

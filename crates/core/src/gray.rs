@@ -48,10 +48,8 @@ use crate::rounds::{execute_round_with, MoveOrder, OpSummary, RoundGroups, Round
 use crate::s_run::{build_s_run_with, SRun};
 use crate::secretive::{self, MoveConfig};
 use crate::upsets::ProcSet;
-use llsc_shmem::{
-    Algorithm, ExecSnapshot, Executor, OpKind, Operation, ProcessId, RegisterId, Response, RunError,
-};
-use std::collections::BTreeMap;
+use crate::vecmap::VecMap;
+use llsc_shmem::{Algorithm, ExecSnapshot, Executor, OpKind, ProcessId, RegisterId, RunError};
 use std::sync::Arc;
 
 /// The subset mask visited at Gray position `pos` of an `n`-process
@@ -130,7 +128,7 @@ impl Round1Profile {
         let mut steps = vec![FirstStep::default(); n];
         let mut eventful_mask = 0usize;
         let r1 = &all.base.rounds[0];
-        for (&p, &t) in &r1.phase1_tosses {
+        for (&p, &t) in r1.phase1_tosses.iter() {
             steps[p.0].tosses = t;
         }
         for &p in &r1.terminated_in_phase1 {
@@ -364,7 +362,7 @@ fn round_one_incremental(
 
     // The round-1 plan, recomputed from the profile (fact 1 of the
     // module docs: it is mask-independent per process).
-    let mut phase1_tosses = BTreeMap::new();
+    let mut phase1_tosses = VecMap::with_capacity(participants.len());
     let mut terminated_in_phase1 = Vec::new();
     let mut groups = RoundGroups::default();
     let mut move_config = MoveConfig::new();
@@ -376,28 +374,28 @@ fn round_one_incremental(
             continue;
         }
         let (kind, reg) = st.op.expect("a non-terminating participant has a first op");
-        match kind {
-            OpKind::Ll | OpKind::Validate => groups.g1_ll_validate.push(p),
-            OpKind::Move => {
-                groups.g2_move.push(p);
-                let src = st.move_src.expect("movers carry their source register");
-                move_config.insert(p, src, reg);
-            }
-            OpKind::Swap => groups.g3_swap.push(p),
-            OpKind::Sc => groups.g4_sc.push(p),
+        groups.push(p, kind);
+        if kind == OpKind::Move {
+            let src = st.move_src.expect("movers carry their source register");
+            move_config.insert(p, src, reg);
         }
     }
     let keep: llsc_shmem::ProcMask = groups.g2_move.iter().copied().collect();
     let sigma = secretive::restrict(&profile.sigma1, &keep);
-    let plan: Vec<ProcessId> = groups
-        .g1_ll_validate
-        .iter()
-        .chain(sigma.iter())
-        .chain(groups.g3_swap.iter())
-        .chain(groups.g4_sc.iter())
-        .copied()
+    // Plan index of bit `b`'s cut: the LL/validate-group members below `b`.
+    let cut_of: Vec<usize> = (0..n)
+        .map(|bit| groups.g1_ll_validate.iter().filter(|p| p.0 < bit).count())
         .collect();
-    let g1_cut = |bit: usize| groups.g1_ll_validate.iter().filter(|p| p.0 < bit).count();
+    let mut rec = RoundRecord::planned(
+        1,
+        participants.to_vec(),
+        phase1_tosses,
+        terminated_in_phase1,
+        groups,
+        move_config,
+        sigma,
+    );
+    let plan = rec.schedule();
 
     // Resume from the flip bit's checkpoint, if it is valid for this
     // mask; otherwise run Phase 1 from scratch.
@@ -412,7 +410,7 @@ fn round_one_incremental(
                 && snap.mask_below == mask & low
                 && snap.mask_ge_eventful == mask & profile.eventful_mask & !low
             {
-                let cut = g1_cut(flip);
+                let cut = cut_of[flip];
                 debug_assert_eq!(cut, snap.cut, "cut position drifted for bit {flip}");
                 exec.restore_from(alg, &snap.exec, participants);
                 start_idx = cut;
@@ -438,8 +436,8 @@ fn round_one_incremental(
 
     // This position's due captures, ordered by cut point. All cuts lie at
     // or after the resume point: captured bits exceed the flip bit, and
-    // `g1_cut` is monotone in the bit.
-    let mut captures: Vec<(usize, usize)> = capture_bits(n, pos).map(|b| (b, g1_cut(b))).collect();
+    // `cut_of` is monotone in the bit.
+    let mut captures: Vec<(usize, usize)> = capture_bits(n, pos).map(|b| (b, cut_of[b])).collect();
     captures.sort_by_key(|&(_, cut)| cut);
     debug_assert!(captures.first().is_none_or(|&(_, cut)| cut >= start_idx));
     let mut cap_iter = captures.into_iter().peekable();
@@ -447,20 +445,16 @@ fn round_one_incremental(
     // Phases 2-5, from the cut. The skipped prefix is synthesised from
     // the profile: all LL/validate ops, which carry no `sc_ok` and touch
     // none of the per-register tallies.
-    let mut ops: Vec<OpSummary> = Vec::with_capacity(plan.len());
     for &p in &plan[..start_idx] {
         let (kind, register) = profile.steps[p.0].op.expect("prefix members have ops");
         debug_assert!(matches!(kind, OpKind::Ll | OpKind::Validate));
-        ops.push(OpSummary {
+        rec.ops.push(OpSummary {
             p,
             kind,
             register,
             sc_ok: None,
         });
     }
-    let mut successful_sc = BTreeMap::new();
-    let mut swaps: BTreeMap<RegisterId, Vec<ProcessId>> = BTreeMap::new();
-    let mut moves_into: BTreeMap<RegisterId, Vec<ProcessId>> = BTreeMap::new();
     for i in start_idx..=plan.len() {
         let mut at_cut: Option<Arc<ExecSnapshot>> = None;
         while cap_iter.peek().is_some_and(|&(_, cut)| cut == i) {
@@ -477,65 +471,10 @@ fn round_one_incremental(
             });
         }
         let Some(&p) = plan.get(i) else { break };
-        let (op, resp) = exec.perform_shared(p)?;
-        let mut sc_ok = None;
-        match (&op, &resp) {
-            (Operation::Sc(r, _), Response::Flagged { ok, .. }) => {
-                sc_ok = Some(*ok);
-                if *ok {
-                    let prev = successful_sc.insert(*r, p);
-                    debug_assert!(prev.is_none(), "two successful SCs on {r} in round 1");
-                }
-            }
-            (Operation::Swap(r, _), _) => swaps.entry(*r).or_default().push(p),
-            (Operation::Move { dst, .. }, _) => moves_into.entry(*dst).or_default().push(p),
-            _ => {}
-        }
-        ops.push(OpSummary {
-            p,
-            kind: op.kind(),
-            register: op.target(),
-            sc_ok,
-        });
+        rec.perform(exec, p)?;
     }
-
-    let (end_values, end_psets) = if cfg.record_snapshots {
-        (
-            exec.memory().snapshot_values(),
-            exec.memory().snapshot_psets(),
-        )
-    } else {
-        (BTreeMap::new(), BTreeMap::new())
-    };
-    let end_tosses = ProcessId::all(n).map(|p| exec.run().tosses(p)).collect();
-    let end_history_len = ProcessId::all(n)
-        .map(|p| exec.run().history(p).len())
-        .collect();
-    let end_shared_steps = ProcessId::all(n)
-        .map(|p| exec.run().shared_steps(p))
-        .collect();
-
-    Ok((
-        RoundRecord {
-            round: 1,
-            participants: participants.to_vec(),
-            phase1_tosses,
-            terminated_in_phase1,
-            groups,
-            move_config,
-            sigma,
-            ops,
-            successful_sc,
-            swaps,
-            moves_into,
-            end_values,
-            end_psets,
-            end_tosses,
-            end_history_len,
-            end_shared_steps,
-        },
-        replayed_events,
-    ))
+    rec.close(exec, cfg.record_snapshots);
+    Ok((rec, replayed_events))
 }
 
 #[cfg(test)]
@@ -684,8 +623,7 @@ mod tests {
                 assert_eq!(a.successful_sc, b.successful_sc, "pos={pos}");
                 assert_eq!(a.swaps, b.swaps, "pos={pos}");
                 assert_eq!(a.moves_into, b.moves_into, "pos={pos}");
-                assert_eq!(a.end_values, b.end_values, "pos={pos} r={}", a.round);
-                assert_eq!(a.end_psets, b.end_psets, "pos={pos} r={}", a.round);
+                assert_eq!(a.end_registers, b.end_registers, "pos={pos} r={}", a.round);
                 assert_eq!(a.end_tosses, b.end_tosses, "pos={pos} r={}", a.round);
                 assert_eq!(a.end_history_len, b.end_history_len, "pos={pos}");
                 assert_eq!(a.end_shared_steps, b.end_shared_steps, "pos={pos}");

@@ -19,7 +19,7 @@
 
 use crate::all_run::AllRun;
 use crate::s_run::SRun;
-use llsc_shmem::{ProcessId, RegisterId};
+use llsc_shmem::{ProcMask, ProcessId, RegisterId};
 use std::fmt;
 
 /// What the indistinguishability check found to differ.
@@ -82,7 +82,7 @@ impl fmt::Display for IndistViolation {
 }
 
 /// The outcome of checking Lemma 5.2 on one `(All, A)`/`(S, A)` run pair.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct IndistReport {
     /// Rounds checked (`0..=rounds`).
     pub rounds_checked: usize,
@@ -124,7 +124,23 @@ impl fmt::Display for IndistReport {
 /// Rounds of the `(S, A)`-run beyond its early-exit point are empty; the
 /// comparison extends the `(S, A)`-run's last snapshot to those rounds,
 /// which is exact because nothing changes in empty rounds.
+///
+/// # Panics
+///
+/// Panics if either run lacks what the lemma compares — interaction
+/// histories (`record_details`) or end-of-round register snapshots
+/// (`record_snapshots`) — rather than passing without comparing them.
 pub fn check_indistinguishability(all: &AllRun, srun: &SRun) -> IndistReport {
+    assert!(
+        all.base.run.is_detailed() && srun.base.run.is_detailed(),
+        "the Lemma 5.2 checker compares interaction histories; build both runs \
+         with record_details = true"
+    );
+    assert!(
+        all.base.has_snapshots() && srun.base.has_snapshots(),
+        "the Lemma 5.2 checker compares register snapshots; build both runs \
+         with record_snapshots = true"
+    );
     let n = all.n();
     let s = &srun.s;
     let rounds = all.base.num_rounds();
@@ -136,14 +152,9 @@ pub fn check_indistinguishability(all: &AllRun, srun: &SRun) -> IndistReport {
     // The (S, A)-run may have stopped early; clamp its snapshot index.
     let s_round = |r: usize| r.min(srun.base.num_rounds());
 
-    // Registers worth checking: touched in either run.
-    let mut regs: Vec<RegisterId> = all.base.touched_registers();
-    for r in srun.base.touched_registers() {
-        if !regs.contains(&r) {
-            regs.push(r);
-        }
-    }
-    regs.sort_unstable();
+    // Registers worth checking: touched in either run, in id order.
+    let index = all.check_index();
+    let regs = merge_touched(index.touched(), &srun.base.touched_registers());
 
     // Per-process incremental history comparison. The compared prefixes
     // only ever grow with `r`, so instead of re-walking the full prefix
@@ -155,14 +166,19 @@ pub fn check_indistinguishability(all: &AllRun, srun: &SRun) -> IndistReport {
     // lengths differ at `r`.
     let mut verified = vec![0usize; n];
     let mut content_mismatch = vec![false; n];
+    // `{p : UP(p, r) ⊆ S}` for the current round.
+    let mut eligible = ProcMask::new();
 
     for r in 0..=rounds {
         let sr = s_round(r);
-        // Processes.
+        eligible.clear();
         for p in ProcessId::all(n) {
-            if !all.up.proc(p, r).is_subset(s) {
-                continue;
+            if all.up.proc(p, r).is_subset(s) {
+                eligible.insert(p);
             }
+        }
+        // Processes.
+        for p in eligible.iter() {
             report.process_checks += 1;
             let h_all = all.base.history_at(p, r);
             let h_s = srun.base.history_at(p, sr);
@@ -191,22 +207,26 @@ pub fn check_indistinguishability(all: &AllRun, srun: &SRun) -> IndistReport {
             }
         }
         // Registers.
-        for &reg in &regs {
-            if !all.up.reg(reg, r).is_subset(s) {
+        for &(reg, i) in &regs {
+            let up = match i {
+                Some(i) => index.up_reg(i, r),
+                None => all.up.reg(reg, r),
+            };
+            if !up.is_subset(s) {
                 continue;
             }
             report.register_checks += 1;
-            if all.base.value_at(reg, r) != srun.base.value_at(reg, sr) {
+            let (value_all, pset_all) = all.base.register_at(reg, r);
+            let (value_s, pset_s) = srun.base.register_at(reg, sr);
+            if value_all != value_s {
                 report
                     .violations
                     .push(IndistViolation::RegisterValue { r: reg, round: r });
             }
-            let pset_all = all.base.pset_at(reg, r);
-            let pset_s = srun.base.pset_at(reg, sr);
-            for p in ProcessId::all(n) {
-                if !all.up.proc(p, r).is_subset(s) {
-                    continue;
-                }
+            if pset_all == pset_s {
+                continue;
+            }
+            for p in eligible.iter() {
                 if pset_all.contains(p) != pset_s.contains(p) {
                     report.violations.push(IndistViolation::RegisterPset {
                         r: reg,
@@ -218,6 +238,25 @@ pub fn check_indistinguishability(all: &AllRun, srun: &SRun) -> IndistReport {
         }
     }
     report
+}
+
+/// The union of the `(All, A)`-run's and the `(S, A)`-run's id-ordered
+/// touched registers, in id order, each with its position in `all` (`None`
+/// for a register only the `(S, A)`-run touched).
+fn merge_touched(all: &[RegisterId], s: &[RegisterId]) -> Vec<(RegisterId, Option<usize>)> {
+    let mut out = Vec::with_capacity(all.len());
+    let (mut i, mut j) = (0, 0);
+    while i < all.len() || j < s.len() {
+        if j == s.len() || (i < all.len() && all[i] <= s[j]) {
+            j += usize::from(j < s.len() && s[j] == all[i]);
+            out.push((all[i], Some(i)));
+            i += 1;
+        } else {
+            out.push((s[j], None));
+            j += 1;
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -407,6 +446,63 @@ mod tests {
             .violations
             .iter()
             .any(|v| matches!(v, IndistViolation::ProcessHistory { .. })));
+    }
+
+    fn llsc_alg() -> impl Algorithm {
+        FnAlgorithm::new("llsc", |pid: ProcessId, _n| {
+            ll(RegisterId(0), move |_| {
+                sc(RegisterId(0), Value::from(pid.0 as i64), |ok, _| {
+                    done(Value::from(ok))
+                })
+            })
+            .into_program()
+        })
+    }
+
+    #[test]
+    #[should_panic(expected = "compares register snapshots")]
+    fn checker_refuses_runs_without_snapshots() {
+        // Without snapshots a mislabelled S used to pass with 0 register
+        // checks; the checker must refuse instead of passing vacuously.
+        let alg = llsc_alg();
+        let cfg = AdversaryConfig {
+            record_snapshots: false,
+            ..AdversaryConfig::default()
+        };
+        let all = build_all_run(&alg, 4, Arc::new(ZeroTosses), &cfg).unwrap();
+        let mut srun = build_s_run(&alg, 4, Arc::new(ZeroTosses), &pset([1]), &all, &cfg).unwrap();
+        srun.s = pset([1, 2, 3]);
+        check_indistinguishability(&all, &srun);
+    }
+
+    #[test]
+    #[should_panic(expected = "compares interaction histories")]
+    fn checker_refuses_runs_without_histories() {
+        let alg = llsc_alg();
+        let mut cfg = AdversaryConfig::default();
+        cfg.executor.record_details = false;
+        let all = build_all_run(&alg, 4, Arc::new(ZeroTosses), &cfg).unwrap();
+        let srun = build_s_run(&alg, 4, Arc::new(ZeroTosses), &pset([1]), &all, &cfg).unwrap();
+        check_indistinguishability(&all, &srun);
+    }
+
+    #[test]
+    fn touched_registers_merge_in_id_order() {
+        let all = [RegisterId(1), RegisterId(3)];
+        let s = [RegisterId(0), RegisterId(3), RegisterId(4)];
+        assert_eq!(
+            merge_touched(&all, &s),
+            [
+                (RegisterId(0), None),
+                (RegisterId(1), Some(0)),
+                (RegisterId(3), Some(1)),
+                (RegisterId(4), None),
+            ]
+        );
+        assert_eq!(
+            merge_touched(&all, &[]),
+            [(all[0], Some(0)), (all[1], Some(1))]
+        );
     }
 
     #[test]

@@ -69,6 +69,7 @@ mod subsets;
 mod theorem;
 mod trace;
 mod upsets;
+mod vecmap;
 mod wakeup;
 
 pub use all_run::{build_all_run, AdversaryConfig, AllRun, RoundedRun};
@@ -103,4 +104,5 @@ pub use theorem::{
 };
 pub use trace::{trace_all_run, trace_round, trace_up_sets};
 pub use upsets::{lemma_5_1_bound, ProcSet, UpSnapshot, UpTracker};
+pub use vecmap::VecMap;
 pub use wakeup::{check_wakeup, WakeupCheck, WakeupViolation};

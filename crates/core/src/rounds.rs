@@ -8,10 +8,10 @@
 //! `UP`-set update rules and the indistinguishability checker later need.
 
 use crate::secretive::{self, MoveConfig};
+use crate::vecmap::VecMap;
 use llsc_shmem::{
-    Executor, OpKind, Operation, ProcMask, ProcessId, RegisterId, Response, RunError, Value,
+    Executor, OpKind, Operation, ProcMask, ProcessId, RegisterId, RegisterState, Response, RunError,
 };
-use std::collections::BTreeMap;
 
 /// A lean record of one shared-memory operation of a round: everything the
 /// `UP` update rules need, without the (possibly large) operand/response
@@ -65,6 +65,16 @@ impl RoundGroups {
             .chain(&self.g4_sc)
             .copied()
     }
+
+    /// Files `p` into the group of its pending operation's kind.
+    pub(crate) fn push(&mut self, p: ProcessId, kind: OpKind) {
+        match kind {
+            OpKind::Ll | OpKind::Validate => self.g1_ll_validate.push(p),
+            OpKind::Move => self.g2_move.push(p),
+            OpKind::Swap => self.g3_swap.push(p),
+            OpKind::Sc => self.g4_sc.push(p),
+        }
+    }
 }
 
 /// Everything that happened in one adversary round, in enough detail to
@@ -78,7 +88,7 @@ pub struct RoundRecord {
     /// filtering), in the order they were given.
     pub participants: Vec<ProcessId>,
     /// Coin tosses performed in Phase 1, per process.
-    pub phase1_tosses: BTreeMap<ProcessId, u64>,
+    pub phase1_tosses: VecMap<ProcessId, u64>,
     /// Processes that terminated during Phase 1 of this round.
     pub terminated_in_phase1: Vec<ProcessId>,
     /// The group partition after Phase 1.
@@ -93,19 +103,16 @@ pub struct RoundRecord {
     pub ops: Vec<OpSummary>,
     /// Per register: the process whose SC on it succeeded this round
     /// (at most one per register per round).
-    pub successful_sc: BTreeMap<RegisterId, ProcessId>,
+    pub successful_sc: VecMap<RegisterId, ProcessId>,
     /// Per register: the processes that swapped it this round, in
     /// execution order.
-    pub swaps: BTreeMap<RegisterId, Vec<ProcessId>>,
+    pub swaps: VecMap<RegisterId, Vec<ProcessId>>,
     /// Per register: the processes that moved into it this round, in
     /// execution order.
-    pub moves_into: BTreeMap<RegisterId, Vec<ProcessId>>,
-    /// Values of all touched registers at the end of the round (empty when
-    /// snapshot recording is disabled).
-    pub end_values: BTreeMap<RegisterId, Value>,
-    /// `Pset`s of all touched registers at the end of the round, as
-    /// bitmasks (empty when snapshot recording is disabled).
-    pub end_psets: BTreeMap<RegisterId, ProcMask>,
+    pub moves_into: VecMap<RegisterId, Vec<ProcessId>>,
+    /// The value and `Pset` of every touched register at the end of the
+    /// round; `None` when snapshot recording is disabled.
+    pub end_registers: Option<VecMap<RegisterId, RegisterState>>,
     /// Per process: cumulative coin-toss count at the end of the round.
     pub end_tosses: Vec<u64>,
     /// Per process: cumulative interaction-history length at the end of
@@ -124,6 +131,95 @@ impl RoundRecord {
         self.ops.is_empty()
             && self.terminated_in_phase1.is_empty()
             && self.phase1_tosses.values().all(|&t| t == 0)
+    }
+
+    /// A round whose Phase-1 outcome and plan are fixed but whose shared
+    /// operations have not run yet. [`RoundRecord::perform`] then runs them
+    /// in [`RoundRecord::schedule`] order and [`RoundRecord::close`]
+    /// records the end-of-round state: the one place the record layout is
+    /// written, for fresh rounds and Gray-code resumed ones alike.
+    pub(crate) fn planned(
+        round: usize,
+        participants: Vec<ProcessId>,
+        phase1_tosses: VecMap<ProcessId, u64>,
+        terminated_in_phase1: Vec<ProcessId>,
+        groups: RoundGroups,
+        move_config: MoveConfig,
+        sigma: Vec<ProcessId>,
+    ) -> RoundRecord {
+        let planned_ops =
+            groups.g1_ll_validate.len() + sigma.len() + groups.g3_swap.len() + groups.g4_sc.len();
+        RoundRecord {
+            round,
+            participants,
+            phase1_tosses,
+            terminated_in_phase1,
+            groups,
+            move_config,
+            sigma,
+            ops: Vec::with_capacity(planned_ops),
+            successful_sc: VecMap::new(),
+            swaps: VecMap::new(),
+            moves_into: VecMap::new(),
+            end_registers: None,
+            end_tosses: Vec::new(),
+            end_history_len: Vec::new(),
+            end_shared_steps: Vec::new(),
+        }
+    }
+
+    /// Phases 2-5 in execution order: the LL/validate group, the move
+    /// group in `σ_r` order, the swap group, the SC group.
+    pub(crate) fn schedule(&self) -> Vec<ProcessId> {
+        self.groups
+            .g1_ll_validate
+            .iter()
+            .chain(&self.sigma)
+            .chain(&self.groups.g3_swap)
+            .chain(&self.groups.g4_sc)
+            .copied()
+            .collect()
+    }
+
+    /// Performs `p`'s pending shared-memory operation and records it.
+    pub(crate) fn perform(&mut self, exec: &mut Executor, p: ProcessId) -> Result<(), RunError> {
+        let (op, resp) = exec.perform_shared(p)?;
+        let mut sc_ok = None;
+        match (&op, &resp) {
+            (Operation::Sc(r, _), Response::Flagged { ok, .. }) => {
+                sc_ok = Some(*ok);
+                if *ok {
+                    let prev = self.successful_sc.insert(*r, p);
+                    debug_assert!(
+                        prev.is_none(),
+                        "two successful SCs on {r} in round {}",
+                        self.round
+                    );
+                }
+            }
+            (Operation::Swap(r, _), _) => self.swaps.get_or_default(*r).push(p),
+            (Operation::Move { dst, .. }, _) => self.moves_into.get_or_default(*dst).push(p),
+            _ => {}
+        }
+        self.ops.push(OpSummary {
+            p,
+            kind: op.kind(),
+            register: op.target(),
+            sc_ok,
+        });
+        Ok(())
+    }
+
+    /// Records the end-of-round state: per-process counters and, when
+    /// `snapshots` is set, one snapshot of every touched register.
+    pub(crate) fn close(&mut self, exec: &Executor, snapshots: bool) {
+        let (run, n) = (exec.run(), exec.n());
+        if snapshots {
+            self.end_registers = Some(VecMap::from_sorted(exec.memory().snapshot()));
+        }
+        self.end_tosses = ProcessId::all(n).map(|p| run.tosses(p)).collect();
+        self.end_history_len = ProcessId::all(n).map(|p| run.history(p).len()).collect();
+        self.end_shared_steps = ProcessId::all(n).map(|p| run.shared_steps(p)).collect();
     }
 }
 
@@ -173,8 +269,7 @@ pub fn execute_round_with(
     move_order: MoveOrder<'_>,
     snapshots: bool,
 ) -> Result<RoundRecord, RunError> {
-    let n = exec.n();
-    let mut phase1_tosses = BTreeMap::new();
+    let mut phase1_tosses = VecMap::with_capacity(participants.len());
     let mut terminated_in_phase1 = Vec::new();
 
     // Phase 1: local steps, in id order.
@@ -201,16 +296,9 @@ pub fn execute_round_with(
         let Some(op) = exec.pending_op(p) else {
             continue;
         };
-        match op.kind() {
-            OpKind::Ll | OpKind::Validate => groups.g1_ll_validate.push(p),
-            OpKind::Move => {
-                groups.g2_move.push(p);
-                if let Operation::Move { src, dst } = *op {
-                    move_config.insert(p, src, dst);
-                }
-            }
-            OpKind::Swap => groups.g3_swap.push(p),
-            OpKind::Sc => groups.g4_sc.push(p),
+        groups.push(p, op.kind());
+        if let Operation::Move { src, dst } = *op {
+            move_config.insert(p, src, dst);
         }
     }
 
@@ -233,78 +321,21 @@ pub fn execute_round_with(
         }
     };
 
-    let mut ops = Vec::new();
-    let mut successful_sc = BTreeMap::new();
-    let mut swaps: BTreeMap<RegisterId, Vec<ProcessId>> = BTreeMap::new();
-    let mut moves_into: BTreeMap<RegisterId, Vec<ProcessId>> = BTreeMap::new();
-
     // Phases 2-5.
-    let plan: Vec<ProcessId> = groups
-        .g1_ll_validate
-        .iter()
-        .chain(sigma.iter())
-        .chain(groups.g3_swap.iter())
-        .chain(groups.g4_sc.iter())
-        .copied()
-        .collect();
-    for p in plan {
-        let (op, resp) = exec.perform_shared(p)?;
-        let mut sc_ok = None;
-        match (&op, &resp) {
-            (Operation::Sc(r, _), Response::Flagged { ok, .. }) => {
-                sc_ok = Some(*ok);
-                if *ok {
-                    let prev = successful_sc.insert(*r, p);
-                    debug_assert!(prev.is_none(), "two successful SCs on {r} in round {round}");
-                }
-            }
-            (Operation::Swap(r, _), _) => swaps.entry(*r).or_default().push(p),
-            (Operation::Move { dst, .. }, _) => moves_into.entry(*dst).or_default().push(p),
-            _ => {}
-        }
-        ops.push(OpSummary {
-            p,
-            kind: op.kind(),
-            register: op.target(),
-            sc_ok,
-        });
-    }
-
-    // End-of-round snapshots.
-    let (end_values, end_psets) = if snapshots {
-        (
-            exec.memory().snapshot_values(),
-            exec.memory().snapshot_psets(),
-        )
-    } else {
-        (BTreeMap::new(), BTreeMap::new())
-    };
-    let end_tosses = ProcessId::all(n).map(|p| exec.run().tosses(p)).collect();
-    let end_history_len = ProcessId::all(n)
-        .map(|p| exec.run().history(p).len())
-        .collect();
-    let end_shared_steps = ProcessId::all(n)
-        .map(|p| exec.run().shared_steps(p))
-        .collect();
-
-    Ok(RoundRecord {
+    let mut rec = RoundRecord::planned(
         round,
-        participants: ordered,
+        ordered,
         phase1_tosses,
         terminated_in_phase1,
         groups,
         move_config,
         sigma,
-        ops,
-        successful_sc,
-        swaps,
-        moves_into,
-        end_values,
-        end_psets,
-        end_tosses,
-        end_history_len,
-        end_shared_steps,
-    })
+    );
+    for p in rec.schedule() {
+        rec.perform(exec, p)?;
+    }
+    rec.close(exec, snapshots);
+    Ok(rec)
 }
 
 #[cfg(test)]
@@ -500,11 +531,15 @@ mod tests {
         let alg = mixed_alg();
         let mut e = exec_for(&alg, 4);
         let rec = execute_round(&mut e, 1, &all_pids(4), MoveOrder::Secretive).unwrap();
+        let regs = rec.end_registers.as_ref().expect("snapshots on");
         // p2 swapped 1 into R3.
-        assert_eq!(rec.end_values.get(&RegisterId(3)), Some(&Value::from(1i64)));
+        assert_eq!(
+            regs.get(&RegisterId(3)).map(|s| s.value()),
+            Some(&Value::from(1i64))
+        );
         // p0 holds a link on R0 from its LL.
         assert_eq!(
-            rec.end_psets.get(&RegisterId(0)),
+            regs.get(&RegisterId(0)).map(|s| s.pset()),
             Some(&ProcMask::from([ProcessId(0)]))
         );
         assert_eq!(rec.end_shared_steps, vec![1, 1, 1, 1]);

@@ -123,9 +123,11 @@ pub struct SubsetChunk {
 /// # Errors
 ///
 /// Returns [`RunError::UnsupportedSweep`] when `n > 16` or the range
-/// exceeds the `2^n` trial space (pre-flight validation; no run is
-/// started). Otherwise propagates the first (lowest-mask) [`RunError`]
-/// the `(All, A)`-run or any `(S, A)`-run reports.
+/// exceeds the `2^n` trial space, and [`RunError::UnrecordedSweep`] when
+/// `cfg` turns off detail recording, register snapshots or the `UP`
+/// history (pre-flight validation; no run is started). Otherwise
+/// propagates the first (lowest-mask) [`RunError`] the `(All, A)`-run or
+/// any `(S, A)`-run reports.
 pub fn indist_subset_range(
     alg: &dyn Algorithm,
     n: usize,
@@ -137,6 +139,17 @@ pub fn indist_subset_range(
 ) -> Result<SubsetChunk, RunError> {
     if n > 16 || trials.end > 1usize << n || trials.start > trials.end {
         return Err(RunError::UnsupportedSweep { n, end: trials.end });
+    }
+    // Lemma 5.2 compares histories and register snapshots, and the
+    // (S, A)-runs need every round's UP sets: without them a sweep would
+    // pass vacuously or panic mid-way.
+    let recorded = [
+        ("record_details", cfg.executor.record_details),
+        ("record_snapshots", cfg.record_snapshots),
+        ("track_up_history", cfg.track_up_history),
+    ];
+    if let Some(&(missing, _)) = recorded.iter().find(|(_, on)| !on) {
+        return Err(RunError::UnrecordedSweep { missing });
     }
     let all = Arc::new(build_all_run(alg, n, toss.clone(), cfg)?);
 
@@ -241,8 +254,9 @@ pub fn report_from_subset_records(
 /// # Errors
 ///
 /// Returns [`RunError::UnsupportedSweep`] when `n > 16` (the enumeration
-/// is exhaustive). Otherwise propagates the first [`RunError`] the
-/// `(All, A)`-run or any `(S, A)`-run reports.
+/// is exhaustive) and [`RunError::UnrecordedSweep`] when `cfg` does not
+/// record what the checkers compare. Otherwise propagates the first
+/// [`RunError`] the `(All, A)`-run or any `(S, A)`-run reports.
 pub fn indist_all_subsets(
     alg: &dyn Algorithm,
     n: usize,
@@ -351,6 +365,61 @@ mod tests {
         assert_eq!(assembled.claim_instances, full.claim_instances);
         assert_eq!(assembled.events, full.events);
         assert_eq!(assembled.violations, full.violations);
+    }
+
+    /// Runs a claims sweep under `cfg` and returns its pre-flight error.
+    fn unrecorded_sweep_error(cfg: AdversaryConfig) -> RunError {
+        let alg = llsc_contenders();
+        indist_all_subsets(
+            &alg,
+            4,
+            Arc::new(ZeroTosses),
+            &cfg,
+            true,
+            &Sweep::sequential(),
+        )
+        .expect_err("an unrecorded sweep must not report a pass")
+    }
+
+    #[test]
+    fn sweeps_without_register_snapshots_are_rejected_up_front() {
+        let err = unrecorded_sweep_error(AdversaryConfig {
+            record_snapshots: false,
+            ..AdversaryConfig::default()
+        });
+        assert_eq!(
+            err,
+            RunError::UnrecordedSweep {
+                missing: "record_snapshots"
+            }
+        );
+        assert!(err.to_string().contains("record_snapshots = true"));
+    }
+
+    #[test]
+    fn sweeps_without_recorded_histories_are_rejected_up_front() {
+        let mut cfg = AdversaryConfig::default();
+        cfg.executor.record_details = false;
+        assert_eq!(
+            unrecorded_sweep_error(cfg),
+            RunError::UnrecordedSweep {
+                missing: "record_details"
+            }
+        );
+    }
+
+    #[test]
+    fn sweeps_without_up_history_are_rejected_up_front() {
+        let err = unrecorded_sweep_error(AdversaryConfig {
+            track_up_history: false,
+            ..AdversaryConfig::default()
+        });
+        assert_eq!(
+            err,
+            RunError::UnrecordedSweep {
+                missing: "track_up_history"
+            }
+        );
     }
 
     #[test]

@@ -45,8 +45,9 @@ impl UpSnapshot {
     }
 
     /// `UP(R, r)` for this snapshot's round (empty if never written).
-    pub fn reg(&self, r: RegisterId) -> ProcSet {
-        self.regs.get(&r).cloned().unwrap_or_default()
+    pub fn reg(&self, r: RegisterId) -> &ProcSet {
+        static EMPTY: ProcSet = ProcSet::new();
+        self.regs.get(&r).unwrap_or(&EMPTY)
     }
 
     /// The largest `|UP(X, r)|` over all processes and registers.
@@ -166,7 +167,7 @@ impl UpTracker {
     }
 
     /// `UP(R, r)`.
-    pub fn reg(&self, reg: RegisterId, r: usize) -> ProcSet {
+    pub fn reg(&self, reg: RegisterId, r: usize) -> &ProcSet {
         self.snapshot(r).reg(reg)
     }
 
@@ -388,7 +389,7 @@ mod tests {
         }
         // Round 2: register rule R1 gives UP(R0,2) = UP(p0,1) = {p0};
         // winner p0 learns UP(R0,1)=∅; losers learn UP(R0,2)={p0}.
-        assert_eq!(t.reg(RegisterId(0), 2), pset([0]));
+        assert_eq!(t.reg(RegisterId(0), 2), &pset([0]));
         assert_eq!(t.proc(ProcessId(0), 2), &pset([0]));
         assert_eq!(t.proc(ProcessId(1), 2), &pset([0, 1]));
         assert_eq!(t.proc(ProcessId(2), 2), &pset([0, 2]));
@@ -409,7 +410,7 @@ mod tests {
         assert_eq!(t.proc(ProcessId(0), 1), &pset([0])); // first swapper: ∪ UP(R,0)=∅
         assert_eq!(t.proc(ProcessId(1), 1), &pset([0, 1]));
         assert_eq!(t.proc(ProcessId(2), 1), &pset([1, 2]));
-        assert_eq!(t.reg(RegisterId(0), 1), pset([2]));
+        assert_eq!(t.reg(RegisterId(0), 1), &pset([2]));
         assert!(t.lemma_5_1_holds());
     }
 
@@ -437,7 +438,7 @@ mod tests {
         // learns UP(R0, 1).
         assert_eq!(t.proc(ProcessId(2), 1), &pset([2]));
         let p2_r2 = t.proc(ProcessId(2), 2).clone();
-        assert!(p2_r2.is_superset(&up_r0));
+        assert!(p2_r2.is_superset(up_r0));
         assert!(t.lemma_5_1_holds());
     }
 

@@ -1,6 +1,6 @@
 //! The shared memory: a lazily-infinite array of registers.
 
-use crate::{OpKind, Operation, ProcMask, ProcessId, RegisterId, RegisterState, Response, Value};
+use crate::{OpKind, Operation, ProcessId, RegisterId, RegisterState, Response, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -37,6 +37,8 @@ pub struct SharedMemory {
     dense: Vec<Option<RegisterState>>,
     /// Spill tier for register ids at or above [`DENSE_REGISTERS`].
     sparse: BTreeMap<RegisterId, RegisterState>,
+    /// Registers materialised in either tier (sizes [`SharedMemory::snapshot`]).
+    touched: usize,
     initial: BTreeMap<RegisterId, Value>,
     stats: MemoryStats,
 }
@@ -103,6 +105,7 @@ impl SharedMemory {
             if self.dense[i].is_none() {
                 let init = self.initial_value(reg);
                 self.dense[i] = Some(RegisterState::new(init));
+                self.touched += 1;
             }
             self.dense[i].as_mut().expect("just materialised")
         } else {
@@ -110,6 +113,7 @@ impl SharedMemory {
                 std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
                 std::collections::btree_map::Entry::Vacant(v) => {
                     let init = self.initial.get(&reg).cloned().unwrap_or_default();
+                    self.touched += 1;
                     v.insert(RegisterState::new(init))
                 }
             }
@@ -224,6 +228,7 @@ impl SharedMemory {
     pub fn reset(&mut self) {
         self.dense.clear();
         self.sparse.clear();
+        self.touched = 0;
         self.stats = MemoryStats::default();
     }
 
@@ -232,17 +237,14 @@ impl SharedMemory {
         &self.stats
     }
 
-    /// A snapshot of every touched register's value, for end-of-round
-    /// comparisons. Untouched registers are omitted (they hold their initial
-    /// values by definition).
-    pub fn snapshot_values(&self) -> BTreeMap<RegisterId, Value> {
-        self.states().map(|(r, s)| (r, s.value().clone())).collect()
-    }
-
-    /// A snapshot of every touched register's `Pset`, as bitmasks (one
-    /// word copy per register instead of a per-member allocation).
-    pub fn snapshot_psets(&self) -> BTreeMap<RegisterId, ProcMask> {
-        self.states().map(|(r, s)| (r, s.pset().clone())).collect()
+    /// A snapshot of every touched register's state (value and `Pset`), in
+    /// id order, for end-of-round comparisons: one pass, one allocation
+    /// sized by the touched registers. Untouched registers are omitted
+    /// (they hold their initial values and empty `Pset`s by definition).
+    pub fn snapshot(&self) -> Vec<(RegisterId, RegisterState)> {
+        let mut out = Vec::with_capacity(self.touched);
+        out.extend(self.states().map(|(r, s)| (r, s.clone())));
+        out
     }
 }
 
@@ -456,9 +458,10 @@ mod tests {
     fn snapshots_cover_touched_registers_only() {
         let mut mem = SharedMemory::new();
         mem.apply(P0, &Operation::Swap(RegisterId(2), int(4)));
-        let values = mem.snapshot_values();
-        assert_eq!(values.len(), 1);
-        assert_eq!(values[&RegisterId(2)], int(4));
+        let snap = mem.snapshot();
+        assert_eq!(snap.len(), 1);
+        assert_eq!(snap[0].0, RegisterId(2));
+        assert_eq!(snap[0].1.value(), &int(4));
         let touched: Vec<_> = mem.touched().collect();
         assert_eq!(touched, vec![RegisterId(2)]);
     }
@@ -476,9 +479,15 @@ mod tests {
         );
         assert_eq!(mem.peek(RegisterId(5_000_000)), int(7));
         assert!(mem.peek_linked(RegisterId(5_000_000), P0));
-        let values = mem.snapshot_values();
-        assert_eq!(values.len(), 3);
-        assert_eq!(values[&RegisterId(5_000_000)], int(7));
+        let snap = mem.snapshot();
+        assert_eq!(snap.len(), 3);
+        assert_eq!(snap[2].0, RegisterId(5_000_000));
+        assert_eq!(snap[2].1.value(), &int(7));
+        assert_eq!(
+            snap.capacity(),
+            3,
+            "sized by touched registers, not the slab"
+        );
         // Spill-tier registers reset like slab ones.
         mem.reset();
         assert_eq!(mem.touched().count(), 0);
@@ -503,10 +512,8 @@ mod tests {
         let mut mem = SharedMemory::new();
         mem.apply(P0, &Operation::Ll(RegisterId(0)));
         mem.apply(P1, &Operation::Ll(RegisterId(0)));
-        let psets = mem.snapshot_psets();
-        assert_eq!(
-            psets[&RegisterId(0)].iter().collect::<Vec<_>>(),
-            vec![P0, P1]
-        );
+        let snap = mem.snapshot();
+        assert_eq!(snap[0].0, RegisterId(0));
+        assert_eq!(snap[0].1.pset().iter().collect::<Vec<_>>(), vec![P0, P1]);
     }
 }

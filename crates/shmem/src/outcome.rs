@@ -68,6 +68,15 @@ pub enum RunError {
         /// The end of the requested trial range.
         end: usize,
     },
+    /// An exhaustive subset sweep was requested with a configuration that
+    /// does not record what its checkers compare, so every check would
+    /// pass without comparing anything. Like
+    /// [`RunError::UnsupportedSweep`], a pre-flight validation error: no
+    /// run is ever started.
+    UnrecordedSweep {
+        /// The configuration switch that must be on.
+        missing: &'static str,
+    },
 }
 
 impl fmt::Display for RunError {
@@ -84,6 +93,11 @@ impl fmt::Display for RunError {
                 f,
                 "subset sweep outside the supported domain: n = {n}, trial range end = {end} \
                  (need n <= 16 and end <= 2^n)"
+            ),
+            RunError::UnrecordedSweep { missing } => write!(
+                f,
+                "subset sweep configuration does not record what the checkers compare \
+                 (need {missing} = true)"
             ),
         }
     }
@@ -170,7 +184,9 @@ impl From<RunError> for RunOutcome {
             RunError::Crashed { pid } => RunOutcome::Crashed { pid },
             // Pre-flight validation: no run was started, so there is no
             // more specific classification than "stopped with 0 events".
-            RunError::UnsupportedSweep { .. } => RunOutcome::BudgetExhausted { events: 0 },
+            RunError::UnsupportedSweep { .. } | RunError::UnrecordedSweep { .. } => {
+                RunOutcome::BudgetExhausted { events: 0 }
+            }
         }
     }
 }
