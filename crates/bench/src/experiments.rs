@@ -242,10 +242,6 @@ pub struct E4Row {
     pub violations: usize,
     /// Total simulated executor events across the sweeps behind this row.
     pub events: u64,
-    /// Of [`E4Row::events`], how many were replayed from a Gray-code
-    /// checkpoint instead of re-executed (see
-    /// [`llsc_core::SubsetSweepReport::replayed_events`]).
-    pub replayed: u64,
 }
 
 /// E4: Lemma 5.2 — `(All, A)` vs `(S, A)` indistinguishability over every
@@ -268,7 +264,6 @@ pub fn e4_indistinguishability(ns: &[usize], seeds: &[u64], sweep: &Sweep) -> Ex
             let mut comparisons = 0usize;
             let mut violations = 0usize;
             let mut events = 0u64;
-            let mut replayed = 0u64;
             for &seed in seeds {
                 let toss: Arc<dyn llsc_shmem::TossAssignment> = if seed == 0 {
                     Arc::new(ZeroTosses)
@@ -281,7 +276,6 @@ pub fn e4_indistinguishability(ns: &[usize], seeds: &[u64], sweep: &Sweep) -> Ex
                 comparisons += report.comparisons;
                 violations += report.violations.len();
                 events += report.events;
-                replayed += report.replayed_events;
             }
             assert_eq!(violations, 0, "{} n={n}", alg.name());
             table.row([
@@ -298,7 +292,6 @@ pub fn e4_indistinguishability(ns: &[usize], seeds: &[u64], sweep: &Sweep) -> Ex
                 comparisons,
                 violations,
                 events,
-                replayed,
             });
         }
     }
@@ -899,10 +892,6 @@ pub struct E13Row {
     pub violations: usize,
     /// Total simulated executor events across the sweep behind this row.
     pub events: u64,
-    /// Of [`E13Row::events`], how many were replayed from a Gray-code
-    /// checkpoint instead of re-executed (see
-    /// [`llsc_core::SubsetSweepReport::replayed_events`]).
-    pub replayed: u64,
 }
 
 /// E13: the appendix claims (A.2-A.9) plus Lemma 5.2, exhaustively over
@@ -933,7 +922,6 @@ pub fn e13_appendix_claims(ns: &[usize], sweep: &Sweep) -> Experiment<E13Row> {
                 n,
                 violations,
                 events: report.events,
-                replayed: report.replayed_events,
             });
         }
     }

@@ -81,7 +81,7 @@ pub use expectation::{
     estimate_expected_complexity, estimate_expected_complexity_sweep, report_from_samples,
     sample_expectation, ExpectationReport, ExpectationSample,
 };
-pub use gray::{gray_flip_bit, gray_mask, GraySubsetBuilder, GrayTrial};
+pub use gray::{gray_mask, GraySubsetBuilder, GrayTrial};
 pub use indist::{check_indistinguishability, IndistReport, IndistViolation};
 pub use rounds::{
     execute_round, execute_round_with, MoveOrder, OpSummary, RoundGroups, RoundRecord,

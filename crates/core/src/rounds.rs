@@ -65,16 +65,6 @@ impl RoundGroups {
             .chain(&self.g4_sc)
             .copied()
     }
-
-    /// Files `p` into the group of its pending operation's kind.
-    pub(crate) fn push(&mut self, p: ProcessId, kind: OpKind) {
-        match kind {
-            OpKind::Ll | OpKind::Validate => self.g1_ll_validate.push(p),
-            OpKind::Move => self.g2_move.push(p),
-            OpKind::Swap => self.g3_swap.push(p),
-            OpKind::Sc => self.g4_sc.push(p),
-        }
-    }
 }
 
 /// Everything that happened in one adversary round, in enough detail to
@@ -133,56 +123,8 @@ impl RoundRecord {
             && self.phase1_tosses.values().all(|&t| t == 0)
     }
 
-    /// A round whose Phase-1 outcome and plan are fixed but whose shared
-    /// operations have not run yet. [`RoundRecord::perform`] then runs them
-    /// in [`RoundRecord::schedule`] order and [`RoundRecord::close`]
-    /// records the end-of-round state: the one place the record layout is
-    /// written, for fresh rounds and Gray-code resumed ones alike.
-    pub(crate) fn planned(
-        round: usize,
-        participants: Vec<ProcessId>,
-        phase1_tosses: VecMap<ProcessId, u64>,
-        terminated_in_phase1: Vec<ProcessId>,
-        groups: RoundGroups,
-        move_config: MoveConfig,
-        sigma: Vec<ProcessId>,
-    ) -> RoundRecord {
-        let planned_ops =
-            groups.g1_ll_validate.len() + sigma.len() + groups.g3_swap.len() + groups.g4_sc.len();
-        RoundRecord {
-            round,
-            participants,
-            phase1_tosses,
-            terminated_in_phase1,
-            groups,
-            move_config,
-            sigma,
-            ops: Vec::with_capacity(planned_ops),
-            successful_sc: VecMap::new(),
-            swaps: VecMap::new(),
-            moves_into: VecMap::new(),
-            end_registers: None,
-            end_tosses: Vec::new(),
-            end_history_len: Vec::new(),
-            end_shared_steps: Vec::new(),
-        }
-    }
-
-    /// Phases 2-5 in execution order: the LL/validate group, the move
-    /// group in `σ_r` order, the swap group, the SC group.
-    pub(crate) fn schedule(&self) -> Vec<ProcessId> {
-        self.groups
-            .g1_ll_validate
-            .iter()
-            .chain(&self.sigma)
-            .chain(&self.groups.g3_swap)
-            .chain(&self.groups.g4_sc)
-            .copied()
-            .collect()
-    }
-
     /// Performs `p`'s pending shared-memory operation and records it.
-    pub(crate) fn perform(&mut self, exec: &mut Executor, p: ProcessId) -> Result<(), RunError> {
+    fn perform(&mut self, exec: &mut Executor, p: ProcessId) -> Result<(), RunError> {
         let (op, resp) = exec.perform_shared(p)?;
         let mut sc_ok = None;
         match (&op, &resp) {
@@ -212,7 +154,7 @@ impl RoundRecord {
 
     /// Records the end-of-round state: per-process counters and, when
     /// `snapshots` is set, one snapshot of every touched register.
-    pub(crate) fn close(&mut self, exec: &Executor, snapshots: bool) {
+    fn close(&mut self, exec: &Executor, snapshots: bool) {
         let (run, n) = (exec.run(), exec.n());
         if snapshots {
             self.end_registers = Some(VecMap::from_sorted(exec.memory().snapshot()));
@@ -296,7 +238,12 @@ pub fn execute_round_with(
         let Some(op) = exec.pending_op(p) else {
             continue;
         };
-        groups.push(p, op.kind());
+        match op.kind() {
+            OpKind::Ll | OpKind::Validate => groups.g1_ll_validate.push(p),
+            OpKind::Move => groups.g2_move.push(p),
+            OpKind::Swap => groups.g3_swap.push(p),
+            OpKind::Sc => groups.g4_sc.push(p),
+        }
         if let Operation::Move { src, dst } = *op {
             move_config.insert(p, src, dst);
         }
@@ -321,17 +268,34 @@ pub fn execute_round_with(
         }
     };
 
-    // Phases 2-5.
-    let mut rec = RoundRecord::planned(
+    // Phases 2-5: the LL/validate group, the move group in σ_r order,
+    // the swap group, the SC group.
+    let schedule: Vec<ProcessId> = groups
+        .g1_ll_validate
+        .iter()
+        .chain(&sigma)
+        .chain(&groups.g3_swap)
+        .chain(&groups.g4_sc)
+        .copied()
+        .collect();
+    let mut rec = RoundRecord {
         round,
-        ordered,
+        participants: ordered,
         phase1_tosses,
         terminated_in_phase1,
         groups,
         move_config,
         sigma,
-    );
-    for p in rec.schedule() {
+        ops: Vec::with_capacity(schedule.len()),
+        successful_sc: VecMap::new(),
+        swaps: VecMap::new(),
+        moves_into: VecMap::new(),
+        end_registers: None,
+        end_tosses: Vec::new(),
+        end_history_len: Vec::new(),
+        end_shared_steps: Vec::new(),
+    };
+    for p in schedule {
         rec.perform(exec, p)?;
     }
     rec.close(exec, snapshots);

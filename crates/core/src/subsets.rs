@@ -8,22 +8,15 @@
 //! over a [`Sweep`], merging per-subset tallies in mask order so the
 //! report is identical at any thread count.
 //!
-//! Internally the masks are visited in **Gray-code order**
-//! ([`crate::gray_mask`]): each worker walks a contiguous block of Gray
-//! positions, letting the [`GraySubsetBuilder`] resume successive
-//! `(S, A)`-runs from executor checkpoints instead of rebuilding them
-//! from scratch (see the [`GraySubsetBuilder`] docs). The enumeration
-//! order is an implementation detail: records are merged back **in mask
-//! order**, so every report and artifact is byte-identical to the naive
-//! per-mask sweep at any thread count and chunking.
+//! Each worker builds its trials from scratch with [`build_s_run_with`]
+//! on one reused executor, visiting masks in plain mask order.
 
 use crate::all_run::{build_all_run, AdversaryConfig};
 use crate::claims::check_appendix_claims;
-use crate::gray::GraySubsetBuilder;
 use crate::indist::check_indistinguishability;
-#[cfg(test)]
-use llsc_shmem::ProcessId;
-use llsc_shmem::{Algorithm, Executor, RunError, Sweep, TossAssignment};
+use crate::s_run::build_s_run_with;
+use crate::upsets::ProcSet;
+use llsc_shmem::{Algorithm, Executor, ProcessId, RunError, Sweep, TossAssignment};
 use std::fmt;
 use std::sync::Arc;
 
@@ -38,14 +31,10 @@ pub struct SubsetSweepReport {
     /// Appendix-claim instances evaluated (0 unless claims were checked).
     pub claim_instances: usize,
     /// Total simulated executor events across the `(All, A)`-run and every
-    /// `(S, A)`-run of the sweep — the denominator of the bench-smoke
-    /// events/sec figure.
+    /// `(S, A)`-run of the sweep.
     pub events: u64,
-    /// Of [`SubsetSweepReport::events`], how many were restored from a
-    /// Gray-code checkpoint instead of being re-executed (see
-    /// [`GraySubsetBuilder`]) — the counted-work saving of the
-    /// incremental enumeration. 0 under configurations where checkpoints
-    /// are disabled.
+    /// Always 0: no sweep replays events. Kept only for the repository
+    /// benchmark's binding.
     pub replayed_events: u64,
     /// Every violation found, rendered with the subset that exposed it.
     /// Sound machinery leaves this empty.
@@ -82,12 +71,10 @@ pub struct SubsetTrialRecord {
     pub comparisons: usize,
     /// Appendix-claim instances evaluated (0 unless claims were checked).
     pub claim_instances: usize,
-    /// Simulated events of this subset's `(S, A)`-run (checkpoint-restored
-    /// prefix included, so the figure is independent of how the trial was
-    /// built).
+    /// Simulated events of this subset's `(S, A)`-run.
     pub events: u64,
-    /// Of [`SubsetTrialRecord::events`], how many were restored from a
-    /// Gray-code checkpoint instead of being re-executed.
+    /// Always 0: no trial replays events. Kept only for the repository
+    /// benchmark's binding.
     pub replayed_events: u64,
     /// Violations exposed by this subset, rendered with the subset.
     pub violations: Vec<String>,
@@ -104,15 +91,8 @@ pub struct SubsetChunk {
 }
 
 /// Checks Lemma 5.2 — and, when `check_claims` is set, claims A.2 – A.9 —
-/// for the Gray positions `trials.start .. trials.end` of an `n`-process
-/// system, fanning them out over `sweep`.
-///
-/// Position `w` tests the subset [`crate::gray_mask`]`(n, w)`; the
-/// position space is `0..2^n`, visited so that consecutive trials differ
-/// in one process and can share executor checkpoints. Records are
-/// returned **sorted by mask**, so this is observably a per-mask sweep:
-/// any partition of `0..2^n` into position ranges covers every mask
-/// exactly once.
+/// for the masks `trials.start .. trials.end` of an `n`-process system,
+/// fanning them out over `sweep`. Records are returned in mask order.
 ///
 /// This is the chunkable core of [`indist_all_subsets`]: the `(All, A)`-run
 /// is rebuilt deterministically per call (it depends only on
@@ -151,62 +131,45 @@ pub fn indist_subset_range(
     if let Some(&(missing, _)) = recorded.iter().find(|(_, on)| !on) {
         return Err(RunError::UnrecordedSweep { missing });
     }
-    let all = Arc::new(build_all_run(alg, n, toss.clone(), cfg)?);
+    let all = build_all_run(alg, n, toss.clone(), cfg)?;
 
-    // One contiguous Gray segment per worker: longer segments mean more
-    // checkpoint reuse, and a block boundary merely costs one
-    // from-scratch rebuild.
-    let block = trials.len().div_ceil(sweep.threads.max(1));
-    let per_trial = sweep.run_indexed_range_with_scratch_blocked(
+    let records = sweep.run_indexed_range_with_scratch(
         trials.start,
         trials.len(),
-        block,
-        || {
-            (
-                Executor::new(alg, n, toss.clone(), cfg.executor),
-                GraySubsetBuilder::new(),
-            )
-        },
-        |(exec, builder), trial| {
-            let mask = crate::gray::gray_mask(n, trial.index);
-            let result = builder
-                .build_trial(exec, alg, &all, cfg, trial.index)
-                .map(|gray| {
-                    let srun = &gray.srun;
-                    let s = &srun.s;
-                    let lemma = check_indistinguishability(&all, srun);
-                    let mut record = SubsetTrialRecord {
-                        mask,
-                        comparisons: lemma.process_checks + lemma.register_checks,
-                        claim_instances: 0,
-                        events: srun.base.run.event_count(),
-                        replayed_events: gray.replayed_events,
-                        violations: lemma
-                            .violations
-                            .iter()
-                            .map(|v| format!("S={s:?}: {v}"))
-                            .collect(),
-                    };
-                    if check_claims {
-                        let claims = check_appendix_claims(&all, srun);
-                        record.claim_instances = claims.instances;
-                        record
-                            .violations
-                            .extend(claims.violations.iter().map(|v| format!("S={s:?}: {v}")));
-                    }
-                    record
-                });
-            (mask, result)
+        || Executor::new(alg, n, toss.clone(), cfg.executor),
+        |exec, trial| -> Result<SubsetTrialRecord, RunError> {
+            let mask = trial.index;
+            let s: ProcSet = (0..n)
+                .filter(|i| mask & (1 << i) != 0)
+                .map(ProcessId)
+                .collect();
+            let srun = build_s_run_with(exec, alg, &s, &all, cfg)?;
+            let lemma = check_indistinguishability(&all, &srun);
+            let mut record = SubsetTrialRecord {
+                mask,
+                comparisons: lemma.process_checks + lemma.register_checks,
+                claim_instances: 0,
+                events: srun.base.run.event_count(),
+                replayed_events: 0,
+                violations: lemma
+                    .violations
+                    .iter()
+                    .map(|v| format!("S={s:?}: {v}"))
+                    .collect(),
+            };
+            if check_claims {
+                let claims = check_appendix_claims(&all, &srun);
+                record.claim_instances = claims.instances;
+                record
+                    .violations
+                    .extend(claims.violations.iter().map(|v| format!("S={s:?}: {v}")));
+            }
+            Ok(record)
         },
     );
-
-    // Merge in mask order — the public contract — and surface the
-    // lowest-mask error, exactly as a naive per-mask sweep would.
-    let mut per_trial = per_trial;
-    per_trial.sort_by_key(|(mask, _)| *mask);
-    let records = per_trial
+    // The lowest-mask error surfaces, exactly as in a sequential sweep.
+    let records = records
         .into_iter()
-        .map(|(_, result)| result)
         .collect::<Result<Vec<SubsetTrialRecord>, RunError>>()?;
     Ok(SubsetChunk {
         all_events: all.base.run.event_count(),
@@ -241,15 +204,11 @@ pub fn report_from_subset_records(
 /// over `sweep`.
 ///
 /// The `(All, A)`-run is built **once** per sweep and shared immutably
-/// (behind an [`Arc`]) by all worker threads; each trial builds one
-/// `(S, A)`-run against it and compares. Each *worker* walks a
-/// contiguous Gray-code segment of the mask space with one reusable
-/// executor and one [`GraySubsetBuilder`] as its sweep scratch, resuming
-/// successive `(S, A)`-runs from checkpoints instead of rebuilding them
-/// ([`SubsetSweepReport::replayed_events`] counts the saving), and every
-/// `(S, A)`-run shares the `(All, A)`-run's initial-memory map. Tallies
-/// are merged in mask order, so the report does not depend on
-/// `sweep.threads`.
+/// by all worker threads; each trial builds one
+/// `(S, A)`-run against it and compares. Each *worker* resets one
+/// reusable executor between its trials, and every `(S, A)`-run shares
+/// the `(All, A)`-run's initial-memory map. Tallies are merged in mask
+/// order, so the report does not depend on `sweep.threads`.
 ///
 /// # Errors
 ///

@@ -58,38 +58,6 @@ impl ExecutorConfig {
     }
 }
 
-/// A restorable mid-run checkpoint of an [`Executor`]'s shared state:
-/// memory contents, the recorded [`Run`] prefix, the cache-coherence RMR
-/// tracker, and the event counter.
-///
-/// Program continuations cannot be cloned (they are one-shot closures), so
-/// a snapshot does **not** hold per-process program state. Instead,
-/// [`Executor::restore_from`] re-spawns every program and replays each
-/// restored process's recorded interaction history through it — pure local
-/// computation that skips memory application, event recording, and RMR
-/// charging. This makes snapshots the reuse primitive of incremental
-/// subset sweeps: a shared run prefix is cloned back instead of
-/// re-simulated.
-///
-/// Snapshots require detail recording ([`ExecutorConfig::record_details`])
-/// — the replay reads histories — and are only supported on fault-free
-/// executors (no armed injector, no sticky fault).
-#[derive(Clone, Debug)]
-pub struct ExecSnapshot {
-    memory: SharedMemory,
-    run: Run,
-    rmr_cc: CcTracker,
-    recorded_events: u64,
-}
-
-impl ExecSnapshot {
-    /// Events contained in the captured run prefix — the events a restore
-    /// brings back without re-simulating them.
-    pub fn event_count(&self) -> u64 {
-        self.run.event_count()
-    }
-}
-
 /// The outcome of advancing one process by one step.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StepOutcome {
@@ -108,18 +76,6 @@ struct ProcState {
     /// termination is resolved eagerly.
     pending: Option<Action>,
     activated: bool,
-}
-
-impl ProcState {
-    /// Advances the program with `feedback` without recording anything —
-    /// the restore-replay twin of [`Executor::feed`]: the cloned run
-    /// already contains every event this feedback corresponds to.
-    fn replay_feedback(&mut self, feedback: Feedback) {
-        self.pending = match self.program.next(feedback) {
-            Action::Return(_) => None,
-            other => Some(other),
-        };
-    }
 }
 
 impl fmt::Debug for ProcState {
@@ -260,72 +216,6 @@ impl Executor {
             Run::lightweight(self.n)
         };
         std::mem::replace(&mut self.run, fresh)
-    }
-
-    /// Captures a restorable checkpoint of the executor's shared state —
-    /// see [`ExecSnapshot`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run is not recording details (the restore replay
-    /// needs histories), a fault injector is armed, or a sticky fault has
-    /// fired — snapshot reuse is a fault-free-sweep primitive.
-    pub fn capture(&self) -> ExecSnapshot {
-        assert!(
-            self.run.is_detailed(),
-            "capture needs a detail-recording run (histories drive the restore replay)"
-        );
-        assert!(
-            self.fault.is_none() && self.injector.is_none(),
-            "capture is only supported on fault-free executors"
-        );
-        ExecSnapshot {
-            memory: self.memory.clone(),
-            run: self.run.clone(),
-            rmr_cc: self.rmr_cc.clone(),
-            recorded_events: self.recorded_events,
-        }
-    }
-
-    /// Restores the executor to `snap`'s state: an [`Executor::reset`]
-    /// followed by cloning back the snapshot's memory, run prefix, RMR
-    /// state, and event counter, then rebuilding program state for every
-    /// process in `activate` by replaying its recorded history (see
-    /// [`ExecSnapshot`]). Processes outside `activate` are left
-    /// unactivated, exactly as after a plain reset.
-    ///
-    /// `alg` must be the algorithm this executor (and the snapshot) was
-    /// built for, and `activate` must cover every process with a nonempty
-    /// history in the snapshot that the continuation will step — a replay
-    /// feeds a program only what the recorded run already fed it, so the
-    /// restored executor is observationally the one `snap` was captured
-    /// from, restricted to the activated processes.
-    pub fn restore_from(
-        &mut self,
-        alg: &dyn Algorithm,
-        snap: &ExecSnapshot,
-        activate: &[ProcessId],
-    ) {
-        self.reset(alg);
-        self.memory.clone_from(&snap.memory);
-        self.run.clone_from(&snap.run);
-        self.rmr_cc.clone_from(&snap.rmr_cc);
-        self.recorded_events = snap.recorded_events;
-        for &p in activate {
-            let proc = &mut self.procs[p.0];
-            proc.activated = true;
-            proc.replay_feedback(Feedback::Start);
-            for ev in self.run.history(p).iter() {
-                let fb = match ev {
-                    RunEvent::Toss { outcome, .. } => Feedback::Coin(*outcome),
-                    RunEvent::SharedOp { resp, .. } => Feedback::Response(resp.clone()),
-                    // Termination is the program's *output* (already in
-                    // the cloned run), not a feedback to replay.
-                    RunEvent::Terminated { .. } => break,
-                };
-                proc.replay_feedback(fb);
-            }
-        }
     }
 
     /// Arms the memory-fault adversary: faults from `plan` are delivered

@@ -107,7 +107,7 @@ pub use checkpoint::{CheckpointError, LoadedCheckpoint, SkippedCheckpoint};
 pub use coin::{ConstantTosses, MapTosses, SeededTosses, TossAssignment, ZeroTosses};
 pub use crash::{CrashPlan, CrashScheduler, RecoveringCrashScheduler};
 pub use durable::{atomic_write, fnv64};
-pub use executor::{ExecSnapshot, Executor, ExecutorConfig, StepOutcome};
+pub use executor::{Executor, ExecutorConfig, StepOutcome};
 pub use fault::{FaultInjector, FaultPlan, FaultStats};
 pub use ids::{ProcMask, ProcMaskIter, ProcessId, RegisterId};
 pub use memory::{MemoryStats, SharedMemory};

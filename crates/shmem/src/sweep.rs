@@ -459,86 +459,6 @@ impl Sweep {
         self.run_with_scratch_at(offset, &indices, init, |scratch, t, _| f(scratch, t))
     }
 
-    /// [`Sweep::run_indexed_range_with_scratch`] with **blocked work
-    /// claiming**: instead of claiming one index at a time, each worker
-    /// claims a contiguous block of `block` indices and runs it in
-    /// increasing-index order before claiming the next block.
-    ///
-    /// Outputs are still merged in index order and trial identity is
-    /// still the global index alone, so the results are exactly those of
-    /// [`Sweep::run_indexed_range_with_scratch`] — what changes is the
-    /// *visit order each scratch observes*: within a block, a worker's
-    /// scratch sees strictly consecutive indices. That is the contract
-    /// incremental enumerations need (a scratch that carries checkpoints
-    /// forward can resume work from index `i` at index `i + 1`, and must
-    /// merely tolerate — not fail on — the discontinuity at each block
-    /// boundary).
-    ///
-    /// `block == 0` is treated as 1. Determinism contract and panic
-    /// behavior are those of [`Sweep::run_with_scratch`].
-    pub fn run_indexed_range_with_scratch_blocked<T, S, Init, F>(
-        &self,
-        offset: usize,
-        count: usize,
-        block: usize,
-        init: Init,
-        f: F,
-    ) -> Vec<T>
-    where
-        T: Send,
-        Init: Fn() -> S + Sync,
-        F: Fn(&mut S, Trial) -> T + Sync,
-    {
-        if count == 0 {
-            return Vec::new();
-        }
-        let block = block.max(1);
-        let threads = self.threads.max(1).min(count.div_ceil(block));
-        let trial = |index: usize| Trial {
-            index: offset + index,
-            seed: trial_seed(self.seed, offset + index),
-        };
-        if threads <= 1 {
-            let mut scratch = init();
-            return (0..count)
-                .map(|i| {
-                    let _token = self.arm_trial();
-                    f(&mut scratch, trial(i))
-                })
-                .collect();
-        }
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let mut scratch = init();
-                    loop {
-                        let b = cursor.fetch_add(1, Ordering::Relaxed);
-                        let start = b * block;
-                        if start >= count {
-                            break;
-                        }
-                        let end = (start + block).min(count);
-                        for (i, slot) in slots[start..end].iter().enumerate() {
-                            let _token = self.arm_trial();
-                            let out = f(&mut scratch, trial(start + i));
-                            *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
-                        }
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .expect("every block was claimed exactly once")
-            })
-            .collect()
-    }
-
     /// The fallible counterpart of [`Sweep::run_indexed`]: runs `f` once
     /// per index in `0..count` with panic isolation.
     pub fn run_indexed_fallible<T, F>(&self, count: usize, f: F) -> Vec<Result<T, TrialFailure>>
@@ -757,65 +677,6 @@ mod tests {
         assert_eq!(out, (0..9).map(|i| i * 2).collect::<Vec<_>>());
         let empty = Sweep::with_threads(3).run_indexed_with_scratch(0, || (), |(), t| t.index);
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn blocked_scratch_matches_unblocked_and_visits_blocks_in_order() {
-        // Output identity with the one-at-a-time variant, at any thread
-        // count and block size — including blocks that don't divide the
-        // count, block 0 (treated as 1), and oversized blocks.
-        let base = Sweep::sequential()
-            .seeded(3)
-            .run_indexed_range_with_scratch(10, 100, || (), |(), t| (t.index, t.seed));
-        for threads in [1, 2, 4, 8] {
-            for block in [0, 1, 7, 25, 100, 1000] {
-                let blocked = Sweep::with_threads(threads)
-                    .seeded(3)
-                    .run_indexed_range_with_scratch_blocked(
-                        10,
-                        100,
-                        block,
-                        || (),
-                        |(), t| (t.index, t.seed),
-                    );
-                assert_eq!(blocked, base, "threads={threads} block={block}");
-            }
-        }
-        let empty = Sweep::with_threads(4).run_indexed_range_with_scratch_blocked(
-            0,
-            0,
-            8,
-            || (),
-            |(), t| t.index,
-        );
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn blocked_scratch_sees_consecutive_indices_within_a_block() {
-        // Each worker's scratch must observe strictly consecutive indices
-        // within each block — the contract incremental enumerations rely
-        // on. The scratch records the previous index it saw; inside a
-        // block the step is always exactly 1.
-        let violations = std::sync::Mutex::new(Vec::new());
-        Sweep::with_threads(4).run_indexed_range_with_scratch_blocked(
-            0,
-            64,
-            8,
-            || None::<usize>,
-            |prev, t| {
-                if let Some(p) = *prev {
-                    if t.index % 8 != 0 && t.index != p + 1 {
-                        violations.lock().unwrap().push((p, t.index));
-                    }
-                }
-                *prev = Some(t.index);
-            },
-        );
-        assert_eq!(
-            violations.into_inner().unwrap(),
-            Vec::<(usize, usize)>::new()
-        );
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! algorithm, and on tampered runs that make every violation kind fire.
 
 use llsc_lowerbound::core::{
-    build_all_run, check_appendix_claims, check_indistinguishability, indist_all_subsets,
-    AdversaryConfig, AllRun, ClaimViolation, ClaimsReport, GraySubsetBuilder, IndistReport,
+    build_all_run, build_s_run_with, check_appendix_claims, check_indistinguishability,
+    indist_all_subsets, AdversaryConfig, AllRun, ClaimViolation, ClaimsReport, IndistReport,
     IndistViolation, ProcSet, SRun,
 };
 use llsc_lowerbound::shmem::{
@@ -237,7 +237,8 @@ fn toss_assignments() -> Vec<Arc<dyn TossAssignment>> {
     vec![Arc::new(ZeroTosses), Arc::new(SeededTosses::new(7))]
 }
 
-/// Every `(S, A)`-run of the Gray-order sweep of `alg` at `n`.
+/// Every `(S, A)`-run of `alg` at `n`, in mask order, built on one
+/// reused executor.
 fn every_s_run(
     alg: &dyn Algorithm,
     n: usize,
@@ -246,13 +247,14 @@ fn every_s_run(
 ) -> Vec<SRun> {
     let cfg = AdversaryConfig::default();
     let mut exec = Executor::new(alg, n, toss.clone(), cfg.executor);
-    let mut builder = GraySubsetBuilder::new();
     (0..1usize << n)
-        .map(|pos| {
-            builder
-                .build_trial(&mut exec, alg, all, &cfg, pos)
+        .map(|mask| {
+            let s: ProcSet = (0..n)
+                .filter(|i| mask & (1 << i) != 0)
+                .map(ProcessId)
+                .collect();
+            build_s_run_with(&mut exec, alg, &s, all, &cfg)
                 .expect("shipped algorithms stay within the default budgets")
-                .srun
         })
         .collect()
 }
