@@ -14,17 +14,13 @@
 //! paths) and exits nonzero when any panic-isolated trial fails,
 //! recording the failures in the JSON artifact's `"failures"` array.
 use llsc_bench::harness::HarnessOpts;
+use llsc_bench::E20_DEFAULT_MAX_EVENTS;
 use std::process::ExitCode;
-
-/// Default per-trial event budget: generous enough that only a stranded
-/// run (or a deliberate `--max-events` starvation) keeps a trial from
-/// finishing.
-const DEFAULT_MAX_EVENTS: u64 = 2_000_000;
 
 fn main() -> ExitCode {
     let opts = HarnessOpts::from_env();
     let sweep = opts.sweep();
-    let max_events = opts.max_events.unwrap_or(DEFAULT_MAX_EVENTS);
+    let max_events = opts.max_events.unwrap_or(E20_DEFAULT_MAX_EVENTS);
     let (exp, failures) =
         llsc_bench::e20_chaos_recovery_sweep(8, &[0, 1, 2, 4], 6, max_events, &sweep);
     opts.emit_with_failures(&[&exp.table], &failures)

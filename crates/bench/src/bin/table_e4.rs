@@ -1,14 +1,8 @@
 //! E4: indistinguishability (Lemma 5.2).
 use llsc_bench::harness::HarnessOpts;
-use llsc_bench::job::{table_job_mode, JobExperiment};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    // `--job-dir DIR [--resume] [--threads N]` switches to the
-    // checkpointed, resumable job runner (see `llsc job --help`).
-    if let Some(code) = table_job_mode(JobExperiment::E4) {
-        return code;
-    }
     let opts = HarnessOpts::from_env();
     opts.emit_guarded(|sweep| {
         vec![llsc_bench::e4_indistinguishability(&[4, 6], &[0, 1, 42], sweep).table]

@@ -8,11 +8,11 @@
 //! tables are byte-identical at every thread count.
 
 use crate::harness::Experiment;
+use crate::job::{fold, run_in_memory, JobExperiment, JobSpec, Outcome, TrialRecord};
 use crate::table::Table;
 use llsc_core::{
-    build_all_run, ceil_log4, check_wakeup, estimate_expected_complexity_sweep, flow_report,
-    indist_all_subsets, secretive_complete_schedule, verify_lower_bound, AdversaryConfig,
-    MoveConfig, ProcSet,
+    build_all_run, ceil_log4, check_wakeup, flow_report, secretive_complete_schedule,
+    verify_lower_bound, AdversaryConfig, MoveConfig, ProcSet,
 };
 // Re-exported for callers that predate the move of the seeding helpers
 // into `llsc_core` (see `crates/core/src/secretive.rs`).
@@ -30,33 +30,14 @@ use llsc_universal::{
     ObjectImplementation, ScheduleKind,
 };
 use llsc_wakeup::{
-    check_mutex_tokens, correct_algorithms, randomized_algorithms, CounterWakeup,
-    HardenedCounterWakeup, HardenedRandomizedCounterWakeup, HardenedTournamentWakeup, ObjectWakeup,
+    check_mutex_tokens, correct_algorithms, CounterWakeup, HardenedCounterWakeup,
+    HardenedRandomizedCounterWakeup, HardenedTournamentWakeup, ObjectWakeup,
     RandomizedCounterWakeup, RecoverableCounterWakeup, RecoverableMutex,
     RecoverableRandCounterWakeup, ReductionKind, TournamentWakeup,
 };
 use std::sync::Arc;
 
-/// The E4 table title — shared with the job runner, whose assembled
-/// artifact must match the `table_e4` binary's byte for byte.
-pub const E4_TITLE: &str =
-    "E4 - Lemma 5.2: (All,A)-run vs (S,A)-run indistinguishability, exhaustive over S";
-/// The E6 table title (see [`E4_TITLE`] for why it is shared).
-pub const E6_TITLE: &str =
-    "E6 - randomized wakeup: sampled expected complexity vs c*log4(n) (Lemma 3.1)";
-/// The E13 table title (see [`E4_TITLE`] for why it is shared).
-pub const E13_TITLE: &str = "E13 - appendix claims A.2-A.9 + Lemma 5.2, exhaustive over subsets";
-
-/// The E20 table title (see [`E4_TITLE`] for why it is shared).
-pub fn e20_title(n: usize, reps: usize) -> String {
-    format!(
-        "E20 - cross-backend chaos: degradation class and recovery RMR cost vs fault \
-         intensity (n = {n}, {reps} trials per cell, simulator backend)"
-    )
-}
-
-/// The E20 table's column headers (see [`E4_TITLE`] for why they are
-/// shared).
+/// The E20 table's column headers.
 pub const E20_HEADERS: [&str; 16] = [
     "algorithm",
     "arm",
@@ -240,62 +221,24 @@ pub struct E4Row {
     pub comparisons: usize,
     /// Violations found (must be 0).
     pub violations: usize,
-    /// Total simulated executor events across the sweeps behind this row.
-    pub events: u64,
 }
 
 /// E4: Lemma 5.2 — `(All, A)` vs `(S, A)` indistinguishability over every
 /// subset `S` (exhaustive; keep `n` small) and several toss assignments.
-/// The `2^n` subsets of each run fan out over the sweep.
+/// Runs the E4 job's trials in memory; the `2^n` subsets of each run fan
+/// out over the sweep.
 pub fn e4_indistinguishability(ns: &[usize], seeds: &[u64], sweep: &Sweep) -> Experiment<E4Row> {
-    let mut table = Table::new(
-        E4_TITLE,
-        ["algorithm", "n", "subsets", "comparisons", "violations"],
-    );
-    let cfg = AdversaryConfig::default();
-    let mut rows = Vec::new();
-    let algs: Vec<Box<dyn Algorithm>> = correct_algorithms()
-        .into_iter()
-        .chain(randomized_algorithms())
-        .collect();
-    for alg in &algs {
-        for &n in ns {
-            let mut subsets = 0usize;
-            let mut comparisons = 0usize;
-            let mut violations = 0usize;
-            let mut events = 0u64;
-            for &seed in seeds {
-                let toss: Arc<dyn llsc_shmem::TossAssignment> = if seed == 0 {
-                    Arc::new(ZeroTosses)
-                } else {
-                    Arc::new(SeededTosses::new(seed))
-                };
-                let report = indist_all_subsets(alg.as_ref(), n, toss, &cfg, false, sweep)
-                    .expect("E4 subset runs stay within the default executor budgets");
-                subsets += report.subsets;
-                comparisons += report.comparisons;
-                violations += report.violations.len();
-                events += report.events;
-            }
-            assert_eq!(violations, 0, "{} n={n}", alg.name());
-            table.row([
-                alg.name().to_string(),
-                n.to_string(),
-                subsets.to_string(),
-                comparisons.to_string(),
-                violations.to_string(),
-            ]);
-            rows.push(E4Row {
-                algorithm: alg.name().to_string(),
-                n,
-                subsets,
-                comparisons,
-                violations,
-                events,
-            });
-        }
+    let spec = JobSpec {
+        seed: sweep.seed,
+        ns: ns.to_vec(),
+        toss_seeds: seeds.to_vec(),
+        ..JobSpec::default_for(JobExperiment::E4)
+    };
+    let exp = run_in_memory::<E4Row>(&spec, sweep);
+    for r in &exp.rows {
+        assert_eq!(r.violations, 0, "{} n={}", r.algorithm, r.n);
     }
-    Experiment { table, rows }
+    exp
 }
 
 /// One row of E5: the wakeup lower bound for one algorithm at one `n`.
@@ -382,56 +325,26 @@ pub struct E6Row {
     pub lemma_3_1_bound: f64,
     /// `log4 n`.
     pub log4_n: f64,
+    /// Whether every terminating sample's winner met `ceil(log4 n)`.
+    pub all_meet_bound: bool,
 }
 
 /// E6: the randomized bound — sampled expected complexity vs
-/// `c * log4(n)` (Lemma 3.1 + Theorem 6.1). The toss-assignment samples
-/// of each `(algorithm, n)` estimate fan out over the sweep.
+/// `c * log4(n)` (Lemma 3.1 + Theorem 6.1). Runs the E6 job's trials in
+/// memory; the toss-assignment samples of each `(algorithm, n)` estimate
+/// fan out over the sweep.
 pub fn e6_randomized_expectation(ns: &[usize], samples: u64, sweep: &Sweep) -> Experiment<E6Row> {
-    let mut table = Table::new(
-        E6_TITLE,
-        [
-            "algorithm",
-            "n",
-            "c",
-            "E[winner]",
-            "min winner",
-            "c*k",
-            "log4(n)",
-        ],
-    );
-    let cfg = AdversaryConfig {
-        max_rounds: 10_000,
-        ..AdversaryConfig::default()
+    let spec = JobSpec {
+        seed: sweep.seed,
+        ns: ns.to_vec(),
+        samples,
+        ..JobSpec::default_for(JobExperiment::E6)
     };
-    let seeds: Vec<u64> = (0..samples).collect();
-    let mut rows = Vec::new();
-    for alg in randomized_algorithms() {
-        for &n in ns {
-            let rep = estimate_expected_complexity_sweep(alg.as_ref(), n, &seeds, &cfg, sweep)
-                .expect("E6 sampled runs stay within the default executor budgets");
-            assert!(rep.all_meet_bound, "{} n={n}", alg.name());
-            table.row([
-                alg.name().to_string(),
-                n.to_string(),
-                format!("{:.2}", rep.termination_rate),
-                format!("{:.1}", rep.mean_winner_steps),
-                rep.min_winner_steps.to_string(),
-                format!("{:.2}", rep.lemma_3_1_bound),
-                format!("{:.2}", rep.log4_n),
-            ]);
-            rows.push(E6Row {
-                algorithm: alg.name().to_string(),
-                n,
-                termination_rate: rep.termination_rate,
-                mean_winner_steps: rep.mean_winner_steps,
-                min_winner_steps: rep.min_winner_steps,
-                lemma_3_1_bound: rep.lemma_3_1_bound,
-                log4_n: rep.log4_n,
-            });
-        }
+    let exp = run_in_memory::<E6Row>(&spec, sweep);
+    for r in &exp.rows {
+        assert!(r.all_meet_bound, "{} n={}", r.algorithm, r.n);
     }
-    Experiment { table, rows }
+    exp
 }
 
 /// One row of E7: a Theorem 6.2 reduction at one `n`.
@@ -890,42 +803,22 @@ pub struct E13Row {
     pub n: usize,
     /// Total violations over all subsets (claims + Lemma 5.2).
     pub violations: usize,
-    /// Total simulated executor events across the sweep behind this row.
-    pub events: u64,
 }
 
 /// E13: the appendix claims (A.2-A.9) plus Lemma 5.2, exhaustively over
-/// subsets, for every shipped wakeup algorithm. The `2^n` subsets of each
-/// check fan out over the sweep.
+/// subsets, for every shipped wakeup algorithm. Runs the E13 job's trials
+/// in memory; the `2^n` subsets of each check fan out over the sweep.
 pub fn e13_appendix_claims(ns: &[usize], sweep: &Sweep) -> Experiment<E13Row> {
-    let mut table = Table::new(E13_TITLE, ["algorithm", "n", "subsets", "violations"]);
-    let cfg = AdversaryConfig::default();
-    let mut rows = Vec::new();
-    for alg in correct_algorithms()
-        .into_iter()
-        .chain(randomized_algorithms())
-    {
-        for &n in ns {
-            let report =
-                indist_all_subsets(alg.as_ref(), n, Arc::new(ZeroTosses), &cfg, true, sweep)
-                    .expect("E13 subset runs stay within the default executor budgets");
-            let violations = report.violations.len();
-            assert_eq!(violations, 0, "{} n={n}", alg.name());
-            table.row([
-                alg.name().to_string(),
-                n.to_string(),
-                (1u64 << n).to_string(),
-                violations.to_string(),
-            ]);
-            rows.push(E13Row {
-                algorithm: alg.name().to_string(),
-                n,
-                violations,
-                events: report.events,
-            });
-        }
+    let spec = JobSpec {
+        seed: sweep.seed,
+        ns: ns.to_vec(),
+        ..JobSpec::default_for(JobExperiment::E13)
+    };
+    let exp = run_in_memory::<E13Row>(&spec, sweep);
+    for r in &exp.rows {
+        assert_eq!(r.violations, 0, "{} n={}", r.algorithm, r.n);
     }
-    Experiment { table, rows }
+    exp
 }
 
 /// One row of E14: stress-portfolio outcomes.
@@ -2054,7 +1947,7 @@ pub fn e19_recovery_sweep(
 /// The hardware half of E20 lives in `bench_e20` / `llsc bench`
 /// (`BENCH_pr10.json`), which runs the same seeded plans through the
 /// thread-per-process driver and records sim-vs-hardware divergence.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct E20Row {
     /// Algorithm name.
     pub algorithm: String,
@@ -2113,8 +2006,22 @@ pub fn e20_recovery(idx: usize, n: usize) -> Option<RecoverySpec> {
     (idx >= 3).then(|| e19_recovery_spec(n))
 }
 
+/// The adversary arm algorithm `idx` of E20 faces.
+pub(crate) fn e20_arm(idx: usize) -> &'static str {
+    if idx < 3 {
+        "memory-faults"
+    } else {
+        "crash-recovery"
+    }
+}
+
 /// The step cap each E20 trial runs under, on both backends.
 pub const E20_MAX_STEPS: u64 = 40_000;
+
+/// The per-trial event budget E20 runs under by default (`table_e20` and
+/// jobs whose spec does not override it): generous enough that only a
+/// stranded run, or a deliberate starvation, keeps a trial from finishing.
+pub const E20_DEFAULT_MAX_EVENTS: u64 = 2_000_000;
 
 /// Builds the replayable case one E20 trial runs: a chaos plan seeded
 /// from `seed`, tailored to algorithm `idx`'s capability arm
@@ -2139,56 +2046,6 @@ pub fn e20_case(idx: usize, n: usize, intensity: usize, seed: u64, max_events: u
     case
 }
 
-/// One E20 trial's degradation class and cost.
-#[derive(Debug)]
-pub(crate) struct E20Trial {
-    pub(crate) class: String,
-    pub(crate) crashes: u64,
-    pub(crate) recoveries: u64,
-    pub(crate) spurious_sc: u64,
-    pub(crate) corruptions: u64,
-    pub(crate) cc_rmrs: u64,
-    pub(crate) dsm_rmrs: u64,
-}
-
-/// Runs one E20 trial — shared by [`e20_chaos_recovery_sweep`] and the
-/// job runner — and reads its class and cost counters off the same run.
-///
-/// # Panics
-///
-/// When a chaos-free trial (`intensity == 0`) does not recover, and when
-/// the execution itself panicked (its payload is re-raised), so the
-/// enclosing sweep records the trial as failed.
-pub(crate) fn e20_trial(
-    case: &ReproCase,
-    alg: &dyn Algorithm,
-    intensity: usize,
-    seed: u64,
-) -> E20Trial {
-    let run = crate::repro::run_case_with(case, alg);
-    if intensity == 0 {
-        assert!(
-            run.class == "recovered",
-            "{}: chaos-free trial must recover, got {} ({}) (seed {seed:#018x})",
-            alg.name(),
-            run.class,
-            run.outcome_debug,
-        );
-    }
-    if let Some(payload) = run.panic {
-        panic!("{payload}");
-    }
-    E20Trial {
-        class: run.class,
-        crashes: run.counters.total_crashes(),
-        recoveries: run.counters.total_recoveries(),
-        spurious_sc: run.faults.0,
-        corruptions: run.faults.1,
-        cc_rmrs: run.counters.total_cc_rmrs(),
-        dsm_rmrs: run.counters.total_dsm_rmrs(),
-    }
-}
-
 /// E20: cross-backend chaos validation, simulator half. Each trial
 /// tailors a seeded [`ChaosPlan`] to its algorithm's capability arm
 /// ([`crate::xcheck::chaos_arm`]): the hardened wakeup trio faces
@@ -2199,8 +2056,10 @@ pub(crate) fn e20_trial(
 /// table reads as *degradation class and recovery RMR cost vs fault
 /// intensity*. `intensity = 0` trials must recover; a violation panics,
 /// which the panic-isolated sweep reports as a [`TrialFailure`] with an
-/// attached reproducer. Rows and failures merge in index order, so the
-/// output is byte-identical at every thread count.
+/// attached reproducer. The trials are the E20 job's, run in memory;
+/// rows and failures merge in index order, so the output is
+/// byte-identical at every thread count. A `max_events` of 0 means
+/// [`E20_DEFAULT_MAX_EVENTS`].
 ///
 /// The hardware half runs the same plans through `llsc-atomics`
 /// (`bench_e20`, `llsc bench`), where crashes are real thread kills and
@@ -2212,122 +2071,52 @@ pub fn e20_chaos_recovery_sweep(
     max_events: u64,
     sweep: &Sweep,
 ) -> (Experiment<E20Row>, Vec<TrialFailure>) {
-    const ALGS: usize = 6;
     assert!(reps >= 1, "need at least one repetition per cell");
-    let mut items = Vec::with_capacity(ALGS * intensities.len() * reps);
-    for a in 0..ALGS {
-        for &intensity in intensities {
-            for rep in 0..reps {
-                items.push((a, intensity, rep));
-            }
-        }
-    }
-
-    let names: Vec<String> = (0..ALGS)
-        .map(|a| e20_algorithm(a, n).name().to_string())
+    let spec = JobSpec {
+        seed: sweep.seed,
+        ns: vec![n],
+        samples: reps as u64,
+        intensities: intensities.iter().map(|&i| i as u64).collect(),
+        max_events,
+        ..JobSpec::default_for(JobExperiment::E20)
+    };
+    let cells = spec.cells();
+    // Each trial's cell, in the job's flat index order.
+    let items: Vec<usize> = cells
+        .iter()
+        .enumerate()
+        .flat_map(|(c, cell)| std::iter::repeat_n(c, cell.len))
         .collect();
     let outcomes = sweep.run_fallible_with(
         &items,
-        |trial, &(a, intensity, _rep)| {
-            let alg = e20_algorithm(a, n);
-            let case = e20_case(a, n, intensity, trial.seed, max_events);
-            e20_trial(&case, alg.as_ref(), intensity, trial.seed)
-        },
-        |trial, &(a, intensity, _rep)| {
-            let recovery = e20_recovery(a, n);
-            let arm = if recovery.is_some() {
-                "crash-recovery"
-            } else {
-                "memory-faults"
-            };
+        |trial, &c| spec.chaos_trial(&cells[c], trial.seed),
+        |trial, &c| {
+            let cell = &cells[c];
             format!(
-                "alg={} n={n} arm={arm} {} tosses=seeded:{:#018x}",
-                names[a],
-                ChaosPlan::seeded(trial.seed, n, intensity, 8 * n as u64).summary(),
+                "alg={} n={n} arm={} {} tosses=seeded:{:#018x}",
+                e20_algorithm(cell.alg, n).name(),
+                e20_arm(cell.alg),
+                ChaosPlan::seeded(trial.seed, n, cell.intensity, 8 * n as u64).summary(),
                 trial.seed
             )
         },
     );
-
+    let mut records = Vec::new();
     let mut failures = Vec::new();
-    let mut cells: Vec<E20Row> = Vec::new();
-    for ((a, intensity, _rep), result) in items.iter().zip(outcomes) {
-        if cells
-            .last()
-            .is_none_or(|c| c.algorithm != names[*a] || c.intensity != *intensity)
-        {
-            cells.push(E20Row {
-                algorithm: names[*a].clone(),
-                arm: if *a < 3 {
-                    "memory-faults"
-                } else {
-                    "crash-recovery"
-                },
-                intensity: *intensity,
-                trials: 0,
-                recovered: 0,
-                detected_wrong: 0,
-                silent_wrong: 0,
-                stalled: 0,
-                crashed: 0,
-                aborted: 0,
-                crashes: 0,
-                recoveries: 0,
-                spurious_sc: 0,
-                corruptions: 0,
-                cc_rmrs: 0,
-                dsm_rmrs: 0,
-            });
-        }
-        let cell = cells.last_mut().expect("cell pushed above");
-        match result {
-            Ok(t) => {
-                cell.trials += 1;
-                match t.class.as_str() {
-                    "recovered" => cell.recovered += 1,
-                    "detected-wrong" => cell.detected_wrong += 1,
-                    "silent-wrong" => cell.silent_wrong += 1,
-                    "stalled" => cell.stalled += 1,
-                    "crashed" => cell.crashed += 1,
-                    _ => cell.aborted += 1,
-                }
-                cell.crashes += t.crashes;
-                cell.recoveries += t.recoveries;
-                cell.spurious_sc += t.spurious_sc;
-                cell.corruptions += t.corruptions;
-                cell.cc_rmrs += t.cc_rmrs;
-                cell.dsm_rmrs += t.dsm_rmrs;
-            }
-            Err(fail) => failures.push(fail),
+    for ((index, &cell), outcome) in items.iter().enumerate().zip(outcomes) {
+        match outcome {
+            Ok(trial) => records.push(TrialRecord {
+                index,
+                cell,
+                outcome: Outcome::Chaos(trial),
+            }),
+            Err(failure) => failures.push(failure),
         }
     }
     attach_repro(&mut failures, sweep, |failure| {
-        let (a, intensity, _rep) = items[failure.index];
-        e20_case(a, n, intensity, failure.derived_seed, max_events)
+        spec.chaos_case(&cells[items[failure.index]], failure.derived_seed)
     });
-
-    let mut table = Table::new(e20_title(n, reps), E20_HEADERS);
-    for r in &cells {
-        table.row([
-            r.algorithm.clone(),
-            r.arm.to_string(),
-            r.intensity.to_string(),
-            r.trials.to_string(),
-            r.recovered.to_string(),
-            r.detected_wrong.to_string(),
-            r.silent_wrong.to_string(),
-            r.stalled.to_string(),
-            r.crashed.to_string(),
-            r.aborted.to_string(),
-            r.crashes.to_string(),
-            r.recoveries.to_string(),
-            r.spurious_sc.to_string(),
-            r.corruptions.to_string(),
-            r.cc_rmrs.to_string(),
-            r.dsm_rmrs.to_string(),
-        ]);
-    }
-    (Experiment { table, rows: cells }, failures)
+    (fold(&spec, &records, true).0, failures)
 }
 
 #[cfg(test)]
@@ -2610,6 +2399,32 @@ mod tests {
             .iter()
             .all(|f| f.context.contains("fault-plan:none") && f.context.contains("alg=")));
         assert!(exp.table.render().contains("E16"));
+    }
+
+    #[test]
+    fn e20_starved_budget_surfaces_isolated_failures_with_reproducers() {
+        let (exp, failures) = e20_chaos_recovery_sweep(4, &[0], 1, 40, &Sweep::sequential());
+        assert!(
+            !failures.is_empty(),
+            "starved intensity-0 trials must panic"
+        );
+        for f in &failures {
+            assert!(
+                f.context.contains("alg=") && f.context.contains("tosses=seeded"),
+                "{}",
+                f.context
+            );
+            let json = f.repro.as_ref().expect("failures carry a repro case");
+            let case = ReproCase::from_json(json).expect("attached repro round-trips");
+            assert_eq!(case.experiment, "e20");
+            let run = crate::repro::run_case(&case).expect("algorithm resolves");
+            assert_eq!(run.outcome_debug, case.outcome, "replay is byte-identical");
+            let prov = case.provenance.expect("provenance recorded");
+            assert_eq!(prov.trial_index, f.index);
+        }
+        // Panics are isolated: every cell still renders a row.
+        assert_eq!(exp.rows.len(), 6, "one intensity-0 cell per algorithm");
+        assert!(exp.table.render().contains("E20"));
     }
 
     #[test]

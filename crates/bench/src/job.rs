@@ -36,6 +36,12 @@
 //!   emitting a *partial* artifact (rows whose trials all finished) plus
 //!   an explicit `incomplete` manifest and a nonzero exit.
 //!
+//! Each experiment exists once: its cell layout (`JobSpec::cells`), its
+//! per-trial code (`JobSpec::run_trials`) and its fold from trial records
+//! to typed rows and a [`Table`] (`JobRow`). The direct table functions
+//! ([`crate::e4_indistinguishability`] and the E6/E13/E20 ones) run the
+//! same code over the whole trial space in memory.
+//!
 //! Layout of a job directory:
 //!
 //! ```text
@@ -45,21 +51,25 @@
 //! <dir>/manifest.json              status, chunk ledger, failures
 //! ```
 
-use crate::experiments::{e20_title, E13_TITLE, E20_HEADERS, E4_TITLE, E6_TITLE};
+use crate::experiments::{E13Row, E20Row, E4Row, E6Row, E20_DEFAULT_MAX_EVENTS, E20_HEADERS};
+use crate::harness::Experiment;
 use crate::table::Table;
 use llsc_core::{
     indist_subset_range, report_from_samples, sample_expectation, AdversaryConfig,
     ExpectationSample,
 };
 use llsc_shmem::json;
+use llsc_shmem::repro::ReproCase;
 use llsc_shmem::{
     atomic_write, checkpoint, panic_message, Algorithm, CancelToken, SeededTosses, Sweep,
     ZeroTosses,
 };
 use llsc_wakeup::{correct_algorithms, randomized_algorithms};
 use std::collections::BTreeSet;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -187,28 +197,13 @@ impl JobSpec {
     /// strings, fixed key order — the form [`JobSpec::fingerprint`]
     /// hashes).
     pub fn render(&self) -> String {
-        let mut out = String::from("{\"version\":\"1\",\"experiment\":");
-        json::push_string(&mut out, self.experiment.tag());
-        out.push_str(",\"name\":");
-        json::push_string(&mut out, &self.name);
-        out.push_str(",\"seed\":");
-        json::push_string(&mut out, &self.seed.to_string());
-        let push_list = |out: &mut String, key: &str, items: &[String]| {
-            out.push_str(&format!(",\"{key}\":["));
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                json::push_string(out, item);
-            }
-            out.push(']');
-        };
-        let ns: Vec<String> = self.ns.iter().map(|n| n.to_string()).collect();
-        push_list(&mut out, "ns", &ns);
-        let toss: Vec<String> = self.toss_seeds.iter().map(|s| s.to_string()).collect();
-        push_list(&mut out, "toss_seeds", &toss);
-        let intensities: Vec<String> = self.intensities.iter().map(|i| i.to_string()).collect();
-        push_list(&mut out, "intensities", &intensities);
+        let mut out = String::from("{\"version\":\"1\"");
+        push_field(&mut out, "experiment", self.experiment.tag());
+        push_field(&mut out, "name", &self.name);
+        push_field(&mut out, "seed", &self.seed.to_string());
+        push_list(&mut out, "ns", &self.ns);
+        push_list(&mut out, "toss_seeds", &self.toss_seeds);
+        push_list(&mut out, "intensities", &self.intensities);
         for (key, value) in [
             ("samples", self.samples),
             ("recovery_delay", self.recovery_delay),
@@ -219,8 +214,7 @@ impl JobSpec {
             ("chunk_timeout_ms", self.chunk_timeout_ms),
             ("max_events", self.max_events),
         ] {
-            out.push_str(&format!(",\"{key}\":"));
-            json::push_string(&mut out, &value.to_string());
+            push_field(&mut out, key, &value.to_string());
         }
         out.push_str("}\n");
         out
@@ -232,82 +226,72 @@ impl JobSpec {
     ///
     /// Names the first missing or malformed field.
     pub fn parse(text: &str) -> Result<JobSpec, String> {
+        const WHAT: &str = "job spec";
         let value = json::parse(text)?;
-        let str_field = |key: &str| -> Result<String, String> {
-            value
-                .field(key)
-                .ok_or_else(|| format!("job spec: missing `{key}`"))?
-                .str_or(&format!("job spec `{key}`"))
-        };
-        let u64_field = |key: &str| -> Result<u64, String> {
-            str_field(key)?
-                .parse::<u64>()
-                .map_err(|_| format!("job spec: bad `{key}` value"))
-        };
-        let list_field = |key: &str| -> Result<Vec<u64>, String> {
-            value
-                .field(key)
-                .ok_or_else(|| format!("job spec: missing `{key}`"))?
-                .array_or(&format!("job spec `{key}`"))?
-                .iter()
-                .map(|v| {
-                    v.str_or(&format!("job spec `{key}` entry"))?
-                        .parse::<u64>()
-                        .map_err(|_| format!("job spec: bad `{key}` entry"))
-                })
-                .collect()
-        };
-        let version = str_field("version")?;
+        let num = |key: &str| num_field::<u64>(&value, WHAT, key);
+        let version = text_field(&value, WHAT, "version")?;
         if version != "1" {
             return Err(format!("job spec: unsupported version `{version}`"));
         }
         let spec = JobSpec {
-            experiment: JobExperiment::parse(&str_field("experiment")?)?,
-            name: str_field("name")?,
-            seed: u64_field("seed")?,
-            ns: list_field("ns")?.into_iter().map(|n| n as usize).collect(),
-            toss_seeds: list_field("toss_seeds")?,
-            samples: u64_field("samples")?,
-            intensities: list_field("intensities")?,
-            recovery_delay: u64_field("recovery_delay")?,
-            respawn_budget: u64_field("respawn_budget")?,
-            chunks: u64_field("chunks")? as usize,
-            retries: u64_field("retries")? as u32,
-            backoff_ms: u64_field("backoff_ms")?,
-            chunk_timeout_ms: u64_field("chunk_timeout_ms")?,
-            max_events: u64_field("max_events")?,
+            experiment: JobExperiment::parse(&text_field(&value, WHAT, "experiment")?)?,
+            name: text_field(&value, WHAT, "name")?,
+            seed: num("seed")?,
+            ns: list_field(&value, WHAT, "ns")?,
+            toss_seeds: list_field(&value, WHAT, "toss_seeds")?,
+            samples: num("samples")?,
+            intensities: list_field(&value, WHAT, "intensities")?,
+            recovery_delay: num("recovery_delay")?,
+            respawn_budget: num("respawn_budget")?,
+            chunks: num_field(&value, WHAT, "chunks")?,
+            retries: num_field(&value, WHAT, "retries")?,
+            backoff_ms: num("backoff_ms")?,
+            chunk_timeout_ms: num("chunk_timeout_ms")?,
+            max_events: num("max_events")?,
         };
-        if spec.chunks == 0 {
+        spec.validate()?;
+        Ok(spec)
+    }
+
+    /// Checks that the spec describes a runnable job: at least one chunk,
+    /// positive process counts (at most 16 for the exhaustive subset
+    /// sweeps), and a non-empty grid for its experiment.
+    ///
+    /// # Errors
+    ///
+    /// Names the first violated rule.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.chunks == 0 {
             return Err("job spec: `chunks` must be at least 1".into());
         }
-        if spec.ns.is_empty() {
+        if self.ns.is_empty() {
             return Err("job spec: `ns` must not be empty".into());
         }
-        if spec.ns.contains(&0) {
+        if self.ns.contains(&0) {
             return Err("job spec: every n must be positive".into());
         }
-        if matches!(spec.experiment, JobExperiment::E4 | JobExperiment::E13)
-            && spec.ns.iter().any(|&n| n > 16)
+        if matches!(self.experiment, JobExperiment::E4 | JobExperiment::E13)
+            && self.ns.iter().any(|&n| n > 16)
         {
             return Err("job spec: exhaustive subset sweeps need n <= 16".into());
         }
-        match spec.experiment {
-            JobExperiment::E4 if spec.toss_seeds.is_empty() => {
+        match self.experiment {
+            JobExperiment::E4 if self.toss_seeds.is_empty() => {
                 Err("job spec: e4 needs at least one toss seed".into())
             }
-            JobExperiment::E6 if spec.samples == 0 => {
+            JobExperiment::E6 if self.samples == 0 => {
                 Err("job spec: e6 needs at least one sample".into())
             }
-            JobExperiment::E20 if spec.ns.len() != 1 => {
+            JobExperiment::E20 if self.ns.len() != 1 => {
                 Err("job spec: e20 sweeps exactly one n per job".into())
             }
-            JobExperiment::E20 if spec.intensities.is_empty() => {
+            JobExperiment::E20 if self.intensities.is_empty() => {
                 Err("job spec: e20 needs at least one intensity".into())
             }
-            JobExperiment::E20 if spec.samples == 0 => {
+            JobExperiment::E20 if self.samples == 0 => {
                 Err("job spec: e20 needs at least one trial per cell".into())
             }
-            _ => Ok(spec),
+            _ => Ok(()),
         }
     }
 
@@ -335,9 +319,10 @@ impl JobSpec {
     }
 
     /// The flat trial-space cells, in row order. A *cell* is the unit the
-    /// assembler groups by: one `(algorithm, n, toss seed)` subset sweep
-    /// for E4, one `(algorithm, n)` sweep for E6/E13.
-    fn cells(&self) -> Vec<Cell> {
+    /// fold groups by: one `(algorithm, n, toss seed)` subset sweep for
+    /// E4, one `(algorithm, n)` sweep for E6/E13, one `(algorithm,
+    /// intensity)` chaos cell for E20.
+    pub(crate) fn cells(&self) -> Vec<Cell> {
         let algs = self.algorithms().len();
         let mut cells = Vec::new();
         let mut start = 0usize;
@@ -352,37 +337,18 @@ impl JobSpec {
             });
             start += len;
         };
-        match self.experiment {
-            JobExperiment::E4 => {
-                for alg in 0..algs {
-                    for &n in &self.ns {
+        // Algorithm-major, then n, then toss seed (E4) or intensity (E20).
+        for alg in 0..algs {
+            for &n in &self.ns {
+                match self.experiment {
+                    JobExperiment::E4 => {
                         for &seed in &self.toss_seeds {
                             push(alg, n, seed, 0, 1usize << n);
                         }
                     }
-                }
-            }
-            JobExperiment::E6 => {
-                for alg in 0..algs {
-                    for &n in &self.ns {
-                        push(alg, n, 0, 0, self.samples as usize);
-                    }
-                }
-            }
-            JobExperiment::E13 => {
-                for alg in 0..algs {
-                    for &n in &self.ns {
-                        push(alg, n, 0, 0, 1usize << n);
-                    }
-                }
-            }
-            // Matches the item order of `e20_chaos_recovery_sweep`:
-            // algorithm-major, then intensity, then repetition — so the
-            // flat index space (and with it every derived trial seed)
-            // lines up with the table binary's.
-            JobExperiment::E20 => {
-                for alg in 0..algs {
-                    for &n in &self.ns {
+                    JobExperiment::E6 => push(alg, n, 0, 0, self.samples as usize),
+                    JobExperiment::E13 => push(alg, n, 0, 0, 1usize << n),
+                    JobExperiment::E20 => {
                         for &intensity in &self.intensities {
                             push(alg, n, 0, intensity as usize, self.samples as usize);
                         }
@@ -412,23 +378,165 @@ impl JobSpec {
         }
         cfg
     }
+
+    /// Runs the trials `trials` of the job's flat index space on `sweep`
+    /// and returns their records in index order — the one trial path of
+    /// both a job chunk and a direct in-memory run. Trial identity is the
+    /// global index alone, so any partition of the index space yields the
+    /// same records.
+    ///
+    /// # Errors
+    ///
+    /// A subset sweep or expectation sample that hit an executor budget,
+    /// with the cell it belongs to. E20 trials panic instead (see
+    /// [`JobSpec::chaos_trial`]).
+    pub(crate) fn run_trials(
+        &self,
+        trials: Range<usize>,
+        sweep: &Sweep,
+    ) -> Result<Vec<TrialRecord>, String> {
+        let algs = self.algorithms();
+        let cfg = self.adversary_config();
+        let mut records = Vec::with_capacity(trials.len());
+        for (cell_index, cell) in self.cells().iter().enumerate() {
+            let lo = trials.start.max(cell.start);
+            let hi = trials.end.min(cell.start + cell.len);
+            if lo >= hi {
+                continue;
+            }
+            let local = lo - cell.start..hi - cell.start;
+            let alg = algs[cell.alg].as_ref();
+            let outcomes: Vec<Outcome> = match self.experiment {
+                JobExperiment::E4 | JobExperiment::E13 => {
+                    let toss: Arc<dyn llsc_shmem::TossAssignment> = if cell.toss_seed == 0 {
+                        Arc::new(ZeroTosses)
+                    } else {
+                        Arc::new(SeededTosses::new(cell.toss_seed))
+                    };
+                    let check_claims = self.experiment == JobExperiment::E13;
+                    indist_subset_range(alg, cell.n, toss, &cfg, check_claims, sweep, local)
+                        .map_err(|e| format!("{}: {e:?}", self.cell_label(alg, cell)))?
+                        .records
+                        .into_iter()
+                        .map(|r| Outcome::Subset {
+                            mask: r.mask,
+                            comparisons: r.comparisons,
+                            claims: r.claim_instances,
+                            violations: r.violations,
+                        })
+                        .collect()
+                }
+                JobExperiment::E6 => {
+                    let seeds: Vec<u64> = (local.start as u64..local.end as u64).collect();
+                    sweep
+                        .run(&seeds, |_trial, &seed| {
+                            sample_expectation(alg, cell.n, seed, &cfg).map(Outcome::Sample)
+                        })
+                        .into_iter()
+                        .collect::<Result<_, _>>()
+                        .map_err(|e| format!("{}: {e:?}", self.cell_label(alg, cell)))?
+                }
+                JobExperiment::E20 => sweep.run_indexed_range_with_scratch(
+                    lo,
+                    hi - lo,
+                    || (),
+                    |(), trial| Outcome::Chaos(self.chaos_trial(cell, trial.seed)),
+                ),
+            };
+            records.extend(
+                outcomes
+                    .into_iter()
+                    .zip(lo..)
+                    .map(|(outcome, index)| TrialRecord {
+                        index,
+                        cell: cell_index,
+                        outcome,
+                    }),
+            );
+        }
+        Ok(records)
+    }
+
+    /// Names `cell`, run by `alg`, in failure reports.
+    fn cell_label(&self, alg: &dyn Algorithm, cell: &Cell) -> String {
+        let alg = alg.name();
+        match self.experiment {
+            JobExperiment::E4 => format!("alg={alg} n={} toss_seed={}", cell.n, cell.toss_seed),
+            JobExperiment::E20 => format!("alg={alg} n={} intensity={}", cell.n, cell.intensity),
+            _ => format!("alg={alg} n={}", cell.n),
+        }
+    }
+
+    /// The replayable case E20 trial `seed` of `cell` runs: its chaos plan
+    /// under the spec's event budget and recovery overrides.
+    pub(crate) fn chaos_case(&self, cell: &Cell, seed: u64) -> ReproCase {
+        let max_events = if self.max_events > 0 {
+            self.max_events
+        } else {
+            E20_DEFAULT_MAX_EVENTS
+        };
+        let mut case = crate::e20_case(cell.alg, cell.n, cell.intensity, seed, max_events);
+        if let Some(recovery) = case.recovery.as_mut() {
+            if self.recovery_delay > 0 {
+                recovery.delay = self.recovery_delay;
+            }
+            if self.respawn_budget > 0 {
+                recovery.budget = self.respawn_budget;
+            }
+        }
+        case
+    }
+
+    /// Runs E20 trial `seed` of `cell` and reads its class and cost
+    /// counters off the run.
+    ///
+    /// # Panics
+    ///
+    /// When a chaos-free trial (intensity 0) does not recover, and when
+    /// the execution itself panicked (its payload is re-raised), so the
+    /// enclosing sweep records the trial as failed.
+    pub(crate) fn chaos_trial(&self, cell: &Cell, seed: u64) -> E20Trial {
+        let alg = crate::e20_algorithm(cell.alg, cell.n);
+        let run = crate::repro::run_case_with(&self.chaos_case(cell, seed), alg.as_ref());
+        if cell.intensity == 0 {
+            assert!(
+                run.class == "recovered",
+                "{}: chaos-free trial must recover, got {} ({}) (seed {seed:#018x})",
+                alg.name(),
+                run.class,
+                run.outcome_debug,
+            );
+        }
+        if let Some(payload) = run.panic {
+            panic!("{payload}");
+        }
+        E20Trial {
+            class: run.class,
+            crashes: run.counters.total_crashes(),
+            recoveries: run.counters.total_recoveries(),
+            spurious_sc: run.faults.0,
+            corruptions: run.faults.1,
+            cc_rmrs: run.counters.total_cc_rmrs(),
+            dsm_rmrs: run.counters.total_dsm_rmrs(),
+        }
+    }
 }
 
 /// One contiguous cell of the flat trial space.
 #[derive(Clone, Copy, Debug)]
-struct Cell {
+pub(crate) struct Cell {
     /// Global index of the cell's first trial.
-    start: usize,
+    pub(crate) start: usize,
     /// Number of trials in the cell.
-    len: usize,
-    /// Index into [`JobSpec::algorithms`].
-    alg: usize,
+    pub(crate) len: usize,
+    /// Index into `JobSpec::algorithms`.
+    pub(crate) alg: usize,
     /// Process count.
-    n: usize,
+    pub(crate) n: usize,
     /// Toss seed (E4; `0` means [`ZeroTosses`]).
-    toss_seed: u64,
+    pub(crate) toss_seed: u64,
     /// Chaos intensity (E20).
-    intensity: usize,
+    pub(crate) intensity: usize,
 }
 
 /// Splits `total` trials into `chunks` contiguous `(start, len)` ranges,
@@ -450,13 +558,20 @@ pub fn chunk_bounds(total: usize, chunks: usize) -> Vec<(usize, usize)> {
 
 /// One trial's persisted result.
 #[derive(Clone, Debug, PartialEq, Eq)]
-enum TrialRecord {
+pub(crate) struct TrialRecord {
+    /// Global trial index.
+    pub(crate) index: usize,
+    /// Cell index (fold group).
+    pub(crate) cell: usize,
+    /// What the trial found.
+    pub(crate) outcome: Outcome,
+}
+
+/// What one trial found, by experiment.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) enum Outcome {
     /// An E4/E13 subset comparison.
     Subset {
-        /// Global trial index.
-        index: usize,
-        /// Cell index (assembler group).
-        cell: usize,
         /// Subset bitmask within the cell.
         mask: usize,
         /// Lemma 5.2 comparisons performed.
@@ -467,207 +582,161 @@ enum TrialRecord {
         violations: Vec<String>,
     },
     /// An E6 toss-assignment sample.
-    Sample {
-        /// Global trial index.
-        index: usize,
-        /// Cell index (assembler group).
-        cell: usize,
-        /// The sampled contribution.
-        sample: ExpectationSample,
-    },
+    Sample(ExpectationSample),
     /// An E20 classified chaos trial.
-    Chaos {
-        /// Global trial index.
-        index: usize,
-        /// Cell index (assembler group).
-        cell: usize,
-        /// Degradation class (`recovered`, `detected-wrong`, …).
-        class: String,
-        /// Crashes delivered.
-        crashes: u64,
-        /// Recoveries performed.
-        recoveries: u64,
-        /// Spurious SC failures delivered.
-        spurious_sc: u64,
-        /// Register corruptions delivered.
-        corruptions: u64,
-        /// CC-model remote memory references billed.
-        cc_rmrs: u64,
-        /// DSM-model remote memory references billed.
-        dsm_rmrs: u64,
-    },
+    Chaos(E20Trial),
+}
+
+/// One E20 trial's degradation class and cost.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct E20Trial {
+    /// Degradation class (`recovered`, `detected-wrong`, …).
+    class: String,
+    /// Crashes delivered.
+    crashes: u64,
+    /// Recoveries performed.
+    recoveries: u64,
+    /// Spurious SC failures delivered.
+    spurious_sc: u64,
+    /// Register corruptions delivered.
+    corruptions: u64,
+    /// CC-model remote memory references billed.
+    cc_rmrs: u64,
+    /// DSM-model remote memory references billed.
+    dsm_rmrs: u64,
 }
 
 impl TrialRecord {
-    fn index(&self) -> usize {
-        match self {
-            TrialRecord::Subset { index, .. }
-            | TrialRecord::Sample { index, .. }
-            | TrialRecord::Chaos { index, .. } => *index,
-        }
-    }
-
-    fn cell(&self) -> usize {
-        match self {
-            TrialRecord::Subset { cell, .. }
-            | TrialRecord::Sample { cell, .. }
-            | TrialRecord::Chaos { cell, .. } => *cell,
-        }
-    }
-
     fn render(&self, out: &mut String) {
-        let field = |out: &mut String, key: &str, value: &str, first: bool| {
-            if !first {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{key}\":"));
-            json::push_string(out, value);
+        let kind = match self.outcome {
+            Outcome::Subset { .. } => "subset",
+            Outcome::Sample(_) => "sample",
+            Outcome::Chaos(_) => "chaos",
         };
-        out.push('{');
-        match self {
-            TrialRecord::Subset {
-                index,
-                cell,
+        out.push_str("{\"kind\":");
+        json::push_string(out, kind);
+        push_field(out, "index", &self.index.to_string());
+        push_field(out, "cell", &self.cell.to_string());
+        match &self.outcome {
+            Outcome::Subset {
                 mask,
                 comparisons,
                 claims,
                 violations,
             } => {
-                field(out, "kind", "subset", true);
-                field(out, "index", &index.to_string(), false);
-                field(out, "cell", &cell.to_string(), false);
-                field(out, "mask", &mask.to_string(), false);
-                field(out, "comparisons", &comparisons.to_string(), false);
-                field(out, "claims", &claims.to_string(), false);
-                out.push_str(",\"violations\":[");
-                for (i, v) in violations.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    json::push_string(out, v);
-                }
-                out.push(']');
+                push_field(out, "mask", &mask.to_string());
+                push_field(out, "comparisons", &comparisons.to_string());
+                push_field(out, "claims", &claims.to_string());
+                push_list(out, "violations", violations);
             }
-            TrialRecord::Sample {
-                index,
-                cell,
-                sample,
-            } => {
-                field(out, "kind", "sample", true);
-                field(out, "index", &index.to_string(), false);
-                field(out, "cell", &cell.to_string(), false);
-                field(
-                    out,
-                    "terminated",
-                    if sample.terminated { "1" } else { "0" },
-                    false,
-                );
-                field(
-                    out,
-                    "wakeup_ok",
-                    if sample.wakeup_ok { "1" } else { "0" },
-                    false,
-                );
+            Outcome::Sample(sample) => {
                 let opt = |v: Option<u64>| v.map_or("none".to_string(), |x| x.to_string());
-                field(out, "winner_steps", &opt(sample.winner_steps), false);
-                field(out, "max_steps", &opt(sample.max_steps), false);
+                push_field(out, "terminated", &u8::from(sample.terminated).to_string());
+                push_field(out, "wakeup_ok", &u8::from(sample.wakeup_ok).to_string());
+                push_field(out, "winner_steps", &opt(sample.winner_steps));
+                push_field(out, "max_steps", &opt(sample.max_steps));
             }
-            TrialRecord::Chaos {
-                index,
-                cell,
-                class,
-                crashes,
-                recoveries,
-                spurious_sc,
-                corruptions,
-                cc_rmrs,
-                dsm_rmrs,
-            } => {
-                field(out, "kind", "chaos", true);
-                field(out, "index", &index.to_string(), false);
-                field(out, "cell", &cell.to_string(), false);
-                field(out, "class", class, false);
-                field(out, "crashes", &crashes.to_string(), false);
-                field(out, "recoveries", &recoveries.to_string(), false);
-                field(out, "spurious_sc", &spurious_sc.to_string(), false);
-                field(out, "corruptions", &corruptions.to_string(), false);
-                field(out, "cc_rmrs", &cc_rmrs.to_string(), false);
-                field(out, "dsm_rmrs", &dsm_rmrs.to_string(), false);
+            Outcome::Chaos(t) => {
+                push_field(out, "class", &t.class);
+                push_field(out, "crashes", &t.crashes.to_string());
+                push_field(out, "recoveries", &t.recoveries.to_string());
+                push_field(out, "spurious_sc", &t.spurious_sc.to_string());
+                push_field(out, "corruptions", &t.corruptions.to_string());
+                push_field(out, "cc_rmrs", &t.cc_rmrs.to_string());
+                push_field(out, "dsm_rmrs", &t.dsm_rmrs.to_string());
             }
         }
         out.push('}');
     }
 
     fn parse(value: &json::Value) -> Result<TrialRecord, String> {
-        let str_field = |key: &str| -> Result<String, String> {
-            value
-                .field(key)
-                .ok_or_else(|| format!("trial record: missing `{key}`"))?
-                .str_or(&format!("trial record `{key}`"))
+        const WHAT: &str = "trial record";
+        let num = |key: &str| num_field::<u64>(value, WHAT, key);
+        let opt = |key: &str| -> Result<Option<u64>, String> {
+            match text_field(value, WHAT, key)?.as_str() {
+                "none" => Ok(None),
+                _ => num(key).map(Some),
+            }
         };
-        let num = |key: &str| -> Result<usize, String> {
-            str_field(key)?
-                .parse::<usize>()
-                .map_err(|_| format!("trial record: bad `{key}`"))
-        };
-        match str_field("kind")?.as_str() {
-            "subset" => Ok(TrialRecord::Subset {
-                index: num("index")?,
-                cell: num("cell")?,
-                mask: num("mask")?,
-                comparisons: num("comparisons")?,
-                claims: num("claims")?,
-                violations: value
-                    .field("violations")
-                    .ok_or("trial record: missing `violations`")?
-                    .array_or("trial record `violations`")?
-                    .iter()
-                    .map(|v| v.str_or("violation entry"))
-                    .collect::<Result<_, _>>()?,
+        let outcome = match text_field(value, WHAT, "kind")?.as_str() {
+            "subset" => Outcome::Subset {
+                mask: num_field(value, WHAT, "mask")?,
+                comparisons: num_field(value, WHAT, "comparisons")?,
+                claims: num_field(value, WHAT, "claims")?,
+                violations: list_field(value, WHAT, "violations")?,
+            },
+            "sample" => Outcome::Sample(ExpectationSample {
+                terminated: text_field(value, WHAT, "terminated")? == "1",
+                wakeup_ok: text_field(value, WHAT, "wakeup_ok")? == "1",
+                winner_steps: opt("winner_steps")?,
+                max_steps: opt("max_steps")?,
             }),
-            "sample" => {
-                let opt = |key: &str| -> Result<Option<u64>, String> {
-                    let s = str_field(key)?;
-                    if s == "none" {
-                        Ok(None)
-                    } else {
-                        s.parse::<u64>()
-                            .map(Some)
-                            .map_err(|_| format!("trial record: bad `{key}`"))
-                    }
-                };
-                Ok(TrialRecord::Sample {
-                    index: num("index")?,
-                    cell: num("cell")?,
-                    sample: ExpectationSample {
-                        terminated: str_field("terminated")? == "1",
-                        wakeup_ok: str_field("wakeup_ok")? == "1",
-                        winner_steps: opt("winner_steps")?,
-                        max_steps: opt("max_steps")?,
-                    },
-                })
-            }
-            "chaos" => {
-                let u64_field = |key: &str| -> Result<u64, String> {
-                    str_field(key)?
-                        .parse::<u64>()
-                        .map_err(|_| format!("trial record: bad `{key}`"))
-                };
-                Ok(TrialRecord::Chaos {
-                    index: num("index")?,
-                    cell: num("cell")?,
-                    class: str_field("class")?,
-                    crashes: u64_field("crashes")?,
-                    recoveries: u64_field("recoveries")?,
-                    spurious_sc: u64_field("spurious_sc")?,
-                    corruptions: u64_field("corruptions")?,
-                    cc_rmrs: u64_field("cc_rmrs")?,
-                    dsm_rmrs: u64_field("dsm_rmrs")?,
-                })
-            }
-            other => Err(format!("trial record: unknown kind `{other}`")),
-        }
+            "chaos" => Outcome::Chaos(E20Trial {
+                class: text_field(value, WHAT, "class")?,
+                crashes: num("crashes")?,
+                recoveries: num("recoveries")?,
+                spurious_sc: num("spurious_sc")?,
+                corruptions: num("corruptions")?,
+                cc_rmrs: num("cc_rmrs")?,
+                dsm_rmrs: num("dsm_rmrs")?,
+            }),
+            other => return Err(format!("{WHAT}: unknown kind `{other}`")),
+        };
+        Ok(TrialRecord {
+            index: num_field(value, WHAT, "index")?,
+            cell: num_field(value, WHAT, "cell")?,
+            outcome,
+        })
     }
+}
+
+/// Appends `,"key":"value"` — every scalar in a job file is a JSON string.
+fn push_field(out: &mut String, key: &str, value: &str) {
+    out.push_str(&format!(",\"{key}\":"));
+    json::push_string(out, value);
+}
+
+/// Appends `,"key":[…]`, the items rendered as JSON strings.
+fn push_list<T: ToString>(out: &mut String, key: &str, items: impl IntoIterator<Item = T>) {
+    out.push_str(&format!(",\"{key}\":["));
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        json::push_string(out, &item.to_string());
+    }
+    out.push(']');
+}
+
+/// The string field `key` of a job-file object; `what` names the object
+/// in errors.
+fn text_field(value: &json::Value, what: &str, key: &str) -> Result<String, String> {
+    value
+        .field(key)
+        .ok_or_else(|| format!("{what}: missing `{key}`"))?
+        .str_or(&format!("{what} `{key}`"))
+}
+
+/// The field `key`, parsed from its string form.
+fn num_field<T: FromStr>(value: &json::Value, what: &str, key: &str) -> Result<T, String> {
+    text_field(value, what, key)?
+        .parse()
+        .map_err(|_| format!("{what}: bad `{key}`"))
+}
+
+/// The list field `key`, each entry parsed from its string form.
+fn list_field<T: FromStr>(value: &json::Value, what: &str, key: &str) -> Result<Vec<T>, String> {
+    value
+        .field(key)
+        .ok_or_else(|| format!("{what}: missing `{key}`"))?
+        .array_or(&format!("{what} `{key}`"))?
+        .iter()
+        .map(|v| {
+            v.str_or(&format!("{what} `{key}` entry"))?
+                .parse()
+                .map_err(|_| format!("{what}: bad `{key}` entry"))
+        })
+        .collect()
 }
 
 /// A chunk that exhausted its retry budget.
@@ -797,24 +866,21 @@ pub fn manifest_path(dir: &Path) -> PathBuf {
 fn render_checkpoint(spec: &JobSpec, state: &JobState) -> String {
     let mut out = String::from("{\"experiment\":");
     json::push_string(&mut out, spec.experiment.tag());
-    out.push_str(",\"spec_fnv64\":");
-    json::push_string(&mut out, &format!("{:016x}", spec.fingerprint()));
-    out.push_str(",\"rng\":");
-    json::push_string(
+    push_field(
         &mut out,
+        "spec_fnv64",
+        &format!("{:016x}", spec.fingerprint()),
+    );
+    push_field(
+        &mut out,
+        "rng",
         &format!(
             "sweep_seed={:#018x}; trial seeds derive as split_mix over (seed, index)",
             spec.seed
         ),
     );
-    out.push_str(",\"completed\":[");
-    for (i, chunk) in state.completed.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::push_string(&mut out, &chunk.to_string());
-    }
-    out.push_str("],\"records\":[");
+    push_list(&mut out, "completed", &state.completed);
+    out.push_str(",\"records\":[");
     for (i, record) in state.records.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -831,27 +897,16 @@ fn parse_checkpoint(
 ) -> Result<(BTreeSet<usize>, Vec<TrialRecord>), String> {
     let text = std::str::from_utf8(payload).map_err(|_| "checkpoint payload is not UTF-8")?;
     let value = json::parse(text)?;
-    let fnv = value
-        .field("spec_fnv64")
-        .ok_or("checkpoint: missing `spec_fnv64`")?
-        .str_or("checkpoint `spec_fnv64`")?;
+    let fnv = text_field(&value, "checkpoint", "spec_fnv64")?;
     let expected = format!("{:016x}", spec.fingerprint());
     if fnv != expected {
         return Err(format!(
             "checkpoint belongs to a different job spec (fingerprint {fnv}, expected {expected})"
         ));
     }
-    let completed = value
-        .field("completed")
-        .ok_or("checkpoint: missing `completed`")?
-        .array_or("checkpoint `completed`")?
-        .iter()
-        .map(|v| {
-            v.str_or("completed chunk")?
-                .parse::<usize>()
-                .map_err(|_| "checkpoint: bad chunk index".to_string())
-        })
-        .collect::<Result<BTreeSet<usize>, String>>()?;
+    let completed = list_field(&value, "checkpoint", "completed")?
+        .into_iter()
+        .collect();
     let records = value
         .field("records")
         .ok_or("checkpoint: missing `records`")?
@@ -908,174 +963,14 @@ fn run_chunk_guarded(
     }
 }
 
-/// The per-trial event budget E20 job trials run under when the spec
-/// does not override it — the same default as `table_e20`, so the job
-/// artifact matches the binary's byte for byte.
-const E20_DEFAULT_MAX_EVENTS: u64 = 2_000_000;
-
-/// Executes the trials `start .. start + len` of the job's flat index
-/// space and returns their records in index order.
-fn run_chunk_body(
-    spec: &JobSpec,
-    cells: &[Cell],
-    start: usize,
-    len: usize,
-    threads: usize,
-    cancel: &CancelToken,
-) -> Result<Vec<TrialRecord>, String> {
-    let algs = spec.algorithms();
-    let cfg = spec.adversary_config();
-    let sweep = Sweep::with_threads(threads)
-        .seeded(spec.seed)
-        .with_cancel(cancel.clone());
-    let end = start + len;
-    let mut records = Vec::with_capacity(len);
-    for (cell_index, cell) in cells.iter().enumerate() {
-        let lo = start.max(cell.start);
-        let hi = end.min(cell.start + cell.len);
-        if lo >= hi {
-            continue;
-        }
-        let local_lo = lo - cell.start;
-        let local_count = hi - lo;
-        let alg = algs[cell.alg].as_ref();
-        match spec.experiment {
-            JobExperiment::E4 | JobExperiment::E13 => {
-                let toss: Arc<dyn llsc_shmem::TossAssignment> = if cell.toss_seed == 0 {
-                    Arc::new(ZeroTosses)
-                } else {
-                    Arc::new(SeededTosses::new(cell.toss_seed))
-                };
-                let check_claims = spec.experiment == JobExperiment::E13;
-                let chunk = indist_subset_range(
-                    alg,
-                    cell.n,
-                    toss,
-                    &cfg,
-                    check_claims,
-                    &sweep,
-                    local_lo..local_lo + local_count,
-                )
-                .map_err(|e| {
-                    format!(
-                        "alg={} n={} toss_seed={}: {e:?}",
-                        alg.name(),
-                        cell.n,
-                        cell.toss_seed
-                    )
-                })?;
-                records.extend(chunk.records.into_iter().map(|r| TrialRecord::Subset {
-                    index: cell.start + r.mask,
-                    cell: cell_index,
-                    mask: r.mask,
-                    comparisons: r.comparisons,
-                    claims: r.claim_instances,
-                    violations: r.violations,
-                }));
-            }
-            JobExperiment::E6 => {
-                let seeds: Vec<u64> = (local_lo as u64..(local_lo + local_count) as u64).collect();
-                let sampled = sweep
-                    .run(&seeds, |_trial, &seed| {
-                        sample_expectation(alg, cell.n, seed, &cfg)
-                    })
-                    .into_iter()
-                    .collect::<Result<Vec<ExpectationSample>, _>>()
-                    .map_err(|e| format!("alg={} n={}: {e:?}", alg.name(), cell.n))?;
-                records.extend(sampled.into_iter().enumerate().map(|(i, sample)| {
-                    TrialRecord::Sample {
-                        index: cell.start + local_lo + i,
-                        cell: cell_index,
-                        sample,
-                    }
-                }));
-            }
-            JobExperiment::E20 => {
-                let max_events = if spec.max_events > 0 {
-                    spec.max_events
-                } else {
-                    E20_DEFAULT_MAX_EVENTS
-                };
-                // Trial identity is the global index alone (the range
-                // variant derives each seed from `(sweep seed, global
-                // index)`), so chunked execution reproduces exactly the
-                // trials `e20_chaos_recovery_sweep` runs — same cases,
-                // same classes, same counters.
-                let chunk = sweep.run_indexed_range_with_scratch(
-                    lo,
-                    local_count,
-                    || (),
-                    |(), trial| {
-                        let alg = crate::e20_algorithm(cell.alg, cell.n);
-                        let mut case = crate::e20_case(
-                            cell.alg,
-                            cell.n,
-                            cell.intensity,
-                            trial.seed,
-                            max_events,
-                        );
-                        if let Some(recovery) = case.recovery.as_mut() {
-                            if spec.recovery_delay > 0 {
-                                recovery.delay = spec.recovery_delay;
-                            }
-                            if spec.respawn_budget > 0 {
-                                recovery.budget = spec.respawn_budget;
-                            }
-                        }
-                        crate::experiments::e20_trial(
-                            &case,
-                            alg.as_ref(),
-                            cell.intensity,
-                            trial.seed,
-                        )
-                    },
-                );
-                records.extend(
-                    chunk
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, t)| TrialRecord::Chaos {
-                            index: lo + i,
-                            cell: cell_index,
-                            class: t.class,
-                            crashes: t.crashes,
-                            recoveries: t.recoveries,
-                            spurious_sc: t.spurious_sc,
-                            corruptions: t.corruptions,
-                            cc_rmrs: t.cc_rmrs,
-                            dsm_rmrs: t.dsm_rmrs,
-                        }),
-                );
-            }
-        }
-    }
-    Ok(records)
-}
-
 fn chunk_context(spec: &JobSpec, cells: &[Cell], start: usize, len: usize) -> String {
     let algs = spec.algorithms();
     let end = start + len;
-    let mut parts = Vec::new();
-    for cell in cells {
-        if start.max(cell.start) >= end.min(cell.start + cell.len) {
-            continue;
-        }
-        parts.push(match spec.experiment {
-            JobExperiment::E4 => format!(
-                "alg={} n={} toss_seed={}",
-                algs[cell.alg].name(),
-                cell.n,
-                cell.toss_seed
-            ),
-            JobExperiment::E20 => format!(
-                "alg={} n={} intensity={}",
-                algs[cell.alg].name(),
-                cell.n,
-                cell.intensity
-            ),
-            _ => format!("alg={} n={}", algs[cell.alg].name(), cell.n),
-        });
-    }
+    let parts: Vec<String> = cells
+        .iter()
+        .filter(|c| start.max(c.start) < end.min(c.start + c.len))
+        .map(|c| spec.cell_label(algs[c.alg].as_ref(), c))
+        .collect();
     format!(
         "{} trials {start}..{end}: {}",
         spec.experiment.tag(),
@@ -1083,212 +978,284 @@ fn chunk_context(spec: &JobSpec, cells: &[Cell], start: usize, len: usize) -> St
     )
 }
 
-/// Assembles the final table artifact from the persisted records —
-/// a pure function of `(spec, records)`, so chunked, resumed, and
-/// uninterrupted runs agree byte for byte. Rows whose trials are not all
-/// present (failed chunks) are omitted and reported in the returned list
-/// of incomplete row labels.
-fn assemble(spec: &JobSpec, records: &[TrialRecord]) -> (Table, Vec<String>) {
+/// An experiment's typed table row: how the trial outcomes of one row's
+/// cells fold into it, and how the rows render as the experiment's table.
+pub(crate) trait JobRow: Sized {
+    /// Folds the outcomes (in index order) of the row whose first cell is
+    /// `cell` and whose algorithm is `algorithm`.
+    fn fold(algorithm: &str, cell: &Cell, outcomes: &[&Outcome]) -> Self;
+
+    /// The experiment's table.
+    fn table(spec: &JobSpec, rows: &[Self]) -> Table;
+}
+
+/// Folds `records` into one `R` row per row of the spec's layout, and the
+/// rows into their table — a pure function of `(spec, records)`, so
+/// chunked, resumed, uninterrupted and in-memory runs agree byte for byte.
+/// Also returns the labels of rows whose trials are not all present; those
+/// rows are left out unless `partial` is set.
+pub(crate) fn fold<R: JobRow>(
+    spec: &JobSpec,
+    records: &[TrialRecord],
+    partial: bool,
+) -> (Experiment<R>, Vec<String>) {
     let algs = spec.algorithms();
     let cells = spec.cells();
     let mut by_cell: Vec<Vec<&TrialRecord>> = vec![Vec::new(); cells.len()];
     for record in records {
-        if record.cell() < by_cell.len() {
-            by_cell[record.cell()].push(record);
+        if let Some(group) = by_cell.get_mut(record.cell) {
+            group.push(record);
         }
     }
     for group in &mut by_cell {
-        group.sort_by_key(|r| r.index());
-        group.dedup_by_key(|r| r.index());
+        group.sort_by_key(|r| r.index);
+        group.dedup_by_key(|r| r.index);
     }
-    let complete = |cell: usize| by_cell[cell].len() == cells[cell].len;
-
-    let mut incomplete = Vec::new();
-    let table = match spec.experiment {
-        JobExperiment::E4 => {
-            let mut table = Table::new(
-                E4_TITLE,
-                ["algorithm", "n", "subsets", "comparisons", "violations"],
-            );
-            // Cells are laid out alg-major, then n, then toss seed: each
-            // row merges `toss_seeds.len()` consecutive cells.
-            let per_row = spec.toss_seeds.len();
-            for (row, cell_block) in cells.chunks(per_row).enumerate() {
-                let first = row * per_row;
-                let alg = algs[cell_block[0].alg].name().to_string();
-                let n = cell_block[0].n;
-                if !(first..first + per_row).all(complete) {
-                    incomplete.push(format!("alg={alg} n={n}"));
-                    continue;
-                }
-                let mut subsets = 0usize;
-                let mut comparisons = 0usize;
-                let mut violations = 0usize;
-                for cell_records in by_cell.iter().skip(first).take(per_row) {
-                    subsets += cell_records.len();
-                    for record in cell_records {
-                        if let TrialRecord::Subset {
-                            comparisons: c,
-                            violations: v,
-                            ..
-                        } = record
-                        {
-                            comparisons += c;
-                            violations += v.len();
-                        }
-                    }
-                }
-                table.row([
-                    alg,
-                    n.to_string(),
-                    subsets.to_string(),
-                    comparisons.to_string(),
-                    violations.to_string(),
-                ]);
-            }
-            table
-        }
-        JobExperiment::E6 => {
-            let mut table = Table::new(
-                E6_TITLE,
-                [
-                    "algorithm",
-                    "n",
-                    "c",
-                    "E[winner]",
-                    "min winner",
-                    "c*k",
-                    "log4(n)",
-                ],
-            );
-            for (cell_index, cell) in cells.iter().enumerate() {
-                let alg = algs[cell.alg].name();
-                if !complete(cell_index) {
-                    incomplete.push(format!("alg={alg} n={}", cell.n));
-                    continue;
-                }
-                let samples: Vec<ExpectationSample> = by_cell[cell_index]
-                    .iter()
-                    .filter_map(|r| match r {
-                        TrialRecord::Sample { sample, .. } => Some(sample.clone()),
-                        _ => None,
-                    })
-                    .collect();
-                let rep = report_from_samples(alg, cell.n, &samples);
-                table.row([
-                    alg.to_string(),
-                    cell.n.to_string(),
-                    format!("{:.2}", rep.termination_rate),
-                    format!("{:.1}", rep.mean_winner_steps),
-                    rep.min_winner_steps.to_string(),
-                    format!("{:.2}", rep.lemma_3_1_bound),
-                    format!("{:.2}", rep.log4_n),
-                ]);
-            }
-            table
-        }
-        JobExperiment::E13 => {
-            let mut table = Table::new(E13_TITLE, ["algorithm", "n", "subsets", "violations"]);
-            for (cell_index, cell) in cells.iter().enumerate() {
-                let alg = algs[cell.alg].name();
-                if !complete(cell_index) {
-                    incomplete.push(format!("alg={alg} n={}", cell.n));
-                    continue;
-                }
-                let violations: usize = by_cell[cell_index]
-                    .iter()
-                    .map(|r| match r {
-                        TrialRecord::Subset { violations, .. } => violations.len(),
-                        _ => 0,
-                    })
-                    .sum();
-                table.row([
-                    alg.to_string(),
-                    cell.n.to_string(),
-                    (1u64 << cell.n).to_string(),
-                    violations.to_string(),
-                ]);
-            }
-            table
-        }
-        JobExperiment::E20 => {
-            let n = spec.ns.first().copied().unwrap_or(2);
-            let mut table = Table::new(e20_title(n, spec.samples as usize), E20_HEADERS);
-            // One job cell per `(algorithm, intensity)` — exactly the
-            // grouping `e20_chaos_recovery_sweep` accumulates, so a
-            // complete job's rows match the table binary's byte for
-            // byte.
-            for (cell_index, cell) in cells.iter().enumerate() {
-                let alg = algs[cell.alg].name();
-                if !complete(cell_index) {
-                    incomplete.push(format!("alg={alg} intensity={}", cell.intensity));
-                    continue;
-                }
-                let arm = if cell.alg < 3 {
-                    "memory-faults"
-                } else {
-                    "crash-recovery"
-                };
-                let mut trials = 0usize;
-                let mut classes = [0usize; 6]; // recovered, detected, silent, stalled, crashed, aborted
-                let mut sums = [0u64; 6]; // crashes, recoveries, sc, corruptions, cc, dsm
-                for record in &by_cell[cell_index] {
-                    if let TrialRecord::Chaos {
-                        class,
-                        crashes,
-                        recoveries,
-                        spurious_sc,
-                        corruptions,
-                        cc_rmrs,
-                        dsm_rmrs,
-                        ..
-                    } = record
-                    {
-                        trials += 1;
-                        let slot = match class.as_str() {
-                            "recovered" => 0,
-                            "detected-wrong" => 1,
-                            "silent-wrong" => 2,
-                            "stalled" => 3,
-                            "crashed" => 4,
-                            _ => 5,
-                        };
-                        classes[slot] += 1;
-                        for (sum, value) in sums.iter_mut().zip([
-                            *crashes,
-                            *recoveries,
-                            *spurious_sc,
-                            *corruptions,
-                            *cc_rmrs,
-                            *dsm_rmrs,
-                        ]) {
-                            *sum += value;
-                        }
-                    }
-                }
-                table.row([
-                    alg.to_string(),
-                    arm.to_string(),
-                    cell.intensity.to_string(),
-                    trials.to_string(),
-                    classes[0].to_string(),
-                    classes[1].to_string(),
-                    classes[2].to_string(),
-                    classes[3].to_string(),
-                    classes[4].to_string(),
-                    classes[5].to_string(),
-                    sums[0].to_string(),
-                    sums[1].to_string(),
-                    sums[2].to_string(),
-                    sums[3].to_string(),
-                    sums[4].to_string(),
-                    sums[5].to_string(),
-                ]);
-            }
-            table
-        }
+    // E4 cells are laid out alg-major, then n, then toss seed: each row
+    // merges the toss seeds of one `(algorithm, n)`. Every other row is
+    // one cell.
+    let per_row = match spec.experiment {
+        JobExperiment::E4 => spec.toss_seeds.len().max(1),
+        _ => 1,
     };
-    (table, incomplete)
+    let mut rows = Vec::new();
+    let mut incomplete = Vec::new();
+    for (row_cells, groups) in cells.chunks(per_row).zip(by_cell.chunks(per_row)) {
+        let cell = &row_cells[0];
+        let algorithm = algs[cell.alg].name();
+        let outcomes: Vec<&Outcome> = groups.iter().flatten().map(|r| &r.outcome).collect();
+        if outcomes.len() != row_cells.iter().map(|c| c.len).sum::<usize>() {
+            incomplete.push(match spec.experiment {
+                JobExperiment::E20 => format!("alg={algorithm} intensity={}", cell.intensity),
+                _ => format!("alg={algorithm} n={}", cell.n),
+            });
+            if !partial {
+                continue;
+            }
+        }
+        rows.push(R::fold(algorithm, cell, &outcomes));
+    }
+    let table = R::table(spec, &rows);
+    (Experiment { table, rows }, incomplete)
+}
+
+/// Runs the spec's whole trial space in memory on `sweep` (its thread
+/// count, seed, retries and cancel token) and folds it.
+///
+/// # Panics
+///
+/// When a trial exhausts an executor budget (see
+/// [`JobSpec::run_trials`]).
+pub(crate) fn run_in_memory<R: JobRow>(spec: &JobSpec, sweep: &Sweep) -> Experiment<R> {
+    let records = spec
+        .run_trials(0..spec.total_trials(), sweep)
+        .expect("direct tables run within the default executor budgets");
+    fold(spec, &records, true).0
+}
+
+/// Assembles the final table artifact from the persisted records. Rows
+/// whose trials are not all present (failed chunks) are omitted and
+/// reported in the returned list of incomplete row labels.
+fn assemble(spec: &JobSpec, records: &[TrialRecord]) -> (Table, Vec<String>) {
+    fn complete_rows<R: JobRow>(spec: &JobSpec, records: &[TrialRecord]) -> (Table, Vec<String>) {
+        let (exp, incomplete) = fold::<R>(spec, records, false);
+        (exp.table, incomplete)
+    }
+    match spec.experiment {
+        JobExperiment::E4 => complete_rows::<E4Row>(spec, records),
+        JobExperiment::E6 => complete_rows::<E6Row>(spec, records),
+        JobExperiment::E13 => complete_rows::<E13Row>(spec, records),
+        JobExperiment::E20 => complete_rows::<E20Row>(spec, records),
+    }
+}
+
+impl JobRow for E4Row {
+    fn fold(algorithm: &str, cell: &Cell, outcomes: &[&Outcome]) -> E4Row {
+        let mut row = E4Row {
+            algorithm: algorithm.to_string(),
+            n: cell.n,
+            subsets: outcomes.len(),
+            comparisons: 0,
+            violations: 0,
+        };
+        for outcome in outcomes {
+            if let Outcome::Subset {
+                comparisons,
+                violations,
+                ..
+            } = outcome
+            {
+                row.comparisons += comparisons;
+                row.violations += violations.len();
+            }
+        }
+        row
+    }
+
+    fn table(_spec: &JobSpec, rows: &[E4Row]) -> Table {
+        let mut table = Table::new(
+            "E4 - Lemma 5.2: (All,A)-run vs (S,A)-run indistinguishability, exhaustive over S",
+            ["algorithm", "n", "subsets", "comparisons", "violations"],
+        );
+        for r in rows {
+            table.row([
+                r.algorithm.clone(),
+                r.n.to_string(),
+                r.subsets.to_string(),
+                r.comparisons.to_string(),
+                r.violations.to_string(),
+            ]);
+        }
+        table
+    }
+}
+
+impl JobRow for E6Row {
+    fn fold(algorithm: &str, cell: &Cell, outcomes: &[&Outcome]) -> E6Row {
+        let samples: Vec<ExpectationSample> = outcomes
+            .iter()
+            .filter_map(|o| match o {
+                Outcome::Sample(sample) => Some(sample.clone()),
+                _ => None,
+            })
+            .collect();
+        let rep = report_from_samples(algorithm, cell.n, &samples);
+        E6Row {
+            algorithm: algorithm.to_string(),
+            n: cell.n,
+            termination_rate: rep.termination_rate,
+            mean_winner_steps: rep.mean_winner_steps,
+            min_winner_steps: rep.min_winner_steps,
+            lemma_3_1_bound: rep.lemma_3_1_bound,
+            log4_n: rep.log4_n,
+            all_meet_bound: rep.all_meet_bound,
+        }
+    }
+
+    fn table(_spec: &JobSpec, rows: &[E6Row]) -> Table {
+        let mut table = Table::new(
+            "E6 - randomized wakeup: sampled expected complexity vs c*log4(n) (Lemma 3.1)",
+            [
+                "algorithm",
+                "n",
+                "c",
+                "E[winner]",
+                "min winner",
+                "c*k",
+                "log4(n)",
+            ],
+        );
+        for r in rows {
+            table.row([
+                r.algorithm.clone(),
+                r.n.to_string(),
+                format!("{:.2}", r.termination_rate),
+                format!("{:.1}", r.mean_winner_steps),
+                r.min_winner_steps.to_string(),
+                format!("{:.2}", r.lemma_3_1_bound),
+                format!("{:.2}", r.log4_n),
+            ]);
+        }
+        table
+    }
+}
+
+impl JobRow for E13Row {
+    fn fold(algorithm: &str, cell: &Cell, outcomes: &[&Outcome]) -> E13Row {
+        let violations = outcomes
+            .iter()
+            .map(|o| match o {
+                Outcome::Subset { violations, .. } => violations.len(),
+                _ => 0,
+            })
+            .sum();
+        E13Row {
+            algorithm: algorithm.to_string(),
+            n: cell.n,
+            violations,
+        }
+    }
+
+    fn table(_spec: &JobSpec, rows: &[E13Row]) -> Table {
+        let mut table = Table::new(
+            "E13 - appendix claims A.2-A.9 + Lemma 5.2, exhaustive over subsets",
+            ["algorithm", "n", "subsets", "violations"],
+        );
+        for r in rows {
+            table.row([
+                r.algorithm.clone(),
+                r.n.to_string(),
+                (1u64 << r.n).to_string(),
+                r.violations.to_string(),
+            ]);
+        }
+        table
+    }
+}
+
+impl JobRow for E20Row {
+    fn fold(algorithm: &str, cell: &Cell, outcomes: &[&Outcome]) -> E20Row {
+        let mut row = E20Row {
+            algorithm: algorithm.to_string(),
+            arm: crate::e20_arm(cell.alg),
+            intensity: cell.intensity,
+            ..E20Row::default()
+        };
+        for outcome in outcomes {
+            let Outcome::Chaos(t) = outcome else {
+                continue;
+            };
+            row.trials += 1;
+            match t.class.as_str() {
+                "recovered" => row.recovered += 1,
+                "detected-wrong" => row.detected_wrong += 1,
+                "silent-wrong" => row.silent_wrong += 1,
+                "stalled" => row.stalled += 1,
+                "crashed" => row.crashed += 1,
+                _ => row.aborted += 1,
+            }
+            row.crashes += t.crashes;
+            row.recoveries += t.recoveries;
+            row.spurious_sc += t.spurious_sc;
+            row.corruptions += t.corruptions;
+            row.cc_rmrs += t.cc_rmrs;
+            row.dsm_rmrs += t.dsm_rmrs;
+        }
+        row
+    }
+
+    fn table(spec: &JobSpec, rows: &[E20Row]) -> Table {
+        let n = spec.ns.first().copied().unwrap_or(2);
+        let mut table = Table::new(
+            format!(
+                "E20 - cross-backend chaos: degradation class and recovery RMR cost vs fault \
+                 intensity (n = {n}, {} trials per cell, simulator backend)",
+                spec.samples
+            ),
+            E20_HEADERS,
+        );
+        for r in rows {
+            table.row([
+                r.algorithm.clone(),
+                r.arm.to_string(),
+                r.intensity.to_string(),
+                r.trials.to_string(),
+                r.recovered.to_string(),
+                r.detected_wrong.to_string(),
+                r.silent_wrong.to_string(),
+                r.stalled.to_string(),
+                r.crashed.to_string(),
+                r.aborted.to_string(),
+                r.crashes.to_string(),
+                r.recoveries.to_string(),
+                r.spurious_sc.to_string(),
+                r.corruptions.to_string(),
+                r.cc_rmrs.to_string(),
+                r.dsm_rmrs.to_string(),
+            ]);
+        }
+        table
+    }
 }
 
 fn render_manifest(
@@ -1301,67 +1268,52 @@ fn render_manifest(
 ) -> String {
     let mut out = String::from("{\"name\":");
     json::push_string(&mut out, &spec.name);
-    out.push_str(",\"experiment\":");
-    json::push_string(&mut out, spec.experiment.tag());
-    out.push_str(",\"status\":");
-    json::push_string(&mut out, status.tag());
+    push_field(&mut out, "experiment", spec.experiment.tag());
+    push_field(&mut out, "status", status.tag());
     for (key, value) in [
-        ("chunks", total_chunks.to_string()),
-        ("completed", state.completed.len().to_string()),
-        ("trials", state.records.len().to_string()),
-        ("total_trials", spec.total_trials().to_string()),
+        ("chunks", total_chunks),
+        ("completed", state.completed.len()),
+        ("trials", state.records.len()),
+        ("total_trials", spec.total_trials()),
     ] {
-        out.push_str(&format!(",\"{key}\":"));
-        json::push_string(&mut out, &value);
+        push_field(&mut out, key, &value.to_string());
     }
-    out.push_str(",\"incomplete_rows\":[");
-    for (i, row) in incomplete_rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::push_string(&mut out, row);
-    }
-    out.push_str("],\"failed\":[");
+    push_list(&mut out, "incomplete_rows", incomplete_rows);
+    out.push_str(",\"failed\":[");
     for (i, f) in failed.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str("{\"chunk\":");
         json::push_string(&mut out, &f.chunk.to_string());
-        out.push_str(",\"attempts\":");
-        json::push_string(&mut out, &f.attempts.to_string());
-        out.push_str(",\"kind\":");
-        json::push_string(&mut out, &f.kind);
-        out.push_str(",\"message\":");
-        json::push_string(&mut out, &f.message);
-        out.push_str(",\"context\":");
-        json::push_string(&mut out, &f.context);
+        push_field(&mut out, "attempts", &f.attempts.to_string());
+        push_field(&mut out, "kind", &f.kind);
+        push_field(&mut out, "message", &f.message);
+        push_field(&mut out, "context", &f.context);
         out.push('}');
     }
-    out.push_str("],\"fallback_checkpoints\":[");
-    for (i, note) in state.fallback_notes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::push_string(&mut out, note);
-    }
-    out.push_str("]}\n");
+    out.push(']');
+    push_list(&mut out, "fallback_checkpoints", &state.fallback_notes);
+    out.push_str("}\n");
     out
 }
 
 /// Starts a job in `dir` from `spec`, writing `spec.json` first. Refuses
-/// a directory that already has checkpoints (resume instead).
+/// an invalid spec ([`JobSpec::validate`]) before writing anything, and a
+/// directory that already has checkpoints (resume instead).
 ///
 /// # Errors
 ///
-/// I/O errors, a populated checkpoint directory, or chunk execution
-/// errors surfaced through the returned report's `failed` list.
+/// An invalid spec, I/O errors, a populated checkpoint directory, or
+/// chunk execution errors surfaced through the returned report's
+/// `failed` list.
 pub fn run_job(
     dir: &Path,
     spec: &JobSpec,
     threads: usize,
     control: &JobControl,
 ) -> Result<JobReport, String> {
+    spec.validate()?;
     if !checkpoint::list_seqs(&checkpoint_dir(dir)).is_empty() {
         return Err(format!(
             "{} already has checkpoints; use `llsc job resume`",
@@ -1457,13 +1409,16 @@ fn drive(
             let timeout =
                 (spec.chunk_timeout_ms > 0).then(|| Duration::from_millis(spec.chunk_timeout_ms));
             let outcome = run_chunk_guarded(&control.cancel, timeout, |cancel| {
-                run_chunk_body(spec, &cells, start, len, threads, cancel)
+                let sweep = Sweep::with_threads(threads)
+                    .seeded(spec.seed)
+                    .with_cancel(cancel.clone());
+                spec.run_trials(start..start + len, &sweep)
             });
             match outcome {
                 AttemptOutcome::Success(records) => {
                     state.records.extend(records);
-                    state.records.sort_by_key(TrialRecord::index);
-                    state.records.dedup_by_key(|r| r.index());
+                    state.records.sort_by_key(|r| r.index);
+                    state.records.dedup_by_key(|r| r.index);
                     state.completed.insert(chunk);
                     last_failure = None;
                     break;
@@ -1544,67 +1499,14 @@ fn drive(
     })
 }
 
-/// The exit code a job outcome maps to, shared by `llsc job` and the
-/// table binaries' `--job-dir` mode: 0 complete, 1 incomplete (partial
-/// artifact + manifest), 130 interrupted (resume to continue).
+/// The exit code a job outcome maps to: 0 complete, 1 incomplete
+/// (partial artifact + manifest), 130 interrupted (resume to continue).
 pub fn job_exit_code(status: JobStatus) -> u8 {
     match status {
         JobStatus::Complete => 0,
         JobStatus::Incomplete => 1,
         JobStatus::Interrupted => 130,
     }
-}
-
-/// The `--job-dir` mode of the `table_e4`/`table_e6`/`table_e13`
-/// binaries: when the process arguments contain `--job-dir DIR`, runs
-/// (or, with `--resume`, resumes) this experiment's default-grid job in
-/// `DIR` — checkpointed, retryable, interruptible — and returns the exit
-/// code. Returns `None` when the flag is absent, letting the binary
-/// proceed with its ordinary one-shot sweep.
-pub fn table_job_mode(experiment: JobExperiment) -> Option<std::process::ExitCode> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut dir = None;
-    let mut threads = 1usize;
-    let mut resume = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--job-dir" => {
-                i += 1;
-                dir = args.get(i).cloned();
-            }
-            "--threads" => {
-                i += 1;
-                threads = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(1).max(1);
-            }
-            "--resume" => resume = true,
-            _ => {}
-        }
-        i += 1;
-    }
-    let dir = PathBuf::from(dir?);
-    let control = JobControl::new();
-    let result = if resume {
-        resume_job(&dir, threads, &control)
-    } else {
-        run_job(&dir, &JobSpec::default_for(experiment), threads, &control)
-    };
-    Some(match result {
-        Ok(report) => {
-            eprintln!(
-                "job {}: {}/{} chunk(s) complete, {} failed",
-                report.status.tag(),
-                report.completed_chunks,
-                report.total_chunks,
-                report.failed.len()
-            );
-            std::process::ExitCode::from(job_exit_code(report.status))
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::ExitCode::from(2)
-        }
-    })
 }
 
 /// Renders a human-readable status report for the job in `dir` without
@@ -1752,19 +1654,29 @@ mod tests {
 
     #[test]
     fn complete_job_artifact_matches_the_table_binary() {
-        let dir = scratch_dir("e4-identity");
-        let spec = tiny_e4_spec();
-        let report = run_job(&dir, &spec, 2, &JobControl::new()).unwrap();
-        assert_eq!(report.status, JobStatus::Complete);
-        assert_eq!(report.completed_chunks, 4);
-        let artifact = std::fs::read_to_string(report.artifact.unwrap()).unwrap();
-        let direct = crate::e4_indistinguishability(&[3], &[0], &Sweep::sequential());
-        assert_eq!(
-            artifact,
-            Table::render_json_artifact(&[&direct.table]),
-            "job artifact must be byte-identical to the table binary's"
-        );
-        std::fs::remove_dir_all(&dir).ok();
+        // The second grid's 5 chunks cut through cells, and each row
+        // merges two toss seeds.
+        let wide = JobSpec {
+            ns: vec![3, 4],
+            toss_seeds: vec![0, 1],
+            chunks: 5,
+            ..tiny_e4_spec()
+        };
+        for spec in [tiny_e4_spec(), wide] {
+            let dir = scratch_dir(&format!("e4-identity-{}", spec.chunks));
+            let report = run_job(&dir, &spec, 2, &JobControl::new()).unwrap();
+            assert_eq!(report.status, JobStatus::Complete);
+            assert_eq!(report.completed_chunks, spec.chunks);
+            let artifact = std::fs::read_to_string(report.artifact.unwrap()).unwrap();
+            let direct =
+                crate::e4_indistinguishability(&spec.ns, &spec.toss_seeds, &Sweep::sequential());
+            assert_eq!(
+                artifact,
+                Table::render_json_artifact(&[&direct.table]),
+                "job artifact must be byte-identical to the table binary's"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
@@ -1889,6 +1801,37 @@ mod tests {
     }
 
     #[test]
+    fn run_rejects_an_invalid_spec_before_writing() {
+        let e13 = JobSpec::default_for(JobExperiment::E13);
+        let invalid = [
+            JobSpec {
+                chunks: 0,
+                ..tiny_e4_spec()
+            },
+            JobSpec {
+                ns: vec![17],
+                ..tiny_e4_spec()
+            },
+            JobSpec {
+                ns: vec![4, 17],
+                ..e13
+            },
+            JobSpec {
+                ns: vec![4, 8],
+                ..JobSpec::default_for(JobExperiment::E20)
+            },
+        ];
+        for (i, spec) in invalid.iter().enumerate() {
+            let dir = scratch_dir(&format!("invalid-{i}"));
+            let err = run_job(&dir, spec, 1, &JobControl::new()).unwrap_err();
+            assert!(err.starts_with("job spec:"), "{err}");
+            assert_eq!(JobSpec::parse(&spec.render()).unwrap_err(), err);
+            assert!(!spec_path(&dir).exists(), "spec {i} left a spec.json");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
     fn run_refuses_a_directory_with_checkpoints() {
         let dir = scratch_dir("refuse");
         let spec = tiny_e4_spec();
@@ -1992,23 +1935,38 @@ mod tests {
         let state = JobState {
             completed: [0, 2].into_iter().collect(),
             records: vec![
-                TrialRecord::Subset {
+                TrialRecord {
                     index: 3,
                     cell: 0,
-                    mask: 3,
-                    comparisons: 17,
-                    claims: 2,
-                    violations: vec!["S={p0}: bad \"state\"".into()],
+                    outcome: Outcome::Subset {
+                        mask: 3,
+                        comparisons: 17,
+                        claims: 2,
+                        violations: vec!["S={p0}: bad \"state\"".into()],
+                    },
                 },
-                TrialRecord::Sample {
+                TrialRecord {
                     index: 9,
                     cell: 1,
-                    sample: ExpectationSample {
+                    outcome: Outcome::Sample(ExpectationSample {
                         terminated: true,
                         wakeup_ok: false,
                         winner_steps: Some(4),
                         max_steps: None,
-                    },
+                    }),
+                },
+                TrialRecord {
+                    index: 11,
+                    cell: 2,
+                    outcome: Outcome::Chaos(E20Trial {
+                        class: "detected-wrong".into(),
+                        crashes: 1,
+                        recoveries: 2,
+                        spurious_sc: 3,
+                        corruptions: 4,
+                        cc_rmrs: 5,
+                        dsm_rmrs: 6,
+                    }),
                 },
             ],
             next_seq: 3,

@@ -919,9 +919,9 @@ fn cmd_job(args: &[String]) -> ExitCode {
         if let Some(intensities) = parse_list("intensities")? {
             spec.intensities = intensities;
         }
-        // Round-trip through the canonical form so flag validation matches
-        // file validation exactly.
-        JobSpec::parse(&spec.render())
+        // Flags obey the same rules as a spec file.
+        spec.validate()?;
+        Ok(spec)
     }
 
     fn control_with_signals() -> JobControl {
