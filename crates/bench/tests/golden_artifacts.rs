@@ -18,12 +18,12 @@ use llsc_bench::table::Table;
 use llsc_shmem::Sweep;
 
 /// E4 with the `table_e4` parameters (`ns = [4, 6]`, seeds `0, 1, 42`):
-/// the JSON artifact is byte-identical to the checked-in old-path fixture,
-/// at one worker thread and at four.
+/// the JSON artifact is byte-identical to the checked-in old-path fixture
+/// at 1, 4 and 8 worker threads.
 #[test]
 fn e4_artifact_matches_old_path_fixture() {
     let fixture = include_str!("fixtures/e4.json");
-    for threads in [1, 4] {
+    for threads in [1, 4, 8] {
         let sweep = Sweep::with_threads(threads);
         let exp = llsc_bench::e4_indistinguishability(&[4, 6], &[0, 1, 42], &sweep);
         let artifact = Table::render_json_artifact_with_failures(&[&exp.table], &[]);
@@ -35,11 +35,12 @@ fn e4_artifact_matches_old_path_fixture() {
 }
 
 /// E13 with the `table_e13` parameters (`ns = [4, 6]`, `ZeroTosses`):
-/// byte-identical to the checked-in old-path fixture at 1 and 4 threads.
+/// byte-identical to the checked-in old-path fixture at 1, 4 and 8
+/// threads.
 #[test]
 fn e13_artifact_matches_old_path_fixture() {
     let fixture = include_str!("fixtures/e13.json");
-    for threads in [1, 4] {
+    for threads in [1, 4, 8] {
         let sweep = Sweep::with_threads(threads);
         let exp = llsc_bench::e13_appendix_claims(&[4, 6], &sweep);
         let artifact = Table::render_json_artifact_with_failures(&[&exp.table], &[]);

@@ -1,10 +1,13 @@
 //! The Gray-code position names the repository benchmark binds to.
 //!
-//! Subset sweeps build every `(S, A)`-run from scratch on one reused
-//! executor ([`build_s_run_with`]) and visit masks in plain mask order.
-//! What is left here is the thinnest shim over that: [`gray_mask`] maps a
-//! position to a mask, and [`GraySubsetBuilder::build_trial`] builds that
-//! mask's run. Neither replays anything, so
+//! Subset sweeps visit masks in plain mask order, and each worker refills
+//! one reused `(S, A)`-run ([`SRunBuilder`](crate::SRunBuilder)). What is
+//! left here is the thinnest shim over the owned construction:
+//! [`gray_mask`] maps a position to a mask, and
+//! [`GraySubsetBuilder::build_trial`] builds that mask's run as an owned
+//! [`SRun`] with [`build_s_run_with`]. The benchmark's traced walk calls
+//! it, so that walk builds every run fresh and cross-checks the reused
+//! sweep's records. Nothing is replayed, so
 //! [`GrayTrial::replayed_events`] is always 0.
 
 use crate::all_run::{AdversaryConfig, AllRun};

@@ -86,7 +86,7 @@ pub use indist::{check_indistinguishability, IndistReport, IndistViolation};
 pub use rounds::{
     execute_round, execute_round_with, MoveOrder, OpSummary, RoundGroups, RoundRecord,
 };
-pub use s_run::{build_s_run, build_s_run_with, SRun};
+pub use s_run::{build_s_run, build_s_run_with, SRun, SRunBuilder};
 pub use secretive::{
     flow_report, is_complete, is_secretive, movers, random_move_config, restrict,
     restriction_preserves_source, secretive_complete_schedule, source, MoveConfig,

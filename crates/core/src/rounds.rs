@@ -70,7 +70,7 @@ impl RoundGroups {
 /// Everything that happened in one adversary round, in enough detail to
 /// (a) apply the Section-5.3 `UP` update rules and (b) compare end-of-round
 /// configurations between runs.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RoundRecord {
     /// 1-based round number.
     pub round: usize,
@@ -157,12 +157,35 @@ impl RoundRecord {
     fn close(&mut self, exec: &Executor, snapshots: bool) {
         let (run, n) = (exec.run(), exec.n());
         if snapshots {
-            self.end_registers = Some(VecMap::from_sorted(exec.memory().snapshot()));
+            let memory = exec.memory();
+            self.end_registers
+                .get_or_insert_with(VecMap::new)
+                .refill_sorted(|entries| memory.snapshot_into(entries));
+        } else {
+            self.end_registers = None;
         }
-        self.end_tosses = ProcessId::all(n).map(|p| run.tosses(p)).collect();
-        self.end_history_len = ProcessId::all(n).map(|p| run.history(p).len()).collect();
-        self.end_shared_steps = ProcessId::all(n).map(|p| run.shared_steps(p)).collect();
+        refill(
+            &mut self.end_tosses,
+            ProcessId::all(n).map(|p| run.tosses(p)),
+        );
+        refill(
+            &mut self.end_history_len,
+            ProcessId::all(n).map(|p| run.history(p).len()),
+        );
+        refill(
+            &mut self.end_shared_steps,
+            ProcessId::all(n).map(|p| run.shared_steps(p)),
+        );
     }
+}
+
+/// Replaces `v`'s contents with `items` (whose size hint is exact),
+/// sized exactly when `v` has no room yet and keeping its allocation when
+/// it has.
+fn refill<T>(v: &mut Vec<T>, items: impl Iterator<Item = T>) {
+    v.clear();
+    v.reserve_exact(items.size_hint().0);
+    v.extend(items);
 }
 
 /// Executes one five-phase round over `exec` for the given participants.
@@ -211,27 +234,57 @@ pub fn execute_round_with(
     move_order: MoveOrder<'_>,
     snapshots: bool,
 ) -> Result<RoundRecord, RunError> {
-    let mut phase1_tosses = VecMap::with_capacity(participants.len());
-    let mut terminated_in_phase1 = Vec::new();
+    let mut rec = RoundRecord::default();
+    execute_round_into(exec, round, participants, move_order, snapshots, &mut rec)?;
+    Ok(rec)
+}
+
+/// [`execute_round_with`] into a caller-owned record: every field of
+/// `rec` is overwritten, and its buffers are reused where they have room.
+/// A fresh (default) record ends up sized exactly as
+/// [`execute_round_with`] sizes it, so records kept for a whole run carry
+/// no slack; a recycled one keeps its capacity.
+///
+/// On error `rec` is left partly filled and must be refilled before use.
+pub(crate) fn execute_round_into(
+    exec: &mut Executor,
+    round: usize,
+    participants: &[ProcessId],
+    move_order: MoveOrder<'_>,
+    snapshots: bool,
+    rec: &mut RoundRecord,
+) -> Result<(), RunError> {
+    rec.round = round;
+    rec.terminated_in_phase1.clear();
+    rec.phase1_tosses.clear();
+    rec.phase1_tosses.reserve_exact(participants.len());
+    refill(&mut rec.participants, participants.iter().copied());
+    rec.participants.sort_unstable();
 
     // Phase 1: local steps, in id order.
-    let mut ordered: Vec<ProcessId> = participants.to_vec();
-    ordered.sort_unstable();
-    for &p in &ordered {
+    for &p in &rec.participants {
         if !exec.is_runnable(p) {
             continue;
         }
         let tosses = exec.advance_local(p)?;
-        phase1_tosses.insert(p, tosses);
+        rec.phase1_tosses.insert(p, tosses);
         if exec.is_terminated(p) {
-            terminated_in_phase1.push(p);
+            rec.terminated_in_phase1.push(p);
         }
     }
 
     // Partition survivors by the kind of their pending operation.
-    let mut groups = RoundGroups::default();
-    let mut move_config = MoveConfig::new();
-    for &p in &ordered {
+    let groups = &mut rec.groups;
+    for g in [
+        &mut groups.g1_ll_validate,
+        &mut groups.g2_move,
+        &mut groups.g3_swap,
+        &mut groups.g4_sc,
+    ] {
+        g.clear();
+    }
+    rec.move_config.clear();
+    for &p in &rec.participants {
         if !exec.is_runnable(p) {
             continue;
         }
@@ -245,18 +298,22 @@ pub fn execute_round_with(
             OpKind::Sc => groups.g4_sc.push(p),
         }
         if let Operation::Move { src, dst } = *op {
-            move_config.insert(p, src, dst);
+            rec.move_config.insert(p, src, dst);
         }
     }
 
     // Phase 3 ordering.
-    let sigma: Vec<ProcessId> = match move_order {
-        MoveOrder::Secretive => secretive::secretive_complete_schedule(&move_config),
+    match move_order {
+        MoveOrder::Secretive => {
+            rec.sigma = secretive::secretive_complete_schedule(&rec.move_config);
+        }
         MoveOrder::Given(outer) => {
             let keep: ProcMask = groups.g2_move.iter().copied().collect();
-            let restricted = secretive::restrict(outer, &keep);
+            rec.sigma.clear();
+            rec.sigma
+                .extend(outer.iter().copied().filter(|p| keep.contains(*p)));
             assert!(
-                restricted.len() == groups.g2_move.len(),
+                rec.sigma.len() == groups.g2_move.len(),
                 "round {round}: mover(s) {:?} missing from the given σ_r (Claim A.3 violated)",
                 groups
                     .g2_move
@@ -264,42 +321,34 @@ pub fn execute_round_with(
                     .filter(|p| !outer.contains(p))
                     .collect::<Vec<_>>()
             );
-            restricted
         }
-    };
+    }
 
     // Phases 2-5: the LL/validate group, the move group in σ_r order,
-    // the swap group, the SC group.
-    let schedule: Vec<ProcessId> = groups
+    // the swap group, the SC group. The schedule is read from the record
+    // while the operations are written to it, so it is taken out and
+    // put back, error or not.
+    rec.ops.clear();
+    rec.ops.reserve_exact(
+        groups.g1_ll_validate.len() + rec.sigma.len() + groups.g3_swap.len() + groups.g4_sc.len(),
+    );
+    rec.successful_sc.clear();
+    rec.swaps.clear();
+    rec.moves_into.clear();
+    let groups = std::mem::take(&mut rec.groups);
+    let sigma = std::mem::take(&mut rec.sigma);
+    let performed = groups
         .g1_ll_validate
         .iter()
         .chain(&sigma)
         .chain(&groups.g3_swap)
         .chain(&groups.g4_sc)
-        .copied()
-        .collect();
-    let mut rec = RoundRecord {
-        round,
-        participants: ordered,
-        phase1_tosses,
-        terminated_in_phase1,
-        groups,
-        move_config,
-        sigma,
-        ops: Vec::with_capacity(schedule.len()),
-        successful_sc: VecMap::new(),
-        swaps: VecMap::new(),
-        moves_into: VecMap::new(),
-        end_registers: None,
-        end_tosses: Vec::new(),
-        end_history_len: Vec::new(),
-        end_shared_steps: Vec::new(),
-    };
-    for p in schedule {
-        rec.perform(exec, p)?;
-    }
+        .try_for_each(|&p| rec.perform(exec, p));
+    rec.groups = groups;
+    rec.sigma = sigma;
+    performed?;
     rec.close(exec, snapshots);
-    Ok(rec)
+    Ok(())
 }
 
 #[cfg(test)]

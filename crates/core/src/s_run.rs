@@ -12,11 +12,20 @@
 //! The Indistinguishability Lemma (Lemma 5.2) asserts that every process
 //! and register whose `UP` stays inside `S` cannot tell the two runs apart;
 //! [`crate::check_indistinguishability`] verifies that mechanically.
+//!
+//! The exhaustive subset sweeps build `2^n` of these runs against one
+//! `(All, A)`-run, so each sweep worker reuses one `(S, A)`-run: an
+//! [`SRunBuilder`] refills the same [`SRun`] for every trial. Its round
+//! records and `S_r` vectors are overwritten in place, the ones a shorter
+//! trial leaves unused wait on a spare list, and the recorded run is
+//! swapped between the executor and the `SRun` instead of being rebuilt.
+//! [`build_s_run`] and [`build_s_run_with`] return owned runs from the same
+//! construction.
 
 use crate::all_run::{AdversaryConfig, AllRun, RoundedRun};
-use crate::rounds::{execute_round_with, MoveOrder};
+use crate::rounds::{execute_round_into, MoveOrder, RoundRecord};
 use crate::upsets::ProcSet;
-use llsc_shmem::{Algorithm, Executor, ProcessId, TossAssignment};
+use llsc_shmem::{Algorithm, Executor, ProcessId, Run, RunError, RunOutcome, TossAssignment};
 use std::sync::Arc;
 
 /// The `(S, A)`-run of an algorithm, built by [`build_s_run`].
@@ -28,6 +37,98 @@ pub struct SRun {
     pub s: ProcSet,
     /// `S_r` for each executed round `r` (index 0 holds `S_1`).
     pub participants_per_round: Vec<Vec<ProcessId>>,
+}
+
+impl SRun {
+    /// A run with no rounds, to be filled by [`fill_s_run`]. It holds an
+    /// empty run in `exec`'s recording mode, ready to be swapped in.
+    fn empty(exec: &Executor, all: &AllRun) -> SRun {
+        let n = exec.n();
+        SRun {
+            base: RoundedRun {
+                n,
+                rounds: Vec::new(),
+                run: if exec.run().is_detailed() {
+                    Run::new(n)
+                } else {
+                    Run::lightweight(n)
+                },
+                initial_memory: Arc::clone(&all.base.initial_memory),
+                completed: true,
+                outcome: RunOutcome::Completed,
+            },
+            s: ProcSet::new(),
+            participants_per_round: Vec::new(),
+        }
+    }
+}
+
+/// Round records and `S_r` vectors that earlier, longer trials filled and
+/// the current trial does not use, kept for the next longer one.
+#[derive(Debug, Default)]
+struct Spare {
+    rounds: Vec<RoundRecord>,
+    participants: Vec<Vec<ProcessId>>,
+}
+
+/// A reusable `(S, A)`-run construction: the per-worker scratch of the
+/// exhaustive subset sweeps ([`crate::indist_subset_range`]).
+///
+/// It owns one executor and one [`SRun`], and [`SRunBuilder::build`]
+/// refills both for every trial instead of allocating a fresh run, so
+/// after its first trials a builder allocates little beyond what the
+/// simulated programs themselves allocate. Every build equals
+/// [`build_s_run`] with the same arguments, whatever was built before it.
+#[derive(Debug)]
+pub struct SRunBuilder {
+    exec: Executor,
+    srun: SRun,
+    spare: Spare,
+}
+
+impl SRunBuilder {
+    /// A builder for `(S, A)`-runs against `all`, which must have been
+    /// built from `alg` and `toss`. Its executor takes `cfg`'s limits.
+    pub fn new(
+        alg: &dyn Algorithm,
+        toss: Arc<dyn TossAssignment>,
+        all: &AllRun,
+        cfg: &AdversaryConfig,
+    ) -> SRunBuilder {
+        let exec = Executor::new(alg, all.n(), toss, cfg.executor);
+        let srun = SRun::empty(&exec, all);
+        SRunBuilder {
+            exec,
+            srun,
+            spare: Spare::default(),
+        }
+    }
+
+    /// Builds the `(S, A)`-run for `s` against `all`, overwriting the
+    /// previous build. See [`build_s_run`] for the construction.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first [`RunError`] the executor reports. The builder
+    /// stays usable: the next build starts from scratch.
+    pub fn build(
+        &mut self,
+        alg: &dyn Algorithm,
+        s: &ProcSet,
+        all: &AllRun,
+        cfg: &AdversaryConfig,
+    ) -> Result<&SRun, RunError> {
+        fill_s_run(
+            &mut self.exec,
+            alg,
+            s,
+            all,
+            cfg,
+            &mut self.srun,
+            &mut self.spare,
+        )?;
+        Ok(&self.srun)
+    }
 }
 
 /// Builds the `(S, A)`-run corresponding to `all` for the process set `s`.
@@ -64,30 +165,48 @@ pub fn build_s_run(
     s: &ProcSet,
     all: &AllRun,
     cfg: &AdversaryConfig,
-) -> Result<SRun, llsc_shmem::RunError> {
+) -> Result<SRun, RunError> {
     let mut exec = Executor::new(alg, n, toss, cfg.executor);
     build_s_run_with(&mut exec, alg, s, all, cfg)
 }
 
-/// The scratch-reusing core of [`build_s_run`]: replays the construction
-/// on `exec`, which is [`Executor::reset`] first and left reusable (with
-/// an empty run, via [`Executor::take_run`]) afterwards.
+/// [`build_s_run`] on a caller's executor, which is [`Executor::reset`]
+/// first and left holding an empty run. For callers that keep each
+/// `(S, A)`-run; a loop that drops each run before building the next
+/// should use an [`SRunBuilder`].
 ///
-/// This is the per-trial entry point of the exhaustive subset sweeps
-/// ([`crate::indist_all_subsets`]): one executor per *worker* is reset
-/// between the `2^n` trials instead of constructed per trial, and the
-/// `(S, A)`-run shares the `(All, A)`-run's initial-memory map instead of
-/// rebuilding it. `exec` must have been built for the same algorithm,
-/// process count, toss assignment, and executor config that produced
-/// `all` — reset restores exactly that initial state, so the result is
-/// byte-identical to [`build_s_run`]'s.
+/// `exec` must have been built for the same algorithm, process count,
+/// toss assignment, and executor config that produced `all` — reset
+/// restores exactly that initial state, so the result is byte-identical
+/// to [`build_s_run`]'s. The `(S, A)`-run shares the `(All, A)`-run's
+/// initial-memory map instead of rebuilding it.
 pub fn build_s_run_with(
     exec: &mut Executor,
     alg: &dyn Algorithm,
     s: &ProcSet,
     all: &AllRun,
     cfg: &AdversaryConfig,
-) -> Result<SRun, llsc_shmem::RunError> {
+) -> Result<SRun, RunError> {
+    let mut srun = SRun::empty(exec, all);
+    fill_s_run(exec, alg, s, all, cfg, &mut srun, &mut Spare::default())?;
+    Ok(srun)
+}
+
+/// The one `(S, A)`-run construction: resets `exec`, replays the rounds
+/// into `out`'s buffers, and swaps the recorded run into `out`, leaving
+/// `out`'s previous run in `exec` for the next reset to clear. Records
+/// and `S_r` vectors move between `out` and `spare` as the round count
+/// shrinks and grows. On error `out` is left partly filled; the next call
+/// overwrites all of it.
+fn fill_s_run(
+    exec: &mut Executor,
+    alg: &dyn Algorithm,
+    s: &ProcSet,
+    all: &AllRun,
+    cfg: &AdversaryConfig,
+    out: &mut SRun,
+    spare: &mut Spare,
+) -> Result<(), RunError> {
     let n = exec.n();
     assert_eq!(n, all.n(), "process count must match the (All, A)-run");
     assert!(
@@ -95,49 +214,49 @@ pub fn build_s_run_with(
         "(S, A)-run construction needs an (All, A)-run built with track_up_history = true"
     );
     exec.reset(alg);
-    let mut rounds = Vec::new();
-    let mut participants_per_round = Vec::new();
+    // Round 1's buffers go on top, so each round tends to get back the
+    // buffers it filled last time.
+    spare.rounds.extend(out.base.rounds.drain(..).rev());
+    spare
+        .participants
+        .extend(out.participants_per_round.drain(..).rev());
+    out.s.clone_from(s);
+    out.base.initial_memory = Arc::clone(&all.base.initial_memory);
 
     for r in 1..=all.base.num_rounds() {
         // S_r = { p | UP(p, r-1) ⊆ S }, computed from the (All, A)-run's
         // UP history. UP sets only grow, so S_r shrinks over rounds.
-        let s_r: Vec<ProcessId> = ProcessId::all(n)
-            .filter(|&p| all.up.proc(p, r - 1).is_subset(s))
-            .collect();
+        let mut s_r = spare.participants.pop().unwrap_or_default();
+        s_r.clear();
+        s_r.extend(ProcessId::all(n).filter(|&p| all.up.proc(p, r - 1).is_subset(s)));
         // Early exit: every eligible process has terminated, and
         // eligibility only shrinks, so all remaining rounds are empty.
         if s_r.iter().all(|&p| exec.is_terminated(p)) {
+            spare.participants.push(s_r);
             break;
         }
+        let mut rec = spare.rounds.pop().unwrap_or_default();
         let sigma_r = &all.base.rounds[r - 1].sigma;
-        let rec = execute_round_with(
+        let executed = execute_round_into(
             exec,
             r,
             &s_r,
             MoveOrder::Given(sigma_r),
             cfg.record_snapshots,
-        )?;
-        participants_per_round.push(s_r);
-        rounds.push(rec);
+            &mut rec,
+        );
+        out.participants_per_round.push(s_r);
+        out.base.rounds.push(rec);
+        executed?;
     }
 
-    let completed = participants_per_round
+    out.base.completed = out
+        .participants_per_round
         .last()
-        .map(|ps| ps.iter().all(|&p| exec.is_terminated(p)))
-        .unwrap_or(true);
-    let outcome = exec.run_outcome();
-    Ok(SRun {
-        base: RoundedRun {
-            n,
-            rounds,
-            run: exec.take_run(),
-            initial_memory: Arc::clone(&all.base.initial_memory),
-            completed,
-            outcome,
-        },
-        s: s.clone(),
-        participants_per_round,
-    })
+        .is_none_or(|ps| ps.iter().all(|&p| exec.is_terminated(p)));
+    out.base.outcome = exec.run_outcome();
+    exec.swap_run(&mut out.base.run);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -145,7 +264,9 @@ mod tests {
     use super::*;
     use crate::all_run::build_all_run;
     use llsc_shmem::dsl::{done, ll, mv, sc, swap, toss, validate};
-    use llsc_shmem::{ExecutorConfig, FnAlgorithm, RegisterId, SeededTosses, Value, ZeroTosses};
+    use llsc_shmem::{
+        ExecutorConfig, FnAlgorithm, RegisterId, SeededTosses, Sweep, Value, ZeroTosses,
+    };
 
     fn pset<const N: usize>(ids: [usize; N]) -> ProcSet {
         ids.into_iter().map(ProcessId).collect()
@@ -303,10 +424,75 @@ mod tests {
         })
     }
 
-    /// Builds every subset's `(S, A)`-run on one reused executor and on a
-    /// fresh one, and requires them to match event for event, history
-    /// for history and round record for round record: the check that
-    /// [`Executor::reset`] restores the full initial state.
+    fn proc_set(n: usize, mask: usize) -> ProcSet {
+        (0..n)
+            .filter(|i| mask & (1 << i) != 0)
+            .map(ProcessId)
+            .collect()
+    }
+
+    /// The masks of an `n`-process system in the orders a reused builder
+    /// is driven in: ascending, descending, and the full set alternating
+    /// with single-process sets, so the round count shrinks and grows
+    /// between consecutive trials.
+    fn visit_orders(n: usize) -> [Vec<usize>; 3] {
+        let full = (1 << n) - 1;
+        [
+            (0..1 << n).collect(),
+            (0..1 << n).rev().collect(),
+            (0..n).flat_map(|i| [full, 1 << i]).collect(),
+        ]
+    }
+
+    /// Requires a reused construction's run to equal a fresh one event for
+    /// event, history for history and round record for round record, and
+    /// to share the `(All, A)`-run's initial memory.
+    fn assert_same_s_run(fresh: &SRun, reused: &SRun, all: &AllRun, at: &str) {
+        assert_eq!(fresh.s, reused.s, "{at}");
+        let (f, r) = (&fresh.base.run, &reused.base.run);
+        assert_eq!(f.events(), r.events(), "{at}");
+        assert_eq!(f.event_count(), r.event_count(), "{at}");
+        assert_eq!(f.counters(), r.counters(), "{at}");
+        for p in ProcessId::all(fresh.base.n) {
+            assert_eq!(f.history(p), r.history(p), "{at} {p}");
+            assert_eq!(f.verdict(p), r.verdict(p), "{at} {p}");
+        }
+        assert_eq!(
+            fresh.participants_per_round, reused.participants_per_round,
+            "{at}"
+        );
+        assert_eq!(fresh.base.rounds.len(), reused.base.rounds.len(), "{at}");
+        for (a, b) in fresh.base.rounds.iter().zip(&reused.base.rounds) {
+            let at = format!("{at} r={}", a.round);
+            assert_eq!(a.round, b.round, "{at}");
+            assert_eq!(a.participants, b.participants, "{at}");
+            assert_eq!(a.phase1_tosses, b.phase1_tosses, "{at}");
+            assert_eq!(a.terminated_in_phase1, b.terminated_in_phase1, "{at}");
+            assert_eq!(a.groups, b.groups, "{at}");
+            assert_eq!(a.move_config, b.move_config, "{at}");
+            assert_eq!(a.sigma, b.sigma, "{at}");
+            assert_eq!(a.ops, b.ops, "{at}");
+            assert_eq!(a.successful_sc, b.successful_sc, "{at}");
+            assert_eq!(a.swaps, b.swaps, "{at}");
+            assert_eq!(a.moves_into, b.moves_into, "{at}");
+            assert_eq!(a.end_registers, b.end_registers, "{at}");
+            assert_eq!(a.end_tosses, b.end_tosses, "{at}");
+            assert_eq!(a.end_history_len, b.end_history_len, "{at}");
+            assert_eq!(a.end_shared_steps, b.end_shared_steps, "{at}");
+        }
+        assert_eq!(fresh.base.completed, reused.base.completed, "{at}");
+        assert_eq!(fresh.base.outcome, reused.base.outcome, "{at}");
+        assert!(
+            Arc::ptr_eq(&reused.base.initial_memory, &all.base.initial_memory),
+            "{at}: the S-run shares the All-run's initial memory"
+        );
+    }
+
+    /// Builds every subset's `(S, A)`-run fresh, then again with
+    /// [`build_s_run_with`] on one reused executor and with one
+    /// [`SRunBuilder`] per visit order, and requires every reused build to
+    /// equal the fresh one: the check that [`Executor::reset`] and the
+    /// builder's refill leave no state of an earlier trial behind.
     fn assert_trials_match(
         alg: &dyn Algorithm,
         n: usize,
@@ -314,58 +500,24 @@ mod tests {
         cfg: &AdversaryConfig,
     ) {
         let all = build_all_run(alg, n, toss_assignment.clone(), cfg).unwrap();
+        let fresh: Vec<SRun> = (0..1usize << n)
+            .map(|mask| {
+                let s = proc_set(n, mask);
+                build_s_run(alg, n, toss_assignment.clone(), &s, &all, cfg).unwrap()
+            })
+            .collect();
         let mut exec = Executor::new(alg, n, toss_assignment.clone(), cfg.executor);
-        for mask in 0..1usize << n {
-            let s: ProcSet = (0..n)
-                .filter(|i| mask & (1 << i) != 0)
-                .map(ProcessId)
-                .collect();
-            let fresh = build_s_run(alg, n, toss_assignment.clone(), &s, &all, cfg).unwrap();
-            let reused = build_s_run_with(&mut exec, alg, &s, &all, cfg).unwrap();
-            assert_eq!(reused.s, s, "mask={mask:#b}");
-            assert_eq!(
-                fresh.base.run.events(),
-                reused.base.run.events(),
-                "mask={mask:#b}"
-            );
-            for p in ProcessId::all(n) {
-                assert_eq!(
-                    fresh.base.run.history(p),
-                    reused.base.run.history(p),
-                    "mask={mask:#b} {p}"
-                );
+        for (mask, fresh) in fresh.iter().enumerate() {
+            let reused = build_s_run_with(&mut exec, alg, &proc_set(n, mask), &all, cfg).unwrap();
+            assert_same_s_run(fresh, &reused, &all, &format!("owned mask={mask:#b}"));
+        }
+        for (o, order) in visit_orders(n).iter().enumerate() {
+            let mut builder = SRunBuilder::new(alg, toss_assignment.clone(), &all, cfg);
+            for &mask in order {
+                let reused = builder.build(alg, &proc_set(n, mask), &all, cfg).unwrap();
+                let at = format!("order {o} mask={mask:#b}");
+                assert_same_s_run(&fresh[mask], reused, &all, &at);
             }
-            assert_eq!(
-                fresh.participants_per_round, reused.participants_per_round,
-                "mask={mask:#b}"
-            );
-            assert_eq!(fresh.base.rounds.len(), reused.base.rounds.len());
-            for (a, b) in fresh.base.rounds.iter().zip(&reused.base.rounds) {
-                let at = format!("mask={mask:#b} r={}", a.round);
-                assert_eq!(a.participants, b.participants, "{at}");
-                assert_eq!(a.phase1_tosses, b.phase1_tosses, "{at}");
-                assert_eq!(a.terminated_in_phase1, b.terminated_in_phase1, "{at}");
-                assert_eq!(a.groups, b.groups, "{at}");
-                assert_eq!(a.move_config, b.move_config, "{at}");
-                assert_eq!(a.sigma, b.sigma, "{at}");
-                assert_eq!(a.ops, b.ops, "{at}");
-                assert_eq!(a.successful_sc, b.successful_sc, "{at}");
-                assert_eq!(a.swaps, b.swaps, "{at}");
-                assert_eq!(a.moves_into, b.moves_into, "{at}");
-                assert_eq!(a.end_registers, b.end_registers, "{at}");
-                assert_eq!(a.end_tosses, b.end_tosses, "{at}");
-                assert_eq!(a.end_history_len, b.end_history_len, "{at}");
-                assert_eq!(a.end_shared_steps, b.end_shared_steps, "{at}");
-            }
-            assert_eq!(
-                fresh.base.completed, reused.base.completed,
-                "mask={mask:#b}"
-            );
-            assert_eq!(fresh.base.outcome, reused.base.outcome, "mask={mask:#b}");
-            assert!(
-                Arc::ptr_eq(&reused.base.initial_memory, &all.base.initial_memory),
-                "the S-run shares the All-run's initial memory"
-            );
         }
     }
 
@@ -430,6 +582,103 @@ mod tests {
             ..AdversaryConfig::default()
         };
         assert_trials_match(&alg, 5, Arc::new(ZeroTosses), &cfg);
+    }
+
+    #[test]
+    fn a_failed_build_leaves_the_builder_reusable() {
+        // The (All, A)-run gets the default budget; the builder's is one
+        // event short of it, so the full set's S-run, which replays the
+        // All-run, runs out in its last round while single processes fit.
+        let (alg, n) = (mixed_alg(), 6);
+        let cfg = AdversaryConfig::default();
+        let all = build_all_run(&alg, n, Arc::new(ZeroTosses), &cfg).unwrap();
+        let budget = all.base.run.event_count() - 1;
+        let starved = AdversaryConfig {
+            executor: ExecutorConfig {
+                max_events: budget,
+                ..cfg.executor
+            },
+            ..cfg
+        };
+        let full = proc_set(n, (1 << n) - 1);
+        let mut builder = SRunBuilder::new(&alg, Arc::new(ZeroTosses), &all, &starved);
+        for mask in [1usize, 0b11_1111, 1 << 5, 0b11_1111, 0, 0b1001] {
+            let s = proc_set(n, mask);
+            let fresh = build_s_run(&alg, n, Arc::new(ZeroTosses), &s, &all, &starved);
+            match (fresh, builder.build(&alg, &s, &all, &starved)) {
+                (Ok(fresh), Ok(reused)) => {
+                    assert_same_s_run(&fresh, reused, &all, &format!("mask={mask:#b}"))
+                }
+                (Err(fresh), Err(reused)) => {
+                    assert_eq!(s, full, "only the full set runs out");
+                    assert_eq!(reused, RunError::BudgetExhausted { events: budget });
+                    assert_eq!(fresh, reused);
+                }
+                (fresh, reused) => panic!("mask={mask:#b}: {fresh:?} vs {reused:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_sweep_of_builders_reports_its_lowest_failing_mask() {
+        // p1 and p4 toss 8 coins before their LL, the others one. Under a
+        // burst limit of 4 every S-run containing either diverges, naming
+        // the lower diverger; masks 2.. name p1 and masks 16.. without p1
+        // name p4. The All-run is built without the limit.
+        let alg = FnAlgorithm::new("tossers", |pid: ProcessId, _n| {
+            fn tosses_then_ll(k: usize) -> llsc_shmem::dsl::Step {
+                match k {
+                    0 => ll(RegisterId(0), |_| done(Value::from(0i64))),
+                    _ => toss(move |_| tosses_then_ll(k - 1)),
+                }
+            }
+            tosses_then_ll(if pid.0 % 3 == 1 { 8 } else { 1 }).into_program()
+        });
+        let n = 6;
+        let cfg = AdversaryConfig::default();
+        let toss_assignment: Arc<dyn TossAssignment> = Arc::new(ZeroTosses);
+        let all = build_all_run(&alg, n, toss_assignment.clone(), &cfg).unwrap();
+        let starved = AdversaryConfig {
+            executor: ExecutorConfig {
+                max_local_burst: 4,
+                ..cfg.executor
+            },
+            ..cfg
+        };
+        let lowest = (0..1usize << n)
+            .find_map(|mask| {
+                build_s_run(
+                    &alg,
+                    n,
+                    toss_assignment.clone(),
+                    &proc_set(n, mask),
+                    &all,
+                    &starved,
+                )
+                .err()
+            })
+            .expect("some S-run diverges");
+        assert_eq!(lowest, RunError::DivergedLocalBurst { pid: ProcessId(1) });
+        for threads in [1, 2, 4, 8] {
+            let events = Sweep::with_threads(threads).run_indexed_range_with_scratch(
+                0,
+                1 << n,
+                || SRunBuilder::new(&alg, toss_assignment.clone(), &all, &starved),
+                |builder, trial| {
+                    let s = proc_set(n, trial.index);
+                    builder
+                        .build(&alg, &s, &all, &starved)
+                        .map(|srun| srun.base.run.event_count())
+                },
+            );
+            assert_eq!(
+                events.iter().filter(|e| e.is_ok()).count(),
+                16,
+                "threads={threads}: the masks without p1 and p4 succeed"
+            );
+            let first = events.into_iter().collect::<Result<Vec<u64>, RunError>>();
+            assert_eq!(first, Err(lowest), "threads={threads}");
+        }
     }
 
     #[test]

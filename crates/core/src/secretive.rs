@@ -67,6 +67,11 @@ impl MoveConfig {
         self.moves.insert(p, (src, dst));
     }
 
+    /// Removes every entry.
+    pub fn clear(&mut self) {
+        self.moves.clear();
+    }
+
     /// `f(p)`, if `p ∈ S`.
     pub fn get(&self, p: ProcessId) -> Option<(RegisterId, RegisterId)> {
         self.moves.get(&p).copied()

@@ -8,15 +8,17 @@
 //! over a [`Sweep`], merging per-subset tallies in mask order so the
 //! report is identical at any thread count.
 //!
-//! Each worker builds its trials from scratch with [`build_s_run_with`]
-//! on one reused executor, visiting masks in plain mask order.
+//! Each worker builds its trials from scratch in plain mask order on one
+//! [`SRunBuilder`]: one executor and one `(S, A)`-run whose buffers every
+//! trial refills, so a trial allocates almost nothing outside the
+//! simulated programs.
 
 use crate::all_run::{build_all_run, AdversaryConfig};
 use crate::claims::check_appendix_claims;
 use crate::indist::check_indistinguishability;
-use crate::s_run::build_s_run_with;
+use crate::s_run::SRunBuilder;
 use crate::upsets::ProcSet;
-use llsc_shmem::{Algorithm, Executor, ProcessId, RunError, Sweep, TossAssignment};
+use llsc_shmem::{Algorithm, ProcessId, RunError, Sweep, TossAssignment};
 use std::fmt;
 use std::sync::Arc;
 
@@ -136,15 +138,15 @@ pub fn indist_subset_range(
     let records = sweep.run_indexed_range_with_scratch(
         trials.start,
         trials.len(),
-        || Executor::new(alg, n, toss.clone(), cfg.executor),
-        |exec, trial| -> Result<SubsetTrialRecord, RunError> {
+        || SRunBuilder::new(alg, toss.clone(), &all, cfg),
+        |builder, trial| -> Result<SubsetTrialRecord, RunError> {
             let mask = trial.index;
             let s: ProcSet = (0..n)
                 .filter(|i| mask & (1 << i) != 0)
                 .map(ProcessId)
                 .collect();
-            let srun = build_s_run_with(exec, alg, &s, &all, cfg)?;
-            let lemma = check_indistinguishability(&all, &srun);
+            let srun = builder.build(alg, &s, &all, cfg)?;
+            let lemma = check_indistinguishability(&all, srun);
             let mut record = SubsetTrialRecord {
                 mask,
                 comparisons: lemma.process_checks + lemma.register_checks,
@@ -158,7 +160,7 @@ pub fn indist_subset_range(
                     .collect(),
             };
             if check_claims {
-                let claims = check_appendix_claims(&all, &srun);
+                let claims = check_appendix_claims(&all, srun);
                 record.claim_instances = claims.instances;
                 record
                     .violations
@@ -205,10 +207,11 @@ pub fn report_from_subset_records(
 ///
 /// The `(All, A)`-run is built **once** per sweep and shared immutably
 /// by all worker threads; each trial builds one
-/// `(S, A)`-run against it and compares. Each *worker* resets one
-/// reusable executor between its trials, and every `(S, A)`-run shares
-/// the `(All, A)`-run's initial-memory map. Tallies are merged in mask
-/// order, so the report does not depend on `sweep.threads`.
+/// `(S, A)`-run against it and compares. Each *worker* refills one
+/// [`SRunBuilder`]'s executor and `(S, A)`-run between its trials, and
+/// every `(S, A)`-run shares the `(All, A)`-run's initial-memory map.
+/// Tallies are merged in mask order, so the report does not depend on
+/// `sweep.threads`.
 ///
 /// # Errors
 ///
@@ -253,35 +256,36 @@ mod tests {
 
     #[test]
     fn sweep_report_is_thread_count_invariant() {
+        // Whole records, not just tallies: a reused run that carried
+        // events or violations over from a worker's previous trial would
+        // show up in some mask's record at some thread count.
         let alg = llsc_contenders();
         let cfg = AdversaryConfig::default();
-        let base = indist_all_subsets(
-            &alg,
-            5,
-            Arc::new(ZeroTosses),
-            &cfg,
-            true,
-            &Sweep::sequential(),
-        )
-        .unwrap();
-        assert!(base.ok(), "{:?}", base.violations);
-        assert_eq!(base.subsets, 32);
-        assert!(base.comparisons > 0);
-        assert!(base.claim_instances > 0);
-        for threads in [2, 4, 8] {
-            let par = indist_all_subsets(
+        let chunk_at = |threads: usize| {
+            indist_subset_range(
                 &alg,
                 5,
                 Arc::new(ZeroTosses),
                 &cfg,
                 true,
                 &Sweep::with_threads(threads),
+                0..32,
             )
-            .unwrap();
-            assert_eq!(par.subsets, base.subsets, "threads={threads}");
-            assert_eq!(par.comparisons, base.comparisons, "threads={threads}");
-            assert_eq!(par.claim_instances, base.claim_instances);
-            assert_eq!(par.violations, base.violations);
+            .unwrap()
+        };
+        let base = chunk_at(1);
+        let report = report_from_subset_records(base.all_events, &base.records);
+        assert!(report.ok(), "{:?}", report.violations);
+        assert_eq!(report.subsets, 32);
+        assert!(report.comparisons > 0);
+        assert!(report.claim_instances > 0);
+        assert!(report.events > base.all_events);
+        assert!(base.records.iter().all(|r| r.events > 0 || r.mask == 0));
+        for threads in [2, 4, 8] {
+            let par = chunk_at(threads);
+            assert_eq!(par, base, "threads={threads}");
+            let par_report = report_from_subset_records(par.all_events, &par.records);
+            assert_eq!(par_report.events, report.events, "threads={threads}");
         }
     }
 

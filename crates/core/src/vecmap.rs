@@ -1,12 +1,12 @@
 //! A small key-sorted vector map for per-round records.
 //!
-//! A round touches a handful of registers and processes, and every
-//! `(S, A)`-run of an exhaustive subset sweep builds and drops one record
-//! per round. An ordered tree pays a node allocation per entry for that;
-//! [`VecMap`] keeps the entries in one vector sorted by key, so building a
-//! record costs at most one allocation per map and lookups are a binary
-//! search. Iteration is in ascending key order, like the `BTreeMap` it
-//! replaces.
+//! A round touches a handful of registers and processes, and an
+//! exhaustive subset sweep fills one record per round of each of its
+//! `2^n` `(S, A)`-runs. An ordered tree pays a node allocation per entry
+//! for that; [`VecMap`] keeps the entries in one vector sorted by key, so
+//! a map costs at most one allocation (none once a reused `(S, A)`-run
+//! refills it in place) and lookups are a binary search. Iteration is in
+//! ascending key order, like the `BTreeMap` it replaces.
 
 /// A map stored as a vector of `(key, value)` pairs sorted by key.
 ///
@@ -50,14 +50,27 @@ impl<K: Ord, V> VecMap<K, V> {
         }
     }
 
-    /// Wraps entries already sorted by strictly increasing key.
+    /// Reserves room for exactly `additional` more entries.
+    pub fn reserve_exact(&mut self, additional: usize) {
+        self.entries.reserve_exact(additional);
+    }
+
+    /// Removes every entry, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+
+    /// Replaces the entries with those `fill` pushes onto the emptied
+    /// entry vector, keeping its allocation. `fill` must push keys in
+    /// strictly increasing order.
     ///
     /// # Panics
     ///
     /// Panics in debug builds if the keys are not strictly increasing.
-    pub fn from_sorted(entries: Vec<(K, V)>) -> Self {
-        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-        VecMap { entries }
+    pub fn refill_sorted(&mut self, fill: impl FnOnce(&mut Vec<(K, V)>)) {
+        self.entries.clear();
+        fill(&mut self.entries);
+        debug_assert!(self.entries.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
     fn find(&self, key: &K) -> Result<usize, usize> {

@@ -205,17 +205,21 @@ impl Executor {
         self.rmr_cc.reset();
     }
 
-    /// Takes the recorded run out of the executor, leaving a fresh empty
-    /// run (same recording mode) behind — the ownership-transfer half of
-    /// trial reuse: the trial's product keeps the run, the executor keeps
-    /// its other buffers for the next [`Executor::reset`].
-    pub fn take_run(&mut self) -> Run {
-        let fresh = if self.config.record_details {
-            Run::new(self.n)
-        } else {
-            Run::lightweight(self.n)
-        };
-        std::mem::replace(&mut self.run, fresh)
+    /// Swaps the recorded run with `run` — the ownership-transfer half of
+    /// trial reuse: the trial's product receives this run, and the
+    /// executor takes over `run`'s buffers (typically the previous trial's
+    /// run) for the next [`Executor::reset`] to clear. The executor's run
+    /// is stale until that reset.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `run` is for another process count or recording mode.
+    pub fn swap_run(&mut self, run: &mut Run) {
+        assert!(
+            run.n() == self.n && run.is_detailed() == self.config.record_details,
+            "swap_run needs a run of the same process count and recording mode"
+        );
+        std::mem::swap(&mut self.run, run);
     }
 
     /// Arms the memory-fault adversary: faults from `plan` are delivered
@@ -964,7 +968,7 @@ mod tests {
     }
 
     #[test]
-    fn take_run_hands_over_the_run_and_leaves_an_empty_one() {
+    fn swap_run_hands_over_the_run_and_reset_clears_the_one_taken_back() {
         for lightweight in [false, true] {
             let alg = counter_like();
             let cfg = ExecutorConfig {
@@ -973,12 +977,27 @@ mod tests {
             };
             let mut exec = Executor::new(&alg, 2, Arc::new(ZeroTosses), cfg);
             while exec.step_round_robin().unwrap() {}
-            let taken = exec.take_run();
-            assert!(taken.is_terminating());
-            assert_eq!(taken.is_detailed(), !lightweight);
-            assert_eq!(exec.run().event_count(), 0, "a fresh run remains");
+            let first_events = exec.run().events().to_vec();
+            let mut previous = exec.run().clone();
+            exec.reset(&alg);
+            while exec.step_round_robin().unwrap() {}
+            exec.swap_run(&mut previous);
+            assert!(previous.is_terminating());
+            assert_eq!(previous.is_detailed(), !lightweight);
+            assert_eq!(previous.events(), first_events, "the second trial's run");
+            assert!(exec.run().event_count() > 0, "the taken-back run is stale");
+            exec.reset(&alg);
+            assert_eq!(exec.run().event_count(), 0, "reset clears it");
             assert_eq!(exec.run().is_detailed(), !lightweight, "same mode");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "same process count and recording mode")]
+    fn swap_run_rejects_a_run_of_another_mode() {
+        let alg = counter_like();
+        let mut exec = Executor::new(&alg, 2, Arc::new(ZeroTosses), ExecutorConfig::default());
+        exec.swap_run(&mut Run::lightweight(2));
     }
 
     #[test]

@@ -242,9 +242,18 @@ impl SharedMemory {
     /// sized by the touched registers. Untouched registers are omitted
     /// (they hold their initial values and empty `Pset`s by definition).
     pub fn snapshot(&self) -> Vec<(RegisterId, RegisterState)> {
-        let mut out = Vec::with_capacity(self.touched);
-        out.extend(self.states().map(|(r, s)| (r, s.clone())));
+        let mut out = Vec::new();
+        self.snapshot_into(&mut out);
         out
+    }
+
+    /// [`SharedMemory::snapshot`] into a caller-owned vector: `out` is
+    /// cleared and refilled, keeping its allocation when it already holds
+    /// room for every touched register.
+    pub fn snapshot_into(&self, out: &mut Vec<(RegisterId, RegisterState)>) {
+        out.clear();
+        out.reserve_exact(self.touched);
+        out.extend(self.states().map(|(r, s)| (r, s.clone())));
     }
 }
 
