@@ -91,7 +91,7 @@ impl HwRun {
 ///
 /// The driver never panics on behalf of an algorithm: a panicking
 /// program, a diverging loop, and a wedged trial all come back as a
-/// value, so harness code (`llsc xcheck`, `bench_e18`) can report the
+/// value, so harness code (`llsc xcheck`, `llsc bench`) can report the
 /// failed case and move on.
 #[derive(Clone, Debug, PartialEq)]
 pub enum HwRunError {

@@ -1,6 +1,6 @@
 //! Wall-clock benchmarks for the universal constructions: one full
 //! `n`-process single-use execution per iteration, under the Figure-2
-//! adversary. The interesting output is in the `table_e8` binary (shared
+//! adversary. The interesting output is in `llsc table e8` (shared
 //! ops per operation); this tracks simulator throughput.
 
 use llsc_bench::harness::time_case;

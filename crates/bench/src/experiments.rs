@@ -1,4 +1,5 @@
-//! The experiment implementations behind the `table_*` binaries.
+//! The experiment implementations behind `llsc table` (see
+//! [`crate::registry`]).
 //!
 //! Every function runs its independent trials on the shared [`Sweep`]
 //! engine and returns an [`Experiment`] — the rendered table plus the
@@ -2018,11 +2019,6 @@ pub(crate) fn e20_arm(idx: usize) -> &'static str {
 /// The step cap each E20 trial runs under, on both backends.
 pub const E20_MAX_STEPS: u64 = 40_000;
 
-/// The per-trial event budget E20 runs under by default (`table_e20` and
-/// jobs whose spec does not override it): generous enough that only a
-/// stranded run, or a deliberate starvation, keeps a trial from finishing.
-pub const E20_DEFAULT_MAX_EVENTS: u64 = 2_000_000;
-
 /// Builds the replayable case one E20 trial runs: a chaos plan seeded
 /// from `seed`, tailored to algorithm `idx`'s capability arm
 /// ([`crate::xcheck::chaos_arm`]), with the arm's recovery regime
@@ -2059,7 +2055,7 @@ pub fn e20_case(idx: usize, n: usize, intensity: usize, seed: u64, max_events: u
 /// attached reproducer. The trials are the E20 job's, run in memory;
 /// rows and failures merge in index order, so the output is
 /// byte-identical at every thread count. A `max_events` of 0 means
-/// [`E20_DEFAULT_MAX_EVENTS`].
+/// [`crate::registry::DEFAULT_MAX_EVENTS`].
 ///
 /// The hardware half runs the same plans through `llsc-atomics`
 /// (`bench_e20`, `llsc bench`), where crashes are real thread kills and

@@ -1,6 +1,7 @@
-//! The shared command-line harness behind the `table_*` binaries.
+//! The shared command-line harness behind `llsc table <id>` (see
+//! [`crate::registry`]).
 //!
-//! Every experiment binary accepts the same two flags:
+//! Every table accepts the same two flags:
 //!
 //! * `--threads N` — fan the experiment's independent trials out over `N`
 //!   worker threads (default 1). Output is **byte-identical** at every
@@ -10,12 +11,11 @@
 //! * `--json PATH` — additionally write the printed tables as a
 //!   `{"tables":[…]}` JSON artifact (see [`Table::render_json`]).
 //!
-//! Fault-injection binaries additionally accept `--max-events N`, the
-//! per-trial event budget (see [`HarnessOpts::max_events`]), and report
-//! panic-isolated trial failures through
-//! [`HarnessOpts::emit_with_failures`]: the failures are listed on
-//! stderr, recorded in the JSON artifact's `"failures"` array, and turn
-//! the exit code nonzero.
+//! Fault-injection tables additionally accept `--max-events N`, the
+//! per-trial event budget (see [`HarnessOpts::max_events`]); the other
+//! tables reject it. Panic-isolated trial failures are listed on stderr,
+//! recorded in the JSON artifact's `"failures"` array, and turn the exit
+//! code nonzero (see [`HarnessOpts::emit`]).
 //!
 //! Three resilience flags tune the sweep itself:
 //!
@@ -33,13 +33,12 @@
 //! [`llsc_shmem::ReproCase`] to `DIR/repro-trial<index>.json`, feeding
 //! the `llsc replay` and `llsc shrink` subcommands.
 //!
-//! A binary's `main` is three lines:
+//! Running an experiment is two lines:
 //!
 //! ```no_run
 //! use llsc_bench::harness::HarnessOpts;
-//! let opts = HarnessOpts::from_env();
-//! let exp = llsc_bench::e3_up_growth(&[4, 16], &opts.sweep());
-//! opts.emit(&[&exp.table]);
+//! let opts = HarnessOpts::parse(["--threads", "4"]).unwrap();
+//! opts.emit(|sweep| (vec![llsc_bench::e3_up_growth(&[4, 16], sweep).table], vec![]));
 //! ```
 
 use crate::table::Table;
@@ -58,7 +57,7 @@ pub struct Experiment<R> {
     pub rows: Vec<R>,
 }
 
-/// The parsed common flags of a `table_*` binary.
+/// The parsed common flags of `llsc table`.
 #[derive(Clone, Debug, Default)]
 pub struct HarnessOpts {
     /// Worker threads for the experiment's sweeps (default 1).
@@ -89,8 +88,8 @@ pub struct HarnessOpts {
 }
 
 impl HarnessOpts {
-    /// Parses `--threads N` and `--json PATH` from an argument list
-    /// (without the program name).
+    /// Parses the flags above from an argument list (without the program
+    /// name or the table id).
     pub fn parse<I, S>(args: I) -> Result<HarnessOpts, String>
     where
         I: IntoIterator<Item = S>,
@@ -98,12 +97,7 @@ impl HarnessOpts {
     {
         let mut opts = HarnessOpts {
             threads: 1,
-            json: None,
-            max_events: None,
-            seed: 0,
-            retries: 0,
-            trial_timeout_ms: None,
-            repro_dir: None,
+            ..HarnessOpts::default()
         };
         let mut args = args.into_iter().map(Into::into);
         while let Some(arg) = args.next() {
@@ -160,20 +154,6 @@ impl HarnessOpts {
         Ok(opts)
     }
 
-    /// Parses the process's own arguments, exiting with usage on error.
-    pub fn from_env() -> HarnessOpts {
-        match HarnessOpts::parse(std::env::args().skip(1)) {
-            Ok(opts) => opts,
-            Err(e) => {
-                eprintln!(
-                    "error: {e}\n\nusage: [--threads N] [--json PATH] [--max-events N] \
-                     [--seed S] [--retries N] [--trial-timeout-ms MS] [--repro-dir DIR]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
     /// The [`Sweep`] these options describe.
     pub fn sweep(&self) -> Sweep {
         let sweep = Sweep::with_threads(self.threads)
@@ -185,28 +165,44 @@ impl HarnessOpts {
         }
     }
 
-    /// Prints each table to stdout and, when `--json` was given, writes
-    /// the `{"tables":[…]}` artifact. Returns failure only on an
-    /// artifact-write error.
-    pub fn emit(&self, tables: &[&Table]) -> ExitCode {
-        self.emit_with_failures(tables, &[])
-    }
-
-    /// [`HarnessOpts::emit`] for fault-tolerant experiments: prints the
-    /// tables, lists every isolated trial failure on stderr, and — when
-    /// `--json` was given — writes the
-    /// `{"tables":[…],"failures":[…]}` artifact (the `failures` key is
-    /// omitted when there are none, keeping clean artifacts
-    /// byte-identical to [`HarnessOpts::emit`]'s). All files are written
-    /// crash-safely (temp file + atomic rename, [`llsc_shmem::atomic_write`]),
-    /// so an interrupted run never leaves a truncated artifact. Returns
-    /// [`ExitCode::FAILURE`] iff any trial failed or the artifact could
-    /// not be written — partial results are still emitted either way.
-    pub fn emit_with_failures(&self, tables: &[&Table], failures: &[TrialFailure]) -> ExitCode {
-        for table in tables {
+    /// Runs an experiment body on [`HarnessOpts::sweep`] and emits its
+    /// output under one failure contract.
+    ///
+    /// The body returns its tables and its panic-isolated trial failures.
+    /// If the body itself panics (a sweep re-raising a trial failure, or
+    /// an experiment-internal assertion), the panic becomes a single
+    /// [`TrialFailure`] and no tables. Then the tables are printed, every
+    /// failure is listed on stderr, each failure's repro case is written
+    /// to `--repro-dir`, and with `--json` the
+    /// `{"tables":[…],"failures":[…]}` artifact is written (the
+    /// `failures` key is omitted when there are none). All files are
+    /// written crash-safely (temp file + atomic rename,
+    /// [`llsc_shmem::atomic_write`]), so an interrupted run never leaves
+    /// a truncated artifact. Returns [`ExitCode::FAILURE`] iff any trial
+    /// failed or a file could not be written; partial results are still
+    /// emitted either way.
+    pub fn emit(&self, build: impl FnOnce(&Sweep) -> (Vec<Table>, Vec<TrialFailure>)) -> ExitCode {
+        let sweep = self.sweep();
+        let (tables, failures) =
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| build(&sweep))) {
+                Ok(output) => output,
+                Err(panic) => {
+                    let failure = TrialFailure {
+                        index: 0,
+                        seed: self.seed,
+                        derived_seed: self.seed,
+                        payload: llsc_shmem::panic_message(panic.as_ref()),
+                        context: "experiment aborted; no tables were produced".to_string(),
+                        attempts: 1,
+                        repro: None,
+                    };
+                    (Vec::new(), vec![failure])
+                }
+            };
+        for table in &tables {
             table.print();
         }
-        for f in failures {
+        for f in &failures {
             eprintln!("trial failure: {f}");
         }
         if let Some(dir) = &self.repro_dir {
@@ -214,7 +210,7 @@ impl HarnessOpts {
                 eprintln!("error: cannot create {}: {e}", dir.display());
                 return ExitCode::FAILURE;
             }
-            for f in failures {
+            for f in &failures {
                 let Some(repro) = &f.repro else { continue };
                 let path = dir.join(format!("repro-trial{}.json", f.index));
                 if let Err(e) = llsc_shmem::atomic_write(&path, repro) {
@@ -225,7 +221,8 @@ impl HarnessOpts {
             }
         }
         if let Some(path) = &self.json {
-            let artifact = Table::render_json_artifact_with_failures(tables, failures);
+            let refs: Vec<&Table> = tables.iter().collect();
+            let artifact = Table::render_json_artifact_with_failures(&refs, &failures);
             if let Err(e) = llsc_shmem::atomic_write(path, artifact) {
                 eprintln!("error: cannot write {}: {e}", path.display());
                 return ExitCode::FAILURE;
@@ -239,35 +236,6 @@ impl HarnessOpts {
             ExitCode::FAILURE
         }
     }
-
-    /// Runs an experiment body and emits its tables with a **unified
-    /// failure contract**: if the body panics (a sweep re-raising an
-    /// isolated trial failure, or an experiment-internal assertion), the
-    /// panic is converted into a [`TrialFailure`] and emitted through
-    /// [`HarnessOpts::emit_with_failures`] — so *every* `table_*` binary
-    /// exits nonzero with a populated `failures` array in its artifact on
-    /// any trial failure, instead of aborting with no artifact at all.
-    pub fn emit_guarded(&self, build: impl FnOnce(&Sweep) -> Vec<Table>) -> ExitCode {
-        let sweep = self.sweep();
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| build(&sweep))) {
-            Ok(tables) => {
-                let refs: Vec<&Table> = tables.iter().collect();
-                self.emit_with_failures(&refs, &[])
-            }
-            Err(panic) => {
-                let failure = TrialFailure {
-                    index: 0,
-                    seed: self.seed,
-                    derived_seed: self.seed,
-                    payload: llsc_shmem::panic_message(panic.as_ref()),
-                    context: "experiment aborted; no tables were produced".to_string(),
-                    attempts: 1,
-                    repro: None,
-                };
-                self.emit_with_failures(&[], &[failure])
-            }
-        }
-    }
 }
 
 /// A minimal wall-clock micro-benchmark: one warm-up call, then `samples`
@@ -276,18 +244,7 @@ impl HarnessOpts {
 /// The `benches/` targets are plain `harness = false` binaries built on
 /// this (the build environment has no registry access, so criterion is
 /// deliberately not a dependency — see the workspace manifest).
-pub fn time_case<T>(label: &str, samples: u32, f: impl FnMut() -> T) {
-    let (best, mean) = measure_case(samples, f);
-    println!("{label:<52} min {best:>12.3?}  mean {mean:>12.3?}");
-}
-
-/// The measurement behind [`time_case`]: one warm-up call, then `samples`
-/// timed runs of `f`. Returns `(min, mean)` so callers (the bench-smoke
-/// job) can serialise the numbers instead of only printing them.
-pub fn measure_case<T>(
-    samples: u32,
-    mut f: impl FnMut() -> T,
-) -> (std::time::Duration, std::time::Duration) {
+pub fn time_case<T>(label: &str, samples: u32, mut f: impl FnMut() -> T) {
     use std::time::{Duration, Instant};
     assert!(samples > 0, "need at least one sample");
     std::hint::black_box(f());
@@ -300,7 +257,8 @@ pub fn measure_case<T>(
         total += elapsed;
         best = best.min(elapsed);
     }
-    (best, total / samples)
+    let mean = total / samples;
+    println!("{label:<52} min {best:>12.3?}  mean {mean:>12.3?}");
 }
 
 #[cfg(test)]
@@ -309,23 +267,9 @@ mod tests {
 
     #[test]
     fn parses_all_flags_in_any_order() {
-        let opts = HarnessOpts::parse([
-            "--json",
-            "out.json",
-            "--max-events",
-            "50",
-            "--retries",
-            "2",
-            "--seed",
-            "7",
-            "--trial-timeout-ms",
-            "250",
-            "--repro-dir",
-            "repros",
-            "--threads",
-            "4",
-        ])
-        .unwrap();
+        let args = "--json out.json --max-events 50 --retries 2 --seed 7 \
+                    --trial-timeout-ms 250 --repro-dir repros --threads 4";
+        let opts = HarnessOpts::parse(args.split_whitespace()).unwrap();
         assert_eq!(opts.threads, 4);
         assert_eq!(opts.json, Some(PathBuf::from("out.json")));
         assert_eq!(opts.repro_dir, Some(PathBuf::from("repros")));
@@ -381,11 +325,8 @@ mod tests {
         let opts = HarnessOpts {
             threads: 1,
             json: Some(path.clone()),
-            max_events: None,
-            seed: 0,
-            retries: 0,
-            trial_timeout_ms: None,
             repro_dir: Some(dir.join("repros")),
+            ..HarnessOpts::default()
         };
         let mut t = Table::new("t", ["c"]);
         t.row(["1"]);
@@ -398,7 +339,7 @@ mod tests {
             attempts: 1,
             repro: Some("{\"version\":\"1\"}\n".into()),
         }];
-        let code = opts.emit_with_failures(&[&t], &failures);
+        let code = opts.emit(|_| (vec![t.clone()], failures));
         assert_eq!(code, ExitCode::FAILURE);
         let artifact = std::fs::read_to_string(&path).unwrap();
         assert!(artifact.contains("\"failures\""));
@@ -409,7 +350,7 @@ mod tests {
         std::fs::remove_dir_all(dir.join("repros")).ok();
         assert_eq!(Table::from_json_artifact(&artifact).unwrap().len(), 1);
         // A clean emit through the same path succeeds and omits the key.
-        assert_eq!(opts.emit_with_failures(&[&t], &[]), ExitCode::SUCCESS);
+        assert_eq!(opts.emit(|_| (vec![t], vec![])), ExitCode::SUCCESS);
         let artifact = std::fs::read_to_string(&path).unwrap();
         assert!(!artifact.contains("failures"));
         std::fs::remove_file(&path).ok();
@@ -427,7 +368,7 @@ mod tests {
             ..HarnessOpts::default()
         };
 
-        let code = opts.emit_guarded(|_| panic!("trial 7 exploded"));
+        let code = opts.emit(|_| panic!("trial 7 exploded"));
         assert_eq!(code, ExitCode::FAILURE);
         let artifact = std::fs::read_to_string(&path).unwrap();
         assert!(artifact.contains("\"failures\":[{\"trial\""));
@@ -435,10 +376,10 @@ mod tests {
         assert!(artifact.contains("no tables were produced"));
 
         // A healthy build through the same path emits cleanly.
-        let code = opts.emit_guarded(|_| {
+        let code = opts.emit(|_| {
             let mut t = Table::new("t", ["c"]);
             t.row(["1"]);
-            vec![t]
+            (vec![t], vec![])
         });
         assert_eq!(code, ExitCode::SUCCESS);
         let artifact = std::fs::read_to_string(&path).unwrap();

@@ -3,7 +3,7 @@
 //! The `2^n` subset sweeps (E4/E13), the sampled expectation sweep
 //! (E6), and the chaos degradation sweep (E20, simulator half) are the
 //! repository's longest-running workloads, and a plain
-//! `table_e*` invocation loses everything when the process dies. This
+//! `llsc table` invocation loses everything when the process dies. This
 //! module wraps those sweeps in a *job*: the trial index space is
 //! partitioned into contiguous chunks, each chunk executes through the
 //! ordinary [`Sweep`] path, and after every chunk the accumulated
@@ -51,8 +51,9 @@
 //! <dir>/manifest.json              status, chunk ledger, failures
 //! ```
 
-use crate::experiments::{E13Row, E20Row, E4Row, E6Row, E20_DEFAULT_MAX_EVENTS, E20_HEADERS};
+use crate::experiments::{E13Row, E20Row, E4Row, E6Row, E20_HEADERS};
 use crate::harness::Experiment;
+use crate::registry::DEFAULT_MAX_EVENTS;
 use crate::table::Table;
 use llsc_core::{
     indist_subset_range, report_from_samples, sample_expectation, AdversaryConfig,
@@ -165,14 +166,14 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// The default spec for an experiment — the same parameter grid the
-    /// experiment's `table_*` binary uses, split into 8 chunks with a
+    /// experiment's registry entry uses, split into 8 chunks with a
     /// small retry budget.
     pub fn default_for(experiment: JobExperiment) -> JobSpec {
         let (ns, toss_seeds, samples, intensities) = match experiment {
             JobExperiment::E4 => (vec![4, 6], vec![0, 1, 42], 0, vec![]),
             JobExperiment::E6 => (vec![4, 16, 64], vec![], 30, vec![]),
             JobExperiment::E13 => (vec![4, 6], vec![], 0, vec![]),
-            // The table_e20 grid: 6 algorithms x 4 intensities x 6 reps.
+            // The `llsc table e20` grid: 6 algorithms x 4 intensities x 6 reps.
             JobExperiment::E20 => (vec![8], vec![], 6, vec![0, 1, 2, 4]),
         };
         JobSpec {
@@ -473,7 +474,7 @@ impl JobSpec {
         let max_events = if self.max_events > 0 {
             self.max_events
         } else {
-            E20_DEFAULT_MAX_EVENTS
+            DEFAULT_MAX_EVENTS
         };
         let mut case = crate::e20_case(cell.alg, cell.n, cell.intensity, seed, max_events);
         if let Some(recovery) = case.recovery.as_mut() {

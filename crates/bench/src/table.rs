@@ -157,7 +157,7 @@ impl Table {
     }
 
     /// Renders a group of tables as one artifact:
-    /// `{"tables":[…]}` — the format every `table_*` binary's `--json`
+    /// `{"tables":[…]}` — the format `llsc table`'s `--json`
     /// flag writes, even for a single table.
     pub fn render_json_artifact(tables: &[&Table]) -> String {
         Table::render_json_artifact_with_failures(tables, &[])

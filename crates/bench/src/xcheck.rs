@@ -1003,8 +1003,8 @@ fn run_hw_case(alg: &dyn Algorithm, n: usize, max_steps: u64) -> Result<CaseCost
 ///
 /// Returns the [`XcheckError`] of the first failed sample — a diverged
 /// or budget-starved run on either backend, a panicked hardware thread,
-/// or the hardware trial watchdog. The caller (`bench_e18`, `llsc
-/// bench`) reports the failed case and keeps going.
+/// or the hardware trial watchdog. [`e18_bench`] records the failed case
+/// and keeps going.
 pub fn e18_case(
     workload: &'static str,
     alg: &dyn Algorithm,
@@ -1027,6 +1027,116 @@ pub fn e18_case(
         total_ops,
         dsm_rmrs,
     })
+}
+
+impl fmt::Display for E18Row {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "e18 {:<16} backend={:<6} n={:<3} min {:>9.3}ms mean {:>9.3}ms max_ops={} total_ops={} dsm_rmrs={}",
+            self.workload,
+            self.backend.name(),
+            self.n,
+            self.wall_ms_min,
+            self.wall_ms_mean,
+            self.max_ops,
+            self.total_ops,
+            self.dsm_rmrs
+        )
+    }
+}
+
+/// The step cap every E18 case runs under.
+pub const E18_MAX_STEPS: u64 = 10_000_000;
+
+/// An E18 case that produced no row.
+#[derive(Clone, Debug)]
+pub struct E18Failure {
+    /// Workload id.
+    pub workload: &'static str,
+    /// Backend the case ran on.
+    pub backend: BackendKind,
+    /// Number of processes.
+    pub n: usize,
+    /// Why the case failed ([`XcheckError`], rendered).
+    pub error: String,
+}
+
+/// The outcome of an E18 run: every case's row or failure, in run order.
+#[derive(Clone, Debug)]
+pub struct E18Bench {
+    /// Timed repetitions per case.
+    pub samples: u32,
+    /// The cases that completed.
+    pub rows: Vec<E18Row>,
+    /// The cases that failed.
+    pub failures: Vec<E18Failure>,
+}
+
+/// E18: times a wakeup algorithm (`CounterWakeup`) and a universal
+/// construction (`DirectLlSc` over fetch&increment) on each backend at
+/// each `n`, `samples` times per case, under a `max_steps` cap. A failed
+/// case — a diverged run, a panicked hardware thread, the hardware trial
+/// watchdog — is recorded and the remaining cases still run.
+pub fn e18_bench(backends: &[BackendKind], ns: &[usize], samples: u32, max_steps: u64) -> E18Bench {
+    let imp = llsc_universal::DirectLlSc::new(Arc::new(llsc_objects::FetchIncrement::new(64)));
+    let (mut rows, mut failures) = (Vec::new(), Vec::new());
+    for &backend in backends {
+        for &n in ns {
+            let ops = vec![llsc_objects::FetchIncrement::op(); n];
+            let universal = ImplAlgorithm::new(&imp, &ops);
+            let workloads: [(&'static str, &dyn Algorithm); 2] = [
+                ("wakeup-counter", &llsc_wakeup::CounterWakeup),
+                ("universal-direct", &universal),
+            ];
+            for (workload, alg) in workloads {
+                match e18_case(workload, alg, backend, n, samples, max_steps) {
+                    Ok(row) => rows.push(row),
+                    Err(e) => failures.push(E18Failure {
+                        workload,
+                        backend,
+                        n,
+                        error: e.to_string(),
+                    }),
+                }
+            }
+        }
+    }
+    E18Bench {
+        samples,
+        rows,
+        failures,
+    }
+}
+
+impl E18Bench {
+    /// The run as a `BENCH_pr6.json`-schema artifact: `{"bench":"pr6",
+    /// "samples":…,"cases":[…],"failures":[…]}`.
+    pub fn render_json(&self) -> String {
+        let cases: Vec<String> = self.rows.iter().map(|r| format!(
+            "{{\"experiment\":\"e18\",\"workload\":\"{}\",\"backend\":\"{}\",\"n\":{},\"wall_ms_min\":{:.3},\"wall_ms_mean\":{:.3},\"max_ops\":{},\"total_ops\":{},\"dsm_rmrs\":{}}}",
+            r.workload, r.backend.name(), r.n, r.wall_ms_min, r.wall_ms_mean, r.max_ops, r.total_ops, r.dsm_rmrs
+        )).collect();
+        let failures: Vec<String> = self
+            .failures
+            .iter()
+            .map(|f| {
+                format!(
+                    "{{\"workload\":\"{}\",\"backend\":\"{}\",\"n\":{},\"error\":\"{}\"}}",
+                    f.workload,
+                    f.backend.name(),
+                    f.n,
+                    llsc_shmem::json::escape(&f.error)
+                )
+            })
+            .collect();
+        format!(
+            "{{\"bench\":\"pr6\",\"samples\":{},\"cases\":[{}],\"failures\":[{}]}}\n",
+            self.samples,
+            cases.join(","),
+            failures.join(",")
+        )
+    }
 }
 
 #[cfg(test)]
@@ -1154,6 +1264,24 @@ mod tests {
             assert!(row.dsm_rmrs > 0, "{:?} billed DSM RMRs", backend);
             assert!(row.wall_ms_min <= row.wall_ms_mean);
         }
+    }
+
+    #[test]
+    fn e18_bench_records_failed_cases_and_keeps_going() {
+        // A one-step cap starves every case; each is recorded, in run order.
+        let bench = e18_bench(&[BackendKind::Sim], &[2, 3], 1, 1);
+        assert!(bench.rows.is_empty());
+        let failed: Vec<String> = bench
+            .failures
+            .iter()
+            .map(|f| format!("{}/{}", f.workload, f.n))
+            .collect();
+        let expected = ["wakeup-counter/2", "universal-direct/2", "wakeup-counter/3"];
+        assert_eq!(failed[..3], expected);
+        assert_eq!(failed.len(), 4);
+        let json = bench.render_json();
+        let head = "{\"bench\":\"pr6\",\"samples\":1,\"cases\":[],\"failures\":[{\"workload\":\"wakeup-counter\",\"backend\":\"sim\",\"n\":2,\"error\":\"simulator backend: ";
+        assert!(json.starts_with(head), "{json}");
     }
 
     #[test]

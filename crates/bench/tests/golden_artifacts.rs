@@ -1,127 +1,63 @@
-//! Golden-artifact regression tests for the subset-sweep hot path.
-//!
-//! The zero-allocation rework of the simulator (bitmask `Pset`s,
-//! clone-free executor dispatch, shared All-run) must not change a single
-//! byte of experiment output — determinism is the regression oracle. The
-//! fixtures under `tests/fixtures/` were produced by the pre-optimisation
-//! code path (`table_e4 --json` / `table_e13 --json` at `--threads 1`,
-//! which is byte-identical to `--threads 4`); these tests regenerate the
-//! artifacts in-process with the same seeds and assert byte equality.
-//!
-//! The E15/E16 fixtures play the same role for the fault experiments:
-//! captured from `table_e15 --json` / `table_e16 --json` with default
-//! parameters, they pin the crash- and memory-fault artifacts across the
-//! failure-replay/shrinking rework (and any future change to the trial
-//! engine).
+//! Golden-artifact regression tests: determinism is the regression
+//! oracle, so no rework of the simulator or the trial engine may change a
+//! byte of experiment output. The E4/E13 fixtures under `tests/fixtures/`
+//! come from the pre-optimisation subset-sweep path; the E15/E16/E19/E20
+//! fixtures pin the crash, memory-fault, recovery and chaos artifacts.
+//! Each test runs the table's registry entry — what `llsc table <id>`
+//! runs — in-process and asserts byte equality.
 
+use llsc_bench::registry;
 use llsc_bench::table::Table;
 use llsc_shmem::Sweep;
 
-/// E4 with the `table_e4` parameters (`ns = [4, 6]`, seeds `0, 1, 42`):
-/// the JSON artifact is byte-identical to the checked-in old-path fixture
-/// at 1, 4 and 8 worker threads.
+/// Asserts that `llsc table <id>`'s JSON artifact, rebuilt in-process at
+/// each thread count, equals `fixture` byte for byte.
+fn assert_matches_fixture(id: &str, fixture: &str, thread_counts: &[usize]) {
+    let entry = registry::find(id).unwrap();
+    for &threads in thread_counts {
+        let (tables, failures) = entry.run(&Sweep::with_threads(threads), None);
+        let refs: Vec<&Table> = tables.iter().collect();
+        let artifact = Table::render_json_artifact_with_failures(&refs, &failures);
+        assert_eq!(
+            artifact, fixture,
+            "{id} artifact diverged from the fixture at --threads {threads}"
+        );
+    }
+}
+
+/// E4 at 1, 4 and 8 worker threads.
 #[test]
 fn e4_artifact_matches_old_path_fixture() {
-    let fixture = include_str!("fixtures/e4.json");
-    for threads in [1, 4, 8] {
-        let sweep = Sweep::with_threads(threads);
-        let exp = llsc_bench::e4_indistinguishability(&[4, 6], &[0, 1, 42], &sweep);
-        let artifact = Table::render_json_artifact_with_failures(&[&exp.table], &[]);
-        assert_eq!(
-            artifact, fixture,
-            "E4 artifact diverged from the old-path fixture at --threads {threads}"
-        );
-    }
+    assert_matches_fixture("e4", include_str!("fixtures/e4.json"), &[1, 4, 8]);
 }
 
-/// E13 with the `table_e13` parameters (`ns = [4, 6]`, `ZeroTosses`):
-/// byte-identical to the checked-in old-path fixture at 1, 4 and 8
-/// threads.
+/// E13 at 1, 4 and 8 threads.
 #[test]
 fn e13_artifact_matches_old_path_fixture() {
-    let fixture = include_str!("fixtures/e13.json");
-    for threads in [1, 4, 8] {
-        let sweep = Sweep::with_threads(threads);
-        let exp = llsc_bench::e13_appendix_claims(&[4, 6], &sweep);
-        let artifact = Table::render_json_artifact_with_failures(&[&exp.table], &[]);
-        assert_eq!(
-            artifact, fixture,
-            "E13 artifact diverged from the old-path fixture at --threads {threads}"
-        );
-    }
+    assert_matches_fixture("e13", include_str!("fixtures/e13.json"), &[1, 4, 8]);
 }
 
-/// E15 with the `table_e15` parameters (`n = 8`, `ks = [0, 1, 2, 4]`,
-/// 6 reps): byte-identical to the checked-in fixture at 1 and 4 threads,
-/// pinning the crash-fault experiment across the replay/shrink rework.
+/// E15 at 1 and 4 threads.
 #[test]
 fn e15_artifact_matches_fixture() {
-    let fixture = include_str!("fixtures/e15.json");
-    for threads in [1, 4] {
-        let sweep = Sweep::with_threads(threads);
-        let (exp, failures) =
-            llsc_bench::e15_crash_degradation(8, &[0, 1, 2, 4], 6, 2_000_000, &sweep);
-        let artifact = Table::render_json_artifact_with_failures(&[&exp.table], &failures);
-        assert_eq!(
-            artifact, fixture,
-            "E15 artifact diverged from the fixture at --threads {threads}"
-        );
-    }
+    assert_matches_fixture("e15", include_str!("fixtures/e15.json"), &[1, 4]);
 }
 
-/// E19 with the `table_e19` parameters (`n = 8`, `ks = [0, 1, 2, 4]`,
-/// 6 reps): byte-identical to the checked-in fixture at 1, 4, and 8
-/// threads, pinning the crash-recovery experiment (and both RMR cost
-/// models' counters) across future reworks of the trial engine.
+/// E19 at 1, 4 and 8 threads, pinning both RMR cost models' counters.
 #[test]
 fn e19_artifact_matches_fixture() {
-    let fixture = include_str!("fixtures/e19.json");
-    for threads in [1, 4, 8] {
-        let sweep = Sweep::with_threads(threads);
-        let (exp, failures) =
-            llsc_bench::e19_recovery_sweep(8, &[0, 1, 2, 4], 6, 2_000_000, &sweep);
-        let artifact = Table::render_json_artifact_with_failures(&[&exp.table], &failures);
-        assert_eq!(
-            artifact, fixture,
-            "E19 artifact diverged from the fixture at --threads {threads}"
-        );
-    }
+    assert_matches_fixture("e19", include_str!("fixtures/e19.json"), &[1, 4, 8]);
 }
 
-/// E20 (simulator half) with the `table_e20` parameters (`n = 8`,
-/// `intensities = [0, 1, 2, 4]`, 6 reps): byte-identical to the
-/// checked-in fixture at 1, 4, and 8 threads, pinning the chaos
-/// experiment's degradation classes and both RMR cost models across
-/// thread counts and future reworks of the fault layer.
+/// E20, simulator half, at 1, 4 and 8 threads, pinning the chaos
+/// experiment's degradation classes and both RMR cost models.
 #[test]
 fn e20_artifact_matches_fixture() {
-    let fixture = include_str!("fixtures/e20.json");
-    for threads in [1, 4, 8] {
-        let sweep = Sweep::with_threads(threads);
-        let (exp, failures) =
-            llsc_bench::e20_chaos_recovery_sweep(8, &[0, 1, 2, 4], 6, 2_000_000, &sweep);
-        let artifact = Table::render_json_artifact_with_failures(&[&exp.table], &failures);
-        assert_eq!(
-            artifact, fixture,
-            "E20 artifact diverged from the fixture at --threads {threads}"
-        );
-    }
+    assert_matches_fixture("e20", include_str!("fixtures/e20.json"), &[1, 4, 8]);
 }
 
-/// E16 with the `table_e16` parameters (`n = 8`, `fs = [0, 1, 2, 4, 8]`,
-/// 6 reps): byte-identical to the checked-in fixture at 1 and 4 threads,
-/// pinning the memory-fault experiment across the replay/shrink rework.
+/// E16 at 1 and 4 threads.
 #[test]
 fn e16_artifact_matches_fixture() {
-    let fixture = include_str!("fixtures/e16.json");
-    for threads in [1, 4] {
-        let sweep = Sweep::with_threads(threads);
-        let (exp, failures) =
-            llsc_bench::e16_fault_degradation(8, &[0, 1, 2, 4, 8], 6, 2_000_000, &sweep);
-        let artifact = Table::render_json_artifact_with_failures(&[&exp.table], &failures);
-        assert_eq!(
-            artifact, fixture,
-            "E16 artifact diverged from the fixture at --threads {threads}"
-        );
-    }
+    assert_matches_fixture("e16", include_str!("fixtures/e16.json"), &[1, 4]);
 }

@@ -7,13 +7,11 @@
 //! 2. **JSON round-trip** — the `{"tables":[…]}` artifact parses back to
 //!    exactly the tables that produced it.
 //!
-//! The binary-level test drives a real `table_*` executable (the fastest
-//! one) through its command line, comparing stdout and artifact bytes
-//! across thread counts.
+//! The binary-level check, `llsc table e13` at 1, 4 and 8 threads, lives
+//! with the other `llsc` command-line tests in the root `tests/cli.rs`.
 
 use llsc_bench::harness::Sweep;
 use llsc_bench::table::Table;
-use std::process::Command;
 
 /// Small-instance experiment calls that together cover every sweep shape
 /// the harness uses: per-config fan-out (E1), per-(alg, n) fan-out (E5),
@@ -69,35 +67,4 @@ fn json_artifact_round_trips() {
     // Re-rendering the parsed tables reproduces the artifact byte for byte.
     let reparsed_refs: Vec<&Table> = parsed.iter().collect();
     assert_eq!(Table::render_json_artifact(&reparsed_refs), artifact);
-}
-
-#[test]
-fn binary_output_is_thread_count_invariant() {
-    let exe = env!("CARGO_BIN_EXE_table_e13");
-    let dir = std::env::temp_dir();
-    let mut outputs = Vec::new();
-    for threads in ["1", "4", "8"] {
-        let json_path = dir.join(format!("llsc_e13_t{threads}.json"));
-        let out = Command::new(exe)
-            .args(["--threads", threads, "--json"])
-            .arg(&json_path)
-            .output()
-            .expect("table_e13 runs");
-        assert!(out.status.success(), "exit status at --threads {threads}");
-        let artifact = std::fs::read(&json_path).expect("artifact written");
-        let _ = std::fs::remove_file(&json_path);
-        outputs.push((out.stdout, artifact));
-    }
-    let (stdout_1, artifact_1) = &outputs[0];
-    for (stdout_t, artifact_t) in &outputs[1..] {
-        assert_eq!(stdout_t, stdout_1, "stdout differs across thread counts");
-        assert_eq!(
-            artifact_t, artifact_1,
-            "JSON artifact differs across thread counts"
-        );
-    }
-    // And the artifact is well-formed.
-    let text = String::from_utf8(artifact_1.clone()).expect("utf-8 artifact");
-    let tables = Table::from_json_artifact(&text).expect("artifact parses");
-    assert_eq!(tables.len(), 1);
 }

@@ -7,7 +7,7 @@ use llsc_bench::repro::{run_case, shrink_case};
 use llsc_shmem::repro::ReproCase;
 use llsc_shmem::Sweep;
 
-/// Starves `table_e16`'s `f = 0` trials so the zero-cost assertion
+/// Starves `llsc table e16`'s `f = 0` trials so the zero-cost assertion
 /// panics, then round-trips every resulting failure through the repro
 /// pipeline.
 #[test]

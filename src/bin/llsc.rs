@@ -7,23 +7,27 @@
 //! llsc indist    --alg bitset-wakeup     --n 5         Lemma 5.2, all subsets
 //! llsc secretive --n 8 [--seed 7]                      Section-4 schedules
 //! llsc universal --n 64 [--imp adt|naive|herlihy|direct] [--schedule adversary|rr|seq]
+//! llsc table     e4 [--threads 4] [--json e4.json]      regenerate a published table
+//! llsc bench     [--backend atomic] [--out e18.json]    E18 on both backends
 //! llsc replay    repro.json                             re-execute a repro case
 //! llsc shrink    repro.json [--out min.json]            minimize a repro case
 //! llsc job       run|resume|status --dir <d> [...]      checkpointed sweep jobs
-//! llsc list                                            available algorithms
+//! llsc list                                            algorithms and experiments
 //! ```
 //!
-//! Every subcommand is deterministic; `--seed` selects toss assignments or
-//! random configurations where applicable. The heavy subcommands
-//! (`stress`, `indist`) also take `--threads N` — a deterministic parallel
-//! fan-out whose output is byte-identical at any thread count — and, along
-//! with `wakeup`, `--json PATH` to write the result as the same
-//! `{"tables":[…]}` artifact the `table_*` binaries produce.
+//! Every subcommand except `bench` is deterministic; `--seed` selects toss
+//! assignments or random configurations where applicable. The heavy
+//! subcommands (`stress`, `indist`) also take `--threads N` — a
+//! deterministic parallel fan-out whose output is byte-identical at any
+//! thread count — and, along with `wakeup`, `--json PATH` to write the
+//! result as the same `{"tables":[…]}` artifact `llsc table` produces.
 
+use llsc_lowerbound::bench::harness::HarnessOpts;
+use llsc_lowerbound::bench::registry::{self, REGISTRY};
 use llsc_lowerbound::bench::repro::{run_case, shrink_case};
 use llsc_lowerbound::bench::table::Table;
 use llsc_lowerbound::bench::xcheck::{
-    e18_case, xcheck_universal, xcheck_wakeup, BackendKind, XcheckConfig,
+    e18_bench, xcheck_universal, xcheck_wakeup, BackendKind, XcheckConfig, E18_MAX_STEPS,
 };
 use llsc_lowerbound::core::{
     build_all_run, flow_report, indist_all_subsets, is_secretive, random_move_config,
@@ -58,6 +62,10 @@ fn main() -> ExitCode {
     // installs signal handlers — handle it before the generic dispatch.
     if cmd == "job" {
         return cmd_job(rest);
+    }
+    // The table subcommand takes a positional id and the harness's flags.
+    if cmd == "table" {
+        return cmd_table(rest);
     }
     // The repro subcommands take a positional file before any flags.
     if matches!(cmd.as_str(), "replay" | "shrink") {
@@ -123,8 +131,14 @@ subcommands:
                                                   (--safety-only demotes the
                                                   count check to advisory, for
                                                   polling constructions)
+  table      <id> [--threads <T>] [--json <p>]    regenerate a published table
+             [--seed <s>] [--retries <R>]         (ids: `llsc list`); fault tables
+             [--trial-timeout-ms <MS>]            also take --max-events; exits
+             [--repro-dir <d>] [--max-events <N>] 1 on a failed trial, 2 on misuse
   bench      [--backend sim|atomic|both]          E18 throughput/latency on a
-             [--ns 2,4] [--samples <K>]           chosen execution backend
+             [--ns 2,4] [--samples <K>]           chosen execution backend; a
+             [--out <p>]                          failed case is recorded, the
+                                                  rest still run, exit nonzero
   replay     <file>                               re-execute a repro case and
                                                   compare against its recorded
                                                   outcome (nonzero on diverge)
@@ -214,8 +228,8 @@ impl Opts {
     }
 
     /// Writes the subcommand's result tables as a `{"tables":[…]}`
-    /// artifact when `--json` was given — the same schema the `table_*`
-    /// binaries emit.
+    /// artifact when `--json` was given — the same schema `llsc table`
+    /// emits.
     fn emit_json(&self, tables: &[&Table]) -> Result<(), String> {
         if let Some(path) = self.json() {
             let artifact = Table::render_json_artifact(tables);
@@ -329,21 +343,20 @@ fn cmd_list() -> Result<(), String> {
     ] {
         println!("  {key:<24} backends: sim, atomic  ({what})");
     }
-    println!("experiments:");
+    println!("experiments (`llsc table <id>`, see EXPERIMENTS.md):");
+    for entry in REGISTRY {
+        println!("  {:<24} backends: sim          {}", entry.id, entry.about);
+    }
+    println!("experiments on real threads:");
     for (id, what, backends) in [
         (
-            "e1-e17, e19",
-            "table_* regenerators (see EXPERIMENTS.md)",
-            "sim",
-        ),
-        (
             "e18",
-            "bench_e18 / `llsc bench`: real-contention throughput",
+            "`llsc bench`: real-contention throughput",
             "sim, atomic",
         ),
         (
             "e20",
-            "table_e20 (goldenable sim half) + bench_e20 chaos validation",
+            "bench_e20: E20's chaos plans on real threads",
             "sim + atomic",
         ),
         (
@@ -355,6 +368,25 @@ fn cmd_list() -> Result<(), String> {
         println!("  {id:<24} backends: {backends:<12} {what}");
     }
     Ok(())
+}
+
+/// `llsc table <id> [flags]`: runs one registry entry through the shared
+/// harness. A failed trial exits 1; a usage error exits 2.
+fn cmd_table(args: &[String]) -> ExitCode {
+    let run = || -> Result<ExitCode, String> {
+        let (id, flags) = args
+            .split_first()
+            .ok_or("table needs an experiment id (see `llsc list`)")?;
+        let entry = registry::find(id)?;
+        entry.emit(&HarnessOpts::parse(flags.iter().cloned())?)
+    };
+    run().unwrap_or_else(|e| {
+        eprintln!(
+            "error: {e}\n\nusage: llsc table <id> [--threads N] [--json PATH] [--max-events N] \
+             [--seed S] [--retries N] [--trial-timeout-ms MS] [--repro-dir DIR]"
+        );
+        ExitCode::from(2)
+    })
 }
 
 fn cmd_xcheck(opts: &Opts) -> Result<(), String> {
@@ -450,57 +482,26 @@ fn cmd_bench(opts: &Opts) -> Result<(), String> {
             .filter(|&s| s >= 1)
             .ok_or_else(|| format!("bad --samples value `{v}`"))?,
     };
-    let spec = Arc::new(FetchIncrement::new(64));
-    let imp = DirectLlSc::new(spec);
-    let wakeup = all_algorithms()
-        .into_iter()
-        .find(|a| a.name() == "counter-wakeup")
-        .expect("counter-wakeup is registered");
-    for backend in backends {
-        for &n in &ns {
-            let row = e18_case(
-                "wakeup-counter",
-                wakeup.as_ref(),
-                backend,
-                n,
-                samples,
-                10_000_000,
-            )
-            .map_err(|e| {
-                format!(
-                    "e18 wakeup-counter on {} (n={n}) failed: {e}",
-                    backend.name()
-                )
-            })?;
-            print_e18_row(&row);
-            let ops = vec![FetchIncrement::op(); n];
-            let alg = llsc_lowerbound::universal::ImplAlgorithm::new(&imp, &ops);
-            let row = e18_case("universal-direct", &alg, backend, n, samples, 10_000_000).map_err(
-                |e| {
-                    format!(
-                        "e18 universal-direct on {} (n={n}) failed: {e}",
-                        backend.name()
-                    )
-                },
-            )?;
-            print_e18_row(&row);
-        }
+    let bench = e18_bench(&backends, &ns, samples, E18_MAX_STEPS);
+    for row in &bench.rows {
+        println!("{row}");
+    }
+    for f in &bench.failures {
+        let backend = f.backend.name();
+        eprintln!(
+            "e18 {} backend={backend} n={} FAILED: {}",
+            f.workload, f.n, f.error
+        );
+    }
+    if let Some(out) = opts.flags.get("out") {
+        llsc_lowerbound::shmem::atomic_write(std::path::Path::new(out), bench.render_json())
+            .map_err(|e| format!("cannot write {out}: {e}"))?;
+        eprintln!("wrote {out}");
+    }
+    if !bench.failures.is_empty() {
+        return Err(format!("{} E18 case(s) failed", bench.failures.len()));
     }
     Ok(())
-}
-
-fn print_e18_row(r: &llsc_lowerbound::bench::xcheck::E18Row) {
-    println!(
-        "e18 {:<16} backend={:<6} n={:<3} min {:>9.3}ms mean {:>9.3}ms max_ops={} total_ops={} dsm_rmrs={}",
-        r.workload,
-        r.backend.name(),
-        r.n,
-        r.wall_ms_min,
-        r.wall_ms_mean,
-        r.max_ops,
-        r.total_ops,
-        r.dsm_rmrs
-    );
 }
 
 /// Resolves the `--imp` flag (with `default` when absent) against the

@@ -1,0 +1,82 @@
+//! The `llsc table` and `llsc bench` front ends, driven through the real
+//! binary: thread-count invariance of a table's stdout and artifact,
+//! the usage errors, and the E18 artifact's schema.
+
+use llsc_lowerbound::bench::table::Table;
+use std::process::{Command, Output};
+
+fn llsc(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_llsc"))
+        .args(args)
+        .output()
+        .expect("llsc runs")
+}
+
+#[test]
+fn binary_output_is_thread_count_invariant() {
+    let dir = std::env::temp_dir();
+    let mut outputs = Vec::new();
+    for threads in ["1", "4", "8"] {
+        let json_path = dir.join(format!("llsc_e13_t{threads}.json"));
+        let json = json_path.to_str().expect("utf-8 temp path");
+        let out = llsc(&["table", "e13", "--threads", threads, "--json", json]);
+        assert!(out.status.success(), "exit status at --threads {threads}");
+        let artifact = std::fs::read(&json_path).expect("artifact written");
+        let _ = std::fs::remove_file(&json_path);
+        outputs.push((out.stdout, artifact));
+    }
+    let (stdout_1, artifact_1) = &outputs[0];
+    for (stdout_t, artifact_t) in &outputs[1..] {
+        assert_eq!(stdout_t, stdout_1, "stdout differs across thread counts");
+        assert_eq!(
+            artifact_t, artifact_1,
+            "JSON artifact differs across thread counts"
+        );
+    }
+    // And the artifact is well-formed.
+    let text = String::from_utf8(artifact_1.clone()).expect("utf-8 artifact");
+    let tables = Table::from_json_artifact(&text).expect("artifact parses");
+    assert_eq!(tables.len(), 1);
+}
+
+#[test]
+fn table_rejects_an_unused_event_budget_and_an_unknown_id() {
+    let out = llsc(&["table", "e3", "--max-events", "5"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "no table is run");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("`e3` takes no event budget"), "{err}");
+
+    let out = llsc(&["table", "e2"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown experiment `e2`"), "{err}");
+    assert!(err.contains("valid ids: e1, e3, e4, e5"), "{err}");
+}
+
+#[test]
+fn bench_out_writes_the_e18_artifact() {
+    let path = std::env::temp_dir().join("llsc_cli_e18.json");
+    let out_path = path.to_str().expect("utf-8 temp path");
+    let mut args: Vec<&str> = "bench --backend sim --ns 2 --samples 1 --out"
+        .split(' ')
+        .collect();
+    args.push(out_path);
+    let out = llsc(&args);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(stdout.lines().count(), 2, "{stdout}");
+    assert!(
+        stdout.contains("e18 wakeup-counter   backend=sim"),
+        "{stdout}"
+    );
+    let artifact = std::fs::read_to_string(&path).expect("artifact written");
+    let _ = std::fs::remove_file(&path);
+    assert!(artifact.starts_with("{\"bench\":\"pr6\",\"samples\":1,\"cases\":[{"));
+    assert!(artifact.contains("\"workload\":\"universal-direct\",\"backend\":\"sim\",\"n\":2,"));
+    assert!(artifact.ends_with("\"failures\":[]}\n"), "{artifact}");
+}
