@@ -9,32 +9,27 @@
 //! tables are byte-identical at every thread count.
 
 use crate::harness::Experiment;
-use crate::job::{fold, run_in_memory, JobExperiment, JobSpec, Outcome, TrialRecord};
+use crate::job::{fault_sweep, run_in_memory, JobExperiment, JobRow, JobSpec};
 use crate::table::Table;
 use llsc_core::{
-    build_all_run, ceil_log4, check_wakeup, flow_report, secretive_complete_schedule,
-    verify_lower_bound, AdversaryConfig, MoveConfig, ProcSet,
+    build_all_run, ceil_log4, flow_report, secretive_complete_schedule, verify_lower_bound,
+    AdversaryConfig, MoveConfig, ProcSet,
 };
 // Re-exported for callers that predate the move of the seeding helpers
 // into `llsc_core` (see `crates/core/src/secretive.rs`).
 pub use llsc_core::random_move_config;
-use llsc_objects::FetchIncrement;
-use llsc_shmem::repro::{Provenance, RecoverySpec, ReproCase, ScheduleSpec, TossSpec};
-use llsc_shmem::{
-    Algorithm, ChaosPlan, CrashPlan, CrashScheduler, Executor, ExecutorConfig, FaultPlan,
-    ProcessId, RecoveringCrashScheduler, RegisterId, RoundRobinScheduler, RunOutcome, SeededTosses,
-    Sweep, TrialFailure, ZeroTosses,
-};
+use llsc_objects::{FetchIncrement, ObjectSpec};
+use llsc_shmem::repro::{RecoverySpec, ReproCase, TossSpec};
+use llsc_shmem::{Algorithm, ChaosPlan, ProcessId, RegisterId, Sweep, TrialFailure, ZeroTosses};
 use llsc_universal::{
     measure, AdtTreeUniversal, CombiningTreeUniversal, DirectLlSc, HardenedAdtTreeUniversal,
     HardenedCombiningTreeUniversal, HardenedDirectLlSc, HerlihyUniversal, MeasureConfig,
     ObjectImplementation, ScheduleKind,
 };
 use llsc_wakeup::{
-    check_mutex_tokens, correct_algorithms, CounterWakeup, HardenedCounterWakeup,
-    HardenedRandomizedCounterWakeup, HardenedTournamentWakeup, ObjectWakeup,
-    RandomizedCounterWakeup, RecoverableCounterWakeup, RecoverableMutex,
-    RecoverableRandCounterWakeup, ReductionKind, TournamentWakeup,
+    correct_algorithms, CounterWakeup, HardenedCounterWakeup, HardenedRandomizedCounterWakeup,
+    HardenedTournamentWakeup, ObjectWakeup, RandomizedCounterWakeup, RecoverableCounterWakeup,
+    RecoverableMutex, RecoverableRandCounterWakeup, ReductionKind, TournamentWakeup,
 };
 use std::sync::Arc;
 
@@ -911,38 +906,153 @@ pub fn e5_tournament_tightness(ns: &[usize], sweep: &Sweep) -> Experiment<(usize
     Experiment { table, rows }
 }
 
-/// Attaches a serialized [`ReproCase`] to every isolated trial failure.
-///
-/// `case_for` rebuilds the failing trial's inputs (plans re-derived from
-/// the failure's final-attempt seed); this helper stamps the provenance,
-/// re-executes the case once through the panic-isolated classifier to
-/// record its ground-truth outcome and failure class, and stores the
-/// JSON on the failure row so `--repro-dir` (and the artifact) can ship
-/// it to `llsc replay` / `llsc shrink`.
-fn attach_repro(
-    failures: &mut [TrialFailure],
+/// One algorithm of a fault experiment: the label its table row and its
+/// [`ReproCase`]s carry, and its constructor at `n` processes. The label
+/// is the algorithm's own name, except that the `ObjectWakeup` rows add
+/// the backing construction in brackets — the reduction's name alone
+/// does not say which construction runs.
+pub(crate) type Labeled = (&'static str, fn(usize) -> Box<dyn Algorithm>);
+
+/// Wakeup through the fetch&increment reduction, over the construction
+/// `new` builds for the object.
+fn via_fetch_increment<U: ObjectImplementation + 'static>(
+    n: usize,
+    new: fn(Arc<dyn ObjectSpec>) -> U,
+) -> Box<dyn Algorithm> {
+    let kind = ReductionKind::FetchIncrement;
+    Box::new(ObjectWakeup::new(kind, n, Arc::new(new(kind.spec_for(n)))))
+}
+
+const TOURNAMENT: Labeled = ("tournament-wakeup", |_| Box::new(TournamentWakeup));
+const COUNTER: Labeled = ("counter-wakeup", |_| Box::new(CounterWakeup));
+const RANDOMIZED_COUNTER: Labeled = ("randomized-counter-wakeup", |_| {
+    Box::new(RandomizedCounterWakeup)
+});
+const ADT_FETCH_INCREMENT: Labeled = ("wakeup-from-fetch&increment", |n| {
+    via_fetch_increment(n, AdtTreeUniversal::new)
+});
+const DIRECT_FETCH_INCREMENT: Labeled = ("wakeup-from-fetch&increment[direct-llsc]", |n| {
+    via_fetch_increment(n, DirectLlSc::new)
+});
+const TREE_FETCH_INCREMENT: Labeled = ("wakeup-from-fetch&increment[combining-tree]", |n| {
+    via_fetch_increment(n, CombiningTreeUniversal::new)
+});
+const HARDENED_COUNTER: Labeled = ("hardened-counter-wakeup", |_| {
+    Box::new(HardenedCounterWakeup)
+});
+const HARDENED_TOURNAMENT: Labeled = ("hardened-tournament-wakeup", |_| {
+    Box::new(HardenedTournamentWakeup)
+});
+const HARDENED_RANDOMIZED_COUNTER: Labeled = ("hardened-randomized-counter-wakeup", |_| {
+    Box::new(HardenedRandomizedCounterWakeup)
+});
+const HARDENED_DIRECT_FETCH_INCREMENT: Labeled =
+    ("wakeup-from-fetch&increment[hardened-direct-llsc]", |n| {
+        via_fetch_increment(n, HardenedDirectLlSc::new)
+    });
+const HARDENED_TREE_FETCH_INCREMENT: Labeled = (
+    "wakeup-from-fetch&increment[hardened-combining-tree]",
+    |n| via_fetch_increment(n, HardenedCombiningTreeUniversal::new),
+);
+const HARDENED_ADT_FETCH_INCREMENT: Labeled = (
+    "wakeup-from-fetch&increment[hardened-adt-group-update]",
+    |n| via_fetch_increment(n, HardenedAdtTreeUniversal::new),
+);
+const RECOVERABLE_MUTEX: Labeled = ("recoverable-mutex", |_| Box::new(RecoverableMutex));
+const RECOVERABLE_COUNTER: Labeled = ("recoverable-counter-wakeup", |_| {
+    Box::new(RecoverableCounterWakeup)
+});
+const RECOVERABLE_RANDOMIZED_COUNTER: Labeled = ("recoverable-rand-counter-wakeup", |_| {
+    Box::new(RecoverableRandCounterWakeup)
+});
+
+/// E15's algorithms: the three wakeup solutions the paper's bound covers
+/// plus the oblivious universal construction solving wakeup through the
+/// fetch&increment reduction.
+pub(crate) const E15_ALGORITHMS: &[Labeled] =
+    &[TOURNAMENT, COUNTER, RANDOMIZED_COUNTER, ADT_FETCH_INCREMENT];
+
+/// E16's algorithms: the three hardened wakeup solutions plus the three
+/// hardened universal constructions solving wakeup through the
+/// fetch&increment reduction.
+pub(crate) const E16_ALGORITHMS: &[Labeled] = &[
+    HARDENED_COUNTER,
+    HARDENED_TOURNAMENT,
+    HARDENED_RANDOMIZED_COUNTER,
+    HARDENED_DIRECT_FETCH_INCREMENT,
+    HARDENED_TREE_FETCH_INCREMENT,
+    HARDENED_ADT_FETCH_INCREMENT,
+];
+
+/// The unhardened twin of each [`E16_ALGORITHMS`] entry — the zero-cost
+/// baseline every `f = 0` trial is compared against, access for access.
+pub(crate) const E16_TWINS: &[Labeled] = &[
+    COUNTER,
+    TOURNAMENT,
+    RANDOMIZED_COUNTER,
+    DIRECT_FETCH_INCREMENT,
+    TREE_FETCH_INCREMENT,
+    ADT_FETCH_INCREMENT,
+];
+
+/// E17's algorithms: the three hardened wakeup solutions and their
+/// unhardened twins, side by side under identical chaos plans.
+pub(crate) const E17_ALGORITHMS: &[Labeled] = &[
+    HARDENED_COUNTER,
+    HARDENED_TOURNAMENT,
+    HARDENED_RANDOMIZED_COUNTER,
+    COUNTER,
+    TOURNAMENT,
+    RANDOMIZED_COUNTER,
+];
+
+/// E19's algorithms: the recoverable mutex and the two recoverable
+/// wakeup variants.
+pub(crate) const E19_ALGORITHMS: &[Labeled] = &[
+    RECOVERABLE_MUTEX,
+    RECOVERABLE_COUNTER,
+    RECOVERABLE_RANDOMIZED_COUNTER,
+];
+
+/// E20's algorithms: the three hardened wakeup solutions (memory-fault
+/// arm, indices 0–2) and the three crash-recoverable algorithms
+/// (crash-recovery arm, indices 3–5).
+pub(crate) const E20_ALGORITHMS: &[Labeled] = &[
+    HARDENED_COUNTER,
+    HARDENED_TOURNAMENT,
+    HARDENED_RANDOMIZED_COUNTER,
+    RECOVERABLE_MUTEX,
+    RECOVERABLE_COUNTER,
+    RECOVERABLE_RANDOMIZED_COUNTER,
+];
+
+/// A direct fault table: the experiment's job over one `n`, the table's
+/// grid axis `xs` (crash count, fault budget or chaos intensity) and
+/// `reps` trials per cell, run in memory on `sweep`. A `max_events` of 0
+/// means [`crate::registry::DEFAULT_MAX_EVENTS`].
+fn fault_table<R: JobRow>(
+    experiment: JobExperiment,
+    n: usize,
+    xs: &[usize],
+    reps: usize,
+    max_events: u64,
     sweep: &Sweep,
-    mut case_for: impl FnMut(&TrialFailure) -> ReproCase,
-) {
-    for failure in failures {
-        let mut case = case_for(failure);
-        case.provenance = Some(Provenance {
-            sweep_seed: sweep.seed,
-            trial_index: failure.index,
-            attempt: failure.attempts.saturating_sub(1),
-        });
-        if let Some(alg) = crate::repro::resolve_algorithm(&case.algorithm, case.n) {
-            let run = crate::repro::run_case_with(&case, alg.as_ref());
-            case.outcome = run.outcome_debug;
-            case.class = run.class;
-        }
-        failure.repro = Some(case.to_json());
-    }
+) -> (Experiment<R>, Vec<TrialFailure>) {
+    assert!(reps >= 1, "need at least one repetition per cell");
+    let spec = JobSpec {
+        seed: sweep.seed,
+        ns: vec![n],
+        samples: reps as u64,
+        intensities: xs.iter().map(|&x| x as u64).collect(),
+        max_events,
+        ..JobSpec::default_for(experiment)
+    };
+    fault_sweep(&spec, sweep)
 }
 
 /// One row of E15: how one wakeup solution degrades when `crashed`
 /// processes are crash-faulted mid-run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct E15Row {
     /// Algorithm name.
     pub algorithm: String,
@@ -954,7 +1064,7 @@ pub struct E15Row {
     /// after its termination, so nobody actually died).
     pub completed: usize,
     /// Trials the executor correctly classified as
-    /// [`RunOutcome::Crashed`].
+    /// [`RunOutcome::Crashed`](llsc_shmem::RunOutcome::Crashed).
     pub crash_reported: usize,
     /// Trials that exhausted the event budget while survivors spun on a
     /// dead process.
@@ -964,41 +1074,15 @@ pub struct E15Row {
     pub safety_ok: bool,
 }
 
-/// The algorithms E15 degrades: the three wakeup solutions the paper's
-/// bound covers plus the oblivious universal construction solving wakeup
-/// through the fetch&increment reduction.
-pub(crate) fn e15_algorithm(idx: usize, n: usize) -> Box<dyn Algorithm> {
-    match idx {
-        0 => Box::new(TournamentWakeup),
-        1 => Box::new(CounterWakeup),
-        2 => Box::new(RandomizedCounterWakeup),
-        3 => {
-            let kind = ReductionKind::FetchIncrement;
-            Box::new(ObjectWakeup::new(
-                kind,
-                n,
-                Arc::new(AdtTreeUniversal::new(kind.spec_for(n))),
-            ))
-        }
-        _ => unreachable!("E15 has 4 algorithms"),
-    }
-}
-
-/// The step cap [`CrashScheduler::drive`] runs each E15 trial under; runs
-/// a crash leaves spinning stop here (and classify as `Crashed`) unless
-/// the event budget fires first.
-const E15_MAX_STEPS: u64 = 40_000;
-
 /// E15: graceful degradation under crash faults. Each trial runs one
-/// wakeup algorithm under a round-robin schedule with `k` processes
-/// crash-faulted at seeded points ([`CrashPlan::seeded`]), then classifies
-/// the result with [`Executor::run_outcome`] and checks the surviving run
-/// prefix against the wakeup specification. `k = 0` trials must complete —
-/// a starved `max_events` makes them panic, which the panic-isolated
-/// sweep reports as [`TrialFailure`]s instead of aborting the experiment.
-///
-/// Trials fan out over the sweep; rows and failures are merged in index
-/// order, so the output is byte-identical at every thread count.
+/// E15 algorithm under a round-robin schedule with `k` processes
+/// crash-faulted at seeded points
+/// ([`CrashPlan::seeded`](llsc_shmem::CrashPlan::seeded)), classifies the
+/// outcome and checks the surviving run prefix against the wakeup
+/// specification. `k = 0` trials must complete — a starved `max_events`
+/// makes them panic, which the panic-isolated sweep reports as
+/// [`TrialFailure`]s instead of aborting the experiment. The trials are
+/// the E15 job's, run in memory.
 pub fn e15_crash_degradation(
     n: usize,
     ks: &[usize],
@@ -1006,147 +1090,12 @@ pub fn e15_crash_degradation(
     max_events: u64,
     sweep: &Sweep,
 ) -> (Experiment<E15Row>, Vec<TrialFailure>) {
-    const ALGS: usize = 4;
-    assert!(reps >= 1, "need at least one repetition per cell");
-    let mut items = Vec::with_capacity(ALGS * ks.len() * reps);
-    for a in 0..ALGS {
-        for &k in ks {
-            for rep in 0..reps {
-                items.push((a, k, rep));
-            }
-        }
-    }
-
-    let names: Vec<String> = (0..ALGS)
-        .map(|a| e15_algorithm(a, n).name().to_string())
-        .collect();
-    let outcomes = sweep.run_fallible_with(
-        &items,
-        |trial, &(a, k, _rep)| {
-            let alg = e15_algorithm(a, n);
-            let cfg = ExecutorConfig {
-                max_events,
-                ..ExecutorConfig::default()
-            };
-            let mut exec = Executor::new(
-                alg.as_ref(),
-                n,
-                Arc::new(SeededTosses::new(trial.seed)),
-                cfg,
-            );
-            // Crash points land inside the early part of the run, where every
-            // algorithm still has live waiters to strand.
-            let plan = CrashPlan::seeded(trial.seed, n, k, 8 * n as u64);
-            let mut sched = CrashScheduler::new(RoundRobinScheduler::new(), plan);
-            // A budget/burst fault is sticky, so `run_outcome` reports it;
-            // the drive result itself carries no extra information here.
-            let _ = sched.drive(&mut exec, E15_MAX_STEPS);
-            let outcome = exec.run_outcome();
-            if k == 0 {
-                assert!(
-                    matches!(outcome, RunOutcome::Completed),
-                    "{}: fault-free trial must complete, got {outcome} (seed {:#018x})",
-                    alg.name(),
-                    trial.seed
-                );
-            }
-            let check = check_wakeup(&exec.into_run());
-            (outcome, check.ok())
-        },
-        |trial, &(a, k, _rep)| {
-            format!(
-                "alg={} n={n} crash-plan:k={k},window={} tosses=seeded:{:#018x}",
-                names[a],
-                8 * n as u64,
-                trial.seed
-            )
-        },
-    );
-    let mut failures = Vec::new();
-    let mut cells: Vec<E15Row> = Vec::new();
-    for ((a, k, _rep), result) in items.iter().zip(outcomes) {
-        if cells
-            .last()
-            .is_none_or(|c| c.algorithm != names[*a] || c.crashed != *k)
-        {
-            cells.push(E15Row {
-                algorithm: names[*a].clone(),
-                crashed: *k,
-                trials: 0,
-                completed: 0,
-                crash_reported: 0,
-                budget_exhausted: 0,
-                safety_ok: true,
-            });
-        }
-        let cell = cells.last_mut().expect("cell pushed above");
-        match result {
-            Ok((outcome, safe)) => {
-                cell.trials += 1;
-                cell.safety_ok &= safe;
-                match outcome {
-                    RunOutcome::Completed => cell.completed += 1,
-                    RunOutcome::Crashed { .. } => cell.crash_reported += 1,
-                    RunOutcome::BudgetExhausted { .. } => cell.budget_exhausted += 1,
-                    RunOutcome::DivergedLocalBurst { pid } => {
-                        unreachable!("E15 local sections are finite, yet {pid} diverged")
-                    }
-                    RunOutcome::FaultInjected { .. } => {
-                        unreachable!("E15 injects crash faults only, never memory faults")
-                    }
-                }
-            }
-            Err(f) => failures.push(f),
-        }
-    }
-    attach_repro(&mut failures, sweep, |failure| {
-        let (a, k, _rep) = items[failure.index];
-        ReproCase {
-            experiment: "e15".to_string(),
-            algorithm: names[a].clone(),
-            n,
-            toss: TossSpec::Seeded(failure.derived_seed),
-            schedule: ScheduleSpec::RoundRobin,
-            crashes: CrashPlan::seeded(failure.derived_seed, n, k, 8 * n as u64),
-            recovery: None,
-            faults: FaultPlan::none(),
-            max_events,
-            max_steps: E15_MAX_STEPS,
-            outcome: String::new(),
-            class: String::new(),
-            provenance: None,
-        }
-    });
-
-    let mut table = Table::new(
-        format!("E15 - crash-fault degradation (n = {n}, {reps} trials per cell)"),
-        [
-            "algorithm",
-            "crashed",
-            "trials",
-            "completed",
-            "crash reported",
-            "budget exhausted",
-            "safety",
-        ],
-    );
-    for r in &cells {
-        table.row([
-            r.algorithm.clone(),
-            r.crashed.to_string(),
-            r.trials.to_string(),
-            r.completed.to_string(),
-            r.crash_reported.to_string(),
-            r.budget_exhausted.to_string(),
-            if r.safety_ok { "ok" } else { "VIOLATED" }.to_string(),
-        ]);
-    }
-    (Experiment { table, rows: cells }, failures)
+    fault_table(JobExperiment::E15, n, ks, reps, max_events, sweep)
 }
 
 /// One row of E16: how one fault-hardened wakeup solution degrades as the
 /// memory-fault budget grows.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct E16Row {
     /// Algorithm name (the hardened twin's).
     pub algorithm: String,
@@ -1176,104 +1125,10 @@ pub struct E16Row {
     pub mean_ops: f64,
 }
 
-/// The hardened algorithms E16 degrades: the three hardened wakeup
-/// solutions plus the three hardened universal constructions solving
-/// wakeup through the fetch&increment reduction.
-pub(crate) fn e16_algorithm(idx: usize, n: usize) -> Box<dyn Algorithm> {
-    let kind = ReductionKind::FetchIncrement;
-    match idx {
-        0 => Box::new(HardenedCounterWakeup),
-        1 => Box::new(HardenedTournamentWakeup),
-        2 => Box::new(HardenedRandomizedCounterWakeup),
-        3 => Box::new(ObjectWakeup::new(
-            kind,
-            n,
-            Arc::new(HardenedDirectLlSc::new(kind.spec_for(n))),
-        )),
-        4 => Box::new(ObjectWakeup::new(
-            kind,
-            n,
-            Arc::new(HardenedCombiningTreeUniversal::new(kind.spec_for(n))),
-        )),
-        5 => Box::new(ObjectWakeup::new(
-            kind,
-            n,
-            Arc::new(HardenedAdtTreeUniversal::new(kind.spec_for(n))),
-        )),
-        _ => unreachable!("E16 has 6 algorithms"),
-    }
-}
-
-/// The unhardened twin of [`e16_algorithm`]`(idx, _)` — the zero-cost
-/// baseline every `f = 0` trial is compared against, access for access.
-pub(crate) fn e16_unhardened_twin(idx: usize, n: usize) -> Box<dyn Algorithm> {
-    let kind = ReductionKind::FetchIncrement;
-    match idx {
-        0 => Box::new(CounterWakeup),
-        1 => Box::new(TournamentWakeup),
-        2 => Box::new(RandomizedCounterWakeup),
-        3 => Box::new(ObjectWakeup::new(
-            kind,
-            n,
-            Arc::new(DirectLlSc::new(kind.spec_for(n))),
-        )),
-        4 => Box::new(ObjectWakeup::new(
-            kind,
-            n,
-            Arc::new(CombiningTreeUniversal::new(kind.spec_for(n))),
-        )),
-        5 => Box::new(ObjectWakeup::new(
-            kind,
-            n,
-            Arc::new(AdtTreeUniversal::new(kind.spec_for(n))),
-        )),
-        _ => unreachable!("E16 has 6 algorithms"),
-    }
-}
-
-/// The step cap each E16 trial's round-robin drive runs under; orphaned
-/// followers polling a corrupted log stop here and classify as stalled.
-const E16_MAX_STEPS: u64 = 40_000;
-
-/// Drives `alg` under a round-robin schedule with `plan`'s memory faults
-/// armed and returns `(outcome, total shared accesses, published
-/// detections, faults delivered, wakeup check passed)`.
-fn e16_trial(
-    alg: &dyn Algorithm,
-    n: usize,
-    seed: u64,
-    plan: FaultPlan,
-    max_events: u64,
-) -> (RunOutcome, u64, u64, u64, bool) {
-    let cfg = ExecutorConfig {
-        max_events,
-        ..ExecutorConfig::default()
-    };
-    let mut exec = Executor::new(alg, n, Arc::new(SeededTosses::new(seed)), cfg);
-    exec.set_fault_plan(plan);
-    let _ = exec.drive(&mut RoundRobinScheduler::new(), E16_MAX_STEPS);
-    let outcome = exec.run_outcome();
-    let ops = exec.memory().stats().total();
-    // Both telemetry ranges: the hardened wakeup algorithms publish at
-    // one base, the hardened universal constructions at another.
-    let detected: u64 = (0..n)
-        .map(ProcessId)
-        .map(|p| {
-            let wakeup = exec.memory().peek(llsc_wakeup::hardened_detect_reg(p));
-            let universal = exec.memory().peek(llsc_universal::hardened_detect_reg(p));
-            wakeup.as_int().unwrap_or(0).max(0) as u64
-                + universal.as_int().unwrap_or(0).max(0) as u64
-        })
-        .sum();
-    let injected = exec.fault_stats().total();
-    let safe = check_wakeup(&exec.into_run()).ok();
-    (outcome, ops, detected, injected, safe)
-}
-
 /// E16: graceful degradation under memory faults. Each trial runs one
-/// *hardened* wakeup solution under a round-robin schedule with a seeded
-/// [`FaultPlan`] delivering up to `f` spurious SC failures and `f`
-/// register corruptions inside the early event window, then classifies
+/// hardened E16 algorithm under a round-robin schedule with a seeded
+/// [`FaultPlan`](llsc_shmem::FaultPlan) delivering up to `f` spurious SC
+/// failures and `f` register corruptions inside the early event window, then classifies
 /// the result: **recovered** (terminated, correct answer),
 /// **detected-wrong** (wrong answer, but the algorithm published a
 /// detection), **silent-wrong** (wrong answer, no detection), or
@@ -1281,11 +1136,11 @@ fn e16_trial(
 /// polling a corrupted log).
 ///
 /// Every `f = 0` trial must recover *and* spend exactly as many shared
-/// accesses as its unhardened twin under the same seed — the zero-cost
+/// accesses as its unhardened twin twin under the same seed — the zero-cost
 /// guarantee. A violation panics, which the panic-isolated sweep reports
 /// as a [`TrialFailure`] (with the fault plan in its context) instead of
-/// aborting the experiment. Rows and failures merge in index order, so
-/// the output is byte-identical at every thread count.
+/// aborting the experiment. The trials are the E16 job's, run in
+/// memory.
 pub fn e16_fault_degradation(
     n: usize,
     fs: &[usize],
@@ -1293,183 +1148,12 @@ pub fn e16_fault_degradation(
     max_events: u64,
     sweep: &Sweep,
 ) -> (Experiment<E16Row>, Vec<TrialFailure>) {
-    const ALGS: usize = 6;
-    assert!(reps >= 1, "need at least one repetition per cell");
-    let mut items = Vec::with_capacity(ALGS * fs.len() * reps);
-    for a in 0..ALGS {
-        for &f in fs {
-            for rep in 0..reps {
-                items.push((a, f, rep));
-            }
-        }
-    }
-
-    // The reduction wrapper's name alone does not say which hardened
-    // construction backs it, so the three `ObjectWakeup` rows carry
-    // explicit labels.
-    let names: Vec<String> = (0..ALGS)
-        .map(|a| match a {
-            3 => "wakeup-from-fetch&increment[hardened-direct-llsc]".to_string(),
-            4 => "wakeup-from-fetch&increment[hardened-combining-tree]".to_string(),
-            5 => "wakeup-from-fetch&increment[hardened-adt-group-update]".to_string(),
-            _ => e16_algorithm(a, n).name().to_string(),
-        })
-        .collect();
-    // Fault times land inside the early part of the run, where every
-    // algorithm still has SCs in flight and registers worth corrupting.
-    let plan_for = |seed: u64, f: usize| FaultPlan::seeded(seed, f, f, 4 * n as u64);
-    let outcomes = sweep.run_fallible_with(
-        &items,
-        |trial, &(a, f, _rep)| {
-            let alg = e16_algorithm(a, n);
-            let plan = plan_for(trial.seed, f);
-            let (outcome, ops, detected, injected, safe) =
-                e16_trial(alg.as_ref(), n, trial.seed, plan, max_events);
-            if f == 0 {
-                assert!(
-                    matches!(outcome, RunOutcome::Completed) && safe,
-                    "{}: fault-free trial must complete correctly, got {outcome} \
-                     (seed {:#018x})",
-                    alg.name(),
-                    trial.seed
-                );
-                let twin = e16_unhardened_twin(a, n);
-                let (_, twin_ops, _, _, _) =
-                    e16_trial(twin.as_ref(), n, trial.seed, FaultPlan::none(), max_events);
-                assert_eq!(
-                    ops,
-                    twin_ops,
-                    "{}: hardening must be zero-cost without faults, but spent {ops} \
-                     accesses vs the twin's {twin_ops} (seed {:#018x})",
-                    alg.name(),
-                    trial.seed
-                );
-            }
-            (outcome, ops, detected, safe, injected)
-        },
-        |trial, &(a, f, _rep)| {
-            format!(
-                "alg={} n={n} {} tosses=seeded:{:#018x}",
-                names[a],
-                plan_for(trial.seed, f).summary(),
-                trial.seed
-            )
-        },
-    );
-
-    let mut failures = Vec::new();
-    let mut cells: Vec<E16Row> = Vec::new();
-    let mut cell_ops: Vec<u64> = Vec::new();
-    for ((a, f, _rep), result) in items.iter().zip(outcomes) {
-        if cells
-            .last()
-            .is_none_or(|c| c.algorithm != names[*a] || c.faults != *f)
-        {
-            cells.push(E16Row {
-                algorithm: names[*a].clone(),
-                faults: *f,
-                trials: 0,
-                recovered: 0,
-                detected_wrong: 0,
-                silent_wrong: 0,
-                stalled: 0,
-                injected: 0,
-                detected: 0,
-                mean_ops: 0.0,
-            });
-            cell_ops.push(0);
-        }
-        let cell = cells.last_mut().expect("cell pushed above");
-        let ops_sum = cell_ops.last_mut().expect("pushed alongside the cell");
-        match result {
-            Ok((outcome, ops, detected, safe, injected)) => {
-                cell.trials += 1;
-                cell.injected += injected;
-                cell.detected += detected;
-                *ops_sum += ops;
-                match outcome {
-                    RunOutcome::Completed | RunOutcome::FaultInjected { .. } => {
-                        if safe {
-                            cell.recovered += 1;
-                        } else if detected > 0 {
-                            cell.detected_wrong += 1;
-                        } else {
-                            cell.silent_wrong += 1;
-                        }
-                    }
-                    RunOutcome::BudgetExhausted { .. } => cell.stalled += 1,
-                    RunOutcome::Crashed { pid } => {
-                        unreachable!("E16 injects memory faults only, yet {pid} crashed")
-                    }
-                    RunOutcome::DivergedLocalBurst { pid } => {
-                        unreachable!("E16 local sections are finite, yet {pid} diverged")
-                    }
-                }
-            }
-            Err(fail) => failures.push(fail),
-        }
-    }
-    for (cell, &ops) in cells.iter_mut().zip(&cell_ops) {
-        cell.mean_ops = if cell.trials == 0 {
-            0.0
-        } else {
-            ops as f64 / cell.trials as f64
-        };
-    }
-    attach_repro(&mut failures, sweep, |failure| {
-        let (a, f, _rep) = items[failure.index];
-        ReproCase {
-            experiment: "e16".to_string(),
-            algorithm: names[a].clone(),
-            n,
-            toss: TossSpec::Seeded(failure.derived_seed),
-            schedule: ScheduleSpec::RoundRobin,
-            crashes: CrashPlan::none(),
-            recovery: None,
-            faults: plan_for(failure.derived_seed, f),
-            max_events,
-            max_steps: E16_MAX_STEPS,
-            outcome: String::new(),
-            class: String::new(),
-            provenance: None,
-        }
-    });
-
-    let mut table = Table::new(
-        format!("E16 - memory-fault degradation (n = {n}, {reps} trials per cell)"),
-        [
-            "algorithm",
-            "faults",
-            "trials",
-            "recovered",
-            "detected wrong",
-            "silent wrong",
-            "stalled",
-            "injected",
-            "detected",
-            "mean ops",
-        ],
-    );
-    for r in &cells {
-        table.row([
-            r.algorithm.clone(),
-            r.faults.to_string(),
-            r.trials.to_string(),
-            r.recovered.to_string(),
-            r.detected_wrong.to_string(),
-            r.silent_wrong.to_string(),
-            r.stalled.to_string(),
-            r.injected.to_string(),
-            r.detected.to_string(),
-            format!("{:.1}", r.mean_ops),
-        ]);
-    }
-    (Experiment { table, rows: cells }, failures)
+    fault_table(JobExperiment::E16, n, fs, reps, max_events, sweep)
 }
 
 /// One row of E17: the failure-class histogram of one algorithm at one
 /// chaos intensity, plus the median minimal-reproducer size.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct E17Row {
     /// Algorithm name.
     pub algorithm: String,
@@ -1487,10 +1171,10 @@ pub struct E17Row {
     pub silent_wrong: usize,
     /// Trials that exhausted their step/event budget.
     pub stalled: usize,
-    /// Trials the executor classified as [`RunOutcome::Crashed`].
+    /// Trials the executor classified as
+    /// [`RunOutcome::Crashed`](llsc_shmem::RunOutcome::Crashed).
     pub crashed: usize,
-    /// Trials that aborted (local-burst divergence or a panic inside the
-    /// isolated execution).
+    /// Trials that aborted (local-burst divergence).
     pub aborted: usize,
     /// Median size (lower median) of the minimal reproducers shrunk from
     /// this cell's non-recovered trials; `None` when every trial
@@ -1498,38 +1182,27 @@ pub struct E17Row {
     pub median_shrunk: Option<usize>,
 }
 
-/// The algorithms E17 stresses: the three hardened wakeup solutions and
-/// their unhardened twins, side by side under identical chaos plans.
-pub(crate) fn e17_algorithm(idx: usize, n: usize) -> Box<dyn Algorithm> {
-    if idx < 3 {
-        e16_algorithm(idx, n)
-    } else {
-        e16_unhardened_twin(idx - 3, n)
-    }
-}
-
 /// The step cap each E17 trial's random-schedule drive runs under.
-const E17_MAX_STEPS: u64 = 20_000;
+pub(crate) const E17_MAX_STEPS: u64 = 20_000;
 
 /// The per-trial replay budget [`crate::repro::shrink_case`] gets when
 /// minimizing a failing chaos trial.
-const E17_SHRINK_BUDGET: usize = 160;
+pub(crate) const E17_SHRINK_BUDGET: usize = 160;
 
 /// E17: combined chaos mode. Each trial composes every adversary the
 /// fault experiments exercise separately — crash faults, memory faults
 /// (spurious SC failures and register corruption), and a seeded random
 /// schedule — into one [`ChaosPlan`], runs a hardened wakeup solution or
-/// its unhardened twin under it, and classifies the result with the
-/// shared failure-class vocabulary ([`crate::repro::classify`]).
+/// its unhardened twin under it, and classifies the result with the shared failure-class
+/// vocabulary ([`crate::repro::classify`]).
 ///
-/// Every non-recovered trial is packaged as a [`ReproCase`] and shrunk
-/// on the spot ([`crate::repro::shrink_case`]); the cell reports the
-/// median minimal-reproducer size — how small the schedule/fault
-/// evidence for each failure mode gets. `intensity = 0` trials must
-/// recover; a violation panics, which the panic-isolated sweep reports
-/// as a [`TrialFailure`] with an attached reproducer. Rows and failures
-/// merge in index order, so the output is byte-identical at every thread
-/// count.
+/// Every non-recovered trial's case is shrunk on the spot
+/// ([`crate::repro::shrink_case`]); the cell reports the median
+/// minimal-reproducer size — how small the schedule/fault evidence for
+/// each failure mode gets. `intensity = 0` trials must recover; a
+/// violation panics, which the panic-isolated sweep reports as a
+/// [`TrialFailure`] with an attached reproducer. The trials are the E17
+/// job's, run in memory.
 pub fn e17_chaos_mode(
     n: usize,
     intensities: &[usize],
@@ -1537,157 +1210,13 @@ pub fn e17_chaos_mode(
     max_events: u64,
     sweep: &Sweep,
 ) -> (Experiment<E17Row>, Vec<TrialFailure>) {
-    const ALGS: usize = 6;
-    assert!(reps >= 1, "need at least one repetition per cell");
-    let mut items = Vec::with_capacity(ALGS * intensities.len() * reps);
-    for a in 0..ALGS {
-        for &intensity in intensities {
-            for rep in 0..reps {
-                items.push((a, intensity, rep));
-            }
-        }
-    }
-
-    let names: Vec<String> = (0..ALGS)
-        .map(|a| e17_algorithm(a, n).name().to_string())
-        .collect();
-    let case_for = |a: usize, intensity: usize, seed: u64| {
-        ChaosPlan::seeded(seed, n, intensity, 8 * n as u64).to_case(
-            "e17",
-            &names[a],
-            n,
-            TossSpec::Seeded(seed),
-            max_events,
-            E17_MAX_STEPS,
-        )
-    };
-    let outcomes = sweep.run_fallible_with(
-        &items,
-        |trial, &(a, intensity, _rep)| {
-            let alg = e17_algorithm(a, n);
-            let mut case = case_for(a, intensity, trial.seed);
-            let run = crate::repro::run_case_with(&case, alg.as_ref());
-            if intensity == 0 {
-                assert!(
-                    run.class == "recovered",
-                    "{}: chaos-free trial must recover, got {} ({}) (seed {:#018x})",
-                    names[a],
-                    run.class,
-                    run.outcome_debug,
-                    trial.seed
-                );
-            }
-            let shrunk = if run.class == "recovered" {
-                None
-            } else {
-                case.outcome = run.outcome_debug.clone();
-                case.class = run.class.clone();
-                let report = crate::repro::shrink_case(&case, E17_SHRINK_BUDGET)
-                    .expect("E17 algorithm names resolve through the registry");
-                Some(report.final_size)
-            };
-            (run.class, shrunk)
-        },
-        |trial, &(a, intensity, _rep)| {
-            format!(
-                "alg={} n={n} {} tosses=seeded:{:#018x}",
-                names[a],
-                ChaosPlan::seeded(trial.seed, n, intensity, 8 * n as u64).summary(),
-                trial.seed
-            )
-        },
-    );
-
-    let mut failures = Vec::new();
-    let mut cells: Vec<E17Row> = Vec::new();
-    let mut cell_shrunk: Vec<Vec<usize>> = Vec::new();
-    for ((a, intensity, _rep), result) in items.iter().zip(outcomes) {
-        if cells
-            .last()
-            .is_none_or(|c| c.algorithm != names[*a] || c.intensity != *intensity)
-        {
-            cells.push(E17Row {
-                algorithm: names[*a].clone(),
-                intensity: *intensity,
-                trials: 0,
-                recovered: 0,
-                detected_wrong: 0,
-                silent_wrong: 0,
-                stalled: 0,
-                crashed: 0,
-                aborted: 0,
-                median_shrunk: None,
-            });
-            cell_shrunk.push(Vec::new());
-        }
-        let cell = cells.last_mut().expect("cell pushed above");
-        let shrunk = cell_shrunk.last_mut().expect("pushed alongside the cell");
-        match result {
-            Ok((class, size)) => {
-                cell.trials += 1;
-                match class.as_str() {
-                    "recovered" => cell.recovered += 1,
-                    "detected-wrong" => cell.detected_wrong += 1,
-                    "silent-wrong" => cell.silent_wrong += 1,
-                    "stalled" => cell.stalled += 1,
-                    "crashed" => cell.crashed += 1,
-                    _ => cell.aborted += 1,
-                }
-                shrunk.extend(size);
-            }
-            Err(fail) => failures.push(fail),
-        }
-    }
-    for (cell, sizes) in cells.iter_mut().zip(&mut cell_shrunk) {
-        sizes.sort_unstable();
-        cell.median_shrunk = if sizes.is_empty() {
-            None
-        } else {
-            Some(sizes[(sizes.len() - 1) / 2])
-        };
-    }
-    attach_repro(&mut failures, sweep, |failure| {
-        let (a, intensity, _rep) = items[failure.index];
-        case_for(a, intensity, failure.derived_seed)
-    });
-
-    let mut table = Table::new(
-        format!("E17 - combined chaos mode (n = {n}, {reps} trials per cell)"),
-        [
-            "algorithm",
-            "intensity",
-            "trials",
-            "recovered",
-            "detected wrong",
-            "silent wrong",
-            "stalled",
-            "crashed",
-            "aborted",
-            "median shrunk size",
-        ],
-    );
-    for r in &cells {
-        table.row([
-            r.algorithm.clone(),
-            r.intensity.to_string(),
-            r.trials.to_string(),
-            r.recovered.to_string(),
-            r.detected_wrong.to_string(),
-            r.silent_wrong.to_string(),
-            r.stalled.to_string(),
-            r.crashed.to_string(),
-            r.aborted.to_string(),
-            r.median_shrunk
-                .map_or_else(|| "-".to_string(), |m| m.to_string()),
-        ]);
-    }
-    (Experiment { table, rows: cells }, failures)
+    fault_table(JobExperiment::E17, n, intensities, reps, max_events, sweep)
 }
 
 /// One row of E19: how one recoverable algorithm's completion rate and
 /// remote-memory-reference bill grow with crash intensity under the
 /// crash-*recovery* adversary.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct E19Row {
     /// Algorithm name.
     pub algorithm: String,
@@ -1720,25 +1249,11 @@ pub struct E19Row {
     pub safety_ok: bool,
 }
 
-/// The recoverable algorithms E19 sweeps: the recoverable mutex and the
-/// two recoverable wakeup variants.
-pub(crate) fn e19_algorithm(idx: usize) -> Box<dyn Algorithm> {
-    match idx {
-        0 => Box::new(RecoverableMutex),
-        1 => Box::new(RecoverableCounterWakeup),
-        2 => Box::new(RecoverableRandCounterWakeup),
-        _ => unreachable!("E19 has 3 algorithms"),
-    }
-}
-
-/// The step cap each E19 trial's recovering drive runs under.
-const E19_MAX_STEPS: u64 = 40_000;
-
-/// The crash-recovery parameters every E19 trial (and its attached
-/// [`ReproCase`]) runs with: victims come back `n` events after each
-/// crash and may be re-crashed once (two crashes per victim in total) —
-/// enough to land re-crashes inside recovery sections without making
-/// completion hopeless.
+/// The crash-recovery regime every E19 trial (and E20's crash-recovery
+/// arm) runs with unless the job overrides it: victims come back `n`
+/// events after each crash and may be re-crashed once (two crashes per
+/// victim in total) — enough to land re-crashes inside recovery sections
+/// without making completion hopeless.
 pub(crate) fn e19_recovery_spec(n: usize) -> RecoverySpec {
     RecoverySpec {
         delay: n as u64,
@@ -1747,11 +1262,10 @@ pub(crate) fn e19_recovery_spec(n: usize) -> RecoverySpec {
 }
 
 /// E19: recovery cost vs crash intensity. Each trial runs one
-/// *recoverable* algorithm under a round-robin schedule with `k`
-/// processes crash-faulted at seeded points and revived by the
-/// [`RecoveringCrashScheduler`] (crashed processes lose their local state
-/// and re-enter through the algorithm's recovery section), then
-/// classifies the outcome and bills the run's remote memory references
+/// recoverable algorithm under a round-robin schedule with `k` processes
+/// crash-faulted at seeded points and revived `n` events later (crashed
+/// processes lose their local state and re-enter through the algorithm's
+/// recovery section), then classifies the outcome and bills the run's remote memory references
 /// under both the CC and DSM cost models. `k = 0` trials must complete —
 /// a starved `max_events` makes them panic, which the panic-isolated
 /// sweep reports as [`TrialFailure`]s (each carrying a replayable
@@ -1759,8 +1273,8 @@ pub(crate) fn e19_recovery_spec(n: usize) -> RecoverySpec {
 ///
 /// Safety is checked per algorithm: the wakeup variants against the
 /// checkable wakeup conditions, the mutex against token distinctness
-/// ([`check_mutex_tokens`]). Rows and failures merge in index order, so
-/// the output is byte-identical at every thread count.
+/// (see [`crate::repro::run_case_with`]). The trials are the E19 job's,
+/// run in memory.
 pub fn e19_recovery_sweep(
     n: usize,
     ks: &[usize],
@@ -1768,179 +1282,7 @@ pub fn e19_recovery_sweep(
     max_events: u64,
     sweep: &Sweep,
 ) -> (Experiment<E19Row>, Vec<TrialFailure>) {
-    const ALGS: usize = 3;
-    assert!(reps >= 1, "need at least one repetition per cell");
-    let mut items = Vec::with_capacity(ALGS * ks.len() * reps);
-    for a in 0..ALGS {
-        for &k in ks {
-            for rep in 0..reps {
-                items.push((a, k, rep));
-            }
-        }
-    }
-
-    let names: Vec<String> = (0..ALGS)
-        .map(|a| e19_algorithm(a).name().to_string())
-        .collect();
-    let spec = e19_recovery_spec(n);
-    let outcomes = sweep.run_fallible_with(
-        &items,
-        |trial, &(a, k, _rep)| {
-            let alg = e19_algorithm(a);
-            let cfg = ExecutorConfig {
-                max_events,
-                ..ExecutorConfig::default()
-            };
-            let mut exec = Executor::new(
-                alg.as_ref(),
-                n,
-                Arc::new(SeededTosses::new(trial.seed)),
-                cfg,
-            );
-            let plan = CrashPlan::seeded(trial.seed, n, k, 8 * n as u64);
-            let mut sched = RecoveringCrashScheduler::new(
-                RoundRobinScheduler::new(),
-                &plan,
-                spec.delay,
-                spec.budget,
-            );
-            let _ = sched.drive(&mut exec, alg.as_ref(), E19_MAX_STEPS);
-            let outcome = exec.run_outcome();
-            if k == 0 {
-                assert!(
-                    matches!(outcome, RunOutcome::Completed),
-                    "{}: crash-free trial must complete, got {outcome} (seed {:#018x})",
-                    alg.name(),
-                    trial.seed
-                );
-            }
-            let safe = if a == 0 {
-                check_mutex_tokens((0..n).map(|i| exec.verdict(ProcessId(i))), n).is_ok()
-            } else {
-                check_wakeup(exec.run()).ok()
-            };
-            let counters = exec.run().counters();
-            (
-                outcome,
-                safe,
-                counters.total_crashes(),
-                counters.total_recoveries(),
-                counters.total_cc_rmrs(),
-                counters.total_dsm_rmrs(),
-            )
-        },
-        |trial, &(a, k, _rep)| {
-            format!(
-                "alg={} n={n} recovery-crash-plan:k={k},window={},delay={},budget={} \
-                 tosses=seeded:{:#018x}",
-                names[a],
-                8 * n as u64,
-                spec.delay,
-                spec.budget,
-                trial.seed
-            )
-        },
-    );
-    let mut failures = Vec::new();
-    let mut cells: Vec<E19Row> = Vec::new();
-    for ((a, k, _rep), result) in items.iter().zip(outcomes) {
-        if cells
-            .last()
-            .is_none_or(|c| c.algorithm != names[*a] || c.crashed != *k)
-        {
-            cells.push(E19Row {
-                algorithm: names[*a].clone(),
-                crashed: *k,
-                trials: 0,
-                completed: 0,
-                crash_reported: 0,
-                budget_exhausted: 0,
-                crashes: 0,
-                recoveries: 0,
-                cc_rmrs: 0,
-                dsm_rmrs: 0,
-                safety_ok: true,
-            });
-        }
-        let cell = cells.last_mut().expect("cell pushed above");
-        match result {
-            Ok((outcome, safe, crashes, recoveries, cc, dsm)) => {
-                cell.trials += 1;
-                cell.safety_ok &= safe;
-                cell.crashes += crashes;
-                cell.recoveries += recoveries;
-                cell.cc_rmrs += cc;
-                cell.dsm_rmrs += dsm;
-                match outcome {
-                    RunOutcome::Completed => cell.completed += 1,
-                    RunOutcome::Crashed { .. } => cell.crash_reported += 1,
-                    RunOutcome::BudgetExhausted { .. } => cell.budget_exhausted += 1,
-                    RunOutcome::DivergedLocalBurst { pid } => {
-                        unreachable!("E19 local sections are finite, yet {pid} diverged")
-                    }
-                    RunOutcome::FaultInjected { .. } => {
-                        unreachable!("E19 injects crash faults only, never memory faults")
-                    }
-                }
-            }
-            Err(f) => failures.push(f),
-        }
-    }
-    attach_repro(&mut failures, sweep, |failure| {
-        let (a, k, _rep) = items[failure.index];
-        ReproCase {
-            experiment: "e19".to_string(),
-            algorithm: names[a].clone(),
-            n,
-            toss: TossSpec::Seeded(failure.derived_seed),
-            schedule: ScheduleSpec::RoundRobin,
-            crashes: CrashPlan::seeded(failure.derived_seed, n, k, 8 * n as u64),
-            recovery: Some(spec),
-            faults: FaultPlan::none(),
-            max_events,
-            max_steps: E19_MAX_STEPS,
-            outcome: String::new(),
-            class: String::new(),
-            provenance: None,
-        }
-    });
-
-    let mut table = Table::new(
-        format!(
-            "E19 - recovery cost vs crash intensity (n = {n}, {reps} trials per cell, \
-             recovery delay {}, crash budget {})",
-            spec.delay, spec.budget
-        ),
-        [
-            "algorithm",
-            "crashed",
-            "trials",
-            "completed",
-            "crash reported",
-            "budget exhausted",
-            "crashes",
-            "recoveries",
-            "CC RMRs",
-            "DSM RMRs",
-            "safety",
-        ],
-    );
-    for r in &cells {
-        table.row([
-            r.algorithm.clone(),
-            r.crashed.to_string(),
-            r.trials.to_string(),
-            r.completed.to_string(),
-            r.crash_reported.to_string(),
-            r.budget_exhausted.to_string(),
-            r.crashes.to_string(),
-            r.recoveries.to_string(),
-            r.cc_rmrs.to_string(),
-            r.dsm_rmrs.to_string(),
-            if r.safety_ok { "ok" } else { "VIOLATED" }.to_string(),
-        ]);
-    }
-    (Experiment { table, rows: cells }, failures)
+    fault_table(JobExperiment::E19, n, ks, reps, max_events, sweep)
 }
 
 /// One row of E20: how one algorithm family degrades — and what its
@@ -1970,8 +1312,9 @@ pub struct E20Row {
     pub silent_wrong: usize,
     /// Trials that exhausted their step/event budget.
     pub stalled: usize,
-    /// Trials classified [`RunOutcome::Crashed`] (a victim still down
-    /// at the step cap).
+    /// Trials classified
+    /// [`RunOutcome::Crashed`](llsc_shmem::RunOutcome::Crashed) (a victim
+    /// still down at the step cap).
     pub crashed: usize,
     /// Trials that aborted (local-burst divergence).
     pub aborted: usize,
@@ -1990,15 +1333,9 @@ pub struct E20Row {
     pub dsm_rmrs: u64,
 }
 
-/// The algorithms E20 stresses: the three hardened wakeup solutions
-/// (memory-fault arm, indices 0–2) and the three crash-recoverable
-/// algorithms (crash-recovery arm, indices 3–5).
+/// Algorithm `idx` of E20's algorithms at `n` processes.
 pub fn e20_algorithm(idx: usize, n: usize) -> Box<dyn Algorithm> {
-    if idx < 3 {
-        e16_algorithm(idx, n)
-    } else {
-        e19_algorithm(idx - 3)
-    }
+    (E20_ALGORITHMS[idx].1)(n)
 }
 
 /// The recovery regime of E20's crash-recovery arm (`None` for the
@@ -2016,7 +1353,8 @@ pub(crate) fn e20_arm(idx: usize) -> &'static str {
     }
 }
 
-/// The step cap each E20 trial runs under, on both backends.
+/// The step cap every E20 trial runs under, on both backends — and every
+/// round-robin E15/E16/E19 trial on the simulator.
 pub const E20_MAX_STEPS: u64 = 40_000;
 
 /// Builds the replayable case one E20 trial runs: a chaos plan seeded
@@ -2030,7 +1368,7 @@ pub fn e20_case(idx: usize, n: usize, intensity: usize, seed: u64, max_events: u
     let (crashes, faults) = crate::xcheck::chaos_arm(&chaos, recovery);
     let mut case = chaos.to_case(
         "e20",
-        e20_algorithm(idx, n).name(),
+        E20_ALGORITHMS[idx].0,
         n,
         TossSpec::Seeded(seed),
         max_events,
@@ -2052,9 +1390,8 @@ pub fn e20_case(idx: usize, n: usize, intensity: usize, seed: u64, max_events: u
 /// table reads as *degradation class and recovery RMR cost vs fault
 /// intensity*. `intensity = 0` trials must recover; a violation panics,
 /// which the panic-isolated sweep reports as a [`TrialFailure`] with an
-/// attached reproducer. The trials are the E20 job's, run in memory;
-/// rows and failures merge in index order, so the output is
-/// byte-identical at every thread count. A `max_events` of 0 means
+/// attached reproducer. The trials are the E20 job's, run in
+/// memory. A `max_events` of 0 means
 /// [`crate::registry::DEFAULT_MAX_EVENTS`].
 ///
 /// The hardware half runs the same plans through `llsc-atomics`
@@ -2067,52 +1404,7 @@ pub fn e20_chaos_recovery_sweep(
     max_events: u64,
     sweep: &Sweep,
 ) -> (Experiment<E20Row>, Vec<TrialFailure>) {
-    assert!(reps >= 1, "need at least one repetition per cell");
-    let spec = JobSpec {
-        seed: sweep.seed,
-        ns: vec![n],
-        samples: reps as u64,
-        intensities: intensities.iter().map(|&i| i as u64).collect(),
-        max_events,
-        ..JobSpec::default_for(JobExperiment::E20)
-    };
-    let cells = spec.cells();
-    // Each trial's cell, in the job's flat index order.
-    let items: Vec<usize> = cells
-        .iter()
-        .enumerate()
-        .flat_map(|(c, cell)| std::iter::repeat_n(c, cell.len))
-        .collect();
-    let outcomes = sweep.run_fallible_with(
-        &items,
-        |trial, &c| spec.chaos_trial(&cells[c], trial.seed),
-        |trial, &c| {
-            let cell = &cells[c];
-            format!(
-                "alg={} n={n} arm={} {} tosses=seeded:{:#018x}",
-                e20_algorithm(cell.alg, n).name(),
-                e20_arm(cell.alg),
-                ChaosPlan::seeded(trial.seed, n, cell.intensity, 8 * n as u64).summary(),
-                trial.seed
-            )
-        },
-    );
-    let mut records = Vec::new();
-    let mut failures = Vec::new();
-    for ((index, &cell), outcome) in items.iter().enumerate().zip(outcomes) {
-        match outcome {
-            Ok(trial) => records.push(TrialRecord {
-                index,
-                cell,
-                outcome: Outcome::Chaos(trial),
-            }),
-            Err(failure) => failures.push(failure),
-        }
-    }
-    attach_repro(&mut failures, sweep, |failure| {
-        spec.chaos_case(&cells[items[failure.index]], failure.derived_seed)
-    });
-    (fold(&spec, &records, true).0, failures)
+    fault_table(JobExperiment::E20, n, intensities, reps, max_events, sweep)
 }
 
 #[cfg(test)]
@@ -2425,20 +1717,34 @@ mod tests {
 
     #[test]
     fn starved_failures_carry_replayable_reproducers() {
-        let (_, failures) = e16_fault_degradation(8, &[0], 1, 40, &Sweep::sequential());
-        assert!(!failures.is_empty(), "starved f=0 trials must panic");
-        for f in &failures {
-            let json = f.repro.as_ref().expect("failures carry a repro case");
-            let case = ReproCase::from_json(json).expect("attached repro round-trips");
-            assert_eq!(case.experiment, "e16");
-            // The experiment-level assert panicked, but the underlying
-            // execution is an honest stall — that's what the case records.
-            assert_eq!(case.class, "stalled");
-            let run = crate::repro::run_case(&case).expect("algorithm resolves");
-            assert_eq!(run.outcome_debug, case.outcome, "replay is byte-identical");
-            let prov = case.provenance.expect("provenance recorded");
-            assert_eq!(prov.trial_index, f.index);
-            assert_eq!(prov.attempt, f.attempts - 1);
+        type Starved = fn(&Sweep) -> Vec<TrialFailure>;
+        let tables: [(&str, Starved); 4] = [
+            ("e15", |s| e15_crash_degradation(8, &[0], 1, 40, s).1),
+            ("e16", |s| e16_fault_degradation(8, &[0], 1, 40, s).1),
+            ("e17", |s| e17_chaos_mode(6, &[0], 4, 40, s).1),
+            ("e19", |s| e19_recovery_sweep(8, &[0], 1, 40, s).1),
+        ];
+        for (tag, starved) in tables {
+            let failures = starved(&Sweep::sequential());
+            assert!(!failures.is_empty(), "{tag}: starved trials must panic");
+            for f in &failures {
+                let json = f.repro.as_ref().expect("failures carry a repro case");
+                let case = ReproCase::from_json(json).expect("attached repro round-trips");
+                assert_eq!(case.experiment, tag);
+                // The experiment-level assert panicked, but the underlying
+                // execution is an honest stall — that's what the case
+                // records.
+                assert_eq!(case.class, "stalled", "{tag}");
+                let run = crate::repro::run_case(&case).expect("algorithm resolves");
+                assert_eq!(
+                    run.outcome_debug, case.outcome,
+                    "{tag}: replay is byte-identical"
+                );
+                assert_eq!(run.class, case.class, "{tag}");
+                let prov = case.provenance.expect("provenance recorded");
+                assert_eq!(prov.trial_index, f.index);
+                assert_eq!(prov.attempt, f.attempts - 1);
+            }
         }
     }
 

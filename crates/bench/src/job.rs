@@ -1,8 +1,8 @@
 //! Checkpointed, resumable sweep jobs.
 //!
 //! The `2^n` subset sweeps (E4/E13), the sampled expectation sweep
-//! (E6), and the chaos degradation sweep (E20, simulator half) are the
-//! repository's longest-running workloads, and a plain
+//! (E6), and the five fault tables (E15/E16/E17/E19 and E20's simulator
+//! half) are the repository's longest-running workloads, and a plain
 //! `llsc table` invocation loses everything when the process dies. This
 //! module wraps those sweeps in a *job*: the trial index space is
 //! partitioned into contiguous chunks, each chunk executes through the
@@ -36,11 +36,16 @@
 //!   emitting a *partial* artifact (rows whose trials all finished) plus
 //!   an explicit `incomplete` manifest and a nonzero exit.
 //!
-//! Each experiment exists once: its cell layout (`JobSpec::cells`), its
+//! Each experiment exists once: its grid ([`JobSpec::default_for`], which
+//! `llsc table` reads too), its cell layout (`JobSpec::cells`), its
 //! per-trial code (`JobSpec::run_trials`) and its fold from trial records
-//! to typed rows and a [`Table`] (`JobRow`). The direct table functions
-//! ([`crate::e4_indistinguishability`] and the E6/E13/E20 ones) run the
-//! same code over the whole trial space in memory.
+//! to typed rows and a [`Table`] (`JobRow`). A fault trial is one
+//! [`ReproCase`] (`JobSpec::case_for`) run through
+//! [`crate::repro::run_case_with`], so a failure ships the very case that
+//! failed. The direct table functions ([`crate::e4_indistinguishability`]
+//! and the E6/E13/E15/E16/E17/E19/E20 ones) run the same code over the
+//! whole trial space in memory; the fault tables do so under panic
+//! isolation (`fault_sweep`), reporting failed trials next to the table.
 //!
 //! Layout of a job directory:
 //!
@@ -51,19 +56,24 @@
 //! <dir>/manifest.json              status, chunk ledger, failures
 //! ```
 
-use crate::experiments::{E13Row, E20Row, E4Row, E6Row, E20_HEADERS};
+use crate::experiments::{
+    e19_recovery_spec, e20_arm, E13Row, E15Row, E16Row, E17Row, E19Row, E20Row, E4Row, E6Row,
+    Labeled, E15_ALGORITHMS, E16_ALGORITHMS, E16_TWINS, E17_ALGORITHMS, E17_MAX_STEPS,
+    E17_SHRINK_BUDGET, E19_ALGORITHMS, E20_ALGORITHMS, E20_HEADERS, E20_MAX_STEPS,
+};
 use crate::harness::Experiment;
 use crate::registry::DEFAULT_MAX_EVENTS;
+use crate::repro::run_case_with;
 use crate::table::Table;
 use llsc_core::{
     indist_subset_range, report_from_samples, sample_expectation, AdversaryConfig,
     ExpectationSample,
 };
 use llsc_shmem::json;
-use llsc_shmem::repro::ReproCase;
+use llsc_shmem::repro::{Provenance, RecoverySpec, ReproCase, ScheduleSpec, TossSpec};
 use llsc_shmem::{
-    atomic_write, checkpoint, panic_message, Algorithm, CancelToken, SeededTosses, Sweep,
-    ZeroTosses,
+    atomic_write, checkpoint, panic_message, Algorithm, CancelToken, ChaosPlan, CrashPlan,
+    FaultPlan, RunOutcome, SeededTosses, Sweep, TrialFailure, ZeroTosses,
 };
 use llsc_wakeup::{correct_algorithms, randomized_algorithms};
 use std::collections::BTreeSet;
@@ -83,28 +93,48 @@ pub enum JobExperiment {
     E6,
     /// E13 — appendix claims A.2–A.9 + Lemma 5.2, exhaustive over subsets.
     E13,
+    /// E15 — crash-fault degradation.
+    E15,
+    /// E16 — memory-fault degradation of the hardened algorithms.
+    E16,
+    /// E17 — combined chaos mode with on-the-spot reproducer shrinking.
+    E17,
+    /// E19 — recovery cost vs crash intensity.
+    E19,
     /// E20 — chaos degradation classes and recovery RMR cost (the
     /// simulator half; the hardware half is `bench_e20`).
     E20,
 }
 
 impl JobExperiment {
-    /// Parses the artifact's experiment tag (`"e4"`, `"e6"`, `"e13"`,
-    /// `"e20"`).
+    /// Every job experiment, in artifact-tag order.
+    pub const ALL: [JobExperiment; 8] = [
+        JobExperiment::E4,
+        JobExperiment::E6,
+        JobExperiment::E13,
+        JobExperiment::E15,
+        JobExperiment::E16,
+        JobExperiment::E17,
+        JobExperiment::E19,
+        JobExperiment::E20,
+    ];
+
+    /// Parses the artifact's experiment tag (`"e4"`, `"e6"`, …, `"e20"`).
     ///
     /// # Errors
     ///
     /// Names the unknown tag.
     pub fn parse(tag: &str) -> Result<JobExperiment, String> {
-        match tag {
-            "e4" => Ok(JobExperiment::E4),
-            "e6" => Ok(JobExperiment::E6),
-            "e13" => Ok(JobExperiment::E13),
-            "e20" => Ok(JobExperiment::E20),
-            other => Err(format!(
-                "unknown job experiment `{other}` (want e4, e6, e13, or e20)"
-            )),
-        }
+        JobExperiment::ALL
+            .into_iter()
+            .find(|e| e.tag() == tag)
+            .ok_or_else(|| {
+                let tags: Vec<&str> = JobExperiment::ALL.iter().map(|e| e.tag()).collect();
+                format!(
+                    "unknown job experiment `{tag}` (want one of {})",
+                    tags.join(", ")
+                )
+            })
     }
 
     /// The artifact tag this experiment serialises as.
@@ -113,7 +143,24 @@ impl JobExperiment {
             JobExperiment::E4 => "e4",
             JobExperiment::E6 => "e6",
             JobExperiment::E13 => "e13",
+            JobExperiment::E15 => "e15",
+            JobExperiment::E16 => "e16",
+            JobExperiment::E17 => "e17",
+            JobExperiment::E19 => "e19",
             JobExperiment::E20 => "e20",
+        }
+    }
+
+    /// The labelled algorithms of a fault experiment, in row order;
+    /// `None` for the subset and expectation sweeps.
+    pub(crate) fn catalog(&self) -> Option<&'static [Labeled]> {
+        match self {
+            JobExperiment::E4 | JobExperiment::E6 | JobExperiment::E13 => None,
+            JobExperiment::E15 => Some(E15_ALGORITHMS),
+            JobExperiment::E16 => Some(E16_ALGORITHMS),
+            JobExperiment::E17 => Some(E17_ALGORITHMS),
+            JobExperiment::E19 => Some(E19_ALGORITHMS),
+            JobExperiment::E20 => Some(E20_ALGORITHMS),
         }
     }
 }
@@ -135,16 +182,18 @@ pub struct JobSpec {
     /// Toss-assignment seeds (E4 only; `0` means [`ZeroTosses`]).
     pub toss_seeds: Vec<u64>,
     /// Toss samples per `(algorithm, n)` estimate (E6), or trials per
-    /// `(algorithm, intensity)` cell (E20).
+    /// `(algorithm, intensity)` cell (the fault experiments).
     pub samples: u64,
-    /// Chaos intensities to sweep (E20 only).
+    /// The fault experiments' grid axis: crash count `k` (E15/E19), fault
+    /// budget `f` (E16) or chaos intensity (E17/E20).
     pub intensities: Vec<u64>,
-    /// Recovery-delay override for E20's crash-recovery arm (`0` keeps
-    /// the arm's own regime). Part of the fingerprint: two jobs with
-    /// different recovery knobs never share checkpoints.
+    /// Recovery-delay override for the crash-recovery trials (E19, and
+    /// E20's crash-recovery arm; `0` keeps their own regime). Part of the
+    /// fingerprint: two jobs with different recovery knobs never share
+    /// checkpoints.
     pub recovery_delay: u64,
-    /// Respawn-budget override for E20's crash-recovery arm (`0` keeps
-    /// the arm's own regime).
+    /// Respawn-budget override for the crash-recovery trials (E19, and
+    /// E20's crash-recovery arm; `0` keeps their own regime).
     pub respawn_budget: u64,
     /// Number of chunks the trial space is partitioned into. Chunk
     /// boundaries depend on this alone — never on the thread count — so
@@ -165,16 +214,19 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// The default spec for an experiment — the same parameter grid the
-    /// experiment's registry entry uses, split into 8 chunks with a
-    /// small retry budget.
+    /// The default spec for an experiment: its published parameter grid
+    /// — the one the experiment's registry entry (`llsc table <id>`)
+    /// reads — split into 8 chunks with a small retry budget.
     pub fn default_for(experiment: JobExperiment) -> JobSpec {
         let (ns, toss_seeds, samples, intensities) = match experiment {
             JobExperiment::E4 => (vec![4, 6], vec![0, 1, 42], 0, vec![]),
             JobExperiment::E6 => (vec![4, 16, 64], vec![], 30, vec![]),
             JobExperiment::E13 => (vec![4, 6], vec![], 0, vec![]),
-            // The `llsc table e20` grid: 6 algorithms x 4 intensities x 6 reps.
-            JobExperiment::E20 => (vec![8], vec![], 6, vec![0, 1, 2, 4]),
+            JobExperiment::E16 => (vec![8], vec![], 6, vec![0, 1, 2, 4, 8]),
+            JobExperiment::E17 => (vec![6], vec![], 4, vec![0, 1, 2, 4]),
+            JobExperiment::E15 | JobExperiment::E19 | JobExperiment::E20 => {
+                (vec![8], vec![], 6, vec![0, 1, 2, 4])
+            }
         };
         JobSpec {
             experiment,
@@ -276,6 +328,7 @@ impl JobSpec {
         {
             return Err("job spec: exhaustive subset sweeps need n <= 16".into());
         }
+        let tag = self.experiment.tag();
         match self.experiment {
             JobExperiment::E4 if self.toss_seeds.is_empty() => {
                 Err("job spec: e4 needs at least one toss seed".into())
@@ -283,14 +336,13 @@ impl JobSpec {
             JobExperiment::E6 if self.samples == 0 => {
                 Err("job spec: e6 needs at least one sample".into())
             }
-            JobExperiment::E20 if self.ns.len() != 1 => {
-                Err("job spec: e20 sweeps exactly one n per job".into())
+            JobExperiment::E4 | JobExperiment::E6 | JobExperiment::E13 => Ok(()),
+            _ if self.ns.len() != 1 => Err(format!("job spec: {tag} sweeps exactly one n per job")),
+            _ if self.intensities.is_empty() => {
+                Err(format!("job spec: {tag} needs at least one intensity"))
             }
-            JobExperiment::E20 if self.intensities.is_empty() => {
-                Err("job spec: e20 needs at least one intensity".into())
-            }
-            JobExperiment::E20 if self.samples == 0 => {
-                Err("job spec: e20 needs at least one trial per cell".into())
+            _ if self.samples == 0 => {
+                Err(format!("job spec: {tag} needs at least one trial per cell"))
             }
             _ => Ok(()),
         }
@@ -302,7 +354,9 @@ impl JobSpec {
         llsc_shmem::fnv64(self.render().as_bytes())
     }
 
-    /// The algorithms this job sweeps, in row order.
+    /// The subset and expectation sweeps' algorithms, in row order
+    /// (empty for a fault experiment, whose trials build theirs from its
+    /// catalog).
     fn algorithms(&self) -> Vec<Box<dyn Algorithm>> {
         match self.experiment {
             JobExperiment::E4 | JobExperiment::E13 => correct_algorithms()
@@ -310,21 +364,28 @@ impl JobSpec {
                 .chain(randomized_algorithms())
                 .collect(),
             JobExperiment::E6 => randomized_algorithms(),
-            // The hardened trio (memory-fault arm) then the recoverable
-            // trio (crash-recovery arm); e20 validates ns.len() == 1.
-            JobExperiment::E20 => {
-                let n = self.ns.first().copied().unwrap_or(2);
-                (0..6).map(|a| crate::e20_algorithm(a, n)).collect()
-            }
+            _ => Vec::new(),
+        }
+    }
+
+    /// The row label of every algorithm this job sweeps, in row order.
+    fn labels(&self) -> Vec<String> {
+        match self.experiment.catalog() {
+            Some(catalog) => catalog.iter().map(|(label, _)| label.to_string()).collect(),
+            None => self
+                .algorithms()
+                .iter()
+                .map(|alg| alg.name().to_string())
+                .collect(),
         }
     }
 
     /// The flat trial-space cells, in row order. A *cell* is the unit the
     /// fold groups by: one `(algorithm, n, toss seed)` subset sweep for
     /// E4, one `(algorithm, n)` sweep for E6/E13, one `(algorithm,
-    /// intensity)` chaos cell for E20.
+    /// intensity)` cell for a fault experiment.
     pub(crate) fn cells(&self) -> Vec<Cell> {
-        let algs = self.algorithms().len();
+        let algs = self.labels().len();
         let mut cells = Vec::new();
         let mut start = 0usize;
         let mut push = |alg: usize, n: usize, toss_seed: u64, intensity: usize, len: usize| {
@@ -338,7 +399,8 @@ impl JobSpec {
             });
             start += len;
         };
-        // Algorithm-major, then n, then toss seed (E4) or intensity (E20).
+        // Algorithm-major, then n, then toss seed (E4) or intensity (the
+        // fault experiments).
         for alg in 0..algs {
             for &n in &self.ns {
                 match self.experiment {
@@ -349,7 +411,7 @@ impl JobSpec {
                     }
                     JobExperiment::E6 => push(alg, n, 0, 0, self.samples as usize),
                     JobExperiment::E13 => push(alg, n, 0, 0, 1usize << n),
-                    JobExperiment::E20 => {
+                    _ => {
                         for &intensity in &self.intensities {
                             push(alg, n, 0, intensity as usize, self.samples as usize);
                         }
@@ -389,8 +451,8 @@ impl JobSpec {
     /// # Errors
     ///
     /// A subset sweep or expectation sample that hit an executor budget,
-    /// with the cell it belongs to. E20 trials panic instead (see
-    /// [`JobSpec::chaos_trial`]).
+    /// with the cell it belongs to. Fault trials panic instead (see
+    /// [`JobSpec::fault_trial`]).
     pub(crate) fn run_trials(
         &self,
         trials: Range<usize>,
@@ -406,9 +468,9 @@ impl JobSpec {
                 continue;
             }
             let local = lo - cell.start..hi - cell.start;
-            let alg = algs[cell.alg].as_ref();
             let outcomes: Vec<Outcome> = match self.experiment {
                 JobExperiment::E4 | JobExperiment::E13 => {
+                    let alg = algs[cell.alg].as_ref();
                     let toss: Arc<dyn llsc_shmem::TossAssignment> = if cell.toss_seed == 0 {
                         Arc::new(ZeroTosses)
                     } else {
@@ -416,7 +478,7 @@ impl JobSpec {
                     };
                     let check_claims = self.experiment == JobExperiment::E13;
                     indist_subset_range(alg, cell.n, toss, &cfg, check_claims, sweep, local)
-                        .map_err(|e| format!("{}: {e:?}", self.cell_label(alg, cell)))?
+                        .map_err(|e| format!("{}: {e:?}", self.cell_label(alg.name(), cell)))?
                         .records
                         .into_iter()
                         .map(|r| Outcome::Subset {
@@ -428,6 +490,7 @@ impl JobSpec {
                         .collect()
                 }
                 JobExperiment::E6 => {
+                    let alg = algs[cell.alg].as_ref();
                     let seeds: Vec<u64> = (local.start as u64..local.end as u64).collect();
                     sweep
                         .run(&seeds, |_trial, &seed| {
@@ -435,13 +498,13 @@ impl JobSpec {
                         })
                         .into_iter()
                         .collect::<Result<_, _>>()
-                        .map_err(|e| format!("{}: {e:?}", self.cell_label(alg, cell)))?
+                        .map_err(|e| format!("{}: {e:?}", self.cell_label(alg.name(), cell)))?
                 }
-                JobExperiment::E20 => sweep.run_indexed_range_with_scratch(
+                _ => sweep.run_indexed_range_with_scratch(
                     lo,
                     hi - lo,
                     || (),
-                    |(), trial| Outcome::Chaos(self.chaos_trial(cell, trial.seed)),
+                    |(), trial| Outcome::Fault(self.fault_trial(cell, trial.seed)),
                 ),
             };
             records.extend(
@@ -458,67 +521,203 @@ impl JobSpec {
         Ok(records)
     }
 
-    /// Names `cell`, run by `alg`, in failure reports.
-    fn cell_label(&self, alg: &dyn Algorithm, cell: &Cell) -> String {
-        let alg = alg.name();
+    /// Names `cell`, run by the algorithm labelled `alg`, in failure
+    /// reports.
+    fn cell_label(&self, alg: &str, cell: &Cell) -> String {
         match self.experiment {
             JobExperiment::E4 => format!("alg={alg} n={} toss_seed={}", cell.n, cell.toss_seed),
-            JobExperiment::E20 => format!("alg={alg} n={} intensity={}", cell.n, cell.intensity),
-            _ => format!("alg={alg} n={}", cell.n),
+            JobExperiment::E6 | JobExperiment::E13 => format!("alg={alg} n={}", cell.n),
+            _ => format!("alg={alg} n={} intensity={}", cell.n, cell.intensity),
         }
     }
 
-    /// The replayable case E20 trial `seed` of `cell` runs: its chaos plan
-    /// under the spec's event budget and recovery overrides.
-    pub(crate) fn chaos_case(&self, cell: &Cell, seed: u64) -> ReproCase {
-        let max_events = if self.max_events > 0 {
+    /// The per-trial event budget of a fault trial.
+    fn event_budget(&self) -> u64 {
+        if self.max_events > 0 {
             self.max_events
         } else {
             DEFAULT_MAX_EVENTS
-        };
-        let mut case = crate::e20_case(cell.alg, cell.n, cell.intensity, seed, max_events);
-        if let Some(recovery) = case.recovery.as_mut() {
-            if self.recovery_delay > 0 {
-                recovery.delay = self.recovery_delay;
-            }
-            if self.respawn_budget > 0 {
-                recovery.budget = self.respawn_budget;
-            }
         }
+    }
+
+    /// A fresh instance of the algorithm `cell` of a fault experiment
+    /// runs.
+    pub(crate) fn fault_algorithm(&self, cell: &Cell) -> Box<dyn Algorithm> {
+        let catalog = self.experiment.catalog().expect("a fault experiment");
+        (catalog[cell.alg].1)(cell.n)
+    }
+
+    /// The replayable case fault trial `seed` of `cell` runs — the one
+    /// description of the trial, shared by its run, its failure report
+    /// and `llsc replay`. E15/E16/E19 trials run round-robin with `k`
+    /// seeded crashes, `f` seeded memory faults, or `k` seeded crashes
+    /// recovered under the E19 regime; E17/E20 trials run a seeded
+    /// [`ChaosPlan`] (E20's tailored to its algorithm's arm). Crash
+    /// points and fault times land early in the run, where every
+    /// algorithm still has live waiters to strand and SCs in flight. The
+    /// spec's recovery overrides apply to every crash-recovery case.
+    pub(crate) fn case_for(&self, cell: &Cell, seed: u64) -> ReproCase {
+        let (n, x) = (cell.n, cell.intensity);
+        let label = self.experiment.catalog().expect("a fault experiment")[cell.alg].0;
+        let window = 8 * n as u64;
+        let mut case = match self.experiment {
+            JobExperiment::E17 => ChaosPlan::seeded(seed, n, x, window).to_case(
+                "e17",
+                label,
+                n,
+                TossSpec::Seeded(seed),
+                self.event_budget(),
+                E17_MAX_STEPS,
+            ),
+            JobExperiment::E20 => crate::e20_case(cell.alg, n, x, seed, self.event_budget()),
+            experiment => {
+                let memory_faults = experiment == JobExperiment::E16;
+                ReproCase {
+                    experiment: experiment.tag().to_string(),
+                    algorithm: label.to_string(),
+                    n,
+                    toss: TossSpec::Seeded(seed),
+                    schedule: ScheduleSpec::RoundRobin,
+                    crashes: if memory_faults {
+                        CrashPlan::none()
+                    } else {
+                        CrashPlan::seeded(seed, n, x, window)
+                    },
+                    recovery: (experiment == JobExperiment::E19).then(|| e19_recovery_spec(n)),
+                    faults: if memory_faults {
+                        FaultPlan::seeded(seed, x, x, 4 * n as u64)
+                    } else {
+                        FaultPlan::none()
+                    },
+                    max_events: self.event_budget(),
+                    max_steps: E20_MAX_STEPS,
+                    outcome: String::new(),
+                    class: String::new(),
+                    provenance: None,
+                }
+            }
+        };
+        case.recovery = case.recovery.map(|_| self.recovery(n));
         case
     }
 
-    /// Runs E20 trial `seed` of `cell` and reads its class and cost
-    /// counters off the run.
+    /// The crash-recovery regime at `n` processes: [`e19_recovery_spec`]
+    /// under the spec's overrides.
+    fn recovery(&self, n: usize) -> RecoverySpec {
+        let regime = e19_recovery_spec(n);
+        let or = |value: u64, default: u64| if value > 0 { value } else { default };
+        RecoverySpec {
+            delay: or(self.recovery_delay, regime.delay),
+            budget: or(self.respawn_budget, regime.budget),
+        }
+    }
+
+    /// The reproduction context a failing fault trial records: its
+    /// algorithm, its fault/crash plan and its toss seed.
+    pub(crate) fn trial_context(&self, cell: &Cell, seed: u64) -> String {
+        let (n, x) = (cell.n, cell.intensity);
+        let case = self.case_for(cell, seed);
+        let window = 8 * n as u64;
+        let plan = match self.experiment {
+            JobExperiment::E15 => format!("crash-plan:k={x},window={window}"),
+            JobExperiment::E16 => case.faults.summary(),
+            JobExperiment::E19 => {
+                let recovery = case.recovery.expect("E19 cases recover their victims");
+                format!(
+                    "recovery-crash-plan:k={x},window={window},delay={},budget={}",
+                    recovery.delay, recovery.budget
+                )
+            }
+            JobExperiment::E20 => format!(
+                "arm={} {}",
+                e20_arm(cell.alg),
+                ChaosPlan::seeded(seed, n, x, window).summary()
+            ),
+            _ => ChaosPlan::seeded(seed, n, x, window).summary(),
+        };
+        format!(
+            "alg={} n={n} {plan} tosses=seeded:{seed:#018x}",
+            case.algorithm
+        )
+    }
+
+    /// Runs fault trial `seed` of `cell` as its [`JobSpec::case_for`]
+    /// case and reads its class, delivered faults and cost counters off
+    /// the run. An E17 trial that does not recover is shrunk to a minimal
+    /// reproducer on the spot.
     ///
     /// # Panics
     ///
-    /// When a chaos-free trial (intensity 0) does not recover, and when
-    /// the execution itself panicked (its payload is re-raised), so the
-    /// enclosing sweep records the trial as failed.
-    pub(crate) fn chaos_trial(&self, cell: &Cell, seed: u64) -> E20Trial {
-        let alg = crate::e20_algorithm(cell.alg, cell.n);
-        let run = crate::repro::run_case_with(&self.chaos_case(cell, seed), alg.as_ref());
+    /// When the execution itself panicked (its payload is re-raised), and
+    /// when a fault-free trial (grid value 0) breaks its experiment's
+    /// promise: E15/E19 trials must complete, E16 trials must recover at
+    /// exactly their unhardened twin's access count, and E17/E20 trials
+    /// must recover. The enclosing sweep records the trial as failed.
+    pub(crate) fn fault_trial(&self, cell: &Cell, seed: u64) -> FaultTrial {
+        let alg = self.fault_algorithm(cell);
+        let name = alg.name();
+        let mut case = self.case_for(cell, seed);
+        let run = run_case_with(&case, alg.as_ref());
+        let Some(outcome) = run.outcome else {
+            panic!("{}", run.panic.unwrap_or_default());
+        };
         if cell.intensity == 0 {
-            assert!(
-                run.class == "recovered",
-                "{}: chaos-free trial must recover, got {} ({}) (seed {seed:#018x})",
-                alg.name(),
-                run.class,
-                run.outcome_debug,
-            );
+            let completed = matches!(outcome, RunOutcome::Completed);
+            match self.experiment {
+                JobExperiment::E15 => assert!(
+                    completed,
+                    "{name}: fault-free trial must complete, got {outcome} (seed {seed:#018x})"
+                ),
+                JobExperiment::E19 => assert!(
+                    completed,
+                    "{name}: crash-free trial must complete, got {outcome} (seed {seed:#018x})"
+                ),
+                JobExperiment::E16 => {
+                    assert!(
+                        completed && run.safe,
+                        "{name}: fault-free trial must complete correctly, got {outcome} \
+                         (seed {seed:#018x})"
+                    );
+                    let (twin_label, twin) = E16_TWINS[cell.alg];
+                    let mut twin_case = self.case_for(cell, seed);
+                    twin_case.algorithm = twin_label.to_string();
+                    twin_case.faults = FaultPlan::none();
+                    let twin_run = run_case_with(&twin_case, twin(cell.n).as_ref());
+                    assert_eq!(
+                        run.accesses, twin_run.accesses,
+                        "{name}: hardening must be zero-cost without faults, but spent {} \
+                         accesses vs the twin's {} (seed {seed:#018x})",
+                        run.accesses, twin_run.accesses
+                    );
+                }
+                _ => assert!(
+                    run.class == "recovered",
+                    "{name}: chaos-free trial must recover, got {} ({}) (seed {seed:#018x})",
+                    run.class,
+                    run.outcome_debug,
+                ),
+            }
         }
-        if let Some(payload) = run.panic {
-            panic!("{payload}");
-        }
-        E20Trial {
+        let shrunk =
+            (self.experiment == JobExperiment::E17 && run.class != "recovered").then(|| {
+                case.outcome = run.outcome_debug.clone();
+                case.class = run.class.clone();
+                crate::repro::shrink_case(&case, E17_SHRINK_BUDGET)
+                    .expect("E17 algorithm labels resolve through the catalogs")
+                    .final_size
+            });
+        FaultTrial {
             class: run.class,
+            safe: run.safe,
+            detected: run.detected,
             crashes: run.counters.total_crashes(),
             recoveries: run.counters.total_recoveries(),
-            spurious_sc: run.faults.0,
-            corruptions: run.faults.1,
+            spurious_sc: run.faults.spurious_sc,
+            corruptions: run.faults.corruptions,
+            accesses: run.accesses,
             cc_rmrs: run.counters.total_cc_rmrs(),
             dsm_rmrs: run.counters.total_dsm_rmrs(),
+            shrunk,
         }
     }
 }
@@ -530,13 +729,14 @@ pub(crate) struct Cell {
     pub(crate) start: usize,
     /// Number of trials in the cell.
     pub(crate) len: usize,
-    /// Index into `JobSpec::algorithms`.
+    /// Index into the job's algorithms, in row order.
     pub(crate) alg: usize,
     /// Process count.
     pub(crate) n: usize,
     /// Toss seed (E4; `0` means [`ZeroTosses`]).
     pub(crate) toss_seed: u64,
-    /// Chaos intensity (E20).
+    /// The fault experiments' grid value: crash count, fault budget or
+    /// chaos intensity.
     pub(crate) intensity: usize,
 }
 
@@ -584,15 +784,19 @@ pub(crate) enum Outcome {
     },
     /// An E6 toss-assignment sample.
     Sample(ExpectationSample),
-    /// An E20 classified chaos trial.
-    Chaos(E20Trial),
+    /// A classified fault trial (E15/E16/E17/E19/E20).
+    Fault(FaultTrial),
 }
 
-/// One E20 trial's degradation class and cost.
+/// One fault trial's degradation class, delivered faults and cost.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct E20Trial {
+pub(crate) struct FaultTrial {
     /// Degradation class (`recovered`, `detected-wrong`, …).
     class: String,
+    /// Whether the run (or its prefix) met its safety property.
+    safe: bool,
+    /// Detections published to the hardened telemetry registers.
+    detected: u64,
     /// Crashes delivered.
     crashes: u64,
     /// Recoveries performed.
@@ -601,10 +805,14 @@ pub(crate) struct E20Trial {
     spurious_sc: u64,
     /// Register corruptions delivered.
     corruptions: u64,
+    /// Shared-memory accesses.
+    accesses: u64,
     /// CC-model remote memory references billed.
     cc_rmrs: u64,
     /// DSM-model remote memory references billed.
     dsm_rmrs: u64,
+    /// The minimal reproducer's size, for a shrunk E17 trial.
+    shrunk: Option<usize>,
 }
 
 impl TrialRecord {
@@ -612,12 +820,13 @@ impl TrialRecord {
         let kind = match self.outcome {
             Outcome::Subset { .. } => "subset",
             Outcome::Sample(_) => "sample",
-            Outcome::Chaos(_) => "chaos",
+            Outcome::Fault(_) => "fault",
         };
         out.push_str("{\"kind\":");
         json::push_string(out, kind);
         push_field(out, "index", &self.index.to_string());
         push_field(out, "cell", &self.cell.to_string());
+        let opt = |v: Option<u64>| v.map_or("none".to_string(), |x| x.to_string());
         match &self.outcome {
             Outcome::Subset {
                 mask,
@@ -631,20 +840,27 @@ impl TrialRecord {
                 push_list(out, "violations", violations);
             }
             Outcome::Sample(sample) => {
-                let opt = |v: Option<u64>| v.map_or("none".to_string(), |x| x.to_string());
                 push_field(out, "terminated", &u8::from(sample.terminated).to_string());
                 push_field(out, "wakeup_ok", &u8::from(sample.wakeup_ok).to_string());
                 push_field(out, "winner_steps", &opt(sample.winner_steps));
                 push_field(out, "max_steps", &opt(sample.max_steps));
             }
-            Outcome::Chaos(t) => {
+            Outcome::Fault(t) => {
                 push_field(out, "class", &t.class);
-                push_field(out, "crashes", &t.crashes.to_string());
-                push_field(out, "recoveries", &t.recoveries.to_string());
-                push_field(out, "spurious_sc", &t.spurious_sc.to_string());
-                push_field(out, "corruptions", &t.corruptions.to_string());
-                push_field(out, "cc_rmrs", &t.cc_rmrs.to_string());
-                push_field(out, "dsm_rmrs", &t.dsm_rmrs.to_string());
+                push_field(out, "safe", &u8::from(t.safe).to_string());
+                for (key, value) in [
+                    ("detected", t.detected),
+                    ("crashes", t.crashes),
+                    ("recoveries", t.recoveries),
+                    ("spurious_sc", t.spurious_sc),
+                    ("corruptions", t.corruptions),
+                    ("accesses", t.accesses),
+                    ("cc_rmrs", t.cc_rmrs),
+                    ("dsm_rmrs", t.dsm_rmrs),
+                ] {
+                    push_field(out, key, &value.to_string());
+                }
+                push_field(out, "shrunk", &opt(t.shrunk.map(|s| s as u64)));
             }
         }
         out.push('}');
@@ -672,14 +888,18 @@ impl TrialRecord {
                 winner_steps: opt("winner_steps")?,
                 max_steps: opt("max_steps")?,
             }),
-            "chaos" => Outcome::Chaos(E20Trial {
+            "fault" => Outcome::Fault(FaultTrial {
                 class: text_field(value, WHAT, "class")?,
+                safe: text_field(value, WHAT, "safe")? == "1",
+                detected: num("detected")?,
                 crashes: num("crashes")?,
                 recoveries: num("recoveries")?,
                 spurious_sc: num("spurious_sc")?,
                 corruptions: num("corruptions")?,
+                accesses: num("accesses")?,
                 cc_rmrs: num("cc_rmrs")?,
                 dsm_rmrs: num("dsm_rmrs")?,
+                shrunk: opt("shrunk")?.map(|s| s as usize),
             }),
             other => return Err(format!("{WHAT}: unknown kind `{other}`")),
         };
@@ -965,12 +1185,12 @@ fn run_chunk_guarded(
 }
 
 fn chunk_context(spec: &JobSpec, cells: &[Cell], start: usize, len: usize) -> String {
-    let algs = spec.algorithms();
+    let labels = spec.labels();
     let end = start + len;
     let parts: Vec<String> = cells
         .iter()
         .filter(|c| start.max(c.start) < end.min(c.start + c.len))
-        .map(|c| spec.cell_label(algs[c.alg].as_ref(), c))
+        .map(|c| spec.cell_label(&labels[c.alg], c))
         .collect();
     format!(
         "{} trials {start}..{end}: {}",
@@ -1000,7 +1220,7 @@ pub(crate) fn fold<R: JobRow>(
     records: &[TrialRecord],
     partial: bool,
 ) -> (Experiment<R>, Vec<String>) {
-    let algs = spec.algorithms();
+    let labels = spec.labels();
     let cells = spec.cells();
     let mut by_cell: Vec<Vec<&TrialRecord>> = vec![Vec::new(); cells.len()];
     for record in records {
@@ -1023,12 +1243,12 @@ pub(crate) fn fold<R: JobRow>(
     let mut incomplete = Vec::new();
     for (row_cells, groups) in cells.chunks(per_row).zip(by_cell.chunks(per_row)) {
         let cell = &row_cells[0];
-        let algorithm = algs[cell.alg].name();
+        let algorithm = &labels[cell.alg];
         let outcomes: Vec<&Outcome> = groups.iter().flatten().map(|r| &r.outcome).collect();
         if outcomes.len() != row_cells.iter().map(|c| c.len).sum::<usize>() {
-            incomplete.push(match spec.experiment {
-                JobExperiment::E20 => format!("alg={algorithm} intensity={}", cell.intensity),
-                _ => format!("alg={algorithm} n={}", cell.n),
+            incomplete.push(match spec.experiment.catalog() {
+                Some(_) => format!("alg={algorithm} intensity={}", cell.intensity),
+                None => format!("alg={algorithm} n={}", cell.n),
             });
             if !partial {
                 continue;
@@ -1054,6 +1274,59 @@ pub(crate) fn run_in_memory<R: JobRow>(spec: &JobSpec, sweep: &Sweep) -> Experim
     fold(spec, &records, true).0
 }
 
+/// The one direct-table driver of the five fault tables: runs every trial
+/// of `spec` on `sweep` under panic isolation
+/// ([`Sweep::run_fallible_with`]) and folds the survivors into the
+/// experiment's rows. Each failure carries the [`ReproCase`] its trial
+/// ran ([`JobSpec::case_for`] under the final attempt's seed), re-executed
+/// once to record its outcome and failure class, so `--repro-dir` (and
+/// the artifact) can ship it to `llsc replay` / `llsc shrink`. Rows and
+/// failures merge in index order, so the output is byte-identical at
+/// every thread count.
+pub(crate) fn fault_sweep<R: JobRow>(
+    spec: &JobSpec,
+    sweep: &Sweep,
+) -> (Experiment<R>, Vec<TrialFailure>) {
+    let cells = spec.cells();
+    // Each trial's cell, in the job's flat index order.
+    let items: Vec<usize> = cells
+        .iter()
+        .enumerate()
+        .flat_map(|(c, cell)| std::iter::repeat_n(c, cell.len))
+        .collect();
+    let outcomes = sweep.run_fallible_with(
+        &items,
+        |trial, &c| spec.fault_trial(&cells[c], trial.seed),
+        |trial, &c| spec.trial_context(&cells[c], trial.seed),
+    );
+    let mut records = Vec::new();
+    let mut failures = Vec::new();
+    for ((index, &c), outcome) in items.iter().enumerate().zip(outcomes) {
+        match outcome {
+            Ok(trial) => records.push(TrialRecord {
+                index,
+                cell: c,
+                outcome: Outcome::Fault(trial),
+            }),
+            Err(mut failure) => {
+                let cell = &cells[c];
+                let mut case = spec.case_for(cell, failure.derived_seed);
+                case.provenance = Some(Provenance {
+                    sweep_seed: sweep.seed,
+                    trial_index: failure.index,
+                    attempt: failure.attempts.saturating_sub(1),
+                });
+                let run = run_case_with(&case, spec.fault_algorithm(cell).as_ref());
+                case.outcome = run.outcome_debug;
+                case.class = run.class;
+                failure.repro = Some(case.to_json());
+                failures.push(failure);
+            }
+        }
+    }
+    (fold(spec, &records, true).0, failures)
+}
+
 /// Assembles the final table artifact from the persisted records. Rows
 /// whose trials are not all present (failed chunks) are omitted and
 /// reported in the returned list of incomplete row labels.
@@ -1066,6 +1339,10 @@ fn assemble(spec: &JobSpec, records: &[TrialRecord]) -> (Table, Vec<String>) {
         JobExperiment::E4 => complete_rows::<E4Row>(spec, records),
         JobExperiment::E6 => complete_rows::<E6Row>(spec, records),
         JobExperiment::E13 => complete_rows::<E13Row>(spec, records),
+        JobExperiment::E15 => complete_rows::<E15Row>(spec, records),
+        JobExperiment::E16 => complete_rows::<E16Row>(spec, records),
+        JobExperiment::E17 => complete_rows::<E17Row>(spec, records),
+        JobExperiment::E19 => complete_rows::<E19Row>(spec, records),
         JobExperiment::E20 => complete_rows::<E20Row>(spec, records),
     }
 }
@@ -1194,27 +1471,320 @@ impl JobRow for E13Row {
     }
 }
 
-impl JobRow for E20Row {
-    fn fold(algorithm: &str, cell: &Cell, outcomes: &[&Outcome]) -> E20Row {
-        let mut row = E20Row {
+/// The fault trials among `outcomes`.
+fn fault_trials<'a>(outcomes: &'a [&'a Outcome]) -> impl Iterator<Item = &'a FaultTrial> {
+    outcomes.iter().filter_map(|outcome| match outcome {
+        Outcome::Fault(t) => Some(t),
+        _ => None,
+    })
+}
+
+/// Counts `class` into the matching one of `[recovered, detected wrong,
+/// silent wrong, stalled, crashed, aborted]`.
+fn tally(
+    class: &str,
+    [recovered, detected_wrong, silent_wrong, stalled, crashed, aborted]: [&mut usize; 6],
+) {
+    *match class {
+        "recovered" => recovered,
+        "detected-wrong" => detected_wrong,
+        "silent-wrong" => silent_wrong,
+        "stalled" => stalled,
+        "crashed" => crashed,
+        _ => aborted,
+    } += 1;
+}
+
+/// Counts a crash trial's `class` into `[completed, crash reported,
+/// budget exhausted]`: every run that terminated completed, whatever its
+/// answer.
+fn tally_completion(
+    experiment: &str,
+    class: &str,
+    [completed, crash_reported, budget_exhausted]: [&mut usize; 3],
+) {
+    *match class {
+        "crashed" => crash_reported,
+        "stalled" => budget_exhausted,
+        "aborted" => unreachable!("{experiment} local sections are finite, yet a trial diverged"),
+        _ => completed,
+    } += 1;
+}
+
+/// `"ok"` or `"VIOLATED"`.
+fn safety(ok: bool) -> String {
+    if ok { "ok" } else { "VIOLATED" }.to_string()
+}
+
+impl JobRow for E15Row {
+    fn fold(algorithm: &str, cell: &Cell, outcomes: &[&Outcome]) -> E15Row {
+        let mut row = E15Row {
             algorithm: algorithm.to_string(),
-            arm: crate::e20_arm(cell.alg),
-            intensity: cell.intensity,
-            ..E20Row::default()
+            crashed: cell.intensity,
+            safety_ok: true,
+            ..E15Row::default()
         };
-        for outcome in outcomes {
-            let Outcome::Chaos(t) = outcome else {
-                continue;
-            };
+        for t in fault_trials(outcomes) {
             row.trials += 1;
+            row.safety_ok &= t.safe;
+            let counts = [
+                &mut row.completed,
+                &mut row.crash_reported,
+                &mut row.budget_exhausted,
+            ];
+            tally_completion("E15", &t.class, counts);
+        }
+        row
+    }
+
+    fn table(spec: &JobSpec, rows: &[E15Row]) -> Table {
+        let mut table = Table::new(
+            format!(
+                "E15 - crash-fault degradation (n = {}, {} trials per cell)",
+                spec.ns[0], spec.samples
+            ),
+            [
+                "algorithm",
+                "crashed",
+                "trials",
+                "completed",
+                "crash reported",
+                "budget exhausted",
+                "safety",
+            ],
+        );
+        for r in rows {
+            table.row([
+                r.algorithm.clone(),
+                r.crashed.to_string(),
+                r.trials.to_string(),
+                r.completed.to_string(),
+                r.crash_reported.to_string(),
+                r.budget_exhausted.to_string(),
+                safety(r.safety_ok),
+            ]);
+        }
+        table
+    }
+}
+
+impl JobRow for E16Row {
+    fn fold(algorithm: &str, cell: &Cell, outcomes: &[&Outcome]) -> E16Row {
+        let mut row = E16Row {
+            algorithm: algorithm.to_string(),
+            faults: cell.intensity,
+            ..E16Row::default()
+        };
+        let mut accesses = 0;
+        for t in fault_trials(outcomes) {
+            row.trials += 1;
+            row.injected += t.spurious_sc + t.corruptions;
+            row.detected += t.detected;
+            accesses += t.accesses;
             match t.class.as_str() {
                 "recovered" => row.recovered += 1,
                 "detected-wrong" => row.detected_wrong += 1,
                 "silent-wrong" => row.silent_wrong += 1,
                 "stalled" => row.stalled += 1,
-                "crashed" => row.crashed += 1,
-                _ => row.aborted += 1,
+                other => unreachable!(
+                    "E16 injects memory faults only into finite local sections, yet a trial \
+                     {other}"
+                ),
             }
+        }
+        if row.trials > 0 {
+            row.mean_ops = accesses as f64 / row.trials as f64;
+        }
+        row
+    }
+
+    fn table(spec: &JobSpec, rows: &[E16Row]) -> Table {
+        let mut table = Table::new(
+            format!(
+                "E16 - memory-fault degradation (n = {}, {} trials per cell)",
+                spec.ns[0], spec.samples
+            ),
+            [
+                "algorithm",
+                "faults",
+                "trials",
+                "recovered",
+                "detected wrong",
+                "silent wrong",
+                "stalled",
+                "injected",
+                "detected",
+                "mean ops",
+            ],
+        );
+        for r in rows {
+            table.row([
+                r.algorithm.clone(),
+                r.faults.to_string(),
+                r.trials.to_string(),
+                r.recovered.to_string(),
+                r.detected_wrong.to_string(),
+                r.silent_wrong.to_string(),
+                r.stalled.to_string(),
+                r.injected.to_string(),
+                r.detected.to_string(),
+                format!("{:.1}", r.mean_ops),
+            ]);
+        }
+        table
+    }
+}
+
+impl JobRow for E17Row {
+    fn fold(algorithm: &str, cell: &Cell, outcomes: &[&Outcome]) -> E17Row {
+        let mut row = E17Row {
+            algorithm: algorithm.to_string(),
+            intensity: cell.intensity,
+            ..E17Row::default()
+        };
+        let mut sizes = Vec::new();
+        for t in fault_trials(outcomes) {
+            row.trials += 1;
+            let counts = [
+                &mut row.recovered,
+                &mut row.detected_wrong,
+                &mut row.silent_wrong,
+                &mut row.stalled,
+                &mut row.crashed,
+                &mut row.aborted,
+            ];
+            tally(&t.class, counts);
+            sizes.extend(t.shrunk);
+        }
+        sizes.sort_unstable();
+        row.median_shrunk = (!sizes.is_empty()).then(|| sizes[(sizes.len() - 1) / 2]);
+        row
+    }
+
+    fn table(spec: &JobSpec, rows: &[E17Row]) -> Table {
+        let mut table = Table::new(
+            format!(
+                "E17 - combined chaos mode (n = {}, {} trials per cell)",
+                spec.ns[0], spec.samples
+            ),
+            [
+                "algorithm",
+                "intensity",
+                "trials",
+                "recovered",
+                "detected wrong",
+                "silent wrong",
+                "stalled",
+                "crashed",
+                "aborted",
+                "median shrunk size",
+            ],
+        );
+        for r in rows {
+            table.row([
+                r.algorithm.clone(),
+                r.intensity.to_string(),
+                r.trials.to_string(),
+                r.recovered.to_string(),
+                r.detected_wrong.to_string(),
+                r.silent_wrong.to_string(),
+                r.stalled.to_string(),
+                r.crashed.to_string(),
+                r.aborted.to_string(),
+                r.median_shrunk
+                    .map_or_else(|| "-".to_string(), |m| m.to_string()),
+            ]);
+        }
+        table
+    }
+}
+
+impl JobRow for E19Row {
+    fn fold(algorithm: &str, cell: &Cell, outcomes: &[&Outcome]) -> E19Row {
+        let mut row = E19Row {
+            algorithm: algorithm.to_string(),
+            crashed: cell.intensity,
+            safety_ok: true,
+            ..E19Row::default()
+        };
+        for t in fault_trials(outcomes) {
+            row.trials += 1;
+            row.safety_ok &= t.safe;
+            row.crashes += t.crashes;
+            row.recoveries += t.recoveries;
+            row.cc_rmrs += t.cc_rmrs;
+            row.dsm_rmrs += t.dsm_rmrs;
+            let counts = [
+                &mut row.completed,
+                &mut row.crash_reported,
+                &mut row.budget_exhausted,
+            ];
+            tally_completion("E19", &t.class, counts);
+        }
+        row
+    }
+
+    fn table(spec: &JobSpec, rows: &[E19Row]) -> Table {
+        let n = spec.ns[0];
+        let recovery = spec.recovery(n);
+        let mut table = Table::new(
+            format!(
+                "E19 - recovery cost vs crash intensity (n = {n}, {} trials per cell, \
+                 recovery delay {}, crash budget {})",
+                spec.samples, recovery.delay, recovery.budget
+            ),
+            [
+                "algorithm",
+                "crashed",
+                "trials",
+                "completed",
+                "crash reported",
+                "budget exhausted",
+                "crashes",
+                "recoveries",
+                "CC RMRs",
+                "DSM RMRs",
+                "safety",
+            ],
+        );
+        for r in rows {
+            table.row([
+                r.algorithm.clone(),
+                r.crashed.to_string(),
+                r.trials.to_string(),
+                r.completed.to_string(),
+                r.crash_reported.to_string(),
+                r.budget_exhausted.to_string(),
+                r.crashes.to_string(),
+                r.recoveries.to_string(),
+                r.cc_rmrs.to_string(),
+                r.dsm_rmrs.to_string(),
+                safety(r.safety_ok),
+            ]);
+        }
+        table
+    }
+}
+
+impl JobRow for E20Row {
+    fn fold(algorithm: &str, cell: &Cell, outcomes: &[&Outcome]) -> E20Row {
+        let mut row = E20Row {
+            algorithm: algorithm.to_string(),
+            arm: e20_arm(cell.alg),
+            intensity: cell.intensity,
+            ..E20Row::default()
+        };
+        for t in fault_trials(outcomes) {
+            row.trials += 1;
+            let counts = [
+                &mut row.recovered,
+                &mut row.detected_wrong,
+                &mut row.silent_wrong,
+                &mut row.stalled,
+                &mut row.crashed,
+                &mut row.aborted,
+            ];
+            tally(&t.class, counts);
             row.crashes += t.crashes;
             row.recoveries += t.recoveries;
             row.spurious_sc += t.spurious_sc;
@@ -1593,12 +2163,7 @@ mod tests {
 
     #[test]
     fn spec_round_trips_through_json() {
-        for experiment in [
-            JobExperiment::E4,
-            JobExperiment::E6,
-            JobExperiment::E13,
-            JobExperiment::E20,
-        ] {
+        for experiment in JobExperiment::ALL {
             let spec = JobSpec::default_for(experiment);
             let back = JobSpec::parse(&spec.render()).unwrap();
             assert_eq!(back, spec);
@@ -1959,14 +2524,18 @@ mod tests {
                 TrialRecord {
                     index: 11,
                     cell: 2,
-                    outcome: Outcome::Chaos(E20Trial {
+                    outcome: Outcome::Fault(FaultTrial {
                         class: "detected-wrong".into(),
+                        safe: false,
+                        detected: 7,
                         crashes: 1,
                         recoveries: 2,
                         spurious_sc: 3,
                         corruptions: 4,
+                        accesses: 8,
                         cc_rmrs: 5,
                         dsm_rmrs: 6,
+                        shrunk: Some(9),
                     }),
                 },
             ],

@@ -3,11 +3,16 @@
 //!
 //! `llsc table <id>` runs an entry through [`HarnessOpts::emit`], and the
 //! golden tests run the same entries in-process, so every table's
-//! parameters are written down once, here. `EXPERIMENTS.md` describes
-//! each table; `llsc list` prints the ids and descriptions below.
+//! parameters are written down once: here, or — for the experiments a
+//! job can run (E4/E6/E13/E15/E16/E17/E19/E20) — in
+//! [`JobSpec::default_for`], which `llsc job run` starts from too.
+//! `EXPERIMENTS.md` describes each table; `llsc list` prints the ids and
+//! descriptions below.
 
-use crate::harness::{Experiment, HarnessOpts, Sweep, TrialFailure};
+use crate::harness::{HarnessOpts, Sweep, TrialFailure};
+use crate::job::{fault_sweep, JobExperiment, JobRow, JobSpec};
 use crate::table::Table;
+use crate::{E15Row, E16Row, E17Row, E19Row, E20Row};
 use std::process::ExitCode;
 
 /// The per-trial event budget every fault entry runs under unless
@@ -115,10 +120,19 @@ pub fn find(id: &str) -> Result<&'static Entry, String> {
     })
 }
 
-/// A fault experiment's table and failures.
-fn table_and_failures<R>(
-    (exp, failures): (Experiment<R>, Vec<TrialFailure>),
+/// A fault table at its published grid ([`JobSpec::default_for`]), under
+/// `max_events`: the experiment's job run in memory on `sweep`.
+fn fault_entry<R: JobRow>(
+    experiment: JobExperiment,
+    sweep: &Sweep,
+    max_events: u64,
 ) -> (Table, Vec<TrialFailure>) {
+    let spec = JobSpec {
+        seed: sweep.seed,
+        max_events,
+        ..JobSpec::default_for(experiment)
+    };
+    let (exp, failures) = fault_sweep::<R>(&spec, sweep);
     (exp.table, failures)
 }
 
@@ -134,7 +148,8 @@ pub const REGISTRY: &[Entry] = &[
         vec![crate::e3_up_growth(&[4, 16, 64, 256, 1024], s).table]
     }),
     Entry::tables("e4", "E4: indistinguishability (Lemma 5.2)", |s| {
-        vec![crate::e4_indistinguishability(&[4, 6], &[0, 1, 42], s).table]
+        let g = JobSpec::default_for(JobExperiment::E4);
+        vec![crate::e4_indistinguishability(&g.ns, &g.toss_seeds, s).table]
     }),
     Entry::tables("e5", "E5: the wakeup lower bound (Theorem 6.1)", |s| {
         vec![
@@ -143,7 +158,8 @@ pub const REGISTRY: &[Entry] = &[
         ]
     }),
     Entry::tables("e6", "E6: randomized expected cost (Lemma 3.1)", |s| {
-        vec![crate::e6_randomized_expectation(&[4, 16, 64], 30, s).table]
+        let g = JobSpec::default_for(JobExperiment::E6);
+        vec![crate::e6_randomized_expectation(&g.ns, g.samples, s).table]
     }),
     Entry::tables("e7", "E7: the eight object reductions (Theorem 6.2)", |s| {
         vec![crate::e7_reductions(&[4, 16, 64, 256], s).table]
@@ -164,25 +180,25 @@ pub const REGISTRY: &[Entry] = &[
         vec![crate::e12_multi_use(&[2, 8, 32], &[1, 4, 16], s).table]
     }),
     Entry::tables("e13", "E13: appendix claims A.2-A.9, all subsets", |s| {
-        vec![crate::e13_appendix_claims(&[4, 6], s).table]
+        vec![crate::e13_appendix_claims(&JobSpec::default_for(JobExperiment::E13).ns, s).table]
     }),
     Entry::tables("e14", "E14: wakeup stress under partial schedules", |s| {
         vec![crate::e14_stress_portfolio(8, s).table]
     }),
     Entry::faults("e15", "E15: crash-fault degradation", |s, m| {
-        table_and_failures(crate::e15_crash_degradation(8, &[0, 1, 2, 4], 6, m, s))
+        fault_entry::<E15Row>(JobExperiment::E15, s, m)
     }),
     Entry::faults("e16", "E16: memory-fault degradation (hardened)", |s, m| {
-        table_and_failures(crate::e16_fault_degradation(8, &[0, 1, 2, 4, 8], 6, m, s))
+        fault_entry::<E16Row>(JobExperiment::E16, s, m)
     }),
     Entry::faults("e17", "E17: chaos mode, crashes + memory faults", |s, m| {
-        table_and_failures(crate::e17_chaos_mode(6, &[0, 1, 2, 4], 4, m, s))
+        fault_entry::<E17Row>(JobExperiment::E17, s, m)
     }),
     Entry::faults("e19", "E19: recovery RMRs vs crash intensity", |s, m| {
-        table_and_failures(crate::e19_recovery_sweep(8, &[0, 1, 2, 4], 6, m, s))
+        fault_entry::<E19Row>(JobExperiment::E19, s, m)
     }),
     Entry::faults("e20", "E20 (sim half): chaos degradation, RMRs", |s, m| {
-        table_and_failures(crate::e20_chaos_recovery_sweep(8, &[0, 1, 2, 4], 6, m, s))
+        fault_entry::<E20Row>(JobExperiment::E20, s, m)
     }),
 ];
 

@@ -1,18 +1,22 @@
-//! The experiment-side half of the failure-replay subsystem.
+//! The experiment-side half of the failure-replay subsystem, and the one
+//! engine every fault-table trial runs on.
 //!
 //! `llsc_shmem::repro` serializes, re-executes, and shrinks a
 //! [`ReproCase`] — but a case names its algorithm, and only this crate
-//! knows the experiment algorithm catalog. This module supplies that
+//! knows the experiment algorithm catalogs. This module supplies that
 //! glue:
 //!
-//! * [`resolve_algorithm`] — the name → constructor registry covering
-//!   every algorithm the E15/E16/E17/E19 fault experiments run (including the
-//!   labeled `ObjectWakeup` rows whose display names disambiguate the
-//!   backing universal construction);
+//! * [`resolve_algorithm`] — label → constructor over the catalogs of the
+//!   E15/E16/E17/E19/E20 fault experiments (plus E16's unhardened twins),
+//!   the same catalogs their tables and jobs build algorithms from;
 //! * [`run_case`] / [`run_case_with`] — execute a case under panic
-//!   isolation and classify the result into the failure-class vocabulary
-//!   the experiments share: `recovered`, `detected-wrong`,
-//!   `silent-wrong`, `stalled`, `crashed`, `aborted`, `panic`;
+//!   isolation, classify the result into the failure-class vocabulary
+//!   the experiments share (`recovered`, `detected-wrong`,
+//!   `silent-wrong`, `stalled`, `crashed`, `aborted`, `panic`) and read
+//!   the delivered faults, detections, memory accesses and cost counters
+//!   off the executor. Every fault-table trial is one such call
+//!   (`JobSpec::fault_trial` in [`crate::job`]), so a failure's attached
+//!   case is exactly the trial that failed;
 //! * [`shrink_case`] — materialize the case's schedule into an explicit
 //!   pick list and delta-debug it (plus the fault/crash lists) down to a
 //!   minimal reproducer with the same failure class.
@@ -20,56 +24,30 @@
 //! The `llsc replay` and `llsc shrink` subcommands are thin wrappers over
 //! these functions.
 
-use crate::experiments::{e15_algorithm, e16_algorithm, e16_unhardened_twin, e19_algorithm};
+use crate::experiments::E16_TWINS;
+use crate::job::JobExperiment;
 use llsc_core::check_wakeup;
 use llsc_shmem::repro::{execute, shrink, ReproCase, ShrinkReport};
-use llsc_shmem::{panic_message, Algorithm, OpCounters, ProcessId, RunOutcome};
+use llsc_shmem::{panic_message, Algorithm, FaultStats, OpCounters, ProcessId, RunOutcome};
 use llsc_wakeup::check_mutex_tokens;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Resolves an algorithm name recorded in a [`ReproCase`] back to a
-/// constructor, or `None` for an unknown name.
+/// Resolves an algorithm label recorded in a [`ReproCase`] back to a
+/// constructor, or `None` for an unknown label.
 ///
-/// The registry scans the experiment catalogs in a fixed order (E16
-/// hardened algorithms and their labeled `ObjectWakeup` rows, then the
-/// E15 algorithms, then the E19 recoverable algorithms, then the
-/// unhardened twins), so a name that appears in
-/// several catalogs — e.g. `counter-wakeup`, which E15 runs directly and
-/// E16 uses as a twin — resolves to the same construction every time.
+/// The labels are the fault experiments' catalogs (E15/E16/E17/E19/E20,
+/// plus E16's unhardened twins). A label names one construction in every
+/// catalog that lists it — e.g. `counter-wakeup`, which E15 runs directly
+/// and E16 uses as a twin — so it resolves the same way whichever
+/// experiment recorded it.
 pub fn resolve_algorithm(name: &str, n: usize) -> Option<Box<dyn Algorithm>> {
-    match name {
-        "wakeup-from-fetch&increment[hardened-direct-llsc]" => return Some(e16_algorithm(3, n)),
-        "wakeup-from-fetch&increment[hardened-combining-tree]" => return Some(e16_algorithm(4, n)),
-        "wakeup-from-fetch&increment[hardened-adt-group-update]" => {
-            return Some(e16_algorithm(5, n))
-        }
-        _ => {}
-    }
-    for idx in 0..3 {
-        let alg = e16_algorithm(idx, n);
-        if alg.name() == name {
-            return Some(alg);
-        }
-    }
-    for idx in 0..4 {
-        let alg = e15_algorithm(idx, n);
-        if alg.name() == name {
-            return Some(alg);
-        }
-    }
-    for idx in 0..3 {
-        let alg = e19_algorithm(idx);
-        if alg.name() == name {
-            return Some(alg);
-        }
-    }
-    for idx in 0..3 {
-        let alg = e16_unhardened_twin(idx, n);
-        if alg.name() == name {
-            return Some(alg);
-        }
-    }
-    None
+    JobExperiment::ALL
+        .iter()
+        .filter_map(JobExperiment::catalog)
+        .chain([E16_TWINS])
+        .flatten()
+        .find(|(label, _)| *label == name)
+        .map(|(_, build)| build(n))
 }
 
 /// Classifies a completed (non-panicking) execution into the shared
@@ -102,6 +80,8 @@ pub struct CaseRun {
     /// compares byte-for-byte against [`ReproCase::outcome`] — or
     /// `"panic"` when the execution panicked.
     pub outcome_debug: String,
+    /// The replayed [`RunOutcome`] (`None` when the execution panicked).
+    pub outcome: Option<RunOutcome>,
     /// The failure class (see [`classify`]; `"panic"` for panicking
     /// executions).
     pub class: String,
@@ -109,13 +89,19 @@ pub struct CaseRun {
     pub trace: Vec<ProcessId>,
     /// Detections published to the hardened telemetry registers.
     pub detected: u64,
-    /// Whether the recorded run satisfied the wakeup specification.
+    /// Whether the recorded run satisfied the wakeup specification (token
+    /// distinctness for `recoverable-mutex`).
     pub safe: bool,
     /// The run's cost counters (empty on panic).
     pub counters: OpCounters,
-    /// Spurious SC failures and register corruptions the fault plan
-    /// delivered ([`RunOutcome::FaultInjected`]; zero otherwise).
-    pub faults: (u64, u64),
+    /// The faults the fault plan delivered, whether or not the run went
+    /// on to terminate (zero on panic).
+    pub faults: FaultStats,
+    /// Shared-memory accesses the memory served. When the event budget
+    /// fires this includes the access the run did not get to record, so
+    /// it is the count to compare across twins, not
+    /// [`OpCounters::total_ops`] (zero on panic).
+    pub accesses: u64,
     /// The panic payload, stringified, when the execution panicked.
     pub panic: Option<String>,
 }
@@ -125,7 +111,8 @@ pub struct CaseRun {
 pub fn run_case_with(case: &ReproCase, alg: &dyn Algorithm) -> CaseRun {
     let replayed = catch_unwind(AssertUnwindSafe(|| {
         let replayed = execute(case, alg);
-        // Telemetry from both hardened families, exactly as E16 reads it.
+        // Both telemetry ranges: the hardened wakeup algorithms publish at
+        // one base, the hardened universal constructions at another.
         let detected: u64 = (0..case.n)
             .map(ProcessId)
             .map(|p| {
@@ -152,37 +139,32 @@ pub fn run_case_with(case: &ReproCase, alg: &dyn Algorithm) -> CaseRun {
         } else {
             check_wakeup(replayed.exec.run()).ok()
         };
-        let counters = replayed.exec.run().counters();
-        (replayed.outcome, replayed.trace, detected, safe, counters)
-    }));
-    match replayed {
-        Ok((outcome, trace, detected, safe, counters)) => CaseRun {
+        let outcome = replayed.outcome;
+        CaseRun {
             outcome_debug: format!("{outcome:?}"),
+            outcome: Some(outcome),
             class: classify(&outcome, safe, detected).to_string(),
-            trace,
             detected,
             safe,
-            counters,
-            faults: match outcome {
-                RunOutcome::FaultInjected {
-                    spurious_sc,
-                    corruptions,
-                } => (spurious_sc, corruptions),
-                _ => (0, 0),
-            },
+            counters: replayed.exec.run().counters(),
+            faults: replayed.exec.fault_stats(),
+            accesses: replayed.exec.memory().stats().total(),
+            trace: replayed.trace,
             panic: None,
-        },
-        Err(payload) => CaseRun {
-            outcome_debug: "panic".to_string(),
-            class: "panic".to_string(),
-            trace: Vec::new(),
-            detected: 0,
-            safe: false,
-            counters: OpCounters::default(),
-            faults: (0, 0),
-            panic: Some(panic_message(payload.as_ref())),
-        },
-    }
+        }
+    }));
+    replayed.unwrap_or_else(|payload| CaseRun {
+        outcome_debug: "panic".to_string(),
+        outcome: None,
+        class: "panic".to_string(),
+        trace: Vec::new(),
+        detected: 0,
+        safe: false,
+        counters: OpCounters::default(),
+        faults: FaultStats::default(),
+        accesses: 0,
+        panic: Some(panic_message(payload.as_ref())),
+    })
 }
 
 /// [`run_case_with`] after resolving the case's algorithm by name.
@@ -286,29 +268,20 @@ mod tests {
 
     #[test]
     fn registry_resolves_every_experiment_name() {
-        let labeled = [
-            "wakeup-from-fetch&increment[hardened-direct-llsc]",
-            "wakeup-from-fetch&increment[hardened-combining-tree]",
-            "wakeup-from-fetch&increment[hardened-adt-group-update]",
-        ];
-        for name in labeled {
-            assert!(resolve_algorithm(name, 4).is_some(), "{name}");
-        }
-        for idx in 0..4 {
-            let name = e15_algorithm(idx, 4).name().to_string();
-            let resolved = resolve_algorithm(&name, 4).expect("e15 name resolves");
-            assert_eq!(resolved.name(), name);
-        }
-        for idx in 0..3 {
-            let name = e16_algorithm(idx, 4).name().to_string();
-            assert!(resolve_algorithm(&name, 4).is_some(), "{name}");
-            let twin = e16_unhardened_twin(idx, 4).name().to_string();
-            assert!(resolve_algorithm(&twin, 4).is_some(), "{twin}");
-        }
-        for idx in 0..3 {
-            let name = e19_algorithm(idx).name().to_string();
-            let resolved = resolve_algorithm(&name, 4).expect("e19 name resolves");
-            assert_eq!(resolved.name(), name);
+        let catalogs = JobExperiment::ALL
+            .iter()
+            .filter_map(JobExperiment::catalog)
+            .chain([E16_TWINS]);
+        for (label, build) in catalogs.flatten() {
+            let resolved = resolve_algorithm(label, 4).expect("every label resolves");
+            // The label is the algorithm's own name, plus the backing
+            // construction in brackets for the reduction rows.
+            let name = build(4).name().to_string();
+            assert_eq!(resolved.name(), name, "{label}");
+            assert!(
+                *label == name || label.starts_with(&format!("{name}[")),
+                "{label} labels {name}"
+            );
         }
         assert!(resolve_algorithm("no-such-algorithm", 4).is_none());
     }
@@ -399,6 +372,20 @@ mod tests {
         let replayed = run_case(&report.case).unwrap();
         assert_eq!(replayed.class, "stalled");
         assert_eq!(replayed.outcome_debug, report.case.outcome);
+    }
+
+    #[test]
+    fn stalled_case_reports_the_faults_it_was_delivered() {
+        // Corruptions land in the first events; the starved budget then
+        // stalls the run before anyone terminates.
+        let mut case = clean_case("hardened-counter-wakeup", 4, 5);
+        case.faults = FaultPlan::at([], [(1, false), (2, true)], 9);
+        case.max_events = 10;
+        let run = run_case(&case).unwrap();
+        assert_eq!(run.class, "stalled");
+        assert_eq!(run.faults.corruptions, 2, "{:?}", run.faults);
+        // Memory also served the access the budget refused to record.
+        assert!(run.accesses > run.counters.total_ops(), "{}", run.accesses);
     }
 
     #[test]

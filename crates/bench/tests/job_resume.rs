@@ -7,7 +7,7 @@ use llsc_bench::job::{
     artifact_path, manifest_path, resume_job, run_job, JobControl, JobExperiment, JobSpec,
     JobStatus,
 };
-use llsc_shmem::checkpoint;
+use llsc_shmem::{checkpoint, Sweep};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -28,6 +28,21 @@ fn e4_spec() -> JobSpec {
         retries: 0,
         backoff_ms: 0,
         ..JobSpec::default_for(JobExperiment::E4)
+    }
+}
+
+/// An E16 spec whose 12 trials (6 hardened algorithms x f=8 x 2 reps)
+/// span 6 chunks. Its stalled trials were delivered faults and published
+/// detections before stalling, so every fault-trial record field has
+/// something to carry through a checkpoint.
+fn e16_spec() -> JobSpec {
+    JobSpec {
+        intensities: vec![8],
+        samples: 2,
+        chunks: 6,
+        retries: 0,
+        backoff_ms: 0,
+        ..JobSpec::default_for(JobExperiment::E16)
     }
 }
 
@@ -87,24 +102,37 @@ fn kill_after_chunk_one_resumes_byte_identically_at_another_thread_count() {
 
 #[test]
 fn every_kill_point_resumes_to_the_same_artifact() {
-    let spec = e4_spec();
-    let reference = uninterrupted_artifact(&spec, 1);
+    let (e16, _) = llsc_bench::e16_fault_degradation(8, &[8], 2, 0, &Sweep::sequential());
+    assert!(
+        e16.rows
+            .iter()
+            .any(|r| r.stalled > 0 && r.injected > 0 && r.detected > 0),
+        "some stalled E16 trials carry delivered faults and detections"
+    );
+    for spec in [e4_spec(), e16_spec()] {
+        kill_points_resume_to_the_same_artifact(&spec);
+    }
+}
+
+fn kill_points_resume_to_the_same_artifact(spec: &JobSpec) {
+    let reference = uninterrupted_artifact(spec, 1);
+    let tag = spec.experiment.tag();
     for kill_after in [0, 2, 5] {
-        let dir = scratch(&format!("kill-at-{kill_after}"));
-        let first = run_job(&dir, &spec, 2, &stop_after(kill_after)).unwrap();
+        let dir = scratch(&format!("kill-{tag}-at-{kill_after}"));
+        let first = run_job(&dir, spec, 2, &stop_after(kill_after)).unwrap();
         assert_eq!(
             first.status,
             JobStatus::Interrupted,
-            "kill_after={kill_after}"
+            "{tag} kill_after={kill_after}"
         );
         let second = resume_job(&dir, 4, &JobControl::new()).unwrap();
         assert_eq!(
             second.status,
             JobStatus::Complete,
-            "kill_after={kill_after}"
+            "{tag} kill_after={kill_after}"
         );
         let resumed = std::fs::read_to_string(second.artifact.unwrap()).unwrap();
-        assert_eq!(resumed, reference, "kill_after={kill_after}");
+        assert_eq!(resumed, reference, "{tag} kill_after={kill_after}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

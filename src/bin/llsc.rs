@@ -146,16 +146,20 @@ subcommands:
                                                   minimal reproducer with the
                                                   same failure class
                                                   [--max-replays <k>]
-  job run    --dir <d> --experiment e4|e6|e13|e20 start a checkpointed,
-             [--ns 4,6] [--toss-seeds 0,1,42]     resumable sweep job; after
-             [--samples <K>] [--chunks <C>]       every chunk the results are
-             [--seed <s>] [--retries <R>]         persisted atomically, so a
-             [--backoff-ms <MS>]                  killed job loses at most one
-             [--chunk-timeout-ms <MS>]            chunk of work (SIGINT/SIGTERM
-             [--max-events <N>] [--threads <T>]   flush a final checkpoint)
-             [--intensities 0,1,2,4]              e20 chaos/fault knobs, all
-             [--recovery-delay <D>]               part of the job fingerprint
-             [--respawn-budget <B>]               (0 keeps the arm's regime)
+  job run    --dir <d> --experiment <id>          start a checkpointed,
+             (id: e4 e6 e13 e15 e16 e17 e19 e20)  resumable sweep job over
+             [--ns 4,6] [--toss-seeds 0,1,42]     `llsc table <id>`'s grid;
+             [--samples <K>] [--chunks <C>]       after every chunk the
+             [--seed <s>] [--retries <R>]         results are persisted
+             [--backoff-ms <MS>]                  atomically, so a killed job
+             [--chunk-timeout-ms <MS>]            loses at most one chunk
+             [--max-events <N>] [--threads <T>]   (SIGINT/SIGTERM flush a
+                                                  final checkpoint)
+             [--intensities 0,1,2,4]              fault-table grid axis: k,
+                                                  f or chaos intensity
+             [--recovery-delay <D>]               e19/e20 recovery knobs, part
+             [--respawn-budget <B>]               of the job fingerprint (0
+                                                  keeps the default regime)
   job resume --dir <d> [--threads <T>]            continue from the newest
                                                   valid checkpoint; the final
                                                   artifact is byte-identical
@@ -854,7 +858,8 @@ mod signals {
 }
 
 /// `llsc job run|resume|status` — the checkpointed, resumable front end
-/// of the E4/E6/E13/E20 sweeps (see `llsc_lowerbound::bench::job`).
+/// of the E4/E6/E13 sweeps and the E15/E16/E17/E19/E20 fault tables (see
+/// `llsc_lowerbound::bench::job`).
 fn cmd_job(args: &[String]) -> ExitCode {
     use llsc_lowerbound::bench::job::{
         job_exit_code, job_status, resume_job, run_job, JobControl, JobExperiment, JobSpec,
@@ -871,7 +876,7 @@ fn cmd_job(args: &[String]) -> ExitCode {
         let tag = opts
             .flags
             .get("experiment")
-            .ok_or("job run needs --experiment e4|e6|e13|e20")?;
+            .ok_or("job run needs --experiment e4|e6|e13|e15|e16|e17|e19|e20")?;
         let mut spec = JobSpec::default_for(JobExperiment::parse(tag)?);
         if let Some(name) = opts.flags.get("name") {
             spec.name = name.clone();
