@@ -20,7 +20,10 @@ use llsc_core::{
 pub use llsc_core::random_move_config;
 use llsc_objects::{FetchIncrement, ObjectSpec};
 use llsc_shmem::repro::{RecoverySpec, ReproCase, TossSpec};
-use llsc_shmem::{Algorithm, ChaosPlan, ProcessId, RegisterId, Sweep, TrialFailure, ZeroTosses};
+use llsc_shmem::{
+    Algorithm, ChaosPlan, CrashPlan, FaultPlan, ProcessId, RegisterId, Sweep, TrialFailure,
+    ZeroTosses,
+};
 use llsc_universal::{
     measure, AdtTreeUniversal, CombiningTreeUniversal, DirectLlSc, HardenedAdtTreeUniversal,
     HardenedCombiningTreeUniversal, HardenedDirectLlSc, HerlihyUniversal, MeasureConfig,
@@ -1127,7 +1130,7 @@ pub struct E16Row {
 
 /// E16: graceful degradation under memory faults. Each trial runs one
 /// hardened E16 algorithm under a round-robin schedule with a seeded
-/// [`FaultPlan`](llsc_shmem::FaultPlan) delivering up to `f` spurious SC
+/// [`FaultPlan`] delivering up to `f` spurious SC
 /// failures and `f` register corruptions inside the early event window, then classifies
 /// the result: **recovered** (terminated, correct answer),
 /// **detected-wrong** (wrong answer, but the algorithm published a
@@ -1287,16 +1290,17 @@ pub fn e19_recovery_sweep(
 
 /// One row of E20: how one algorithm family degrades — and what its
 /// recovery costs — as chaos intensity grows, on the simulator backend.
-/// The hardware half of E20 lives in `bench_e20` / `llsc bench`
-/// (`BENCH_pr10.json`), which runs the same seeded plans through the
-/// thread-per-process driver and records sim-vs-hardware divergence.
+/// The hardware half of E20 is `llsc bench e20`
+/// ([`crate::xcheck::e20_bench`], `BENCH_pr10.json`), which runs the
+/// same seeded plans through the thread-per-process driver and records
+/// sim-vs-hardware divergence.
 #[derive(Clone, Debug, Default)]
 pub struct E20Row {
     /// Algorithm name.
     pub algorithm: String,
     /// The adversary arm the algorithm's family gets
     /// (`"memory-faults"` for the hardened trio, `"crash-recovery"`
-    /// for the recoverable trio — see [`crate::xcheck::chaos_arm`]).
+    /// for the recoverable trio — see `chaos_arm`).
     pub arm: &'static str,
     /// Chaos intensity (scales every armed layer at once).
     pub intensity: usize,
@@ -1357,15 +1361,40 @@ pub(crate) fn e20_arm(idx: usize) -> &'static str {
 /// round-robin E15/E16/E19 trial on the simulator.
 pub const E20_MAX_STEPS: u64 = 40_000;
 
+/// Tailors a [`ChaosPlan`] to an adversary arm, per the backend ×
+/// adversary capability matrix (see README "Fault model"):
+///
+/// * `Some` recovery — the **crash-recovery arm** for the
+///   crash-recoverable family: keeps the crash layer and the
+///   (universally tolerable) spurious SC failures, strips register
+///   corruption, which recoverable algorithms cannot detect.
+/// * `None` — the **memory-fault arm** for the hardened family: keeps
+///   the full fault layer (spurious SC + corruption), strips the crash
+///   layer, which detection-only algorithms cannot survive restarting
+///   from.
+///
+/// Returns the `(crashes, faults)` the trial actually arms.
+fn chaos_arm(chaos: &ChaosPlan, recovery: Option<RecoverySpec>) -> (CrashPlan, FaultPlan) {
+    if recovery.is_some() {
+        let f = chaos.faults();
+        (
+            chaos.crashes().clone(),
+            FaultPlan::at(f.spurious().to_vec(), [], f.value_seed()),
+        )
+    } else {
+        (CrashPlan::none(), chaos.faults().clone())
+    }
+}
+
 /// Builds the replayable case one E20 trial runs: a chaos plan seeded
 /// from `seed`, tailored to algorithm `idx`'s capability arm
-/// ([`crate::xcheck::chaos_arm`]), with the arm's recovery regime
-/// recorded — so `llsc replay` and the hardware side of E20 run exactly
-/// the plan the simulator sweep did.
+/// (`chaos_arm`), with the arm's recovery regime recorded — so
+/// `llsc replay` and the hardware side of E20 run exactly the plan the
+/// simulator sweep did.
 pub fn e20_case(idx: usize, n: usize, intensity: usize, seed: u64, max_events: u64) -> ReproCase {
     let chaos = ChaosPlan::seeded(seed, n, intensity, 8 * n as u64);
     let recovery = e20_recovery(idx, n);
-    let (crashes, faults) = crate::xcheck::chaos_arm(&chaos, recovery);
+    let (crashes, faults) = chaos_arm(&chaos, recovery);
     let mut case = chaos.to_case(
         "e20",
         E20_ALGORITHMS[idx].0,
@@ -1382,7 +1411,7 @@ pub fn e20_case(idx: usize, n: usize, intensity: usize, seed: u64, max_events: u
 
 /// E20: cross-backend chaos validation, simulator half. Each trial
 /// tailors a seeded [`ChaosPlan`] to its algorithm's capability arm
-/// ([`crate::xcheck::chaos_arm`]): the hardened wakeup trio faces
+/// (`chaos_arm`): the hardened wakeup trio faces
 /// spurious SC failures and register corruption under an adversarial
 /// random schedule; the recoverable trio faces crash/recovery cycles
 /// plus spurious SC failures. Every trial is classified with the shared
@@ -1395,8 +1424,9 @@ pub fn e20_case(idx: usize, n: usize, intensity: usize, seed: u64, max_events: u
 /// [`crate::registry::DEFAULT_MAX_EVENTS`].
 ///
 /// The hardware half runs the same plans through `llsc-atomics`
-/// (`bench_e20`, `llsc bench`), where crashes are real thread kills and
-/// the fault layer is re-timed onto per-process access clocks.
+/// ([`crate::xcheck::e20_bench`], `llsc bench e20`), where crashes are
+/// real thread kills and the fault layer is re-timed onto per-process
+/// access clocks.
 pub fn e20_chaos_recovery_sweep(
     n: usize,
     intensities: &[usize],

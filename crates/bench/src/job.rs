@@ -102,7 +102,7 @@ pub enum JobExperiment {
     /// E19 — recovery cost vs crash intensity.
     E19,
     /// E20 — chaos degradation classes and recovery RMR cost (the
-    /// simulator half; the hardware half is `bench_e20`).
+    /// simulator half; the hardware half is `llsc bench e20`).
     E20,
 }
 

@@ -137,7 +137,7 @@ fn fault_entry<R: JobRow>(
 }
 
 /// Every published table, in experiment order. E2 and E11 are checked
-/// inside E1. E18 (`llsc bench`) and E20's hardware half (`bench_e20`)
+/// inside E1. E18 (`llsc bench`) and E20's hardware half (`llsc bench e20`)
 /// time real threads, so their output is not a deterministic table and
 /// they have no entry here.
 pub const REGISTRY: &[Entry] = &[

@@ -28,7 +28,9 @@ use crate::experiments::E16_TWINS;
 use crate::job::JobExperiment;
 use llsc_core::check_wakeup;
 use llsc_shmem::repro::{execute, shrink, ReproCase, ShrinkReport};
-use llsc_shmem::{panic_message, Algorithm, FaultStats, OpCounters, ProcessId, RunOutcome};
+use llsc_shmem::{
+    panic_message, Algorithm, FaultStats, OpCounters, ProcessId, RegisterId, RunOutcome, Value,
+};
 use llsc_wakeup::check_mutex_tokens;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -55,21 +57,58 @@ pub fn resolve_algorithm(name: &str, n: usize) -> Option<Box<dyn Algorithm>> {
 ///
 /// The outcome decides first (a stall is a stall whatever the partial
 /// run's safety looks like — matching E16's bucketing); only runs that
-/// actually terminated are judged on correctness and detection telemetry.
+/// actually terminated are judged, by [`completed_class`].
 pub fn classify(outcome: &RunOutcome, safe: bool, detected: u64) -> &'static str {
     match outcome {
         RunOutcome::BudgetExhausted { .. } => "stalled",
         RunOutcome::Crashed { .. } => "crashed",
         RunOutcome::DivergedLocalBurst { .. } => "aborted",
-        RunOutcome::Completed | RunOutcome::FaultInjected { .. } => {
-            if safe {
-                "recovered"
-            } else if detected > 0 {
-                "detected-wrong"
-            } else {
-                "silent-wrong"
-            }
-        }
+        RunOutcome::Completed | RunOutcome::FaultInjected { .. } => completed_class(safe, detected),
+    }
+}
+
+/// The class of a run that terminated, on either backend: `recovered`
+/// when it is safe, else `detected-wrong` when the hardened telemetry
+/// published a detection, else `silent-wrong`.
+pub fn completed_class(safe: bool, detected: u64) -> &'static str {
+    if safe {
+        "recovered"
+    } else if detected > 0 {
+        "detected-wrong"
+    } else {
+        "silent-wrong"
+    }
+}
+
+/// Detections published to the hardened telemetry registers of `n`
+/// processes, read through `peek` (the simulator's memory or the
+/// hardware memory). Both telemetry ranges are summed: the hardened
+/// wakeup algorithms publish at one base, the hardened universal
+/// constructions at another.
+pub fn detected_telemetry(n: usize, peek: impl Fn(RegisterId) -> Value) -> u64 {
+    let count = |v: Value| v.as_int().unwrap_or(0).max(0) as u64;
+    ProcessId::all(n)
+        .map(|p| {
+            count(peek(llsc_wakeup::hardened_detect_reg(p)))
+                + count(peek(llsc_universal::hardened_detect_reg(p)))
+        })
+        .sum()
+}
+
+/// Whether a terminated run of `algorithm` is safe, on either backend.
+/// The recoverable mutex returns tokens, not wakeup bits, so it is judged
+/// on token distinctness over its `verdicts`; every other algorithm by
+/// `wakeup_valid`, the backend's wakeup check.
+pub fn judge_safe<'a>(
+    algorithm: &str,
+    n: usize,
+    verdicts: impl IntoIterator<Item = Option<&'a Value>>,
+    wakeup_valid: impl FnOnce() -> bool,
+) -> bool {
+    if algorithm == "recoverable-mutex" {
+        check_mutex_tokens(verdicts, n).is_ok()
+    } else {
+        wakeup_valid()
     }
 }
 
@@ -111,34 +150,14 @@ pub struct CaseRun {
 pub fn run_case_with(case: &ReproCase, alg: &dyn Algorithm) -> CaseRun {
     let replayed = catch_unwind(AssertUnwindSafe(|| {
         let replayed = execute(case, alg);
-        // Both telemetry ranges: the hardened wakeup algorithms publish at
-        // one base, the hardened universal constructions at another.
-        let detected: u64 = (0..case.n)
-            .map(ProcessId)
-            .map(|p| {
-                let wakeup = replayed
-                    .exec
-                    .memory()
-                    .peek(llsc_wakeup::hardened_detect_reg(p));
-                let universal = replayed
-                    .exec
-                    .memory()
-                    .peek(llsc_universal::hardened_detect_reg(p));
-                wakeup.as_int().unwrap_or(0).max(0) as u64
-                    + universal.as_int().unwrap_or(0).max(0) as u64
-            })
-            .sum();
-        // The recoverable mutex returns tokens, not wakeup bits: judge it
-        // on token distinctness instead of the wakeup conditions.
-        let safe = if case.algorithm == "recoverable-mutex" {
-            check_mutex_tokens(
-                (0..case.n).map(|i| replayed.exec.verdict(ProcessId(i))),
-                case.n,
-            )
-            .is_ok()
-        } else {
-            check_wakeup(replayed.exec.run()).ok()
-        };
+        let exec = &replayed.exec;
+        let detected = detected_telemetry(case.n, |r| exec.memory().peek(r));
+        let safe = judge_safe(
+            &case.algorithm,
+            case.n,
+            ProcessId::all(case.n).map(|p| exec.verdict(p)),
+            || check_wakeup(exec.run()).ok(),
+        );
         let outcome = replayed.outcome;
         CaseRun {
             outcome_debug: format!("{outcome:?}"),
@@ -146,9 +165,9 @@ pub fn run_case_with(case: &ReproCase, alg: &dyn Algorithm) -> CaseRun {
             class: classify(&outcome, safe, detected).to_string(),
             detected,
             safe,
-            counters: replayed.exec.run().counters(),
-            faults: replayed.exec.fault_stats(),
-            accesses: replayed.exec.memory().stats().total(),
+            counters: exec.run().counters(),
+            faults: exec.fault_stats(),
+            accesses: exec.memory().stats().total(),
             trace: replayed.trace,
             panic: None,
         }

@@ -1,5 +1,6 @@
-//! Simulator ⇄ hardware cross-validation (the `llsc xcheck` harness)
-//! and experiment E18 (real-contention throughput, `BENCH_pr6.json`).
+//! Simulator ⇄ hardware cross-validation (the `llsc xcheck` harness),
+//! experiment E18 (real-contention throughput, `BENCH_pr6.json`) and
+//! E20's cross-backend chaos run (`llsc bench e20`, `BENCH_pr10.json`).
 //!
 //! The deterministic simulator and the CAS-based hardware backend
 //! (`llsc-atomics`) execute the *same* [`Algorithm`] programs; this
@@ -25,19 +26,31 @@
 //! algorithm and a universal construction — at several process counts.
 //! On a single-core host the hardware numbers measure synchronization
 //! *overhead*, not scaling; see EXPERIMENTS.md.
+//!
+//! E20 ([`e20_bench`]) runs each seeded chaos plan on both backends and
+//! records the cells whose degradation classes differ. A trial that
+//! terminates is classified on either backend by the same three rules
+//! ([`crate::repro::completed_class`], [`crate::repro::judge_safe`],
+//! [`crate::repro::detected_telemetry`]); only the mapping of a failed
+//! run to its class is per backend. A `silent-wrong`, `panic` or
+//! `respawn-exhausted` trial is a failure and carries a replayable case.
 
+use crate::experiments::{
+    e20_algorithm, e20_arm, e20_case, e20_recovery, E20_ALGORITHMS, E20_MAX_STEPS,
+};
+use crate::registry::DEFAULT_MAX_EVENTS;
+use crate::repro::{completed_class, detected_telemetry, judge_safe, run_case_with};
 use llsc_atomics::{
     run_threads_supervised, run_threads_watchdog, HwEventKind, HwMemory, HwRun, HwRunError,
 };
 use llsc_objects::{is_linearizable, History, ObjectSpec};
-use llsc_shmem::repro::{execute as execute_sim_case, ReproCase, ScheduleSpec, TossSpec};
+use llsc_shmem::repro::{ReproCase, ScheduleSpec};
 use llsc_shmem::{
-    Algorithm, ChaosPlan, CrashPlan, ExecutionBackend, Executor, ExecutorConfig, FaultPlan,
-    ProcessId, RandomScheduler, RecoverySpec, RoundRobinScheduler, RunError, RunOutcome, Scheduler,
+    json, Algorithm, CrashPlan, ExecutionBackend, Executor, ExecutorConfig, FaultPlan, ProcessId,
+    RandomScheduler, RecoverySpec, RoundRobinScheduler, RunError, RunOutcome, Scheduler,
     SeededTosses, SequentialScheduler, Value,
 };
 use llsc_universal::{ImplAlgorithm, ObjectImplementation};
-use llsc_wakeup::check_mutex_tokens;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -464,127 +477,6 @@ pub fn xcheck_universal(
     ))
 }
 
-/// Event budget the simulator side of a chaos cross-validation runs
-/// under (the harness's standard budget).
-const CHAOS_SIM_MAX_EVENTS: u64 = 2_000_000;
-
-/// One chaos trial's verdict: the hardware backend under the full fault
-/// stack (injected SC failures, register corruption, and — for
-/// crash-recoverable algorithms — killed and respawned threads).
-#[derive(Clone, Debug)]
-pub struct ChaosTrial {
-    /// Chaos seed the trial's plan derives from (also the toss seed).
-    pub seed: u64,
-    /// Degradation class, in the shared E16/E17/E19 vocabulary
-    /// (`recovered`, `detected-wrong`, `silent-wrong`, `stalled`,
-    /// `aborted`, `respawn-exhausted`, `panic`).
-    pub class: String,
-    /// Worst per-process shared-access count (0 when the run errored).
-    pub max_ops: u64,
-    /// Worst per-process DSM RMR count (0 when the run errored).
-    pub max_dsm_rmrs: u64,
-    /// Spurious SC failures actually delivered by the fault layer.
-    pub spurious_sc: u64,
-    /// Register corruptions actually delivered by the fault layer.
-    pub corruptions: u64,
-    /// Thread kills delivered by the crash supervisor.
-    pub crashes: u64,
-    /// Respawns granted by the crash supervisor.
-    pub respawns: u64,
-    /// Detections published to the hardened telemetry registers.
-    pub detected: u64,
-    /// Whether `max_ops` landed inside the fault-widened envelope
-    /// (vacuously true for trials that did not complete).
-    pub in_envelope: bool,
-    /// Whether `max_dsm_rmrs` landed inside the fault-widened DSM
-    /// envelope (vacuously true for trials that did not complete).
-    pub in_dsm_envelope: bool,
-    /// A replayable case attached to every non-benign trial: its
-    /// schedule is [`ScheduleSpec::Hardware`] (the OS interleaving is
-    /// gone), so `llsc replay` re-runs the same faults, crashes, and
-    /// tosses on the simulator backend for triage.
-    pub repro: Option<ReproCase>,
-}
-
-/// The outcome of one chaos cross-validation: the simulator's
-/// fault-widened cost envelopes vs hardware trials under the same
-/// seeded [`ChaosPlan`]s.
-#[derive(Clone, Debug)]
-pub struct ChaosReport {
-    /// The algorithm under test.
-    pub subject: String,
-    /// Number of processes.
-    pub n: usize,
-    /// Fault intensity of every trial's chaos plan.
-    pub intensity: usize,
-    /// The recovery regime (None = memory faults only, no crash layer).
-    pub recovery: Option<RecoverySpec>,
-    /// `(min, max)` worst per-process shared accesses over the clean
-    /// *and* faulted simulator runs.
-    pub sim_envelope: (u64, u64),
-    /// The acceptance interval derived from the widened envelope.
-    pub accept: (u64, u64),
-    /// `(min, max)` worst per-process DSM RMRs over the clean and
-    /// faulted simulator runs.
-    pub sim_dsm_envelope: (u64, u64),
-    /// The acceptance interval derived from the widened DSM envelope.
-    pub dsm_accept: (u64, u64),
-    /// Per-trial verdicts.
-    pub trials: Vec<ChaosTrial>,
-    /// Whether envelope verdicts counted toward `ok`.
-    pub envelope_checked: bool,
-    /// Trials whose class was `silent-wrong` or `panic` — the classes a
-    /// hardened or recoverable algorithm must never produce.
-    pub silent_wrong: usize,
-    /// True iff no trial went silently wrong (or panicked) and — when
-    /// the envelope is checked — every completing trial landed inside
-    /// the fault-widened envelopes.
-    pub ok: bool,
-}
-
-impl ChaosReport {
-    /// A compact human-readable rendering, one line per trial.
-    pub fn render(&self) -> String {
-        let recovery = match self.recovery {
-            Some(r) => format!(" recovery delay={} budget={}", r.delay, r.budget),
-            None => String::new(),
-        };
-        let mut out = format!(
-            "xcheck chaos {subject}: n={n} intensity={intensity}{recovery} accept [{alo}, {ahi}] dsm accept [{dalo}, {dahi}]{mode}\n",
-            subject = self.subject,
-            n = self.n,
-            intensity = self.intensity,
-            alo = self.accept.0,
-            ahi = self.accept.1,
-            dalo = self.dsm_accept.0,
-            dahi = self.dsm_accept.1,
-            mode = if self.envelope_checked {
-                ""
-            } else {
-                " (safety only; counts advisory)"
-            },
-        );
-        for t in &self.trials {
-            out.push_str(&format!(
-                "  trial seed={seed:<4} class={class:<17} ops={ops:<6} dsm={dsm:<6} sc_fails={sc} corruptions={co} crashes={cr} respawns={re} detected={de} in_envelope={env}/{denv}\n",
-                seed = t.seed,
-                class = t.class,
-                ops = t.max_ops,
-                dsm = t.max_dsm_rmrs,
-                sc = t.spurious_sc,
-                co = t.corruptions,
-                cr = t.crashes,
-                re = t.respawns,
-                de = t.detected,
-                env = t.in_envelope,
-                denv = t.in_dsm_envelope,
-            ));
-        }
-        out.push_str(if self.ok { "  PASS\n" } else { "  FAIL\n" });
-        out
-    }
-}
-
 /// Classifies a hardware run error into the degradation vocabulary.
 fn hw_error_class(e: &HwRunError) -> &'static str {
     match e {
@@ -596,84 +488,17 @@ fn hw_error_class(e: &HwRunError) -> &'static str {
     }
 }
 
-/// Safety of one completed chaos run: token distinctness for the
-/// recoverable mutex (its verdicts are tokens, not wakeup bits), wakeup
-/// validity for everything else.
-fn chaos_run_safe(alg_name: &str, run: &HwRun, n: usize) -> bool {
-    if alg_name == "recoverable-mutex" {
-        let responses = run.responses();
-        check_mutex_tokens(responses.iter().map(Some), n).is_ok()
-    } else {
-        wakeup_run_valid(run)
-    }
-}
-
-/// Detections published to the hardened telemetry registers, read off
-/// the hardware memory exactly as the simulator experiments read their
-/// executor ([`crate::repro::run_case_with`]).
-fn hw_detected(mem: &HwMemory, n: usize) -> u64 {
-    (0..n)
-        .map(ProcessId)
-        .map(|p| {
-            let wakeup = mem.peek(llsc_wakeup::hardened_detect_reg(p));
-            let universal = mem.peek(llsc_universal::hardened_detect_reg(p));
-            wakeup.as_int().unwrap_or(0).max(0) as u64
-                + universal.as_int().unwrap_or(0).max(0) as u64
-        })
-        .sum()
-}
-
-/// Tailors a [`ChaosPlan`] to an adversary arm, per the backend ×
-/// adversary capability matrix (see README "Fault model"):
-///
-/// * `Some` recovery — the **crash-recovery arm** for the
-///   crash-recoverable family: keeps the crash layer and the
-///   (universally tolerable) spurious SC failures, strips register
-///   corruption, which recoverable algorithms cannot detect.
-/// * `None` — the **memory-fault arm** for the hardened family: keeps
-///   the full fault layer (spurious SC + corruption), strips the crash
-///   layer, which detection-only algorithms cannot survive restarting
-///   from.
-///
-/// Returns the `(crashes, faults)` the trial actually arms; E20 and
-/// [`xcheck_chaos`] share this tailoring so their verdicts agree.
-pub fn chaos_arm(chaos: &ChaosPlan, recovery: Option<RecoverySpec>) -> (CrashPlan, FaultPlan) {
-    if recovery.is_some() {
-        let f = chaos.faults();
-        (
-            chaos.crashes().clone(),
-            FaultPlan::at(f.spurious().to_vec(), [], f.value_seed()),
-        )
-    } else {
-        (CrashPlan::none(), chaos.faults().clone())
-    }
-}
-
-/// Packages a failed hardware chaos trial as a replayable case: the
-/// plan's faults, crashes, and tosses survive verbatim; the schedule
-/// becomes [`ScheduleSpec::Hardware`] because the OS-chosen
-/// interleaving cannot be replayed — `llsc replay` re-runs the case on
-/// the simulator under the deterministic round-robin stand-in.
-fn chaos_failure_case(case: &ReproCase, class: &str, outcome: String) -> ReproCase {
-    ReproCase {
-        schedule: ScheduleSpec::Hardware,
-        outcome,
-        class: class.to_string(),
-        ..case.clone()
-    }
-}
-
-/// One hardware chaos execution's classified result, shared between
-/// [`xcheck_chaos`] and `bench_e20`.
+/// One hardware chaos execution's classified result: a row of
+/// `llsc bench e20` ([`e20_bench`]).
 #[derive(Clone, Debug)]
 pub struct HwChaosRun {
-    /// Degradation class (shared vocabulary; see [`ChaosTrial::class`]).
+    /// Degradation class, in the shared E16/E17/E19 vocabulary
+    /// (`recovered`, `detected-wrong`, `silent-wrong`, `stalled`,
+    /// `aborted`, `respawn-exhausted`, `panic`).
     pub class: &'static str,
-    /// Whether the run completed (per-process costs are meaningful).
-    pub completed: bool,
-    /// Worst per-process shared-access count (0 when not completed).
+    /// Worst per-process shared-access count (0 when the run errored).
     pub max_ops: u64,
-    /// Worst per-process DSM RMR count (0 when not completed).
+    /// Worst per-process DSM RMR count (0 when the run errored).
     pub max_dsm_rmrs: u64,
     /// Spurious SC failures delivered.
     pub spurious_sc: u64,
@@ -693,7 +518,9 @@ pub struct HwChaosRun {
 /// Runs one chaos trial on the hardware backend: arms `faults` on the
 /// memory, drives the threads (under the crash supervisor when
 /// `recovery` is set), and classifies the result off the history, the
-/// fault-layer stats, and the hardened telemetry registers.
+/// fault-layer stats, and the hardened telemetry registers — by the
+/// simulator's rules ([`completed_class`], [`judge_safe`],
+/// [`detected_telemetry`]), so the two backends' classes are comparable.
 pub fn run_hw_chaos(
     alg: &dyn Algorithm,
     n: usize,
@@ -712,7 +539,7 @@ pub fn run_hw_chaos(
         None => run_threads_watchdog(alg, &mem, max_steps, HW_TRIAL_DEADLINE),
     };
     let stats = mem.fault_stats();
-    let detected = hw_detected(&mem, n);
+    let detected = detected_telemetry(n, |r| mem.peek(r));
     let events = mem.take_events();
     let kills = events
         .iter()
@@ -722,29 +549,21 @@ pub fn run_hw_chaos(
         .iter()
         .filter(|e| matches!(e.kind, HwEventKind::Respawned { .. }))
         .count() as u64;
-    let (class, max_ops, max_dsm_rmrs, completed, outcome_text) = match &outcome {
+    let (class, max_ops, max_dsm_rmrs, outcome_text) = match &outcome {
         Ok(run) => {
-            let safe = chaos_run_safe(alg.name(), run, n);
-            let class = if safe {
-                "recovered"
-            } else if detected > 0 {
-                "detected-wrong"
-            } else {
-                "silent-wrong"
-            };
+            let verdicts = run.results.iter().map(|r| Some(&r.response));
+            let safe = judge_safe(alg.name(), n, verdicts, || wakeup_run_valid(run));
             (
-                class,
+                completed_class(safe, detected),
                 run.max_ops(),
                 run.max_dsm_rmrs(),
-                true,
                 "HwCompleted".to_string(),
             )
         }
-        Err(e) => (hw_error_class(e), 0, 0, false, e.to_string()),
+        Err(e) => (hw_error_class(e), 0, 0, e.to_string()),
     };
     HwChaosRun {
         class,
-        completed,
         max_ops,
         max_dsm_rmrs,
         spurious_sc: stats.spurious_sc,
@@ -756,139 +575,293 @@ pub fn run_hw_chaos(
     }
 }
 
-/// Cross-validates an algorithm under chaos: every hardware trial runs
-/// the full fault stack from a seeded [`ChaosPlan`] (trial seeds
-/// `1..=trials`), and must degrade *gracefully* — linearize into the
-/// wakeup (or mutex-token) specification, or publish a detection; a
-/// `silent-wrong` trial fails the check. Cost envelopes are widened by
-/// the simulator's faulted runs: each trial's plan is also executed on
-/// the simulator (adversarial random schedule, same faults, crashes
-/// recovered under the same regime) and the clean envelope absorbs the
-/// faulted costs before the usual `2·max + 2` slack applies.
-///
-/// `recovery` selects the adversary arm by algorithm capability:
-///
-/// * `Some` — the crash-recovery arm, for the crash-*recoverable*
-///   family: the plan's crash layer kills and respawns real threads,
-///   and the memory-fault layer keeps its spurious SC failures (every
-///   weak-LL/SC client must tolerate those) but drops register
-///   corruption — recoverable algorithms carry no corruption-detection
-///   telemetry, so injected corruption would class as `silent-wrong`
-///   by construction, on the simulator exactly as on hardware.
-/// * `None` — the memory-fault arm, for the hardened (detection-only)
-///   family: the full fault layer (spurious SC + corruption) is armed
-///   and the crash layer is dropped — a hardened algorithm restarted
-///   from scratch re-executes its one-shot increments, which breaks
-///   its semantics on both backends.
-///
-/// # Errors
-///
-/// Returns an [`XcheckError`] only when the *simulator* side cannot
-/// establish a clean envelope; hardware-side failures are conclusive
-/// per-trial verdicts, not errors.
-pub fn xcheck_chaos(
-    alg: &dyn Algorithm,
-    cfg: &XcheckConfig,
-    intensity: usize,
+/// Degradation classes that fail E20 outright, on either backend.
+fn class_is_failure(class: &str) -> bool {
+    matches!(class, "silent-wrong" | "panic" | "respawn-exhausted")
+}
+
+/// Packages a failed hardware chaos trial as a replayable case: the
+/// plan's faults, crashes, and tosses survive verbatim, with the
+/// `recovery` regime the hardware ran under; the schedule becomes
+/// [`ScheduleSpec::Hardware`] because the OS-chosen interleaving cannot
+/// be replayed — `llsc replay` re-runs the case on the simulator under
+/// the deterministic round-robin stand-in.
+fn chaos_failure_case(
+    case: &ReproCase,
     recovery: Option<RecoverySpec>,
-) -> Result<ChaosReport, XcheckError> {
-    let n = cfg.n;
-    let window = 8 * n as u64;
-    let clean = sim_envelope(alg, cfg, 1)?;
-    let mut ops_env = clean.ops;
-    let mut dsm_env = clean.dsm;
-
-    // Build every trial's plan and widen the envelope with its simulated
-    // execution before any hardware runs.
-    let mut planned = Vec::with_capacity(cfg.trials);
-    for trial in 0..cfg.trials {
-        let seed = trial as u64 + 1;
-        let chaos = ChaosPlan::seeded(seed, n, intensity, window);
-        let (crashes, faults) = chaos_arm(&chaos, recovery);
-        let mut case = chaos.to_case(
-            "xcheck-chaos",
-            alg.name(),
-            n,
-            TossSpec::Seeded(seed),
-            CHAOS_SIM_MAX_EVENTS,
-            cfg.max_steps,
-        );
-        case.crashes = crashes.clone();
-        case.faults = faults.clone();
-        case.recovery = recovery;
-        let replayed = execute_sim_case(&case, alg);
-        if matches!(
-            replayed.outcome,
-            RunOutcome::Completed | RunOutcome::FaultInjected { .. }
-        ) {
-            let run = replayed.exec.run();
-            let ops = ProcessId::all(n)
-                .map(|p| run.shared_steps(p))
-                .max()
-                .unwrap_or(0);
-            let dsm = ProcessId::all(n)
-                .map(|p| run.dsm_rmrs(p))
-                .max()
-                .unwrap_or(0);
-            ops_env = (ops_env.0.min(ops), ops_env.1.max(ops));
-            dsm_env = (dsm_env.0.min(dsm), dsm_env.1.max(dsm));
-        }
-        planned.push((seed, faults, crashes, case));
-    }
-    let accept = accept_interval(ops_env);
-    let dsm_accept = accept_interval(dsm_env);
-
-    let mut trials = Vec::with_capacity(cfg.trials);
-    for (seed, faults, crashes, case) in planned {
-        let run = run_hw_chaos(alg, n, seed, &faults, &crashes, recovery, cfg.max_steps);
-        let in_envelope = !run.completed || (accept.0..=accept.1).contains(&run.max_ops);
-        let in_dsm_envelope =
-            !run.completed || (dsm_accept.0..=dsm_accept.1).contains(&run.max_dsm_rmrs);
-        let benign = matches!(run.class, "recovered" | "detected-wrong");
-        let repro = if benign {
-            None
-        } else {
-            Some(chaos_failure_case(
-                &case,
-                run.class,
-                run.outcome_text.clone(),
-            ))
-        };
-        trials.push(ChaosTrial {
-            seed,
-            class: run.class.to_string(),
-            max_ops: run.max_ops,
-            max_dsm_rmrs: run.max_dsm_rmrs,
-            spurious_sc: run.spurious_sc,
-            corruptions: run.corruptions,
-            crashes: run.crashes,
-            respawns: run.respawns,
-            detected: run.detected,
-            in_envelope,
-            in_dsm_envelope,
-            repro,
-        });
-    }
-    let silent_wrong = trials
-        .iter()
-        .filter(|t| t.class == "silent-wrong" || t.class == "panic")
-        .count();
-    let ok = silent_wrong == 0
-        && (!cfg.check_envelope || trials.iter().all(|t| t.in_envelope && t.in_dsm_envelope));
-    Ok(ChaosReport {
-        subject: alg.name().to_string(),
-        n,
-        intensity,
+    class: &str,
+    outcome: String,
+) -> ReproCase {
+    ReproCase {
+        schedule: ScheduleSpec::Hardware,
         recovery,
-        sim_envelope: ops_env,
-        accept,
-        sim_dsm_envelope: dsm_env,
-        dsm_accept,
-        trials,
-        envelope_checked: cfg.check_envelope,
-        silent_wrong,
-        ok,
-    })
+        outcome,
+        class: class.to_string(),
+        ..case.clone()
+    }
+}
+
+/// One E20 trial on one backend: a row of `llsc bench e20`.
+#[derive(Clone, Debug)]
+pub struct E20Trial {
+    /// Algorithm name.
+    pub algorithm: String,
+    /// The adversary arm the algorithm's family gets.
+    pub arm: &'static str,
+    /// Backend the trial ran on.
+    pub backend: BackendKind,
+    /// Chaos intensity.
+    pub intensity: usize,
+    /// Chaos seed (also the toss seed).
+    pub seed: u64,
+    /// Degradation class (shared vocabulary; see [`HwChaosRun::class`]).
+    pub class: String,
+    /// Worst per-process shared-access count.
+    pub max_ops: u64,
+    /// Worst per-process DSM RMR count.
+    pub max_dsm_rmrs: u64,
+    /// Spurious SC failures delivered (on the simulator: by a run that
+    /// terminated).
+    pub spurious_sc: u64,
+    /// Register corruptions delivered (as `spurious_sc`).
+    pub corruptions: u64,
+    /// Crashes delivered (thread kills on hardware).
+    pub crashes: u64,
+    /// Recoveries (respawns on hardware).
+    pub respawns: u64,
+    /// Detections published to the hardened telemetry registers.
+    pub detected: u64,
+    /// The replayable case of a failed trial (class `silent-wrong`,
+    /// `panic` or `respawn-exhausted`); `None` for every other class.
+    pub failure: Option<ReproCase>,
+}
+
+impl fmt::Display for E20Trial {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "e20 {alg:<34} arm={arm:<14} backend={backend:<6} intensity={i} seed={seed} \
+             class={class:<17} max_ops={ops:<6} max_dsm={dsm:<6} sc_fails={sc} corruptions={co} \
+             crashes={cr} respawns={re} detected={de}",
+            alg = self.algorithm,
+            arm = self.arm,
+            backend = self.backend.name(),
+            i = self.intensity,
+            seed = self.seed,
+            class = self.class,
+            ops = self.max_ops,
+            dsm = self.max_dsm_rmrs,
+            sc = self.spurious_sc,
+            co = self.corruptions,
+            cr = self.crashes,
+            re = self.respawns,
+            de = self.detected
+        )
+    }
+}
+
+/// The outcome of an E20 cross-backend run: every trial's row, in run
+/// order (per algorithm, intensity and seed, the simulator row first).
+#[derive(Clone, Debug)]
+pub struct E20Bench {
+    /// Number of processes.
+    pub n: usize,
+    /// Trials (seeds) per `(algorithm, intensity)` cell.
+    pub trials: u64,
+    /// Every trial's row.
+    pub rows: Vec<E20Trial>,
+}
+
+/// E20 on either or both backends: every trial runs one seeded chaos
+/// plan tailored to its algorithm's arm ([`e20_case`]), on the
+/// simulator through [`run_case_with`] and on real threads through
+/// [`run_hw_chaos`], seeds `1..=trials` per `(algorithm, intensity)`
+/// cell. `respawn_budget` overrides the crash-recovery arm's budget on
+/// the hardware side only (0 forces the escalation path); the simulator
+/// keeps the arm's own regime — its recovery semantics have no budget-0
+/// encoding.
+pub fn e20_bench(
+    backends: &[BackendKind],
+    n: usize,
+    intensities: &[usize],
+    trials: u64,
+    respawn_budget: Option<u64>,
+) -> E20Bench {
+    let mut rows = Vec::new();
+    for a in 0..E20_ALGORITHMS.len() {
+        let alg = e20_algorithm(a, n);
+        let hw_recovery = e20_recovery(a, n).map(|r| RecoverySpec {
+            budget: respawn_budget.unwrap_or(r.budget),
+            ..r
+        });
+        for &intensity in intensities {
+            for seed in 1..=trials {
+                let case = e20_case(a, n, intensity, seed, DEFAULT_MAX_EVENTS);
+                for &backend in backends {
+                    let (algorithm, arm) = (alg.name().to_string(), e20_arm(a));
+                    rows.push(match backend {
+                        BackendKind::Sim => {
+                            let run = run_case_with(&case, alg.as_ref());
+                            let (spurious_sc, corruptions) = match run.outcome {
+                                Some(RunOutcome::FaultInjected {
+                                    spurious_sc,
+                                    corruptions,
+                                }) => (spurious_sc, corruptions),
+                                _ => (0, 0),
+                            };
+                            let failure = class_is_failure(&run.class).then(|| ReproCase {
+                                outcome: run.outcome_debug.clone(),
+                                class: run.class.clone(),
+                                ..case.clone()
+                            });
+                            E20Trial {
+                                algorithm,
+                                arm,
+                                backend,
+                                intensity,
+                                seed,
+                                max_ops: run.counters.max_ops(),
+                                max_dsm_rmrs: run
+                                    .counters
+                                    .dsm_rmrs
+                                    .iter()
+                                    .copied()
+                                    .max()
+                                    .unwrap_or(0),
+                                spurious_sc,
+                                corruptions,
+                                crashes: run.counters.total_crashes(),
+                                respawns: run.counters.total_recoveries(),
+                                detected: run.detected,
+                                class: run.class,
+                                failure,
+                            }
+                        }
+                        BackendKind::Atomic => {
+                            let run = run_hw_chaos(
+                                alg.as_ref(),
+                                n,
+                                seed,
+                                &case.faults,
+                                &case.crashes,
+                                hw_recovery,
+                                E20_MAX_STEPS,
+                            );
+                            let failure = class_is_failure(run.class).then(|| {
+                                chaos_failure_case(&case, hw_recovery, run.class, run.outcome_text)
+                            });
+                            E20Trial {
+                                algorithm,
+                                arm,
+                                backend,
+                                intensity,
+                                seed,
+                                class: run.class.to_string(),
+                                max_ops: run.max_ops,
+                                max_dsm_rmrs: run.max_dsm_rmrs,
+                                spurious_sc: run.spurious_sc,
+                                corruptions: run.corruptions,
+                                crashes: run.crashes,
+                                respawns: run.respawns,
+                                detected: run.detected,
+                                failure,
+                            }
+                        }
+                    });
+                }
+            }
+        }
+    }
+    E20Bench { n, trials, rows }
+}
+
+impl E20Bench {
+    /// The failed trials, in run order.
+    pub fn failures(&self) -> impl Iterator<Item = &E20Trial> {
+        self.rows.iter().filter(|r| r.failure.is_some())
+    }
+
+    /// The `(simulator, hardware)` row pairs of the cells whose two
+    /// backends disagree on the class — expected occasionally, since the
+    /// OS chooses the hardware interleaving.
+    pub fn divergence(&self) -> impl Iterator<Item = (&E20Trial, &E20Trial)> {
+        self.rows.windows(2).filter_map(|w| {
+            let (sim, hw) = (&w[0], &w[1]);
+            let cell = (sim.backend, hw.backend) == (BackendKind::Sim, BackendKind::Atomic)
+                && (&sim.algorithm, sim.intensity, sim.seed)
+                    == (&hw.algorithm, hw.intensity, hw.seed);
+            (cell && sim.class != hw.class).then_some((sim, hw))
+        })
+    }
+
+    /// The run as a `BENCH_pr10.json`-schema artifact: `{"bench":"pr10",
+    /// "n":…,"trials":…,"cases":[…],"divergence":[…],"failures":[…]}`;
+    /// each failure carries its replayable case under `"repro"`.
+    pub fn render_json(&self) -> String {
+        let cases: Vec<String> = self
+            .rows
+            .iter()
+            .map(|r| {
+                format!(
+                    "{{\"experiment\":\"e20\",\"algorithm\":\"{}\",\"arm\":\"{}\",\"backend\":\"{}\",\
+                     \"intensity\":{},\"seed\":{},\"class\":\"{}\",\"max_ops\":{},\"max_dsm_rmrs\":{},\
+                     \"spurious_sc\":{},\"corruptions\":{},\"crashes\":{},\"respawns\":{},\"detected\":{}}}",
+                    r.algorithm,
+                    r.arm,
+                    r.backend.name(),
+                    r.intensity,
+                    r.seed,
+                    r.class,
+                    r.max_ops,
+                    r.max_dsm_rmrs,
+                    r.spurious_sc,
+                    r.corruptions,
+                    r.crashes,
+                    r.respawns,
+                    r.detected
+                )
+            })
+            .collect();
+        let divergence: Vec<String> = self
+            .divergence()
+            .map(|(sim, hw)| {
+                format!(
+                    "{{\"algorithm\":\"{}\",\"intensity\":{},\"seed\":{},\
+                     \"sim_class\":\"{}\",\"hw_class\":\"{}\"}}",
+                    sim.algorithm, sim.intensity, sim.seed, sim.class, hw.class
+                )
+            })
+            .collect();
+        let failures: Vec<String> = self
+            .rows
+            .iter()
+            .filter_map(|r| {
+                let repro = r.failure.as_ref()?;
+                let mut out = format!(
+                    "{{\"algorithm\":\"{}\",\"backend\":\"{}\",\"intensity\":{},\"seed\":{},\
+                     \"class\":\"{}\",\"outcome\":",
+                    r.algorithm,
+                    r.backend.name(),
+                    r.intensity,
+                    r.seed,
+                    r.class
+                );
+                json::push_string(&mut out, &repro.outcome);
+                out.push_str(",\"repro\":");
+                json::push_string(&mut out, repro.to_json().trim_end());
+                out.push('}');
+                Some(out)
+            })
+            .collect();
+        format!(
+            "{{\"bench\":\"pr10\",\"n\":{},\"trials\":{},\"cases\":[{}],\"divergence\":[{}],\"failures\":[{}]}}\n",
+            self.n,
+            self.trials,
+            cases.join(","),
+            divergence.join(","),
+            failures.join(",")
+        )
+    }
 }
 
 /// Which backend an E18 case ran on.
@@ -1304,78 +1277,102 @@ mod tests {
         assert!(err.to_string().contains("panicked"), "{err}");
     }
 
+    /// E20 algorithm `idx` on the hardware backend at n = 3, intensity 2,
+    /// under the arm's own regime, for chaos seeds `1..=seeds`.
+    fn hw_chaos_trials(idx: usize, seeds: u64) -> Vec<HwChaosRun> {
+        let alg = e20_algorithm(idx, 3);
+        (1..=seeds)
+            .map(|seed| {
+                let case = e20_case(idx, 3, 2, seed, DEFAULT_MAX_EVENTS);
+                run_hw_chaos(
+                    alg.as_ref(),
+                    3,
+                    seed,
+                    &case.faults,
+                    &case.crashes,
+                    case.recovery,
+                    E20_MAX_STEPS,
+                )
+            })
+            .collect()
+    }
+
     #[test]
     fn hardened_wakeup_degrades_gracefully_under_hw_memory_faults() {
-        use llsc_wakeup::HardenedCounterWakeup;
-        let report = xcheck_chaos(&HardenedCounterWakeup, &small(), 2, None).expect("sim envelope");
-        assert_eq!(report.silent_wrong, 0, "{}", report.render());
-        assert!(report.ok, "{}", report.render());
-        assert_eq!(report.trials.len(), 3);
-        assert!(
-            report
-                .trials
-                .iter()
-                .all(|t| t.crashes == 0 && t.respawns == 0),
-            "no crash layer without a recovery regime: {}",
-            report.render()
-        );
+        // E20 algorithm 0 is the hardened counter wakeup (memory-fault arm).
+        let trials = hw_chaos_trials(0, 4);
+        for t in &trials {
+            assert!(
+                !matches!(t.class, "silent-wrong" | "panic"),
+                "degrades gracefully: {t:?}"
+            );
+            assert_eq!(
+                (t.crashes, t.respawns),
+                (0, 0),
+                "no crash layer without a recovery regime: {t:?}"
+            );
+        }
         // The fault layer is armed: across the trials something fired.
         assert!(
-            report
-                .trials
-                .iter()
-                .any(|t| t.spurious_sc + t.corruptions > 0),
-            "{}",
-            report.render()
+            trials.iter().any(|t| t.spurious_sc + t.corruptions > 0),
+            "{trials:?}"
         );
     }
 
     #[test]
     fn recoverable_wakeup_survives_crash_respawn_chaos() {
-        use llsc_wakeup::RecoverableCounterWakeup;
-        let spec = RecoverySpec {
-            delay: 3,
-            budget: 2,
-        };
-        let report =
-            xcheck_chaos(&RecoverableCounterWakeup, &small(), 2, Some(spec)).expect("sim envelope");
-        assert_eq!(report.silent_wrong, 0, "{}", report.render());
-        for t in &report.trials {
+        // E20 algorithm 4 is the recoverable counter wakeup
+        // (crash-recovery arm).
+        let trials = hw_chaos_trials(4, 4);
+        for t in &trials {
+            assert!(!matches!(t.class, "silent-wrong" | "panic"), "{t:?}");
             assert!(
                 t.respawns <= t.crashes,
-                "each kill grants at most one respawn: {}",
-                report.render()
+                "each kill grants at most one respawn: {t:?}"
             );
             assert_eq!(
-                t.corruptions,
-                0,
-                "the crash-recovery arm strips corruption: {}",
-                report.render()
+                t.corruptions, 0,
+                "the crash-recovery arm strips corruption: {t:?}"
             );
         }
         // Intensity 2 schedules one victim per trial; at least one trial
         // must actually deliver its kill and the respawn after it.
         assert!(
-            report
-                .trials
-                .iter()
-                .any(|t| t.crashes > 0 && t.respawns > 0),
-            "{}",
-            report.render()
+            trials.iter().any(|t| t.crashes > 0 && t.respawns > 0),
+            "{trials:?}"
         );
     }
 
     #[test]
     fn failed_chaos_trials_carry_a_hardware_schedule_repro() {
-        let chaos = ChaosPlan::seeded(5, 3, 2, 24);
-        let case = chaos.to_case("xcheck-chaos", "x", 3, TossSpec::Seeded(5), 1000, 500);
-        let repro = chaos_failure_case(&case, "silent-wrong", "HwCompleted".into());
+        let case = e20_case(4, 3, 2, 5, 1000);
+        let budget0 = Some(RecoverySpec {
+            delay: 3,
+            budget: 0,
+        });
+        let repro = chaos_failure_case(&case, budget0, "silent-wrong", "HwCompleted".into());
         assert_eq!(repro.schedule, ScheduleSpec::Hardware);
         assert_eq!(repro.class, "silent-wrong");
-        assert_eq!(repro.faults, *chaos.faults());
-        assert_eq!(repro.crashes, *chaos.crashes());
+        assert_eq!(repro.faults, case.faults);
+        assert_eq!(repro.crashes, case.crashes);
+        assert_eq!(repro.recovery, budget0, "the hardware's regime is recorded");
         let back = ReproCase::from_json(&repro.to_json()).unwrap();
         assert_eq!(back, repro, "hardware-schedule cases round-trip");
+
+        // A real `--respawn-budget 0` run: its failure rows carry the
+        // case in the artifact.
+        let bench = e20_bench(&[BackendKind::Atomic], 3, &[2], 2, Some(0));
+        assert!(bench.failures().count() > 0, "budget 0 exhausts a respawn");
+        let artifact = bench.render_json();
+        let entries: Vec<&str> = artifact.split(",\"repro\":").skip(1).collect();
+        assert_eq!(entries.len(), bench.failures().count(), "{artifact}");
+        for entry in entries {
+            let (embedded, _) = json::parse_prefix(entry).unwrap();
+            let repro = ReproCase::from_json(embedded.as_str().unwrap()).unwrap();
+            assert_eq!(repro.schedule, ScheduleSpec::Hardware);
+            assert_eq!(repro.class, "respawn-exhausted");
+            assert_eq!(repro.recovery.map(|r| r.budget), Some(0));
+        }
     }
 
     #[test]

@@ -176,7 +176,7 @@ impl Executor {
 
     /// Resets the executor in place for a fresh run of `alg` — the
     /// reusable per-worker trial context of scratch sweeps
-    /// ([`Sweep::run_with_scratch`](crate::Sweep::run_with_scratch)):
+    /// ([`crate::Sweep::run_indexed_range_with_scratch`]):
     /// programs are re-spawned, the shared memory is cleared back to its
     /// initial values, and the run, counters, and fault state restart
     /// from empty, reusing buffer allocations instead of building a new

@@ -317,23 +317,28 @@ impl Sweep {
             .collect()
     }
 
-    /// Runs `f` once per item with a **per-worker scratch**: each worker
-    /// thread builds one scratch value via `init` and reuses it across
-    /// every trial it claims — a reusable executor, memory buffers, or
-    /// any other trial context that would otherwise be reallocated per
-    /// trial. Results are merged in item order, exactly as in
-    /// [`Sweep::run`].
+    /// Runs `f` once per index in `offset..offset + count` with a
+    /// **per-worker scratch**: each worker thread builds one scratch value
+    /// via `init` and reuses it across every trial it claims — a reusable
+    /// executor, memory buffers, or any other trial context that would
+    /// otherwise be reallocated per trial. Results are merged in index
+    /// order, exactly as in [`Sweep::run`].
     ///
-    /// Trial seeds are derived precisely as in [`Sweep::run`]
-    /// (`trial_seed(sweep seed, index)`), so moving a sweep between the
-    /// two entry points cannot change any artifact. The determinism
-    /// contract extends to the scratch: `f`'s *output* must remain a pure
-    /// function of `(trial, item)` — the scratch may carry allocation
-    /// capacity between trials, but no trial-visible state (reset it at
-    /// the top of `f`, e.g. [`Executor::reset`](crate::Executor::reset)).
+    /// Trial identity (index *and* derived seed,
+    /// `trial_seed(sweep seed, index)`) comes from the global index, as in
+    /// [`Sweep::run_indexed`]. This is the chunking hook the resumable job
+    /// layer is built on: a sweep's index space executed as a sequence of
+    /// ranges — in any order, at any thread count, across process
+    /// restarts — yields exactly the outputs of one uninterrupted sweep
+    /// over `0..total`, sliced.
     ///
-    /// The scratch never crosses threads (each worker builds, uses, and
-    /// drops its own), so `S` needs neither `Send` nor `Sync`.
+    /// The determinism contract extends to the scratch: `f`'s *output*
+    /// must remain a pure function of the trial — the scratch may carry
+    /// allocation capacity between trials, but no trial-visible state
+    /// (reset it at the top of `f`, e.g.
+    /// [`Executor::reset`](crate::Executor::reset)). The scratch never
+    /// crosses threads (each worker builds, uses, and drops its own), so
+    /// `S` needs neither `Send` nor `Sync`.
     ///
     /// # Panics
     ///
@@ -344,69 +349,48 @@ impl Sweep {
     /// matters more than reuse. The sweep's [`Sweep::trial_timeout`]
     /// *does* apply here, exactly as in the fallible paths: a hung trial
     /// panics (and propagates) rather than hanging the sweep forever.
-    pub fn run_with_scratch<I, T, S, Init, F>(&self, items: &[I], init: Init, f: F) -> Vec<T>
-    where
-        I: Sync,
-        T: Send,
-        Init: Fn() -> S + Sync,
-        F: Fn(&mut S, Trial, &I) -> T + Sync,
-    {
-        self.run_with_scratch_at(0, items, init, f)
-    }
-
-    /// [`Sweep::run_with_scratch`] with a **trial-index offset**: item `i`
-    /// runs as global trial `offset + i`, with its seed derived from that
-    /// global index (`trial_seed(sweep seed, offset + i)`).
-    ///
-    /// This is the chunking hook the resumable job layer is built on: a
-    /// sweep partitioned into contiguous chunks and executed chunk by
-    /// chunk — in any order, at any thread count, interleaved with process
-    /// restarts — produces exactly the per-trial outputs of one
-    /// uninterrupted sweep over the full index space, because nothing but
-    /// the global index feeds a trial's identity.
-    fn run_with_scratch_at<I, T, S, Init, F>(
+    pub fn run_indexed_range_with_scratch<T, S, Init, F>(
         &self,
         offset: usize,
-        items: &[I],
+        count: usize,
         init: Init,
         f: F,
     ) -> Vec<T>
     where
-        I: Sync,
         T: Send,
         Init: Fn() -> S + Sync,
-        F: Fn(&mut S, Trial, &I) -> T + Sync,
+        F: Fn(&mut S, Trial) -> T + Sync,
     {
-        if items.is_empty() {
+        if count == 0 {
             return Vec::new();
         }
-        let threads = self.threads.max(1).min(items.len());
-        let trial = |index: usize| Trial {
-            index: offset + index,
-            seed: trial_seed(self.seed, offset + index),
+        let threads = self.threads.max(1).min(count);
+        let trial = |i: usize| Trial {
+            index: offset + i,
+            seed: trial_seed(self.seed, offset + i),
         };
         if threads <= 1 {
             let mut scratch = init();
-            return items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| {
+            return (0..count)
+                .map(|i| {
                     let _token = self.arm_trial();
-                    f(&mut scratch, trial(i), item)
+                    f(&mut scratch, trial(i))
                 })
                 .collect();
         }
         let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<T>>> = items.iter().map(|_| Mutex::new(None)).collect();
+        let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| {
                     let mut scratch = init();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else { break };
+                        if i >= count {
+                            break;
+                        }
                         let _token = self.arm_trial();
-                        let out = f(&mut scratch, trial(i), item);
+                        let out = f(&mut scratch, trial(i));
                         *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
                     }
                 });
@@ -422,54 +406,6 @@ impl Sweep {
             .collect()
     }
 
-    /// [`Sweep::run_indexed`] with a per-worker scratch: runs `f` once per
-    /// index in `0..count`, each worker reusing one `init()`-built scratch
-    /// across its trials. See [`Sweep::run_with_scratch`] for the
-    /// determinism contract.
-    pub fn run_indexed_with_scratch<T, S, Init, F>(&self, count: usize, init: Init, f: F) -> Vec<T>
-    where
-        T: Send,
-        Init: Fn() -> S + Sync,
-        F: Fn(&mut S, Trial) -> T + Sync,
-    {
-        self.run_indexed_range_with_scratch(0, count, init, f)
-    }
-
-    /// Runs `f` once per index in `offset..offset + count`, each worker
-    /// reusing one `init()`-built scratch across its trials. Trial
-    /// identity (index *and* derived seed) comes from the global index,
-    /// so executing a sweep's index space as a sequence of ranges —
-    /// across separate calls, thread counts, or process lifetimes —
-    /// yields exactly the outputs of [`Sweep::run_indexed_with_scratch`]
-    /// over `0..total`, sliced. See [`Sweep::run_with_scratch`] for the
-    /// determinism contract.
-    pub fn run_indexed_range_with_scratch<T, S, Init, F>(
-        &self,
-        offset: usize,
-        count: usize,
-        init: Init,
-        f: F,
-    ) -> Vec<T>
-    where
-        T: Send,
-        Init: Fn() -> S + Sync,
-        F: Fn(&mut S, Trial) -> T + Sync,
-    {
-        let indices: Vec<usize> = (offset..offset + count).collect();
-        self.run_with_scratch_at(offset, &indices, init, |scratch, t, _| f(scratch, t))
-    }
-
-    /// The fallible counterpart of [`Sweep::run_indexed`]: runs `f` once
-    /// per index in `0..count` with panic isolation.
-    pub fn run_indexed_fallible<T, F>(&self, count: usize, f: F) -> Vec<Result<T, TrialFailure>>
-    where
-        T: Send,
-        F: Fn(Trial) -> T + Sync,
-    {
-        let indices: Vec<usize> = (0..count).collect();
-        self.run_fallible(&indices, |t, _| f(t))
-    }
-
     /// Runs `f` once per index in `0..count` (a sweep whose items are just
     /// their indices — seed sweeps, subset enumerations).
     pub fn run_indexed<T, F>(&self, count: usize, f: F) -> Vec<T>
@@ -480,13 +416,6 @@ impl Sweep {
         let indices: Vec<usize> = (0..count).collect();
         self.run(&indices, |t, _| f(t))
     }
-}
-
-/// Parses a `--threads N` override commonly shared by the experiment
-/// binaries; returns 1 (sequential, the deterministic baseline) when the
-/// value is absent.
-pub fn threads_or_default(explicit: Option<usize>) -> usize {
-    explicit.unwrap_or(1).max(1)
 }
 
 #[cfg(test)]
@@ -619,7 +548,8 @@ mod tests {
 
     #[test]
     fn run_indexed_fallible_matches_indexed() {
-        let ok = Sweep::with_threads(3).run_indexed_fallible(5, |t| t.index * 2);
+        let items: Vec<usize> = (0..5).collect();
+        let ok = Sweep::with_threads(3).run_fallible(&items, |t, _| t.index * 2);
         assert_eq!(
             ok.into_iter().collect::<Result<Vec<_>, _>>().unwrap(),
             vec![0, 2, 4, 6, 8]
@@ -635,15 +565,13 @@ mod tests {
             .seeded(9)
             .run(&items, |t, &x| t.seed ^ x);
         for threads in [1, 2, 8] {
-            let scratched = Sweep::with_threads(threads).seeded(9).run_with_scratch(
-                &items,
-                Vec::<u64>::new,
-                |scratch, t, &x| {
+            let scratched = Sweep::with_threads(threads)
+                .seeded(9)
+                .run_indexed_range_with_scratch(0, items.len(), Vec::<u64>::new, |scratch, t| {
                     scratch.clear(); // reset: no trial-visible state survives
-                    scratch.push(t.seed ^ x);
+                    scratch.push(t.seed ^ items[t.index]);
                     scratch[0]
-                },
-            );
+                });
             assert_eq!(scratched, base, "threads={threads}");
         }
     }
@@ -652,15 +580,16 @@ mod tests {
     fn scratch_is_built_once_per_worker_and_reused() {
         let inits = AtomicUsize::new(0);
         let items: Vec<usize> = (0..64).collect();
-        let out = Sweep::with_threads(4).run_with_scratch(
-            &items,
+        let out = Sweep::with_threads(4).run_indexed_range_with_scratch(
+            0,
+            items.len(),
             || {
                 inits.fetch_add(1, Ordering::Relaxed);
                 0usize
             },
-            |uses, _, &x| {
+            |uses, t| {
                 *uses += 1;
-                x
+                items[t.index]
             },
         );
         assert_eq!(out, items);
@@ -673,17 +602,11 @@ mod tests {
 
     #[test]
     fn indexed_scratch_counts_up_in_order() {
-        let out = Sweep::with_threads(3).run_indexed_with_scratch(9, || (), |(), t| t.index * 2);
+        let sweep = Sweep::with_threads(3);
+        let out = sweep.run_indexed_range_with_scratch(0, 9, || (), |(), t| t.index * 2);
         assert_eq!(out, (0..9).map(|i| i * 2).collect::<Vec<_>>());
-        let empty = Sweep::with_threads(3).run_indexed_with_scratch(0, || (), |(), t| t.index);
+        let empty = sweep.run_indexed_range_with_scratch(0, 0, || (), |(), t| t.index);
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn threads_or_default_prefers_explicit() {
-        assert_eq!(threads_or_default(Some(6)), 6);
-        assert_eq!(threads_or_default(Some(0)), 1);
-        assert_eq!(threads_or_default(None), 1);
     }
 
     #[test]
@@ -806,15 +729,15 @@ mod tests {
         // The PR 4 scratch paths used to skip deadline arming entirely; a
         // hung trial now panics out of the sweep at any thread count.
         for threads in [1, 2] {
-            let items: Vec<u64> = (0..2).collect();
             let result = catch_unwind(AssertUnwindSafe(|| {
                 Sweep::with_threads(threads)
                     .with_trial_timeout(Duration::from_millis(10))
-                    .run_with_scratch(
-                        &items,
+                    .run_indexed_range_with_scratch(
+                        0,
+                        2,
                         || (),
-                        |(), _, &x| -> u64 {
-                            if x == 0 {
+                        |(), t| -> u64 {
+                            if t.index == 0 {
                                 return 0;
                             }
                             let mut events = 0u64;
@@ -846,11 +769,9 @@ mod tests {
         // The chunking contract: any partition of the index space into
         // contiguous ranges, executed in any order at any thread count,
         // reproduces the full sweep's outputs exactly.
-        let full = Sweep::sequential().seeded(42).run_indexed_with_scratch(
-            100,
-            || (),
-            |(), t| (t.index, t.seed),
-        );
+        let full = Sweep::sequential()
+            .seeded(42)
+            .run_indexed_range_with_scratch(0, 100, || (), |(), t| (t.index, t.seed));
         for threads in [1, 3] {
             let sweep = Sweep::with_threads(threads).seeded(42);
             let mut chunked = Vec::new();

@@ -9,6 +9,7 @@
 //! llsc universal --n 64 [--imp adt|naive|herlihy|direct] [--schedule adversary|rr|seq]
 //! llsc table     e4 [--threads 4] [--json e4.json]      regenerate a published table
 //! llsc bench     [--backend atomic] [--out e18.json]    E18 on both backends
+//! llsc bench e20 [--backend atomic] [--out e20.json]    E20 on real threads
 //! llsc replay    repro.json                             re-execute a repro case
 //! llsc shrink    repro.json [--out min.json]            minimize a repro case
 //! llsc job       run|resume|status --dir <d> [...]      checkpointed sweep jobs
@@ -27,7 +28,7 @@ use llsc_lowerbound::bench::registry::{self, REGISTRY};
 use llsc_lowerbound::bench::repro::{run_case, shrink_case};
 use llsc_lowerbound::bench::table::Table;
 use llsc_lowerbound::bench::xcheck::{
-    e18_bench, xcheck_universal, xcheck_wakeup, BackendKind, XcheckConfig, E18_MAX_STEPS,
+    e18_bench, e20_bench, xcheck_universal, xcheck_wakeup, BackendKind, XcheckConfig, E18_MAX_STEPS,
 };
 use llsc_lowerbound::core::{
     build_all_run, flow_report, indist_all_subsets, is_secretive, random_move_config,
@@ -47,8 +48,10 @@ use llsc_lowerbound::wakeup::{
     strawman_algorithms,
 };
 use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 
 fn main() -> ExitCode {
@@ -67,11 +70,13 @@ fn main() -> ExitCode {
     if cmd == "table" {
         return cmd_table(rest);
     }
-    // The repro subcommands take a positional file before any flags.
-    if matches!(cmd.as_str(), "replay" | "shrink") {
+    // The repro subcommands take a positional file before any flags, and
+    // bench an optional experiment id.
+    if matches!(cmd.as_str(), "replay" | "shrink" | "bench") {
         let result = match cmd.as_str() {
             "replay" => cmd_replay(rest),
-            _ => cmd_shrink(rest),
+            "shrink" => cmd_shrink(rest),
+            _ => cmd_bench(rest),
         };
         return match result {
             Ok(()) => ExitCode::SUCCESS,
@@ -96,7 +101,6 @@ fn main() -> ExitCode {
         "secretive" => cmd_secretive(&opts),
         "universal" => cmd_universal(&opts),
         "xcheck" => cmd_xcheck(&opts),
-        "bench" => cmd_bench(&opts),
         "list" => cmd_list(),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
@@ -135,10 +139,17 @@ subcommands:
              [--seed <s>] [--retries <R>]         (ids: `llsc list`); fault tables
              [--trial-timeout-ms <MS>]            also take --max-events; exits
              [--repro-dir <d>] [--max-events <N>] 1 on a failed trial, 2 on misuse
-  bench      [--backend sim|atomic|both]          E18 throughput/latency on a
-             [--ns 2,4] [--samples <K>]           chosen execution backend; a
-             [--out <p>]                          failed case is recorded, the
-                                                  rest still run, exit nonzero
+  bench      [e18] [--backend sim|atomic|both]    E18 throughput/latency on a
+             [--ns 2,4] [--samples <K>]           chosen execution backend
+             [--out <p>]
+  bench e20  [--backend sim|atomic|both]          E20's chaos plans on the
+             [--n <N>] [--intensities 0,2,4]      simulator and on real
+             [--trials <K>] [--out <p>]           threads, with sim-vs-hardware
+             [--respawn-budget <B>]               divergence; either bench
+                                                  records a failed case, runs
+                                                  the rest and exits nonzero,
+                                                  and writes a file only with
+                                                  --out
   replay     <file>                               re-execute a repro case and
                                                   compare against its recorded
                                                   outcome (nonzero on diverge)
@@ -221,6 +232,38 @@ impl Opts {
                 .filter(|&t| t >= 1)
                 .ok_or_else(|| format!("bad --threads value `{v}`")),
         }
+    }
+
+    /// `--key` as an integer of at least `min`, or `default` when absent.
+    fn int<T: FromStr + PartialOrd + Display>(
+        &self,
+        key: &str,
+        default: T,
+        min: T,
+    ) -> Result<T, String> {
+        match self.flags.get(key) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .ok()
+                .filter(|x| *x >= min)
+                .ok_or_else(|| format!("bad --{key} value `{v}` (an integer >= {min})")),
+        }
+    }
+
+    /// `--key` as a non-empty comma-separated list of integers, each at
+    /// least `min`, or `default` when absent.
+    fn list(&self, key: &str, default: &[usize], min: usize) -> Result<Vec<usize>, String> {
+        let Some(list) = self.flags.get(key) else {
+            return Ok(default.to_vec());
+        };
+        list.split(',')
+            .map(|s| s.trim().parse().ok().filter(|&x| x >= min))
+            .collect::<Option<Vec<usize>>>()
+            .filter(|xs| !xs.is_empty())
+            .ok_or_else(|| {
+                format!("bad --{key} value `{list}` (comma-separated integers >= {min})")
+            })
     }
 
     fn sweep(&self) -> Result<Sweep, String> {
@@ -360,7 +403,7 @@ fn cmd_list() -> Result<(), String> {
         ),
         (
             "e20",
-            "bench_e20: E20's chaos plans on real threads",
+            "`llsc bench e20`: E20's chaos plans on real threads",
             "sim + atomic",
         ),
         (
@@ -394,22 +437,8 @@ fn cmd_table(args: &[String]) -> ExitCode {
 }
 
 fn cmd_xcheck(opts: &Opts) -> Result<(), String> {
-    let n = match opts.flags.get("n") {
-        None => 4,
-        Some(v) => v
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 2)
-            .ok_or_else(|| format!("bad --n value `{v}` (xcheck needs n >= 2)"))?,
-    };
-    let trials = match opts.flags.get("trials") {
-        None => 8,
-        Some(v) => v
-            .parse::<usize>()
-            .ok()
-            .filter(|&t| t >= 1)
-            .ok_or_else(|| format!("bad --trials value `{v}`"))?,
-    };
+    let n = opts.int("n", 4, 2)?;
+    let trials = opts.int("trials", 8, 1)?;
     let cfg = XcheckConfig {
         n,
         trials,
@@ -457,7 +486,30 @@ fn cmd_xcheck(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_bench(opts: &Opts) -> Result<(), String> {
+/// `llsc bench [e18|e20] [flags]`: the experiments that time or run real
+/// threads (E18 when no id is given). Artifacts are written only with
+/// `--out`.
+fn cmd_bench(args: &[String]) -> Result<(), String> {
+    let (id, flags) = match args.split_first() {
+        Some((id, rest)) if !id.starts_with("--") => (id.as_str(), rest),
+        _ => ("e18", args),
+    };
+    let opts = parse_opts(flags)?;
+    let allowed: &[&str] = match id {
+        "e18" => &["backend", "ns", "samples", "out"],
+        "e20" => &[
+            "backend",
+            "n",
+            "intensities",
+            "trials",
+            "respawn-budget",
+            "out",
+        ],
+        other => return Err(format!("unknown bench `{other}` (e18|e20)")),
+    };
+    if let Some(flag) = opts.flags.keys().find(|k| !allowed.contains(&k.as_str())) {
+        return Err(format!("`llsc bench {id}` takes no --{flag}"));
+    }
     let backends = match opts
         .flags
         .get("backend")
@@ -468,42 +520,53 @@ fn cmd_bench(opts: &Opts) -> Result<(), String> {
         one => vec![BackendKind::parse(one)
             .ok_or_else(|| format!("unknown --backend `{one}` (sim|atomic|both)"))?],
     };
-    let ns: Vec<usize> = match opts.flags.get("ns") {
-        None => vec![2, 4],
-        Some(list) => {
-            let parsed: Option<Vec<usize>> =
-                list.split(',').map(|s| s.trim().parse().ok()).collect();
-            parsed
-                .filter(|ns| !ns.is_empty() && ns.iter().all(|&n| n >= 1))
-                .ok_or_else(|| format!("bad --ns value `{list}` (e.g. `2,4`)"))?
+    let (artifact, failed) = if id == "e18" {
+        let ns = opts.list("ns", &[2, 4], 1)?;
+        let samples = opts.int("samples", 5, 1)?;
+        let bench = e18_bench(&backends, &ns, samples, E18_MAX_STEPS);
+        for row in &bench.rows {
+            println!("{row}");
         }
-    };
-    let samples = match opts.flags.get("samples") {
-        None => 5,
-        Some(v) => v
-            .parse::<u32>()
-            .ok()
-            .filter(|&s| s >= 1)
-            .ok_or_else(|| format!("bad --samples value `{v}`"))?,
-    };
-    let bench = e18_bench(&backends, &ns, samples, E18_MAX_STEPS);
-    for row in &bench.rows {
-        println!("{row}");
-    }
-    for f in &bench.failures {
-        let backend = f.backend.name();
-        eprintln!(
-            "e18 {} backend={backend} n={} FAILED: {}",
-            f.workload, f.n, f.error
+        for f in &bench.failures {
+            let backend = f.backend.name();
+            eprintln!(
+                "e18 {} backend={backend} n={} FAILED: {}",
+                f.workload, f.n, f.error
+            );
+        }
+        (bench.render_json(), bench.failures.len())
+    } else {
+        let respawn_budget = opts
+            .flags
+            .get("respawn-budget")
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("bad --respawn-budget value `{v}`"))
+            })
+            .transpose()?;
+        let bench = e20_bench(
+            &backends,
+            opts.int("n", 4, 2)?,
+            &opts.list("intensities", &[0, 2, 4], 0)?,
+            opts.int("trials", 3, 1)?,
+            respawn_budget,
         );
-    }
+        for row in &bench.rows {
+            println!("{row}");
+        }
+        let diverged = bench.divergence().count();
+        if diverged > 0 {
+            eprintln!("{diverged} cell(s) diverged between backends (recorded in the artifact)");
+        }
+        (bench.render_json(), bench.failures().count())
+    };
     if let Some(out) = opts.flags.get("out") {
-        llsc_lowerbound::shmem::atomic_write(std::path::Path::new(out), bench.render_json())
+        llsc_lowerbound::shmem::atomic_write(std::path::Path::new(out), artifact)
             .map_err(|e| format!("cannot write {out}: {e}"))?;
         eprintln!("wrote {out}");
     }
-    if !bench.failures.is_empty() {
-        return Err(format!("{} E18 case(s) failed", bench.failures.len()));
+    if failed > 0 {
+        return Err(format!("{failed} {} case(s) failed", id.to_uppercase()));
     }
     Ok(())
 }

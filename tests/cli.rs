@@ -1,6 +1,6 @@
 //! The `llsc table` and `llsc bench` front ends, driven through the real
 //! binary: thread-count invariance of a table's stdout and artifact,
-//! the usage errors, and the E18 artifact's schema.
+//! the usage errors, and the E18 and E20 artifacts' schemas.
 
 use llsc_lowerbound::bench::table::Table;
 use std::process::{Command, Output};
@@ -79,4 +79,80 @@ fn bench_out_writes_the_e18_artifact() {
     assert!(artifact.starts_with("{\"bench\":\"pr6\",\"samples\":1,\"cases\":[{"));
     assert!(artifact.contains("\"workload\":\"universal-direct\",\"backend\":\"sim\",\"n\":2,"));
     assert!(artifact.ends_with("\"failures\":[]}\n"), "{artifact}");
+}
+
+#[test]
+fn e20_bench_writes_its_artifact_only_with_out() {
+    let dir = std::env::temp_dir().join("llsc_cli_e20");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let grid = [
+        "bench",
+        "e20",
+        "--backend",
+        "sim",
+        "--n",
+        "3",
+        "--trials",
+        "2",
+    ];
+    let grid = [&grid[..], &["--intensities", "0,2"]].concat();
+    let run = |extra: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_llsc"))
+            .args(grid.iter().chain(extra))
+            .current_dir(&dir)
+            .output()
+            .expect("llsc runs")
+    };
+    let bare = run(&[]);
+    assert!(
+        bare.status.success(),
+        "{}",
+        String::from_utf8_lossy(&bare.stderr)
+    );
+    assert_eq!(
+        std::fs::read_dir(&dir).expect("temp dir").count(),
+        0,
+        "no --out, no file"
+    );
+    // 6 algorithms x 2 intensities x 2 seeds, one simulator row each.
+    assert_eq!(String::from_utf8_lossy(&bare.stdout).lines().count(), 24);
+
+    let out = run(&["--out", "e20.json"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        out.stdout, bare.stdout,
+        "the simulator half is deterministic"
+    );
+    let artifact = std::fs::read_to_string(dir.join("e20.json")).expect("artifact written");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(artifact.starts_with("{\"bench\":\"pr10\",\"n\":3,\"trials\":2,\"cases\":[{"));
+    assert!(
+        artifact.ends_with(",\"divergence\":[],\"failures\":[]}\n"),
+        "{artifact}"
+    );
+}
+
+#[test]
+fn e20_bench_rejects_bad_values_without_panicking() {
+    for (args, message) in [
+        (&["--n", "1"][..], "bad --n value `1`"),
+        (&["--trials", "0"][..], "bad --trials value `0`"),
+        (
+            &["--intensities", "0,x"][..],
+            "bad --intensities value `0,x`",
+        ),
+        (&["--ns", "2"][..], "`llsc bench e20` takes no --ns"),
+    ] {
+        let out = llsc(&[&["bench", "e20"][..], args].concat());
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(message), "{err}");
+        assert!(!err.contains("panicked"), "{err}");
+        assert!(out.stdout.is_empty(), "no trial runs");
+    }
 }
