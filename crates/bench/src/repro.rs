@@ -28,9 +28,8 @@ use crate::experiments::E16_TWINS;
 use crate::job::JobExperiment;
 use llsc_core::check_wakeup;
 use llsc_shmem::repro::{execute, shrink, ReproCase, ShrinkReport};
-use llsc_shmem::{
-    panic_message, Algorithm, FaultStats, OpCounters, ProcessId, RegisterId, RunOutcome, Value,
-};
+use llsc_shmem::{panic_message, Algorithm, FaultStats, OpCounters, ProcessId, RunOutcome, Value};
+use llsc_universal::hardening::detections;
 use llsc_wakeup::check_mutex_tokens;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -78,21 +77,6 @@ pub fn completed_class(safe: bool, detected: u64) -> &'static str {
     } else {
         "silent-wrong"
     }
-}
-
-/// Detections published to the hardened telemetry registers of `n`
-/// processes, read through `peek` (the simulator's memory or the
-/// hardware memory). Both telemetry ranges are summed: the hardened
-/// wakeup algorithms publish at one base, the hardened universal
-/// constructions at another.
-pub fn detected_telemetry(n: usize, peek: impl Fn(RegisterId) -> Value) -> u64 {
-    let count = |v: Value| v.as_int().unwrap_or(0).max(0) as u64;
-    ProcessId::all(n)
-        .map(|p| {
-            count(peek(llsc_wakeup::hardened_detect_reg(p)))
-                + count(peek(llsc_universal::hardened_detect_reg(p)))
-        })
-        .sum()
 }
 
 /// Whether a terminated run of `algorithm` is safe, on either backend.
@@ -151,7 +135,7 @@ pub fn run_case_with(case: &ReproCase, alg: &dyn Algorithm) -> CaseRun {
     let replayed = catch_unwind(AssertUnwindSafe(|| {
         let replayed = execute(case, alg);
         let exec = &replayed.exec;
-        let detected = detected_telemetry(case.n, |r| exec.memory().peek(r));
+        let detected = detections(case.n, |r| exec.memory().peek(r));
         let safe = judge_safe(
             &case.algorithm,
             case.n,

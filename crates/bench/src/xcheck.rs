@@ -31,7 +31,7 @@
 //! records the cells whose degradation classes differ. A trial that
 //! terminates is classified on either backend by the same three rules
 //! ([`crate::repro::completed_class`], [`crate::repro::judge_safe`],
-//! [`crate::repro::detected_telemetry`]); only the mapping of a failed
+//! [`llsc_universal::hardening::detections`]); only the mapping of a failed
 //! run to its class is per backend. A `silent-wrong`, `panic` or
 //! `respawn-exhausted` trial is a failure and carries a replayable case.
 
@@ -39,7 +39,7 @@ use crate::experiments::{
     e20_algorithm, e20_arm, e20_case, e20_recovery, E20_ALGORITHMS, E20_MAX_STEPS,
 };
 use crate::registry::DEFAULT_MAX_EVENTS;
-use crate::repro::{completed_class, detected_telemetry, judge_safe, run_case_with};
+use crate::repro::{completed_class, judge_safe, run_case_with};
 use llsc_atomics::{
     run_threads_supervised, run_threads_watchdog, HwEventKind, HwMemory, HwRun, HwRunError,
 };
@@ -50,6 +50,7 @@ use llsc_shmem::{
     RandomScheduler, RecoverySpec, RoundRobinScheduler, RunError, RunOutcome, Scheduler,
     SeededTosses, SequentialScheduler, Value,
 };
+use llsc_universal::hardening::detections;
 use llsc_universal::{ImplAlgorithm, ObjectImplementation};
 use std::fmt;
 use std::sync::Arc;
@@ -520,7 +521,7 @@ pub struct HwChaosRun {
 /// `recovery` is set), and classifies the result off the history, the
 /// fault-layer stats, and the hardened telemetry registers — by the
 /// simulator's rules ([`completed_class`], [`judge_safe`],
-/// [`detected_telemetry`]), so the two backends' classes are comparable.
+/// [`detections`]), so the two backends' classes are comparable.
 pub fn run_hw_chaos(
     alg: &dyn Algorithm,
     n: usize,
@@ -539,7 +540,7 @@ pub fn run_hw_chaos(
         None => run_threads_watchdog(alg, &mem, max_steps, HW_TRIAL_DEADLINE),
     };
     let stats = mem.fault_stats();
-    let detected = detected_telemetry(n, |r| mem.peek(r));
+    let detected = detections(n, |r| mem.peek(r));
     let events = mem.take_events();
     let kills = events
         .iter()

@@ -1,6 +1,6 @@
 //! Backend-generic execution: the surface a [`Program`] runs against.
 //!
-//! A program never touches [`SharedMemory`](crate::SharedMemory) directly —
+//! A program never touches [`SharedMemory`] directly —
 //! it emits [`Action`]s and consumes [`Feedback`]s. Everything the model
 //! needs from the outside world is therefore two calls wide: *apply this
 //! shared-memory operation* and *answer my next coin toss*. The

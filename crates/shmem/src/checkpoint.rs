@@ -16,14 +16,14 @@
 //! * **corruption** — the FNV-1a checksum of the payload does not match;
 //! * **version skew** — a checkpoint written by a different format
 //!   revision is refused rather than misread;
-//! * **torn writes** — [`write`] goes through
-//!   [`atomic_write`](crate::durable::atomic_write), so a kill between
+//! * **torn writes** — [`write()`] goes through
+//!   [`atomic_write`], so a kill between
 //!   create and rename leaves only an ignorable `*.tmp` sibling.
 //!
 //! [`load_latest`] scans a directory for the newest checkpoint that
 //! decodes cleanly, skipping (and reporting) invalid ones, so a job
 //! always resumes from the most recent *valid* state even if the most
-//! recent *write* was interrupted. [`write`] keeps the two newest
+//! recent *write* was interrupted. [`write()`] keeps the two newest
 //! checkpoints and prunes the rest, bounding disk use while guaranteeing
 //! a fallback exists the instant the newest file turns out bad.
 
@@ -177,7 +177,7 @@ pub fn parse_seq(name: &str) -> Option<u64> {
 }
 
 /// Atomically writes checkpoint `seq` into `dir` and prunes old state:
-/// all but the [`KEEP`] newest checkpoints, plus any stray `*.tmp`
+/// all but the `KEEP` newest checkpoints, plus any stray `*.tmp`
 /// leftovers from interrupted writes.
 ///
 /// # Errors

@@ -13,10 +13,9 @@ use std::fmt;
 /// the "infinite number of words" of the paper observationally exact.
 ///
 /// Internally the registers live in two tiers: ids below
-/// [`DENSE_REGISTERS`] — every id the shipped algorithms actually use — sit
-/// in a directly indexed slab, so the operation hot path costs one bounds
-/// check instead of an ordered-map search, while arbitrarily large ids
-/// spill into a [`BTreeMap`]. The split is invisible: iteration and
+/// `DENSE_REGISTERS` (1024) sit in a directly indexed slab, so an access
+/// to one costs one bounds check instead of an ordered-map search, while
+/// larger ids spill into a [`BTreeMap`]. The split is invisible: iteration and
 /// snapshots present both tiers merged in id order.
 ///
 /// # Examples

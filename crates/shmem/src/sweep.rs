@@ -253,7 +253,6 @@ impl Sweep {
         F: Fn(Trial, &I) -> T + Sync,
         C: Fn(Trial, &I) -> String + Sync,
     {
-        let threads = self.threads.max(1).min(items.len().max(1));
         let trial = |index: usize| Trial {
             index,
             seed: trial_seed(self.seed, index),
@@ -282,39 +281,7 @@ impl Sweep {
                 repro: None,
             })
         };
-        if threads <= 1 {
-            return items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| guarded(trial(i), item))
-                .collect();
-        }
-        let cursor = AtomicUsize::new(0);
-        // One slot per trial, so a worker's lock scope covers exactly its
-        // own slot: the old single-Mutex merge let any panicking trial
-        // poison the shared vector and cascade into every other trial's
-        // result. Results are computed before locking, and the merge
-        // recovers from a poisoned slot regardless.
-        let slots: Vec<Mutex<Option<Result<T, TrialFailure>>>> =
-            items.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(i) else { break };
-                    let out = guarded(trial(i), item);
-                    *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .expect("every trial index was claimed exactly once")
-            })
-            .collect()
+        self.pool(items.len(), || (), |(), i| guarded(trial(i), &items[i]))
     }
 
     /// Runs `f` once per index in `offset..offset + count` with a
@@ -361,24 +328,44 @@ impl Sweep {
         Init: Fn() -> S + Sync,
         F: Fn(&mut S, Trial) -> T + Sync,
     {
+        self.pool(count, init, |scratch, i| {
+            let _token = self.arm_trial();
+            let index = offset + i;
+            f(
+                scratch,
+                Trial {
+                    index,
+                    seed: trial_seed(self.seed, index),
+                },
+            )
+        })
+    }
+
+    /// The one worker pool behind the fallible and scratch sweeps: runs
+    /// `f(scratch, i)` for every `i` in `0..count` and returns the results
+    /// in index order. One worker runs the trials in order on the calling
+    /// thread; more claim indices from an atomic cursor on scoped threads,
+    /// each building its own scratch with `init` (so `S` never crosses
+    /// threads).
+    fn pool<T, S, Init, F>(&self, count: usize, init: Init, f: F) -> Vec<T>
+    where
+        T: Send,
+        Init: Fn() -> S + Sync,
+        F: Fn(&mut S, usize) -> T + Sync,
+    {
         if count == 0 {
             return Vec::new();
         }
         let threads = self.threads.max(1).min(count);
-        let trial = |i: usize| Trial {
-            index: offset + i,
-            seed: trial_seed(self.seed, offset + i),
-        };
         if threads <= 1 {
             let mut scratch = init();
-            return (0..count)
-                .map(|i| {
-                    let _token = self.arm_trial();
-                    f(&mut scratch, trial(i))
-                })
-                .collect();
+            return (0..count).map(|i| f(&mut scratch, i)).collect();
         }
         let cursor = AtomicUsize::new(0);
+        // One slot per trial, so a worker's lock scope covers exactly its
+        // own slot: a single shared Mutex would let one panicking trial
+        // poison every other trial's result. Results are computed before
+        // locking, and the merge recovers from a poisoned slot regardless.
         let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
             for _ in 0..threads {
@@ -389,8 +376,7 @@ impl Sweep {
                         if i >= count {
                             break;
                         }
-                        let _token = self.arm_trial();
-                        let out = f(&mut scratch, trial(i));
+                        let out = f(&mut scratch, i);
                         *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
                     }
                 });

@@ -42,7 +42,8 @@
 //! schedules, where the complexity shape matches the paper's claim.
 
 use crate::implementation::ObjectImplementation;
-use llsc_objects::{apply_all, ObjectSpec};
+use crate::tree::{entry, leaf_slots, replay_response, subtree_nonempty, union};
+use llsc_objects::ObjectSpec;
 use llsc_shmem::dsl::{read, swap, Step};
 use llsc_shmem::{ProcessId, RegisterId, Value};
 use std::fmt;
@@ -52,55 +53,20 @@ use std::sync::Arc;
 /// index ≥ 1) are the meeting points.
 const NODE_BASE: u64 = 3000;
 
-fn log_reg() -> RegisterId {
+pub(crate) fn log_reg() -> RegisterId {
     RegisterId(NODE_BASE)
 }
 
-fn node_reg(heap_index: u64) -> RegisterId {
+pub(crate) fn node_reg(heap_index: u64) -> RegisterId {
     RegisterId(NODE_BASE + heap_index)
 }
 
-/// Number of leaf slots: the smallest power of two ≥ n.
-fn leaf_slots(n: usize) -> u64 {
-    (n.max(1) as u64).next_power_of_two()
-}
-
-fn entry(p: ProcessId, op: &Value) -> Value {
-    Value::tuple([Value::Pid(p), op.clone()])
-}
-
-fn entry_pid(e: &Value) -> ProcessId {
-    e.index(0).and_then(Value::as_pid).expect("entry pid")
-}
-
-fn entry_op(e: &Value) -> &Value {
-    e.index(1).expect("entry op")
-}
-
-/// Union of two batches, deduplicated by process id, sorted by process id.
-fn union(a: &Value, b: &Value) -> Value {
-    let mut entries: Vec<Value> = a.as_tuple().expect("batch").to_vec();
-    for e in b.as_tuple().expect("batch") {
-        if !entries.iter().any(|x| entry_pid(x) == entry_pid(e)) {
-            entries.push(e.clone());
-        }
-    }
-    entries.sort_by_key(entry_pid);
-    Value::tuple(entries)
-}
-
-fn replay_response(spec: &dyn ObjectSpec, log: &Value, p: ProcessId) -> Value {
-    let entries = log.as_tuple().expect("log");
-    let upto = entries
-        .iter()
-        .position(|e| entry_pid(e) == p)
-        .expect("p's entry is in the log");
-    let ops: Vec<Value> = entries[..=upto]
-        .iter()
-        .map(|e| entry_op(e).clone())
-        .collect();
-    let (_, resps) = apply_all(spec, &ops);
-    resps.into_iter().next_back().expect("non-empty prefix")
+/// The log and every meeting point start at the Unit marker ("nobody
+/// parked here yet").
+pub(crate) fn initial_memory(n: usize) -> Vec<(RegisterId, Value)> {
+    (0..leaf_slots(n))
+        .map(|i| (node_reg(i), Value::Unit))
+        .collect()
 }
 
 /// The Group-Update-style universal construction (oblivious, single-use,
@@ -139,28 +105,13 @@ impl fmt::Debug for AdtTreeUniversal {
     }
 }
 
-/// `true` iff the subtree rooted at heap index `v` contains at least one
-/// of the `n` processes (the tree has `leaf_slots(n)` leaf positions, the
-/// high ones unused when `n` is not a power of two).
-fn subtree_nonempty(v: u64, n: usize) -> bool {
-    let slots = leaf_slots(n);
-    // Widen v to the leaf row: the lowest leaf under v.
-    let mut low = v;
-    while low < slots {
-        low *= 2;
-    }
-    (low - slots) < n as u64
-}
-
 impl ObjectImplementation for AdtTreeUniversal {
     fn name(&self) -> String {
         format!("adt-group-update[{}]", self.spec.name())
     }
 
     fn initial_memory(&self, n: usize) -> Vec<(RegisterId, Value)> {
-        // The log and every meeting point start at the Unit marker.
-        let slots = leaf_slots(n);
-        (0..slots).map(|i| (node_reg(i), Value::Unit)).collect()
+        initial_memory(n)
     }
 
     fn invoke(
@@ -190,7 +141,7 @@ fn climb(
     if child == 1 {
         // Final leader: install the complete log with a single swap.
         return swap(log_reg(), batch.clone(), move |_| {
-            k(replay_response(spec.as_ref(), &batch, pid))
+            k(replay_response(spec.as_ref(), &batch, pid).expect("p's entry is in the log"))
         });
     }
     let v = child / 2;
@@ -206,7 +157,7 @@ fn climb(
             follow(spec, pid, k)
         } else {
             // Second: absorb the parked batch and lead the merged group.
-            let merged = union(&batch, &received);
+            let merged = union(&batch, &received).expect("batch");
             climb(spec, pid, n, v, merged, k)
         }
     })
@@ -218,7 +169,7 @@ fn follow(spec: Arc<dyn ObjectSpec>, pid: ProcessId, k: Box<dyn FnOnce(Value) ->
         if log.is_unit() {
             follow(spec, pid, k)
         } else {
-            k(replay_response(spec.as_ref(), &log, pid))
+            k(replay_response(spec.as_ref(), &log, pid).expect("log"))
         }
     })
 }
@@ -227,6 +178,7 @@ fn follow(spec: Arc<dyn ObjectSpec>, pid: ProcessId, k: Box<dyn FnOnce(Value) ->
 mod tests {
     use super::*;
     use crate::measure::{measure, MeasureConfig, ScheduleKind};
+    use crate::tree::entry_pid;
     use llsc_objects::{FetchIncrement, Queue, Stack};
 
     fn fi(n: usize, kind: ScheduleKind) -> crate::measure::MeasureResult {
@@ -375,12 +327,12 @@ mod tests {
             entry(ProcessId(0), &Value::from(2i64)),
             entry(ProcessId(3), &Value::from(1i64)),
         ]);
-        let u = union(&a, &b);
+        let u = union(&a, &b).unwrap();
         let pids: Vec<usize> = u
             .as_tuple()
             .unwrap()
             .iter()
-            .map(|e| entry_pid(e).0)
+            .map(|e| entry_pid(e).unwrap().0)
             .collect();
         assert_eq!(pids, vec![0, 3]);
     }

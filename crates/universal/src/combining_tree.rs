@@ -21,7 +21,8 @@
 //! cost is bounded by `O(n)`); solo cost `2·(⌈log₂ n⌉ + 1)`.
 
 use crate::implementation::ObjectImplementation;
-use llsc_objects::{apply_all, ObjectSpec};
+use crate::tree::{contains, entry, extend_log, leaf_slots, path, replay_response, union};
+use llsc_objects::ObjectSpec;
 use llsc_shmem::dsl::{ll, sc, Step};
 use llsc_shmem::{ProcessId, RegisterId, Value};
 use std::fmt;
@@ -31,93 +32,13 @@ use std::sync::Arc;
 /// so the root/log register is `NODE_BASE + 1`.
 const NODE_BASE: u64 = 2000;
 
-fn node_reg(heap_index: u64) -> RegisterId {
+pub(crate) fn node_reg(heap_index: u64) -> RegisterId {
     RegisterId(NODE_BASE + heap_index)
 }
 
-/// Number of leaf slots: the smallest power of two ≥ n.
-fn leaf_slots(n: usize) -> u64 {
-    (n.max(1) as u64).next_power_of_two()
-}
-
-fn entry(p: ProcessId, op: &Value) -> Value {
-    Value::tuple([Value::Pid(p), op.clone()])
-}
-
-fn entry_pid(e: &Value) -> ProcessId {
-    e.index(0)
-        .and_then(Value::as_pid)
-        .expect("a batch entry is (Pid, op); slot 0 must be the contributing process id")
-}
-
-fn entry_op(e: &Value) -> &Value {
-    e.index(1)
-        .expect("a batch entry is (Pid, op); slot 1 must be the contributed operation")
-}
-
-fn contains(batch: &Value, p: ProcessId) -> bool {
-    batch
-        .as_tuple()
-        .expect("a combining-tree batch register always holds a tuple of entries")
-        .iter()
-        .any(|e| entry_pid(e) == p)
-}
-
-/// Union of two batches, deduplicated by process id, sorted by process id.
-fn union(a: &Value, b: &Value) -> Value {
-    let mut entries: Vec<Value> = a
-        .as_tuple()
-        .expect("union: left batch must be a tuple of entries")
-        .to_vec();
-    for e in b
-        .as_tuple()
-        .expect("union: right batch must be a tuple of entries")
-    {
-        if !entries.iter().any(|x| entry_pid(x) == entry_pid(e)) {
-            entries.push(e.clone());
-        }
-    }
-    entries.sort_by_key(entry_pid);
-    Value::tuple(entries)
-}
-
-/// Appends to `log` every entry of `batch` not already present, in
-/// ascending pid order (the existing prefix is preserved).
-fn extend_log(log: &Value, batch: &Value) -> Value {
-    let mut entries = log
-        .as_tuple()
-        .expect("the root log register always holds a tuple of entries")
-        .to_vec();
-    let mut fresh: Vec<Value> = batch
-        .as_tuple()
-        .expect("extend_log: the appended batch must be a tuple of entries")
-        .iter()
-        .filter(|e| !contains(log, entry_pid(e)))
-        .cloned()
-        .collect();
-    fresh.sort_by_key(entry_pid);
-    entries.extend(fresh);
-    Value::tuple(entries)
-}
-
-fn replay_response(spec: &dyn ObjectSpec, log: &Value, p: ProcessId) -> Value {
-    let entries = log
-        .as_tuple()
-        .expect("the root log register always holds a tuple of entries");
-    let upto = entries
-        .iter()
-        .position(|e| entry_pid(e) == p)
-        .expect("replay_response is only called after p's entry reached the root log");
-    let ops: Vec<Value> = entries[..=upto]
-        .iter()
-        .map(|e| entry_op(e).clone())
-        .collect();
-    let (_, resps) = apply_all(spec, &ops);
-    resps
-        .into_iter()
-        .next_back()
-        .expect("the replayed prefix ends at p's own entry, so it is non-empty")
-}
+const BATCH_REG: &str = "a combining-tree batch register always holds a tuple of entries";
+const LOG_REG: &str = "the root log register always holds a tuple of entries";
+const REPLAY: &str = "replay_response is only called after p's entry reached the root log";
 
 /// The lock-free LL/SC combining tree (oblivious, single-use, wait-free
 /// with worst case `O(n)`, solo cost `Θ(log n)`).
@@ -144,23 +65,6 @@ impl CombiningTreeUniversal {
     /// Creates the construction instantiated with `spec`.
     pub fn new(spec: Arc<dyn ObjectSpec>) -> Self {
         CombiningTreeUniversal { spec }
-    }
-
-    /// The heap indices of the internal nodes process `p` visits, from its
-    /// leaf's parent up to and including the root (index 1).
-    fn path(p: ProcessId, n: usize) -> Vec<u64> {
-        let mut node = (leaf_slots(n) + p.0 as u64) / 2;
-        let mut path = Vec::new();
-        while node >= 1 {
-            path.push(node);
-            node /= 2;
-        }
-        if path.is_empty() {
-            // A single-process tree has no internal nodes; go straight to
-            // the root log.
-            path.push(1);
-        }
-        path
     }
 }
 
@@ -192,7 +96,7 @@ impl ObjectImplementation for CombiningTreeUniversal {
         k: Box<dyn FnOnce(Value) -> Step>,
     ) -> Step {
         let spec = Arc::clone(&self.spec);
-        let path = Self::path(pid, n);
+        let path = path(pid, n);
         let batch = Value::tuple([entry(pid, &op)]);
         climb(spec, pid, path, 0, batch, k)
     }
@@ -211,27 +115,27 @@ fn climb(
     let node = path[level];
     let is_root = node == 1;
     ll(node_reg(node), move |cur| {
+        let helped = contains(&cur, pid).expect(BATCH_REG);
         if is_root {
-            if contains(&cur, pid) {
+            if helped {
                 // Helped: my op is already in the log.
-                return k(replay_response(spec.as_ref(), &cur, pid));
+                return k(replay_response(spec.as_ref(), &cur, pid).expect(REPLAY));
             }
-            let new_log = extend_log(&cur, &batch);
+            let new_log = extend_log(&cur, &batch).expect(LOG_REG);
             sc(node_reg(node), new_log.clone(), move |ok, _| {
                 if ok {
-                    k(replay_response(spec.as_ref(), &new_log, pid))
+                    k(replay_response(spec.as_ref(), &new_log, pid).expect(REPLAY))
                 } else {
                     climb(spec, pid, path, level, batch, k)
                 }
             })
         } else {
-            if contains(&cur, pid) {
+            let merged = union(&cur, &batch).expect(BATCH_REG);
+            if helped {
                 // A same-subtree straggler already carried my batch here;
                 // take the combined group upward.
-                let carried = union(&cur, &batch);
-                return climb(spec, pid, path, level + 1, carried, k);
+                return climb(spec, pid, path, level + 1, merged, k);
             }
-            let merged = union(&cur, &batch);
             sc(node_reg(node), merged.clone(), move |ok, _| {
                 if ok {
                     climb(spec, pid, path, level + 1, merged, k)
@@ -247,6 +151,7 @@ fn climb(
 mod tests {
     use super::*;
     use crate::measure::{measure, MeasureConfig, ScheduleKind};
+    use crate::tree::entry_pid;
     use llsc_objects::{FetchIncrement, Queue, Stack};
 
     fn fi(n: usize, kind: ScheduleKind) -> crate::measure::MeasureResult {
@@ -266,12 +171,12 @@ mod tests {
 
     #[test]
     fn paths_lead_to_root() {
-        assert_eq!(CombiningTreeUniversal::path(ProcessId(0), 1), vec![1]);
-        assert_eq!(CombiningTreeUniversal::path(ProcessId(0), 4), vec![2, 1]);
-        assert_eq!(CombiningTreeUniversal::path(ProcessId(3), 4), vec![3, 1]);
-        assert_eq!(CombiningTreeUniversal::path(ProcessId(5), 8), vec![6, 3, 1]);
+        assert_eq!(path(ProcessId(0), 1), vec![1]);
+        assert_eq!(path(ProcessId(0), 4), vec![2, 1]);
+        assert_eq!(path(ProcessId(3), 4), vec![3, 1]);
+        assert_eq!(path(ProcessId(5), 8), vec![6, 3, 1]);
         // Non-power-of-two n rounds the leaf row up.
-        assert_eq!(CombiningTreeUniversal::path(ProcessId(4), 5), vec![6, 3, 1]);
+        assert_eq!(path(ProcessId(4), 5), vec![6, 3, 1]);
     }
 
     #[test]
@@ -295,7 +200,7 @@ mod tests {
         // Contention-free: 2 ops (LL+SC) per tree level.
         for n in [1, 2, 4, 16, 64] {
             let r = fi(n, ScheduleKind::Sequential);
-            let levels = CombiningTreeUniversal::path(ProcessId(0), n).len() as u64;
+            let levels = path(ProcessId(0), n).len() as u64;
             assert_eq!(r.max_ops, 2 * levels, "n={n}");
         }
     }
@@ -329,12 +234,12 @@ mod tests {
             entry(ProcessId(1), &Value::from(2i64)),
             entry(ProcessId(2), &Value::from(1i64)),
         ]);
-        let u = union(&a, &b);
+        let u = union(&a, &b).unwrap();
         let pids: Vec<usize> = u
             .as_tuple()
             .unwrap()
             .iter()
-            .map(|e| entry_pid(e).0)
+            .map(|e| entry_pid(e).unwrap().0)
             .collect();
         assert_eq!(pids, vec![1, 2]);
     }
@@ -346,12 +251,12 @@ mod tests {
             entry(ProcessId(3), &Value::from(1i64)),
             entry(ProcessId(0), &Value::from(2i64)),
         ]);
-        let out = extend_log(&log, &batch);
+        let out = extend_log(&log, &batch).unwrap();
         let pids: Vec<usize> = out
             .as_tuple()
             .unwrap()
             .iter()
-            .map(|e| entry_pid(e).0)
+            .map(|e| entry_pid(e).unwrap().0)
             .collect();
         assert_eq!(pids, vec![3, 0], "prefix kept, fresh entries appended");
     }

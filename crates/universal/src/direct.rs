@@ -21,7 +21,7 @@ use std::fmt;
 use std::sync::Arc;
 
 /// The register holding the object state.
-const STATE_REG: RegisterId = RegisterId(0);
+pub(crate) const STATE_REG: RegisterId = RegisterId(0);
 
 /// A direct LL/SC implementation of any [`ObjectSpec`]: the state lives in
 /// a single register; operations are applied with an optimistic retry loop.

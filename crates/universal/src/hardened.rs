@@ -26,178 +26,36 @@
 //!   its own group only, which degrades safely: orphaned followers stall
 //!   (a reported budget-exhaustion) rather than return wrong answers.
 //!
-//! Detected faults trigger a bounded backoff ([`BACKOFF_CAP`] scratch
-//! reads) before the retry, and each process publishes its detection count
-//! to [`hardened_detect_reg`]`(pid)` just before responding — but only
-//! when the count is nonzero, so fault-free runs never touch telemetry.
-//! Experiment E16 reads these registers to split wrong answers into
-//! *detected* and *silent*.
+//! Sealing, backoff and detection telemetry come from the shared
+//! [`hardening`](crate::hardening) kit: a detected fault triggers a
+//! bounded backoff before the retry, and each process publishes its
+//! detection count just before responding — but only when the count is
+//! nonzero, so fault-free runs never touch telemetry. Experiment E16
+//! reads the count to split wrong answers into *detected* and *silent*.
+//! The trees' batches and registers are the plain trees' own
+//! ([`crate::tree`], `node_reg`, `log_reg`); a batch register counts as
+//! intact only if it checksums *and* holds a well-formed batch.
 
+use crate::direct::STATE_REG;
+use crate::hardening::{backoff, publish, seal, unseal};
 use crate::implementation::ObjectImplementation;
-use llsc_objects::{apply_all, ObjectSpec};
+use crate::tree::{
+    contains, entries, entry, extend_log, leaf_slots, path, replay_response, subtree_nonempty,
+    union,
+};
+use crate::{adt_tree, combining_tree};
+use llsc_objects::ObjectSpec;
 use llsc_shmem::dsl::{ll, read, sc, swap, Step};
 use llsc_shmem::{ProcessId, RegisterId, Value};
 use std::fmt;
 use std::sync::Arc;
 
-/// Base of the detection-telemetry registers: `DETECT_BASE + pid`.
-pub const DETECT_BASE: u64 = 4000;
-/// Base of the backoff scratch registers.
-const BACKOFF_BASE: u64 = 4064;
-/// Maximum backoff reads before a detected-fault retry.
-pub const BACKOFF_CAP: u64 = 3;
-
-/// The telemetry register process `pid` swaps its detection count into —
-/// touched only when at least one fault was detected.
-pub fn hardened_detect_reg(pid: ProcessId) -> RegisterId {
-    RegisterId(DETECT_BASE + pid.0 as u64)
-}
-
-fn backoff_reg(pid: ProcessId) -> RegisterId {
-    RegisterId(BACKOFF_BASE + pid.0 as u64 % 16)
-}
-
-/// `steps` reads of the process's backoff scratch register, then `then`.
-fn backoff(pid: ProcessId, steps: u64, then: impl FnOnce() -> Step + 'static) -> Step {
-    if steps == 0 {
-        then()
-    } else {
-        read(backoff_reg(pid), move |_| backoff(pid, steps - 1, then))
-    }
-}
-
-/// Responds with `resp`, publishing the detection count first iff any
-/// fault was detected (so fault-free invocations respond exactly like
-/// their unhardened twins).
-fn deliver(
-    pid: ProcessId,
-    detections: u64,
-    resp: Value,
-    k: Box<dyn FnOnce(Value) -> Step>,
-) -> Step {
-    if detections == 0 {
-        k(resp)
-    } else {
-        swap(
-            hardened_detect_reg(pid),
-            Value::from(detections as i64),
-            move |_| k(resp),
-        )
-    }
-}
-
-/// Seals a payload with its structural checksum.
-fn seal(payload: Value) -> Value {
-    let fp = payload.fingerprint();
-    Value::tuple([payload, Value::from(fp)])
-}
-
-/// Validates and unwraps a sealed payload; `None` means corruption.
-fn unseal(v: &Value) -> Option<Value> {
-    let items = v.as_tuple()?;
-    if items.len() != 2 {
-        return None;
-    }
-    let fp = items[1].as_int()?;
-    if fp != i128::from(items[0].fingerprint()) {
-        return None;
-    }
-    Some(items[0].clone())
-}
-
-// ---- checked batch helpers (shared by both hardened trees) --------------
-//
-// The unhardened trees use `expect` on batch structure — a corrupted
-// register would panic the whole process. The hardened twins only ever
-// look inside payloads that already passed the checksum, but stay
-// panic-free anyway: structure checks return `Option` and a malformed
-// batch counts as a detection.
-
-fn entry(p: ProcessId, op: &Value) -> Value {
-    Value::tuple([Value::Pid(p), op.clone()])
-}
-
-fn entry_pid(e: &Value) -> Option<ProcessId> {
-    e.index(0).and_then(Value::as_pid)
-}
-
-fn well_formed(batch: &Value) -> bool {
-    batch.as_tuple().is_some_and(|es| {
-        es.iter()
-            .all(|e| e.len() == Some(2) && entry_pid(e).is_some())
-    })
-}
-
 /// Unseals a batch register, additionally requiring a well-formed batch.
 fn unseal_batch(v: &Value) -> Option<Value> {
-    unseal(v).filter(well_formed)
-}
-
-fn contains(batch: &Value, p: ProcessId) -> bool {
-    batch
-        .as_tuple()
-        .is_some_and(|es| es.iter().any(|e| entry_pid(e) == Some(p)))
-}
-
-/// Union of two well-formed batches, deduplicated and sorted by pid.
-fn union(a: &Value, b: &Value) -> Value {
-    let mut entries: Vec<Value> = a.as_tuple().unwrap_or(&[]).to_vec();
-    for e in b.as_tuple().unwrap_or(&[]) {
-        if !entries.iter().any(|x| entry_pid(x) == entry_pid(e)) {
-            entries.push(e.clone());
-        }
-    }
-    entries.sort_by_key(|e| entry_pid(e).unwrap_or(ProcessId(usize::MAX)));
-    Value::tuple(entries)
-}
-
-/// Appends to `log` every entry of `batch` not already present, in
-/// ascending pid order (the existing prefix is preserved).
-fn extend_log(log: &Value, batch: &Value) -> Value {
-    let mut entries = log.as_tuple().unwrap_or(&[]).to_vec();
-    let mut fresh: Vec<Value> = batch
-        .as_tuple()
-        .unwrap_or(&[])
-        .iter()
-        .filter(|e| entry_pid(e).is_some_and(|p| !contains(log, p)))
-        .cloned()
-        .collect();
-    fresh.sort_by_key(|e| entry_pid(e).unwrap_or(ProcessId(usize::MAX)));
-    entries.extend(fresh);
-    Value::tuple(entries)
-}
-
-/// Replays the log prefix up to `p`'s entry through the sequential spec;
-/// `None` if `p`'s entry is missing (only reachable under corruption).
-fn replay_response(spec: &dyn ObjectSpec, log: &Value, p: ProcessId) -> Option<Value> {
-    let entries = log.as_tuple()?;
-    let upto = entries.iter().position(|e| entry_pid(e) == Some(p))?;
-    let ops: Vec<Value> = entries[..=upto]
-        .iter()
-        .map(|e| e.index(1).cloned().unwrap_or(Value::Unit))
-        .collect();
-    let (_, resps) = apply_all(spec, &ops);
-    resps.into_iter().next_back()
-}
-
-fn leaf_slots(n: usize) -> u64 {
-    (n.max(1) as u64).next_power_of_two()
-}
-
-fn subtree_nonempty(v: u64, n: usize) -> bool {
-    let slots = leaf_slots(n);
-    let mut low = v;
-    while low < slots {
-        low *= 2;
-    }
-    (low - slots) < n as u64
+    unseal(v).filter(|b| entries(b).is_some())
 }
 
 // ---- hardened direct LL/SC ----------------------------------------------
-
-/// The register holding the sealed object state (same slot as
-/// [`crate::DirectLlSc`]).
-const STATE_REG: RegisterId = RegisterId(0);
 
 fn encode_state(state: Value, epoch: i128) -> Value {
     seal(Value::tuple([state, Value::from(epoch)]))
@@ -279,7 +137,7 @@ fn direct_attempt(
         let (next, resp) = spec.apply(&state, &op);
         sc(STATE_REG, encode_state(next, epoch + 1), move |ok, obs| {
             if ok {
-                deliver(pid, detections, resp, k)
+                publish(pid, detections, move || k(resp))
             } else {
                 // Free diagnosis: a fault-free failure always observes a
                 // strictly larger epoch (every successful SC after our LL
@@ -290,9 +148,7 @@ fn direct_attempt(
                     direct_attempt(spec, pid, op, detections, k)
                 } else {
                     let d = detections + 1;
-                    backoff(pid, d.min(BACKOFF_CAP), move || {
-                        direct_attempt(spec, pid, op, d, k)
-                    })
+                    backoff(pid, d, move || direct_attempt(spec, pid, op, d, k))
                 }
             }
         })
@@ -300,14 +156,6 @@ fn direct_attempt(
 }
 
 // ---- hardened combining tree --------------------------------------------
-
-/// Tree node registers (same slots as [`crate::CombiningTreeUniversal`]):
-/// `COMBINING_BASE + heap_index`, root/log at heap index 1.
-const COMBINING_BASE: u64 = 2000;
-
-fn combining_reg(heap_index: u64) -> RegisterId {
-    RegisterId(COMBINING_BASE + heap_index)
-}
 
 /// Hardened [`CombiningTreeUniversal`](crate::CombiningTreeUniversal):
 /// every node batch is sealed with its checksum, a corrupted node is
@@ -323,19 +171,6 @@ impl HardenedCombiningTreeUniversal {
     /// Creates the hardened construction instantiated with `spec`.
     pub fn new(spec: Arc<dyn ObjectSpec>) -> Self {
         HardenedCombiningTreeUniversal { spec }
-    }
-
-    fn path(p: ProcessId, n: usize) -> Vec<u64> {
-        let mut node = (leaf_slots(n) + p.0 as u64) / 2;
-        let mut path = Vec::new();
-        while node >= 1 {
-            path.push(node);
-            node /= 2;
-        }
-        if path.is_empty() {
-            path.push(1);
-        }
-        path
     }
 }
 
@@ -355,7 +190,7 @@ impl ObjectImplementation for HardenedCombiningTreeUniversal {
     fn initial_memory(&self, n: usize) -> Vec<(RegisterId, Value)> {
         let slots = leaf_slots(n);
         (1..slots * 2)
-            .map(|i| (combining_reg(i), seal(Value::empty_tuple())))
+            .map(|i| (combining_tree::node_reg(i), seal(Value::empty_tuple())))
             .collect()
     }
 
@@ -367,7 +202,7 @@ impl ObjectImplementation for HardenedCombiningTreeUniversal {
         k: Box<dyn FnOnce(Value) -> Step>,
     ) -> Step {
         let spec = Arc::clone(&self.spec);
-        let path = Self::path(pid, n);
+        let path = path(pid, n);
         let batch = Value::tuple([entry(pid, &op)]);
         combining_climb(spec, pid, path, 0, batch, 0, k)
     }
@@ -384,7 +219,7 @@ fn combining_climb(
 ) -> Step {
     let node = path[level];
     let is_root = node == 1;
-    ll(combining_reg(node), move |cur| {
+    ll(combining_tree::node_reg(node), move |cur| {
         // A node that does not checksum is corruption: treat it as empty
         // (losing parked contributions is detected, never absorbed as
         // garbage) and let our SC repair the register.
@@ -393,20 +228,20 @@ fn combining_climb(
             None => (Value::empty_tuple(), detections + 1),
         };
         if is_root {
-            if contains(&cur_batch, pid) {
+            if contains(&cur_batch, pid) == Some(true) {
                 // Helped: my op is already in the log.
                 let resp = replay_response(spec.as_ref(), &cur_batch, pid).unwrap_or(Value::Unit);
-                return deliver(pid, detections, resp, k);
+                return publish(pid, detections, move || k(resp));
             }
-            let new_log = extend_log(&cur_batch, &batch);
+            let new_log = extend_log(&cur_batch, &batch).unwrap_or_else(|| batch.clone());
             sc(
-                combining_reg(node),
+                combining_tree::node_reg(node),
                 seal(new_log.clone()),
                 move |ok, obs| {
                     if ok {
                         let resp =
                             replay_response(spec.as_ref(), &new_log, pid).unwrap_or(Value::Unit);
-                        deliver(pid, detections, resp, k)
+                        publish(pid, detections, move || k(resp))
                     } else {
                         // Fault-free failure: someone extended the log, so
                         // the observed batch differs from our basis.
@@ -415,7 +250,7 @@ fn combining_climb(
                             combining_climb(spec, pid, path, level, batch, detections, k)
                         } else {
                             let d = detections + 1;
-                            backoff(pid, d.min(BACKOFF_CAP), move || {
+                            backoff(pid, d, move || {
                                 combining_climb(spec, pid, path, level, batch, d, k)
                             })
                         }
@@ -423,43 +258,34 @@ fn combining_climb(
                 },
             )
         } else {
-            if contains(&cur_batch, pid) {
-                let carried = union(&cur_batch, &batch);
-                return combining_climb(spec, pid, path, level + 1, carried, detections, k);
+            let merged = union(&cur_batch, &batch).unwrap_or_else(|| batch.clone());
+            if contains(&cur_batch, pid) == Some(true) {
+                return combining_climb(spec, pid, path, level + 1, merged, detections, k);
             }
-            let merged = union(&cur_batch, &batch);
-            sc(combining_reg(node), seal(merged.clone()), move |ok, obs| {
-                if ok {
-                    combining_climb(spec, pid, path, level + 1, merged, detections, k)
-                } else {
-                    let legit = unseal_batch(&obs).is_some_and(|b| b != cur_batch);
-                    if legit {
-                        combining_climb(spec, pid, path, level, batch, detections, k)
+            sc(
+                combining_tree::node_reg(node),
+                seal(merged.clone()),
+                move |ok, obs| {
+                    if ok {
+                        combining_climb(spec, pid, path, level + 1, merged, detections, k)
                     } else {
-                        let d = detections + 1;
-                        backoff(pid, d.min(BACKOFF_CAP), move || {
-                            combining_climb(spec, pid, path, level, batch, d, k)
-                        })
+                        let legit = unseal_batch(&obs).is_some_and(|b| b != cur_batch);
+                        if legit {
+                            combining_climb(spec, pid, path, level, batch, detections, k)
+                        } else {
+                            let d = detections + 1;
+                            backoff(pid, d, move || {
+                                combining_climb(spec, pid, path, level, batch, d, k)
+                            })
+                        }
                     }
-                }
-            })
+                },
+            )
         }
     })
 }
 
 // ---- hardened ADT group-update tree -------------------------------------
-
-/// Registers (same slots as [`crate::AdtTreeUniversal`]): `ADT_BASE + 0`
-/// is the log, `ADT_BASE + heap_index` the meeting points.
-const ADT_BASE: u64 = 3000;
-
-fn adt_log_reg() -> RegisterId {
-    RegisterId(ADT_BASE)
-}
-
-fn adt_node_reg(heap_index: u64) -> RegisterId {
-    RegisterId(ADT_BASE + heap_index)
-}
 
 /// Hardened [`AdtTreeUniversal`](crate::AdtTreeUniversal): parked batches
 /// and the final log are sealed with checksums, so a meeting point or log
@@ -496,8 +322,7 @@ impl ObjectImplementation for HardenedAdtTreeUniversal {
     fn initial_memory(&self, n: usize) -> Vec<(RegisterId, Value)> {
         // The Unit marker still means "nobody parked here yet", so the log
         // and meeting points start unsealed, exactly like the original.
-        let slots = leaf_slots(n);
-        (0..slots).map(|i| (adt_node_reg(i), Value::Unit)).collect()
+        adt_tree::initial_memory(n)
     }
 
     fn invoke(
@@ -525,9 +350,9 @@ fn adt_climb(
 ) -> Step {
     if child == 1 {
         // Final leader: install the sealed log with a single swap.
-        return swap(adt_log_reg(), seal(batch.clone()), move |_| {
+        return swap(adt_tree::log_reg(), seal(batch.clone()), move |_| {
             let resp = replay_response(spec.as_ref(), &batch, pid).unwrap_or(Value::Unit);
-            deliver(pid, detections, resp, k)
+            publish(pid, detections, move || k(resp))
         });
     }
     let v = child / 2;
@@ -535,26 +360,31 @@ fn adt_climb(
     if !subtree_nonempty(sibling, n) {
         return adt_climb(spec, pid, n, v, batch, detections, k);
     }
-    swap(adt_node_reg(v), seal(batch.clone()), move |received| {
-        if received.is_unit() {
-            // First at the meeting point: the sealed batch is parked for
-            // the sibling leader; follow the log from here on.
-            adt_follow(spec, pid, detections, k)
-        } else {
-            match unseal_batch(&received) {
-                Some(parked) => adt_climb(spec, pid, n, v, union(&batch, &parked), detections, k),
-                None => {
-                    // The parked payload was corrupted in place: the
-                    // sibling group is unrecoverable. Climb with our own
-                    // group only — never absorb garbage into the log.
-                    let d = detections + 1;
-                    backoff(pid, d.min(BACKOFF_CAP), move || {
-                        adt_climb(spec, pid, n, v, batch, d, k)
-                    })
+    swap(
+        adt_tree::node_reg(v),
+        seal(batch.clone()),
+        move |received| {
+            if received.is_unit() {
+                // First at the meeting point: the sealed batch is parked for
+                // the sibling leader; follow the log from here on.
+                adt_follow(spec, pid, detections, k)
+            } else {
+                match unseal_batch(&received) {
+                    Some(parked) => {
+                        let merged = union(&batch, &parked).unwrap_or_else(|| batch.clone());
+                        adt_climb(spec, pid, n, v, merged, detections, k)
+                    }
+                    None => {
+                        // The parked payload was corrupted in place: the
+                        // sibling group is unrecoverable. Climb with our own
+                        // group only — never absorb garbage into the log.
+                        let d = detections + 1;
+                        backoff(pid, d, move || adt_climb(spec, pid, n, v, batch, d, k))
+                    }
                 }
             }
-        }
-    })
+        },
+    )
 }
 
 fn adt_follow(
@@ -563,14 +393,14 @@ fn adt_follow(
     detections: u64,
     k: Box<dyn FnOnce(Value) -> Step>,
 ) -> Step {
-    read(adt_log_reg(), move |log| {
+    read(adt_tree::log_reg(), move |log| {
         if log.is_unit() {
             return adt_follow(spec, pid, detections, k);
         }
         match unseal_batch(&log) {
-            Some(entries) if contains(&entries, pid) => {
-                let resp = replay_response(spec.as_ref(), &entries, pid).unwrap_or(Value::Unit);
-                deliver(pid, detections, resp, k)
+            Some(logged) if contains(&logged, pid) == Some(true) => {
+                let resp = replay_response(spec.as_ref(), &logged, pid).unwrap_or(Value::Unit);
+                publish(pid, detections, move || k(resp))
             }
             // A log that omits us means our park was lost to corruption
             // upstream; keep polling (the run ends as an honestly reported
@@ -579,7 +409,7 @@ fn adt_follow(
             None => {
                 // Corrupted log: a follower has nothing to replay. Publish
                 // the detection and respond Unit (detected-wrong).
-                deliver(pid, detections + 1, Value::Unit, k)
+                publish(pid, detections + 1, move || k(Value::Unit))
             }
         }
     })
@@ -602,6 +432,17 @@ mod tests {
         max_steps: u64,
     ) -> Executor {
         let mem = imp.initial_memory(n);
+        run_from(imp, n, mem, plan, max_steps)
+    }
+
+    /// One fetch&increment per process from initial memory `mem`.
+    fn run_from(
+        imp: Arc<dyn ObjectImplementation>,
+        n: usize,
+        mem: Vec<(RegisterId, Value)>,
+        plan: FaultPlan,
+        max_steps: u64,
+    ) -> Executor {
         let alg = FnAlgorithm::new("fi-once", move |pid, n| {
             let imp = Arc::clone(&imp);
             imp.invoke(pid, n, FetchIncrement::op(), Box::new(done))
@@ -612,6 +453,54 @@ mod tests {
         e.set_fault_plan(plan);
         let _ = e.drive(&mut RoundRobinScheduler::new(), max_steps);
         e
+    }
+
+    /// Runs `plain` and `hard` with the register `reg` holding the
+    /// non-batch value 7 from the start: `plain` must panic with
+    /// `message`, `hard` must respond and report the detection.
+    fn assert_loud_and_hardened(
+        plain: Arc<dyn ObjectImplementation>,
+        hard: Arc<dyn ObjectImplementation>,
+        reg: RegisterId,
+        message: &str,
+    ) {
+        let garbled = |imp: &Arc<dyn ObjectImplementation>| {
+            let mut mem = imp.initial_memory(2);
+            mem.iter_mut()
+                .filter(|(r, _)| *r == reg)
+                .for_each(|(_, v)| *v = Value::from(7i64));
+            run_from(Arc::clone(imp), 2, mem, FaultPlan::none(), 10_000)
+        };
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            garbled(&plain);
+        }))
+        .expect_err(&plain.name());
+        assert_eq!(llsc_shmem::panic_message(payload.as_ref()), message);
+        let e = garbled(&hard);
+        assert!(e.all_terminated(), "{}", hard.name());
+        let detections = crate::hardening::detections(2, |r| e.memory().peek(r));
+        assert!(detections >= 1, "{}", hard.name());
+    }
+
+    #[test]
+    fn plain_trees_still_panic_on_a_corrupted_batch_register() {
+        // The shared batch helpers return `None` on a malformed batch; the
+        // plain trees E16 compares against must still fail loudly on one,
+        // with their own messages, while the hardened twins respond. With
+        // n = 2 both processes meet at the root (heap index 1).
+        let spec: Arc<dyn ObjectSpec> = Arc::new(FetchIncrement::new(16));
+        assert_loud_and_hardened(
+            Arc::new(crate::CombiningTreeUniversal::new(spec.clone())),
+            Arc::new(HardenedCombiningTreeUniversal::new(spec.clone())),
+            combining_tree::node_reg(1),
+            "a combining-tree batch register always holds a tuple of entries",
+        );
+        assert_loud_and_hardened(
+            Arc::new(crate::AdtTreeUniversal::new(spec.clone())),
+            Arc::new(HardenedAdtTreeUniversal::new(spec)),
+            adt_tree::node_reg(1),
+            "batch",
+        );
     }
 
     #[test]
@@ -719,14 +608,7 @@ mod tests {
             .collect();
         got.sort_unstable();
         assert_eq!(got, vec![0, 1, 2]);
-        let detections: i128 = llsc_shmem::ProcessId::all(3)
-            .map(|p| {
-                e.memory()
-                    .peek(hardened_detect_reg(p))
-                    .as_int()
-                    .unwrap_or(0)
-            })
-            .sum();
+        let detections = crate::hardening::detections(3, |r| e.memory().peek(r));
         assert!(detections >= 1, "the victim published its detection");
     }
 
@@ -749,14 +631,7 @@ mod tests {
             .collect();
         got.sort_unstable();
         assert_eq!(got, vec![0, 1, 2], "recovered from the corrupted cell");
-        let detections: i128 = llsc_shmem::ProcessId::all(3)
-            .map(|p| {
-                e.memory()
-                    .peek(hardened_detect_reg(p))
-                    .as_int()
-                    .unwrap_or(0)
-            })
-            .sum();
+        let detections = crate::hardening::detections(3, |r| e.memory().peek(r));
         assert!(detections >= 1);
     }
 
@@ -777,14 +652,7 @@ mod tests {
             if e.fault_stats().corruptions == 0 {
                 continue;
             }
-            let detections: i128 = llsc_shmem::ProcessId::all(4)
-                .map(|p| {
-                    e.memory()
-                        .peek(hardened_detect_reg(p))
-                        .as_int()
-                        .unwrap_or(0)
-                })
-                .sum();
+            let detections = crate::hardening::detections(4, |r| e.memory().peek(r));
             if e.all_terminated() {
                 let mut got: Vec<i128> = llsc_shmem::ProcessId::all(4)
                     .map(|p| e.verdict(p).unwrap().as_int().unwrap_or(-1))
@@ -814,14 +682,7 @@ mod tests {
             if e.fault_stats().corruptions == 0 {
                 continue;
             }
-            let detections: i128 = llsc_shmem::ProcessId::all(4)
-                .map(|p| {
-                    e.memory()
-                        .peek(hardened_detect_reg(p))
-                        .as_int()
-                        .unwrap_or(0)
-                })
-                .sum();
+            let detections = crate::hardening::detections(4, |r| e.memory().peek(r));
             if e.all_terminated() {
                 let mut got: Vec<i128> = llsc_shmem::ProcessId::all(4)
                     .map(|p| e.verdict(p).unwrap().as_int().unwrap_or(-1))

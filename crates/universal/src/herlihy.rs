@@ -25,7 +25,8 @@
 //! through [`ObjectSpec::apply`].
 
 use crate::implementation::ObjectImplementation;
-use llsc_objects::{apply_all, ObjectSpec};
+use crate::tree::{contains, entry, entry_pid, replay_response};
+use llsc_objects::ObjectSpec;
 use llsc_shmem::dsl::{ll, read, sc, swap, Step};
 use llsc_shmem::{ProcessId, RegisterId, Value};
 use std::fmt;
@@ -38,42 +39,6 @@ const ANNOUNCE_BASE: u64 = 1000;
 
 fn announce_reg(p: ProcessId) -> RegisterId {
     RegisterId(ANNOUNCE_BASE + p.0 as u64)
-}
-
-/// An entry `(pid, op)` as stored in announce registers and the log.
-fn entry(p: ProcessId, op: &Value) -> Value {
-    Value::tuple([Value::Pid(p), op.clone()])
-}
-
-fn entry_pid(e: &Value) -> ProcessId {
-    e.index(0).and_then(Value::as_pid).expect("entry pid")
-}
-
-fn entry_op(e: &Value) -> &Value {
-    e.index(1).expect("entry op")
-}
-
-fn log_contains(log: &Value, p: ProcessId) -> bool {
-    log.as_tuple()
-        .expect("log tuple")
-        .iter()
-        .any(|e| entry_pid(e) == p)
-}
-
-/// Computes `p`'s response by replaying the log prefix up to and including
-/// `p`'s entry.
-fn replay_response(spec: &dyn ObjectSpec, log: &Value, p: ProcessId) -> Value {
-    let entries = log.as_tuple().expect("log tuple");
-    let upto = entries
-        .iter()
-        .position(|e| entry_pid(e) == p)
-        .expect("p's entry is in the log");
-    let ops: Vec<Value> = entries[..=upto]
-        .iter()
-        .map(|e| entry_op(e).clone())
-        .collect();
-    let (_, resps) = apply_all(spec, &ops);
-    resps.into_iter().next_back().expect("non-empty prefix")
 }
 
 /// The Herlihy-style `Θ(n)` oblivious universal construction (single-use).
@@ -145,8 +110,8 @@ fn attempt(
     k: Box<dyn FnOnce(Value) -> Step>,
 ) -> Step {
     ll(LOG_REG, move |log| {
-        if log_contains(&log, pid) {
-            return k(replay_response(spec.as_ref(), &log, pid));
+        if contains(&log, pid).expect("log tuple") {
+            return k(replay_response(spec.as_ref(), &log, pid).expect("p's entry is in the log"));
         }
         // Scan every announce register, collecting unapplied entries.
         scan(spec, pid, n, log, 0, Vec::new(), k)
@@ -169,14 +134,16 @@ fn scan(
         let new_log = Value::tuple(entries);
         return sc(LOG_REG, new_log.clone(), move |ok, _| {
             if ok {
-                k(replay_response(spec.as_ref(), &new_log, pid))
+                k(replay_response(spec.as_ref(), &new_log, pid).expect("p's entry is in the log"))
             } else {
                 attempt(spec, pid, n, k)
             }
         });
     }
     read(announce_reg(ProcessId(next)), move |ann| {
-        if !ann.is_unit() && !log_contains(&log, entry_pid(&ann)) {
+        if !ann.is_unit()
+            && !contains(&log, entry_pid(&ann).expect("entry pid")).expect("log tuple")
+        {
             gathered.push(ann);
         }
         scan(spec, pid, n, log, next + 1, gathered, k)

@@ -63,20 +63,19 @@ mod adt_tree;
 mod combining_tree;
 mod direct;
 mod hardened;
+pub mod hardening;
 mod herlihy;
 mod implementation;
 mod measure;
 mod ms_queue;
 mod multi_use;
+pub mod tree;
 mod treiber;
 
 pub use adt_tree::AdtTreeUniversal;
 pub use combining_tree::CombiningTreeUniversal;
 pub use direct::DirectLlSc;
-pub use hardened::{
-    hardened_detect_reg, HardenedAdtTreeUniversal, HardenedCombiningTreeUniversal,
-    HardenedDirectLlSc, BACKOFF_CAP, DETECT_BASE,
-};
+pub use hardened::{HardenedAdtTreeUniversal, HardenedCombiningTreeUniversal, HardenedDirectLlSc};
 pub use herlihy::HerlihyUniversal;
 pub use implementation::ObjectImplementation;
 pub use measure::{measure, ImplAlgorithm, MeasureConfig, MeasureResult, ScheduleKind};

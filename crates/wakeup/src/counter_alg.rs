@@ -15,7 +15,7 @@ use llsc_shmem::dsl::{done, ll, sc, Step};
 use llsc_shmem::{Algorithm, ProcessId, Program, RegisterId, Value};
 
 /// The shared counter register.
-const COUNTER: RegisterId = RegisterId(0);
+pub(crate) const COUNTER: RegisterId = RegisterId(0);
 
 /// The counter-based wakeup algorithm (deterministic, `Θ(n)` worst case).
 ///

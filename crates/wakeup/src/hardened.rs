@@ -27,66 +27,31 @@
 //!    [`Value::fingerprint`] checksum, so a corrupted meeting point is
 //!    recognised on receipt.
 //! 2. **Bounded backoff on detection.** A detected fault triggers up to
-//!    [`BACKOFF_CAP`] scratch-register reads before the retry — enough to
+//!    `BACKOFF_CAP` scratch-register reads before the retry — enough to
 //!    space out retries under a fault burst, cheap enough to keep the
 //!    degradation curves of experiment E16 interpretable.
 //!
 //! Detections are reported out-of-band: a process that detected at least
-//! one fault swaps its count into [`hardened_detect_reg`]`(pid)` just
-//! before returning. A fault-free run never touches the telemetry
-//! registers, preserving the zero-cost property; the E16 harness reads
-//! them to split wrong answers into *detected* and *silent*.
+//! one fault swaps its count into its telemetry register just before
+//! returning. A fault-free run never touches the telemetry registers,
+//! preserving the zero-cost property; the E16 harness reads them to split
+//! wrong answers into *detected* and *silent*. Sealing, backoff and
+//! telemetry are the shared kit of [`llsc_universal::hardening`], the
+//! same the hardened universal constructions use.
 
-use crate::tournament::{
-    is_full, leaf_slots, node_reg, or_bits, own_bits, subtree_nonempty, DONE_REG,
-};
-use llsc_shmem::dsl::{done, ll, read, sc, swap, toss, Step};
+use crate::counter_alg::COUNTER;
+use crate::randomized::SCRATCH_BASE;
+use crate::tournament::{is_full, node_reg, or_bits, own_bits, DONE_REG};
+use llsc_shmem::dsl::{done, ll, sc, swap, toss, Step};
 use llsc_shmem::{Algorithm, ProcessId, Program, RegisterId, Value};
-
-/// The shared counter register (same as [`crate::CounterWakeup`]).
-const COUNTER: RegisterId = RegisterId(0);
-/// Scratch registers for the randomized warm-up (same as
-/// [`crate::RandomizedCounterWakeup`]).
-const SCRATCH_BASE: u64 = 200;
-/// Base of the detection-telemetry registers: `DETECT_BASE + pid`.
-pub const DETECT_BASE: u64 = 900;
-/// Base of the backoff scratch registers.
-const BACKOFF_BASE: u64 = 960;
-/// Maximum backoff reads before a detected-fault retry.
-pub const BACKOFF_CAP: u64 = 3;
-
-/// The telemetry register process `pid` swaps its detection count into —
-/// touched only when at least one fault was detected.
-pub fn hardened_detect_reg(pid: ProcessId) -> RegisterId {
-    RegisterId(DETECT_BASE + pid.0 as u64)
-}
-
-fn backoff_reg(pid: ProcessId) -> RegisterId {
-    RegisterId(BACKOFF_BASE + pid.0 as u64 % 16)
-}
-
-/// `steps` reads of the process's backoff scratch register, then `then`.
-fn backoff(pid: ProcessId, steps: u64, then: impl FnOnce() -> Step + 'static) -> Step {
-    if steps == 0 {
-        then()
-    } else {
-        read(backoff_reg(pid), move |_| backoff(pid, steps - 1, then))
-    }
-}
+use llsc_universal::hardening::{backoff, publish, seal, unseal};
+use llsc_universal::tree::{leaf_slots, subtree_nonempty};
 
 /// Terminates with `verdict`, publishing the detection count first iff any
 /// fault was detected (so fault-free runs terminate exactly like the
 /// unhardened twins).
 fn finish(pid: ProcessId, verdict: i64, detections: u64) -> Step {
-    if detections == 0 {
-        done(Value::from(verdict))
-    } else {
-        swap(
-            hardened_detect_reg(pid),
-            Value::from(detections as i64),
-            move |_| done(Value::from(verdict)),
-        )
-    }
+    publish(pid, detections, move || done(Value::from(verdict)))
 }
 
 /// The hardened counter attempt loop shared by the deterministic and
@@ -113,7 +78,7 @@ fn counter_attempt(pid: ProcessId, n: usize, detections: u64) -> Step {
                     counter_attempt(pid, n, detections)
                 } else {
                     let d = detections + 1;
-                    backoff(pid, d.min(BACKOFF_CAP), move || counter_attempt(pid, n, d))
+                    backoff(pid, d, move || counter_attempt(pid, n, d))
                 }
             }
         })
@@ -157,26 +122,10 @@ impl Algorithm for HardenedRandomizedCounterWakeup {
     }
 }
 
-/// Seals a tournament bitset with its structural checksum, so a meeting
-/// point corrupted in place is recognised on receipt.
-fn park_value(bits: Vec<u64>) -> Value {
-    let payload = Value::bits(bits);
-    let fp = payload.fingerprint();
-    Value::tuple([payload, Value::from(fp)])
-}
-
 /// Validates and unwraps a sealed bitset; `None` means the parked value
 /// does not checksum — it was corrupted.
 fn unpark(v: &Value) -> Option<Vec<u64>> {
-    let items = v.as_tuple()?;
-    if items.len() != 2 {
-        return None;
-    }
-    let fp = items[1].as_int()?;
-    if fp != i128::from(items[0].fingerprint()) {
-        return None;
-    }
-    Some(items[0].as_bits()?.to_vec())
+    Some(unseal(v)?.as_bits()?.to_vec())
 }
 
 fn hardened_climb(pid: ProcessId, n: usize, child: u64, bits: Vec<u64>, detections: u64) -> Step {
@@ -191,7 +140,7 @@ fn hardened_climb(pid: ProcessId, n: usize, child: u64, bits: Vec<u64>, detectio
             detections.max(1)
         };
         let verdict = i64::from(complete);
-        return swap(DONE_REG, park_value(bits), move |_| {
+        return swap(DONE_REG, seal(Value::bits(bits)), move |_| {
             finish(pid, verdict, detections)
         });
     }
@@ -200,27 +149,29 @@ fn hardened_climb(pid: ProcessId, n: usize, child: u64, bits: Vec<u64>, detectio
     if !subtree_nonempty(sibling, n) {
         return hardened_climb(pid, n, v, bits, detections);
     }
-    swap(node_reg(v), park_value(bits.clone()), move |received| {
-        if received.is_unit() {
-            // First at the meeting point: lose, leave the sealed bits
-            // parked for the sibling leader.
-            finish(pid, 0, detections)
-        } else {
-            match unpark(&received) {
-                Some(parked) => hardened_climb(pid, n, v, or_bits(&bits, &parked), detections),
-                None => {
-                    // The parked payload was corrupted in place: the
-                    // sibling group's bits are unrecoverable. Back off and
-                    // climb with our own bits only — an incomplete final
-                    // bitset yields verdict 0, never a false win.
-                    let d = detections + 1;
-                    backoff(pid, d.min(BACKOFF_CAP), move || {
-                        hardened_climb(pid, n, v, bits, d)
-                    })
+    swap(
+        node_reg(v),
+        seal(Value::bits(bits.clone())),
+        move |received| {
+            if received.is_unit() {
+                // First at the meeting point: lose, leave the sealed bits
+                // parked for the sibling leader.
+                finish(pid, 0, detections)
+            } else {
+                match unpark(&received) {
+                    Some(parked) => hardened_climb(pid, n, v, or_bits(&bits, &parked), detections),
+                    None => {
+                        // The parked payload was corrupted in place: the
+                        // sibling group's bits are unrecoverable. Back off and
+                        // climb with our own bits only — an incomplete final
+                        // bitset yields verdict 0, never a false win.
+                        let d = detections + 1;
+                        backoff(pid, d, move || hardened_climb(pid, n, v, bits, d))
+                    }
                 }
             }
-        }
-    })
+        },
+    )
 }
 
 /// Hardened [`TournamentWakeup`](crate::TournamentWakeup): every parked
@@ -249,7 +200,10 @@ mod tests {
     use llsc_core::{build_all_run, check_wakeup, AdversaryConfig};
     use llsc_shmem::{
         Executor, ExecutorConfig, FaultPlan, RandomScheduler, RoundRobinScheduler, RunOutcome,
-        SeededTosses, ZeroTosses,
+        SeededTosses, SequentialScheduler, ZeroTosses,
+    };
+    use llsc_universal::hardening::{
+        detect_reg, detections, BACKOFF_BASE, BACKOFF_CAP, DETECT_BASE,
     };
     use std::sync::Arc;
 
@@ -347,10 +301,40 @@ mod tests {
                     );
                     // And the telemetry registers are never touched.
                     for p in ProcessId::all(n) {
-                        assert!(b.memory().peek(hardened_detect_reg(p)).is_unit());
+                        assert!(b.memory().peek(detect_reg(p)).is_unit());
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn fault_free_runs_stay_off_the_telemetry_registers_at_large_n() {
+        // Telemetry must lie above every register an algorithm uses at
+        // any n: the recoverable counter's slots reach R(2n), the
+        // tournament's meeting points R(99 + leaf_slots(n)). Overlapping
+        // either reads phantom detections or lets a detection swap
+        // overwrite a parked bitset.
+        let cases: [(&dyn Algorithm, usize); 2] = [
+            (&crate::RecoverableCounterWakeup, 451),
+            (&HardenedTournamentWakeup, 1024),
+        ];
+        for (alg, n) in cases {
+            let mut e = Executor::new(alg, n, Arc::new(ZeroTosses), ExecutorConfig::default());
+            e.drive(&mut SequentialScheduler, 1_000_000).unwrap();
+            assert!(e.all_terminated(), "{} n={n}", alg.name());
+            assert_eq!(
+                detections(n, |r| e.memory().peek(r)),
+                0,
+                "{} n={n}",
+                alg.name()
+            );
+            let top = e.memory().touched().max().unwrap();
+            assert!(
+                top.0 < BACKOFF_BASE.min(DETECT_BASE),
+                "{} n={n}: {top:?}",
+                alg.name()
+            );
         }
     }
 
@@ -367,14 +351,7 @@ mod tests {
             }
         );
         assert!(check_wakeup(e.run()).ok(), "recovered to a correct answer");
-        let detections: i128 = ProcessId::all(3)
-            .map(|p| {
-                e.memory()
-                    .peek(hardened_detect_reg(p))
-                    .as_int()
-                    .unwrap_or(0)
-            })
-            .sum();
+        let detections = detections(3, |r| e.memory().peek(r));
         assert!(detections >= 1, "the victim published its detection");
     }
 
@@ -406,14 +383,7 @@ mod tests {
                 corruptions: 1
             }
         );
-        let detections: i128 = ProcessId::all(2)
-            .map(|p| {
-                e.memory()
-                    .peek(hardened_detect_reg(p))
-                    .as_int()
-                    .unwrap_or(0)
-            })
-            .sum();
+        let detections = detections(2, |r| e.memory().peek(r));
         assert!(detections >= 1, "corruption was detected, not absorbed");
         // No process may claim a win it cannot prove.
         for p in ProcessId::all(2) {
@@ -427,7 +397,7 @@ mod tests {
 
     #[test]
     fn sealed_parks_round_trip_and_reject_tampering() {
-        let sealed = park_value(vec![0b1011, 7]);
+        let sealed = seal(Value::bits(vec![0b1011, 7]));
         assert_eq!(unpark(&sealed), Some(vec![0b1011, 7]));
         // Tamper with the payload: checksum mismatch.
         let items = sealed.as_tuple().unwrap();

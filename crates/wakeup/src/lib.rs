@@ -48,8 +48,7 @@ pub use bitset::BitsetWakeup;
 pub use counter_alg::CounterWakeup;
 pub use gossip::GossipWakeup;
 pub use hardened::{
-    hardened_detect_reg, HardenedCounterWakeup, HardenedRandomizedCounterWakeup,
-    HardenedTournamentWakeup, BACKOFF_CAP, DETECT_BASE,
+    HardenedCounterWakeup, HardenedRandomizedCounterWakeup, HardenedTournamentWakeup,
 };
 pub use randomized::{BackoffWakeup, RandomizedCounterWakeup};
 pub use recoverable::{

@@ -17,7 +17,7 @@ use llsc_shmem::{Algorithm, ProcessId, Program, RegisterId, Value};
 /// The shared counter register.
 const COUNTER: RegisterId = RegisterId(0);
 /// Scratch registers touched on randomly chosen warm-up paths.
-const SCRATCH_BASE: u64 = 200;
+pub(crate) const SCRATCH_BASE: u64 = 200;
 
 /// Randomized counter wakeup: each process first tosses a coin and touches
 /// a randomly chosen scratch register (a warm-up step whose only purpose

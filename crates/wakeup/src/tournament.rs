@@ -22,6 +22,7 @@
 
 use llsc_shmem::dsl::{done, swap, Step};
 use llsc_shmem::{Algorithm, ProcessId, Program, RegisterId, Value};
+use llsc_universal::tree::{leaf_slots, subtree_nonempty};
 
 /// Meeting-point registers: `NODE_BASE + heap_index`.
 pub(crate) const NODE_BASE: u64 = 100;
@@ -30,10 +31,6 @@ pub(crate) const DONE_REG: RegisterId = RegisterId(99);
 
 pub(crate) fn node_reg(heap_index: u64) -> RegisterId {
     RegisterId(NODE_BASE + heap_index)
-}
-
-pub(crate) fn leaf_slots(n: usize) -> u64 {
-    (n.max(1) as u64).next_power_of_two()
 }
 
 pub(crate) fn limbs(n: usize) -> usize {
@@ -54,15 +51,6 @@ pub(crate) fn or_bits(a: &[u64], b: &[u64]) -> Vec<u64> {
 
 pub(crate) fn is_full(bits: &[u64], n: usize) -> bool {
     (0..n).all(|i| bits.get(i / 64).is_some_and(|w| (w >> (i % 64)) & 1 == 1))
-}
-
-pub(crate) fn subtree_nonempty(v: u64, n: usize) -> bool {
-    let slots = leaf_slots(n);
-    let mut low = v;
-    while low < slots {
-        low *= 2;
-    }
-    (low - slots) < n as u64
 }
 
 /// The tournament wakeup algorithm: winner cost `⌈log₂ n⌉ + 1`.

@@ -21,7 +21,7 @@
 //! | [`objects`] | `llsc-objects` | Sequential specs of the Theorem 6.2 types; linearizability checking |
 //! | [`wakeup`] | `llsc-wakeup` | Wakeup algorithms (correct, randomized, strawmen) and the object reductions |
 //! | [`universal`] | `llsc-universal` | Oblivious universal constructions and the direct LL/SC escape hatch |
-//! | [`bench`] | `llsc-bench` | E1–E18 experiment regenerators, the deterministic parallel harness, failure replay/shrinking, simulator ⇄ hardware cross-validation ([`bench::xcheck`]), and the table/JSON renderers |
+//! | [`bench`](mod@bench) | `llsc-bench` | E1–E18 experiment regenerators, the deterministic parallel harness, failure replay/shrinking, simulator ⇄ hardware cross-validation ([`bench::xcheck`]), and the table/JSON renderers |
 //!
 //! ## Quickstart
 //!
