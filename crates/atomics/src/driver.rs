@@ -9,22 +9,28 @@
 //! harness check hardware histories for linearizability afterwards.
 //!
 //! Failures are *contained*: a process thread that panics, diverges, or
-//! gets stopped by the watchdog is reported as a structured
-//! [`HwRunError`] from [`run_threads`] / [`run_threads_watchdog`], never
-//! as a panic of the calling thread — so a bad trial fails one
+//! runs past the deadline is reported as a structured [`HwRunError`] from
+//! [`run_threads_watchdog`] / [`run_threads_supervised`], never as a
+//! panic of the calling thread — so a bad trial fails one
 //! cross-validation case instead of aborting the whole harness.
+//!
+//! Each run has one stop mechanism: a run-local [`CancelToken`] carrying
+//! the deadline. Every process thread reads its flag on every action and
+//! its deadline every [`CANCEL_POLL_EVENTS`] actions (the executor's
+//! cadence). A thread that panics, exhausts its respawn budget or sees
+//! the deadline pass cancels the token, which stops its peers; there is
+//! no separate watchdog thread.
 //!
 //! [`Program`]: llsc_shmem::Program
 
 use crate::memory::{HwEventKind, HwMemory};
 use crate::supervisor::{CrashSupervisor, InjectedCrash};
 use llsc_shmem::{
-    panic_message, Action, Algorithm, CrashPlan, ExecutionBackend, Feedback, ProcessId,
-    RecoverySpec, RunError, Value,
+    panic_message, Action, Algorithm, CancelToken, CrashPlan, ExecutionBackend, Feedback,
+    ProcessId, RecoverySpec, RunError, Value, CANCEL_POLL_EVENTS,
 };
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// What one process did during a hardware run.
@@ -109,9 +115,9 @@ pub enum HwRunError {
         /// The panic payload, when it was a string.
         message: String,
     },
-    /// The watchdog deadline elapsed before every process returned —
-    /// the run live- or deadlocked (or the deadline was too tight) and
-    /// the stuck threads were asked to abandon the trial.
+    /// The run's deadline elapsed before every process returned — the
+    /// run live- or deadlocked (or the deadline was too tight) and the
+    /// stuck threads abandoned the trial.
     WatchdogTimeout {
         /// The deadline that fired.
         timeout: Duration,
@@ -120,9 +126,9 @@ pub enum HwRunError {
     },
     /// A crash victim was killed more times than its
     /// [`RecoverySpec::budget`] covers respawns for — the respawn loop
-    /// exhausted. The supervisor escalated by aborting the whole trial
-    /// (through the same flag the watchdog uses), so peers stop instead
-    /// of spinning on the permanently dead victim.
+    /// exhausted. The supervisor escalated by cancelling the run's token
+    /// (the same one the deadline uses), so peers stop instead of
+    /// spinning on the permanently dead victim.
     RespawnExhausted {
         /// The crash-looping victim.
         pid: ProcessId,
@@ -169,7 +175,7 @@ impl From<RunError> for HwRunError {
 enum ThreadStop {
     /// Burned its `max_steps` budget.
     Diverged,
-    /// Saw the watchdog's abort flag.
+    /// Saw the run's token cancelled.
     Aborted,
     /// Was killed more times than its respawn budget covers.
     RespawnExhausted {
@@ -178,12 +184,27 @@ enum ThreadStop {
     },
 }
 
+/// Whether a process thread must stop before its `step`-th action: the
+/// run's token is cancelled, or — looked at every
+/// [`CANCEL_POLL_EVENTS`] actions — its deadline has passed, in which
+/// case the thread cancels the token so its peers stop too.
+fn must_stop(stop: &CancelToken, step: u64) -> bool {
+    if stop.is_cancelled() {
+        return true;
+    }
+    if step.is_multiple_of(CANCEL_POLL_EVENTS) && stop.is_expired() {
+        stop.cancel();
+        return true;
+    }
+    false
+}
+
 fn drive_one(
     alg: &dyn Algorithm,
     mem: &HwMemory,
     pid: ProcessId,
     max_steps: u64,
-    abort: &AtomicBool,
+    stop: &CancelToken,
     supervisor: Option<&CrashSupervisor>,
     first_step_at: &mut Option<u64>,
 ) -> Result<HwProcessResult, ThreadStop> {
@@ -192,8 +213,8 @@ fn drive_one(
     let rmrs_before = mem.dsm_rmrs(pid);
     let mut program = alg.spawn(pid, mem.n());
     let mut feedback = Feedback::Start;
-    for _ in 0..max_steps {
-        if abort.load(Ordering::Relaxed) {
+    for step in 0..max_steps {
+        if must_stop(stop, step) {
             return Err(ThreadStop::Aborted);
         }
         if let Some(sup) = supervisor {
@@ -241,11 +262,11 @@ const RECOVERY_STALL_YIELDS: u32 = 50_000;
 /// Realizes the recovery delay in *logical* time: the victim rejoins
 /// once the global clock has advanced [`RecoverySpec::delay`] ticks past
 /// its death (the hardware analogue of the simulator's
-/// delay-in-events), bounded by an abort check and a stall limit.
-fn recovery_pause(mem: &HwMemory, delay: u64, abort: &AtomicBool) {
+/// delay-in-events), bounded by the run's token and a stall limit.
+fn recovery_pause(mem: &HwMemory, delay: u64, stop: &CancelToken) {
     let resume_at = mem.clock_now().saturating_add(delay);
     let mut stalled = 0u32;
-    while mem.clock_now() < resume_at && !abort.load(Ordering::Relaxed) {
+    while mem.clock_now() < resume_at && !stop.is_cancelled() {
         std::thread::yield_now();
         stalled += 1;
         if stalled > RECOVERY_STALL_YIELDS {
@@ -264,7 +285,7 @@ fn drive_supervised(
     mem: &HwMemory,
     pid: ProcessId,
     max_steps: u64,
-    abort: &AtomicBool,
+    stop: &CancelToken,
     sup: &CrashSupervisor,
 ) -> Result<HwProcessResult, ThreadStop> {
     let invoked_at = mem.stamp();
@@ -278,7 +299,7 @@ fn drive_supervised(
                 mem,
                 pid,
                 max_steps,
-                abort,
+                stop,
                 Some(sup),
                 &mut first_step_at,
             )
@@ -308,14 +329,14 @@ fn drive_supervised(
         mem.record_event(pid, HwEventKind::Killed { crashes });
         match sup.grant_respawn(pid) {
             None => {
-                // Escalate: stop the peers through the watchdog's own
-                // abort flag, then report the structured exhaustion.
-                abort.store(true, Ordering::Relaxed);
+                // Escalate: stop the peers through the run's token, then
+                // report the structured exhaustion.
+                stop.cancel();
                 return Err(ThreadStop::RespawnExhausted { crashes });
             }
             Some(respawns_left) => {
-                recovery_pause(mem, sup.recovery().delay, abort);
-                if abort.load(Ordering::Relaxed) {
+                recovery_pause(mem, sup.recovery().delay, stop);
+                if stop.is_cancelled() {
                     return Err(ThreadStop::Aborted);
                 }
                 mem.record_event(pid, HwEventKind::Respawned { respawns_left });
@@ -324,9 +345,6 @@ fn drive_supervised(
     }
 }
 
-/// How often stuck threads and the watchdog notice each other.
-const WATCHDOG_POLL: Duration = Duration::from_millis(2);
-
 /// Runs `alg` on `mem` with one OS thread per process, joining them all
 /// and collecting per-process results. Each thread gives up after
 /// `max_steps` actions ([`HwRunError::Run`] with
@@ -334,36 +352,25 @@ const WATCHDOG_POLL: Duration = Duration::from_millis(2);
 /// cannot wedge the harness, and a panicking program is contained as
 /// [`HwRunError::ThreadPanic`] instead of aborting the caller.
 ///
-/// Equivalent to [`run_threads_watchdog`] without a deadline. Prefer
-/// the watchdog variant in harness loops: a livelocked trial under a
-/// huge `max_steps` budget can still stall for a very long time here.
+/// If any process has not returned after `timeout`, the first thread to
+/// see the deadline pass cancels the run's token, every still-running
+/// thread abandons the trial, and the run fails with
+/// [`HwRunError::WatchdogTimeout`] naming the stuck processes — the
+/// hardware mirror of the simulator harness's `--trial-timeout-ms`, so a
+/// wedged trial fails cleanly instead of hanging CI until the job-level
+/// kill.
 ///
 /// # Panics
 ///
 /// Panics if `mem` was not built for `alg` (fewer processes than the
 /// algorithm expects is fine; the run simply uses `mem.n()` processes).
-pub fn run_threads(
-    alg: &dyn Algorithm,
-    mem: &HwMemory,
-    max_steps: u64,
-) -> Result<HwRun, HwRunError> {
-    run_threads_inner(alg, mem, max_steps, None, None)
-}
-
-/// [`run_threads`] with a wall-clock deadline: if any process has not
-/// returned after `timeout`, every still-running thread is asked to
-/// abandon the trial (they poll an abort flag once per action) and the
-/// run fails with [`HwRunError::WatchdogTimeout`] naming the stuck
-/// processes — the hardware mirror of the simulator harness's
-/// `--trial-timeout-ms`, so a wedged trial fails cleanly instead of
-/// hanging CI until the job-level kill.
 pub fn run_threads_watchdog(
     alg: &dyn Algorithm,
     mem: &HwMemory,
     max_steps: u64,
     timeout: Duration,
 ) -> Result<HwRun, HwRunError> {
-    run_threads_inner(alg, mem, max_steps, Some(timeout), None)
+    run_threads_inner(alg, mem, max_steps, timeout, None)
 }
 
 /// [`run_threads_watchdog`] under the crash adversary: a
@@ -383,65 +390,47 @@ pub fn run_threads_supervised(
     recovery: RecoverySpec,
 ) -> Result<HwRun, HwRunError> {
     let sup = CrashSupervisor::new(plan, recovery, mem.n());
-    run_threads_inner(alg, mem, max_steps, Some(timeout), Some(&sup))
+    run_threads_inner(alg, mem, max_steps, timeout, Some(&sup))
+}
+
+/// Cancels the run's token when a process thread unwinds, so peers
+/// blocked on the dead thread stop at their next action instead of
+/// spinning until the deadline masks the panic as a timeout.
+struct CancelOnPanic<'a>(&'a CancelToken);
+
+impl Drop for CancelOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.cancel();
+        }
+    }
 }
 
 fn run_threads_inner(
     alg: &dyn Algorithm,
     mem: &HwMemory,
     max_steps: u64,
-    watchdog: Option<Duration>,
+    timeout: Duration,
     supervisor: Option<&CrashSupervisor>,
 ) -> Result<HwRun, HwRunError> {
     let n = mem.n();
     let started = Instant::now();
-    let abort = AtomicBool::new(false);
-    let live = AtomicUsize::new(n);
+    let stop = CancelToken::new().with_timeout(timeout);
     type Joined = std::thread::Result<Result<HwProcessResult, ThreadStop>>;
     let joined: Vec<Joined> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..n)
             .map(|p| {
-                let (abort, live) = (&abort, &live);
+                let stop = &stop;
                 scope.spawn(move || {
-                    // Decrement `live` even on unwind, or a panicked
-                    // worker would keep the watchdog polling until its
-                    // deadline — and raise the abort flag, so peers
-                    // blocked on the dead thread stop immediately
-                    // instead of spinning until the watchdog masks the
-                    // panic as a timeout.
-                    struct Departing<'a> {
-                        live: &'a AtomicUsize,
-                        abort: &'a AtomicBool,
-                    }
-                    impl Drop for Departing<'_> {
-                        fn drop(&mut self) {
-                            if std::thread::panicking() {
-                                self.abort.store(true, Ordering::Relaxed);
-                            }
-                            self.live.fetch_sub(1, Ordering::Relaxed);
-                        }
-                    }
-                    let _departing = Departing { live, abort };
+                    let _guard = CancelOnPanic(stop);
                     let pid = ProcessId(p);
                     match supervisor.filter(|s| s.is_victim(pid)) {
-                        Some(sup) => drive_supervised(alg, mem, pid, max_steps, abort, sup),
-                        None => drive_one(alg, mem, pid, max_steps, abort, None, &mut None),
+                        Some(sup) => drive_supervised(alg, mem, pid, max_steps, stop, sup),
+                        None => drive_one(alg, mem, pid, max_steps, stop, None, &mut None),
                     }
                 })
             })
             .collect();
-        if let Some(timeout) = watchdog {
-            let (abort, live) = (&abort, &live);
-            scope.spawn(move || {
-                while live.load(Ordering::Relaxed) > 0 {
-                    if started.elapsed() >= timeout {
-                        abort.store(true, Ordering::Relaxed);
-                        return;
-                    }
-                    std::thread::sleep(WATCHDOG_POLL);
-                }
-            });
-        }
         handles.into_iter().map(|h| h.join()).collect()
     });
     let wall = started.elapsed();
@@ -469,16 +458,13 @@ fn run_threads_inner(
             Ok(Ok(result)) => results.push(result),
         }
     }
-    // An exhausted respawn loop set the abort flag itself, so its peers
+    // An exhausted respawn loop cancelled the token itself, so its peers
     // come back Aborted: the root cause outranks their symptom.
     if let Some((pid, crashes)) = exhausted {
         return Err(HwRunError::RespawnExhausted { pid, crashes });
     }
     if !stuck.is_empty() {
-        return Err(HwRunError::WatchdogTimeout {
-            timeout: watchdog.expect("threads only abort under a watchdog or after an escalation"),
-            stuck,
-        });
+        return Err(HwRunError::WatchdogTimeout { timeout, stuck });
     }
     if let Some(pid) = diverged {
         return Err(HwRunError::Run(RunError::DivergedLocalBurst { pid }));
@@ -507,7 +493,7 @@ mod tests {
             done(Value::from(0i64)).into_program()
         });
         let mem = HwMemory::for_algorithm(&alg, 2, Arc::new(SeededTosses::new(1)));
-        match run_threads(&alg, &mem, 1_000) {
+        match run_threads_watchdog(&alg, &mem, 1_000, Duration::from_secs(60)) {
             Err(HwRunError::ThreadPanic { pid, message }) => {
                 assert_eq!(pid, ProcessId(1));
                 assert!(message.contains("injected panic in p1"), "{message}");
@@ -655,10 +641,10 @@ mod tests {
 
     #[test]
     fn a_panicking_thread_aborts_stuck_peers_instead_of_waiting_for_the_watchdog() {
-        // p0 spins forever, p1 panics immediately. Before the
-        // panic-aborts fix, p0 would spin until the 60s deadline and
-        // the report would be WatchdogTimeout; now the dying thread
-        // raises the abort flag and the panic is reported in moments.
+        // p0 spins forever, p1 panics immediately. Without the
+        // cancel-on-panic guard, p0 would spin until the 60s deadline
+        // and the report would be WatchdogTimeout; the dying thread
+        // cancels the run's token and the panic is reported in moments.
         let alg = FnAlgorithm::new("spin-or-panic", |pid: ProcessId, _n| {
             assert!(pid.0 != 1, "injected panic in p1");
             fix(|(), again| ll(RegisterId(0), move |_| again.call(())), ()).into_program()

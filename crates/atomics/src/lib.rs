@@ -12,12 +12,12 @@
 //! * [`HwMemory`] — the CAS-based memory, implementing
 //!   [`llsc_shmem::ExecutionBackend`]; see its module docs for the
 //!   version-tag construction and why it is ABA-safe.
-//! * [`run_threads`] / [`run_threads_watchdog`] — the thread-per-process
-//!   driver, stamping every invocation and response on a global logical
-//!   clock so runs can be linearizability-checked after the fact. A
-//!   panicking program or a wedged trial comes back as a structured
-//!   [`HwRunError`], never as a harness abort; the watchdog variant adds
-//!   a wall-clock deadline for CI.
+//! * [`run_threads_watchdog`] — the thread-per-process driver, stamping
+//!   every invocation and response on a global logical clock so runs can
+//!   be linearizability-checked after the fact. A panicking program or a
+//!   wedged trial comes back as a structured [`HwRunError`], never as a
+//!   harness abort; every run has a wall-clock deadline, enforced
+//!   through the run's one [`llsc_shmem::CancelToken`].
 //! * [`fault`] / [`CrashSupervisor`] — the simulator's fault stack,
 //!   ported to real threads: a [`llsc_shmem::FaultPlan`] re-timed onto
 //!   each process's private access clock injects spurious SC failures
@@ -45,7 +45,7 @@ mod memory;
 mod supervisor;
 
 pub use driver::{
-    run_threads, run_threads_supervised, run_threads_watchdog, HwProcessResult, HwRun, HwRunError,
+    run_threads_supervised, run_threads_watchdog, HwProcessResult, HwRun, HwRunError,
 };
 pub use fault::{split_plan, HwFaultLayer};
 pub use memory::{HwEvent, HwEventKind, HwMemory};

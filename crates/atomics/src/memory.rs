@@ -174,7 +174,7 @@ struct LocalState {
 
 /// The real-hardware [`ExecutionBackend`]: registers built from
 /// `AtomicU64` CAS as described in the module docs, shared by one OS
-/// thread per process (see [`crate::run_threads`]).
+/// thread per process (see [`crate::run_threads_watchdog`]).
 ///
 /// Unlike the simulator this backend is *not* deterministic — the OS
 /// scheduler interleaves the threads — which is exactly what the

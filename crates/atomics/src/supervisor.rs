@@ -19,12 +19,13 @@
 //!   [`RecoverySpec::budget`] the victim is re-spawned (and re-armed at
 //!   `steps + period`, mirroring the simulator's re-crash cadence — the
 //!   budget caps total crashes exactly like the simulator's
-//!   `crashes_left`); a budget of 0 — unrepresentable in the simulator,
-//!   which clamps to 1 — means *no respawn is possible*, so the first
-//!   kill exhausts the loop and the supervisor escalates: the trial is
-//!   aborted through the watchdog machinery and reported as the
+//!   `crashes_left`); a budget of 0 means *no respawn is possible*, so
+//!   the first kill exhausts the loop and the supervisor escalates: the
+//!   trial is aborted through the run's cancel token and reported as the
 //!   structured
 //!   [`HwRunError::RespawnExhausted`](crate::HwRunError::RespawnExhausted).
+//!   The simulator's budget 0 is the same regime (the plan's crash is
+//!   final), and both backends class such a run `respawn-exhausted`.
 //!
 //! Kill and respawn are both stamped into the [`HwEvent`] history
 //! ([`HwEventKind::Killed`] / [`HwEventKind::Respawned`]), so a crashed

@@ -4,14 +4,18 @@
 //! memory (`HwMemory`). Each property test runs over every backend a
 //! factory yields, so a divergence names the backend that broke it.
 
-use llsc_atomics::{run_threads, HwMemory};
+use llsc_atomics::{run_threads_watchdog, HwMemory};
 use llsc_shmem::{
     dsl, ConstantTosses, ExecutionBackend, FaultPlan, FnAlgorithm, Operation, ProcessId,
     RegisterId, Response, SeededTosses, SimBackend, TossAssignment, Value, ZeroTosses,
 };
 use std::sync::Arc;
+use std::time::Duration;
 
 const R: RegisterId = RegisterId(0);
+
+/// A deadline no terminating run here comes near; it only bounds a hang.
+const DEADLINE: Duration = Duration::from_secs(300);
 
 fn p(i: usize) -> ProcessId {
     ProcessId(i)
@@ -282,7 +286,8 @@ fn hardware_llsc_counter_loses_no_updates() {
     });
     let mem = HwMemory::for_algorithm(&counter, n, Arc::new(ZeroTosses));
     mem.set_recording(false);
-    let run = run_threads(&counter, &mem, 10_000_000).expect("counter terminates");
+    let run =
+        run_threads_watchdog(&counter, &mem, 10_000_000, DEADLINE).expect("counter terminates");
     assert_eq!(
         mem.peek(R),
         Value::from(n as i64 * rounds),
@@ -423,7 +428,7 @@ fn fault_delivery_is_seed_deterministic_across_interleavings() {
     let plan = FaultPlan::seeded(0xE20, 8, 4, 200);
     let run_once = || {
         let mem = HwMemory::for_algorithm(&own_counter, n, Arc::new(ZeroTosses)).with_faults(&plan);
-        run_threads(&own_counter, &mem, 100_000).expect("terminates");
+        run_threads_watchdog(&own_counter, &mem, 100_000, DEADLINE).expect("terminates");
         let stats = mem.fault_stats();
         // Per-process (kind, payload) subsequences — the global stamps
         // are a race outcome, the per-process streams must not be.
@@ -464,7 +469,7 @@ fn hardware_history_stamps_respect_program_order() {
         .into_program()
     });
     let mem = HwMemory::for_algorithm(&alg, 3, Arc::new(ZeroTosses));
-    run_threads(&alg, &mem, 1000).expect("terminates");
+    run_threads_watchdog(&alg, &mem, 1000, DEADLINE).expect("terminates");
     let events = mem.take_events();
     assert_eq!(events.len(), 6, "three processes, two accesses each");
     assert!(

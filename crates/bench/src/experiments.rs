@@ -1773,7 +1773,6 @@ mod tests {
                 assert_eq!(run.class, case.class, "{tag}");
                 let prov = case.provenance.expect("provenance recorded");
                 assert_eq!(prov.trial_index, f.index);
-                assert_eq!(prov.attempt, f.attempts - 1);
             }
         }
     }

@@ -17,14 +17,12 @@
 //! recorded in the JSON artifact's `"failures"` array, and turn the exit
 //! code nonzero (see [`HarnessOpts::emit`]).
 //!
-//! Three resilience flags tune the sweep itself:
+//! Two flags tune the sweep itself:
 //!
 //! * `--seed S` — the sweep's base seed (default 0); per-trial seeds are
 //!   derived deterministically, so two runs with the same seed are
-//!   byte-identical at any `--threads`.
-//! * `--retries N` — re-run a panicking trial up to `N` extra times under
-//!   deterministically derived seeds before recording a failure
-//!   (default 0; see [`llsc_shmem::Sweep::with_retries`]).
+//!   byte-identical at any `--threads`. Each trial runs once: a panicking
+//!   trial is recorded as it happened, never re-run under another seed.
 //! * `--trial-timeout-ms MS` — a per-trial wall-clock deadline converting
 //!   hung trials into structured failures (default off; see
 //!   [`llsc_shmem::Sweep::with_trial_timeout`]).
@@ -73,9 +71,6 @@ pub struct HarnessOpts {
     /// seed derives from it, so artifacts record everything needed to
     /// reproduce a run.
     pub seed: u64,
-    /// Deterministic re-runs of panicking trials (`--retries N`,
-    /// default 0).
-    pub retries: u32,
     /// Per-trial wall-clock deadline in milliseconds
     /// (`--trial-timeout-ms MS`, default off).
     pub trial_timeout_ms: Option<u64>,
@@ -129,12 +124,6 @@ impl HarnessOpts {
                         .parse::<u64>()
                         .map_err(|_| format!("bad --seed value `{v}`"))?;
                 }
-                "--retries" => {
-                    let v = args.next().ok_or("--retries needs a value")?;
-                    opts.retries = v
-                        .parse::<u32>()
-                        .map_err(|_| format!("bad --retries value `{v}`"))?;
-                }
                 "--trial-timeout-ms" => {
                     let v = args.next().ok_or("--trial-timeout-ms needs a value")?;
                     opts.trial_timeout_ms = Some(
@@ -156,9 +145,7 @@ impl HarnessOpts {
 
     /// The [`Sweep`] these options describe.
     pub fn sweep(&self) -> Sweep {
-        let sweep = Sweep::with_threads(self.threads)
-            .seeded(self.seed)
-            .with_retries(self.retries);
+        let sweep = Sweep::with_threads(self.threads).seeded(self.seed);
         match self.trial_timeout_ms {
             Some(ms) => sweep.with_trial_timeout(std::time::Duration::from_millis(ms)),
             None => sweep,
@@ -190,10 +177,8 @@ impl HarnessOpts {
                     let failure = TrialFailure {
                         index: 0,
                         seed: self.seed,
-                        derived_seed: self.seed,
                         payload: llsc_shmem::panic_message(panic.as_ref()),
                         context: "experiment aborted; no tables were produced".to_string(),
-                        attempts: 1,
                         repro: None,
                     };
                     (Vec::new(), vec![failure])
@@ -267,7 +252,7 @@ mod tests {
 
     #[test]
     fn parses_all_flags_in_any_order() {
-        let args = "--json out.json --max-events 50 --retries 2 --seed 7 \
+        let args = "--json out.json --max-events 50 --seed 7 \
                     --trial-timeout-ms 250 --repro-dir repros --threads 4";
         let opts = HarnessOpts::parse(args.split_whitespace()).unwrap();
         assert_eq!(opts.threads, 4);
@@ -275,12 +260,10 @@ mod tests {
         assert_eq!(opts.repro_dir, Some(PathBuf::from("repros")));
         assert_eq!(opts.max_events, Some(50));
         assert_eq!(opts.seed, 7);
-        assert_eq!(opts.retries, 2);
         assert_eq!(opts.trial_timeout_ms, Some(250));
         let sweep = opts.sweep();
         assert_eq!(sweep.threads, 4);
         assert_eq!(sweep.seed, 7);
-        assert_eq!(sweep.retries, 2);
         assert_eq!(
             sweep.trial_timeout,
             Some(std::time::Duration::from_millis(250))
@@ -294,7 +277,6 @@ mod tests {
         assert!(opts.json.is_none());
         assert!(opts.max_events.is_none());
         assert_eq!(opts.seed, 0);
-        assert_eq!(opts.retries, 0);
         assert!(opts.trial_timeout_ms.is_none());
         assert!(opts.repro_dir.is_none());
         assert!(opts.sweep().trial_timeout.is_none());
@@ -311,7 +293,7 @@ mod tests {
         assert!(HarnessOpts::parse(["--max-events", "lots"]).is_err());
         assert!(HarnessOpts::parse(["--seed"]).is_err());
         assert!(HarnessOpts::parse(["--seed", "-1"]).is_err());
-        assert!(HarnessOpts::parse(["--retries", "many"]).is_err());
+        assert!(HarnessOpts::parse(["--retries", "1"]).is_err());
         assert!(HarnessOpts::parse(["--trial-timeout-ms", "0"]).is_err());
         assert!(HarnessOpts::parse(["--repro-dir"]).is_err());
         assert!(HarnessOpts::parse(["--frobnicate"]).is_err());
@@ -333,10 +315,8 @@ mod tests {
         let failures = vec![TrialFailure {
             index: 3,
             seed: 9,
-            derived_seed: 9,
             payload: "boom".into(),
             context: String::new(),
-            attempts: 1,
             repro: Some("{\"version\":\"1\"}\n".into()),
         }];
         let code = opts.emit(|_| (vec![t.clone()], failures));

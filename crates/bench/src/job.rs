@@ -16,23 +16,25 @@
 //! The robustness semantics, in one place:
 //!
 //! * **cancellation** — a job runs under one [`CancelToken`]
-//!   ([`JobControl::cancel`]). Each chunk attempt derives from it a token
+//!   ([`JobControl::cancel`]). Each chunk derives from it a token
 //!   that shares its flag and carries the chunk's wall-clock deadline,
 //!   and hands that token to the chunk's [`Sweep`]; the executor polls it
 //!   every 512 events, so in-flight trials panic promptly once the job is
 //!   cancelled or the deadline passes. Nothing is global: concurrent jobs
 //!   in one process cannot stop each other.
-//! * **chunk timeout** — a chunk attempt that unwinds after its deadline
-//!   is recorded as a `timeout` failure (and retried like any other).
-//! * **bounded retry with deterministic backoff** — a failed chunk
-//!   attempt sleeps `backoff_ms · 2^attempt` and retries, up to the
-//!   spec's retry budget.
+//! * **chunk timeout** — a chunk that unwinds after its deadline is
+//!   recorded as a `timeout` failure.
+//! * **no retries** — each chunk runs once per invocation. Its trials are
+//!   a pure function of the spec, so running the same work again in the
+//!   same invocation could only repeat the failure; `llsc job resume`
+//!   ([`resume_job`]) re-runs every chunk missing from the ledger,
+//!   failed ones included, which is the one way to re-attempt a chunk.
 //! * **interrupt flush** — cancelling the job's token (the `llsc job` CLI
 //!   does so from its SIGINT/SIGTERM handler) aborts the in-flight
 //!   chunk, flushes a final checkpoint, and exits with the interrupted
 //!   status; nothing completed is lost.
-//! * **graceful degradation** — a chunk that exhausts its retry budget
-//!   is recorded in the job manifest as failed; the job still completes,
+//! * **graceful degradation** — a failed chunk is recorded in the job
+//!   manifest; the job still completes,
 //!   emitting a *partial* artifact (rows whose trials all finished) plus
 //!   an explicit `incomplete` manifest and a nonzero exit.
 //!
@@ -69,7 +71,7 @@ use llsc_core::{
     indist_subset_range, report_from_samples, sample_expectation, AdversaryConfig,
     ExpectationSample,
 };
-use llsc_shmem::json;
+use llsc_shmem::json::{self, list_field, num_field, push_field, push_list, text_field};
 use llsc_shmem::repro::{Provenance, RecoverySpec, ReproCase, ScheduleSpec, TossSpec};
 use llsc_shmem::{
     atomic_write, checkpoint, panic_message, Algorithm, CancelToken, ChaosPlan, CrashPlan,
@@ -80,7 +82,6 @@ use std::collections::BTreeSet;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -199,24 +200,18 @@ pub struct JobSpec {
     /// boundaries depend on this alone — never on the thread count — so
     /// checkpoints from different `--threads` runs are interchangeable.
     pub chunks: usize,
-    /// Extra attempts granted to a failing chunk before it is recorded as
-    /// permanently failed.
-    pub retries: u32,
-    /// Base backoff in milliseconds; attempt `k` sleeps `backoff_ms · 2^k`
-    /// before retrying (deterministic, no jitter).
-    pub backoff_ms: u64,
     /// Per-chunk wall-clock watchdog in milliseconds (`0` disables it).
     pub chunk_timeout_ms: u64,
     /// Per-trial executor event budget override (`0` keeps the default).
-    /// Starving it is the supported way to exercise the retry-exhaustion
-    /// path end to end.
+    /// Starving it is the supported way to exercise the failed-chunk path
+    /// end to end.
     pub max_events: u64,
 }
 
 impl JobSpec {
     /// The default spec for an experiment: its published parameter grid
     /// — the one the experiment's registry entry (`llsc table <id>`)
-    /// reads — split into 8 chunks with a small retry budget.
+    /// reads — split into 8 chunks.
     pub fn default_for(experiment: JobExperiment) -> JobSpec {
         let (ns, toss_seeds, samples, intensities) = match experiment {
             JobExperiment::E4 => (vec![4, 6], vec![0, 1, 42], 0, vec![]),
@@ -239,8 +234,6 @@ impl JobSpec {
             recovery_delay: 0,
             respawn_budget: 0,
             chunks: 8,
-            retries: 2,
-            backoff_ms: 50,
             chunk_timeout_ms: 0,
             max_events: 0,
         }
@@ -248,9 +241,9 @@ impl JobSpec {
 
     /// Renders the spec in its canonical JSON form (all scalars as
     /// strings, fixed key order — the form [`JobSpec::fingerprint`]
-    /// hashes).
+    /// hashes). Version `2` dropped version 1's two chunk-retry keys.
     pub fn render(&self) -> String {
-        let mut out = String::from("{\"version\":\"1\"");
+        let mut out = String::from("{\"version\":\"2\"");
         push_field(&mut out, "experiment", self.experiment.tag());
         push_field(&mut out, "name", &self.name);
         push_field(&mut out, "seed", &self.seed.to_string());
@@ -262,8 +255,6 @@ impl JobSpec {
             ("recovery_delay", self.recovery_delay),
             ("respawn_budget", self.respawn_budget),
             ("chunks", self.chunks as u64),
-            ("retries", u64::from(self.retries)),
-            ("backoff_ms", self.backoff_ms),
             ("chunk_timeout_ms", self.chunk_timeout_ms),
             ("max_events", self.max_events),
         ] {
@@ -277,13 +268,15 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// Names the first missing or malformed field.
+    /// Names the first missing or malformed field, or an unsupported
+    /// version (a version-1 spec still carries the retry keys this
+    /// format dropped).
     pub fn parse(text: &str) -> Result<JobSpec, String> {
         const WHAT: &str = "job spec";
         let value = json::parse(text)?;
         let num = |key: &str| num_field::<u64>(&value, WHAT, key);
         let version = text_field(&value, WHAT, "version")?;
-        if version != "1" {
+        if version != "2" {
             return Err(format!("job spec: unsupported version `{version}`"));
         }
         let spec = JobSpec {
@@ -297,8 +290,6 @@ impl JobSpec {
             recovery_delay: num("recovery_delay")?,
             respawn_budget: num("respawn_budget")?,
             chunks: num_field(&value, WHAT, "chunks")?,
-            retries: num_field(&value, WHAT, "retries")?,
-            backoff_ms: num("backoff_ms")?,
             chunk_timeout_ms: num("chunk_timeout_ms")?,
             max_events: num("max_events")?,
         };
@@ -911,65 +902,14 @@ impl TrialRecord {
     }
 }
 
-/// Appends `,"key":"value"` — every scalar in a job file is a JSON string.
-fn push_field(out: &mut String, key: &str, value: &str) {
-    out.push_str(&format!(",\"{key}\":"));
-    json::push_string(out, value);
-}
-
-/// Appends `,"key":[…]`, the items rendered as JSON strings.
-fn push_list<T: ToString>(out: &mut String, key: &str, items: impl IntoIterator<Item = T>) {
-    out.push_str(&format!(",\"{key}\":["));
-    for (i, item) in items.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::push_string(out, &item.to_string());
-    }
-    out.push(']');
-}
-
-/// The string field `key` of a job-file object; `what` names the object
-/// in errors.
-fn text_field(value: &json::Value, what: &str, key: &str) -> Result<String, String> {
-    value
-        .field(key)
-        .ok_or_else(|| format!("{what}: missing `{key}`"))?
-        .str_or(&format!("{what} `{key}`"))
-}
-
-/// The field `key`, parsed from its string form.
-fn num_field<T: FromStr>(value: &json::Value, what: &str, key: &str) -> Result<T, String> {
-    text_field(value, what, key)?
-        .parse()
-        .map_err(|_| format!("{what}: bad `{key}`"))
-}
-
-/// The list field `key`, each entry parsed from its string form.
-fn list_field<T: FromStr>(value: &json::Value, what: &str, key: &str) -> Result<Vec<T>, String> {
-    value
-        .field(key)
-        .ok_or_else(|| format!("{what}: missing `{key}`"))?
-        .array_or(&format!("{what} `{key}`"))?
-        .iter()
-        .map(|v| {
-            v.str_or(&format!("{what} `{key}` entry"))?
-                .parse()
-                .map_err(|_| format!("{what}: bad `{key}` entry"))
-        })
-        .collect()
-}
-
-/// A chunk that exhausted its retry budget.
+/// A chunk that failed; `llsc job resume` runs it again.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChunkFailure {
     /// The failed chunk's index.
     pub chunk: usize,
-    /// Attempts consumed (1 + retries).
-    pub attempts: u32,
     /// Failure kind: `run-error`, `panic`, or `timeout`.
     pub kind: String,
-    /// The last attempt's error message.
+    /// The chunk's error message.
     pub message: String,
     /// What the chunk covers — experiment, trial range, and the
     /// overlapped `(algorithm, n, toss seed)` cells — enough to reproduce
@@ -982,8 +922,8 @@ pub struct ChunkFailure {
 pub enum JobStatus {
     /// Every chunk completed; the artifact is whole.
     Complete,
-    /// At least one chunk exhausted its retry budget; the artifact is
-    /// partial and the manifest lists what is missing.
+    /// At least one chunk failed; the artifact is partial and the
+    /// manifest lists what is missing.
     Incomplete,
     /// The run was interrupted (signal or [`JobControl`] stop); resume
     /// with `llsc job resume`.
@@ -1038,7 +978,7 @@ pub struct JobReport {
     pub completed_chunks: usize,
     /// Total chunks in the spec.
     pub total_chunks: usize,
-    /// Chunks that exhausted their retry budget in this invocation.
+    /// Chunks that failed in this invocation.
     pub failed: Vec<ChunkFailure>,
     /// Checkpoints that were skipped as invalid while loading state.
     pub fallback_notes: Vec<String>,
@@ -1138,44 +1078,44 @@ fn parse_checkpoint(
     Ok((completed, records))
 }
 
-/// How one chunk attempt ended.
-enum AttemptOutcome {
+/// How one chunk run ended.
+enum ChunkOutcome {
     Success(Vec<TrialRecord>),
     Interrupted,
     Failed { kind: &'static str, message: String },
 }
 
-/// Runs one chunk attempt on the calling thread under `catch_unwind`.
-/// `body` receives the attempt's token — the job's token narrowed to the
+/// Runs one chunk on the calling thread under `catch_unwind`. `body`
+/// receives the chunk's token — the job's token narrowed to the
 /// chunk deadline — and runs its sweep under it, so trials panic at their
 /// next executor poll once the job is cancelled or the deadline passes.
-/// An unwound attempt is classified by which of the two happened.
+/// An unwound chunk is classified by which of the two happened.
 fn run_chunk_guarded(
     job: &CancelToken,
     timeout: Option<Duration>,
     body: impl FnOnce(&CancelToken) -> Result<Vec<TrialRecord>, String>,
-) -> AttemptOutcome {
+) -> ChunkOutcome {
     let token = match timeout {
         Some(limit) => job.with_timeout(limit),
         None => job.clone(),
     };
     match catch_unwind(AssertUnwindSafe(|| body(&token))) {
-        Ok(Ok(records)) => AttemptOutcome::Success(records),
-        Ok(Err(message)) => AttemptOutcome::Failed {
+        Ok(Ok(records)) => ChunkOutcome::Success(records),
+        Ok(Err(message)) => ChunkOutcome::Failed {
             kind: "run-error",
             message,
         },
         Err(panic) => {
             let message = panic_message(panic.as_ref());
             if token.is_cancelled() {
-                AttemptOutcome::Interrupted
+                ChunkOutcome::Interrupted
             } else if token.is_expired() {
-                AttemptOutcome::Failed {
+                ChunkOutcome::Failed {
                     kind: "timeout",
                     message: format!("chunk exceeded its wall-clock budget ({message})"),
                 }
             } else {
-                AttemptOutcome::Failed {
+                ChunkOutcome::Failed {
                     kind: "panic",
                     message,
                 }
@@ -1261,7 +1201,7 @@ pub(crate) fn fold<R: JobRow>(
 }
 
 /// Runs the spec's whole trial space in memory on `sweep` (its thread
-/// count, seed, retries and cancel token) and folds it.
+/// count, seed and cancel token) and folds it.
 ///
 /// # Panics
 ///
@@ -1278,7 +1218,7 @@ pub(crate) fn run_in_memory<R: JobRow>(spec: &JobSpec, sweep: &Sweep) -> Experim
 /// of `spec` on `sweep` under panic isolation
 /// ([`Sweep::run_fallible_with`]) and folds the survivors into the
 /// experiment's rows. Each failure carries the [`ReproCase`] its trial
-/// ran ([`JobSpec::case_for`] under the final attempt's seed), re-executed
+/// ran ([`JobSpec::case_for`] under the trial's seed), re-executed
 /// once to record its outcome and failure class, so `--repro-dir` (and
 /// the artifact) can ship it to `llsc replay` / `llsc shrink`. Rows and
 /// failures merge in index order, so the output is byte-identical at
@@ -1310,11 +1250,10 @@ pub(crate) fn fault_sweep<R: JobRow>(
             }),
             Err(mut failure) => {
                 let cell = &cells[c];
-                let mut case = spec.case_for(cell, failure.derived_seed);
+                let mut case = spec.case_for(cell, failure.seed);
                 case.provenance = Some(Provenance {
                     sweep_seed: sweep.seed,
                     trial_index: failure.index,
-                    attempt: failure.attempts.saturating_sub(1),
                 });
                 let run = run_case_with(&case, spec.fault_algorithm(cell).as_ref());
                 case.outcome = run.outcome_debug;
@@ -1857,7 +1796,6 @@ fn render_manifest(
         }
         out.push_str("{\"chunk\":");
         json::push_string(&mut out, &f.chunk.to_string());
-        push_field(&mut out, "attempts", &f.attempts.to_string());
         push_field(&mut out, "kind", &f.kind);
         push_field(&mut out, "message", &f.message);
         push_field(&mut out, "context", &f.context);
@@ -1899,7 +1837,8 @@ pub fn run_job(
 
 /// Resumes the job in `dir` from its newest valid checkpoint (or from
 /// scratch when no checkpoint survived), re-executing only missing
-/// chunks. Previously failed chunks get a fresh retry budget.
+/// chunks. Previously failed chunks are among them: resuming is how a
+/// failed chunk is re-attempted.
 ///
 /// # Errors
 ///
@@ -1964,53 +1903,28 @@ fn drive(
             break;
         }
 
-        let attempts = 1 + spec.retries;
-        let mut last_failure: Option<(&'static str, String)> = None;
-        for attempt in 0..attempts {
-            if attempt > 0 && spec.backoff_ms > 0 {
-                // Deterministic exponential backoff, interrupt-aware.
-                control
-                    .cancel
-                    .sleep(Duration::from_millis(spec.backoff_ms << (attempt - 1)));
+        let timeout =
+            (spec.chunk_timeout_ms > 0).then(|| Duration::from_millis(spec.chunk_timeout_ms));
+        let outcome = run_chunk_guarded(&control.cancel, timeout, |cancel| {
+            let sweep = Sweep::with_threads(threads)
+                .seeded(spec.seed)
+                .with_cancel(cancel.clone());
+            spec.run_trials(start..start + len, &sweep)
+        });
+        match outcome {
+            ChunkOutcome::Success(records) => {
+                state.records.extend(records);
+                state.records.sort_by_key(|r| r.index);
+                state.records.dedup_by_key(|r| r.index);
+                state.completed.insert(chunk);
             }
-            if control.interrupted() {
-                interrupted = true;
-                break;
-            }
-            let timeout =
-                (spec.chunk_timeout_ms > 0).then(|| Duration::from_millis(spec.chunk_timeout_ms));
-            let outcome = run_chunk_guarded(&control.cancel, timeout, |cancel| {
-                let sweep = Sweep::with_threads(threads)
-                    .seeded(spec.seed)
-                    .with_cancel(cancel.clone());
-                spec.run_trials(start..start + len, &sweep)
-            });
-            match outcome {
-                AttemptOutcome::Success(records) => {
-                    state.records.extend(records);
-                    state.records.sort_by_key(|r| r.index);
-                    state.records.dedup_by_key(|r| r.index);
-                    state.completed.insert(chunk);
-                    last_failure = None;
-                    break;
-                }
-                AttemptOutcome::Interrupted => {
-                    interrupted = true;
-                    break;
-                }
-                AttemptOutcome::Failed { kind, message } => {
-                    last_failure = Some((kind, message));
-                }
-            }
-        }
-        if let Some((kind, message)) = last_failure {
-            failed.push(ChunkFailure {
+            ChunkOutcome::Interrupted => interrupted = true,
+            ChunkOutcome::Failed { kind, message } => failed.push(ChunkFailure {
                 chunk,
-                attempts,
                 kind: kind.to_string(),
                 message,
                 context: chunk_context(spec, &cells, start, len),
-            });
+            }),
         }
         executed += 1;
 
@@ -2155,8 +2069,6 @@ mod tests {
             ns: vec![3],
             toss_seeds: vec![0],
             chunks: 4,
-            retries: 0,
-            backoff_ms: 0,
             ..JobSpec::default_for(JobExperiment::E4)
         }
     }
@@ -2180,11 +2092,35 @@ mod tests {
         assert!(JobSpec::parse(
             &spec
                 .render()
-                .replace("\"version\":\"1\"", "\"version\":\"2\"")
+                .replace("\"version\":\"2\"", "\"version\":\"3\"")
         )
         .is_err());
         let no_chunks = JobSpec { chunks: 0, ..spec };
         assert!(JobSpec::parse(&no_chunks.render()).is_err());
+    }
+
+    #[test]
+    fn a_version_one_job_directory_is_refused_not_misread() {
+        // A directory written before the chunk-retry keys were dropped:
+        // its spec says version 1 and still carries them.
+        let dir = scratch_dir("v1-spec");
+        let v1 = tiny_e4_spec()
+            .render()
+            .replace("\"version\":\"2\"", "\"version\":\"1\"")
+            .replace(
+                ",\"chunk_timeout_ms\"",
+                ",\"retries\":\"2\",\"backoff_ms\":\"50\",\"chunk_timeout_ms\"",
+            );
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(spec_path(&dir), &v1).unwrap();
+        let err = resume_job(&dir, 1, &JobControl::new()).unwrap_err();
+        assert_eq!(err, "job spec: unsupported version `1`");
+        assert_eq!(job_status(&dir).unwrap_err(), err);
+        // Refused before anything ran: no checkpoint, manifest or artifact.
+        assert!(checkpoint::list_seqs(&checkpoint_dir(&dir)).is_empty());
+        assert!(!manifest_path(&dir).exists());
+        assert!(!artifact_path(&dir).exists());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2251,8 +2187,6 @@ mod tests {
         let spec = JobSpec {
             ns: vec![4],
             chunks: 5,
-            retries: 0,
-            backoff_ms: 0,
             ..JobSpec::default_for(JobExperiment::E13)
         };
         let stopper = JobControl {
@@ -2284,8 +2218,6 @@ mod tests {
             intensities: vec![0, 2],
             samples: 2,
             chunks: 3,
-            retries: 0,
-            backoff_ms: 0,
             ..JobSpec::default_for(JobExperiment::E20)
         };
         let report = run_job(&dir, &spec, 2, &JobControl::new()).unwrap();
@@ -2346,15 +2278,12 @@ mod tests {
             ns: vec![3],
             toss_seeds: vec![0],
             chunks: 2,
-            retries: 1,
-            backoff_ms: 1,
             max_events: 1, // starve the executor: every chunk fails
             ..JobSpec::default_for(JobExperiment::E4)
         };
         let report = run_job(&dir, &spec, 1, &JobControl::new()).unwrap();
         assert_eq!(report.status, JobStatus::Incomplete);
         assert_eq!(report.failed.len(), 2);
-        assert_eq!(report.failed[0].attempts, 2, "1 try + 1 retry");
         assert_eq!(report.failed[0].kind, "run-error");
         assert!(report.failed[0].context.contains("e4 trials 0..24"));
         let manifest = std::fs::read_to_string(manifest_path(&dir)).unwrap();
@@ -2447,7 +2376,7 @@ mod tests {
         let outcome = run_chunk_guarded(&job, None, |token| loop {
             token.check(0);
         });
-        assert!(matches!(outcome, AttemptOutcome::Interrupted));
+        assert!(matches!(outcome, ChunkOutcome::Interrupted));
     }
 
     #[test]
@@ -2457,7 +2386,7 @@ mod tests {
             token.check(0);
         });
         match outcome {
-            AttemptOutcome::Failed { kind, message } => {
+            ChunkOutcome::Failed { kind, message } => {
                 assert_eq!(kind, "timeout");
                 assert!(message.contains("deadline exceeded"), "{message}");
             }
@@ -2473,7 +2402,7 @@ mod tests {
     fn guarded_chunk_classifies_plain_panics() {
         let outcome = run_chunk_guarded(&CancelToken::new(), None, |_| panic!("boom"));
         match outcome {
-            AttemptOutcome::Failed { kind, message } => {
+            ChunkOutcome::Failed { kind, message } => {
                 assert_eq!(kind, "panic");
                 assert_eq!(message, "boom");
             }

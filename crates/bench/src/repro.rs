@@ -12,7 +12,8 @@
 //! * [`run_case`] / [`run_case_with`] — execute a case under panic
 //!   isolation, classify the result into the failure-class vocabulary
 //!   the experiments share (`recovered`, `detected-wrong`,
-//!   `silent-wrong`, `stalled`, `crashed`, `aborted`, `panic`) and read
+//!   `silent-wrong`, `stalled`, `crashed`, `respawn-exhausted`,
+//!   `aborted`, `panic`) and read
 //!   the delivered faults, detections, memory accesses and cost counters
 //!   off the executor. Every fault-table trial is one such call
 //!   (`JobSpec::fault_trial` in [`crate::job`]), so a failure's attached
@@ -27,7 +28,7 @@
 use crate::experiments::E16_TWINS;
 use crate::job::JobExperiment;
 use llsc_core::check_wakeup;
-use llsc_shmem::repro::{execute, shrink, ReproCase, ShrinkReport};
+use llsc_shmem::repro::{execute, shrink, RecoverySpec, ReproCase, ShrinkReport};
 use llsc_shmem::{panic_message, Algorithm, FaultStats, OpCounters, ProcessId, RunOutcome, Value};
 use llsc_universal::hardening::detections;
 use llsc_wakeup::check_mutex_tokens;
@@ -55,14 +56,31 @@ pub fn resolve_algorithm(name: &str, n: usize) -> Option<Box<dyn Algorithm>> {
 /// failure-class vocabulary.
 ///
 /// The outcome decides first (a stall is a stall whatever the partial
-/// run's safety looks like — matching E16's bucketing); only runs that
+/// run's safety looks like — matching E16's bucketing); a crashed run is
+/// classed by its `recovery` regime ([`crashed_class`]); only runs that
 /// actually terminated are judged, by [`completed_class`].
-pub fn classify(outcome: &RunOutcome, safe: bool, detected: u64) -> &'static str {
+pub fn classify(
+    outcome: &RunOutcome,
+    safe: bool,
+    detected: u64,
+    recovery: Option<RecoverySpec>,
+) -> &'static str {
     match outcome {
         RunOutcome::BudgetExhausted { .. } => "stalled",
-        RunOutcome::Crashed { .. } => "crashed",
+        RunOutcome::Crashed { .. } => crashed_class(recovery),
         RunOutcome::DivergedLocalBurst { .. } => "aborted",
         RunOutcome::Completed | RunOutcome::FaultInjected { .. } => completed_class(safe, detected),
+    }
+}
+
+/// The class of a run a crash victim did not come back from, on either
+/// backend: `respawn-exhausted` under a recovery regime whose budget
+/// grants no respawn (budget 0, where the plan's crash is final; the
+/// hardware supervisor reports it as `RespawnExhausted`), else `crashed`.
+pub fn crashed_class(recovery: Option<RecoverySpec>) -> &'static str {
+    match recovery {
+        Some(r) if r.budget == 0 => "respawn-exhausted",
+        _ => "crashed",
     }
 }
 
@@ -146,7 +164,7 @@ pub fn run_case_with(case: &ReproCase, alg: &dyn Algorithm) -> CaseRun {
         CaseRun {
             outcome_debug: format!("{outcome:?}"),
             outcome: Some(outcome),
-            class: classify(&outcome, safe, detected).to_string(),
+            class: classify(&outcome, safe, detected, case.recovery).to_string(),
             detected,
             safe,
             counters: exec.run().counters(),
@@ -394,8 +412,8 @@ mod tests {
     #[test]
     fn classify_covers_the_vocabulary() {
         use RunOutcome::*;
-        assert_eq!(classify(&Completed, true, 0), "recovered");
-        assert_eq!(classify(&Completed, false, 2), "detected-wrong");
+        assert_eq!(classify(&Completed, true, 0, None), "recovered");
+        assert_eq!(classify(&Completed, false, 2, None), "detected-wrong");
         assert_eq!(
             classify(
                 &FaultInjected {
@@ -403,14 +421,22 @@ mod tests {
                     corruptions: 0
                 },
                 false,
-                0
+                0,
+                None
             ),
             "silent-wrong"
         );
-        assert_eq!(classify(&BudgetExhausted { events: 9 }, true, 0), "stalled");
-        assert_eq!(classify(&Crashed { pid: ProcessId(1) }, true, 0), "crashed");
         assert_eq!(
-            classify(&DivergedLocalBurst { pid: ProcessId(0) }, true, 0),
+            classify(&BudgetExhausted { events: 9 }, true, 0, None),
+            "stalled"
+        );
+        let crashed = Crashed { pid: ProcessId(1) };
+        assert_eq!(classify(&crashed, true, 0, None), "crashed");
+        let spec = |budget| Some(RecoverySpec { delay: 3, budget });
+        assert_eq!(classify(&crashed, true, 0, spec(2)), "crashed");
+        assert_eq!(classify(&crashed, true, 0, spec(0)), "respawn-exhausted");
+        assert_eq!(
+            classify(&DivergedLocalBurst { pid: ProcessId(0) }, true, 0, None),
             "aborted"
         );
     }

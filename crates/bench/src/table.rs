@@ -170,10 +170,7 @@ impl Table {
     /// trial panic (see [`llsc_shmem::Sweep::run_fallible`]), extended
     /// with a `"context"` key when the experiment recorded one (the
     /// fault/crash plan summary that makes the trial reproducible from
-    /// the artifact alone), an `"attempts"`/`"derived_seed"` pair when
-    /// deterministic retries ran (see [`llsc_shmem::Sweep::with_retries`];
-    /// the derived seed is the one the final failing attempt actually
-    /// used), and a `"repro"` key holding the failure's serialized
+    /// the artifact alone), and a `"repro"` key holding the failure's serialized
     /// [`llsc_shmem::ReproCase`] when the experiment attached one — the
     /// same document `--repro-dir` writes for `llsc replay` /
     /// `llsc shrink`. All optional keys are omitted when absent, so
@@ -201,23 +198,13 @@ impl Table {
                 }
                 out.push_str("{\"trial\":");
                 json::push_string(&mut out, &f.index.to_string());
-                out.push_str(",\"seed\":");
-                json::push_string(&mut out, &format!("{:#018x}", f.seed));
-                out.push_str(",\"message\":");
-                json::push_string(&mut out, &f.payload);
+                json::push_field(&mut out, "seed", &format!("{:#018x}", f.seed));
+                json::push_field(&mut out, "message", &f.payload);
                 if !f.context.is_empty() {
-                    out.push_str(",\"context\":");
-                    json::push_string(&mut out, &f.context);
-                }
-                if f.attempts != 1 {
-                    out.push_str(",\"attempts\":");
-                    json::push_string(&mut out, &f.attempts.to_string());
-                    out.push_str(",\"derived_seed\":");
-                    json::push_string(&mut out, &format!("{:#018x}", f.derived_seed));
+                    json::push_field(&mut out, "context", &f.context);
                 }
                 if let Some(repro) = &f.repro {
-                    out.push_str(",\"repro\":");
-                    json::push_string(&mut out, repro.trim_end());
+                    json::push_field(&mut out, "repro", repro.trim_end());
                 }
                 out.push('}');
             }
@@ -385,20 +372,16 @@ mod tests {
         let failures = vec![llsc_shmem::TrialFailure {
             index: 7,
             seed: 0x1234,
-            derived_seed: 0x1234,
             payload: "budget \"starved\"".to_string(),
             context: String::new(),
-            attempts: 1,
             repro: None,
         }];
         let artifact = Table::render_json_artifact_with_failures(&[&a], &failures);
         assert!(artifact.contains("\"failures\":[{\"trial\":\"7\""));
         assert!(artifact.contains("\"seed\":\"0x0000000000001234\""));
         assert!(artifact.contains("budget \\\"starved\\\""));
-        // Without context/retries/repro the legacy three-key shape is kept.
+        // Without context/repro the legacy three-key shape is kept.
         assert!(!artifact.contains("\"context\""));
-        assert!(!artifact.contains("\"attempts\""));
-        assert!(!artifact.contains("\"derived_seed\""));
         assert!(!artifact.contains("\"repro\""));
         // The extra key must not break the artifact parser.
         let back = Table::from_json_artifact(&artifact).unwrap();
@@ -407,22 +390,19 @@ mod tests {
     }
 
     #[test]
-    fn failure_context_and_attempts_render_when_present() {
+    fn failure_context_and_repro_render_when_present() {
         let mut a = Table::new("t", ["c"]);
         a.row(["1"]);
         let failures = vec![llsc_shmem::TrialFailure {
             index: 2,
             seed: 5,
-            derived_seed: 0xAB,
             payload: "boom".to_string(),
             context: "alg=x n=8 fault-plan:none".to_string(),
-            attempts: 3,
             repro: Some("{\"version\":\"1\",\"n\":\"4\"}\n".to_string()),
         }];
         let artifact = Table::render_json_artifact_with_failures(&[&a], &failures);
         assert!(artifact.contains("\"context\":\"alg=x n=8 fault-plan:none\""));
-        assert!(artifact.contains("\"attempts\":\"3\""));
-        assert!(artifact.contains("\"derived_seed\":\"0x00000000000000ab\""));
+        assert!(artifact.contains("\"seed\":\"0x0000000000000005\""));
         assert!(
             artifact.contains("\"repro\":\"{\\\"version\\\":\\\"1\\\",\\\"n\\\":\\\"4\\\"}\""),
             "the repro document is embedded as an escaped string"

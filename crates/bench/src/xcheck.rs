@@ -31,15 +31,16 @@
 //! records the cells whose degradation classes differ. A trial that
 //! terminates is classified on either backend by the same three rules
 //! ([`crate::repro::completed_class`], [`crate::repro::judge_safe`],
-//! [`llsc_universal::hardening::detections`]); only the mapping of a failed
-//! run to its class is per backend. A `silent-wrong`, `panic` or
+//! [`llsc_universal::hardening::detections`]), and a crash victim that
+//! never came back by one more ([`crate::repro::crashed_class`]); only
+//! the mapping of any other failed run to its class is per backend. A `silent-wrong`, `panic` or
 //! `respawn-exhausted` trial is a failure and carries a replayable case.
 
 use crate::experiments::{
     e20_algorithm, e20_arm, e20_case, e20_recovery, E20_ALGORITHMS, E20_MAX_STEPS,
 };
 use crate::registry::DEFAULT_MAX_EVENTS;
-use crate::repro::{completed_class, judge_safe, run_case_with};
+use crate::repro::{completed_class, crashed_class, judge_safe, run_case_with};
 use llsc_atomics::{
     run_threads_supervised, run_threads_watchdog, HwEventKind, HwMemory, HwRun, HwRunError,
 };
@@ -478,14 +479,15 @@ pub fn xcheck_universal(
     ))
 }
 
-/// Classifies a hardware run error into the degradation vocabulary.
-fn hw_error_class(e: &HwRunError) -> &'static str {
+/// Classifies a hardware run error under `recovery` into the
+/// degradation vocabulary.
+fn hw_error_class(e: &HwRunError, recovery: Option<RecoverySpec>) -> &'static str {
     match e {
         HwRunError::Run(RunError::DivergedLocalBurst { .. }) => "aborted",
         HwRunError::Run(_) => "stalled",
         HwRunError::ThreadPanic { .. } => "panic",
         HwRunError::WatchdogTimeout { .. } => "stalled",
-        HwRunError::RespawnExhausted { .. } => "respawn-exhausted",
+        HwRunError::RespawnExhausted { .. } => crashed_class(recovery),
     }
 }
 
@@ -561,7 +563,7 @@ pub fn run_hw_chaos(
                 "HwCompleted".to_string(),
             )
         }
-        Err(e) => (hw_error_class(e), 0, 0, e.to_string()),
+        Err(e) => (hw_error_class(e, recovery), 0, 0, e.to_string()),
     };
     HwChaosRun {
         class,
@@ -582,20 +584,13 @@ fn class_is_failure(class: &str) -> bool {
 }
 
 /// Packages a failed hardware chaos trial as a replayable case: the
-/// plan's faults, crashes, and tosses survive verbatim, with the
-/// `recovery` regime the hardware ran under; the schedule becomes
-/// [`ScheduleSpec::Hardware`] because the OS-chosen interleaving cannot
-/// be replayed — `llsc replay` re-runs the case on the simulator under
-/// the deterministic round-robin stand-in.
-fn chaos_failure_case(
-    case: &ReproCase,
-    recovery: Option<RecoverySpec>,
-    class: &str,
-    outcome: String,
-) -> ReproCase {
+/// plan's faults, crashes, tosses and recovery regime survive verbatim;
+/// the schedule becomes [`ScheduleSpec::Hardware`] because the
+/// OS-chosen interleaving cannot be replayed — `llsc replay` re-runs the
+/// case on the simulator under the deterministic round-robin stand-in.
+fn chaos_failure_case(case: &ReproCase, class: &str, outcome: String) -> ReproCase {
     ReproCase {
         schedule: ScheduleSpec::Hardware,
-        recovery,
         outcome,
         class: class.to_string(),
         ..case.clone()
@@ -678,9 +673,8 @@ pub struct E20Bench {
 /// simulator through [`run_case_with`] and on real threads through
 /// [`run_hw_chaos`], seeds `1..=trials` per `(algorithm, intensity)`
 /// cell. `respawn_budget` overrides the crash-recovery arm's budget on
-/// the hardware side only (0 forces the escalation path); the simulator
-/// keeps the arm's own regime — its recovery semantics have no budget-0
-/// encoding.
+/// both backends (0 denies every respawn: the plan's crash is final and
+/// the trial is `respawn-exhausted`).
 pub fn e20_bench(
     backends: &[BackendKind],
     n: usize,
@@ -691,13 +685,16 @@ pub fn e20_bench(
     let mut rows = Vec::new();
     for a in 0..E20_ALGORITHMS.len() {
         let alg = e20_algorithm(a, n);
-        let hw_recovery = e20_recovery(a, n).map(|r| RecoverySpec {
+        let recovery = e20_recovery(a, n).map(|r| RecoverySpec {
             budget: respawn_budget.unwrap_or(r.budget),
             ..r
         });
         for &intensity in intensities {
             for seed in 1..=trials {
-                let case = e20_case(a, n, intensity, seed, DEFAULT_MAX_EVENTS);
+                let case = ReproCase {
+                    recovery,
+                    ..e20_case(a, n, intensity, seed, DEFAULT_MAX_EVENTS)
+                };
                 for &backend in backends {
                     let (algorithm, arm) = (alg.name().to_string(), e20_arm(a));
                     rows.push(match backend {
@@ -745,12 +742,11 @@ pub fn e20_bench(
                                 seed,
                                 &case.faults,
                                 &case.crashes,
-                                hw_recovery,
+                                recovery,
                                 E20_MAX_STEPS,
                             );
-                            let failure = class_is_failure(run.class).then(|| {
-                                chaos_failure_case(&case, hw_recovery, run.class, run.outcome_text)
-                            });
+                            let failure = class_is_failure(run.class)
+                                .then(|| chaos_failure_case(&case, run.class, run.outcome_text));
                             E20Trial {
                                 algorithm,
                                 arm,
@@ -1346,12 +1342,15 @@ mod tests {
 
     #[test]
     fn failed_chaos_trials_carry_a_hardware_schedule_repro() {
-        let case = e20_case(4, 3, 2, 5, 1000);
         let budget0 = Some(RecoverySpec {
             delay: 3,
             budget: 0,
         });
-        let repro = chaos_failure_case(&case, budget0, "silent-wrong", "HwCompleted".into());
+        let case = ReproCase {
+            recovery: budget0,
+            ..e20_case(4, 3, 2, 5, 1000)
+        };
+        let repro = chaos_failure_case(&case, "silent-wrong", "HwCompleted".into());
         assert_eq!(repro.schedule, ScheduleSpec::Hardware);
         assert_eq!(repro.class, "silent-wrong");
         assert_eq!(repro.faults, case.faults);
@@ -1367,13 +1366,25 @@ mod tests {
         let artifact = bench.render_json();
         let entries: Vec<&str> = artifact.split(",\"repro\":").skip(1).collect();
         assert_eq!(entries.len(), bench.failures().count(), "{artifact}");
+        let mut confirmed = 0;
         for entry in entries {
             let (embedded, _) = json::parse_prefix(entry).unwrap();
             let repro = ReproCase::from_json(embedded.as_str().unwrap()).unwrap();
             assert_eq!(repro.schedule, ScheduleSpec::Hardware);
             assert_eq!(repro.class, "respawn-exhausted");
             assert_eq!(repro.recovery.map(|r| r.budget), Some(0));
+            // The simulator replays the case to the same class: its
+            // budget 0 makes the plan's crash final too. (The round-robin
+            // stand-in for the OS interleaving can finish the victim
+            // before its crash step, as the threads usually do at seed 1;
+            // then there is no crash to confirm.)
+            let replayed = crate::repro::run_case(&repro).unwrap();
+            if replayed.counters.total_crashes() > 0 {
+                assert_eq!(replayed.class, repro.class, "{}", replayed.outcome_debug);
+                confirmed += 1;
+            }
         }
+        assert!(confirmed > 0, "the mutex's crashes replay on every run");
     }
 
     #[test]

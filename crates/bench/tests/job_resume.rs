@@ -25,8 +25,6 @@ fn e4_spec() -> JobSpec {
         ns: vec![4],
         toss_seeds: vec![0, 1],
         chunks: 6,
-        retries: 0,
-        backoff_ms: 0,
         ..JobSpec::default_for(JobExperiment::E4)
     }
 }
@@ -40,8 +38,6 @@ fn e16_spec() -> JobSpec {
         intensities: vec![8],
         samples: 2,
         chunks: 6,
-        retries: 0,
-        backoff_ms: 0,
         ..JobSpec::default_for(JobExperiment::E16)
     }
 }
@@ -265,8 +261,6 @@ fn retry_exhaustion_yields_a_partial_artifact_not_a_crash() {
         ns: vec![4],
         toss_seeds: vec![0],
         chunks: 3,
-        retries: 1,
-        backoff_ms: 1,
         max_events: 1,
         ..JobSpec::default_for(JobExperiment::E4)
     };
@@ -274,7 +268,6 @@ fn retry_exhaustion_yields_a_partial_artifact_not_a_crash() {
     let report = run_job(&dir, &spec, 2, &JobControl::new()).unwrap();
     assert_eq!(report.status, JobStatus::Incomplete);
     assert_eq!(report.failed.len(), 3);
-    assert!(report.failed.iter().all(|f| f.attempts == 2));
 
     let manifest = std::fs::read_to_string(manifest_path(&dir)).unwrap();
     assert!(manifest.contains("\"status\":\"incomplete\""));
@@ -282,7 +275,8 @@ fn retry_exhaustion_yields_a_partial_artifact_not_a_crash() {
     let artifact = std::fs::read_to_string(artifact_path(&dir)).unwrap();
     assert!(artifact.starts_with("{\"tables\":["));
 
-    // A later resume with a fixed budget completes the job gracefully.
+    // A later resume with a fixed budget completes the job gracefully:
+    // resuming is the one way to re-attempt a failed chunk.
     let fixed = JobSpec {
         max_events: 0,
         ..spec
@@ -291,5 +285,7 @@ fn retry_exhaustion_yields_a_partial_artifact_not_a_crash() {
     std::fs::remove_dir_all(dir.join("checkpoints")).unwrap();
     let report = resume_job(&dir, 2, &JobControl::new()).unwrap();
     assert_eq!(report.status, JobStatus::Complete);
+    let resumed = std::fs::read_to_string(report.artifact.unwrap()).unwrap();
+    assert_eq!(resumed, uninterrupted_artifact(&fixed, 2));
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -69,28 +69,3 @@ fn starved_e16_failures_replay_and_shrink() {
         assert_eq!(minimal.class, report.case.class);
     }
 }
-
-/// The same round trip under retries: the failure records the derived
-/// seed its final attempt ran under, and the attached case reproduces
-/// from exactly that seed.
-#[test]
-fn retried_failures_attach_the_final_attempt_seed() {
-    let sweep = Sweep::sequential().with_retries(2);
-    let (_, failures) = llsc_bench::e16_fault_degradation(8, &[0], 1, 40, &sweep);
-    assert!(!failures.is_empty(), "starvation fails at every retry seed");
-    for failure in &failures {
-        assert_eq!(failure.attempts, 3, "all retries were spent");
-        assert_ne!(
-            failure.derived_seed, failure.seed,
-            "the final attempt ran under a derived seed"
-        );
-        let case = ReproCase::from_json(failure.repro.as_ref().unwrap()).unwrap();
-        let provenance = case.provenance.expect("provenance recorded");
-        assert_eq!(provenance.attempt, 2);
-        let run = run_case(&case).expect("the algorithm name resolves");
-        assert_eq!(
-            run.outcome_debug, case.outcome,
-            "replay from the derived seed matches"
-        );
-    }
-}

@@ -5,8 +5,11 @@
 //! deadline. Whoever owns the work holds a clone — the job runner for a
 //! chunk, a signal handler for a whole job — and the trials observe it
 //! through the executor's event guard, which polls the token installed on
-//! its thread every 512 events and panics into the trial's failure path
-//! once the token is cancelled or past its deadline.
+//! its thread every [`CANCEL_POLL_EVENTS`] events and panics into the
+//! trial's failure path once the token is cancelled or past its deadline.
+//! The hardware driver in `llsc-atomics` stops its process threads
+//! through a run-local token the same way, so there is one stop
+//! mechanism for simulated and real trials alike.
 //!
 //! Tokens are per owner, never process-global: two sweeps running side by
 //! side with different tokens cannot stop each other.
@@ -16,6 +19,13 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// How many events pass between two looks at a token's deadline. The
+/// executor's event guard polls its trial token (flag and deadline) this
+/// often; the hardware driver in `llsc-atomics` reads its run token's
+/// flag on every action and its deadline this often, since reading the
+/// clock is the costly half of a check.
+pub const CANCEL_POLL_EVENTS: u64 = 512;
 
 /// A cloneable cancel flag with an optional deadline.
 ///
@@ -72,21 +82,6 @@ impl CancelToken {
     /// Whether the token's deadline has passed (`false` without one).
     pub fn is_expired(&self) -> bool {
         self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    /// Sleeps for `duration`, waking early once the token is cancelled.
-    /// The flag is re-checked every 5 ms (a signal handler can only store
-    /// it, not wake a sleeper), so this is meant for deliberate waits such
-    /// as retry backoff, not for completion polling.
-    pub fn sleep(&self, duration: Duration) {
-        let until = Instant::now() + duration;
-        while !self.is_cancelled() {
-            let left = until.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return;
-            }
-            std::thread::sleep(left.min(Duration::from_millis(5)));
-        }
     }
 
     /// Panics — into the enclosing trial's failure path — when the token
@@ -164,23 +159,6 @@ mod tests {
         assert!(!CancelToken::new().is_expired(), "no deadline, no expiry");
         trial.cancel();
         assert!(chunk.is_cancelled(), "derived tokens share one flag");
-    }
-
-    #[test]
-    fn sleep_wakes_early_on_cancel() {
-        let token = CancelToken::new();
-        let started = Instant::now();
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                std::thread::sleep(Duration::from_millis(20));
-                token.cancel();
-            });
-            token.sleep(Duration::from_secs(60));
-        });
-        assert!(started.elapsed() < Duration::from_secs(30));
-        let started = Instant::now();
-        CancelToken::new().sleep(Duration::from_millis(15));
-        assert!(started.elapsed() >= Duration::from_millis(15));
     }
 
     #[test]

@@ -183,6 +183,9 @@ struct RecoveryEntry {
     next_at: u64,
     /// Crashes still allowed for this victim (the bounded crash budget).
     crashes_left: u64,
+    /// Whether a crash is followed by a recovery: `false` only under a
+    /// zero budget, where the plan's crash is final.
+    recovers: bool,
     /// Event threshold of the pending recovery, while crashed.
     recover_at: Option<u64>,
     /// Re-arm distance between a recovery and the victim's next crash
@@ -221,8 +224,10 @@ pub struct RecoveringCrashScheduler<S> {
 impl<S: Scheduler> RecoveringCrashScheduler<S> {
     /// Wraps `inner` with `plan`'s crashes, recovering each victim
     /// `delay` events after its crash (clamped to at least 1) and
-    /// allowing each victim at most `budget` crashes in total (`budget
-    /// >= 1`; the plan's own crash is the first).
+    /// allowing each victim at most `budget` crashes in total, each one
+    /// recovered (the plan's own crash is the first). A `budget` of 0
+    /// grants no recovery at all: the plan's crash still fires and is
+    /// final, as when the hardware supervisor's respawn budget is spent.
     pub fn new(inner: S, plan: &CrashPlan, delay: u64, budget: u64) -> Self {
         let entries = plan
             .crashes()
@@ -231,6 +236,7 @@ impl<S: Scheduler> RecoveringCrashScheduler<S> {
                 victim,
                 next_at: at,
                 crashes_left: budget.max(1),
+                recovers: budget > 0,
                 recover_at: None,
                 period: at.max(1),
             })
@@ -280,7 +286,7 @@ impl<S: Scheduler> RecoveringCrashScheduler<S> {
             {
                 crashed += 1;
                 e.crashes_left -= 1;
-                e.recover_at = Some(now + self.delay);
+                e.recover_at = e.recovers.then_some(now + self.delay);
             }
         }
         self.crashes_delivered += crashed;
@@ -578,6 +584,20 @@ mod tests {
             assert_eq!(sched.recoveries(), budget, "every crash is recovered");
             assert_eq!(e.run().crash_count(ProcessId(1)), budget);
         }
+    }
+
+    #[test]
+    fn zero_budget_makes_the_plans_crash_final() {
+        // Budget 0 covers no recovery: the plan's crash fires and the
+        // victim stays down, as on hardware when the respawn is denied.
+        let alg = counter_like();
+        let mut e = exec(2);
+        let plan = CrashPlan::at([(ProcessId(1), 1)]);
+        let mut sched = RecoveringCrashScheduler::new(RoundRobinScheduler::new(), &plan, 1, 0);
+        sched.drive(&mut e, &alg, 100_000).unwrap();
+        assert_eq!(e.run_outcome(), RunOutcome::Crashed { pid: ProcessId(1) });
+        assert_eq!(sched.crashes_delivered(), 1);
+        assert_eq!(sched.recoveries(), 0);
     }
 
     #[test]

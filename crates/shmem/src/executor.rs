@@ -3,7 +3,7 @@
 use crate::{
     Action, Algorithm, CcTracker, FaultInjector, FaultPlan, FaultStats, Feedback, Operation,
     ProcessId, Program, Response, Run, RunError, RunEvent, RunOutcome, Scheduler, SharedMemory,
-    TossAssignment, Value,
+    TossAssignment, Value, CANCEL_POLL_EVENTS,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -413,7 +413,8 @@ impl Executor {
     /// Counts one toss/shared-op event against the budget; reports (and
     /// stickies) [`RunError::BudgetExhausted`] when the budget fires.
     /// Also polls the trial's [`CancelToken`](crate::CancelToken)
-    /// (installed by [`Sweep`](crate::Sweep) workers) every 512 events, so
+    /// (installed by [`Sweep`](crate::Sweep) workers) every
+    /// [`CANCEL_POLL_EVENTS`] events, so
     /// a cancelled or timed-out trial panics into a structured
     /// [`TrialFailure`](crate::TrialFailure) instead of stalling its
     /// sweep.
@@ -426,7 +427,7 @@ impl Executor {
             self.fault = Some(err);
             return Err(err);
         }
-        if self.recorded_events.is_multiple_of(512) {
+        if self.recorded_events.is_multiple_of(CANCEL_POLL_EVENTS) {
             crate::cancel::check_trial_token(self.recorded_events);
         }
         Ok(())

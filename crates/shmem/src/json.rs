@@ -8,10 +8,13 @@
 //! artifacts (`llsc_bench::table::Table`); the two used to carry private
 //! duplicates of this module.
 //!
-//! The writer side is [`escape`] / [`push_string`]; the reader side is
-//! [`parse`] (a complete document) and [`parse_prefix`] (one value plus
-//! the unconsumed remainder, for callers that splice values out of larger
-//! texts). Both readers accept the standard JSON string escapes including
+//! The writer side is [`escape`] / [`push_string`], plus [`push_field`]
+//! and [`push_list`] for the flat objects of string scalars that job
+//! files and repro cases are made of; the reader side is [`parse`] (a
+//! complete document) and [`parse_prefix`] (one value plus the unconsumed
+//! remainder, for callers that splice values out of larger texts), plus
+//! the field lookups [`text_field`], [`num_field`] and [`list_field`].
+//! Both readers accept the standard JSON string escapes including
 //! `\uXXXX`.
 
 /// A parsed JSON value of the subset above.
@@ -115,6 +118,99 @@ pub fn push_string(out: &mut String, s: &str) {
     out.push('"');
     out.push_str(&escape(s));
     out.push('"');
+}
+
+/// Appends `,"key":"value"`: one more field of an object whose scalars
+/// are all JSON strings (`value` escaped, `key` verbatim).
+pub fn push_field(out: &mut String, key: &str, value: &str) {
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":");
+    push_string(out, value);
+}
+
+/// Appends `,"key":[…]`, the items rendered as JSON strings.
+pub fn push_list<T: ToString>(out: &mut String, key: &str, items: impl IntoIterator<Item = T>) {
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":[");
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_string(out, &item.to_string());
+    }
+    out.push(']');
+}
+
+/// The field `key` of the object `value`; `what` names the object in
+/// errors.
+///
+/// # Errors
+///
+/// Returns `"{what}: missing `{key}`"` when there is no such field.
+pub fn field_or<'a>(value: &'a Value, what: &str, key: &str) -> Result<&'a Value, String> {
+    value
+        .field(key)
+        .ok_or_else(|| format!("{what}: missing `{key}`"))
+}
+
+/// The string field `key` of the object `value`.
+///
+/// # Errors
+///
+/// Names the missing or non-string field.
+pub fn text_field(value: &Value, what: &str, key: &str) -> Result<String, String> {
+    field_or(value, what, key)?.str_or(&format!("{what} `{key}`"))
+}
+
+/// The numeric field `key` of the object `value`, parsed by
+/// [`parse_u64`].
+///
+/// # Errors
+///
+/// Names the missing, malformed or out-of-range field.
+pub fn num_field<T: TryFrom<u64>>(value: &Value, what: &str, key: &str) -> Result<T, String> {
+    parse_u64(&text_field(value, what, key)?)
+        .ok()
+        .and_then(|n| T::try_from(n).ok())
+        .ok_or_else(|| format!("{what}: bad `{key}`"))
+}
+
+/// The list field `key` of the object `value`, each entry parsed from its
+/// string form.
+///
+/// # Errors
+///
+/// Names the missing field or its first malformed entry.
+pub fn list_field<T: std::str::FromStr>(
+    value: &Value,
+    what: &str,
+    key: &str,
+) -> Result<Vec<T>, String> {
+    field_or(value, what, key)?
+        .array_or(&format!("{what} `{key}`"))?
+        .iter()
+        .map(|v| {
+            v.str_or(&format!("{what} `{key}` entry"))?
+                .parse()
+                .map_err(|_| format!("{what}: bad `{key}` entry"))
+        })
+        .collect()
+}
+
+/// Parses a number scalar: decimal, or hexadecimal after a `0x` prefix
+/// (the form seeds are written in).
+///
+/// # Errors
+///
+/// Names the malformed text.
+pub fn parse_u64(text: &str) -> Result<u64, String> {
+    let (digits, radix) = match text.strip_prefix("0x") {
+        Some(hex) => (hex, 16),
+        None => (text, 10),
+    };
+    u64::from_str_radix(digits, radix).map_err(|e| format!("bad number {text:?}: {e}"))
 }
 
 /// Parses a complete JSON document (of the subset above), rejecting
@@ -375,6 +471,35 @@ mod tests {
         assert_eq!(arr.as_str(), None);
         assert!(obj.array_or("case").is_err() && obj.as_array().is_none());
         assert!(arr.object_or("k").is_err() && arr.as_object().is_none());
+    }
+
+    #[test]
+    fn field_helpers_round_trip_a_flat_object() {
+        let mut out = String::from("{\"version\":\"1\"");
+        push_field(&mut out, "seed", "0x00000000000000ff");
+        push_field(&mut out, "n", "12");
+        push_list(&mut out, "ns", [4, 6]);
+        out.push('}');
+        assert_eq!(
+            out,
+            "{\"version\":\"1\",\"seed\":\"0x00000000000000ff\",\"n\":\"12\",\"ns\":[\"4\",\"6\"]}"
+        );
+        let v = parse(&out).unwrap();
+        assert_eq!(text_field(&v, "spec", "version").unwrap(), "1");
+        assert_eq!(num_field::<u64>(&v, "spec", "seed").unwrap(), 255);
+        assert_eq!(num_field::<usize>(&v, "spec", "n").unwrap(), 12);
+        assert_eq!(list_field::<usize>(&v, "spec", "ns").unwrap(), vec![4, 6]);
+        assert_eq!(
+            text_field(&v, "spec", "gone").unwrap_err(),
+            "spec: missing `gone`"
+        );
+        assert_eq!(num_field::<u8>(&v, "spec", "seed").unwrap(), 255);
+        assert_eq!(
+            num_field::<u8>(&v, "spec", "ns").unwrap_err(),
+            "spec `ns`: expected a string"
+        );
+        assert!(num_field::<u64>(&v, "spec", "version").is_ok());
+        assert!(list_field::<usize>(&v, "spec", "n").is_err());
     }
 
     #[test]

@@ -101,7 +101,7 @@ pub mod rng;
 pub mod sweep;
 
 pub use backend::{drive_program, run_sequential, BackendRun, ExecutionBackend, SimBackend};
-pub use cancel::{panic_message, CancelToken};
+pub use cancel::{panic_message, CancelToken, CANCEL_POLL_EVENTS};
 pub use chaos::ChaosPlan;
 pub use checkpoint::{CheckpointError, LoadedCheckpoint, SkippedCheckpoint};
 pub use coin::{ConstantTosses, MapTosses, SeededTosses, TossAssignment, ZeroTosses};

@@ -105,12 +105,14 @@ impl ScheduleSpec {
 /// case's crash plan is driven through a
 /// [`RecoveringCrashScheduler`] instead of a [`CrashScheduler`] — each
 /// victim is revived `delay` events after crashing, and may be
-/// re-crashed up to `budget` times in total.
+/// re-crashed up to `budget` times in total (budget 0: the plan's crash
+/// is final).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RecoverySpec {
     /// Events between a crash and the victim's recovery.
     pub delay: u64,
-    /// Maximum crashes per victim (>= 1).
+    /// Maximum crashes per victim, each one recovered; 0 grants no
+    /// recovery, so the plan's crash is final.
     pub budget: u64,
 }
 
@@ -122,8 +124,6 @@ pub struct Provenance {
     pub sweep_seed: u64,
     /// The trial's index within the sweep.
     pub trial_index: usize,
-    /// The retry attempt that produced this case (0 = first attempt).
-    pub attempt: u32,
 }
 
 /// A self-contained, replayable description of one executor run.
@@ -466,55 +466,29 @@ impl ReproCase {
     /// Serializes the case to its JSON artifact form (one line, trailing
     /// newline).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push('{');
-        push_str_field(&mut out, "version", "1");
-        out.push(',');
-        push_str_field(&mut out, "experiment", &self.experiment);
-        out.push(',');
-        push_str_field(&mut out, "algorithm", &self.algorithm);
-        out.push(',');
-        push_str_field(&mut out, "n", &self.n.to_string());
-        out.push(',');
+        let mut out = String::from("{\"version\":\"1\"");
+        json::push_field(&mut out, "experiment", &self.experiment);
+        json::push_field(&mut out, "algorithm", &self.algorithm);
+        json::push_field(&mut out, "n", &self.n.to_string());
         let toss = match self.toss {
             TossSpec::Zero => "zero".to_string(),
             TossSpec::Seeded(seed) => format!("seeded:{seed:#018x}"),
         };
-        push_str_field(&mut out, "toss", &toss);
-        out.push(',');
-        out.push_str("\"schedule\":");
+        json::push_field(&mut out, "toss", &toss);
+        out.push_str(",\"schedule\":{\"kind\":");
         match &self.schedule {
-            ScheduleSpec::RoundRobin => {
-                out.push('{');
-                push_str_field(&mut out, "kind", "round-robin");
-                out.push('}');
-            }
+            ScheduleSpec::RoundRobin => json::push_string(&mut out, "round-robin"),
             ScheduleSpec::Random { seed } => {
-                out.push('{');
-                push_str_field(&mut out, "kind", "random");
-                out.push(',');
-                push_str_field(&mut out, "seed", &format!("{seed:#018x}"));
-                out.push('}');
+                json::push_string(&mut out, "random");
+                json::push_field(&mut out, "seed", &format!("{seed:#018x}"));
             }
-            ScheduleSpec::Hardware => {
-                out.push('{');
-                push_str_field(&mut out, "kind", "hardware");
-                out.push('}');
-            }
+            ScheduleSpec::Hardware => json::push_string(&mut out, "hardware"),
             ScheduleSpec::List(picks) => {
-                out.push('{');
-                push_str_field(&mut out, "kind", "list");
-                out.push_str(",\"picks\":[");
-                for (i, p) in picks.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "\"{}\"", p.0);
-                }
-                out.push_str("]}");
+                json::push_string(&mut out, "list");
+                json::push_list(&mut out, "picks", picks.iter().map(|p| p.0));
             }
         }
-        out.push_str(",\"crashes\":[");
+        out.push_str("},\"crashes\":[");
         for (i, (pid, at)) in self.crashes.crashes().iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -540,14 +514,10 @@ impl ReproCase {
             "],\"value_seed\":\"{:#018x}\"}}",
             self.faults.value_seed()
         );
-        out.push(',');
-        push_str_field(&mut out, "max_events", &self.max_events.to_string());
-        out.push(',');
-        push_str_field(&mut out, "max_steps", &self.max_steps.to_string());
-        out.push(',');
-        push_str_field(&mut out, "outcome", &self.outcome);
-        out.push(',');
-        push_str_field(&mut out, "class", &self.class);
+        json::push_field(&mut out, "max_events", &self.max_events.to_string());
+        json::push_field(&mut out, "max_steps", &self.max_steps.to_string());
+        json::push_field(&mut out, "outcome", &self.outcome);
+        json::push_field(&mut out, "class", &self.class);
         if let Some(r) = &self.recovery {
             let _ = write!(
                 out,
@@ -558,148 +528,103 @@ impl ReproCase {
         if let Some(p) = &self.provenance {
             let _ = write!(
                 out,
-                ",\"provenance\":{{\"sweep_seed\":\"{:#018x}\",\"trial_index\":\"{}\",\"attempt\":\"{}\"}}",
-                p.sweep_seed, p.trial_index, p.attempt
+                ",\"provenance\":{{\"sweep_seed\":\"{:#018x}\",\"trial_index\":\"{}\"}}",
+                p.sweep_seed, p.trial_index
             );
         }
         out.push_str("}\n");
         out
     }
 
-    /// Parses a case back from [`ReproCase::to_json`] output.
+    /// Parses a case back from [`ReproCase::to_json`] output. Unknown
+    /// fields are ignored, so a case written with a provenance `attempt`
+    /// (a retry counter older builds recorded) still parses.
     ///
     /// # Errors
     ///
     /// Returns a descriptive message on malformed JSON, missing required
     /// fields, or out-of-range numbers.
     pub fn from_json(text: &str) -> Result<ReproCase, String> {
-        let value = json::parse(text)?;
-        let obj = value.object_or("case")?;
-        let toss_text = get_str(obj, "toss")?;
+        use json::{field_or, list_field, num_field, text_field};
+        let obj = json::parse(text)?;
+        obj.object_or("case")?;
+        let toss_text = text_field(&obj, "case", "toss")?;
         let toss = if toss_text == "zero" {
             TossSpec::Zero
         } else if let Some(hex) = toss_text.strip_prefix("seeded:") {
-            TossSpec::Seeded(parse_u64(hex)?)
+            TossSpec::Seeded(json::parse_u64(hex)?)
         } else {
             return Err(format!("unknown toss spec {toss_text:?}"));
         };
-        let schedule_obj = get(obj, "schedule")?.object_or("schedule")?;
-        let schedule = match get_str(schedule_obj, "kind")?.as_str() {
+        let sched = field_or(&obj, "case", "schedule")?;
+        let schedule = match text_field(sched, "schedule", "kind")?.as_str() {
             "round-robin" => ScheduleSpec::RoundRobin,
             "hardware" => ScheduleSpec::Hardware,
             "random" => ScheduleSpec::Random {
-                seed: parse_u64(&get_str(schedule_obj, "seed")?)?,
+                seed: num_field(sched, "schedule", "seed")?,
             },
-            "list" => {
-                let picks = get(schedule_obj, "picks")?
-                    .array_or("picks")?
-                    .iter()
-                    .map(|v| Ok(ProcessId(parse_usize(&v.str_or("pick")?)?)))
-                    .collect::<Result<Vec<_>, String>>()?;
-                ScheduleSpec::List(picks)
-            }
+            "list" => ScheduleSpec::List(
+                list_field::<usize>(sched, "schedule", "picks")?
+                    .into_iter()
+                    .map(ProcessId)
+                    .collect(),
+            ),
             other => return Err(format!("unknown schedule kind {other:?}")),
         };
-        let crashes = get(obj, "crashes")?
+        let crashes = field_or(&obj, "case", "crashes")?
             .array_or("crashes")?
             .iter()
-            .map(|v| {
-                let c = v.object_or("crash")?;
+            .map(|c| {
                 Ok((
-                    ProcessId(parse_usize(&get_str(c, "pid")?)?),
-                    parse_u64(&get_str(c, "at")?)?,
+                    ProcessId(num_field(c, "crash", "pid")?),
+                    num_field(c, "crash", "at")?,
                 ))
             })
             .collect::<Result<Vec<_>, String>>()?;
-        let faults_obj = get(obj, "faults")?.object_or("faults")?;
-        let spurious = get(faults_obj, "spurious")?
-            .array_or("spurious")?
-            .iter()
-            .map(|v| parse_u64(&v.str_or("spurious entry")?))
-            .collect::<Result<Vec<_>, String>>()?;
-        let corruptions = get(faults_obj, "corruptions")?
+        let faults = field_or(&obj, "case", "faults")?;
+        let spurious = list_field(faults, "faults", "spurious")?;
+        let corruptions = field_or(faults, "faults", "corruptions")?
             .array_or("corruptions")?
             .iter()
-            .map(|v| {
-                let c = v.object_or("corruption")?;
-                Ok((
-                    parse_u64(&get_str(c, "at")?)?,
-                    parse_bool(&get_str(c, "clear")?)?,
-                ))
+            .map(|c| {
+                let clear = match text_field(c, "corruption", "clear")?.as_str() {
+                    "true" => true,
+                    "false" => false,
+                    other => return Err(format!("bad bool {other:?}")),
+                };
+                Ok((num_field(c, "corruption", "at")?, clear))
             })
             .collect::<Result<Vec<_>, String>>()?;
-        let value_seed = parse_u64(&get_str(faults_obj, "value_seed")?)?;
-        let recovery = match get(obj, "recovery") {
-            Ok(v) => {
-                let r = v.object_or("recovery")?;
-                Some(RecoverySpec {
-                    delay: parse_u64(&get_str(r, "delay")?)?,
-                    budget: parse_u64(&get_str(r, "budget")?)?,
-                })
-            }
-            Err(_) => None,
+        let value_seed = num_field(faults, "faults", "value_seed")?;
+        let recovery = match obj.field("recovery") {
+            Some(r) => Some(RecoverySpec {
+                delay: num_field(r, "recovery", "delay")?,
+                budget: num_field(r, "recovery", "budget")?,
+            }),
+            None => None,
         };
-        let provenance = match get(obj, "provenance") {
-            Ok(v) => {
-                let p = v.object_or("provenance")?;
-                Some(Provenance {
-                    sweep_seed: parse_u64(&get_str(p, "sweep_seed")?)?,
-                    trial_index: parse_usize(&get_str(p, "trial_index")?)?,
-                    attempt: parse_u64(&get_str(p, "attempt")?)? as u32,
-                })
-            }
-            Err(_) => None,
+        let provenance = match obj.field("provenance") {
+            Some(p) => Some(Provenance {
+                sweep_seed: num_field(p, "provenance", "sweep_seed")?,
+                trial_index: num_field(p, "provenance", "trial_index")?,
+            }),
+            None => None,
         };
         Ok(ReproCase {
-            experiment: get_str(obj, "experiment")?,
-            algorithm: get_str(obj, "algorithm")?,
-            n: parse_usize(&get_str(obj, "n")?)?,
+            experiment: text_field(&obj, "case", "experiment")?,
+            algorithm: text_field(&obj, "case", "algorithm")?,
+            n: num_field(&obj, "case", "n")?,
             toss,
             schedule,
             crashes: CrashPlan::at(crashes),
             recovery,
             faults: FaultPlan::at(spurious, corruptions, value_seed),
-            max_events: parse_u64(&get_str(obj, "max_events")?)?,
-            max_steps: parse_u64(&get_str(obj, "max_steps")?)?,
-            outcome: get_str(obj, "outcome")?,
-            class: get_str(obj, "class")?,
+            max_events: num_field(&obj, "case", "max_events")?,
+            max_steps: num_field(&obj, "case", "max_steps")?,
+            outcome: text_field(&obj, "case", "outcome")?,
+            class: text_field(&obj, "case", "class")?,
             provenance,
         })
-    }
-}
-
-fn push_str_field(out: &mut String, key: &str, value: &str) {
-    let _ = write!(out, "\"{key}\":\"{}\"", json::escape(value));
-}
-
-fn get<'a>(obj: &'a [(String, json::Value)], key: &str) -> Result<&'a json::Value, String> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn get_str(obj: &[(String, json::Value)], key: &str) -> Result<String, String> {
-    get(obj, key)?.str_or(key)
-}
-
-fn parse_u64(text: &str) -> Result<u64, String> {
-    let (digits, radix) = match text.strip_prefix("0x") {
-        Some(hex) => (hex, 16),
-        None => (text, 10),
-    };
-    u64::from_str_radix(digits, radix).map_err(|e| format!("bad number {text:?}: {e}"))
-}
-
-fn parse_usize(text: &str) -> Result<usize, String> {
-    Ok(parse_u64(text)? as usize)
-}
-
-fn parse_bool(text: &str) -> Result<bool, String> {
-    match text {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        other => Err(format!("bad bool {other:?}")),
     }
 }
 
@@ -736,7 +661,6 @@ mod tests {
             provenance: Some(Provenance {
                 sweep_seed: 42,
                 trial_index: 17,
-                attempt: 1,
             }),
         }
     }

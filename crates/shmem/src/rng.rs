@@ -100,19 +100,6 @@ pub fn trial_seed(sweep_seed: u64, index: usize) -> u64 {
     split_mix(sweep_seed ^ split_mix(index as u64))
 }
 
-/// Derives the seed of re-run attempt `attempt` of a trial whose base
-/// seed is `seed`. Attempt 0 *is* the original trial (`seed` unchanged);
-/// later attempts get independent derived seeds, so a `--retries`
-/// re-run is deterministic yet explores a genuinely different toss
-/// stream.
-pub fn retry_seed(seed: u64, attempt: u32) -> u64 {
-    if attempt == 0 {
-        seed
-    } else {
-        split_mix(seed ^ split_mix(0x5E7_12E5 ^ u64::from(attempt)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,17 +148,6 @@ mod tests {
         assert_eq!(trial_seed(42, 17), trial_seed(42, 17));
         assert_ne!(trial_seed(42, 17), trial_seed(42, 18));
         assert_ne!(trial_seed(42, 17), trial_seed(43, 17));
-    }
-
-    #[test]
-    fn retry_seed_identity_at_attempt_zero_and_distinct_after() {
-        assert_eq!(retry_seed(42, 0), 42, "attempt 0 is the original trial");
-        let mut seen = std::collections::BTreeSet::new();
-        for attempt in 0..16 {
-            assert!(seen.insert(retry_seed(42, attempt)), "collision");
-            assert_eq!(retry_seed(42, attempt), retry_seed(42, attempt));
-        }
-        assert_ne!(retry_seed(1, 1), retry_seed(2, 1));
     }
 
     #[test]

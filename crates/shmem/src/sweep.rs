@@ -27,7 +27,7 @@
 //! ```
 
 use crate::cancel::{self, panic_message, CancelToken, InstalledToken};
-use crate::rng::{retry_seed, trial_seed};
+use crate::rng::trial_seed;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -52,23 +52,15 @@ pub struct Trial {
 pub struct TrialFailure {
     /// The failing trial's position in the sweep.
     pub index: usize,
-    /// The failing trial's *base* derived seed (attempt 0's seed; retry
-    /// attempts derive theirs from it via [`retry_seed`]).
+    /// The seed the failing trial ran under, derived from
+    /// `(sweep seed, index)` by [`trial_seed`].
     pub seed: u64,
-    /// The seed the *final* attempt actually ran under
-    /// ([`retry_seed`]`(seed, attempts - 1)`; equal to `seed` when no
-    /// retries were configured). Recorded explicitly so a failure row is
-    /// actionable — replayable under the right seed — without re-deriving
-    /// the retry chain.
-    pub derived_seed: u64,
-    /// The panic payload of the last attempt, stringified (`&str`/`String`
-    /// payloads verbatim; anything else is labelled opaque).
+    /// The panic payload, stringified (`&str`/`String` payloads verbatim;
+    /// anything else is labelled opaque).
     pub payload: String,
     /// Experiment-provided reproduction context (for example the trial's
     /// fault/crash plan summary); empty when the sweep attached none.
     pub context: String,
-    /// Total attempts made (1 = no retries configured or needed).
-    pub attempts: u32,
     /// A serialized [`crate::repro::ReproCase`] for the failing run, when
     /// the experiment attached one (the sweep engine itself cannot build
     /// it: only the experiment knows the algorithm and plans).
@@ -85,30 +77,24 @@ impl fmt::Display for TrialFailure {
         if !self.context.is_empty() {
             write!(f, " [{}]", self.context)?;
         }
-        if self.attempts > 1 {
-            write!(
-                f,
-                " (after {} attempts; final seed {:#018x})",
-                self.attempts, self.derived_seed
-            )?;
-        }
         Ok(())
     }
 }
 
 /// A batch of independent deterministic trials: thread count, sweep seed,
-/// retry budget, optional per-trial wall-clock deadline, and the
-/// [`CancelToken`] its trials answer to.
+/// optional per-trial wall-clock deadline, and the [`CancelToken`] its
+/// trials answer to.
+///
+/// Each trial runs exactly once. A trial is a pure function of its item
+/// and seed, so re-running it could only repeat it, and re-running it
+/// under another seed would measure a toss assignment its row does not
+/// name; a panicking trial is reported as it happened.
 #[derive(Clone, Debug)]
 pub struct Sweep {
     /// Worker threads to fan trials out over (clamped to at least 1).
     pub threads: usize,
     /// The sweep seed from which every trial seed is derived.
     pub seed: u64,
-    /// Deterministic re-runs granted to a panicking trial before it is
-    /// reported as a [`TrialFailure`] (attempt `k` runs under
-    /// [`retry_seed`]`(trial.seed, k)`). Default 0: fail on first panic.
-    pub retries: u32,
     /// Per-trial wall-clock deadline; `None` (the default) disables the
     /// check. Timeouts convert a hung trial into a structured failure,
     /// at the price of machine-speed dependence *in failure rows only* —
@@ -134,7 +120,6 @@ impl Sweep {
         Sweep {
             threads: 1,
             seed: 0,
-            retries: 0,
             trial_timeout: None,
             cancel: CancelToken::new(),
         }
@@ -154,12 +139,6 @@ impl Sweep {
         self
     }
 
-    /// Sets the retry budget (builder style); see [`Sweep::retries`].
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
-    }
-
     /// Sets the per-trial wall-clock deadline (builder style); see
     /// [`Sweep::trial_timeout`].
     pub fn with_trial_timeout(mut self, timeout: Duration) -> Self {
@@ -175,7 +154,7 @@ impl Sweep {
     }
 
     /// Installs the sweep's token, narrowed by the per-trial deadline, on
-    /// the calling worker thread for one trial attempt.
+    /// the calling worker thread for one trial.
     fn arm_trial(&self) -> InstalledToken {
         cancel::install(match self.trial_timeout {
             Some(timeout) => self.cancel.with_timeout(timeout),
@@ -222,11 +201,10 @@ impl Sweep {
     /// neither the unwind nor the merge can cascade one bad seed into the
     /// loss of the whole sweep. As with [`Sweep::run`], `f` must be a pure
     /// function of `(trial, item)`; that purity is also what makes it
-    /// unwind-safe to retry or record.
+    /// unwind-safe to record.
     ///
-    /// A panicking trial is re-run [`Sweep::retries`] times under
-    /// deterministic derived seeds before it is reported, and each attempt
-    /// runs under the sweep's [`Sweep::trial_timeout`], if one is set.
+    /// Each trial runs once, under the sweep's [`Sweep::trial_timeout`] if
+    /// one is set.
     pub fn run_fallible<I, T, F>(&self, items: &[I], f: F) -> Vec<Result<T, TrialFailure>>
     where
         I: Sync,
@@ -258,26 +236,15 @@ impl Sweep {
             seed: trial_seed(self.seed, index),
         };
         let guarded = |t: Trial, item: &I| -> Result<T, TrialFailure> {
-            let attempts = self.retries.saturating_add(1);
-            let mut last_payload = String::new();
-            for attempt in 0..attempts {
-                let attempt_trial = Trial {
-                    index: t.index,
-                    seed: retry_seed(t.seed, attempt),
-                };
+            let outcome = {
                 let _token = self.arm_trial();
-                match catch_unwind(AssertUnwindSafe(|| f(attempt_trial, item))) {
-                    Ok(out) => return Ok(out),
-                    Err(payload) => last_payload = panic_message(payload.as_ref()),
-                }
-            }
-            Err(TrialFailure {
+                catch_unwind(AssertUnwindSafe(|| f(t, item)))
+            };
+            outcome.map_err(|payload| TrialFailure {
                 index: t.index,
                 seed: t.seed,
-                derived_seed: retry_seed(t.seed, attempts - 1),
-                payload: last_payload,
+                payload: panic_message(payload.as_ref()),
                 context: context(t, item),
-                attempts,
                 repro: None,
             })
         };
@@ -311,8 +278,8 @@ impl Sweep {
     ///
     /// A panicking trial propagates out of the sweep. There is
     /// deliberately no scratch-aware fallible variant: after an unwind
-    /// the scratch state is suspect, so retry-with-reuse would be a
-    /// false promise — use [`Sweep::run_fallible`] when isolation
+    /// the scratch state is suspect, so recording and reusing it would be
+    /// a false promise — use [`Sweep::run_fallible`] when isolation
     /// matters more than reuse. The sweep's [`Sweep::trial_timeout`]
     /// *does* apply here, exactly as in the fallible paths: a hung trial
     /// panics (and propagates) rather than hanging the sweep forever.
@@ -482,6 +449,7 @@ mod tests {
                     assert_eq!(f.index, 3);
                     assert_eq!(f.seed, crate::rng::trial_seed(0, 3));
                     assert!(f.payload.contains("deliberate failure in trial 3"));
+                    assert!(f.repro.is_none(), "the engine attaches no repro");
                     assert!(f.to_string().contains("trial 3"));
                 } else {
                     assert_eq!(*r.as_ref().unwrap(), i * 10, "threads={threads}");
@@ -593,66 +561,6 @@ mod tests {
         assert_eq!(out, (0..9).map(|i| i * 2).collect::<Vec<_>>());
         let empty = sweep.run_indexed_range_with_scratch(0, 0, || (), |(), t| t.index);
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn retries_rerun_under_derived_seeds_until_success() {
-        // The trial panics on its base seed but succeeds on any retry
-        // seed: with retries it recovers, without it fails — and the
-        // failure records the attempt count and the base seed.
-        let items = vec![0usize];
-        let base = crate::rng::trial_seed(0, 0);
-        let f = |t: Trial, _: &usize| {
-            if t.seed == base {
-                panic!("transient failure on the base seed");
-            }
-            t.seed
-        };
-        let with = Sweep::sequential().with_retries(2).run_fallible(&items, f);
-        assert_eq!(
-            with[0],
-            Ok(crate::rng::retry_seed(base, 1)),
-            "first retry succeeded deterministically"
-        );
-        let without = Sweep::sequential().run_fallible(&items, f);
-        let failure = without[0].as_ref().unwrap_err();
-        assert_eq!(failure.attempts, 1);
-        assert_eq!(failure.seed, base, "failure reports the base seed");
-        assert_eq!(
-            failure.derived_seed, base,
-            "with no retries the final seed is the base seed"
-        );
-        assert!(failure.repro.is_none(), "the engine attaches no repro");
-        assert!(
-            !failure.to_string().contains("attempts"),
-            "1 attempt is implied"
-        );
-    }
-
-    #[test]
-    fn exhausted_retries_report_the_last_payload_and_attempt_count() {
-        let out = Sweep::sequential()
-            .with_retries(3)
-            .run_fallible(&[0usize], |t: Trial, _| -> usize {
-                panic!("always bad (seed {:#x})", t.seed)
-            });
-        let f = out[0].as_ref().unwrap_err();
-        assert_eq!(f.attempts, 4, "1 original + 3 retries");
-        let last = crate::rng::retry_seed(f.seed, 3);
-        assert_eq!(
-            f.derived_seed, last,
-            "failure records the final attempt's seed explicitly"
-        );
-        assert!(
-            f.payload.contains(&format!("{last:#x}")),
-            "payload is from the final attempt: {}",
-            f.payload
-        );
-        assert!(f.to_string().contains("after 4 attempts"), "{f}");
-        assert!(
-            f.to_string().contains(&format!("final seed {last:#018x}")),
-            "{f}"
-        );
     }
 
     #[test]

@@ -37,7 +37,8 @@ use llsc_lowerbound::core::{
 };
 use llsc_lowerbound::objects::FetchIncrement;
 use llsc_lowerbound::shmem::{
-    Algorithm, ProcessId, RegisterId, ReproCase, SeededTosses, Sweep, TossAssignment, ZeroTosses,
+    Algorithm, ProcessId, RegisterId, ReproCase, ScheduleSpec, SeededTosses, Sweep, TossAssignment,
+    ZeroTosses,
 };
 use llsc_lowerbound::universal::{
     measure, AdtTreeUniversal, CombiningTreeUniversal, DirectLlSc, HerlihyUniversal, MeasureConfig,
@@ -86,27 +87,22 @@ fn main() -> ExitCode {
             }
         };
     }
-    let opts = match parse_opts(rest) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = match cmd.as_str() {
-        "wakeup" => cmd_wakeup(&opts),
-        "trace" => cmd_trace(&opts),
-        "stress" => cmd_stress(&opts),
-        "indist" => cmd_indist(&opts),
-        "secretive" => cmd_secretive(&opts),
-        "universal" => cmd_universal(&opts),
-        "xcheck" => cmd_xcheck(&opts),
-        "list" => cmd_list(),
-        "help" | "--help" | "-h" => {
+    let result = match SUBCOMMAND_FLAGS.iter().find(|(name, _)| name == cmd) {
+        Some((name, allowed)) => parse_opts(rest, name, allowed).and_then(|opts| match *name {
+            "wakeup" => cmd_wakeup(&opts),
+            "trace" => cmd_trace(&opts),
+            "stress" => cmd_stress(&opts),
+            "indist" => cmd_indist(&opts),
+            "secretive" => cmd_secretive(&opts),
+            "universal" => cmd_universal(&opts),
+            "xcheck" => cmd_xcheck(&opts),
+            _ => cmd_list(),
+        }),
+        None if matches!(cmd.as_str(), "help" | "--help" | "-h") => {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown subcommand `{other}`")),
+        None => Err(format!("unknown subcommand `{cmd}`")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -136,7 +132,7 @@ subcommands:
                                                   count check to advisory, for
                                                   polling constructions)
   table      <id> [--threads <T>] [--json <p>]    regenerate a published table
-             [--seed <s>] [--retries <R>]         (ids: `llsc list`); fault tables
+             [--seed <s>]                         (ids: `llsc list`); fault tables
              [--trial-timeout-ms <MS>]            also take --max-events; exits
              [--repro-dir <d>] [--max-events <N>] 1 on a failed trial, 2 on misuse
   bench      [e18] [--backend sim|atomic|both]    E18 throughput/latency on a
@@ -161,18 +157,23 @@ subcommands:
              (id: e4 e6 e13 e15 e16 e17 e19 e20)  resumable sweep job over
              [--ns 4,6] [--toss-seeds 0,1,42]     `llsc table <id>`'s grid;
              [--samples <K>] [--chunks <C>]       after every chunk the
-             [--seed <s>] [--retries <R>]         results are persisted
-             [--backoff-ms <MS>]                  atomically, so a killed job
-             [--chunk-timeout-ms <MS>]            loses at most one chunk
-             [--max-events <N>] [--threads <T>]   (SIGINT/SIGTERM flush a
-                                                  final checkpoint)
+             [--seed <s>]                         results are persisted
+             [--chunk-timeout-ms <MS>]            atomically, so a killed job
+             [--max-events <N>] [--threads <T>]   loses at most one chunk
+                                                  (SIGINT/SIGTERM flush a
+                                                  final checkpoint); each
+                                                  chunk runs once, and a
+                                                  failed one is re-run by
+                                                  `job resume`
              [--intensities 0,1,2,4]              fault-table grid axis: k,
                                                   f or chaos intensity
              [--recovery-delay <D>]               e19/e20 recovery knobs, part
              [--respawn-budget <B>]               of the job fingerprint (0
                                                   keeps the default regime)
   job resume --dir <d> [--threads <T>]            continue from the newest
-                                                  valid checkpoint; the final
+                                                  valid checkpoint, re-running
+                                                  every missing or failed
+                                                  chunk; the final
                                                   artifact is byte-identical
                                                   to an uninterrupted run at
                                                   any thread count
@@ -302,13 +303,31 @@ impl Opts {
 /// Flags that take no value (presence alone is the setting).
 const BARE_FLAGS: &[&str] = &["safety-only"];
 
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
+/// The generic subcommands and the flags each one reads.
+const SUBCOMMAND_FLAGS: &[(&str, &[&str])] = &[
+    ("wakeup", &["alg", "n", "seed", "json"]),
+    ("trace", &["alg", "n", "seed"]),
+    ("stress", &["alg", "n", "seed", "threads", "json"]),
+    ("indist", &["alg", "n", "seed", "threads", "json"]),
+    ("secretive", &["n", "seed"]),
+    ("universal", &["n", "imp", "schedule", "seed"]),
+    ("xcheck", &["alg", "imp", "n", "trials", "safety-only"]),
+    ("list", &[]),
+];
+
+/// Parses `--key value` pairs (and the bare flags) for `llsc <cmd>`,
+/// rejecting any flag outside `allowed`, the ones `cmd` reads: a
+/// misspelled or retired flag is an error, never silently dropped.
+fn parse_opts(args: &[String], cmd: &str, allowed: &[&str]) -> Result<Opts, String> {
     let mut flags = BTreeMap::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let Some(key) = arg.strip_prefix("--") else {
             return Err(format!("unexpected argument `{arg}`"));
         };
+        if !allowed.contains(&key) {
+            return Err(format!("unknown flag: `llsc {cmd}` takes no --{key}"));
+        }
         if BARE_FLAGS.contains(&key) {
             flags.insert(key.to_string(), String::new());
             continue;
@@ -430,7 +449,7 @@ fn cmd_table(args: &[String]) -> ExitCode {
     run().unwrap_or_else(|e| {
         eprintln!(
             "error: {e}\n\nusage: llsc table <id> [--threads N] [--json PATH] [--max-events N] \
-             [--seed S] [--retries N] [--trial-timeout-ms MS] [--repro-dir DIR]"
+             [--seed S] [--trial-timeout-ms MS] [--repro-dir DIR]"
         );
         ExitCode::from(2)
     })
@@ -494,7 +513,6 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         Some((id, rest)) if !id.starts_with("--") => (id.as_str(), rest),
         _ => ("e18", args),
     };
-    let opts = parse_opts(flags)?;
     let allowed: &[&str] = match id {
         "e18" => &["backend", "ns", "samples", "out"],
         "e20" => &[
@@ -507,9 +525,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         ],
         other => return Err(format!("unknown bench `{other}` (e18|e20)")),
     };
-    if let Some(flag) = opts.flags.keys().find(|k| !allowed.contains(&k.as_str())) {
-        return Err(format!("`llsc bench {id}` takes no --{flag}"));
-    }
+    let opts = parse_opts(flags, &format!("bench {id}"), allowed)?;
     let backends = match opts
         .flags
         .get("backend")
@@ -752,8 +768,12 @@ fn cmd_secretive(opts: &Opts) -> Result<(), String> {
 }
 
 /// Splits the repro subcommands' leading positional `<file>` argument
-/// from the flags that follow it.
-fn split_file_arg(rest: &[String]) -> Result<(&String, Opts), String> {
+/// from the flags that follow it (`cmd` reads `allowed`).
+fn split_file_arg<'a>(
+    rest: &'a [String],
+    cmd: &str,
+    allowed: &[&str],
+) -> Result<(&'a String, Opts), String> {
     let Some((file, flags)) = rest.split_first() else {
         return Err("missing <file> argument (a repro case written by --repro-dir)".into());
     };
@@ -762,7 +782,7 @@ fn split_file_arg(rest: &[String]) -> Result<(&String, Opts), String> {
             "the repro file must come before flags, got `{file}`"
         ));
     }
-    Ok((file, parse_opts(flags)?))
+    Ok((file, parse_opts(flags, cmd, allowed)?))
 }
 
 fn load_case(file: &str) -> Result<ReproCase, String> {
@@ -771,7 +791,7 @@ fn load_case(file: &str) -> Result<ReproCase, String> {
 }
 
 fn cmd_replay(rest: &[String]) -> Result<(), String> {
-    let (file, _opts) = split_file_arg(rest)?;
+    let (file, _opts) = split_file_arg(rest, "replay", &[])?;
     let case = load_case(file)?;
     let run = run_case(&case)?;
     println!(
@@ -788,7 +808,10 @@ fn cmd_replay(rest: &[String]) -> Result<(), String> {
         "replayed: class={} outcome={}",
         run.class, run.outcome_debug
     );
-    if !case.outcome.is_empty() && run.outcome_debug != case.outcome {
+    // A hardware case records the threads' outcome, which no simulator
+    // outcome can equal; its class is what replay can confirm.
+    let hardware = case.schedule == ScheduleSpec::Hardware;
+    if !hardware && !case.outcome.is_empty() && run.outcome_debug != case.outcome {
         return Err(format!(
             "replay DIVERGED: recorded outcome `{}`, replayed `{}`",
             case.outcome, run.outcome_debug
@@ -802,6 +825,8 @@ fn cmd_replay(rest: &[String]) -> Result<(), String> {
     }
     if case.outcome.is_empty() && case.class.is_empty() {
         println!("no recorded outcome to compare against");
+    } else if hardware {
+        println!("replay matches the recorded class");
     } else {
         println!("replay matches the recorded outcome");
     }
@@ -809,7 +834,7 @@ fn cmd_replay(rest: &[String]) -> Result<(), String> {
 }
 
 fn cmd_shrink(rest: &[String]) -> Result<(), String> {
-    let (file, opts) = split_file_arg(rest)?;
+    let (file, opts) = split_file_arg(rest, "shrink", &["max-replays", "log", "out"])?;
     let case = load_case(file)?;
     let budget = match opts.flags.get("max-replays") {
         None => 400,
@@ -932,7 +957,36 @@ fn cmd_job(args: &[String]) -> ExitCode {
         let (action, rest) = args
             .split_first()
             .ok_or("job needs an action: run, resume, or status")?;
-        Ok((action.clone(), parse_opts(rest)?))
+        let allowed: &[&str] = match action.as_str() {
+            "run" => &[
+                "dir",
+                "experiment",
+                "name",
+                "seed",
+                "samples",
+                "recovery-delay",
+                "respawn-budget",
+                "chunk-timeout-ms",
+                "max-events",
+                "chunks",
+                "ns",
+                "toss-seeds",
+                "intensities",
+                "threads",
+                "stop-after-chunks",
+            ],
+            "resume" => &["dir", "threads"],
+            "status" => &["dir"],
+            other => {
+                return Err(format!(
+                    "unknown job action `{other}` (run, resume, status)"
+                ))
+            }
+        };
+        Ok((
+            action.clone(),
+            parse_opts(rest, &format!("job {action}"), allowed)?,
+        ))
     }
 
     fn spec_from(opts: &Opts) -> Result<JobSpec, String> {
@@ -954,16 +1008,10 @@ fn cmd_job(args: &[String]) -> ExitCode {
         parse_u64("samples", &mut spec.samples)?;
         parse_u64("recovery-delay", &mut spec.recovery_delay)?;
         parse_u64("respawn-budget", &mut spec.respawn_budget)?;
-        parse_u64("backoff-ms", &mut spec.backoff_ms)?;
         parse_u64("chunk-timeout-ms", &mut spec.chunk_timeout_ms)?;
         parse_u64("max-events", &mut spec.max_events)?;
         if let Some(v) = opts.flags.get("chunks") {
             spec.chunks = v.parse().map_err(|_| format!("bad --chunks value `{v}`"))?;
-        }
-        if let Some(v) = opts.flags.get("retries") {
-            spec.retries = v
-                .parse()
-                .map_err(|_| format!("bad --retries value `{v}`"))?;
         }
         let parse_list = |key: &str| -> Result<Option<Vec<u64>>, String> {
             match opts.flags.get(key) {
@@ -1028,13 +1076,10 @@ fn cmd_job(args: &[String]) -> ExitCode {
                 report_summary(&report);
                 Ok(job_exit_code(report.status))
             }
-            "status" => {
+            _ => {
                 print!("{}", job_status(&dir)?);
                 Ok(0)
             }
-            other => Err(format!(
-                "unknown job action `{other}` (run, resume, status)"
-            )),
         }
     };
 
@@ -1044,8 +1089,8 @@ fn cmd_job(args: &[String]) -> ExitCode {
         }
         for f in &report.failed {
             eprintln!(
-                "chunk {} failed after {} attempt(s) [{}]: {} ({})",
-                f.chunk, f.attempts, f.kind, f.message, f.context
+                "chunk {} failed [{}]: {} ({})",
+                f.chunk, f.kind, f.message, f.context
             );
         }
         eprintln!(

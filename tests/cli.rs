@@ -1,6 +1,7 @@
 //! The `llsc table` and `llsc bench` front ends, driven through the real
 //! binary: thread-count invariance of a table's stdout and artifact,
-//! the usage errors, and the E18 and E20 artifacts' schemas.
+//! the usage errors (an unknown flag is one on every subcommand), and
+//! the E18 and E20 artifacts' schemas.
 
 use llsc_lowerbound::bench::table::Table;
 use std::process::{Command, Output};
@@ -155,4 +156,50 @@ fn e20_bench_rejects_bad_values_without_panicking() {
         assert!(!err.contains("panicked"), "{err}");
         assert!(out.stdout.is_empty(), "no trial runs");
     }
+}
+
+#[test]
+fn every_subcommand_rejects_a_flag_it_does_not_read() {
+    let dir = std::env::temp_dir().join(format!("llsc_cli_retries_{}", std::process::id()));
+    let dir_arg = dir.to_str().expect("utf-8 temp path");
+    let job = [
+        "job",
+        "run",
+        "--dir",
+        dir_arg,
+        "--experiment",
+        "e4",
+        "--ns",
+        "3",
+        "--toss-seeds",
+        "0",
+        "--chunks",
+        "1",
+        "--retries",
+        "1",
+    ];
+    // Each subcommand keeps its own usage-error exit code.
+    for (args, code) in [
+        (&job[..], 2),
+        (&["table", "e3", "--retries", "1"][..], 2),
+        (
+            &[
+                "wakeup",
+                "--alg",
+                "counter-wakeup",
+                "--n",
+                "3",
+                "--bogus",
+                "1",
+            ][..],
+            1,
+        ),
+    ] {
+        let out = llsc(args);
+        assert_eq!(out.status.code(), Some(code), "{args:?}");
+        assert!(out.stdout.is_empty(), "nothing runs: {args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("error: unknown flag"), "{err}");
+    }
+    assert!(!dir.exists(), "the refused job wrote nothing");
 }
