@@ -1938,12 +1938,16 @@ fn drive(
         }
     }
 
-    // Flush a final checkpoint so even a run interrupted before its first
-    // chunk boundary leaves a resumable, validated state on disk.
-    let payload = render_checkpoint(spec, &state);
-    checkpoint::write(&ckpt_dir, state.next_seq, payload.as_bytes())
-        .map_err(|e| format!("cannot write checkpoint: {e}"))?;
-    state.next_seq += 1;
+    // Every chunk boundary above wrote a checkpoint of the state as it
+    // now stands. A drive that crossed none (interrupted before its first
+    // chunk, or resuming a finished job) flushes one here, so it too
+    // leaves a resumable, validated state on disk.
+    if executed == 0 {
+        let payload = render_checkpoint(spec, &state);
+        checkpoint::write(&ckpt_dir, state.next_seq, payload.as_bytes())
+            .map_err(|e| format!("cannot write checkpoint: {e}"))?;
+        state.next_seq += 1;
+    }
 
     let status = if interrupted || control.interrupted() {
         JobStatus::Interrupted
@@ -2421,6 +2425,31 @@ mod tests {
         assert_eq!(report.completed_chunks, 0);
         let resumed = resume_job(&dir, 2, &JobControl::new()).unwrap();
         assert_eq!(resumed.status, JobStatus::Complete);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn each_chunk_boundary_writes_one_checkpoint() {
+        // A complete 8-chunk job writes checkpoints 1..=8, one per chunk
+        // boundary, and no trailing duplicate of the last one.
+        let spec = JobSpec {
+            chunks: 8,
+            ..tiny_e4_spec()
+        };
+        let dir = scratch_dir("one-per-chunk");
+        let report = run_job(&dir, &spec, 1, &JobControl::new()).unwrap();
+        assert_eq!(report.status, JobStatus::Complete);
+        let newest = checkpoint::load_latest(&checkpoint_dir(&dir)).unwrap();
+        assert_eq!(newest.seq, 8);
+        std::fs::remove_dir_all(&dir).ok();
+
+        // A job interrupted before its first chunk still leaves one.
+        let dir = scratch_dir("interrupted-before-first-chunk");
+        let control = JobControl::new();
+        control.cancel.cancel();
+        let report = run_job(&dir, &spec, 1, &control).unwrap();
+        assert_eq!(report.status, JobStatus::Interrupted);
+        assert_eq!(checkpoint::list_seqs(&checkpoint_dir(&dir)), vec![1]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

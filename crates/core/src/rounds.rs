@@ -261,19 +261,9 @@ pub(crate) fn execute_round_into(
     refill(&mut rec.participants, participants.iter().copied());
     rec.participants.sort_unstable();
 
-    // Phase 1: local steps, in id order.
-    for &p in &rec.participants {
-        if !exec.is_runnable(p) {
-            continue;
-        }
-        let tosses = exec.advance_local(p)?;
-        rec.phase1_tosses.insert(p, tosses);
-        if exec.is_terminated(p) {
-            rec.terminated_in_phase1.push(p);
-        }
-    }
-
-    // Partition survivors by the kind of their pending operation.
+    // Phase 1: local steps, in id order. Each survivor is grouped by the
+    // kind of its pending operation in the same pass: grouping has no
+    // side effects, so the event order is that of two passes.
     let groups = &mut rec.groups;
     for g in [
         &mut groups.g1_ll_validate,
@@ -286,6 +276,12 @@ pub(crate) fn execute_round_into(
     rec.move_config.clear();
     for &p in &rec.participants {
         if !exec.is_runnable(p) {
+            continue;
+        }
+        let tosses = exec.advance_local(p)?;
+        rec.phase1_tosses.insert(p, tosses);
+        if exec.is_terminated(p) {
+            rec.terminated_in_phase1.push(p);
             continue;
         }
         let Some(op) = exec.pending_op(p) else {

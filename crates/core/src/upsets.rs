@@ -14,7 +14,7 @@
 use crate::rounds::RoundRecord;
 use crate::secretive;
 use llsc_shmem::{OpKind, ProcMask, ProcessId, RegisterId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// A set of processes — a fixed-width bitmask ([`ProcMask`]), so the
 /// `UP`-set bookkeeping unions and subset checks are word operations
@@ -46,8 +46,7 @@ impl UpSnapshot {
 
     /// `UP(R, r)` for this snapshot's round (empty if never written).
     pub fn reg(&self, r: RegisterId) -> &ProcSet {
-        static EMPTY: ProcSet = ProcSet::new();
-        self.regs.get(&r).unwrap_or(&EMPTY)
+        reg_up(&self.regs, r)
     }
 
     /// The largest `|UP(X, r)|` over all processes and registers.
@@ -85,6 +84,11 @@ pub struct UpTracker {
     /// `max |UP(X, r)|` per round, always maintained (Lemma 5.1 needs only
     /// this).
     max_sizes: Vec<usize>,
+    /// `max |UP(p, r)|` for the latest round. Rules P1-P7 only grow
+    /// process sets, so it is kept as a running maximum.
+    proc_max: usize,
+    /// The sizes of the latest round's non-empty register UP sets.
+    reg_sizes: SizeCounts,
     rounds_applied: usize,
     keep_history: bool,
 }
@@ -115,6 +119,8 @@ impl UpTracker {
         UpTracker {
             n,
             max_sizes: vec![initial.max_size()],
+            proc_max: initial.max_size(),
+            reg_sizes: SizeCounts::default(),
             history: vec![initial],
             rounds_applied: 0,
             keep_history,
@@ -195,44 +201,25 @@ impl UpTracker {
             self.rounds() + 1,
             "rounds must be applied in order"
         );
-        // The rules read some round-(r-1) values while producing round-r
-        // values. Rather than cloning the whole snapshot (which dominates
-        // the cost of long runs — Θ(rounds · Σ|UP|)), save exactly the old
-        // values the rules can read and update the snapshot in place:
+        // The rules read round-(r-1) values while producing round-r values.
+        // The snapshot is updated in place, in an order that leaves every
+        // value a rule reads in place until it has been read, so nothing
+        // is saved and the cost follows the round's operations, not the
+        // number of processes or registers:
         //
-        // * register UPs (rules R3, P1, P3, P4, P6 read them) — the `regs`
-        //   map holds only registers with non-empty UP, typically few;
-        // * the UP sets of this round's "knowledge sources": successful
-        //   SC-ers (R1), swappers (R2, P5), and movers (R3, P4).
+        // 1. compute the register rules' new values (R1-R3); every
+        //    process and register UP is still round r-1;
+        // 2. apply rules P1 and P6, which read register UPs (still round
+        //    r-1);
+        // 3. apply rules P3-P5 to each register's swappers from last to
+        //    first: P3 and P4 read register UPs and movers' UPs (movers
+        //    learn nothing, P2), and P5 reads the predecessor's UP before
+        //    that one grows;
+        // 4. install the new register values;
+        // 5. apply rule P7, which reads the round-r register value.
         //
-        // Each participant performs at most one operation per round, so a
-        // process's own entry is still its round-(r-1) value when its rule
-        // fires.
-        let prev = self.current();
-        let old_regs: BTreeMap<RegisterId, ProcSet> = prev.regs.clone();
-        let mut old_procs: BTreeMap<ProcessId, ProcSet> = BTreeMap::new();
-        for p in rec
-            .successful_sc
-            .values()
-            .copied()
-            .chain(rec.swaps.values().flatten().copied())
-            .chain(rec.move_config.processes())
-        {
-            old_procs.entry(p).or_insert_with(|| prev.proc(p).clone());
-        }
-
-        if self.keep_history {
-            let next = self.current().clone();
-            self.history.push(next);
-        }
-        let snapshot = self.history.last_mut().expect("non-empty history");
-        let UpSnapshot { procs, regs } = snapshot;
-        let old_reg = |r: RegisterId| old_regs.get(&r).cloned().unwrap_or_default();
-        let old_proc = |p: ProcessId| -> &ProcSet {
-            old_procs
-                .get(&p)
-                .expect("knowledge sources were saved above")
-        };
+        // Each participant performs at most one operation per round, so
+        // every rule touches a distinct process.
         // `(source(R, σ_r), movers(R, σ_r))` for every register a move
         // landed in (rules R3 and P4), from one pass over σ_r.
         let flows = if rec.moves_into.is_empty() {
@@ -240,96 +227,162 @@ impl UpTracker {
         } else {
             secretive::flow_report(&rec.sigma, &rec.move_config)
         };
-        // `UP(source, r-1)` joined with every mover's `UP(q, r-1)`; a
-        // register no move landed in is its own source with no movers.
-        let moved_in = |r: RegisterId| -> ProcSet {
-            let (src, mvs) = flows
-                .get(&r)
-                .map_or((r, &[][..]), |(src, mvs)| (*src, mvs.as_slice()));
-            let mut up = old_reg(src);
-            for &q in mvs {
-                up.union_with(old_proc(q));
-            }
-            up
-        };
+        if self.keep_history {
+            let next = self.current().clone();
+            self.history.push(next);
+        }
+        let snapshot = self.history.last_mut().expect("non-empty history");
+        let UpSnapshot { procs, regs } = snapshot;
 
-        // ---- Register rules (use only round r-1 values) ----
-        // Collect the registers affected this round.
-        let mut affected: BTreeSet<RegisterId> = BTreeSet::new();
-        affected.extend(rec.successful_sc.keys().copied());
-        affected.extend(rec.swaps.keys().copied());
-        affected.extend(rec.moves_into.keys().copied());
-
-        for &r in &affected {
-            let new_up: ProcSet = if let Some(&p) = rec.successful_sc.get(&r) {
-                // Rule R1: a successful SC on R.
-                old_proc(p).clone()
-            } else if let Some(swappers) = rec.swaps.get(&r) {
-                // Rule R2: the last swapper's knowledge.
-                let last = *swappers.last().expect("non-empty by construction");
-                old_proc(last).clone()
-            } else {
-                // Rule R3: moves into R (no swap on R, no successful SC).
-                moved_in(r)
+        let updates: Vec<(RegisterId, ProcSet)> = {
+            let (old_regs, old_procs): (&BTreeMap<_, _>, &[ProcSet]) = (regs, procs);
+            let old_reg = |r: RegisterId| reg_up(old_regs, r);
+            // `UP(source, r-1)` joined with every mover's `UP(q, r-1)`; a
+            // register no move landed in is its own source with no movers.
+            let moved_in = |r: RegisterId| -> ProcSet {
+                let (src, mvs) = flows
+                    .get(&r)
+                    .map_or((r, &[][..]), |(src, mvs)| (*src, mvs.as_slice()));
+                let mut up = old_reg(src).clone();
+                for &q in mvs {
+                    up.union_with(&old_procs[q.0]);
+                }
+                up
             };
+            // ---- Register rules ----
             // Rule R4 (else: unchanged) is the default — untouched entries
             // keep their round-(r-1) values.
-            if new_up.is_empty() {
-                regs.remove(&r);
-            } else {
-                regs.insert(r, new_up);
+            let sc = &rec.successful_sc;
+            sc.iter()
+                // Rule R1: a successful SC on R.
+                .map(|(&r, &p)| (r, old_procs[p.0].clone()))
+                // Rule R2: the last swapper's knowledge.
+                .chain(rec.swaps.iter().filter(|(r, _)| !sc.contains_key(r)).map(
+                    |(&r, swappers)| {
+                        let last = *swappers.last().expect("non-empty by construction");
+                        (r, old_procs[last.0].clone())
+                    },
+                ))
+                // Rule R3: moves into R (no swap on R, no successful SC).
+                .chain(
+                    rec.moves_into
+                        .keys()
+                        .filter(|r| !sc.contains_key(r) && !rec.swaps.contains_key(r))
+                        .map(|&r| (r, moved_in(r))),
+                )
+                .collect()
+        };
+
+        // ---- Process rules P1-P6 ----
+        let old_reg = |r: RegisterId| reg_up(regs, r);
+        for op in &rec.ops {
+            let up = &mut procs[op.p.0];
+            match op.kind {
+                // Rule P1: LL or validate on R joins UP(R, r-1).
+                OpKind::Ll | OpKind::Validate => up.union_with(old_reg(op.register)),
+                // Rule P6: successful SC sees the end-of-(r-1) value.
+                OpKind::Sc if op.sc_ok == Some(true) => up.union_with(old_reg(op.register)),
+                // Rule P2: move learns nothing. Swaps follow below, rule P7
+                // after the register rules are installed.
+                OpKind::Move | OpKind::Swap | OpKind::Sc => continue,
+            }
+            self.proc_max = self.proc_max.max(up.len());
+        }
+        // Rules P3-P5: swap on R.
+        for (&r, swappers) in rec.swaps.iter() {
+            for (i, &p) in swappers.iter().enumerate().rev() {
+                if i > 0 {
+                    // Rule P5: learns the previous swapper's knowledge.
+                    union_from(procs, p, swappers[i - 1]);
+                } else if rec.moves_into.contains_key(&r) {
+                    // Rule P4: first swapper, after moves into R. Movers
+                    // learn nothing, so their UPs are still round r-1.
+                    let (src, mvs) = &flows[&r];
+                    procs[p.0].union_with(old_reg(*src));
+                    for &q in mvs {
+                        union_from(procs, p, q);
+                    }
+                } else {
+                    // Rule P3: first swapper, no moves into R.
+                    procs[p.0].union_with(old_reg(r));
+                }
+                self.proc_max = self.proc_max.max(procs[p.0].len());
             }
         }
 
-        // ---- Process rules (may use the *new* register values: rule P7) ----
-        for op in &rec.ops {
-            let (p, r) = (op.p, op.register);
-            let up = &mut procs[p.0];
-            match op.kind {
-                // Rule P1: LL or validate on R joins UP(R, r-1).
-                OpKind::Ll | OpKind::Validate => {
-                    up.union_with(&old_reg(r));
-                }
-                // Rule P2: move learns nothing.
-                OpKind::Move => {}
-                // Rules P3-P5: swap on R.
-                OpKind::Swap => {
-                    let swappers = rec.swaps.get(&r).expect("recorded");
-                    let my_pos = swappers.iter().position(|q| *q == p).expect("p swapped r");
-                    if my_pos == 0 {
-                        if rec.moves_into.contains_key(&r) {
-                            // Rule P4: first swapper, after moves into R.
-                            up.union_with(&moved_in(r));
-                        } else {
-                            // Rule P3: first swapper, no moves into R.
-                            up.union_with(&old_reg(r));
-                        }
-                    } else {
-                        // Rule P5: learns the previous swapper's knowledge.
-                        let q = swappers[my_pos - 1];
-                        up.union_with(old_proc(q));
-                    }
-                }
-                // Rules P6/P7: SC on R.
-                OpKind::Sc => {
-                    if op.sc_ok == Some(true) {
-                        // Rule P6: successful SC sees the end-of-(r-1) value.
-                        up.union_with(&old_reg(r));
-                    } else {
-                        // Rule P7: unsuccessful SC may see the round-r
-                        // value (already updated in `regs` above).
-                        if let Some(new_reg) = regs.get(&r) {
-                            up.union_with(new_reg);
-                        }
-                    }
-                }
+        for (r, up) in updates {
+            // Count the new size before dropping the old one, so the
+            // maximum never walks down past it.
+            let old = if up.is_empty() {
+                regs.remove(&r)
+            } else {
+                self.reg_sizes.add(up.len());
+                regs.insert(r, up)
+            };
+            if let Some(old) = old {
+                self.reg_sizes.remove(old.len());
+            }
+        }
+
+        // ---- Rule P7: an unsuccessful SC may see the round-r value ----
+        for op in rec.ops.iter().filter(|op| op.sc_ok == Some(false)) {
+            if let Some(new_reg) = regs.get(&op.register) {
+                let up = &mut procs[op.p.0];
+                up.union_with(new_reg);
+                self.proc_max = self.proc_max.max(up.len());
             }
         }
         // Rule P8 (no operation: unchanged) is the default.
 
-        let max = self.history.last().expect("non-empty history").max_size();
-        self.max_sizes.push(max);
+        self.max_sizes.push(self.proc_max.max(self.reg_sizes.max));
         self.rounds_applied += 1;
+    }
+}
+
+/// `UP(R)` in a register map that omits empty sets.
+fn reg_up(regs: &BTreeMap<RegisterId, ProcSet>, r: RegisterId) -> &ProcSet {
+    static EMPTY: ProcSet = ProcSet::new();
+    regs.get(&r).unwrap_or(&EMPTY)
+}
+
+/// `procs[dst] ∪= procs[src]` for two distinct processes.
+fn union_from(procs: &mut [ProcSet], dst: ProcessId, src: ProcessId) {
+    let (d, s) = if dst.0 < src.0 {
+        let (head, tail) = procs.split_at_mut(src.0);
+        (&mut head[dst.0], &tail[0])
+    } else {
+        let (head, tail) = procs.split_at_mut(dst.0);
+        (&mut tail[0], &head[src.0])
+    };
+    d.union_with(s);
+}
+
+/// A multiset of set sizes with its maximum: the register half of
+/// Lemma 5.1's per-round `max |UP(X, r)|`. Register UP sets are replaced,
+/// not only grown, so their maximum can fall; counting sizes keeps it
+/// exact without walking every register each round.
+#[derive(Clone, Debug, Default)]
+struct SizeCounts {
+    /// `counts[s]`: how many sets have size `s`.
+    counts: Vec<usize>,
+    /// The largest size with a non-zero count (0 when none).
+    max: usize,
+}
+
+impl SizeCounts {
+    fn add(&mut self, size: usize) {
+        if self.counts.len() <= size {
+            self.counts.resize(size + 1, 0);
+        }
+        self.counts[size] += 1;
+        self.max = self.max.max(size);
+    }
+
+    fn remove(&mut self, size: usize) {
+        self.counts[size] -= 1;
+        while self.max > 0 && self.counts[self.max] == 0 {
+            self.max -= 1;
+        }
     }
 }
 
@@ -440,6 +493,34 @@ mod tests {
         let p2_r2 = t.proc(ProcessId(2), 2).clone();
         assert!(p2_r2.is_superset(up_r0));
         assert!(t.lemma_5_1_holds());
+    }
+
+    #[test]
+    fn the_maximum_falls_when_a_larger_register_set_is_replaced() {
+        // Round 1: the cycle p0: R0 -> R1, p1: R1 -> R0 carries two
+        // movers into one register under every schedule, a register set
+        // larger than any process set (movers learn nothing). Round 2: p2
+        // moves R3 into that register, replacing it with {p2}, so the
+        // round-2 maximum is back to 1 — the running maximum must not
+        // keep the stale 2.
+        let alg = FnAlgorithm::new("cycle", |pid: ProcessId, _n| {
+            let prog: Box<dyn Program> = match pid.0 {
+                0 => mv(RegisterId(0), RegisterId(1), || done(Value::from(0i64))).into_program(),
+                1 => mv(RegisterId(1), RegisterId(0), || done(Value::from(0i64))).into_program(),
+                _ => validate(RegisterId(9), |_, _| {
+                    mv(RegisterId(3), RegisterId(0), || done(Value::from(0i64)))
+                })
+                .into_program(),
+            };
+            prog
+        });
+        let (t, _) = run_rounds(&alg, 3, 2);
+        let widest = |r: usize| t.snapshot(r).regs.values().map(ProcSet::len).max();
+        assert_eq!(widest(1), Some(2), "{:?}", t.snapshot(1).regs);
+        assert_eq!(t.max_up_size(1), 2);
+        assert_eq!(widest(2), Some(1), "{:?}", t.snapshot(2).regs);
+        assert_eq!(t.max_up_size(2), t.snapshot(2).max_size());
+        assert_eq!(t.max_up_size(2), 1);
     }
 
     #[test]

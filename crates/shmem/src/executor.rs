@@ -1,8 +1,8 @@
 //! The deterministic discrete-event engine.
 
 use crate::{
-    Action, Algorithm, CcTracker, FaultInjector, FaultPlan, FaultStats, Feedback, Operation,
-    ProcessId, Program, Response, Run, RunError, RunEvent, RunOutcome, Scheduler, SharedMemory,
+    Action, Algorithm, FaultInjector, FaultPlan, FaultStats, Feedback, Operation, ProcessId,
+    Program, Response, Run, RunError, RunEvent, RunOutcome, Scheduler, SharedMemory,
     TossAssignment, Value, CANCEL_POLL_EVENTS,
 };
 use std::fmt;
@@ -130,9 +130,6 @@ pub struct Executor {
     /// The memory-fault adversary, if one was armed
     /// ([`Executor::set_fault_plan`]).
     injector: Option<FaultInjector>,
-    /// Cache-validity state behind the cache-coherent RMR charge; the DSM
-    /// charge is stateless (see [`CcTracker`] / [`crate::dsm_cost`]).
-    rmr_cc: CcTracker,
 }
 
 impl Executor {
@@ -170,7 +167,6 @@ impl Executor {
             recorded_events: 0,
             fault: None,
             injector: None,
-            rmr_cc: CcTracker::new(),
         }
     }
 
@@ -202,7 +198,6 @@ impl Executor {
         self.recorded_events = 0;
         self.fault = None;
         self.injector = None;
-        self.rmr_cc.reset();
     }
 
     /// Swaps the recorded run with `run` — the ownership-transfer half of
@@ -332,7 +327,7 @@ impl Executor {
             return false;
         }
         self.run.clear_crash(p);
-        self.rmr_cc.evict(p);
+        self.memory.evict(p);
         self.procs[p.0] = ProcState {
             program: alg.spawn(p, self.n),
             pending: None,
@@ -555,10 +550,9 @@ impl Executor {
             Some(Action::Invoke(op)) => op,
             other => panic!("{p} has no pending shared-memory operation (pending: {other:?})"),
         };
-        let resp = self.apply_with_faults(p, &op);
+        let (resp, cc) = self.apply_with_faults(p, &op);
         self.guard_events()?;
         self.run.record_shared(p, &op, &resp);
-        let cc = self.rmr_cc.charge(p, &op, &resp);
         let dsm = crate::dsm_cost(p, &op, self.n);
         self.run.record_rmrs(p, cc, dsm);
         self.feed(p, Feedback::Response(resp.clone()));
@@ -569,36 +563,35 @@ impl Executor {
     /// due corruptions rewrite the register the operation is about to
     /// observe, then a due spurious entry suppresses the operation if it
     /// is an SC whose `Pset` condition holds. With no injector (or no due
-    /// fault) this is exactly [`SharedMemory::apply`].
-    fn apply_with_faults(&mut self, p: ProcessId, op: &Operation) -> Response {
+    /// fault) this is exactly [`SharedMemory::apply_charged`]: the
+    /// response and its cache-coherent RMR charge.
+    fn apply_with_faults(&mut self, p: ProcessId, op: &Operation) -> (Response, u64) {
         let Some(mut inj) = self.injector.take() else {
-            return self.memory.apply(p, op);
+            return self.memory.apply_charged(p, op);
         };
         // Transient corruption strikes the register this operation reads
         // (its *observed* register: the source of a move, the target of
         // everything else) just before the operation applies, so the
         // corrupted value is what the process sees.
         while let Some(clear_pset) = inj.take_corruption(self.recorded_events) {
-            let reg = op.observed();
+            // An out-of-band rewrite: it also invalidates every cached
+            // copy of the victim, so the CC model must re-fetch it.
             self.memory
-                .corrupt_in_place(reg, clear_pset, |v| inj.corrupt_in_place(v));
-            // An out-of-band rewrite: every cached copy of the victim is
-            // stale, so the CC model must re-fetch it.
-            self.rmr_cc.invalidate(reg);
+                .corrupt_in_place(op.observed(), clear_pset, |v| inj.corrupt_in_place(v));
         }
         // A due spurious entry waits for an SC that would have succeeded;
         // suppressing an already-failing SC would inject nothing.
         let resp = match op {
             Operation::Sc(r, _) if inj.spurious_due(self.recorded_events) => {
                 match self.memory.suppress_sc(p, *r) {
-                    Some(resp) => {
+                    Some(charged) => {
                         inj.consume_spurious();
-                        resp
+                        charged
                     }
-                    None => self.memory.apply(p, op),
+                    None => self.memory.apply_charged(p, op),
                 }
             }
-            _ => self.memory.apply(p, op),
+            _ => self.memory.apply_charged(p, op),
         };
         self.injector = Some(inj);
         resp

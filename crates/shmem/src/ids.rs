@@ -58,8 +58,18 @@ impl From<usize> for ProcessId {
 /// tests single word operations with **zero heap traffic**. Every subset
 /// sweep caps `n` at 16, so the exhaustive-verification hot path lives
 /// entirely in the fast word (debug-asserted in the sweeps); the scaling
-/// experiments push `n` to 4096, so ids `>= 128` spill into a
-/// lazily-allocated extension vector rather than being rejected.
+/// experiments push `n` to 32 768, so ids `>= 128` spill into a
+/// lazily-allocated *window* of 128-bit blocks rather than being
+/// rejected.
+///
+/// The window stores `(first block, dense words)` and never keeps a zero
+/// word at either end, so a set costs words for the span between its
+/// smallest and largest spilled id, not for every block from 128 up: the
+/// round-0 `UP` singleton `{p}` is one word whatever `p` is. Sets that
+/// fill their span (late-round `UP` sets, full `Pset`s) run the same word
+/// loops as a plain bitmask. Because the window is trimmed at both ends
+/// after every operation, equal sets have equal fields, so `Eq` and
+/// `Hash` stay canonical regardless of history.
 ///
 /// Iteration order is ascending id order, matching the `BTreeSet` this
 /// type replaces — schedule construction and `Display` output depend on
@@ -83,9 +93,13 @@ impl From<usize> for ProcessId {
 pub struct ProcMask {
     /// Ids `0 .. 128`: the allocation-free fast word.
     lo: u128,
-    /// Ids `128 ..`: block `i` covers ids `128 * (i + 1) .. 128 * (i + 2)`.
-    /// Empty (no allocation) until a large id is inserted; trailing zero
-    /// blocks are trimmed so `Eq`/`Hash` see a canonical form.
+    /// The spill window's first block: `hi[i]` is block `first + i`,
+    /// which covers ids `128 * (first + i + 1) .. 128 * (first + i + 2)`.
+    /// Zero whenever `hi` is empty.
+    first: usize,
+    /// The spill window's words. Empty (no allocation) until a large id
+    /// is inserted; never starts or ends with a zero word, so
+    /// `Eq`/`Hash` see a canonical form.
     hi: Vec<u128>,
 }
 
@@ -97,6 +111,7 @@ impl ProcMask {
     pub const fn new() -> ProcMask {
         ProcMask {
             lo: 0,
+            first: 0,
             hi: Vec::new(),
         }
     }
@@ -123,24 +138,66 @@ impl ProcMask {
         }
     }
 
+    /// One past the window's last block.
+    #[inline]
+    fn end(&self) -> usize {
+        self.first + self.hi.len()
+    }
+
+    /// The index of `block` in the window, if the window covers it.
+    #[inline]
+    fn slot(&self, block: usize) -> Option<usize> {
+        block.checked_sub(self.first).filter(|&i| i < self.hi.len())
+    }
+
+    /// Grows the window (with zero words) until it covers `block`, and
+    /// returns `block`'s index in it. The caller must leave a non-zero
+    /// word at each end.
+    fn widen(&mut self, block: usize) -> usize {
+        if self.hi.is_empty() {
+            self.first = block;
+            self.hi.push(0);
+        } else if block < self.first {
+            let grow = self.first - block;
+            self.hi.splice(0..0, std::iter::repeat_n(0, grow));
+            self.first = block;
+        } else if block >= self.end() {
+            self.hi.resize(block - self.first + 1, 0);
+        }
+        block - self.first
+    }
+
+    /// Drops zero words from both ends of the window (the canonical form).
+    fn trim(&mut self) {
+        while self.hi.last() == Some(&0) {
+            self.hi.pop();
+        }
+        let lead = self.hi.iter().take_while(|&&w| w == 0).count();
+        if lead > 0 {
+            self.hi.drain(..lead);
+            self.first += lead;
+        }
+        if self.hi.is_empty() {
+            self.first = 0;
+        }
+    }
+
     /// Inserts `p`; returns `true` iff it was not already present.
     #[inline]
     pub fn insert(&mut self, p: ProcessId) -> bool {
-        match Self::split(p) {
-            (None, bit) => {
-                let fresh = self.lo & bit == 0;
-                self.lo |= bit;
-                fresh
-            }
+        let (word, bit) = match Self::split(p) {
+            (None, bit) => (&mut self.lo, bit),
             (Some(block), bit) => {
-                if self.hi.len() <= block {
-                    self.hi.resize(block + 1, 0);
-                }
-                let fresh = self.hi[block] & bit == 0;
-                self.hi[block] |= bit;
-                fresh
+                let i = match self.slot(block) {
+                    Some(i) => i,
+                    None => self.widen(block),
+                };
+                (&mut self.hi[i], bit)
             }
-        }
+        };
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
     }
 
     /// Removes `p`; returns `true` iff it was present.
@@ -153,13 +210,13 @@ impl ProcMask {
                 had
             }
             (Some(block), bit) => {
-                let Some(word) = self.hi.get_mut(block) else {
+                let Some(i) = self.slot(block) else {
                     return false;
                 };
-                let had = *word & bit != 0;
-                *word &= !bit;
-                while self.hi.last() == Some(&0) {
-                    self.hi.pop();
+                let had = self.hi[i] & bit != 0;
+                self.hi[i] &= !bit;
+                if self.hi[i] == 0 {
+                    self.trim();
                 }
                 had
             }
@@ -171,7 +228,7 @@ impl ProcMask {
     pub fn contains(&self, p: ProcessId) -> bool {
         match Self::split(p) {
             (None, bit) => self.lo & bit != 0,
-            (Some(block), bit) => self.hi.get(block).is_some_and(|w| w & bit != 0),
+            (Some(block), bit) => self.slot(block).is_some_and(|i| self.hi[i] & bit != 0),
         }
     }
 
@@ -179,6 +236,7 @@ impl ProcMask {
     #[inline]
     pub fn clear(&mut self) {
         self.lo = 0;
+        self.first = 0;
         self.hi.clear();
     }
 
@@ -195,7 +253,7 @@ impl ProcMask {
     /// `true` iff the set is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.lo == 0 && self.hi.iter().all(|&w| w == 0)
+        self.lo == 0 && self.hi.is_empty()
     }
 
     /// `true` iff every id of `self` is in `other` — one AND-NOT per word,
@@ -206,10 +264,16 @@ impl ProcMask {
         if self.lo & !other.lo != 0 {
             return false;
         }
-        self.hi
-            .iter()
-            .enumerate()
-            .all(|(i, &w)| w & !other.hi.get(i).copied().unwrap_or(0) == 0)
+        if self.hi.is_empty() {
+            return true;
+        }
+        // Both end words of `self` are non-zero, so `other`'s window must
+        // cover `self`'s.
+        if self.first < other.first || self.end() > other.end() {
+            return false;
+        }
+        let theirs = &other.hi[self.first - other.first..];
+        self.hi.iter().zip(theirs).all(|(&w, &o)| w & !o == 0)
     }
 
     /// `true` iff every id of `other` is in `self`.
@@ -220,26 +284,43 @@ impl ProcMask {
     /// Adds every id of `other` to `self`.
     pub fn union_with(&mut self, other: &ProcMask) {
         self.lo |= other.lo;
-        if self.hi.len() < other.hi.len() {
-            self.hi.resize(other.hi.len(), 0);
+        if other.hi.is_empty() {
+            return;
         }
-        for (dst, src) in self.hi.iter_mut().zip(&other.hi) {
+        if self.hi.is_empty() {
+            self.first = other.first;
+            self.hi.extend_from_slice(&other.hi);
+            return;
+        }
+        if other.first < self.first || other.end() > self.end() {
+            self.widen(other.first);
+            self.widen(other.end() - 1);
+        }
+        let mine = &mut self.hi[other.first - self.first..];
+        for (dst, src) in mine.iter_mut().zip(&other.hi) {
             *dst |= src;
         }
     }
 
-    /// Keeps only the ids present in both sets, trimming trailing zero
-    /// spill blocks so the result stays in the canonical `Eq`/`Hash`
-    /// form.
+    /// Keeps only the ids present in both sets, trimming the window so
+    /// the result stays in the canonical `Eq`/`Hash` form.
     pub fn intersect_with(&mut self, other: &ProcMask) {
         self.lo &= other.lo;
-        self.hi.truncate(other.hi.len());
-        for (dst, src) in self.hi.iter_mut().zip(&other.hi) {
+        let start = self.first.max(other.first);
+        let end = self.end().min(other.end());
+        if start >= end {
+            self.hi.clear();
+            self.first = 0;
+            return;
+        }
+        self.hi.truncate(end - self.first);
+        self.hi.drain(..start - self.first);
+        self.first = start;
+        let theirs = &other.hi[start - other.first..];
+        for (dst, src) in self.hi.iter_mut().zip(theirs) {
             *dst &= src;
         }
-        while self.hi.last() == Some(&0) {
-            self.hi.pop();
-        }
+        self.trim();
     }
 
     /// Iterates the ids in ascending order.
@@ -247,6 +328,7 @@ impl ProcMask {
         ProcMaskIter {
             word: self.lo,
             base: 0,
+            first: self.first,
             hi: &self.hi,
             next_block: 0,
         }
@@ -299,6 +381,7 @@ impl<'a> IntoIterator for &'a ProcMask {
 pub struct ProcMaskIter<'a> {
     word: u128,
     base: usize,
+    first: usize,
     hi: &'a [u128],
     next_block: usize,
 }
@@ -318,7 +401,7 @@ impl Iterator for ProcMaskIter<'_> {
                 return None;
             }
             self.word = self.hi[block];
-            self.base = ProcMask::FAST_BITS * (block + 1);
+            self.base = ProcMask::FAST_BITS * (self.first + block + 1);
             self.next_block = block + 1;
         }
     }

@@ -118,7 +118,7 @@ pub use register::RegisterState;
 pub use repro::{
     Provenance, RecoverySpec, Replayed, ReproCase, ScheduleSpec, ShrinkReport, TossSpec,
 };
-pub use rmr::{dsm_cost, dsm_home, dsm_remote, CcTracker};
+pub use rmr::{dsm_cost, dsm_home, dsm_remote};
 pub use run::{OpCounters, ProcHistory, Run, RunEvent};
 pub use scheduler::{
     ListScheduler, PartitionScheduler, RandomScheduler, RecordingScheduler, RoundRobinScheduler,

@@ -1,6 +1,7 @@
 //! The shared memory: a lazily-infinite array of registers.
 
-use crate::{OpKind, Operation, ProcessId, RegisterId, RegisterState, Response, Value};
+use crate::rmr::{cc_read, cc_write};
+use crate::{OpKind, Operation, ProcMask, ProcessId, RegisterId, RegisterState, Response, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -18,6 +19,17 @@ use std::fmt;
 /// larger ids spill into a [`BTreeMap`]. The split is invisible: iteration and
 /// snapshots present both tiers merged in id order.
 ///
+/// Each register's slot also holds the cache-coherent (CC) RMR model's
+/// valid-copy set: the processes whose cached copy of the register is
+/// current. A read (`LL`, `validate`, a move's source) is remote iff the
+/// reader's copy is invalid, and validates it; a write (`SC`, `swap`, a
+/// move's destination) always costs 1, and a mutating one leaves only
+/// the writer's copy valid. [`SharedMemory::apply_charged`] finds the
+/// slot once and returns both the operation's response and its CC
+/// charge. The set sits beside the [`RegisterState`], not inside it, so
+/// snapshots and the checkers that compare them see only value and
+/// `Pset`.
+///
 /// # Examples
 ///
 /// ```
@@ -26,20 +38,38 @@ use std::fmt;
 /// let p = ProcessId(0);
 /// let r = RegisterId(1_000_000); // any register exists
 /// assert_eq!(mem.apply(p, &Operation::Ll(r)), Response::Value(Value::Unit));
-/// let resp = mem.apply(p, &Operation::Sc(r, Value::from(1i64)));
+/// let (resp, cc) = mem.apply_charged(p, &Operation::Sc(r, Value::from(1i64)));
 /// assert_eq!(resp.flag(), Some(true));
+/// assert_eq!(cc, 1, "a write always reaches the interconnect");
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct SharedMemory {
-    /// Slab tier: slot `i` is `R_i`'s state, `None` until first touch.
+    /// Slab tier: slot `i` is `R_i`'s, `None` until first touch.
     /// Grown on demand, never beyond [`DENSE_REGISTERS`] slots.
-    dense: Vec<Option<RegisterState>>,
+    dense: Vec<Option<Slot>>,
     /// Spill tier for register ids at or above [`DENSE_REGISTERS`].
-    sparse: BTreeMap<RegisterId, RegisterState>,
+    sparse: BTreeMap<RegisterId, Slot>,
     /// Registers materialised in either tier (sizes [`SharedMemory::snapshot`]).
     touched: usize,
     initial: BTreeMap<RegisterId, Value>,
     stats: MemoryStats,
+}
+
+/// One materialised register: its LL/SC state and the CC model's
+/// valid-copy set.
+#[derive(Clone, Debug)]
+struct Slot {
+    state: RegisterState,
+    cached: ProcMask,
+}
+
+impl Slot {
+    fn new(init: Value) -> Slot {
+        Slot {
+            state: RegisterState::new(init),
+            cached: ProcMask::new(),
+        }
+    }
 }
 
 /// Register ids below this bound live in the directly indexed slab tier;
@@ -76,7 +106,7 @@ impl SharedMemory {
     /// values are part of the experiment setup, not of its execution.
     pub fn set_initial(&mut self, reg: RegisterId, value: Value) {
         assert!(
-            self.state(reg).is_none(),
+            self.slot(reg).is_none(),
             "set_initial({reg}) after the register was touched"
         );
         self.initial.insert(reg, value);
@@ -86,8 +116,8 @@ impl SharedMemory {
         self.initial.get(&reg).cloned().unwrap_or_default()
     }
 
-    /// The state of `reg` if it has been touched, `None` otherwise.
-    fn state(&self, reg: RegisterId) -> Option<&RegisterState> {
+    /// The slot of `reg` if it has been touched, `None` otherwise.
+    fn slot(&self, reg: RegisterId) -> Option<&Slot> {
         if reg.0 < DENSE_REGISTERS {
             self.dense.get(reg.0 as usize)?.as_ref()
         } else {
@@ -95,7 +125,9 @@ impl SharedMemory {
         }
     }
 
-    fn state_mut(&mut self, reg: RegisterId) -> &mut RegisterState {
+    /// The slot of `reg`, materialised with its initial value on first
+    /// touch.
+    fn slot_mut(&mut self, reg: RegisterId) -> &mut Slot {
         if reg.0 < DENSE_REGISTERS {
             let i = reg.0 as usize;
             if i >= self.dense.len() {
@@ -103,7 +135,7 @@ impl SharedMemory {
             }
             if self.dense[i].is_none() {
                 let init = self.initial_value(reg);
-                self.dense[i] = Some(RegisterState::new(init));
+                self.dense[i] = Some(Slot::new(init));
                 self.touched += 1;
             }
             self.dense[i].as_mut().expect("just materialised")
@@ -113,16 +145,16 @@ impl SharedMemory {
                 std::collections::btree_map::Entry::Vacant(v) => {
                     let init = self.initial.get(&reg).cloned().unwrap_or_default();
                     self.touched += 1;
-                    v.insert(RegisterState::new(init))
+                    v.insert(Slot::new(init))
                 }
             }
         }
     }
 
-    /// Every touched register with its state, in id order (the slab tier
+    /// Every touched register with its slot, in id order (the slab tier
     /// holds strictly smaller ids than the spill tier, so chaining them
     /// preserves the order).
-    fn states(&self) -> impl Iterator<Item = (RegisterId, &RegisterState)> + '_ {
+    fn slots(&self) -> impl Iterator<Item = (RegisterId, &Slot)> + '_ {
         self.dense
             .iter()
             .enumerate()
@@ -133,46 +165,72 @@ impl SharedMemory {
     /// Reads the current value of `reg` without perturbing any state
     /// (an omniscient-observer read, used by checkers — not a process step).
     pub fn peek(&self, reg: RegisterId) -> Value {
-        self.state(reg)
-            .map(|s| s.value().clone())
+        self.slot(reg)
+            .map(|s| s.state.value().clone())
             .unwrap_or_else(|| self.initial_value(reg))
     }
 
     /// Whether `p` is currently in `Pset(reg)` (omniscient view).
     pub fn peek_linked(&self, reg: RegisterId, p: ProcessId) -> bool {
-        self.state(reg).is_some_and(|s| s.linked(p))
+        self.slot(reg).is_some_and(|s| s.state.linked(p))
     }
 
     /// The set of registers that have been touched by at least one
     /// operation, in id order.
     pub fn touched(&self) -> impl Iterator<Item = RegisterId> + '_ {
-        self.states().map(|(r, _)| r)
+        self.slots().map(|(r, _)| r)
     }
 
     /// Applies `op` on behalf of process `p` and returns the response,
-    /// following the Section-3 semantics exactly.
+    /// following the Section-3 semantics exactly. The CC cache state is
+    /// updated as by [`SharedMemory::apply_charged`].
     pub fn apply(&mut self, p: ProcessId, op: &Operation) -> Response {
+        self.apply_charged(p, op).0
+    }
+
+    /// Applies `op` on behalf of process `p` and returns the response
+    /// together with the operation's cache-coherent RMR charge (0, 1, or
+    /// 2 for a move): each register the operation touches is found once,
+    /// and its valid-copy set is charged and updated in the same slot.
+    pub fn apply_charged(&mut self, p: ProcessId, op: &Operation) -> (Response, u64) {
         self.stats.record(op.kind());
         match op {
-            Operation::Ll(r) => Response::Value(self.state_mut(*r).ll(p)),
+            Operation::Ll(r) => {
+                let slot = self.slot_mut(*r);
+                let value = slot.state.ll(p);
+                (Response::Value(value), cc_read(&mut slot.cached, p))
+            }
             Operation::Validate(r) => {
-                let (ok, value) = self.state_mut(*r).validate(p);
-                Response::Flagged { ok, value }
+                let slot = self.slot_mut(*r);
+                let (ok, value) = slot.state.validate(p);
+                (
+                    Response::Flagged { ok, value },
+                    cc_read(&mut slot.cached, p),
+                )
             }
             Operation::Sc(r, v) => {
-                let (ok, value) = self.state_mut(*r).sc(p, v.clone());
+                let slot = self.slot_mut(*r);
+                let (ok, value) = slot.state.sc(p, v.clone());
+                let cc = cc_write(&mut slot.cached, p, ok);
                 if ok {
                     self.stats.successful_scs += 1;
                 }
-                Response::Flagged { ok, value }
+                (Response::Flagged { ok, value }, cc)
             }
-            Operation::Swap(r, v) => Response::Value(self.state_mut(*r).swap(v.clone())),
+            Operation::Swap(r, v) => {
+                let slot = self.slot_mut(*r);
+                let prev = slot.state.swap(v.clone());
+                (Response::Value(prev), cc_write(&mut slot.cached, p, true))
+            }
             Operation::Move { src, dst } => {
                 // The source is read without mutation; reading it still
                 // counts as "touching" so that snapshots list it.
-                let moved = self.state_mut(*src).value().clone();
-                self.state_mut(*dst).receive_move(moved);
-                Response::Ack
+                let slot = self.slot_mut(*src);
+                let moved = slot.state.value().clone();
+                let read = cc_read(&mut slot.cached, p);
+                let slot = self.slot_mut(*dst);
+                slot.state.receive_move(moved);
+                (Response::Ack, read + cc_write(&mut slot.cached, p, true))
             }
         }
     }
@@ -180,50 +238,76 @@ impl SharedMemory {
     /// Applies a *spurious* `SC` failure on behalf of `p`: if `p` is
     /// linked to `reg` (the SC would have succeeded), the link is silently
     /// dropped — [`RegisterState::suppress_sc`] — and the failed-SC
-    /// response is returned. Returns `None` when `p` holds no link, in
-    /// which case the SC would fail anyway and suppression would inject
-    /// nothing; the caller should apply the operation normally and keep
-    /// the fault pending.
+    /// response is returned with its CC charge (a failed SC is a
+    /// non-mutating write: 1 RMR, no cached copy changes). Returns `None`
+    /// when `p` holds no link, in which case the SC would fail anyway and
+    /// suppression would inject nothing; the caller should apply the
+    /// operation normally and keep the fault pending.
     ///
     /// The suppressed SC is still a shared access and is counted in
     /// [`MemoryStats::scs`] (but not as successful).
-    pub fn suppress_sc(&mut self, p: ProcessId, reg: RegisterId) -> Option<Response> {
-        if !self.state(reg).is_some_and(|s| s.linked(p)) {
+    pub fn suppress_sc(&mut self, p: ProcessId, reg: RegisterId) -> Option<(Response, u64)> {
+        if !self.peek_linked(reg, p) {
             return None;
         }
         self.stats.record(OpKind::Sc);
-        let value = self.state_mut(reg).suppress_sc(p);
-        Some(Response::Flagged { ok: false, value })
+        let slot = self.slot_mut(reg);
+        let value = slot.state.suppress_sc(p);
+        let cc = cc_write(&mut slot.cached, p, false);
+        Some((Response::Flagged { ok: false, value }, cc))
     }
 
     /// Transient corruption of `reg`: the value becomes `value` and, when
-    /// `clear_pset` is set, every link is dropped. A fault-injector
-    /// primitive — not a process step, so it is not counted in
-    /// [`MemoryStats`].
+    /// `clear_pset` is set, every link is dropped. Every cached copy of
+    /// `reg` becomes stale, so the next CC read of it is remote. A
+    /// fault-injector primitive — not a process step, so it is not counted
+    /// in [`MemoryStats`].
     pub fn corrupt(&mut self, reg: RegisterId, value: Value, clear_pset: bool) {
-        self.state_mut(reg).corrupt(value, clear_pset);
+        self.corrupt_in_place(reg, clear_pset, |v| *v = value);
     }
 
     /// Transient corruption of `reg` *in place*: materialises the register
     /// and hands its value to `mutate` (no copy out, no copy back — the
     /// fault injector rewrites individual fields/words directly). When
     /// `clear_pset` is set, every link is dropped. Like
-    /// [`SharedMemory::corrupt`], not counted in [`MemoryStats`].
+    /// [`SharedMemory::corrupt`], it invalidates every cached copy and is
+    /// not counted in [`MemoryStats`].
     pub fn corrupt_in_place(
         &mut self,
         reg: RegisterId,
         clear_pset: bool,
         mutate: impl FnOnce(&mut Value),
     ) {
-        self.state_mut(reg).corrupt_in_place(clear_pset, mutate);
+        let slot = self.slot_mut(reg);
+        slot.state.corrupt_in_place(clear_pset, mutate);
+        slot.cached.clear();
     }
 
-    /// Clears every touched register and the operation statistics while
-    /// keeping the configured initial values (and the initial map's
-    /// allocation): after a reset the memory is observationally the
-    /// freshly constructed [`SharedMemory::with_initial`] memory again.
-    /// The executor's trial-reset primitive
-    /// ([`Executor::reset`](crate::Executor::reset)).
+    /// Drops every cached copy `p` holds — the cold-cache restart of a
+    /// process recovering from a crash: its first read of each register
+    /// after recovery is remote again.
+    pub(crate) fn evict(&mut self, p: ProcessId) {
+        for slot in self.dense.iter_mut().flatten() {
+            slot.cached.remove(p);
+        }
+        for slot in self.sparse.values_mut() {
+            slot.cached.remove(p);
+        }
+    }
+
+    /// `true` iff `p` currently holds a valid cached copy of `reg` in the
+    /// CC model.
+    #[cfg(test)]
+    pub(crate) fn is_cached(&self, p: ProcessId, reg: RegisterId) -> bool {
+        self.slot(reg).is_some_and(|s| s.cached.contains(p))
+    }
+
+    /// Clears every touched register, the CC cache state and the
+    /// operation statistics while keeping the configured initial values
+    /// (and the initial map's allocation): after a reset the memory is
+    /// observationally the freshly constructed
+    /// [`SharedMemory::with_initial`] memory again. The executor's
+    /// trial-reset primitive ([`Executor::reset`](crate::Executor::reset)).
     pub fn reset(&mut self) {
         self.dense.clear();
         self.sparse.clear();
@@ -252,7 +336,7 @@ impl SharedMemory {
     pub fn snapshot_into(&self, out: &mut Vec<(RegisterId, RegisterState)>) {
         out.clear();
         out.reserve_exact(self.touched);
-        out.extend(self.states().map(|(r, s)| (r, s.clone())));
+        out.extend(self.slots().map(|(r, s)| (r, s.state.clone())));
     }
 }
 
@@ -435,10 +519,13 @@ mod tests {
         let resp = mem.suppress_sc(P0, RegisterId(0));
         assert_eq!(
             resp,
-            Some(Response::Flagged {
-                ok: false,
-                value: int(3)
-            })
+            Some((
+                Response::Flagged {
+                    ok: false,
+                    value: int(3)
+                },
+                1
+            ))
         );
         assert!(!mem.peek_linked(RegisterId(0), P0));
         assert_eq!(mem.peek(RegisterId(0)), int(3), "value untouched");

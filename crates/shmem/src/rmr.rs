@@ -27,13 +27,23 @@
 //!   backend count DSM RMRs locally per thread.
 //!
 //! A `move` touches two registers and is charged per register (up to 2
-//! RMRs); every other operation touches one. The executor calls
-//! [`CcTracker::charge`] / [`dsm_cost`] once per shared step and
-//! accumulates the results next to the shared-access counters in
-//! [`Run`](crate::Run) / [`OpCounters`](crate::OpCounters).
+//! RMRs); every other operation touches one.
+//!
+//! The CC state is one valid-copy set per register, kept in the
+//! register's own [`SharedMemory`](crate::SharedMemory) slot beside its
+//! value and `Pset`: [`SharedMemory::apply_charged`](crate::SharedMemory::apply_charged)
+//! applies an operation and charges it against that set in the same
+//! lookup, so the charge costs no map probe of its own. Corruption
+//! ([`SharedMemory::corrupt_in_place`](crate::SharedMemory::corrupt_in_place))
+//! empties the victim's set, crash recovery
+//! ([`SharedMemory::evict`](crate::SharedMemory::evict)) removes one
+//! process from every set, and a memory reset forgets them all. The
+//! executor takes the CC charge from `apply_charged` and the DSM charge
+//! from [`dsm_cost`] once per shared step and accumulates both next to
+//! the shared-access counters in [`Run`](crate::Run) /
+//! [`OpCounters`](crate::OpCounters).
 
-use crate::{Operation, ProcMask, ProcessId, RegisterId, Response};
-use std::collections::HashMap;
+use crate::{Operation, ProcMask, ProcessId, RegisterId};
 
 /// The home process of `reg` in the DSM model: `home(R) = R mod n`.
 ///
@@ -63,111 +73,35 @@ pub fn dsm_cost(p: ProcessId, op: &Operation, n: usize) -> u64 {
     }
 }
 
-/// The cache-coherence state behind the CC cost model: for each register,
-/// the set of processes whose cached copy is currently valid.
-///
-/// The executor owns one of these, consults it on every shared step, and
-/// clears it on [`reset`](CcTracker::reset) (and on adversarial register
-/// corruption, which invalidates every cached copy of the victim —
-/// [`invalidate`](CcTracker::invalidate)).
-#[derive(Clone, Debug, Default)]
-pub struct CcTracker {
-    valid: HashMap<RegisterId, ProcMask>,
+/// A CC *read* access by `p` (`LL`, `validate`, the source of a
+/// `move`) against the register's valid-copy set `cached`: remote (1)
+/// iff `p`'s copy is invalid; the fetch validates it either way.
+#[inline]
+pub(crate) fn cc_read(cached: &mut ProcMask, p: ProcessId) -> u64 {
+    u64::from(cached.insert(p))
 }
 
-impl CcTracker {
-    /// An empty tracker: no process caches anything, so every first
-    /// access is remote.
-    pub fn new() -> CcTracker {
-        CcTracker::default()
+/// A CC *write* access by `p` (`SC`, `swap`, the destination of a
+/// `move`) against the register's valid-copy set `cached`: always remote
+/// (1). A mutating write invalidates every other cached copy and installs
+/// a valid one for the writer; a non-mutating write (failed SC) leaves
+/// the set untouched.
+#[inline]
+pub(crate) fn cc_write(cached: &mut ProcMask, p: ProcessId, mutates: bool) -> u64 {
+    if mutates {
+        cached.clear();
+        cached.insert(p);
     }
-
-    /// Forgets all cache state (every copy invalid), keeping allocations.
-    pub fn reset(&mut self) {
-        for mask in self.valid.values_mut() {
-            mask.clear();
-        }
-    }
-
-    /// Invalidates every process's cached copy of `reg` — the effect of
-    /// an out-of-band write such as the fault adversary's register
-    /// corruption.
-    pub fn invalidate(&mut self, reg: RegisterId) {
-        if let Some(mask) = self.valid.get_mut(&reg) {
-            mask.clear();
-        }
-    }
-
-    /// Drops every cached copy `p` holds — the cold-cache restart of a
-    /// process recovering from a crash: its first read of each register
-    /// after recovery is remote again.
-    pub fn evict(&mut self, p: ProcessId) {
-        for mask in self.valid.values_mut() {
-            mask.remove(p);
-        }
-    }
-
-    /// `true` iff `p` currently holds a valid cached copy of `reg`.
-    pub fn is_cached(&self, p: ProcessId, reg: RegisterId) -> bool {
-        self.valid.get(&reg).is_some_and(|m| m.contains(p))
-    }
-
-    /// A read access by `p`: remote (1) iff `p`'s copy is invalid; the
-    /// fetch validates it either way.
-    fn read(&mut self, p: ProcessId, reg: RegisterId) -> u64 {
-        let mask = self.valid.entry(reg).or_default();
-        u64::from(mask.insert(p))
-    }
-
-    /// A write access by `p`: always remote (1). When the write mutates
-    /// the register it invalidates every other cached copy and installs
-    /// a valid one for the writer; a non-mutating write (failed SC)
-    /// leaves cache state untouched.
-    fn write(&mut self, p: ProcessId, reg: RegisterId, mutates: bool) -> u64 {
-        if mutates {
-            let mask = self.valid.entry(reg).or_default();
-            mask.clear();
-            mask.insert(p);
-        }
-        1
-    }
-
-    /// Charges one shared-memory step under the CC model, updating the
-    /// cache state, and returns its RMR cost. `resp` is the response the
-    /// operation produced (a failed SC — `Flagged { ok: false, .. }` —
-    /// is a non-mutating write).
-    pub fn charge(&mut self, p: ProcessId, op: &Operation, resp: &Response) -> u64 {
-        match op {
-            Operation::Ll(r) | Operation::Validate(r) => self.read(p, *r),
-            Operation::Sc(r, _) => self.write(p, *r, resp.flag() == Some(true)),
-            Operation::Swap(r, _) => self.write(p, *r, true),
-            Operation::Move { src, dst } => self.read(p, *src) + self.write(p, *dst, true),
-        }
-    }
+    1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Value;
+    use crate::{SharedMemory, Value};
 
-    const R: RegisterId = RegisterId(0);
     const P0: ProcessId = ProcessId(0);
     const P1: ProcessId = ProcessId(1);
-
-    fn ok_sc() -> Response {
-        Response::Flagged {
-            ok: true,
-            value: Value::Unit,
-        }
-    }
-
-    fn failed_sc() -> Response {
-        Response::Flagged {
-            ok: false,
-            value: Value::Unit,
-        }
-    }
 
     #[test]
     fn dsm_home_is_register_mod_n() {
@@ -209,76 +143,110 @@ mod tests {
         );
     }
 
+    /// Registers in the slab tier, at its edge, in the spill tier and
+    /// in the telemetry range above 2^40: the CC charge lives in every
+    /// tier's slot and must not depend on which one.
+    const REGS: [RegisterId; 5] = [
+        RegisterId(0),
+        RegisterId(1023),
+        RegisterId(1024),
+        RegisterId(1_000_000),
+        RegisterId((1 << 40) + 7),
+    ];
+
+    fn ll(mem: &mut SharedMemory, p: ProcessId, r: RegisterId) -> u64 {
+        mem.apply_charged(p, &Operation::Ll(r)).1
+    }
+
+    fn sc(mem: &mut SharedMemory, p: ProcessId, r: RegisterId) -> (bool, u64) {
+        let (resp, cc) = mem.apply_charged(p, &Operation::Sc(r, Value::Unit));
+        (resp.flag() == Some(true), cc)
+    }
+
     #[test]
     fn cc_spinning_read_is_free_after_first_fetch() {
-        let mut cc = CcTracker::new();
-        assert_eq!(
-            cc.charge(P0, &Operation::Ll(R), &Response::Value(Value::Unit)),
-            1
-        );
-        assert_eq!(
-            cc.charge(P0, &Operation::Ll(R), &Response::Value(Value::Unit)),
-            0
-        );
-        assert_eq!(cc.charge(P0, &Operation::Validate(R), &failed_sc()), 0);
-        assert!(cc.is_cached(P0, R));
+        for r in REGS {
+            let mut mem = SharedMemory::new();
+            assert_eq!(ll(&mut mem, P0, r), 1, "{r}");
+            assert_eq!(ll(&mut mem, P0, r), 0, "{r}");
+            assert_eq!(mem.apply_charged(P0, &Operation::Validate(r)).1, 0, "{r}");
+            assert!(mem.is_cached(P0, r));
+        }
     }
 
     #[test]
     fn cc_mutating_write_invalidates_other_readers() {
-        let mut cc = CcTracker::new();
-        cc.charge(P0, &Operation::Ll(R), &Response::Value(Value::Unit));
-        cc.charge(P1, &Operation::Ll(R), &Response::Value(Value::Unit));
-        // p1's successful SC: 1 RMR, and p0's copy is invalidated while
-        // p1 keeps a valid one.
-        assert_eq!(cc.charge(P1, &Operation::Sc(R, Value::Unit), &ok_sc()), 1);
-        assert!(!cc.is_cached(P0, R));
-        assert!(cc.is_cached(P1, R));
-        assert_eq!(
-            cc.charge(P0, &Operation::Ll(R), &Response::Value(Value::Unit)),
-            1
-        );
+        for r in REGS {
+            let mut mem = SharedMemory::new();
+            ll(&mut mem, P0, r);
+            ll(&mut mem, P1, r);
+            // p1's successful SC: 1 RMR, and p0's copy is invalidated
+            // while p1 keeps a valid one.
+            assert_eq!(sc(&mut mem, P1, r), (true, 1), "{r}");
+            assert!(!mem.is_cached(P0, r));
+            assert!(mem.is_cached(P1, r));
+            assert_eq!(ll(&mut mem, P0, r), 1, "{r}");
+        }
     }
 
     #[test]
     fn cc_failed_sc_costs_but_does_not_invalidate() {
-        let mut cc = CcTracker::new();
-        cc.charge(P0, &Operation::Ll(R), &Response::Value(Value::Unit));
-        assert_eq!(
-            cc.charge(P1, &Operation::Sc(R, Value::Unit), &failed_sc()),
-            1
-        );
-        assert!(cc.is_cached(P0, R), "failed SC mutates nothing");
-        assert!(!cc.is_cached(P1, R), "a failed SC installs no copy");
+        for r in REGS {
+            let mut mem = SharedMemory::new();
+            ll(&mut mem, P0, r);
+            assert_eq!(sc(&mut mem, P1, r), (false, 1), "{r}");
+            assert!(mem.is_cached(P0, r), "failed SC mutates nothing");
+            assert!(!mem.is_cached(P1, r), "a failed SC installs no copy");
+        }
+    }
+
+    #[test]
+    fn cc_move_charges_source_read_and_destination_write() {
+        let (src, dst) = (RegisterId(3), RegisterId((1 << 40) + 3));
+        let mut mem = SharedMemory::new();
+        ll(&mut mem, P1, dst);
+        let mv = Operation::Move { src, dst };
+        assert_eq!(mem.apply_charged(P0, &mv).1, 2, "cold source + write");
+        assert_eq!(mem.apply_charged(P0, &mv).1, 1, "cached source");
+        assert!(mem.is_cached(P0, src) && mem.is_cached(P0, dst));
+        assert!(!mem.is_cached(P1, dst), "the move invalidated p1's copy");
     }
 
     #[test]
     fn cc_corruption_invalidates_everyone() {
-        let mut cc = CcTracker::new();
-        cc.charge(P0, &Operation::Ll(R), &Response::Value(Value::Unit));
-        cc.invalidate(R);
-        assert!(!cc.is_cached(P0, R));
-        assert_eq!(
-            cc.charge(P0, &Operation::Ll(R), &Response::Value(Value::Unit)),
-            1
-        );
+        for r in REGS {
+            let mut mem = SharedMemory::new();
+            ll(&mut mem, P0, r);
+            mem.corrupt(r, Value::from(1i64), false);
+            assert!(!mem.is_cached(P0, r));
+            assert_eq!(ll(&mut mem, P0, r), 1, "{r}");
+        }
     }
 
     #[test]
     fn cc_evict_cold_starts_one_process() {
-        let mut cc = CcTracker::new();
-        cc.charge(P0, &Operation::Ll(R), &Response::Value(Value::Unit));
-        cc.charge(P1, &Operation::Ll(R), &Response::Value(Value::Unit));
-        cc.evict(P0);
-        assert!(!cc.is_cached(P0, R));
-        assert!(cc.is_cached(P1, R), "other caches survive the eviction");
+        let mut mem = SharedMemory::new();
+        for r in REGS {
+            ll(&mut mem, P0, r);
+            ll(&mut mem, P1, r);
+        }
+        mem.evict(P0);
+        for r in REGS {
+            assert!(!mem.is_cached(P0, r), "{r}");
+            assert!(mem.is_cached(P1, r), "other caches survive the eviction");
+        }
     }
 
     #[test]
     fn cc_reset_forgets_all_state() {
-        let mut cc = CcTracker::new();
-        cc.charge(P0, &Operation::Ll(R), &Response::Value(Value::Unit));
-        cc.reset();
-        assert!(!cc.is_cached(P0, R));
+        let mut mem = SharedMemory::new();
+        for r in REGS {
+            ll(&mut mem, P0, r);
+        }
+        mem.reset();
+        for r in REGS {
+            assert!(!mem.is_cached(P0, r));
+            assert_eq!(ll(&mut mem, P0, r), 1, "{r}");
+        }
     }
 }

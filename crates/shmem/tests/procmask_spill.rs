@@ -154,3 +154,105 @@ fn executor_smoke_run_at_n_130_crosses_the_spill_boundary() {
         .count();
     assert_eq!(winners, 1, "exactly one SC succeeds among 130 processes");
 }
+
+#[test]
+fn random_operation_sequences_match_a_btreeset_oracle() {
+    // Seeded random insert/remove/union/intersect sequences over ids in
+    // 0..4096, with far-apart pairs like {5, 3000} mixed in: the spill
+    // window must agree with the BTreeSet oracle on length, iteration
+    // order, membership and subset tests in both directions, and stay
+    // canonical (a set emptied by `remove` equals and hashes like `new`).
+    const IDS: usize = 4096;
+    let mut rng = XorShift64::new(0xC0FFEE);
+    let far_pairs = [(5, 3000), (127, 128), (200, 4095), (0, 2048), (3999, 131)];
+    for case in 0..200 {
+        let mut oracle: BTreeSet<usize> = BTreeSet::new();
+        let mut mask = ProcMask::new();
+        let (a, b) = far_pairs[case % far_pairs.len()];
+        for id in [a, b] {
+            assert_eq!(mask.insert(ProcessId(id)), oracle.insert(id));
+        }
+        for step in 0..60 {
+            // A sparse or clustered partner set for the binary operations.
+            let base = rng.index(IDS);
+            let spread = [8, 300, IDS][rng.index(3)];
+            let other_oracle: BTreeSet<usize> = (0..rng.index(12))
+                .map(|_| (base + rng.index(spread)) % IDS)
+                .collect();
+            let other = mask_of(&other_oracle);
+            match rng.index(5) {
+                0 | 1 => {
+                    let id = rng.index(IDS);
+                    assert_eq!(mask.insert(ProcessId(id)), oracle.insert(id));
+                }
+                2 => {
+                    // Remove mostly present ids so sets really empty out.
+                    let id = match oracle.iter().nth(rng.index(oracle.len() + 1)) {
+                        Some(&id) => id,
+                        None => rng.index(IDS),
+                    };
+                    assert_eq!(mask.remove(ProcessId(id)), oracle.remove(&id));
+                }
+                3 => {
+                    mask.union_with(&other);
+                    oracle.extend(other_oracle.iter().copied());
+                }
+                _ => {
+                    mask.intersect_with(&other);
+                    oracle.retain(|id| other_oracle.contains(id));
+                }
+            }
+            let ctx = format!("case {case} step {step}");
+            assert_eq!(mask.len(), oracle.len(), "{ctx}: len");
+            assert_eq!(
+                mask.iter().map(|p| p.0).collect::<Vec<_>>(),
+                oracle.iter().copied().collect::<Vec<_>>(),
+                "{ctx}: iteration order"
+            );
+            for probe in [a, b, base, rng.index(IDS)] {
+                assert_eq!(
+                    mask.contains(ProcessId(probe)),
+                    oracle.contains(&probe),
+                    "{ctx}: contains {probe}"
+                );
+            }
+            assert_eq!(
+                mask.is_subset(&other),
+                oracle.is_subset(&other_oracle),
+                "{ctx}: self <= other"
+            );
+            assert_eq!(
+                other.is_subset(&mask),
+                other_oracle.is_subset(&oracle),
+                "{ctx}: other <= self"
+            );
+            let rebuilt = mask_of(&oracle);
+            assert_eq!(mask, rebuilt, "{ctx}: canonical form");
+            assert_eq!(hash_of(&mask), hash_of(&rebuilt), "{ctx}: canonical hash");
+            assert_eq!(mask.is_empty(), oracle.is_empty(), "{ctx}: is_empty");
+        }
+        // Emptied by `remove`, the set is the empty set.
+        for id in std::mem::take(&mut oracle) {
+            assert!(mask.remove(ProcessId(id)));
+        }
+        assert_eq!(mask, ProcMask::new(), "case {case}: emptied by remove");
+        assert_eq!(hash_of(&mask), hash_of(&ProcMask::new()));
+    }
+}
+
+#[test]
+fn a_far_spilled_singleton_matches_a_near_one() {
+    // {p} spills one word wherever p lies, and far-apart members
+    // compose by union in either order.
+    let far: ProcMask = [ProcessId(5), ProcessId(3000)].into();
+    let mut built = ProcMask::from([ProcessId(3000)]);
+    built.union_with(&ProcMask::from([ProcessId(5)]));
+    assert_eq!(built, far);
+    let mut other_way = ProcMask::from([ProcessId(5)]);
+    other_way.union_with(&ProcMask::from([ProcessId(3000)]));
+    assert_eq!(other_way, far);
+    assert_eq!(hash_of(&other_way), hash_of(&far));
+    assert!(ProcMask::from([ProcessId(3000)]).is_subset(&far));
+    assert!(!far.is_subset(&ProcMask::from([ProcessId(3000)])));
+    assert!(!ProcMask::from([ProcessId(2999)]).is_subset(&far));
+}
