@@ -10,9 +10,8 @@
 //! descriptions below.
 
 use crate::harness::{HarnessOpts, Sweep, TrialFailure};
-use crate::job::{fault_sweep, JobExperiment, JobRow, JobSpec};
+use crate::job::{fault_sweep, JobExperiment, JobSpec};
 use crate::table::Table;
-use crate::{E15Row, E16Row, E17Row, E19Row, E20Row};
 use std::process::ExitCode;
 
 /// The per-trial event budget every fault entry runs under unless
@@ -26,9 +25,10 @@ pub enum Body {
     /// A checked experiment: any failure panics, and the harness turns
     /// the panic into a failure artifact.
     Tables(fn(&Sweep) -> Vec<Table>),
-    /// A fault-injection experiment: it takes a per-trial event budget
-    /// and reports panic-isolated trial failures next to its table.
-    Faults(fn(&Sweep, u64) -> (Table, Vec<TrialFailure>)),
+    /// A fault-injection experiment: its job at the published grid
+    /// ([`JobSpec::default_for`]) run in memory under a per-trial event
+    /// budget, reporting panic-isolated trial failures next to its table.
+    Faults(JobExperiment),
 }
 
 /// One published table.
@@ -55,15 +55,11 @@ impl Entry {
         }
     }
 
-    const fn faults(
-        id: &'static str,
-        about: &'static str,
-        build: fn(&Sweep, u64) -> (Table, Vec<TrialFailure>),
-    ) -> Self {
+    const fn faults(id: &'static str, about: &'static str, experiment: JobExperiment) -> Self {
         Entry {
             id,
             about,
-            body: Body::Faults(build),
+            body: Body::Faults(experiment),
         }
     }
 
@@ -77,9 +73,14 @@ impl Entry {
     pub fn run(&self, sweep: &Sweep, max_events: Option<u64>) -> (Vec<Table>, Vec<TrialFailure>) {
         match self.body {
             Body::Tables(build) => (build(sweep), Vec::new()),
-            Body::Faults(build) => {
-                let (table, failures) = build(sweep, max_events.unwrap_or(DEFAULT_MAX_EVENTS));
-                (vec![table], failures)
+            Body::Faults(experiment) => {
+                let spec = JobSpec {
+                    seed: sweep.seed,
+                    max_events: max_events.unwrap_or(DEFAULT_MAX_EVENTS),
+                    ..JobSpec::default_for(experiment)
+                };
+                let (exp, failures) = fault_sweep(&spec, sweep);
+                (vec![exp.table], failures)
             }
         }
     }
@@ -118,22 +119,6 @@ pub fn find(id: &str) -> Result<&'static Entry, String> {
             ids(REGISTRY.iter())
         )
     })
-}
-
-/// A fault table at its published grid ([`JobSpec::default_for`]), under
-/// `max_events`: the experiment's job run in memory on `sweep`.
-fn fault_entry<R: JobRow>(
-    experiment: JobExperiment,
-    sweep: &Sweep,
-    max_events: u64,
-) -> (Table, Vec<TrialFailure>) {
-    let spec = JobSpec {
-        seed: sweep.seed,
-        max_events,
-        ..JobSpec::default_for(experiment)
-    };
-    let (exp, failures) = fault_sweep::<R>(&spec, sweep);
-    (exp.table, failures)
 }
 
 /// Every published table, in experiment order. E2 and E11 are checked
@@ -185,21 +170,27 @@ pub const REGISTRY: &[Entry] = &[
     Entry::tables("e14", "E14: wakeup stress under partial schedules", |s| {
         vec![crate::e14_stress_portfolio(8, s).table]
     }),
-    Entry::faults("e15", "E15: crash-fault degradation", |s, m| {
-        fault_entry::<E15Row>(JobExperiment::E15, s, m)
-    }),
-    Entry::faults("e16", "E16: memory-fault degradation (hardened)", |s, m| {
-        fault_entry::<E16Row>(JobExperiment::E16, s, m)
-    }),
-    Entry::faults("e17", "E17: chaos mode, crashes + memory faults", |s, m| {
-        fault_entry::<E17Row>(JobExperiment::E17, s, m)
-    }),
-    Entry::faults("e19", "E19: recovery RMRs vs crash intensity", |s, m| {
-        fault_entry::<E19Row>(JobExperiment::E19, s, m)
-    }),
-    Entry::faults("e20", "E20 (sim half): chaos degradation, RMRs", |s, m| {
-        fault_entry::<E20Row>(JobExperiment::E20, s, m)
-    }),
+    Entry::faults("e15", "E15: crash-fault degradation", JobExperiment::E15),
+    Entry::faults(
+        "e16",
+        "E16: memory-fault degradation (hardened)",
+        JobExperiment::E16,
+    ),
+    Entry::faults(
+        "e17",
+        "E17: chaos mode, crashes + memory faults",
+        JobExperiment::E17,
+    ),
+    Entry::faults(
+        "e19",
+        "E19: recovery RMRs vs crash intensity",
+        JobExperiment::E19,
+    ),
+    Entry::faults(
+        "e20",
+        "E20 (sim half): chaos degradation, RMRs",
+        JobExperiment::E20,
+    ),
 ];
 
 #[cfg(test)]

@@ -84,6 +84,10 @@ pub fn crashed_class(recovery: Option<RecoverySpec>) -> &'static str {
     }
 }
 
+/// Every class [`completed_class`] returns: a run that terminated,
+/// whatever its answer.
+pub(crate) const COMPLETED_CLASSES: [&str; 3] = ["recovered", "detected-wrong", "silent-wrong"];
+
 /// The class of a run that terminated, on either backend: `recovered`
 /// when it is safe, else `detected-wrong` when the hardened telemetry
 /// published a detection, else `silent-wrong`.

@@ -102,7 +102,7 @@ fn every_kill_point_resumes_to_the_same_artifact() {
     assert!(
         e16.rows
             .iter()
-            .any(|r| r.stalled > 0 && r.injected > 0 && r.detected > 0),
+            .any(|r| r.class("stalled") > 0 && r.injected() > 0 && r.detected > 0),
         "some stalled E16 trials carry delivered faults and detections"
     );
     for spec in [e4_spec(), e16_spec()] {
