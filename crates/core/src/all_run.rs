@@ -1,7 +1,7 @@
 //! Construction of the `(All, A)`-run (Section 5.2) and the common
 //! round-structured-run record shared with the `(S, A)`-run.
 
-use crate::rounds::{execute_round_with, MoveOrder, RoundRecord};
+use crate::rounds::{execute_round_with, ChangeIndex, MoveOrder, RoundRecord};
 use crate::upsets::{ProcSet, UpTracker};
 use llsc_shmem::{
     Algorithm, Executor, ExecutorConfig, OpKind, ProcHistory, ProcMask, ProcessId, RegisterId, Run,
@@ -45,8 +45,8 @@ impl Default for AdversaryConfig {
 impl AdversaryConfig {
     /// A memory-light configuration: no register snapshots, no event or
     /// history recording — only counters, verdicts, and the round
-    /// structure. Suitable for complexity sweeps; not for the wakeup or
-    /// indistinguishability checkers.
+    /// structure. Suitable for complexity sweeps and the Theorem 6.1
+    /// driver; not for the indistinguishability or claims checkers.
     pub fn lightweight() -> Self {
         AdversaryConfig {
             record_snapshots: false,
@@ -68,6 +68,10 @@ pub struct RoundedRun {
     pub n: usize,
     /// The per-round records, `rounds[r - 1]` being round `r`.
     pub rounds: Vec<RoundRecord>,
+    /// Each process's counts at the end of the rounds in which it acted:
+    /// what [`RoundedRun::tosses_at`], [`RoundedRun::history_at`] and
+    /// [`RoundedRun::shared_steps_at`] read.
+    pub changes: ChangeIndex,
     /// The full underlying run.
     pub run: Run,
     /// The initial register contents the algorithm configured. Shared:
@@ -122,33 +126,21 @@ impl RoundedRun {
     /// `numtosses(p, r, Σ)`: coin tosses performed by `p` by the end of
     /// round `r`.
     pub fn tosses_at(&self, p: ProcessId, r: usize) -> u64 {
-        if r == 0 {
-            0
-        } else {
-            self.rounds[r - 1].end_tosses[p.0]
-        }
+        self.changes.at(p, r).tosses.into()
     }
 
     /// The prefix of `p`'s interaction history up to the end of round `r`.
     /// For deterministic-given-coins programs this prefix determines
     /// `state(p, r, Σ)`.
     pub fn history_at(&self, p: ProcessId, r: usize) -> ProcHistory<'_> {
-        let len = if r == 0 {
-            0
-        } else {
-            self.rounds[r - 1].end_history_len[p.0]
-        };
-        self.run.history(p).prefix(len)
+        let len = self.changes.at(p, r).history_len;
+        self.run.history(p).prefix(len as usize)
     }
 
     /// `t(p, r)`: shared-memory steps performed by `p` by the end of round
     /// `r`.
     pub fn shared_steps_at(&self, p: ProcessId, r: usize) -> u64 {
-        if r == 0 {
-            0
-        } else {
-            self.rounds[r - 1].end_shared_steps[p.0]
-        }
+        self.changes.at(p, r).shared_steps.into()
     }
 
     /// The number of recorded rounds.
@@ -331,7 +323,10 @@ pub fn build_all_run(
         UpTracker::new_rolling(n)
     };
     let mut rounds = Vec::new();
-    let participants: Vec<ProcessId> = ProcessId::all(n).collect();
+    let mut changes = ChangeIndex::new(n);
+    // Every process participates in every round; a terminated one would
+    // only be skipped, so it leaves the list.
+    let mut live: Vec<ProcessId> = ProcessId::all(n).collect();
 
     let mut r = 0;
     while !exec.all_terminated() && r < cfg.max_rounds {
@@ -339,12 +334,14 @@ pub fn build_all_run(
         let rec = execute_round_with(
             &mut exec,
             r,
-            &participants,
+            &live,
             MoveOrder::Secretive,
             cfg.record_snapshots,
         )?;
+        changes.record(&rec, exec.run());
         up.apply_round(&rec);
         rounds.push(rec);
+        live.retain(|&p| !exec.is_terminated(p));
     }
 
     let completed = exec.all_terminated();
@@ -353,6 +350,7 @@ pub fn build_all_run(
         RoundedRun {
             n,
             rounds,
+            changes,
             run: exec.into_run(),
             initial_memory,
             completed,

@@ -177,10 +177,13 @@ pub fn check_appendix_claims(all: &AllRun, srun: &SRun) -> ClaimsReport {
                     // still running in the (S, A)-run, it must perform the
                     // same (kind, register). Early-terminated runs (the
                     // (S, A)-run may stop once all participants finish)
-                    // are exempt via s_rec presence.
-                    if let (Some(expect), Some(rec)) = (index.op(r, p), s_rec) {
+                    // are exempt: `S_r` is recorded only for the rounds
+                    // it executed.
+                    if let (Some(expect), Some(s_r)) =
+                        (index.op(r, p), srun.participants_per_round.get(r - 1))
+                    {
                         let s_terminated_before =
-                            srun.base.run.verdict(p).is_some() && !rec.participants.contains(&p);
+                            srun.base.run.verdict(p).is_some() && s_r.binary_search(&p).is_err();
                         if !s_terminated_before {
                             match got {
                                 Some(actual) if actual == expect => {}

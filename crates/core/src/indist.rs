@@ -166,6 +166,9 @@ pub fn check_indistinguishability(all: &AllRun, srun: &SRun) -> IndistReport {
     // lengths differ at `r`.
     let mut verified = vec![0usize; n];
     let mut content_mismatch = vec![false; n];
+    // Per process, cursors into both runs' change indexes (`r` and the
+    // clamped `sr` only grow), in place of a binary search per read.
+    let mut cursors = vec![(0usize, 0usize); n];
     // `{p : UP(p, r) ⊆ S}` for the current round.
     let mut eligible = ProcMask::new();
 
@@ -180,8 +183,11 @@ pub fn check_indistinguishability(all: &AllRun, srun: &SRun) -> IndistReport {
         // Processes.
         for p in eligible.iter() {
             report.process_checks += 1;
-            let h_all = all.base.history_at(p, r);
-            let h_s = srun.base.history_at(p, sr);
+            let (at_all, at_s) = &mut cursors[p.0];
+            let at_all = all.base.changes.seek(p, r, at_all);
+            let at_s = srun.base.changes.seek(p, sr, at_s);
+            let h_all = all.base.run.history(p).prefix(at_all.history_len as usize);
+            let h_s = srun.base.run.history(p).prefix(at_s.history_len as usize);
             if !content_mismatch[p.0] {
                 let common = h_all.len().min(h_s.len());
                 if h_all.range(verified[p.0]..common) != h_s.range(verified[p.0]..common) {
@@ -195,8 +201,7 @@ pub fn check_indistinguishability(all: &AllRun, srun: &SRun) -> IndistReport {
                     .violations
                     .push(IndistViolation::ProcessHistory { p, round: r });
             }
-            let t_all = all.base.tosses_at(p, r);
-            let t_s = srun.base.tosses_at(p, sr);
+            let (t_all, t_s) = (u64::from(at_all.tosses), u64::from(at_s.tosses));
             if t_all != t_s {
                 report.violations.push(IndistViolation::ProcessTosses {
                     p,

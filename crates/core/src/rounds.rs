@@ -10,7 +10,8 @@
 use crate::secretive::{self, MoveConfig};
 use crate::vecmap::VecMap;
 use llsc_shmem::{
-    Executor, OpKind, Operation, ProcMask, ProcessId, RegisterId, RegisterState, Response, RunError,
+    Executor, OpKind, Operation, ProcMask, ProcessId, RegisterId, RegisterState, Response, Run,
+    RunError,
 };
 
 /// A lean record of one shared-memory operation of a round: everything the
@@ -74,10 +75,7 @@ impl RoundGroups {
 pub struct RoundRecord {
     /// 1-based round number.
     pub round: usize,
-    /// The processes eligible to act this round (before termination
-    /// filtering), in the order they were given.
-    pub participants: Vec<ProcessId>,
-    /// Coin tosses performed in Phase 1, per process.
+    /// Coin tosses performed in Phase 1, per process that tossed.
     pub phase1_tosses: VecMap<ProcessId, u64>,
     /// Processes that terminated during Phase 1 of this round.
     pub terminated_in_phase1: Vec<ProcessId>,
@@ -103,14 +101,6 @@ pub struct RoundRecord {
     /// The value and `Pset` of every touched register at the end of the
     /// round; `None` when snapshot recording is disabled.
     pub end_registers: Option<VecMap<RegisterId, RegisterState>>,
-    /// Per process: cumulative coin-toss count at the end of the round.
-    pub end_tosses: Vec<u64>,
-    /// Per process: cumulative interaction-history length at the end of
-    /// the round.
-    pub end_history_len: Vec<usize>,
-    /// Per process: cumulative shared-memory step count at the end of the
-    /// round.
-    pub end_shared_steps: Vec<u64>,
 }
 
 impl RoundRecord {
@@ -118,9 +108,18 @@ impl RoundRecord {
     /// operations, no terminations) — the "empty rounds" that follow once
     /// every process has terminated.
     pub fn is_empty_round(&self) -> bool {
-        self.ops.is_empty()
-            && self.terminated_in_phase1.is_empty()
-            && self.phase1_tosses.values().all(|&t| t == 0)
+        self.ops.is_empty() && self.terminated_in_phase1.is_empty() && self.phase1_tosses.is_empty()
+    }
+
+    /// The processes that tossed, performed an operation or terminated
+    /// this round; a process that did more than one of these is listed
+    /// more than once.
+    fn acted(&self) -> impl Iterator<Item = ProcessId> + '_ {
+        self.phase1_tosses
+            .keys()
+            .chain(&self.terminated_in_phase1)
+            .copied()
+            .chain(self.ops.iter().map(|o| o.p))
     }
 
     /// Performs `p`'s pending shared-memory operation and records it.
@@ -152,10 +151,9 @@ impl RoundRecord {
         Ok(())
     }
 
-    /// Records the end-of-round state: per-process counters and, when
-    /// `snapshots` is set, one snapshot of every touched register.
+    /// Records the end-of-round register state: when `snapshots` is set,
+    /// one snapshot of every touched register.
     fn close(&mut self, exec: &Executor, snapshots: bool) {
-        let (run, n) = (exec.run(), exec.n());
         if snapshots {
             let memory = exec.memory();
             self.end_registers
@@ -164,31 +162,111 @@ impl RoundRecord {
         } else {
             self.end_registers = None;
         }
-        refill(
-            &mut self.end_tosses,
-            ProcessId::all(n).map(|p| run.tosses(p)),
-        );
-        refill(
-            &mut self.end_history_len,
-            ProcessId::all(n).map(|p| run.history(p).len()),
-        );
-        refill(
-            &mut self.end_shared_steps,
-            ProcessId::all(n).map(|p| run.shared_steps(p)),
-        );
     }
 }
 
-/// Replaces `v`'s contents with `items` (whose size hint is exact),
-/// sized exactly when `v` has no room yet and keeping its allocation when
-/// it has.
-fn refill<T>(v: &mut Vec<T>, items: impl Iterator<Item = T>) {
-    v.clear();
-    v.reserve_exact(items.size_hint().0);
-    v.extend(items);
+/// A process's cumulative counts at the end of a round, in 16 bytes.
+///
+/// Every count fits its 32 bits: a run has fewer than 2^32 rounds, a
+/// process performs at most one operation per round, and a detailed run
+/// holds at most 2^32 events. Only the toss count is bounded by nothing
+/// else, and recording a process with 2^32 tosses panics.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RoundCounts {
+    /// The round at whose end the counts were taken (0: the initial
+    /// configuration).
+    pub round: u32,
+    /// The length of the process's interaction history (0 in a run that
+    /// records no details).
+    pub history_len: u32,
+    /// Coin tosses performed.
+    pub tosses: u32,
+    /// Shared-memory steps performed.
+    pub shared_steps: u32,
 }
 
-/// Executes one five-phase round over `exec` for the given participants.
+/// Per process, its [`RoundCounts`] at the end of every round in which it
+/// tossed, performed an operation or terminated, in round order. A round
+/// in which a process did none of these leaves its counts unchanged and
+/// adds no entry, so the index grows with the run's operations, not with
+/// rounds times processes. A process's counts at the end of round `r` are
+/// those of its last entry with `round <= r`, or zero if it has none.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ChangeIndex {
+    procs: Vec<Vec<RoundCounts>>,
+}
+
+impl ChangeIndex {
+    /// An empty index for `n` processes.
+    pub fn new(n: usize) -> ChangeIndex {
+        ChangeIndex {
+            procs: vec![Vec::new(); n],
+        }
+    }
+
+    /// Empties every process's entries, keeping their allocations.
+    pub(crate) fn clear(&mut self) {
+        for entries in &mut self.procs {
+            entries.clear();
+        }
+    }
+
+    /// Appends, for each process that acted in `rec`'s round, its counts
+    /// in `run` at the end of that round. Called once per round, in round
+    /// order, right after the round executed.
+    pub(crate) fn record(&mut self, rec: &RoundRecord, run: &Run) {
+        let round = u32::try_from(rec.round).expect("a run has fewer than 2^32 rounds");
+        for p in rec.acted() {
+            let entries = &mut self.procs[p.0];
+            if entries.last().is_some_and(|c| c.round == round) {
+                continue;
+            }
+            entries.push(RoundCounts {
+                round,
+                history_len: u32::try_from(run.history(p).len())
+                    .expect("a detailed run holds at most 2^32 events"),
+                tosses: u32::try_from(run.tosses(p))
+                    .expect("a process tosses fewer than 2^32 coins"),
+                shared_steps: u32::try_from(run.shared_steps(p))
+                    .expect("a process performs at most one operation per round"),
+            });
+        }
+    }
+
+    /// `p`'s entries, in round order.
+    pub fn entries(&self, p: ProcessId) -> &[RoundCounts] {
+        &self.procs[p.0]
+    }
+
+    /// `p`'s entries, mutably (for building tampered runs in tests).
+    pub fn entries_mut(&mut self, p: ProcessId) -> &mut [RoundCounts] {
+        &mut self.procs[p.0]
+    }
+
+    /// `p`'s counts at the end of round `r`, by binary search.
+    pub fn at(&self, p: ProcessId, r: usize) -> RoundCounts {
+        let entries = &self.procs[p.0];
+        match entries.partition_point(|c| c.round as usize <= r) {
+            0 => RoundCounts::default(),
+            i => entries[i - 1],
+        }
+    }
+
+    /// [`ChangeIndex::at`] by a forward cursor, for a caller whose `r`
+    /// only grows: `pos` counts `p`'s entries at or before the previous
+    /// call's round (0 before the first call), so each entry is passed
+    /// once.
+    pub(crate) fn seek(&self, p: ProcessId, r: usize, pos: &mut usize) -> RoundCounts {
+        let entries = &self.procs[p.0];
+        while entries.get(*pos).is_some_and(|c| c.round as usize <= r) {
+            *pos += 1;
+        }
+        pos.checked_sub(1).map_or_else(RoundCounts::default, |i| entries[i])
+    }
+}
+
+/// Executes one five-phase round over `exec` for the given participants,
+/// which must be in id order.
 ///
 /// Phases (exactly Figure 2 / Figure 3):
 ///
@@ -254,12 +332,13 @@ pub(crate) fn execute_round_into(
     snapshots: bool,
     rec: &mut RoundRecord,
 ) -> Result<(), RunError> {
+    debug_assert!(
+        participants.is_sorted(),
+        "round {round}: participants out of id order"
+    );
     rec.round = round;
     rec.terminated_in_phase1.clear();
     rec.phase1_tosses.clear();
-    rec.phase1_tosses.reserve_exact(participants.len());
-    refill(&mut rec.participants, participants.iter().copied());
-    rec.participants.sort_unstable();
 
     // Phase 1: local steps, in id order. Each survivor is grouped by the
     // kind of its pending operation in the same pass: grouping has no
@@ -274,12 +353,14 @@ pub(crate) fn execute_round_into(
         g.clear();
     }
     rec.move_config.clear();
-    for &p in &rec.participants {
+    for &p in participants {
         if !exec.is_runnable(p) {
             continue;
         }
         let tosses = exec.advance_local(p)?;
-        rec.phase1_tosses.insert(p, tosses);
+        if tosses > 0 {
+            rec.phase1_tosses.insert(p, tosses);
+        }
         if exec.is_terminated(p) {
             rec.terminated_in_phase1.push(p);
             continue;
@@ -551,7 +632,13 @@ mod tests {
             regs.get(&RegisterId(0)).map(|s| s.pset()),
             Some(&ProcMask::from([ProcessId(0)]))
         );
-        assert_eq!(rec.end_shared_steps, vec![1, 1, 1, 1]);
+        let mut changes = ChangeIndex::new(4);
+        changes.record(&rec, e.run());
+        for p in ProcessId::all(4) {
+            let c = changes.at(p, 1);
+            assert_eq!((c.round, c.tosses, c.shared_steps), (1, 0, 1), "{p}");
+            assert_eq!(c.history_len as usize, e.run().history(p).len(), "{p}");
+        }
     }
 
     #[test]
@@ -568,5 +655,42 @@ mod tests {
         let actors: Vec<_> = rec.ops.iter().map(|o| o.p).collect();
         assert_eq!(actors, vec![ProcessId(0), ProcessId(2)]);
         assert_eq!(e.run().shared_steps(ProcessId(1)), 0);
+    }
+
+    #[test]
+    fn change_index_holds_only_the_processes_that_acted() {
+        // Round 1: p0 and p2 act. Round 2: all four are offered; p0 and
+        // p2 have terminated, so p1 and p3 act. Round 3: only p3's SC.
+        let alg = mixed_alg();
+        let mut e = exec_for(&alg, 4);
+        let mut changes = ChangeIndex::new(4);
+        let offered = [vec![ProcessId(0), ProcessId(2)], all_pids(4), all_pids(4)];
+        for (i, participants) in offered.iter().enumerate() {
+            let rec = execute_round(&mut e, i + 1, participants, MoveOrder::Secretive).unwrap();
+            changes.record(&rec, e.run());
+        }
+        let rounds = |p: usize| -> Vec<u32> {
+            changes
+                .entries(ProcessId(p))
+                .iter()
+                .map(|c| c.round)
+                .collect()
+        };
+        assert_eq!(
+            [rounds(0), rounds(1), rounds(2), rounds(3)],
+            [vec![1], vec![2], vec![1], vec![2, 3]]
+        );
+        // Counts carry over the rounds without an entry; the cursor agrees
+        // with the binary search.
+        for p in ProcessId::all(4) {
+            let mut pos = 0;
+            for r in 0..=3 {
+                let c = changes.at(p, r);
+                assert_eq!(changes.seek(p, r, &mut pos), c, "{p} r={r}");
+                let steps = changes.entries(p).iter().filter(|c| c.round as usize <= r);
+                assert_eq!(c.shared_steps as usize, steps.count(), "{p} r={r}");
+            }
+        }
+        assert_eq!(changes.at(ProcessId(1), 1), RoundCounts::default());
     }
 }

@@ -131,6 +131,8 @@ pub fn verify_lower_bound(
 
 /// Like [`verify_lower_bound`], but reuses an already-constructed
 /// `(All, A)`-run (useful when the caller also needs the run itself).
+/// The run may be lightweight: the wakeup verdict reads only what every
+/// run keeps, and a refutation rebuilds the detailed runs it needs.
 pub fn report_from_all_run(
     alg: &dyn Algorithm,
     n: usize,
@@ -138,10 +140,6 @@ pub fn report_from_all_run(
     cfg: &AdversaryConfig,
     all: &AllRun,
 ) -> Result<LowerBoundReport, RunError> {
-    assert!(
-        all.base.run.is_detailed(),
-        "the Theorem 6.1 driver needs a detailed run (events/verdicts);          build the (All, A)-run with record_details = true —          AdversaryConfig::lightweight() is for complexity sweeps only"
-    );
     let wakeup = check_wakeup(&all.base.run);
     let winner = wakeup.first_winner();
     let winner_steps = winner.map(|p| all.base.run.shared_steps(p)).unwrap_or(0);
@@ -186,11 +184,7 @@ pub fn report_from_all_run(
                 let srun = build_s_run(alg, n, toss, &s, all_full, &full_cfg)?;
                 let s_wakeup = check_wakeup(&srun.base.run);
                 let never_step: Vec<ProcessId> = ProcessId::all(n)
-                    .filter(|&p| {
-                        !srun.base.run.events().iter().any(|e| {
-                            e.pid() == p && !matches!(e, llsc_shmem::RunEvent::Terminated { .. })
-                        })
-                    })
+                    .filter(|&p| srun.base.run.first_step_event(p).is_none())
                     .collect();
                 Some(Refutation {
                     s,
@@ -343,18 +337,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "detailed run")]
-    fn lightweight_runs_are_rejected() {
-        // A detail-less run has no events, so the wakeup check would pass
-        // vacuously; the driver must refuse instead.
-        let alg = counter_wakeup();
-        verify_lower_bound(
-            &alg,
-            4,
-            Arc::new(ZeroTosses),
-            &AdversaryConfig::lightweight(),
-        )
-        .unwrap();
+    fn lightweight_runs_get_the_detailed_report() {
+        // A detail-less run keeps what the wakeup verdict reads, and a
+        // refutation rebuilds the detailed runs it needs.
+        let (correct, broken) = (counter_wakeup(), premature_wakeup());
+        for alg in [&correct as &dyn Algorithm, &broken] {
+            for n in [2, 5, 16] {
+                let report = |cfg: &AdversaryConfig| {
+                    let rep = verify_lower_bound(alg, n, Arc::new(ZeroTosses), cfg).unwrap();
+                    let line = rep.to_string();
+                    let refutation = rep.refutation.map(|r| {
+                        (
+                            r.s,
+                            r.winner_returns_one_in_s_run,
+                            r.never_step,
+                            r.violations,
+                        )
+                    });
+                    (line, rep.wakeup, rep.up_winner_size, refutation)
+                };
+                let light = report(&AdversaryConfig::lightweight());
+                assert_eq!(light, report(&AdversaryConfig::default()), "n={n}");
+                assert_eq!(light.1.ok(), alg.name() == "counter-wakeup", "n={n}");
+            }
+        }
     }
 
     #[test]

@@ -16,9 +16,11 @@
 //! [`check_wakeup`] validates a recorded [`Run`] against this
 //! specification. A *step* here is a coin toss or a shared-memory
 //! operation, matching the paper's step notion; entering a termination
-//! state by itself does not count.
+//! state by itself does not count. The check reads only `O(n)` state the
+//! run keeps in both recording modes — verdicts and the event numbers of
+//! each process's first step and termination — never the event log.
 
-use llsc_shmem::{ProcessId, Run, RunEvent, Value};
+use llsc_shmem::{ProcessId, Run, Value};
 use std::fmt;
 
 /// A way a run can violate the wakeup specification.
@@ -65,7 +67,7 @@ impl fmt::Display for WakeupViolation {
 }
 
 /// The verdict of checking a run against the wakeup specification.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WakeupCheck {
     /// Whether every process terminated (conditions 2 and 3 are only
     /// evaluated on the available prefix otherwise).
@@ -115,7 +117,8 @@ impl fmt::Display for WakeupCheck {
 /// Condition 1 is checked as "every *terminated* process returned 0 or 1"
 /// (finite termination itself is an algorithm property witnessed by the run
 /// being terminating). Condition 2 is only applicable to terminating runs.
-/// Condition 3 is checked on any run.
+/// Condition 3 is checked on any run. Runs recorded with or without
+/// details get the same verdict.
 ///
 /// # Examples
 ///
@@ -149,31 +152,25 @@ pub fn check_wakeup(run: &Run) -> WakeupCheck {
         }
     }
 
-    // Walk events once, tracking who has stepped, to evaluate condition 3
-    // and collect winners in order.
-    let mut stepped = vec![false; n];
-    let mut premature_reported = false;
-    for ev in run.events() {
-        match ev {
-            RunEvent::Toss { pid, .. } | RunEvent::SharedOp { pid, .. } => {
-                stepped[pid.0] = true;
-            }
-            RunEvent::Terminated { pid, value } => {
-                if value.as_int() == Some(1) {
-                    check.winners.push(*pid);
-                    if !premature_reported {
-                        let missing: Vec<ProcessId> =
-                            ProcessId::all(n).filter(|q| !stepped[q.0]).collect();
-                        if !missing.is_empty() {
-                            premature_reported = true;
-                            check.violations.push(WakeupViolation::PrematureWinner {
-                                winner: *pid,
-                                missing,
-                            });
-                        }
-                    }
-                }
-            }
+    // Winners, in the order they returned.
+    let mut winners: Vec<(u64, ProcessId)> = ProcessId::all(n)
+        .filter(|&p| run.verdict(p).and_then(Value::as_int) == Some(1))
+        .filter_map(|p| Some((run.termination_event(p)?, p)))
+        .collect();
+    winners.sort_unstable();
+    check.winners = winners.iter().map(|&(_, p)| p).collect();
+
+    // Condition 3. Every later winner returned after the first one, when
+    // everyone who had stepped by then had still stepped, so only the
+    // first winner can be premature.
+    if let Some(&(returned, winner)) = winners.first() {
+        let missing: Vec<ProcessId> = ProcessId::all(n)
+            .filter(|&q| run.first_step_event(q).is_none_or(|e| e > returned))
+            .collect();
+        if !missing.is_empty() {
+            check
+                .violations
+                .push(WakeupViolation::PrematureWinner { winner, missing });
         }
     }
 
@@ -188,7 +185,7 @@ pub fn check_wakeup(run: &Run) -> WakeupCheck {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llsc_shmem::{Operation, RegisterId, Response};
+    use llsc_shmem::{Operation, RegisterId, Response, RunEvent};
 
     fn step_event(pid: usize) -> RunEvent {
         RunEvent::SharedOp {

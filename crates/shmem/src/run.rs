@@ -174,6 +174,12 @@ pub struct Run {
     shared_steps: Vec<u64>,
     tosses: Vec<u64>,
     verdicts: Vec<Option<Value>>,
+    /// Per process, the event number of its first toss or shared-memory
+    /// operation (see [`Run::first_step_event`]), kept in both modes.
+    first_steps: Vec<Option<u64>>,
+    /// Per process, the event number of its termination (see
+    /// [`Run::termination_event`]), kept in both modes.
+    terminations: Vec<Option<u64>>,
     /// Crash-stop flags (see [`Run::mark_crashed`]); a crashed process
     /// takes no further events until [`Run::clear_crash`] revives it.
     crashed: Vec<bool>,
@@ -288,9 +294,10 @@ impl Run {
     /// verdicts are kept; [`Run::events`] and [`Run::history`] stay empty.
     ///
     /// Lightweight runs cut memory from `O(total events x value size)` to
-    /// `O(n)`, which is what the large measurement sweeps need. They cannot
-    /// feed the wakeup checker or the indistinguishability checker (both
-    /// need events/histories).
+    /// `O(n)`, which is what the large measurement sweeps need. They keep
+    /// what the wakeup checker reads (verdicts and the event numbers of
+    /// each process's first step and termination) but cannot feed the
+    /// indistinguishability checker, which compares histories.
     pub fn lightweight(n: usize) -> Self {
         Run::with_details(n, false)
     }
@@ -305,6 +312,8 @@ impl Run {
             shared_steps: vec![0; n],
             tosses: vec![0; n],
             verdicts: vec![None; n],
+            first_steps: vec![None; n],
+            terminations: vec![None; n],
             crashed: vec![false; n],
             cc_rmrs: vec![0; n],
             dsm_rmrs: vec![0; n],
@@ -333,14 +342,29 @@ impl Run {
         let pid = ev.pid();
         self.check_live(pid);
         match &ev {
-            RunEvent::Toss { .. } => self.tosses[pid.0] += 1,
-            RunEvent::SharedOp { .. } => self.shared_steps[pid.0] += 1,
-            RunEvent::Terminated { value, .. } => self.verdicts[pid.0] = Some(value.clone()),
+            RunEvent::Toss { .. } => {
+                self.tosses[pid.0] += 1;
+                self.note_step(pid);
+            }
+            RunEvent::SharedOp { .. } => {
+                self.shared_steps[pid.0] += 1;
+                self.note_step(pid);
+            }
+            RunEvent::Terminated { value, .. } => {
+                self.verdicts[pid.0] = Some(value.clone());
+                self.terminations[pid.0] = Some(self.event_count);
+            }
         }
         self.event_count += 1;
         if self.details {
             self.push_event(ev);
         }
+    }
+
+    /// Notes that the event about to be numbered is a step (a toss or a
+    /// shared-memory operation) of `pid`.
+    fn note_step(&mut self, pid: ProcessId) {
+        self.first_steps[pid.0].get_or_insert(self.event_count);
     }
 
     /// Appends a detailed event to the log and its position to the
@@ -367,6 +391,7 @@ impl Run {
     pub fn record_shared(&mut self, pid: ProcessId, op: &Operation, resp: &Response) {
         self.check_live(pid);
         self.shared_steps[pid.0] += 1;
+        self.note_step(pid);
         self.event_count += 1;
         if self.details {
             self.push_event(RunEvent::SharedOp {
@@ -394,6 +419,8 @@ impl Run {
         for v in &mut self.verdicts {
             *v = None;
         }
+        self.first_steps.fill(None);
+        self.terminations.fill(None);
         self.crashed.fill(false);
         self.cc_rmrs.fill(0);
         self.dsm_rmrs.fill(0);
@@ -575,12 +602,28 @@ impl Run {
         !self.histories[p.0].is_empty()
     }
 
-    /// The index (into [`Run::events`]) of the first event in which each
-    /// process takes a step, or `None` for processes that never step.
-    /// Used by the wakeup checker's "everyone took a step before anyone
-    /// returned 1" condition.
+    /// The index (into [`Run::events`]) of `p`'s first event of any kind
+    /// (toss, shared op, or termination), or `None` if `p` has none or
+    /// the run records no details. The wakeup checker reads
+    /// [`Run::first_step_event`] instead, which does not count
+    /// termination as a step and is kept in both recording modes.
     pub fn first_step_index(&self, p: ProcessId) -> Option<usize> {
         self.histories[p.0].first().map(|&k| position(k))
+    }
+
+    /// The number of `p`'s first toss or shared-memory operation among
+    /// all events of the run (0 for the run's first event; in a detailed
+    /// run, its index into [`Run::events`]), or `None` if `p` has taken
+    /// neither. Kept in both recording modes.
+    pub fn first_step_event(&self, p: ProcessId) -> Option<u64> {
+        self.first_steps[p.0]
+    }
+
+    /// The number of the event in which `p` terminated, counted as in
+    /// [`Run::first_step_event`], or `None` if `p` has not terminated.
+    /// Kept in both recording modes.
+    pub fn termination_event(&self, p: ProcessId) -> Option<u64> {
+        self.terminations[p.0]
     }
 }
 
@@ -724,6 +767,44 @@ mod tests {
             if !lightweight {
                 assert_eq!(run.first_step_index(ProcessId(0)), Some(0));
                 assert!(run.history(ProcessId(0)).iter().eq([&op_event(0)]));
+            }
+        }
+    }
+
+    #[test]
+    fn step_and_termination_event_numbers_in_both_modes() {
+        for lightweight in [false, true] {
+            let mut run = if lightweight {
+                Run::lightweight(3)
+            } else {
+                Run::new(3)
+            };
+            run.record(RunEvent::Terminated {
+                pid: ProcessId(2),
+                value: Value::Unit,
+            });
+            run.record(RunEvent::Toss {
+                pid: ProcessId(1),
+                index: 0,
+                outcome: 0,
+            });
+            run.record(op_event(0));
+            run.record(op_event(1));
+            run.record(RunEvent::Terminated {
+                pid: ProcessId(1),
+                value: Value::Unit,
+            });
+            let first: Vec<_> = ProcessId::all(3).map(|p| run.first_step_event(p)).collect();
+            let ended: Vec<_> = ProcessId::all(3)
+                .map(|p| run.termination_event(p))
+                .collect();
+            // Termination is not a step: p2 never stepped.
+            assert_eq!(first, [Some(2), Some(1), None]);
+            assert_eq!(ended, [None, Some(4), Some(0)]);
+            run.reset();
+            for p in ProcessId::all(3) {
+                assert_eq!(run.first_step_event(p), None);
+                assert_eq!(run.termination_event(p), None);
             }
         }
     }

@@ -608,8 +608,15 @@ fn universal_imp(
 fn cmd_wakeup(opts: &Opts) -> Result<(), String> {
     let alg = opts.alg()?;
     let n = opts.n()?;
-    let rep = verify_lower_bound(alg.as_ref(), n, opts.toss()?, &AdversaryConfig::default())
-        .map_err(|e| format!("wakeup run failed: {e}"))?;
+    // A refutation rebuilds the detailed runs it needs, so the measured
+    // run keeps only counters, verdicts and the latest UP sets.
+    let rep = verify_lower_bound(
+        alg.as_ref(),
+        n,
+        opts.toss()?,
+        &AdversaryConfig::lightweight(),
+    )
+    .map_err(|e| format!("wakeup run failed: {e}"))?;
     println!("{rep}");
     println!("wakeup: {}", rep.wakeup);
     if let Some(refutation) = &rep.refutation {

@@ -219,12 +219,12 @@ fn history_views_match_the_event_log() {
                     "{} n={n} {p}",
                     alg.name()
                 );
-                // Each round's prefix ends where the round record says.
-                for (i, rec) in all.base.rounds.iter().enumerate() {
-                    let view = all.base.history_at(p, i + 1);
+                // Each round's prefix ends where the change index says.
+                for r in 1..=all.base.num_rounds() {
+                    let view = all.base.history_at(p, r);
                     assert_eq!(
                         view.len(),
-                        rec.end_history_len[p.0],
+                        all.base.changes.at(p, r).history_len as usize,
                         "{} n={n} {p}",
                         alg.name()
                     );

@@ -123,10 +123,12 @@ fn reference_claims(all: &AllRun, srun: &SRun) -> ClaimsReport {
                     detail: "stepped although UP(p, r-1) ⊄ S".into(),
                 }),
                 (true, got) => {
-                    let (Some(expect), Some(rec)) = (all_ops.get(&p), s_rec) else {
+                    let (Some(expect), Some(s_r)) =
+                        (all_ops.get(&p), srun.participants_per_round.get(r - 1))
+                    else {
                         continue;
                     };
-                    if srun.base.run.verdict(p).is_some() && !rec.participants.contains(&p) {
+                    if srun.base.run.verdict(p).is_some() && !s_r.contains(&p) {
                         continue;
                     }
                     match got {
@@ -312,6 +314,7 @@ fn checkers_match_the_reference_on_tampered_runs() {
                 let what = format!("{} {what}", alg.name());
                 let (lemma, claims) = assert_checkers_agree(&all, tampered, &what);
                 record(&lemma, &claims);
+                lemma
             };
 
             // Mislabelled S, both ways: a small run claimed for a larger
@@ -352,16 +355,33 @@ fn checkers_match_the_reference_on_tampered_runs() {
             check(&srun, "register only the S-run touched");
 
             // A truncated history (kept monotone across rounds) and a
-            // shifted toss count.
+            // shifted toss count, written into the change index.
             let mut srun = full.clone();
-            let cap = srun.base.rounds[0].end_history_len[2];
-            for rec in &mut srun.base.rounds {
-                rec.end_history_len[2] = rec.end_history_len[2].min(cap);
+            let cap = srun.base.history_at(ProcessId(2), 1).len() as u32;
+            for c in srun.base.changes.entries_mut(ProcessId(2)) {
+                c.history_len = c.history_len.min(cap);
             }
-            check(&srun, "truncated history");
+            let lemma = check(&srun, "truncated history");
+            if full.base.history_at(ProcessId(2), last + 1).len() as u32 > cap {
+                assert!(lemma.violations.iter().any(|v| matches!(
+                    v,
+                    IndistViolation::ProcessHistory {
+                        p: ProcessId(2),
+                        ..
+                    }
+                )));
+            }
             let mut srun = full.clone();
-            srun.base.rounds[last].end_tosses[3] += 1;
-            check(&srun, "shifted toss count");
+            let tossed = srun.base.changes.entries_mut(ProcessId(3)).last_mut();
+            tossed.expect("p3 acts in the full run").tosses += 1;
+            let lemma = check(&srun, "shifted toss count");
+            assert!(lemma.violations.iter().any(|v| matches!(
+                v,
+                IndistViolation::ProcessTosses {
+                    p: ProcessId(3),
+                    ..
+                }
+            )));
 
             // A.3 and A.6/A.9: an extra mover, a changed SC winner.
             let mut srun = full.clone();
