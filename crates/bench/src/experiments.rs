@@ -173,12 +173,9 @@ pub fn e3_up_growth(ns: &[usize], sweep: &Sweep) -> Experiment<E3Row> {
         "E3 - Lemma 5.1: UP-set growth |UP(X, r)| <= 4^r under the Figure-2 adversary",
         ["algorithm", "n", "rounds", "max |UP|", "4^r cap ok"],
     );
-    // Rolling UP tracking: Lemma 5.1 only needs per-round max sizes, and
-    // full histories cost Θ(rounds · Σ|UP|) memory at n = 1024.
-    let cfg = AdversaryConfig {
-        track_up_history: false,
-        ..AdversaryConfig::default()
-    };
+    // Lightweight runs: Lemma 5.1 only needs per-round max sizes, and full
+    // histories cost Θ(rounds · Σ|UP|) memory at n = 1024.
+    let cfg = AdversaryConfig::lightweight();
     let algs = correct_algorithms();
     let pairs = alg_size_pairs(algs.len(), ns);
     let rows = sweep.run(&pairs, |_trial, &(a, n)| {
@@ -273,13 +270,10 @@ pub fn e5_wakeup_lower_bound(ns: &[usize], sweep: &Sweep) -> Experiment<E5Row> {
             "bound",
         ],
     );
-    // Rolling UP tracking suffices for the bound (a terminated winner's
-    // UP set is final); the refutation path rebuilds full history on
+    // Lightweight runs suffice for the bound (a terminated winner's UP
+    // set is final); the refutation path rebuilds a detailed run on
     // demand.
-    let cfg = AdversaryConfig {
-        track_up_history: false,
-        ..AdversaryConfig::default()
-    };
+    let cfg = AdversaryConfig::lightweight();
     let algs = correct_algorithms();
     let pairs = alg_size_pairs(algs.len(), ns);
     let rows = sweep.run(&pairs, |_trial, &(a, n)| {
@@ -890,10 +884,7 @@ pub fn e5_tournament_tightness(ns: &[usize], sweep: &Sweep) -> Experiment<(usize
         "E5b - tournament wakeup: winner steps vs the log4 bound (tightness for wakeup)",
         ["n", "ceil(log4 n)", "winner steps", "ratio"],
     );
-    let cfg = AdversaryConfig {
-        track_up_history: false,
-        ..AdversaryConfig::default()
-    };
+    let cfg = AdversaryConfig::lightweight();
     let rows = sweep.run(ns, |_trial, &n| {
         let rep = verify_lower_bound(&TournamentWakeup, n, Arc::new(ZeroTosses), &cfg)
             .expect("E5b runs stay within the default executor budgets");

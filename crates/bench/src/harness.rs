@@ -223,29 +223,6 @@ impl HarnessOpts {
     }
 }
 
-/// A minimal wall-clock micro-benchmark: one warm-up call, then `samples`
-/// timed runs of `f`; prints the minimum and mean duration.
-///
-/// The `benches/` targets are plain `harness = false` binaries built on
-/// this (the build environment has no registry access, so criterion is
-/// deliberately not a dependency — see the workspace manifest).
-pub fn time_case<T>(label: &str, samples: u32, mut f: impl FnMut() -> T) {
-    use std::time::{Duration, Instant};
-    assert!(samples > 0, "need at least one sample");
-    std::hint::black_box(f());
-    let mut total = Duration::ZERO;
-    let mut best = Duration::MAX;
-    for _ in 0..samples {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        let elapsed = start.elapsed();
-        total += elapsed;
-        best = best.min(elapsed);
-    }
-    let mean = total / samples;
-    println!("{label:<52} min {best:>12.3?}  mean {mean:>12.3?}");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -215,9 +215,9 @@ pub(crate) struct CheckIndex {
     /// `ops[(r - 1) * n + p]`: `p`'s `(kind, register)` in round `r`, if
     /// it performed a shared operation.
     ops: Vec<Option<(OpKind, RegisterId)>>,
-    /// Per round (index `r - 1`): the registers SC'd, sorted and
-    /// deduplicated.
-    sc_registers: Vec<Vec<RegisterId>>,
+    /// Per round (index `r - 1`): every register SC'd, in id order, with
+    /// the process whose SC on it succeeded, if one did.
+    sc_registers: Vec<Vec<(RegisterId, Option<ProcessId>)>>,
     /// Every register the run touched, in id order.
     touched: Vec<RegisterId>,
     /// `up_regs[r * touched.len() + i]`: `UP(touched[i], r)`, for rounds
@@ -236,11 +236,12 @@ impl CheckIndex {
             for o in &rec.ops {
                 row[o.p.0] = Some((o.kind, o.register));
                 if o.kind == OpKind::Sc {
-                    scs.push(o.register);
+                    scs.push((o.register, (o.sc_ok == Some(true)).then_some(o.p)));
                 }
             }
-            scs.sort_unstable();
-            scs.dedup();
+            // A register's winner sorts first, so it is the entry kept.
+            scs.sort_unstable_by_key(|&(reg, winner)| (reg, winner.is_none()));
+            scs.dedup_by_key(|&mut (reg, _)| reg);
             sc_registers.push(scs);
         }
         let touched = base.touched_registers();
@@ -262,8 +263,9 @@ impl CheckIndex {
         self.ops[(r - 1) * self.n + p.0]
     }
 
-    /// The registers SC'd in round `r >= 1`, in id order.
-    pub(crate) fn sc_registers(&self, r: usize) -> &[RegisterId] {
+    /// The registers SC'd in round `r >= 1`, in id order, each with the
+    /// process whose SC on it succeeded, if one did.
+    pub(crate) fn sc_registers(&self, r: usize) -> &[(RegisterId, Option<ProcessId>)] {
         &self.sc_registers[r - 1]
     }
 
@@ -394,12 +396,13 @@ mod tests {
         assert!(all.base.completed);
         // Round 1: all LL. Round 2: all SC (p0 wins).
         assert_eq!(all.base.num_rounds(), 2);
-        assert_eq!(all.base.rounds[0].groups.g1_ll_validate.len(), 4);
-        assert_eq!(all.base.rounds[1].groups.g4_sc.len(), 4);
-        assert_eq!(
-            all.base.rounds[1].successful_sc.get(&RegisterId(0)),
-            Some(&ProcessId(0))
-        );
+        let ops = |r: usize| -> Vec<_> {
+            let ops = &all.base.rounds[r - 1].ops;
+            ops.iter().map(|o| (o.p.0, o.kind, o.sc_ok)).collect()
+        };
+        assert_eq!(ops(1), [0, 1, 2, 3].map(|p| (p, OpKind::Ll, None)));
+        let sc = |p: usize| (p, OpKind::Sc, Some(p == 0));
+        assert_eq!(ops(2), [0, 1, 2, 3].map(sc));
     }
 
     #[test]

@@ -29,6 +29,7 @@
 //! [`check_indistinguishability`]: crate::check_indistinguishability
 
 use crate::all_run::AllRun;
+use crate::rounds::OpSummary;
 use crate::s_run::SRun;
 use llsc_shmem::{OpKind, ProcessId, RegisterId};
 use std::fmt;
@@ -229,7 +230,8 @@ pub fn check_appendix_claims(all: &AllRun, srun: &SRun) -> ClaimsReport {
         }
 
         // ---- A.4: successful SCs only grow UP(R) ----
-        for &reg in all_rec.successful_sc.keys() {
+        let sc_registers = index.sc_registers(r);
+        for &(reg, _) in sc_registers.iter().filter(|(_, winner)| winner.is_some()) {
             report.instances += 1;
             if !all.up.reg(reg, r - 1).is_subset(all.up.reg(reg, r)) {
                 report
@@ -253,13 +255,13 @@ pub fn check_appendix_claims(all: &AllRun, srun: &SRun) -> ClaimsReport {
         }
 
         // ---- A.6 / A.9: SC success agreement for registers inside S ----
-        for &reg in index.sc_registers(r) {
+        for &(reg, winner_all) in sc_registers {
             if !all.up.reg(reg, r).is_subset(s) {
                 continue;
             }
             report.instances += 1;
-            let winner_all = all_rec.successful_sc.get(&reg).copied();
-            let winner_s = s_rec.and_then(|rec| rec.successful_sc.get(&reg).copied());
+            let won = |o: &&OpSummary| o.register == reg && o.sc_ok == Some(true);
+            let winner_s = s_rec.and_then(|rec| rec.ops.iter().find(won)).map(|o| o.p);
             // Agreement is required whenever the All-run winner is an
             // eligible S-run participant (A.6), and in the no-winner case
             // (A.9). A winner outside S simply does not run in the S-run.
@@ -425,7 +427,10 @@ mod tests {
             .base
             .rounds
             .iter()
-            .filter(|rec| rec.successful_sc.contains_key(&RegisterId(0)))
+            .filter(|rec| {
+                let won = |o: &OpSummary| o.register == RegisterId(0) && o.sc_ok == Some(true);
+                rec.ops.iter().any(won)
+            })
             .count();
         assert!(sc_rounds >= 2);
         let s: ProcSet = ProcessId::all(4).collect();

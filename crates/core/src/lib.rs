@@ -84,8 +84,7 @@ pub use expectation::{
 pub use gray::{gray_mask, GraySubsetBuilder, GrayTrial};
 pub use indist::{check_indistinguishability, IndistReport, IndistViolation};
 pub use rounds::{
-    execute_round, execute_round_with, ChangeIndex, MoveOrder, OpSummary, RoundCounts, RoundGroups,
-    RoundRecord,
+    execute_round, execute_round_with, ChangeIndex, MoveOrder, OpSummary, RoundCounts, RoundRecord,
 };
 pub use s_run::{build_s_run, build_s_run_with, SRun, SRunBuilder};
 pub use secretive::{

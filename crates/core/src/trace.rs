@@ -7,9 +7,9 @@
 //! [`trace_round`] renders one round.
 
 use crate::all_run::AllRun;
-use crate::rounds::RoundRecord;
+use crate::rounds::{phase_of, RoundRecord};
 use crate::upsets::UpTracker;
-use llsc_shmem::{OpKind, ProcessId};
+use llsc_shmem::ProcessId;
 use std::fmt::Write as _;
 
 /// Renders one round of an `(All, A)`-run (or an `(S, A)`-run, given its
@@ -29,12 +29,6 @@ pub fn trace_round(rec: &RoundRecord) -> String {
             .collect();
         let _ = writeln!(out, "  terminated in phase 1: {}", names.join(", "));
     }
-    let phase_of = |kind: OpKind| match kind {
-        OpKind::Ll | OpKind::Validate => 2,
-        OpKind::Move => 3,
-        OpKind::Swap => 4,
-        OpKind::Sc => 5,
-    };
     let mut last_phase = 0;
     for op in &rec.ops {
         let phase = phase_of(op.kind);

@@ -91,6 +91,12 @@ pub struct UpTracker {
     reg_sizes: SizeCounts,
     rounds_applied: usize,
     keep_history: bool,
+    /// Scratch reused by [`UpTracker::apply_round`]: the round's successful
+    /// SCs as `(register, winner)` and its swaps as `(register, index into
+    /// the round's ops)`, each sorted by register (a register's swaps in
+    /// execution order).
+    winners: Vec<(RegisterId, ProcessId)>,
+    swaps: Vec<(RegisterId, usize)>,
 }
 
 impl UpTracker {
@@ -124,6 +130,8 @@ impl UpTracker {
             history: vec![initial],
             rounds_applied: 0,
             keep_history,
+            winners: Vec::new(),
+            swaps: Vec::new(),
         }
     }
 
@@ -220,30 +228,47 @@ impl UpTracker {
         //
         // Each participant performs at most one operation per round, so
         // every rule touches a distinct process.
+        //
         // `(source(R, σ_r), movers(R, σ_r))` for every register a move
         // landed in (rules R3 and P4), from one pass over σ_r.
-        let flows = if rec.moves_into.is_empty() {
-            BTreeMap::new()
-        } else {
-            secretive::flow_report(&rec.sigma, &rec.move_config)
-        };
+        let flows = secretive::flow_report(&rec.sigma, &rec.move_config);
+        // The successful SCs (rules R1, P6) and swaps (R2, P3-P5) of the
+        // round's ops, grouped by register.
+        self.winners.clear();
+        self.swaps.clear();
+        for (i, op) in rec.ops.iter().enumerate() {
+            match (op.kind, op.sc_ok) {
+                (OpKind::Sc, Some(true)) => self.winners.push((op.register, op.p)),
+                (OpKind::Swap, _) => self.swaps.push((op.register, i)),
+                _ => {}
+            }
+        }
+        self.winners.sort_unstable();
+        debug_assert!(
+            self.winners.windows(2).all(|w| w[0].0 != w[1].0),
+            "two successful SCs on one register in round {}: {:?}",
+            rec.round,
+            self.winners
+        );
+        // Keys are distinct, so this equals a stable sort by register.
+        self.swaps.sort_unstable();
         if self.keep_history {
             let next = self.current().clone();
             self.history.push(next);
         }
+        let (winners, swaps) = (&self.winners, &self.swaps);
+        let has_winner = |r: RegisterId| winners.binary_search_by_key(&r, |w| w.0).is_ok();
+        let swapped = |r: RegisterId| swaps.binary_search_by_key(&r, |s| s.0).is_ok();
+        let swappers = || swaps.chunk_by(|a, b| a.0 == b.0);
         let snapshot = self.history.last_mut().expect("non-empty history");
         let UpSnapshot { procs, regs } = snapshot;
 
         let updates: Vec<(RegisterId, ProcSet)> = {
             let (old_regs, old_procs): (&BTreeMap<_, _>, &[ProcSet]) = (regs, procs);
             let old_reg = |r: RegisterId| reg_up(old_regs, r);
-            // `UP(source, r-1)` joined with every mover's `UP(q, r-1)`; a
-            // register no move landed in is its own source with no movers.
-            let moved_in = |r: RegisterId| -> ProcSet {
-                let (src, mvs) = flows
-                    .get(&r)
-                    .map_or((r, &[][..]), |(src, mvs)| (*src, mvs.as_slice()));
-                let mut up = old_reg(src).clone();
+            // `UP(source, r-1)` joined with every mover's `UP(q, r-1)`.
+            let moved_in = |(src, mvs): &(RegisterId, Vec<ProcessId>)| -> ProcSet {
+                let mut up = old_reg(*src).clone();
                 for &q in mvs {
                     up.union_with(&old_procs[q.0]);
                 }
@@ -252,23 +277,21 @@ impl UpTracker {
             // ---- Register rules ----
             // Rule R4 (else: unchanged) is the default — untouched entries
             // keep their round-(r-1) values.
-            let sc = &rec.successful_sc;
-            sc.iter()
+            winners
+                .iter()
                 // Rule R1: a successful SC on R.
-                .map(|(&r, &p)| (r, old_procs[p.0].clone()))
+                .map(|&(r, p)| (r, old_procs[p.0].clone()))
                 // Rule R2: the last swapper's knowledge.
-                .chain(rec.swaps.iter().filter(|(r, _)| !sc.contains_key(r)).map(
-                    |(&r, swappers)| {
-                        let last = *swappers.last().expect("non-empty by construction");
-                        (r, old_procs[last.0].clone())
-                    },
-                ))
+                .chain(swappers().filter(|g| !has_winner(g[0].0)).map(|g| {
+                    let (r, last) = g[g.len() - 1];
+                    (r, old_procs[rec.ops[last].p.0].clone())
+                }))
                 // Rule R3: moves into R (no swap on R, no successful SC).
                 .chain(
-                    rec.moves_into
-                        .keys()
-                        .filter(|r| !sc.contains_key(r) && !rec.swaps.contains_key(r))
-                        .map(|&r| (r, moved_in(r))),
+                    flows
+                        .iter()
+                        .filter(|(&r, _)| !has_winner(r) && !swapped(r))
+                        .map(|(&r, flow)| (r, moved_in(flow))),
                 )
                 .collect()
         };
@@ -289,15 +312,17 @@ impl UpTracker {
             self.proc_max = self.proc_max.max(up.len());
         }
         // Rules P3-P5: swap on R.
-        for (&r, swappers) in rec.swaps.iter() {
-            for (i, &p) in swappers.iter().enumerate().rev() {
+        for group in swappers() {
+            let r = group[0].0;
+            let swapper = |i: usize| rec.ops[group[i].1].p;
+            for i in (0..group.len()).rev() {
+                let p = swapper(i);
                 if i > 0 {
                     // Rule P5: learns the previous swapper's knowledge.
-                    union_from(procs, p, swappers[i - 1]);
-                } else if rec.moves_into.contains_key(&r) {
+                    union_from(procs, p, swapper(i - 1));
+                } else if let Some((src, mvs)) = flows.get(&r) {
                     // Rule P4: first swapper, after moves into R. Movers
                     // learn nothing, so their UPs are still round r-1.
-                    let (src, mvs) = &flows[&r];
                     procs[p.0].union_with(old_reg(*src));
                     for &q in mvs {
                         union_from(procs, p, q);

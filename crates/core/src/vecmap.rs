@@ -43,18 +43,6 @@ impl<K: Ord, V> VecMap<K, V> {
         }
     }
 
-    /// The empty map, with room for `capacity` entries.
-    pub fn with_capacity(capacity: usize) -> Self {
-        VecMap {
-            entries: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Reserves room for exactly `additional` more entries.
-    pub fn reserve_exact(&mut self, additional: usize) {
-        self.entries.reserve_exact(additional);
-    }
-
     /// Removes every entry, keeping the allocation.
     pub fn clear(&mut self) {
         self.entries.clear();
@@ -112,22 +100,6 @@ impl<K: Ord, V> VecMap<K, V> {
         }
     }
 
-    /// The value stored under `key`, inserting `V::default()` first if
-    /// there is none.
-    pub fn get_or_default(&mut self, key: K) -> &mut V
-    where
-        V: Default,
-    {
-        let i = match self.find(&key) {
-            Ok(i) => i,
-            Err(i) => {
-                self.entries.insert(i, (key, V::default()));
-                i
-            }
-        };
-        &mut self.entries[i].1
-    }
-
     /// The keys, in ascending order.
     pub fn keys(&self) -> impl Iterator<Item = &K> + '_ {
         self.entries.iter().map(|(k, _)| k)
@@ -162,17 +134,5 @@ mod tests {
         );
         assert_eq!(m.get(&9), Some(&90));
         assert!(!m.contains_key(&4));
-    }
-
-    #[test]
-    fn get_or_default_appends_in_key_order() {
-        let mut m: VecMap<u32, Vec<u32>> = VecMap::new();
-        m.get_or_default(4).push(1);
-        m.get_or_default(2).push(2);
-        m.get_or_default(4).push(3);
-        assert_eq!(
-            m.iter().collect::<Vec<_>>(),
-            [(&2, &vec![2]), (&4, &vec![1, 3])]
-        );
     }
 }

@@ -312,10 +312,7 @@ mod tests {
         // n > 300 once silently degraded large n to the Θ(n) counting
         // fallback).
         for n in [8usize, 256, 512, 1024] {
-            let cfg = AdversaryConfig {
-                track_up_history: false,
-                ..AdversaryConfig::default()
-            };
+            let cfg = AdversaryConfig::lightweight();
             let all = build_all_run(&GossipWakeup, n, Arc::new(ZeroTosses), &cfg).unwrap();
             let dims = n.next_power_of_two().trailing_zeros().max(1) as usize;
             assert!(

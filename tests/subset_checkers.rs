@@ -11,11 +11,12 @@
 use llsc_lowerbound::core::{
     build_all_run, build_s_run_with, check_appendix_claims, check_indistinguishability,
     indist_all_subsets, AdversaryConfig, AllRun, ClaimViolation, ClaimsReport, IndistReport,
-    IndistViolation, ProcSet, SRun,
+    IndistViolation, OpSummary, ProcSet, RoundRecord, SRun,
 };
+use llsc_lowerbound::shmem::dsl::{done, ll, sc, Step};
 use llsc_lowerbound::shmem::{
-    Algorithm, Executor, OpKind, ProcessId, RegisterId, RegisterState, SeededTosses, Sweep,
-    TossAssignment, Value, ZeroTosses,
+    Algorithm, Executor, FnAlgorithm, OpKind, ProcessId, RegisterId, RegisterState, SeededTosses,
+    Sweep, TossAssignment, Value, ZeroTosses,
 };
 use llsc_lowerbound::wakeup::{correct_algorithms, randomized_algorithms};
 use std::collections::{BTreeMap, BTreeSet};
@@ -111,6 +112,16 @@ fn reference_claims(all: &AllRun, srun: &SRun) -> ClaimsReport {
                     .collect()
             })
             .unwrap_or_default();
+        // Each register's successful SC, from a run's ops.
+        let winners = |rec: &RoundRecord| -> BTreeMap<RegisterId, ProcessId> {
+            rec.ops
+                .iter()
+                .filter(|o| o.kind == OpKind::Sc && o.sc_ok == Some(true))
+                .map(|o| (o.register, o.p))
+                .collect()
+        };
+        let all_winners = winners(all_rec);
+        let s_winners = s_rec.map(winners).unwrap_or_default();
 
         // A.2
         for p in ProcessId::all(n) {
@@ -163,7 +174,7 @@ fn reference_claims(all: &AllRun, srun: &SRun) -> ClaimsReport {
             }
         }
         // A.4
-        for &reg in all_rec.successful_sc.keys() {
+        for &reg in all_winners.keys() {
             report.instances += 1;
             let before = all.up.reg(reg, r - 1).clone();
             let after = all.up.reg(reg, r).clone();
@@ -198,8 +209,8 @@ fn reference_claims(all: &AllRun, srun: &SRun) -> ClaimsReport {
                 continue;
             }
             report.instances += 1;
-            let winner_all = all_rec.successful_sc.get(&reg).copied();
-            let winner_s = s_rec.and_then(|rec| rec.successful_sc.get(&reg).copied());
+            let winner_all = all_winners.get(&reg).copied();
+            let winner_s = s_winners.get(&reg).copied();
             let mismatch = match winner_all {
                 Some(w) if all.up.proc(w, r - 1).is_subset(s) => winner_s != Some(w),
                 Some(_) => false,
@@ -235,6 +246,27 @@ fn shipped_algorithms() -> Vec<Box<dyn Algorithm>> {
         .collect()
 }
 
+/// LL/SC contention on two registers, `R(p mod 2)`, until each SC
+/// succeeds: rounds in which SCs succeed on more than one register, which
+/// no shipped algorithm has.
+fn two_register_contention() -> Box<dyn Algorithm> {
+    fn attempt(pid: ProcessId) -> Step {
+        let r = RegisterId(pid.0 as u64 % 2);
+        ll(r, move |_| {
+            sc(r, Value::from(pid.0 as i64), move |ok, _| {
+                if ok {
+                    done(Value::from(1i64))
+                } else {
+                    attempt(pid)
+                }
+            })
+        })
+    }
+    Box::new(FnAlgorithm::new("two-register-contention", |pid, _n| {
+        attempt(pid).into_program()
+    }))
+}
+
 fn toss_assignments() -> Vec<Arc<dyn TossAssignment>> {
     vec![Arc::new(ZeroTosses), Arc::new(SeededTosses::new(7))]
 }
@@ -264,7 +296,10 @@ fn every_s_run(
 #[test]
 fn checkers_match_the_reference_on_every_subset() {
     let cfg = AdversaryConfig::default();
-    for alg in shipped_algorithms() {
+    for alg in shipped_algorithms()
+        .into_iter()
+        .chain([two_register_contention()])
+    {
         for n in [4, 6] {
             for toss in toss_assignments() {
                 let all = build_all_run(alg.as_ref(), n, toss.clone(), &cfg).unwrap();
@@ -389,19 +424,23 @@ fn checkers_match_the_reference_on_tampered_runs() {
                 .move_config
                 .insert(ProcessId(5), RegisterId(0), RegisterId(1));
             check(&srun, "extra mover");
+            // Each round's first SC'd register loses its S-run winner, or
+            // gains one if it had none.
             let mut srun = full.clone();
             for (r, rec) in srun.base.rounds.iter_mut().enumerate() {
-                if let Some(&(_, reg)) = all.base.rounds[r]
-                    .ops
-                    .iter()
-                    .map(|o| (o.kind, o.register))
-                    .collect::<Vec<_>>()
-                    .iter()
-                    .find(|(kind, _)| *kind == OpKind::Sc)
-                {
-                    let winner = rec.successful_sc.get(&reg).copied();
-                    let other = ProcessId(winner.map_or(0, |w| (w.0 + 1) % n));
-                    rec.successful_sc.insert(reg, other);
+                let all_ops = &all.base.rounds[r].ops;
+                let Some(sc) = all_ops.iter().find(|o| o.kind == OpKind::Sc) else {
+                    continue;
+                };
+                let on_reg = |o: &&mut OpSummary| o.kind == OpKind::Sc && o.register == sc.register;
+                let mut scs: Vec<_> = rec.ops.iter_mut().filter(on_reg).collect();
+                match scs.iter().position(|o| o.sc_ok == Some(true)) {
+                    Some(i) => scs[i].sc_ok = Some(false),
+                    None => {
+                        if let Some(first) = scs.first_mut() {
+                            first.sc_ok = Some(true);
+                        }
+                    }
                 }
             }
             check(&srun, "changed SC winners");
@@ -416,10 +455,14 @@ fn checkers_match_the_reference_on_tampered_runs() {
                     .find(|&reg| !all.up.reg(reg, r - 1).is_subset(all.up.reg(reg, r)))
                     .map(|reg| (r, reg))
             });
+            // The round's first operation on the register becomes a
+            // successful SC on it.
             if let Some((r, reg)) = shrunk {
-                tampered.base.rounds[r - 1]
-                    .successful_sc
-                    .insert(reg, ProcessId(0));
+                let ops = &mut tampered.base.rounds[r - 1].ops;
+                let op = ops.iter_mut().find(|o| o.register == reg);
+                let op = op.expect("a register's UP changes only through an operation on it");
+                op.kind = OpKind::Sc;
+                op.sc_ok = Some(true);
             }
             let escaping = (1..=all.base.num_rounds()).find_map(|r| {
                 let rec = &all.base.rounds[r - 1];

@@ -13,7 +13,8 @@
 //! themselves rewritten in the same round).
 
 use llsc_lowerbound::core::{
-    build_all_run, flow_report, AdversaryConfig, ProcSet, RoundRecord, UpSnapshot, UpTracker,
+    build_all_run, flow_report, AdversaryConfig, OpSummary, ProcSet, RoundRecord, UpSnapshot,
+    UpTracker,
 };
 use llsc_lowerbound::shmem::dsl::{done, ll, mv, sc, swap, validate, Step};
 use llsc_lowerbound::shmem::{
@@ -23,10 +24,27 @@ use llsc_lowerbound::shmem::{
 use llsc_lowerbound::wakeup::{correct_algorithms, randomized_algorithms};
 use std::sync::Arc;
 
+/// The process whose SC on `r` succeeded in `rec`'s round, if one did.
+fn winner(rec: &RoundRecord, r: RegisterId) -> Option<ProcessId> {
+    let won = |o: &&OpSummary| o.kind == OpKind::Sc && o.sc_ok == Some(true);
+    rec.ops
+        .iter()
+        .filter(won)
+        .find(|o| o.register == r)
+        .map(|o| o.p)
+}
+
+/// The processes that swapped `r` in `rec`'s round, in execution order.
+fn swappers(rec: &RoundRecord, r: RegisterId) -> Vec<ProcessId> {
+    let swaps = rec.ops.iter().filter(|o| o.kind == OpKind::Swap);
+    swaps.filter(|o| o.register == r).map(|o| o.p).collect()
+}
+
 /// The round-`r` snapshot from the round-`(r-1)` one, by the paper's
 /// rules, reading every old value from an untouched copy.
 fn reference_next(prev: &UpSnapshot, rec: &RoundRecord) -> UpSnapshot {
     let mut next = prev.clone();
+    // Every register that moves landed in is a key of the flow report.
     let flows = flow_report(&rec.sigma, &rec.move_config);
     let moved_in = |r: RegisterId| -> ProcSet {
         let (src, mvs) = flows
@@ -40,19 +58,19 @@ fn reference_next(prev: &UpSnapshot, rec: &RoundRecord) -> UpSnapshot {
     };
 
     let mut affected: Vec<RegisterId> = rec
-        .successful_sc
-        .keys()
-        .chain(rec.swaps.keys())
-        .chain(rec.moves_into.keys())
-        .copied()
+        .ops
+        .iter()
+        .filter(|o| o.sc_ok == Some(true) || o.kind == OpKind::Swap)
+        .map(|o| o.register)
+        .chain(flows.keys().copied())
         .collect();
     affected.sort_unstable();
     affected.dedup();
     for r in affected {
-        let new_up = if let Some(&p) = rec.successful_sc.get(&r) {
+        let new_up = if let Some(p) = winner(rec, r) {
             prev.proc(p).clone()
-        } else if let Some(swappers) = rec.swaps.get(&r) {
-            prev.proc(*swappers.last().unwrap()).clone()
+        } else if let Some(&last) = swappers(rec, r).last() {
+            prev.proc(last).clone()
         } else {
             moved_in(r)
         };
@@ -69,9 +87,9 @@ fn reference_next(prev: &UpSnapshot, rec: &RoundRecord) -> UpSnapshot {
             OpKind::Ll | OpKind::Validate => prev.reg(r).clone(),
             OpKind::Move => ProcSet::new(),
             OpKind::Swap => {
-                let swappers = rec.swaps.get(&r).unwrap();
+                let swappers = swappers(rec, r);
                 match swappers.iter().position(|q| *q == p).unwrap() {
-                    0 if rec.moves_into.contains_key(&r) => moved_in(r),
+                    0 if flows.contains_key(&r) => moved_in(r),
                     0 => prev.reg(r).clone(),
                     i => prev.proc(swappers[i - 1]).clone(),
                 }
@@ -144,14 +162,14 @@ fn check(alg: &dyn Algorithm, n: usize, toss: Arc<dyn TossAssignment>) -> (usize
             "{name} n={n} rolling max r={r}"
         );
 
-        let written = |reg: &RegisterId| {
-            rec.successful_sc.contains_key(reg)
-                || rec.swaps.contains_key(reg)
-                || rec.moves_into.contains_key(reg)
-        };
         let flows = flow_report(&rec.sigma, &rec.move_config);
+        let written = |reg: &RegisterId| {
+            winner(rec, *reg).is_some()
+                || !swappers(rec, *reg).is_empty()
+                || flows.contains_key(reg)
+        };
         rewritten_sources += usize::from(flows.values().any(|(src, _)| written(src)));
-        p4_rounds += usize::from(rec.moves_into.keys().any(|r| rec.swaps.contains_key(r)));
+        p4_rounds += usize::from(flows.keys().any(|&r| !swappers(rec, r).is_empty()));
     }
     (rewritten_sources, p4_rounds)
 }
