@@ -60,14 +60,6 @@ pub struct HwEvent {
     pub kind: HwEventKind,
 }
 
-impl HwEvent {
-    /// `true` iff this record is a shared-memory operation (as opposed
-    /// to an adversary delivery).
-    pub fn is_op(&self) -> bool {
-        matches!(self.kind, HwEventKind::Op { .. })
-    }
-}
-
 /// What one [`HwEvent`] records: a shared-memory operation, a
 /// memory-fault delivery, or a crash-adversary action on the owning
 /// thread.

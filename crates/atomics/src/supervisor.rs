@@ -1,6 +1,6 @@
 //! The crash adversary on real threads: kill, respawn, escalate.
 //!
-//! The simulator's [`RecoveringCrashScheduler`] crashes a victim by
+//! The simulator's [`CrashDriver`] crashes a victim by
 //! flipping a bookkeeping bit; here a crash is a real OS-thread death.
 //! [`CrashSupervisor`] arms a [`CrashPlan`] for the thread-per-process
 //! driver:
@@ -31,7 +31,7 @@
 //! ([`HwEventKind::Killed`] / [`HwEventKind::Respawned`]), so a crashed
 //! trial's timeline is auditable after the fact.
 //!
-//! [`RecoveringCrashScheduler`]: llsc_shmem::RecoveringCrashScheduler
+//! [`CrashDriver`]: llsc_shmem::CrashDriver
 //! [`HwEvent`]: crate::HwEvent
 //! [`HwEventKind::Killed`]: crate::HwEventKind::Killed
 //! [`HwEventKind::Respawned`]: crate::HwEventKind::Respawned

@@ -20,10 +20,10 @@ use llsc_core::{
 // into `llsc_core` (see `crates/core/src/secretive.rs`).
 pub use llsc_core::random_move_config;
 use llsc_objects::{FetchIncrement, ObjectSpec};
-use llsc_shmem::repro::{RecoverySpec, ReproCase, TossSpec};
+use llsc_shmem::repro::{ReproCase, TossSpec};
 use llsc_shmem::{
-    Algorithm, ChaosPlan, CrashPlan, FaultPlan, ProcessId, RegisterId, Sweep, TrialFailure,
-    ZeroTosses,
+    Algorithm, ChaosPlan, CrashPlan, FaultPlan, ProcessId, RecoverySpec, RegisterId, Sweep,
+    TrialFailure, ZeroTosses,
 };
 use llsc_universal::{
     measure, AdtTreeUniversal, CombiningTreeUniversal, DirectLlSc, HardenedAdtTreeUniversal,
@@ -833,7 +833,7 @@ pub struct E14Row {
 /// strawmen — what the Figure-2 adversary alone cannot show. Each
 /// algorithm's portfolio schedules fan out over the sweep.
 pub fn e14_stress_portfolio(n: usize, sweep: &Sweep) -> Experiment<E14Row> {
-    use llsc_core::{standard_portfolio, stress_wakeup_sweep};
+    use llsc_core::{standard_portfolio, stress_wakeup};
     use llsc_wakeup::strawman_algorithms;
     let mut table = Table::new(
         "E14 - wakeup stress portfolio (partition/sequential/random schedules)",
@@ -847,7 +847,7 @@ pub fn e14_stress_portfolio(n: usize, sweep: &Sweep) -> Experiment<E14Row> {
         .chain(strawman_algorithms().into_iter().map(|a| (a, false)))
         .collect();
     for (alg, expected_clean) in cases {
-        let report = stress_wakeup_sweep(
+        let report = stress_wakeup(
             alg.as_ref(),
             n,
             Arc::new(ZeroTosses),

@@ -74,10 +74,10 @@ use llsc_core::{
     ExpectationSample,
 };
 use llsc_shmem::json::{self, list_field, num_field, push_field, push_list, text_field};
-use llsc_shmem::repro::{Provenance, RecoverySpec, ReproCase, ScheduleSpec, TossSpec};
+use llsc_shmem::repro::{Provenance, ReproCase, ScheduleSpec, TossSpec};
 use llsc_shmem::{
     atomic_write, checkpoint, panic_message, Algorithm, CancelToken, ChaosPlan, CrashPlan,
-    FaultPlan, RunOutcome, SeededTosses, Sweep, TrialFailure, ZeroTosses,
+    FaultPlan, RecoverySpec, RunOutcome, SeededTosses, Sweep, TrialFailure, ZeroTosses,
 };
 use llsc_wakeup::{correct_algorithms, randomized_algorithms};
 use std::collections::BTreeSet;

@@ -28,8 +28,10 @@
 use crate::experiments::E16_TWINS;
 use crate::job::JobExperiment;
 use llsc_core::check_wakeup;
-use llsc_shmem::repro::{execute, shrink, RecoverySpec, ReproCase, ShrinkReport};
-use llsc_shmem::{panic_message, Algorithm, FaultStats, OpCounters, ProcessId, RunOutcome, Value};
+use llsc_shmem::repro::{execute, shrink, ReproCase, ShrinkReport};
+use llsc_shmem::{
+    panic_message, Algorithm, FaultStats, OpCounters, ProcessId, RecoverySpec, RunOutcome, Value,
+};
 use llsc_universal::hardening::detections;
 use llsc_wakeup::check_mutex_tokens;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -324,8 +326,6 @@ mod tests {
 
     #[test]
     fn crashed_recoverable_case_replays_and_shrinks_with_class_preserved() {
-        use llsc_shmem::repro::RecoverySpec;
-
         // Crash-stop (no recovery): the victim stays down and the case
         // classifies as crashed.
         let mut case = clean_case("recoverable-mutex", 4, 9);
@@ -350,6 +350,43 @@ mod tests {
         let recovered = run_case(&case).unwrap();
         assert_eq!(recovered.class, "recovered");
         assert!(recovered.safe);
+    }
+
+    #[test]
+    fn crash_stop_executes_as_recovery_with_budget_zero() {
+        // Crash-stop is the crash-recovery model with no respawn budget:
+        // both regimes drive the same run, and only the class name of a
+        // run left crashed tells them apart.
+        let mut crashed = 0;
+        for (algorithm, seed) in [
+            ("counter-wakeup", 3),
+            ("tournament-wakeup", 5),
+            ("hardened-counter-wakeup", 7),
+            ("recoverable-mutex", 9),
+        ] {
+            let mut stop = clean_case(algorithm, 5, seed);
+            stop.crashes = CrashPlan::seeded(seed, 5, 2, 40);
+            let mut zero = stop.clone();
+            zero.recovery = Some(RecoverySpec {
+                delay: 3,
+                budget: 0,
+            });
+            let (a, b) = (run_case(&stop).unwrap(), run_case(&zero).unwrap());
+            assert_eq!(a.trace, b.trace, "{algorithm}");
+            assert_eq!(a.counters, b.counters, "{algorithm}");
+            assert_eq!(a.outcome_debug, b.outcome_debug, "{algorithm}");
+            if matches!(a.outcome, Some(RunOutcome::Crashed { .. })) {
+                crashed += 1;
+                assert_eq!(
+                    (a.class.as_str(), b.class.as_str()),
+                    (crashed_class(stop.recovery), crashed_class(zero.recovery)),
+                    "{algorithm}"
+                );
+            } else {
+                assert_eq!(a.class, b.class, "{algorithm}");
+            }
+        }
+        assert!(crashed > 0, "some plan must leave a victim down");
     }
 
     #[test]

@@ -268,30 +268,6 @@ impl Table {
         }
         Ok(table)
     }
-
-    /// Renders the table as CSV (header row first, fields quoted only when
-    /// they contain commas or quotes) — for piping experiment output into
-    /// plotting tools.
-    pub fn render_csv(&self) -> String {
-        fn field(cell: &str) -> String {
-            if cell.contains(',') || cell.contains('"') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        }
-        let mut out = String::new();
-        let mut push_row = |cells: &[String]| {
-            let line: Vec<String> = cells.iter().map(|c| field(c)).collect();
-            out.push_str(&line.join(","));
-            out.push('\n');
-        };
-        push_row(&self.headers);
-        for row in &self.rows {
-            push_row(row);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -309,18 +285,6 @@ mod tests {
         assert!(lines[2].contains("long-header"));
         // All data lines are equally long after alignment.
         assert_eq!(lines[4].len(), lines[5].len());
-    }
-
-    #[test]
-    fn csv_quotes_only_when_needed() {
-        let mut t = Table::new("t", ["name", "value"]);
-        t.row(["plain", "1"]);
-        t.row(["with,comma", "say \"hi\""]);
-        let csv = t.render_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "name,value");
-        assert_eq!(lines[1], "plain,1");
-        assert_eq!(lines[2], "\"with,comma\",\"say \"\"hi\"\"\"");
     }
 
     #[test]

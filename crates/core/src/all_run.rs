@@ -1,7 +1,7 @@
 //! Construction of the `(All, A)`-run (Section 5.2) and the common
 //! round-structured-run record shared with the `(S, A)`-run.
 
-use crate::rounds::{execute_round_with, ChangeIndex, MoveOrder, RoundRecord};
+use crate::rounds::{execute_round, ChangeIndex, MoveOrder, RoundRecord};
 use crate::upsets::{ProcSet, UpTracker};
 use llsc_shmem::{
     Algorithm, Executor, ExecutorConfig, OpKind, ProcHistory, ProcMask, ProcessId, RegisterId, Run,
@@ -333,7 +333,7 @@ pub fn build_all_run(
     let mut r = 0;
     while !exec.all_terminated() && r < cfg.max_rounds {
         r += 1;
-        let rec = execute_round_with(
+        let rec = execute_round(
             &mut exec,
             r,
             &live,

@@ -293,47 +293,15 @@ pub fn check_appendix_claims(all: &AllRun, srun: &SRun) -> ClaimsReport {
     report
 }
 
-/// Convenience: the claims plus the lemma itself on every subset of a
-/// small system. Returns the total number of violations (0 for sound
-/// machinery).
-///
-/// # Errors
-///
-/// Propagates the first [`llsc_shmem::RunError`] any subset run reports.
-pub fn check_claims_all_subsets(
-    alg: &dyn llsc_shmem::Algorithm,
-    n: usize,
-    toss: std::sync::Arc<dyn llsc_shmem::TossAssignment>,
-    cfg: &crate::AdversaryConfig,
-) -> Result<usize, llsc_shmem::RunError> {
-    check_claims_all_subsets_sweep(alg, n, toss, cfg, &llsc_shmem::Sweep::sequential())
-}
-
-/// [`check_claims_all_subsets`], fanning the `2^n` subsets out over the
-/// given [`llsc_shmem::Sweep`]. The count is independent of the sweep's
-/// thread count.
-pub fn check_claims_all_subsets_sweep(
-    alg: &dyn llsc_shmem::Algorithm,
-    n: usize,
-    toss: std::sync::Arc<dyn llsc_shmem::TossAssignment>,
-    cfg: &crate::AdversaryConfig,
-    sweep: &llsc_shmem::Sweep,
-) -> Result<usize, llsc_shmem::RunError> {
-    Ok(
-        crate::subsets::indist_all_subsets(alg, n, toss, cfg, true, sweep)?
-            .violations
-            .len(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::all_run::{build_all_run, AdversaryConfig};
     use crate::s_run::build_s_run;
+    use crate::subsets::indist_all_subsets;
     use crate::upsets::ProcSet;
     use llsc_shmem::dsl::{done, ll, mv, sc, swap};
-    use llsc_shmem::{Algorithm, FnAlgorithm, Program, SeededTosses, Value, ZeroTosses};
+    use llsc_shmem::{Algorithm, FnAlgorithm, Program, SeededTosses, Sweep, Value, ZeroTosses};
     use std::sync::Arc;
 
     fn llsc_contenders() -> impl Algorithm {
@@ -375,12 +343,23 @@ mod tests {
         })
     }
 
+    /// Claim and lemma violations over every subset of `n` processes.
+    fn all_subsets_violations(
+        alg: &dyn Algorithm,
+        n: usize,
+        toss: Arc<dyn llsc_shmem::TossAssignment>,
+    ) -> usize {
+        let cfg = AdversaryConfig::default();
+        indist_all_subsets(alg, n, toss, &cfg, true, &Sweep::sequential())
+            .unwrap()
+            .violations
+            .len()
+    }
+
     #[test]
     fn claims_hold_for_llsc_contenders_all_subsets() {
         let alg = llsc_contenders();
-        let violations =
-            check_claims_all_subsets(&alg, 5, Arc::new(ZeroTosses), &AdversaryConfig::default())
-                .unwrap();
+        let violations = all_subsets_violations(&alg, 5, Arc::new(ZeroTosses));
         assert_eq!(violations, 0);
     }
 
@@ -393,8 +372,7 @@ mod tests {
             } else {
                 Arc::new(SeededTosses::new(seed))
             };
-            let violations =
-                check_claims_all_subsets(&alg, 6, toss, &AdversaryConfig::default()).unwrap();
+            let violations = all_subsets_violations(&alg, 6, toss);
             assert_eq!(violations, 0, "seed={seed}");
         }
     }

@@ -74,36 +74,6 @@ impl fmt::Display for ExpectationReport {
     }
 }
 
-/// Samples `seeds` toss assignments and estimates the expected
-/// shared-access complexity of `alg` under the Figure-2 adversary.
-///
-/// Every seed yields a deterministic [`SeededTosses`] assignment, so the
-/// whole estimate is reproducible.
-///
-/// # Examples
-///
-/// ```
-/// use llsc_core::{estimate_expected_complexity, AdversaryConfig};
-/// use llsc_shmem::dsl::{done, ll};
-/// use llsc_shmem::{FnAlgorithm, RegisterId, Value};
-///
-/// let alg = FnAlgorithm::new("one-ll", |_p, _n| {
-///     ll(RegisterId(0), |_| done(Value::from(1i64))).into_program()
-/// });
-/// let rep = estimate_expected_complexity(&alg, 2, 0..8, &AdversaryConfig::default()).unwrap();
-/// assert_eq!(rep.samples, 8);
-/// assert_eq!(rep.termination_rate, 1.0);
-/// ```
-pub fn estimate_expected_complexity(
-    alg: &dyn Algorithm,
-    n: usize,
-    seeds: impl IntoIterator<Item = u64>,
-    cfg: &AdversaryConfig,
-) -> Result<ExpectationReport, RunError> {
-    let seeds: Vec<u64> = seeds.into_iter().collect();
-    estimate_expected_complexity_sweep(alg, n, &seeds, cfg, &Sweep::sequential())
-}
-
 /// What one sampled toss assignment contributed to the estimate — the
 /// checkpointable per-trial unit of a chunked expectation job.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -211,25 +181,47 @@ pub fn report_from_samples(
     }
 }
 
-/// [`estimate_expected_complexity`], fanning the seed samples out over the
-/// given [`Sweep`]. Each seed's `(All, A)`-run is independent, and samples
-/// are merged in seed order, so the report is identical at any thread
-/// count.
+/// Samples `seeds` toss assignments and estimates the expected
+/// shared-access complexity of `alg` under the Figure-2 adversary.
+///
+/// Every seed yields a deterministic [`SeededTosses`] assignment, and the
+/// seeds' `(All, A)`-runs are independent: they fan out over `sweep` and
+/// merge in seed order, so the report is reproducible and identical at
+/// any thread count.
+///
+/// # Examples
+///
+/// ```
+/// use llsc_core::{estimate_expected_complexity, AdversaryConfig};
+/// use llsc_shmem::dsl::{done, ll};
+/// use llsc_shmem::{FnAlgorithm, RegisterId, Sweep, Value};
+///
+/// let alg = FnAlgorithm::new("one-ll", |_p, _n| {
+///     ll(RegisterId(0), |_| done(Value::from(1i64))).into_program()
+/// });
+/// let cfg = AdversaryConfig::default();
+/// let rep = estimate_expected_complexity(&alg, 2, 0..8, &cfg, &Sweep::sequential()).unwrap();
+/// assert_eq!(rep.samples, 8);
+/// assert_eq!(rep.termination_rate, 1.0);
+/// ```
 ///
 /// # Errors
 ///
 /// Propagates the first (lowest-seed-index) [`RunError`] any sampled run
 /// reports; the other samples still execute to completion under the
 /// sweep's panic/fault isolation.
-pub fn estimate_expected_complexity_sweep(
+pub fn estimate_expected_complexity(
     alg: &dyn Algorithm,
     n: usize,
-    seeds: &[u64],
+    seeds: impl IntoIterator<Item = u64>,
     cfg: &AdversaryConfig,
     sweep: &Sweep,
 ) -> Result<ExpectationReport, RunError> {
+    let seeds: Vec<u64> = seeds.into_iter().collect();
     let sampled = sweep
-        .run(seeds, |_trial, &seed| sample_expectation(alg, n, seed, cfg))
+        .run(&seeds, |_trial, &seed| {
+            sample_expectation(alg, n, seed, cfg)
+        })
         .into_iter()
         .collect::<Result<Vec<ExpectationSample>, RunError>>()?;
     Ok(report_from_samples(alg.name(), n, &sampled))
@@ -273,8 +265,14 @@ mod tests {
     fn randomized_wakeup_meets_expected_bound() {
         let alg = randomized_counter_wakeup();
         for n in [4, 8, 16] {
-            let rep =
-                estimate_expected_complexity(&alg, n, 0..20, &AdversaryConfig::default()).unwrap();
+            let rep = estimate_expected_complexity(
+                &alg,
+                n,
+                0..20,
+                &AdversaryConfig::default(),
+                &Sweep::sequential(),
+            )
+            .unwrap();
             assert_eq!(rep.termination_rate, 1.0, "n={n}");
             assert_eq!(rep.wakeup_ok_rate, 1.0, "n={n}");
             assert!(rep.all_meet_bound, "n={n}: min={}", rep.min_winner_steps);
@@ -307,7 +305,7 @@ mod tests {
             max_rounds: 50,
             ..AdversaryConfig::default()
         };
-        let rep = estimate_expected_complexity(&alg, 2, 0..40, &cfg).unwrap();
+        let rep = estimate_expected_complexity(&alg, 2, 0..40, &cfg, &Sweep::sequential()).unwrap();
         assert!(rep.termination_rate < 1.0);
         // With 2 processes and independent fair-ish coins, some runs do
         // terminate.
@@ -320,9 +318,14 @@ mod tests {
         let alg = randomized_counter_wakeup();
         let cfg = AdversaryConfig::default();
         let seeds: Vec<u64> = (0..12).collect();
-        let full =
-            estimate_expected_complexity_sweep(&alg, 8, &seeds, &cfg, &Sweep::with_threads(3))
-                .unwrap();
+        let full = estimate_expected_complexity(
+            &alg,
+            8,
+            seeds.iter().copied(),
+            &cfg,
+            &Sweep::with_threads(3),
+        )
+        .unwrap();
         // Sample the same seeds one at a time, out of order, then
         // reassemble in seed order.
         let mut sampled: Vec<(u64, ExpectationSample)> = seeds
@@ -346,8 +349,22 @@ mod tests {
     #[test]
     fn report_is_reproducible_for_same_seeds() {
         let alg = randomized_counter_wakeup();
-        let a = estimate_expected_complexity(&alg, 4, 0..10, &AdversaryConfig::default()).unwrap();
-        let b = estimate_expected_complexity(&alg, 4, 0..10, &AdversaryConfig::default()).unwrap();
+        let a = estimate_expected_complexity(
+            &alg,
+            4,
+            0..10,
+            &AdversaryConfig::default(),
+            &Sweep::sequential(),
+        )
+        .unwrap();
+        let b = estimate_expected_complexity(
+            &alg,
+            4,
+            0..10,
+            &AdversaryConfig::default(),
+            &Sweep::sequential(),
+        )
+        .unwrap();
         assert_eq!(a.mean_winner_steps, b.mean_winner_steps);
         assert_eq!(a.min_winner_steps, b.min_winner_steps);
         assert_eq!(a.mean_max_steps, b.mean_max_steps);
@@ -356,9 +373,14 @@ mod tests {
     #[test]
     fn empty_seed_set_is_degenerate_but_defined() {
         let alg = randomized_counter_wakeup();
-        let rep =
-            estimate_expected_complexity(&alg, 4, std::iter::empty(), &AdversaryConfig::default())
-                .unwrap();
+        let rep = estimate_expected_complexity(
+            &alg,
+            4,
+            std::iter::empty(),
+            &AdversaryConfig::default(),
+            &Sweep::sequential(),
+        )
+        .unwrap();
         assert_eq!(rep.samples, 0);
         assert_eq!(rep.termination_rate, 0.0);
         assert_eq!(rep.lemma_3_1_bound, 0.0);
@@ -367,7 +389,14 @@ mod tests {
     #[test]
     fn display_summarises() {
         let alg = randomized_counter_wakeup();
-        let rep = estimate_expected_complexity(&alg, 4, 0..4, &AdversaryConfig::default()).unwrap();
+        let rep = estimate_expected_complexity(
+            &alg,
+            4,
+            0..4,
+            &AdversaryConfig::default(),
+            &Sweep::sequential(),
+        )
+        .unwrap();
         assert!(rep.to_string().contains("rand-counter-wakeup"));
     }
 }

@@ -73,28 +73,20 @@ mod vecmap;
 mod wakeup;
 
 pub use all_run::{build_all_run, AdversaryConfig, AllRun, RoundedRun};
-pub use claims::{
-    check_appendix_claims, check_claims_all_subsets, check_claims_all_subsets_sweep,
-    ClaimViolation, ClaimsReport,
-};
+pub use claims::{check_appendix_claims, ClaimViolation, ClaimsReport};
 pub use expectation::{
-    estimate_expected_complexity, estimate_expected_complexity_sweep, report_from_samples,
-    sample_expectation, ExpectationReport, ExpectationSample,
+    estimate_expected_complexity, report_from_samples, sample_expectation, ExpectationReport,
+    ExpectationSample,
 };
 pub use gray::{gray_mask, GraySubsetBuilder, GrayTrial};
 pub use indist::{check_indistinguishability, IndistReport, IndistViolation};
-pub use rounds::{
-    execute_round, execute_round_with, ChangeIndex, MoveOrder, OpSummary, RoundCounts, RoundRecord,
-};
+pub use rounds::{execute_round, ChangeIndex, MoveOrder, OpSummary, RoundCounts, RoundRecord};
 pub use s_run::{build_s_run, build_s_run_with, SRun, SRunBuilder};
 pub use secretive::{
     flow_report, is_complete, is_secretive, movers, random_move_config, restrict,
     restriction_preserves_source, secretive_complete_schedule, source, MoveConfig,
 };
-pub use stress::{
-    standard_portfolio, stress_wakeup, stress_wakeup_sweep, StressFailure, StressReport,
-    StressSchedule,
-};
+pub use stress::{standard_portfolio, stress_wakeup, StressFailure, StressReport, StressSchedule};
 pub use subsets::{
     indist_all_subsets, indist_subset_range, report_from_subset_records, SubsetChunk,
     SubsetSweepReport, SubsetTrialRecord,

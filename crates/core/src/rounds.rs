@@ -84,13 +84,6 @@ pub struct RoundRecord {
 }
 
 impl RoundRecord {
-    /// `true` iff nothing at all happened this round (no tosses, no
-    /// operations, no terminations) — the "empty rounds" that follow once
-    /// every process has terminated.
-    pub fn is_empty_round(&self) -> bool {
-        self.ops.is_empty() && self.terminated_in_phase1.is_empty() && self.phase1_tosses.is_empty()
-    }
-
     /// The processes that tossed, performed an operation or terminated
     /// this round; a process that did more than one of these is listed
     /// more than once.
@@ -233,6 +226,11 @@ impl ChangeIndex {
 /// rounds are empty, which is exactly the paper's "delayed forever"
 /// adversary move.
 ///
+/// `snapshots` keeps the end-of-round register snapshots
+/// ([`RoundRecord::end_registers`]). They power the indistinguishability
+/// checker but can dominate memory for value-heavy algorithms over many
+/// rounds; large measurement sweeps turn them off.
+///
 /// # Errors
 ///
 /// Propagates the first [`RunError`] the executor reports (a diverging
@@ -248,20 +246,6 @@ pub fn execute_round(
     round: usize,
     participants: &[ProcessId],
     move_order: MoveOrder<'_>,
-) -> Result<RoundRecord, RunError> {
-    execute_round_with(exec, round, participants, move_order, true)
-}
-
-/// [`execute_round`] with control over end-of-round register snapshots.
-///
-/// Snapshots power the indistinguishability checker but can dominate
-/// memory for value-heavy algorithms over many rounds; large measurement
-/// sweeps disable them.
-pub fn execute_round_with(
-    exec: &mut Executor,
-    round: usize,
-    participants: &[ProcessId],
-    move_order: MoveOrder<'_>,
     snapshots: bool,
 ) -> Result<RoundRecord, RunError> {
     let mut rec = RoundRecord::default();
@@ -269,10 +253,10 @@ pub fn execute_round_with(
     Ok(rec)
 }
 
-/// [`execute_round_with`] into a caller-owned record: every field of
+/// [`execute_round`] into a caller-owned record: every field of
 /// `rec` is overwritten, and its buffers are reused where they have room.
 /// A fresh (default) record ends up sized exactly as
-/// [`execute_round_with`] sizes it, so records kept for a whole run carry
+/// [`execute_round`] sizes it, so records kept for a whole run carry
 /// no slack; a recycled one keeps its capacity.
 ///
 /// On error `rec` is left partly filled and must be refilled before use.
@@ -433,7 +417,7 @@ mod tests {
     fn groups_partition_by_kind() {
         let alg = mixed_alg();
         let mut e = exec_for(&alg, 4);
-        let rec = execute_round(&mut e, 1, &all_pids(4), MoveOrder::Secretive).unwrap();
+        let rec = execute_round(&mut e, 1, &all_pids(4), MoveOrder::Secretive, true).unwrap();
         assert_eq!(phase_pids(&rec, 2), [0, 3]);
         assert_eq!(phase_pids(&rec, 3), [1]);
         assert_eq!(phase_pids(&rec, 4), [2]);
@@ -447,7 +431,7 @@ mod tests {
             validate(RegisterId(0), |_, _| done(Value::from(0i64))).into_program()
         });
         let mut e = exec_for(&alg, 2);
-        let rec = execute_round(&mut e, 1, &all_pids(2), MoveOrder::Secretive).unwrap();
+        let rec = execute_round(&mut e, 1, &all_pids(2), MoveOrder::Secretive, true).unwrap();
         assert_eq!(phase_pids(&rec, 2), [0, 1]);
         assert_eq!(rec.ops.len(), 2);
     }
@@ -471,8 +455,8 @@ mod tests {
         });
         let mut e = exec_for(&alg, 8);
         let order = [ProcessId(7), ProcessId(1), ProcessId(4)];
-        let r1 = execute_round(&mut e, 1, &all_pids(8), MoveOrder::Given(&order)).unwrap();
-        let r2 = execute_round(&mut e, 2, &all_pids(8), MoveOrder::Secretive).unwrap();
+        let r1 = execute_round(&mut e, 1, &all_pids(8), MoveOrder::Given(&order), true).unwrap();
+        let r2 = execute_round(&mut e, 2, &all_pids(8), MoveOrder::Secretive, true).unwrap();
         for rec in [&r1, &r2] {
             assert!(rec.ops.is_sorted_by_key(|o| phase_of(o.kind)), "{rec:?}");
             for phase in [2, 4, 5] {
@@ -501,14 +485,14 @@ mod tests {
         let alg = mixed_alg();
         let mut e = exec_for(&alg, 4);
         // Round 1: LLs (p0, p3), move (p1), swap (p2).
-        let r1 = execute_round(&mut e, 1, &all_pids(4), MoveOrder::Secretive).unwrap();
+        let r1 = execute_round(&mut e, 1, &all_pids(4), MoveOrder::Secretive, true).unwrap();
         let kinds: Vec<OpKind> = r1.ops.iter().map(|o| o.kind).collect();
         assert_eq!(
             kinds,
             vec![OpKind::Ll, OpKind::Ll, OpKind::Move, OpKind::Swap]
         );
         // Round 2: p3's SC.
-        let r2 = execute_round(&mut e, 2, &all_pids(4), MoveOrder::Secretive).unwrap();
+        let r2 = execute_round(&mut e, 2, &all_pids(4), MoveOrder::Secretive, true).unwrap();
         let kinds2: Vec<OpKind> = r2.ops.iter().map(|o| o.kind).collect();
         assert_eq!(kinds2, vec![OpKind::Sc]);
         assert_eq!((r2.ops[0].p, r2.ops[0].sc_ok), (ProcessId(3), Some(true)));
@@ -527,8 +511,8 @@ mod tests {
             .into_program()
         });
         let mut e = exec_for(&alg, 5);
-        execute_round(&mut e, 1, &all_pids(5), MoveOrder::Secretive).unwrap();
-        let r2 = execute_round(&mut e, 2, &all_pids(5), MoveOrder::Secretive).unwrap();
+        execute_round(&mut e, 1, &all_pids(5), MoveOrder::Secretive, true).unwrap();
+        let r2 = execute_round(&mut e, 2, &all_pids(5), MoveOrder::Secretive, true).unwrap();
         let outcomes: Vec<_> = r2.ops.iter().map(|o| (o.p.0, o.sc_ok)).collect();
         assert_eq!(
             outcomes,
@@ -559,7 +543,7 @@ mod tests {
             .into_program()
         });
         let mut e = exec_for(&alg, 3);
-        let rec = execute_round(&mut e, 1, &all_pids(3), MoveOrder::Secretive).unwrap();
+        let rec = execute_round(&mut e, 1, &all_pids(3), MoveOrder::Secretive, true).unwrap();
         let swaps: Vec<_> = rec
             .ops
             .iter()
@@ -583,7 +567,7 @@ mod tests {
         })
         .with_initial_memory(vec![(RegisterId(0), Value::from(100i64))]);
         let mut e = exec_for(&alg, 6);
-        let rec = execute_round(&mut e, 1, &all_pids(6), MoveOrder::Secretive).unwrap();
+        let rec = execute_round(&mut e, 1, &all_pids(6), MoveOrder::Secretive, true).unwrap();
         assert!(crate::secretive::is_secretive(&rec.sigma, &rec.move_config));
         let movers: Vec<_> = rec.ops.iter().map(|o| o.p).collect();
         assert_eq!(movers, rec.sigma);
@@ -610,7 +594,7 @@ mod tests {
         // With order p2, p0, p1 the last mover into R0 is p1.
         let order = vec![ProcessId(2), ProcessId(0), ProcessId(1)];
         let mut e = exec_for(&alg, 3);
-        let rec = execute_round(&mut e, 1, &all_pids(3), MoveOrder::Given(&order)).unwrap();
+        let rec = execute_round(&mut e, 1, &all_pids(3), MoveOrder::Given(&order), true).unwrap();
         assert_eq!(rec.sigma, order);
         assert_eq!(e.memory().peek(RegisterId(0)), Value::from(11i64));
     }
@@ -626,24 +610,25 @@ mod tests {
         });
         let order = vec![ProcessId(0)]; // p1 missing
         let mut e = exec_for(&alg, 2);
-        execute_round(&mut e, 1, &all_pids(2), MoveOrder::Given(&order)).unwrap();
+        execute_round(&mut e, 1, &all_pids(2), MoveOrder::Given(&order), true).unwrap();
     }
 
     #[test]
     fn terminated_participants_yield_empty_rounds() {
         let alg = FnAlgorithm::new("instant", |_pid, _n| done(Value::from(0i64)).into_program());
         let mut e = exec_for(&alg, 3);
-        let r1 = execute_round(&mut e, 1, &all_pids(3), MoveOrder::Secretive).unwrap();
+        let r1 = execute_round(&mut e, 1, &all_pids(3), MoveOrder::Secretive, true).unwrap();
         assert_eq!(r1.terminated_in_phase1.len(), 3);
-        let r2 = execute_round(&mut e, 2, &all_pids(3), MoveOrder::Secretive).unwrap();
-        assert!(r2.is_empty_round());
+        let r2 = execute_round(&mut e, 2, &all_pids(3), MoveOrder::Secretive, true).unwrap();
+        assert!(r2.ops.is_empty() && r2.terminated_in_phase1.is_empty());
+        assert!(r2.phase1_tosses.is_empty());
     }
 
     #[test]
     fn snapshots_capture_end_of_round_state() {
         let alg = mixed_alg();
         let mut e = exec_for(&alg, 4);
-        let rec = execute_round(&mut e, 1, &all_pids(4), MoveOrder::Secretive).unwrap();
+        let rec = execute_round(&mut e, 1, &all_pids(4), MoveOrder::Secretive, true).unwrap();
         let regs = rec.end_registers.as_ref().expect("snapshots on");
         // p2 swapped 1 into R3.
         assert_eq!(
@@ -673,6 +658,7 @@ mod tests {
             1,
             &[ProcessId(0), ProcessId(2)],
             MoveOrder::Secretive,
+            true,
         )
         .unwrap();
         let actors: Vec<_> = rec.ops.iter().map(|o| o.p).collect();
@@ -689,7 +675,8 @@ mod tests {
         let mut changes = ChangeIndex::new(4);
         let offered = [vec![ProcessId(0), ProcessId(2)], all_pids(4), all_pids(4)];
         for (i, participants) in offered.iter().enumerate() {
-            let rec = execute_round(&mut e, i + 1, participants, MoveOrder::Secretive).unwrap();
+            let rec =
+                execute_round(&mut e, i + 1, participants, MoveOrder::Secretive, true).unwrap();
             changes.record(&rec, e.run());
         }
         let rounds = |p: usize| -> Vec<u32> {

@@ -122,26 +122,16 @@ pub fn standard_portfolio(n: usize, random_seeds: u64) -> Vec<StressSchedule> {
 /// processes never step); condition 3 is still checked on the prefix —
 /// which is exactly how partial-participation bugs are caught.
 ///
+/// Each schedule drives its own executor, fanned out over `sweep`, and
+/// failures are merged in portfolio order, so the report is identical at
+/// any thread count.
+///
 /// # Errors
 ///
 /// Propagates the first [`RunError`] any schedule's executor reports
 /// (event budget, divergent local burst). A schedule that merely runs out
 /// of `max_steps` is *not* an error — its prefix is still checked.
 pub fn stress_wakeup(
-    alg: &dyn Algorithm,
-    n: usize,
-    toss: Arc<dyn TossAssignment>,
-    portfolio: &[StressSchedule],
-    max_steps: u64,
-) -> Result<StressReport, RunError> {
-    stress_wakeup_sweep(alg, n, toss, portfolio, max_steps, &Sweep::sequential())
-}
-
-/// [`stress_wakeup`], fanning the portfolio's schedules out over the given
-/// [`Sweep`]. Each schedule drives its own executor, and failures are
-/// merged in portfolio order, so the report is identical at any thread
-/// count.
-pub fn stress_wakeup_sweep(
     alg: &dyn Algorithm,
     n: usize,
     toss: Arc<dyn TossAssignment>,
@@ -224,6 +214,7 @@ mod tests {
             Arc::new(ZeroTosses),
             &standard_portfolio(4, 2),
             10_000,
+            &Sweep::sequential(),
         )
         .unwrap();
         assert!(!report.ok());
@@ -262,6 +253,7 @@ mod tests {
             Arc::new(ZeroTosses),
             &standard_portfolio(5, 3),
             100_000,
+            &Sweep::sequential(),
         )
         .unwrap();
         assert!(report.ok(), "{report}");

@@ -430,7 +430,7 @@ mod tests {
         let mut t = UpTracker::new(n);
         let all: Vec<_> = ProcessId::all(n).collect();
         for r in 1..=rounds {
-            let rec = execute_round(&mut e, r, &all, MoveOrder::Secretive).unwrap();
+            let rec = execute_round(&mut e, r, &all, MoveOrder::Secretive, true).unwrap();
             t.apply_round(&rec);
         }
         (t, e)
@@ -615,7 +615,7 @@ mod tests {
     fn out_of_order_round_application_panics() {
         let alg = FnAlgorithm::new("noop", |_p, _n| done(Value::from(0i64)).into_program());
         let mut e = Executor::new(&alg, 1, Arc::new(ZeroTosses), ExecutorConfig::default());
-        let rec = execute_round(&mut e, 5, &[ProcessId(0)], MoveOrder::Secretive).unwrap();
+        let rec = execute_round(&mut e, 5, &[ProcessId(0)], MoveOrder::Secretive, true).unwrap();
         let mut t = UpTracker::new(1);
         t.apply_round(&rec);
     }

@@ -126,11 +126,6 @@ impl FetchMultiply {
     pub fn op(v: u64) -> Value {
         encode_op(TAG_FETCH_MULTIPLY, [Value::bits(vec![v])])
     }
-
-    /// The operation `fetch&multiply(v)` for a full-width multiplier.
-    pub fn op_wide(v: Vec<u64>) -> Value {
-        encode_op(TAG_FETCH_MULTIPLY, [Value::bits(v)])
-    }
 }
 
 impl ObjectSpec for FetchMultiply {
@@ -229,7 +224,7 @@ mod tests {
     #[test]
     fn fetch_multiply_wide_arguments() {
         let obj = FetchMultiply::new(128);
-        let big = FetchMultiply::op_wide(vec![0, 1]); // 2^64
+        let big = encode_op(TAG_FETCH_MULTIPLY, [Value::bits(vec![0, 1])]); // 2^64
         let (s, _) = obj.apply(&obj.initial(), &big);
         assert_eq!(s, Value::bits(vec![0, 1]));
     }

@@ -121,14 +121,6 @@ impl MapTosses {
         self.table.insert((p, index), outcome);
         self
     }
-
-    /// Pins `p`'s toss sequence to the given outcomes starting at toss 0.
-    pub fn with_sequence<I: IntoIterator<Item = u64>>(mut self, p: ProcessId, seq: I) -> Self {
-        for (i, o) in seq.into_iter().enumerate() {
-            self.table.insert((p, i as u64), o);
-        }
-        self
-    }
 }
 
 impl TossAssignment for MapTosses {
@@ -187,7 +179,8 @@ mod tests {
     fn map_tosses_table_and_default() {
         let t = MapTosses::new(9)
             .with(ProcessId(0), 0, 1)
-            .with_sequence(ProcessId(1), [5, 6]);
+            .with(ProcessId(1), 0, 5)
+            .with(ProcessId(1), 1, 6);
         assert_eq!(t.outcome(ProcessId(0), 0), 1);
         assert_eq!(t.outcome(ProcessId(0), 1), 9);
         assert_eq!(t.outcome(ProcessId(1), 0), 5);

@@ -1,24 +1,29 @@
-//! The crash-fault adversary: deterministic crash-stop injection.
+//! The crash-fault adversary: deterministic crash-stop and crash-recovery
+//! injection, driven by one event clock.
 //!
 //! Jayanti's adversary gets its power from delaying processes; a
 //! crash-stop fault is the limit case where a process is delayed
-//! *forever*. [`CrashPlan`] decides *who* crashes and *when* (an event
-//! count in the global run — the adversary watches the run, exactly like
-//! a [`Scheduler`]), and [`CrashScheduler`] wraps an inner scheduler and
-//! injects the crashes while driving, so the same plan replayed against
-//! the same algorithm and seed produces the identical partial run.
+//! *forever*. The crash-recovery model adds a respawn: the victim loses
+//! its local state and re-enters through the algorithm's recovery section.
+//! Crash-stop is the crash-recovery model with no respawn budget, so one
+//! driver delivers both. [`CrashPlan`] decides *who* crashes and *when*
+//! (an event count in the global run — the adversary watches the run,
+//! exactly like a [`Scheduler`]), an optional [`RecoverySpec`] decides
+//! whether and when victims come back, and [`CrashDriver`] wraps an inner
+//! scheduler and delivers both while driving. The same plan replayed
+//! against the same algorithm and seed produces the identical run.
 //!
 //! Everything here is seeded and deterministic: [`CrashPlan::seeded`]
 //! derives victims and crash points purely from `(seed, n, k, window)`,
-//! which is how the E15 degradation experiment stays `--threads`-invariant.
+//! which is how the fault experiments stay `--threads`-invariant.
 //!
 //! # Examples
 //!
 //! ```
 //! use llsc_shmem::dsl::{done, ll, sc};
 //! use llsc_shmem::{
-//!     CrashPlan, CrashScheduler, Executor, ExecutorConfig, FnAlgorithm, ProcessId,
-//!     RegisterId, RoundRobinScheduler, RunOutcome, Value, ZeroTosses,
+//!     CrashDriver, CrashPlan, Executor, ExecutorConfig, FnAlgorithm, ProcessId, RegisterId,
+//!     RoundRobinScheduler, RunOutcome, Value, ZeroTosses,
 //! };
 //! use std::sync::Arc;
 //!
@@ -29,8 +34,8 @@
 //! });
 //! let mut exec = Executor::new(&alg, 2, Arc::new(ZeroTosses), ExecutorConfig::default());
 //! let plan = CrashPlan::at([(ProcessId(1), 0)]);
-//! let mut sched = CrashScheduler::new(RoundRobinScheduler::new(), plan);
-//! sched.drive(&mut exec, 1_000).unwrap();
+//! let mut sched = CrashDriver::new(RoundRobinScheduler::new(), &plan, None);
+//! sched.drive(&mut exec, &alg, 1_000).unwrap();
 //! assert_eq!(exec.run_outcome(), RunOutcome::Crashed { pid: ProcessId(1) });
 //! ```
 
@@ -111,81 +116,28 @@ impl CrashPlan {
     }
 }
 
-/// Drives an executor under an inner [`Scheduler`] while injecting the
-/// crashes of a [`CrashPlan`].
-///
-/// This is a *driver*, not a `Scheduler` implementation: injecting a
-/// crash mutates the executor, which `Scheduler::next`'s shared borrow
-/// cannot do. [`CrashScheduler::drive`] interleaves fault injection with
-/// single steps of [`Executor::drive`], checking for due crashes before
-/// every scheduling decision, so a crash point is honoured at exactly the
-/// same event count regardless of the inner schedule.
-#[derive(Clone, Debug)]
-pub struct CrashScheduler<S> {
-    inner: S,
-    plan: CrashPlan,
+/// The crash-*recovery* regime of a run: each crash victim is revived
+/// `delay` events after crashing, and may be re-crashed up to `budget`
+/// times in total (budget 0: the plan's crash is final). A run without
+/// one (`Option<RecoverySpec>::None`) is crash-stop, which
+/// [`CrashDriver`] delivers exactly as budget 0.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RecoverySpec {
+    /// Events between a crash and the victim's recovery.
+    pub delay: u64,
+    /// Maximum crashes per victim, each one recovered; 0 grants no
+    /// recovery, so the plan's crash is final.
+    pub budget: u64,
 }
 
-impl<S: Scheduler> CrashScheduler<S> {
-    /// Wraps `inner` with the given crash plan.
-    pub fn new(inner: S, plan: CrashPlan) -> Self {
-        CrashScheduler { inner, plan }
-    }
-
-    /// The crash plan.
-    pub fn plan(&self) -> &CrashPlan {
-        &self.plan
-    }
-
-    /// Crashes every process whose threshold has been reached. Terminated
-    /// processes survive their crash point (see [`CrashPlan`]).
-    fn apply_due_crashes(&self, exec: &mut Executor) {
-        for &(p, at) in self.plan.crashes() {
-            if exec.recorded_events() >= at && exec.is_runnable(p) {
-                exec.crash(p);
-            }
-        }
-    }
-
-    /// Runs the executor under the inner scheduler until every process
-    /// settles (terminates or crashes), the inner scheduler declines, or
-    /// `max_steps` steps have been taken. Returns the steps taken;
-    /// classify the result with [`Executor::run_outcome`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`RunError`] the executor reports
-    /// (budget/burst faults — a crash injected by this driver is a
-    /// recorded fact about the run, not an `Err`).
-    pub fn drive(&mut self, exec: &mut Executor, max_steps: u64) -> Result<u64, RunError> {
-        let mut steps = 0;
-        loop {
-            self.apply_due_crashes(exec);
-            if steps >= max_steps || exec.all_settled() {
-                return Ok(steps);
-            }
-            let took = exec.drive(&mut self.inner, 1)?;
-            if took == 0 {
-                // The inner scheduler declined.
-                return Ok(steps);
-            }
-            steps += took;
-        }
-    }
-}
-
-/// One victim's crash/recovery state inside a
-/// [`RecoveringCrashScheduler`].
+/// One victim's crash/recovery state inside a [`CrashDriver`].
 #[derive(Clone, Debug)]
-struct RecoveryEntry {
-    victim: ProcessId,
+struct Victim {
+    pid: ProcessId,
     /// Event threshold of the next crash.
     next_at: u64,
     /// Crashes still allowed for this victim (the bounded crash budget).
     crashes_left: u64,
-    /// Whether a crash is followed by a recovery: `false` only under a
-    /// zero budget, where the plan's crash is final.
-    recovers: bool,
     /// Event threshold of the pending recovery, while crashed.
     recover_at: Option<u64>,
     /// Re-arm distance between a recovery and the victim's next crash
@@ -194,57 +146,68 @@ struct RecoveryEntry {
     period: u64,
 }
 
-/// Drives an executor under the crash-*recovery* fault model: the
-/// [`CrashPlan`]'s crashes fire exactly as under [`CrashScheduler`], but
-/// each victim is *recovered* ([`Executor::recover`]) a fixed number of
-/// events later — it loses its local state and re-enters through the
-/// algorithm's recovery section (its respawned program) against the
-/// surviving shared memory. Each victim may be re-crashed after
-/// recovering, up to a per-victim crash `budget`, re-armed at the plan's
-/// original threshold distance; this is the "repeated crashes of the same
-/// process" adversary the recoverable algorithms are measured against.
+/// Drives an executor under an inner [`Scheduler`] while delivering a
+/// [`CrashPlan`]'s crashes and, under a [`RecoverySpec`], their
+/// recoveries.
 ///
-/// Recoveries are driven by the same deterministic global event clock as
-/// crashes. One asymmetry: when every process has settled (so no event
+/// Each planned crash fires as soon as the executor has recorded at least
+/// its threshold of events. Without a recovery regime, or with budget 0,
+/// that crash is final: the crash-stop model. With a positive budget each
+/// victim is *recovered* ([`Executor::recover`]) a fixed number of events
+/// later — it loses its local state and re-enters through the algorithm's
+/// recovery section (its respawned program) against the surviving shared
+/// memory — and may be re-crashed after recovering, up to its crash
+/// budget, re-armed at the plan's original threshold distance; this is the
+/// "repeated crashes of the same process" adversary the recoverable
+/// algorithms are measured against.
+///
+/// Crashes and recoveries follow the same deterministic global event
+/// clock, checked before every scheduling decision, so a crash point is
+/// honoured at exactly the same event count regardless of the inner
+/// schedule. One asymmetry: when every process has settled (so no event
 /// will ever advance the clock again), pending recoveries fire
 /// immediately instead of deadlocking the run — a crashed-but-recoverable
 /// process is *not* gone forever, which is the whole point of the model.
 ///
-/// Like [`CrashScheduler`] this is a driver, not a [`Scheduler`]: both
-/// crashing and recovering mutate the executor.
+/// This is a *driver*, not a [`Scheduler`]: crashing and recovering
+/// mutate the executor, which `Scheduler::next`'s shared borrow cannot
+/// do.
 #[derive(Clone, Debug)]
-pub struct RecoveringCrashScheduler<S> {
+pub struct CrashDriver<S> {
     inner: S,
-    entries: Vec<RecoveryEntry>,
-    delay: u64,
+    victims: Vec<Victim>,
+    /// Events between a crash and its recovery; `None` when no crash is
+    /// ever recovered (crash-stop, or a budget of 0).
+    delay: Option<u64>,
     crashes_delivered: u64,
     recoveries: u64,
 }
 
-impl<S: Scheduler> RecoveringCrashScheduler<S> {
-    /// Wraps `inner` with `plan`'s crashes, recovering each victim
-    /// `delay` events after its crash (clamped to at least 1) and
-    /// allowing each victim at most `budget` crashes in total, each one
-    /// recovered (the plan's own crash is the first). A `budget` of 0
-    /// grants no recovery at all: the plan's crash still fires and is
-    /// final, as when the hardware supervisor's respawn budget is spent.
-    pub fn new(inner: S, plan: &CrashPlan, delay: u64, budget: u64) -> Self {
-        let entries = plan
+impl<S: Scheduler> CrashDriver<S> {
+    /// Wraps `inner` with `plan`'s crashes. Under `recovery` each victim
+    /// is recovered `delay` events after its crash (a delay of at least
+    /// one event) and crashed at most `budget` times in total, each crash
+    /// recovered (the plan's own crash is the first). `None`, like a
+    /// `budget` of 0, grants no recovery at all: the plan's crash still
+    /// fires and is final, as when the hardware supervisor's respawn
+    /// budget is spent.
+    pub fn new(inner: S, plan: &CrashPlan, recovery: Option<RecoverySpec>) -> Self {
+        let budget = recovery.map_or(0, |r| r.budget);
+        let victims = plan
             .crashes()
             .iter()
-            .map(|&(victim, at)| RecoveryEntry {
-                victim,
+            .map(|&(pid, at)| Victim {
+                pid,
                 next_at: at,
                 crashes_left: budget.max(1),
-                recovers: budget > 0,
                 recover_at: None,
                 period: at.max(1),
             })
             .collect();
-        RecoveringCrashScheduler {
+        CrashDriver {
             inner,
-            entries,
-            delay: delay.max(1),
+            victims,
+            delay: recovery.filter(|r| r.budget > 0).map(|r| r.delay.max(1)),
             crashes_delivered: 0,
             recoveries: 0,
         }
@@ -263,30 +226,28 @@ impl<S: Scheduler> RecoveringCrashScheduler<S> {
     /// Fires every due recovery and due crash at the current event count.
     /// Recoveries are checked first so a victim whose recovery and
     /// re-crash are both due gets to recover (and take its re-armed crash
-    /// at a strictly later event).
+    /// at a strictly later event). Terminated processes survive their
+    /// crash point (see [`CrashPlan`]).
     fn apply_due(&mut self, exec: &mut Executor, alg: &dyn Algorithm) {
         let now = exec.recorded_events();
         let (mut crashed, mut recovered) = (0u64, 0u64);
-        for e in &mut self.entries {
-            if let Some(at) = e.recover_at {
+        for v in &mut self.victims {
+            if let Some(at) = v.recover_at {
                 if now >= at {
-                    if exec.recover(e.victim, alg) {
+                    if exec.recover(v.pid, alg) {
                         recovered += 1;
                     }
-                    e.recover_at = None;
-                    if e.crashes_left > 0 {
-                        e.next_at = now + e.period;
+                    v.recover_at = None;
+                    if v.crashes_left > 0 {
+                        v.next_at = now + v.period;
                     }
                 }
             }
-            if e.crashes_left > 0
-                && e.recover_at.is_none()
-                && now >= e.next_at
-                && exec.crash(e.victim)
+            if v.crashes_left > 0 && v.recover_at.is_none() && now >= v.next_at && exec.crash(v.pid)
             {
                 crashed += 1;
-                e.crashes_left -= 1;
-                e.recover_at = e.recovers.then_some(now + self.delay);
+                v.crashes_left -= 1;
+                v.recover_at = self.delay.map(|d| now + d);
             }
         }
         self.crashes_delivered += crashed;
@@ -299,14 +260,14 @@ impl<S: Scheduler> RecoveringCrashScheduler<S> {
     fn force_pending_recoveries(&mut self, exec: &mut Executor, alg: &dyn Algorithm) -> bool {
         let now = exec.recorded_events();
         let mut revived = false;
-        for e in &mut self.entries {
-            if e.recover_at.take().is_some() {
-                if exec.recover(e.victim, alg) {
+        for v in &mut self.victims {
+            if v.recover_at.take().is_some() {
+                if exec.recover(v.pid, alg) {
                     self.recoveries += 1;
                     revived = true;
                 }
-                if e.crashes_left > 0 {
-                    e.next_at = now + e.period;
+                if v.crashes_left > 0 {
+                    v.next_at = now + v.period;
                 }
             }
         }
@@ -314,16 +275,17 @@ impl<S: Scheduler> RecoveringCrashScheduler<S> {
     }
 
     /// Runs the executor under the inner scheduler until every process
-    /// settles with no recovery pending, the inner scheduler declines, or
-    /// `max_steps` steps have been taken. Returns the steps taken;
-    /// classify the result with [`Executor::run_outcome`]. `alg` must be
-    /// the algorithm the executor is running (recovery respawns its
-    /// programs).
+    /// settles (terminates or crashes) with no recovery pending, the inner
+    /// scheduler declines, or `max_steps` steps have been taken. Returns
+    /// the steps taken; classify the result with
+    /// [`Executor::run_outcome`]. `alg` must be the algorithm the executor
+    /// is running (recovery respawns its programs).
     ///
     /// # Errors
     ///
-    /// Propagates the first [`RunError`] the executor reports, exactly
-    /// like [`CrashScheduler::drive`].
+    /// Propagates the first [`RunError`] the executor reports
+    /// (budget/burst faults — a crash injected by this driver is a
+    /// recorded fact about the run, not an `Err`).
     pub fn drive(
         &mut self,
         exec: &mut Executor,
@@ -384,6 +346,10 @@ mod tests {
         .with_initial_memory(vec![(RegisterId(0), Value::from(0i64))])
     }
 
+    fn recovery(delay: u64, budget: u64) -> Option<RecoverySpec> {
+        Some(RecoverySpec { delay, budget })
+    }
+
     fn exec(n: usize) -> Executor {
         Executor::new(
             &counter_like(),
@@ -396,8 +362,8 @@ mod tests {
     #[test]
     fn empty_plan_is_transparent() {
         let mut a = exec(3);
-        CrashScheduler::new(RoundRobinScheduler::new(), CrashPlan::none())
-            .drive(&mut a, 1_000)
+        CrashDriver::new(RoundRobinScheduler::new(), &CrashPlan::none(), None)
+            .drive(&mut a, &counter_like(), 1_000)
             .unwrap();
         let mut b = exec(3);
         b.drive(&mut RoundRobinScheduler::new(), 1_000).unwrap();
@@ -409,8 +375,8 @@ mod tests {
     fn crash_at_zero_keeps_victim_stepless() {
         let mut e = exec(3);
         let plan = CrashPlan::at([(ProcessId(1), 0)]);
-        CrashScheduler::new(RoundRobinScheduler::new(), plan)
-            .drive(&mut e, 1_000)
+        CrashDriver::new(RoundRobinScheduler::new(), &plan, None)
+            .drive(&mut e, &counter_like(), 1_000)
             .unwrap();
         assert_eq!(e.run().shared_steps(ProcessId(1)), 0);
         assert!(e.is_terminated(ProcessId(0)) && e.is_terminated(ProcessId(2)));
@@ -424,8 +390,8 @@ mod tests {
         // p0 finishes long before event 1000; the crash is a no-op.
         let mut e = exec(2);
         let plan = CrashPlan::at([(ProcessId(0), 1_000)]);
-        CrashScheduler::new(RoundRobinScheduler::new(), plan)
-            .drive(&mut e, 10_000)
+        CrashDriver::new(RoundRobinScheduler::new(), &plan, None)
+            .drive(&mut e, &counter_like(), 10_000)
             .unwrap();
         assert_eq!(e.run_outcome(), RunOutcome::Completed);
     }
@@ -455,8 +421,8 @@ mod tests {
         let run_once = || {
             let mut e = exec(6);
             let plan = CrashPlan::seeded(7, 6, 2, 10);
-            CrashScheduler::new(RoundRobinScheduler::new(), plan)
-                .drive(&mut e, 10_000)
+            CrashDriver::new(RoundRobinScheduler::new(), &plan, None)
+                .drive(&mut e, &counter_like(), 10_000)
                 .unwrap();
             (e.run().events().to_vec(), e.run_outcome())
         };
@@ -479,8 +445,8 @@ mod tests {
     fn crashing_everyone_at_event_zero_settles_with_no_events() {
         let mut e = exec(3);
         let plan = CrashPlan::at((0..3).map(|p| (ProcessId(p), 0)));
-        let steps = CrashScheduler::new(RoundRobinScheduler::new(), plan)
-            .drive(&mut e, 1_000)
+        let steps = CrashDriver::new(RoundRobinScheduler::new(), &plan, None)
+            .drive(&mut e, &counter_like(), 1_000)
             .unwrap();
         assert_eq!(steps, 0, "nobody was left to step");
         assert_eq!(e.recorded_events(), 0);
@@ -494,8 +460,8 @@ mod tests {
         // scheduled out there is dead code in the plan.
         let mut e = exec(4);
         let plan = CrashPlan::at([(ProcessId(2), 1_000), (ProcessId(3), u64::MAX)]);
-        CrashScheduler::new(RoundRobinScheduler::new(), plan)
-            .drive(&mut e, 100_000)
+        CrashDriver::new(RoundRobinScheduler::new(), &plan, None)
+            .drive(&mut e, &counter_like(), 100_000)
             .unwrap();
         assert_eq!(e.run_outcome(), RunOutcome::Completed);
         assert!(!e.is_crashed(ProcessId(2)) && !e.is_crashed(ProcessId(3)));
@@ -521,8 +487,8 @@ mod tests {
         let victims: Vec<usize> = plan.crashes().iter().map(|(p, _)| p.0).collect();
         assert_eq!(victims, vec![0, 1, 2, 3], "all of them, in id order");
         let mut e = exec(4);
-        CrashScheduler::new(RoundRobinScheduler::new(), plan)
-            .drive(&mut e, 10_000)
+        CrashDriver::new(RoundRobinScheduler::new(), &plan, None)
+            .drive(&mut e, &counter_like(), 10_000)
             .unwrap();
         assert!(!e.all_terminated(), "k = n leaves no survivor group");
         assert!(matches!(e.run_outcome(), RunOutcome::Crashed { .. }));
@@ -542,7 +508,7 @@ mod tests {
         let alg = counter_like();
         let mut e = exec(3);
         let plan = CrashPlan::at([(ProcessId(1), 0)]);
-        let mut sched = RecoveringCrashScheduler::new(RoundRobinScheduler::new(), &plan, 3, 1);
+        let mut sched = CrashDriver::new(RoundRobinScheduler::new(), &plan, recovery(3, 1));
         sched.drive(&mut e, &alg, 10_000).unwrap();
         assert_eq!(e.run_outcome(), RunOutcome::Completed);
         assert_eq!(sched.crashes_delivered(), 1);
@@ -561,7 +527,7 @@ mod tests {
         let alg = counter_like();
         let mut e = exec(2);
         let plan = CrashPlan::at([(ProcessId(0), 1)]);
-        let mut sched = RecoveringCrashScheduler::new(RoundRobinScheduler::new(), &plan, 2, 2);
+        let mut sched = CrashDriver::new(RoundRobinScheduler::new(), &plan, recovery(2, 2));
         sched.drive(&mut e, &alg, 10_000).unwrap();
         assert_eq!(e.run_outcome(), RunOutcome::Completed);
         assert_eq!(sched.crashes_delivered(), 2);
@@ -577,7 +543,7 @@ mod tests {
             let mut e = exec(2);
             let plan = CrashPlan::at([(ProcessId(1), 1)]);
             let mut sched =
-                RecoveringCrashScheduler::new(RoundRobinScheduler::new(), &plan, 1, budget);
+                CrashDriver::new(RoundRobinScheduler::new(), &plan, recovery(1, budget));
             sched.drive(&mut e, &alg, 100_000).unwrap();
             assert_eq!(e.run_outcome(), RunOutcome::Completed);
             assert_eq!(sched.crashes_delivered(), budget, "budget is spent");
@@ -593,7 +559,7 @@ mod tests {
         let alg = counter_like();
         let mut e = exec(2);
         let plan = CrashPlan::at([(ProcessId(1), 1)]);
-        let mut sched = RecoveringCrashScheduler::new(RoundRobinScheduler::new(), &plan, 1, 0);
+        let mut sched = CrashDriver::new(RoundRobinScheduler::new(), &plan, recovery(1, 0));
         sched.drive(&mut e, &alg, 100_000).unwrap();
         assert_eq!(e.run_outcome(), RunOutcome::Crashed { pid: ProcessId(1) });
         assert_eq!(sched.crashes_delivered(), 1);
@@ -609,8 +575,7 @@ mod tests {
         let alg = counter_like();
         let mut e = exec(2);
         let plan = CrashPlan::at([(ProcessId(0), 0)]);
-        let mut sched =
-            RecoveringCrashScheduler::new(RoundRobinScheduler::new(), &plan, 1_000_000, 1);
+        let mut sched = CrashDriver::new(RoundRobinScheduler::new(), &plan, recovery(1_000_000, 1));
         sched.drive(&mut e, &alg, 10_000).unwrap();
         assert_eq!(e.run_outcome(), RunOutcome::Completed);
         assert_eq!(sched.recoveries(), 1);
@@ -622,7 +587,7 @@ mod tests {
         let run_once = || {
             let mut e = exec(5);
             let plan = CrashPlan::seeded(11, 5, 3, 12);
-            let mut sched = RecoveringCrashScheduler::new(RoundRobinScheduler::new(), &plan, 4, 2);
+            let mut sched = CrashDriver::new(RoundRobinScheduler::new(), &plan, recovery(4, 2));
             sched.drive(&mut e, &alg, 100_000).unwrap();
             (
                 e.run().events().to_vec(),
@@ -652,8 +617,8 @@ mod tests {
                 record_details: true,
             },
         );
-        let err = CrashScheduler::new(RoundRobinScheduler::new(), CrashPlan::none())
-            .drive(&mut e, 1_000_000)
+        let err = CrashDriver::new(RoundRobinScheduler::new(), &CrashPlan::none(), None)
+            .drive(&mut e, &alg, 1_000_000)
             .unwrap_err();
         assert_eq!(err, RunError::BudgetExhausted { events: 20 });
     }

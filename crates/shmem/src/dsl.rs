@@ -192,16 +192,6 @@ pub fn fix<S: 'static>(body: impl Fn(S, Recur<S>) -> Step + 'static, init: S) ->
     make(f).call(init)
 }
 
-/// Performs the given operations in order, ignoring their responses, then
-/// continues.
-pub fn perform_all(ops: Vec<Operation>, k: impl FnOnce() -> Step + 'static) -> Step {
-    let mut step = k();
-    for op in ops.into_iter().rev() {
-        step = Step::Op(op, Box::new(move |_| step));
-    }
-    step
-}
-
 enum DslState {
     Initial(Step),
     AwaitCoin(Box<dyn FnOnce(u64) -> Step>),
@@ -319,29 +309,6 @@ mod tests {
         assert_eq!(p.next(Feedback::Coin(5)), Action::Toss);
         assert_eq!(p.next(Feedback::Coin(5)), Action::Toss);
         assert_eq!(p.next(Feedback::Coin(0)), Action::Return(Value::from(3i64)));
-    }
-
-    #[test]
-    fn perform_all_runs_ops_in_order() {
-        let ops = vec![
-            Operation::Swap(RegisterId(0), Value::from(1i64)),
-            Operation::Swap(RegisterId(1), Value::from(2i64)),
-        ];
-        let mut p = perform_all(ops, || done(Value::Unit)).into_program();
-        let a0 = p.next(Feedback::Start);
-        assert_eq!(
-            a0,
-            Action::Invoke(Operation::Swap(RegisterId(0), Value::from(1i64)))
-        );
-        let a1 = p.next(Feedback::Response(Response::Value(Value::Unit)));
-        assert_eq!(
-            a1,
-            Action::Invoke(Operation::Swap(RegisterId(1), Value::from(2i64)))
-        );
-        assert_eq!(
-            p.next(Feedback::Response(Response::Value(Value::Unit))),
-            Action::Return(Value::Unit)
-        );
     }
 
     #[test]

@@ -221,7 +221,7 @@ impl Executor {
     /// at their event thresholds as the run progresses (see
     /// [`FaultPlan`]). Injection happens inside the executor's own
     /// stepping path, so it composes with any [`Scheduler`] — including
-    /// the [`CrashScheduler`](crate::CrashScheduler) wrapper — without a
+    /// the [`CrashDriver`](crate::CrashDriver) wrapper — without a
     /// wrapper of its own.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.injector = Some(FaultInjector::new(plan));
@@ -440,17 +440,11 @@ impl Executor {
         Ok(())
     }
 
-    /// The action `p` will take on its next step, or `None` if `p` has
-    /// terminated. Activates `p` if necessary (activation is a local state
-    /// transition, not a step).
-    pub fn pending_action(&mut self, p: ProcessId) -> Option<Action> {
-        self.ensure_activated(p);
-        self.procs[p.0].pending.clone()
-    }
-
     /// The shared-memory operation `p` is poised to perform, if its next
-    /// step is a shared-memory step. Borrowed straight from the pending
-    /// slot — peeking never clones the operation.
+    /// step is a shared-memory step. Activates `p` if necessary
+    /// (activation is a local state transition, not a step). Borrowed
+    /// straight from the pending slot — peeking never clones the
+    /// operation.
     pub fn pending_op(&mut self, p: ProcessId) -> Option<&Operation> {
         self.ensure_activated(p);
         match &self.procs[p.0].pending {
@@ -752,7 +746,7 @@ mod tests {
     fn immediate_return_records_termination_without_steps() {
         let alg = FnAlgorithm::new("noop", |_pid, _n| done(Value::from(0i64)).into_program());
         let mut exec = Executor::new(&alg, 2, Arc::new(ZeroTosses), ExecutorConfig::default());
-        assert_eq!(exec.pending_action(ProcessId(0)), None);
+        assert_eq!(exec.pending_op(ProcessId(0)), None);
         assert!(exec.is_terminated(ProcessId(0)));
         assert_eq!(exec.run().shared_steps(ProcessId(0)), 0);
     }
@@ -761,7 +755,7 @@ mod tests {
     fn step_on_terminated_process_is_noop() {
         let alg = FnAlgorithm::new("noop", |_pid, _n| done(Value::Unit).into_program());
         let mut exec = Executor::new(&alg, 1, Arc::new(ZeroTosses), ExecutorConfig::default());
-        exec.pending_action(ProcessId(0));
+        exec.pending_op(ProcessId(0));
         assert_eq!(
             exec.step(ProcessId(0)).unwrap(),
             StepOutcome::AlreadyTerminated

@@ -234,15 +234,6 @@ impl FaultInjector {
         Some(clear)
     }
 
-    /// A seeded arbitrary replacement for `v` *of the same type*; the
-    /// by-value convenience form of [`FaultInjector::corrupt_in_place`]
-    /// (same mutation stream: both draw identically from the value seed).
-    pub fn corrupt_value(&mut self, v: &Value) -> Value {
-        let mut out = v.clone();
-        self.corrupt_in_place(&mut out);
-        out
-    }
-
     /// Corrupts `v` *in place*, preserving its type: the corrupted
     /// register stays type-plausible (an `Int` stays an `Int`, a bit
     /// string keeps its width — one word gets one bit flipped, no buffer
@@ -359,6 +350,13 @@ mod tests {
         assert!(z.spurious().iter().all(|&t| t == 0));
     }
 
+    /// `v` after one in-place corruption by `inj`.
+    fn corrupted(inj: &mut FaultInjector, v: &Value) -> Value {
+        let mut out = v.clone();
+        inj.corrupt_in_place(&mut out);
+        out
+    }
+
     #[test]
     fn corrupt_value_preserves_type_and_differs() {
         let mut inj = FaultInjector::new(FaultPlan::at([], [], 7));
@@ -368,10 +366,12 @@ mod tests {
             Value::Pid(ProcessId(3)),
             Value::Reg(RegisterId(9)),
             Value::bits(vec![0, 1]),
+            Value::bits(vec![]),
             Value::tuple([Value::Int(1), Value::Bool(false)]),
+            Value::tuple([Value::bits(vec![1]), Value::Int(0)]),
         ];
         for v in &cases {
-            let c = inj.corrupt_value(v);
+            let c = corrupted(&mut inj, v);
             assert_ne!(&c, v, "corruption must be observable for {v}");
             assert_eq!(
                 std::mem::discriminant(&c),
@@ -380,37 +380,15 @@ mod tests {
             );
         }
         // Unit is the documented fixed point.
-        assert_eq!(inj.corrupt_value(&Value::Unit), Value::Unit);
+        assert_eq!(corrupted(&mut inj, &Value::Unit), Value::Unit);
         // Bit strings keep their width.
-        let c = inj.corrupt_value(&Value::bits(vec![7, 7, 7]));
+        let c = corrupted(&mut inj, &Value::bits(vec![7, 7, 7]));
         assert_eq!(c.as_bits().map(<[u64]>::len), Some(3));
         // Tuples keep their arity (one corrupted element).
         let t = Value::tuple([Value::Int(1), Value::Int(2)]);
-        assert_eq!(inj.corrupt_value(&t).len(), Some(2));
+        assert_eq!(corrupted(&mut inj, &t).len(), Some(2));
         // Empty tuple corrupts to Unit (still observable).
-        assert_eq!(inj.corrupt_value(&Value::empty_tuple()), Value::Unit);
-    }
-
-    #[test]
-    fn corrupt_in_place_matches_the_by_value_stream() {
-        let mut a = FaultInjector::new(FaultPlan::at([], [], 13));
-        let mut b = FaultInjector::new(FaultPlan::at([], [], 13));
-        let cases = [
-            Value::Unit,
-            Value::Bool(false),
-            Value::Int(999),
-            Value::Pid(ProcessId(7)),
-            Value::Reg(RegisterId(2)),
-            Value::bits(vec![5, 6]),
-            Value::bits(vec![]),
-            Value::tuple([Value::bits(vec![1]), Value::Int(0)]),
-            Value::empty_tuple(),
-        ];
-        for v in &cases {
-            let mut m = v.clone();
-            a.corrupt_in_place(&mut m);
-            assert_eq!(m, b.corrupt_value(v), "streams diverged on {v}");
-        }
+        assert_eq!(corrupted(&mut inj, &Value::empty_tuple()), Value::Unit);
     }
 
     #[test]
@@ -419,8 +397,8 @@ mod tests {
         let mut b = FaultInjector::new(FaultPlan::at([], [], 11));
         for _ in 0..20 {
             assert_eq!(
-                a.corrupt_value(&Value::Int(100)),
-                b.corrupt_value(&Value::Int(100))
+                corrupted(&mut a, &Value::Int(100)),
+                corrupted(&mut b, &Value::Int(100))
             );
         }
     }

@@ -29,8 +29,9 @@
 //!
 //! Execution is fault-tolerant by construction: safety-limit trips are
 //! structured [`RunError`]s rather than panics (classified per run by
-//! [`RunOutcome`]), crash-stop faults are first-class ([`Executor::crash`],
-//! the seeded [`CrashPlan`]/[`CrashScheduler`] adversary), memory faults —
+//! [`RunOutcome`]), crash-stop and crash-recovery faults are first-class
+//! ([`Executor::crash`], [`Executor::recover`], and the seeded
+//! [`CrashPlan`] delivered by one [`CrashDriver`]), memory faults —
 //! spurious SC failures and transient register corruption, the weak-LL/SC
 //! semantics of real hardware — are injected deterministically by a seeded
 //! [`FaultPlan`] ([`Executor::set_fault_plan`]), and the [`Sweep`] trial
@@ -105,7 +106,7 @@ pub use cancel::{panic_message, CancelToken, CANCEL_POLL_EVENTS};
 pub use chaos::ChaosPlan;
 pub use checkpoint::{CheckpointError, LoadedCheckpoint, SkippedCheckpoint};
 pub use coin::{ConstantTosses, MapTosses, SeededTosses, TossAssignment, ZeroTosses};
-pub use crash::{CrashPlan, CrashScheduler, RecoveringCrashScheduler};
+pub use crash::{CrashDriver, CrashPlan, RecoverySpec};
 pub use durable::{atomic_write, fnv64};
 pub use executor::{Executor, ExecutorConfig, StepOutcome};
 pub use fault::{FaultInjector, FaultPlan, FaultStats};
@@ -115,9 +116,7 @@ pub use op::{OpKind, Operation, Response};
 pub use outcome::{RunError, RunOutcome};
 pub use process::{Action, Algorithm, Feedback, FnAlgorithm, Program};
 pub use register::RegisterState;
-pub use repro::{
-    Provenance, RecoverySpec, Replayed, ReproCase, ScheduleSpec, ShrinkReport, TossSpec,
-};
+pub use repro::{Provenance, Replayed, ReproCase, ScheduleSpec, ShrinkReport, TossSpec};
 pub use rmr::{dsm_cost, dsm_home, dsm_remote};
 pub use run::{OpCounters, ProcHistory, Run, RunEvent};
 pub use scheduler::{

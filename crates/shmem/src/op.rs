@@ -169,14 +169,6 @@ impl Response {
             Response::Ack => None,
         }
     }
-
-    /// Consumes the response and returns the carried value, if any.
-    pub fn into_value(self) -> Option<Value> {
-        match self {
-            Response::Value(v) | Response::Flagged { value: v, .. } => Some(v),
-            Response::Ack => None,
-        }
-    }
 }
 
 impl fmt::Display for Response {
@@ -239,10 +231,9 @@ mod tests {
     fn response_accessors() {
         assert_eq!(Response::Ack.flag(), None);
         assert_eq!(Response::Ack.value(), None);
-        assert_eq!(Response::Ack.into_value(), None);
         let v = Response::Value(Value::from(9i64));
         assert_eq!(v.flag(), None);
-        assert_eq!(v.into_value(), Some(Value::from(9i64)));
+        assert_eq!(v.value(), Some(&Value::from(9i64)));
         let fl = Response::Flagged {
             ok: false,
             value: Value::Unit,

@@ -49,7 +49,7 @@ pub enum RunError {
         pid: ProcessId,
     },
     /// The process was crashed by a fault injector (see
-    /// [`CrashScheduler`](crate::CrashScheduler)) and was then explicitly
+    /// [`CrashDriver`](crate::CrashDriver)) and was then explicitly
     /// stepped, or a drive ended with this process crashed before
     /// termination.
     Crashed {

@@ -31,11 +31,6 @@ impl Action {
             _ => None,
         }
     }
-
-    /// `true` iff this action terminates the process.
-    pub fn is_return(&self) -> bool {
-        matches!(self, Action::Return(_))
-    }
 }
 
 impl fmt::Display for Action {
@@ -195,8 +190,6 @@ mod tests {
         let op = Operation::Ll(RegisterId(0));
         assert_eq!(Action::Invoke(op.clone()).operation(), Some(&op));
         assert_eq!(Action::Toss.operation(), None);
-        assert!(Action::Return(Value::Unit).is_return());
-        assert!(!Action::Toss.is_return());
     }
 
     #[test]

@@ -33,9 +33,9 @@
 use crate::json;
 use crate::scheduler::RecordingScheduler;
 use crate::{
-    Algorithm, CrashPlan, CrashScheduler, Executor, ExecutorConfig, FaultPlan, ListScheduler,
-    ProcessId, RandomScheduler, RecoveringCrashScheduler, RoundRobinScheduler, RunOutcome,
-    Scheduler, SeededTosses, TossAssignment, ZeroTosses,
+    Algorithm, CrashDriver, CrashPlan, Executor, ExecutorConfig, FaultPlan, ListScheduler,
+    ProcessId, RandomScheduler, RecoverySpec, RoundRobinScheduler, RunOutcome, Scheduler,
+    SeededTosses, TossAssignment, ZeroTosses,
 };
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -99,21 +99,6 @@ impl ScheduleSpec {
     pub fn is_empty(&self) -> bool {
         matches!(self, ScheduleSpec::List(picks) if picks.is_empty())
     }
-}
-
-/// The crash-*recovery* regime of a reproducible run: when present, the
-/// case's crash plan is driven through a
-/// [`RecoveringCrashScheduler`] instead of a [`CrashScheduler`] — each
-/// victim is revived `delay` events after crashing, and may be
-/// re-crashed up to `budget` times in total (budget 0: the plan's crash
-/// is final).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RecoverySpec {
-    /// Events between a crash and the victim's recovery.
-    pub delay: u64,
-    /// Maximum crashes per victim, each one recovered; 0 grants no
-    /// recovery, so the plan's crash is final.
-    pub budget: u64,
 }
 
 /// Where a case came from: the sweep that produced it, so a failure row
@@ -205,11 +190,10 @@ pub struct Replayed {
 /// [`ReproCase::algorithm`] names), byte-deterministically.
 ///
 /// The drive layers the recorded crash plan over the recorded schedule
-/// exactly as the fault experiments do ([`CrashScheduler`] with the
-/// schedule as its inner scheduler — or a [`RecoveringCrashScheduler`]
-/// when the case records a [`RecoverySpec`]; an empty crash plan makes
-/// either identical to a plain drive), with the fault plan armed on the
-/// executor.
+/// exactly as the fault experiments do: a [`CrashDriver`] with the
+/// schedule as its inner scheduler, under the case's [`RecoverySpec`]
+/// (`None` is crash-stop; an empty crash plan makes the drive identical
+/// to a plain one), with the fault plan armed on the executor.
 pub fn execute(case: &ReproCase, alg: &dyn Algorithm) -> Replayed {
     let config = ExecutorConfig {
         max_events: case.max_events,
@@ -250,22 +234,12 @@ fn drive_recorded<S: Scheduler>(
 ) -> Vec<ProcessId> {
     let mut recorder = RecordingScheduler::new(inner);
     // Outcome classification reads the executor's sticky fault state, so
-    // the drives' own error results are redundant here.
-    match case.recovery {
-        Some(spec) => {
-            let mut driver = RecoveringCrashScheduler::new(
-                &mut recorder,
-                &case.crashes,
-                spec.delay,
-                spec.budget,
-            );
-            let _ = driver.drive(exec, alg, case.max_steps);
-        }
-        None => {
-            let mut driver = CrashScheduler::new(&mut recorder, case.crashes.clone());
-            let _ = driver.drive(exec, case.max_steps);
-        }
-    }
+    // the drive's own error result is redundant here.
+    let _ = CrashDriver::new(&mut recorder, &case.crashes, case.recovery).drive(
+        exec,
+        alg,
+        case.max_steps,
+    );
     recorder.into_trace()
 }
 

@@ -460,23 +460,6 @@ impl Run {
         }
     }
 
-    /// Consumes the run and returns its summary, *moving* the per-process
-    /// counter vectors out instead of cloning them — the right call when
-    /// the run is done (e.g. a lightweight sweep trial that only reports
-    /// counters).
-    pub fn into_counters(self) -> OpCounters {
-        OpCounters {
-            terminated: self.verdicts.iter().filter(|v| v.is_some()).count(),
-            ops: self.shared_steps,
-            tosses: self.tosses,
-            events: self.event_count,
-            cc_rmrs: self.cc_rmrs,
-            dsm_rmrs: self.dsm_rmrs,
-            crashes: self.crash_counts,
-            recoveries: self.recovery_counts,
-        }
-    }
-
     /// `t(p, R)`: the number of shared-memory steps `p` has performed.
     pub fn shared_steps(&self, p: ProcessId) -> u64 {
         self.shared_steps[p.0]
@@ -594,12 +577,6 @@ impl Run {
             events: &self.events,
             indices: &self.histories[p.0],
         }
-    }
-
-    /// `true` iff `p` has taken at least one step (toss, shared op, or
-    /// termination).
-    pub fn has_stepped(&self, p: ProcessId) -> bool {
-        !self.histories[p.0].is_empty()
     }
 
     /// The index (into [`Run::events`]) of `p`'s first event of any kind
@@ -817,8 +794,8 @@ mod tests {
         assert_eq!(run.first_step_index(ProcessId(1)), Some(0));
         assert_eq!(run.first_step_index(ProcessId(0)), Some(1));
         assert_eq!(run.first_step_index(ProcessId(2)), None);
-        assert!(run.has_stepped(ProcessId(0)));
-        assert!(!run.has_stepped(ProcessId(2)));
+        assert!(run.first_step_event(ProcessId(0)).is_some());
+        assert!(run.first_step_event(ProcessId(2)).is_none());
     }
 
     #[test]
@@ -879,8 +856,6 @@ mod tests {
                 by_parts.history(ProcessId(1))
             );
             assert_eq!(by_event.counters(), by_parts.counters());
-            // The consuming summary agrees with the borrowing one.
-            assert_eq!(by_parts.counters(), by_event.into_counters());
         }
     }
 

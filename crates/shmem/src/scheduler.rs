@@ -24,7 +24,7 @@ pub trait Scheduler {
 }
 
 /// A mutable reference to a scheduler is itself a scheduler, so drivers
-/// that take schedulers by value (e.g. [`crate::CrashScheduler`]) can
+/// that take schedulers by value (e.g. [`crate::CrashDriver`]) can
 /// borrow one and hand it back — the replay machinery uses this to
 /// recover a [`RecordingScheduler`]'s trace after a drive.
 impl<S: Scheduler + ?Sized> Scheduler for &mut S {

@@ -5,15 +5,12 @@
 //! SC completes the word (previous word = all bits but its own) returns 1.
 //! This is the Theorem 6.2 fetch&or / fetch&complement mechanism.
 
+use crate::tournament::limbs;
 use llsc_shmem::dsl::{done, ll, sc, Step};
 use llsc_shmem::{Algorithm, ProcessId, Program, RegisterId, Value};
 
 /// The shared bitset register.
 const WORD: RegisterId = RegisterId(0);
-
-fn limbs(n: usize) -> usize {
-    n.div_ceil(64).max(1)
-}
 
 fn bit_is_set(v: &Value, i: usize) -> bool {
     v.bit(i).unwrap_or(false)

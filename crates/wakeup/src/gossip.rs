@@ -30,6 +30,7 @@
 //! (bits only enter circulation through their owners' swaps; counter value
 //! `n` needs `n` increments), so condition 3 holds under any scheduler.
 
+use crate::tournament::{is_full, limbs, own_bits};
 use llsc_shmem::dsl::{done, ll, mv, sc, swap, validate, Step};
 use llsc_shmem::{Algorithm, ProcessId, Program, RegisterId, Value};
 
@@ -51,16 +52,6 @@ fn b_reg(p: usize) -> RegisterId {
     RegisterId(INBOX_BASE + p as u64)
 }
 
-fn limbs(n: usize) -> usize {
-    n.div_ceil(64).max(1)
-}
-
-fn own_bits(pid: ProcessId, n: usize) -> Vec<u64> {
-    let mut w = vec![0u64; limbs(n)];
-    w[pid.0 / 64] |= 1 << (pid.0 % 64);
-    w
-}
-
 fn merge(known: &mut [u64], seen: &Value) {
     if let Some(bits) = seen.as_bits() {
         for (i, w) in bits.iter().enumerate() {
@@ -69,10 +60,6 @@ fn merge(known: &mut [u64], seen: &Value) {
             }
         }
     }
-}
-
-fn is_full(bits: &[u64], n: usize) -> bool {
-    (0..n).all(|i| bits.get(i / 64).is_some_and(|w| (w >> (i % 64)) & 1 == 1))
 }
 
 /// The move/swap/validate gossip wakeup algorithm (with an LL/SC counter

@@ -91,8 +91,8 @@ pub fn hardened_algorithms() -> Vec<Box<dyn Algorithm>> {
 
 /// The crash-recoverable algorithms: durable state machines whose spawn
 /// path doubles as a recovery section under the
-/// [`llsc_shmem::RecoveringCrashScheduler`] adversary. The standard sweep
-/// set for experiment E19.
+/// [`llsc_shmem::CrashDriver`] adversary with a recovery regime. The
+/// standard sweep set for experiment E19.
 pub fn recoverable_algorithms() -> Vec<Box<dyn Algorithm>> {
     vec![
         Box::new(RecoverableMutex),

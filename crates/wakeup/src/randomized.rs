@@ -29,10 +29,11 @@ pub(crate) const SCRATCH_BASE: u64 = 200;
 ///
 /// ```
 /// use llsc_core::{estimate_expected_complexity, AdversaryConfig};
+/// use llsc_shmem::Sweep;
 /// use llsc_wakeup::RandomizedCounterWakeup;
 ///
-/// let rep = estimate_expected_complexity(
-///     &RandomizedCounterWakeup, 8, 0..16, &AdversaryConfig::default())
+/// let cfg = AdversaryConfig::default();
+/// let rep = estimate_expected_complexity(&RandomizedCounterWakeup, 8, 0..16, &cfg, &Sweep::sequential())
 ///     .expect("every sampled run completes within the default budgets");
 /// assert_eq!(rep.termination_rate, 1.0);
 /// assert!(rep.all_meet_bound);
@@ -115,7 +116,7 @@ impl Algorithm for BackoffWakeup {
 mod tests {
     use super::*;
     use llsc_core::{build_all_run, check_wakeup, estimate_expected_complexity, AdversaryConfig};
-    use llsc_shmem::{SeededTosses, ZeroTosses};
+    use llsc_shmem::{SeededTosses, Sweep, ZeroTosses};
     use std::sync::Arc;
 
     #[test]
@@ -160,6 +161,7 @@ mod tests {
                 n,
                 0..25,
                 &AdversaryConfig::default(),
+                &Sweep::sequential(),
             )
             .unwrap();
             assert_eq!(rep.termination_rate, 1.0, "n={n}");

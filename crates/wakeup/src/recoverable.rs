@@ -1,8 +1,8 @@
 //! Crash-recoverable algorithms: durable state machines for the
 //! crash-*recovery* fault model.
 //!
-//! Under the [`llsc_shmem::RecoveringCrashScheduler`] adversary a crashed
-//! process does not stay down: it is revived with its *local* state wiped
+//! Under the [`llsc_shmem::CrashDriver`] adversary with a recovery
+//! regime a crashed process does not stay down: it is revived with its *local* state wiped
 //! (program respawned from [`Algorithm::spawn`]) against the surviving
 //! shared memory. The algorithms here are written so that `spawn` doubles
 //! as the *recovery section* in the sense of Golab & Ramaraju's
@@ -375,10 +375,14 @@ mod tests {
     use super::*;
     use llsc_core::check_wakeup;
     use llsc_shmem::{
-        CrashPlan, Executor, ExecutorConfig, RandomScheduler, RecoveringCrashScheduler,
+        CrashDriver, CrashPlan, Executor, ExecutorConfig, RandomScheduler, RecoverySpec,
         RoundRobinScheduler, RunOutcome, SeededTosses, ZeroTosses,
     };
     use std::sync::Arc;
+
+    fn recovery(delay: u64, budget: u64) -> Option<RecoverySpec> {
+        Some(RecoverySpec { delay, budget })
+    }
 
     fn fresh(alg: &dyn Algorithm, n: usize) -> Executor {
         Executor::new(alg, n, Arc::new(ZeroTosses), ExecutorConfig::default())
@@ -411,7 +415,7 @@ mod tests {
             let alg = RecoverableMutex;
             let mut e = fresh(&alg, n);
             let plan = CrashPlan::seeded(seed, n, 2, 24);
-            let mut sched = RecoveringCrashScheduler::new(RandomScheduler::new(seed), &plan, 3, 2);
+            let mut sched = CrashDriver::new(RandomScheduler::new(seed), &plan, recovery(3, 2));
             sched.drive(&mut e, &alg, 1_000_000).unwrap();
             assert_eq!(e.run_outcome(), RunOutcome::Completed, "seed={seed}");
             assert_eq!(
@@ -436,7 +440,7 @@ mod tests {
         for at in 0..12 {
             let mut e = fresh(&alg, n);
             let plan = CrashPlan::at([(ProcessId(0), at)]);
-            let mut sched = RecoveringCrashScheduler::new(RoundRobinScheduler::new(), &plan, 4, 1);
+            let mut sched = CrashDriver::new(RoundRobinScheduler::new(), &plan, recovery(4, 1));
             sched.drive(&mut e, &alg, 1_000_000).unwrap();
             assert_eq!(e.run_outcome(), RunOutcome::Completed, "crash at {at}");
             assert_eq!(tokens_of(&e, n), vec![1, 2, 3], "crash at {at}");
@@ -463,7 +467,7 @@ mod tests {
             let alg = RecoverableCounterWakeup;
             let mut e = fresh(&alg, n);
             let plan = CrashPlan::seeded(seed, n, 2, 32);
-            let mut sched = RecoveringCrashScheduler::new(RandomScheduler::new(seed), &plan, 4, 2);
+            let mut sched = CrashDriver::new(RandomScheduler::new(seed), &plan, recovery(4, 2));
             sched.drive(&mut e, &alg, 1_000_000).unwrap();
             assert_eq!(e.run_outcome(), RunOutcome::Completed, "seed={seed}");
             let check = check_wakeup(e.run());
@@ -490,7 +494,7 @@ mod tests {
             );
             let plan = CrashPlan::seeded(seed, n, 2, 32);
             let mut sched =
-                RecoveringCrashScheduler::new(RandomScheduler::new(seed ^ 0x9E37), &plan, 4, 2);
+                CrashDriver::new(RandomScheduler::new(seed ^ 0x9E37), &plan, recovery(4, 2));
             sched.drive(&mut e, &alg, 1_000_000).unwrap();
             assert_eq!(e.run_outcome(), RunOutcome::Completed, "seed={seed}");
             let check = check_wakeup(e.run());
@@ -511,7 +515,7 @@ mod tests {
                 ExecutorConfig::default(),
             );
             let plan = CrashPlan::seeded(13, n, 3, 24);
-            let mut sched = RecoveringCrashScheduler::new(RandomScheduler::new(13), &plan, 3, 2);
+            let mut sched = CrashDriver::new(RandomScheduler::new(13), &plan, recovery(3, 2));
             sched.drive(&mut e, alg, 1_000_000).unwrap();
             (e.run().events().to_vec(), e.run_outcome())
         };

@@ -220,11 +220,6 @@ impl ObjectWakeup {
     pub fn kind(&self) -> ReductionKind {
         self.kind
     }
-
-    /// The wrapped implementation's name.
-    pub fn implementation_name(&self) -> String {
-        self.imp.name()
-    }
 }
 
 impl fmt::Debug for ObjectWakeup {

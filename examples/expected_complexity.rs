@@ -14,7 +14,7 @@
 //! adversarially chosen all-odd coin assignment never competes.
 
 use llsc_lowerbound::core::{build_all_run, estimate_expected_complexity, AdversaryConfig};
-use llsc_lowerbound::shmem::ConstantTosses;
+use llsc_lowerbound::shmem::{ConstantTosses, Sweep};
 use llsc_lowerbound::wakeup::{randomized_algorithms, BackoffWakeup};
 use std::sync::Arc;
 
@@ -28,8 +28,9 @@ fn main() {
     println!("{:-<74}", "");
     for alg in randomized_algorithms() {
         for n in [4usize, 16, 64] {
-            let rep = estimate_expected_complexity(alg.as_ref(), n, 0..40, &cfg)
-                .expect("every sampled run stays within the default budgets");
+            let rep =
+                estimate_expected_complexity(alg.as_ref(), n, 0..40, &cfg, &Sweep::sequential())
+                    .expect("every sampled run stays within the default budgets");
             assert!(rep.all_meet_bound);
             println!(
                 "{:<28} {:>5} {:>6.2} {:>10.1} {:>11} {:>8.2}",

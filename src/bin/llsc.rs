@@ -32,7 +32,7 @@ use llsc_lowerbound::bench::xcheck::{
 };
 use llsc_lowerbound::core::{
     build_all_run, flow_report, indist_all_subsets, is_secretive, random_move_config,
-    secretive_complete_schedule, standard_portfolio, stress_wakeup_sweep, trace_all_run,
+    secretive_complete_schedule, standard_portfolio, stress_wakeup, trace_all_run,
     verify_lower_bound, AdversaryConfig, MoveConfig,
 };
 use llsc_lowerbound::objects::FetchIncrement;
@@ -374,7 +374,7 @@ fn cmd_list() -> Result<(), String> {
             "sim, atomic",
         ),
         // Crash-recovery runs on both backends: the simulator's
-        // RecoveringCrashScheduler kills and revives virtual processes,
+        // CrashDriver kills and revives virtual processes,
         // and the hardware supervisor (llsc-atomics) kills the victim's
         // OS thread and respawns it against the shared memory image
         // under a bounded respawn budget. The recoverable mutex returns
@@ -668,7 +668,7 @@ fn cmd_stress(opts: &Opts) -> Result<(), String> {
     let alg = opts.alg()?;
     let n = opts.n()?;
     let sweep = opts.sweep()?;
-    let report = stress_wakeup_sweep(
+    let report = stress_wakeup(
         alg.as_ref(),
         n,
         opts.toss()?,

@@ -7,7 +7,7 @@ use llsc_lowerbound::core::{
     build_all_run, ceil_log4, check_wakeup, estimate_expected_complexity, verify_lower_bound,
     AdversaryConfig, WakeupViolation,
 };
-use llsc_lowerbound::shmem::{ProcessId, RunEvent, SeededTosses, ZeroTosses};
+use llsc_lowerbound::shmem::{ProcessId, RunEvent, SeededTosses, Sweep, ZeroTosses};
 use llsc_lowerbound::universal::{AdtTreeUniversal, HerlihyUniversal, MsQueue, TreiberStack};
 use llsc_lowerbound::wakeup::{
     correct_algorithms, randomized_algorithms, strawman_algorithms, ObjectWakeup, ReductionKind,
@@ -34,7 +34,9 @@ fn randomized_algorithms_meet_the_expected_bound() {
     let cfg = AdversaryConfig::default();
     for alg in randomized_algorithms() {
         for n in [4, 16] {
-            let rep = estimate_expected_complexity(alg.as_ref(), n, 0..15, &cfg).unwrap();
+            let rep =
+                estimate_expected_complexity(alg.as_ref(), n, 0..15, &cfg, &Sweep::sequential())
+                    .unwrap();
             assert!(rep.termination_rate > 0.9, "{} n={n}", alg.name());
             assert!(rep.all_meet_bound, "{} n={n}", alg.name());
             // Lemma 3.1: expected complexity >= c * k >= c * ceil(log4 n).

@@ -6,7 +6,7 @@
 //! down which shipped algorithms survive it and which strawmen fall.
 
 use llsc_lowerbound::core::{standard_portfolio, stress_wakeup, StressSchedule};
-use llsc_lowerbound::shmem::{SeededTosses, ZeroTosses};
+use llsc_lowerbound::shmem::{SeededTosses, Sweep, ZeroTosses};
 use llsc_lowerbound::wakeup::{correct_algorithms, HalfCountWakeup, NoStepWakeup, PrematureWakeup};
 use std::sync::Arc;
 
@@ -20,6 +20,7 @@ fn correct_algorithms_survive_the_full_portfolio() {
                 Arc::new(ZeroTosses),
                 &standard_portfolio(n, 4),
                 2_000_000,
+                &Sweep::sequential(),
             )
             .unwrap();
             assert!(report.ok(), "{} n={n}: {report}", alg.name());
@@ -37,6 +38,7 @@ fn randomized_counter_survives_with_real_coins() {
             Arc::new(SeededTosses::new(seed)),
             &standard_portfolio(6, 3),
             2_000_000,
+            &Sweep::sequential(),
         )
         .unwrap();
         assert!(report.ok(), "seed={seed}: {report}");
@@ -54,6 +56,7 @@ fn half_count_falls_to_partition_schedules() {
         Arc::new(ZeroTosses),
         &standard_portfolio(n, 2),
         1_000_000,
+        &Sweep::sequential(),
     )
     .unwrap();
     assert!(!report.ok());
@@ -80,6 +83,7 @@ fn premature_and_no_step_fail_almost_everywhere() {
             Arc::new(ZeroTosses),
             &standard_portfolio(6, 2),
             1_000_000,
+            &Sweep::sequential(),
         )
         .unwrap();
         assert!(!report.ok(), "{name}");

@@ -13,9 +13,9 @@ use llsc_lowerbound::core::{
     StressSchedule, WakeupCheck, WakeupViolation,
 };
 use llsc_lowerbound::shmem::{
-    Algorithm, CrashPlan, CrashScheduler, Executor, ExecutorConfig, PartitionScheduler, ProcessId,
-    RandomScheduler, RecoveringCrashScheduler, Run, RunEvent, Scheduler, SeededTosses,
-    SequentialScheduler, TossAssignment, ZeroTosses,
+    Algorithm, CrashDriver, CrashPlan, Executor, ExecutorConfig, PartitionScheduler, ProcessId,
+    RandomScheduler, RecoverySpec, Run, RunEvent, Scheduler, SeededTosses, SequentialScheduler,
+    TossAssignment, ZeroTosses,
 };
 use llsc_lowerbound::wakeup::{
     correct_algorithms, hardened_algorithms, randomized_algorithms, recoverable_algorithms,
@@ -166,25 +166,17 @@ fn crash_plans_agree_with_the_event_walk() {
                 // Crash-stop, then crash-recovery with and without a
                 // respawn budget.
                 let what = format!("{} n={n} seed={seed}", alg.name());
-                let stop = |light: bool| {
+                let drive = |light: bool, recovery: Option<RecoverySpec>| {
                     let mut exec = executor(alg, n, &toss, light);
-                    let mut sched = CrashScheduler::new(RandomScheduler::new(seed), plan.clone());
-                    sched.drive(&mut exec, 100_000).unwrap();
+                    let mut sched = CrashDriver::new(RandomScheduler::new(seed), &plan, recovery);
+                    sched.drive(&mut exec, alg, 100_000).unwrap();
                     exec.into_run()
                 };
+                let stop = |light: bool| drive(light, None);
                 assert_verdicts_agree(&stop(false), &stop(true), &format!("{what} stop"));
                 for budget in [0, 2] {
-                    let recover = |light: bool| {
-                        let mut exec = executor(alg, n, &toss, light);
-                        let mut sched = RecoveringCrashScheduler::new(
-                            RandomScheduler::new(seed),
-                            &plan,
-                            4,
-                            budget,
-                        );
-                        sched.drive(&mut exec, alg, 100_000).unwrap();
-                        exec.into_run()
-                    };
+                    let recover =
+                        |light: bool| drive(light, Some(RecoverySpec { delay: 4, budget }));
                     let what = format!("{what} recover budget={budget}");
                     assert_verdicts_agree(&recover(false), &recover(true), &what);
                 }
