@@ -10,7 +10,7 @@
 //! module therefore re-times a simulator [`FaultPlan`] onto the
 //! **per-process logical clock**:
 //!
-//! * [`split_plan`] deals the plan's global-event thresholds out to the
+//! * `split_plan` deals the plan's global-event thresholds out to the
 //!   `n` processes (entry `i` → process `i mod n`) and rescales each
 //!   threshold from global event time to per-process access time
 //!   (`t / n`, the expected share of a fair interleaving), deriving a
@@ -43,7 +43,7 @@ const PER_PROCESS_VALUE_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 /// process, so the rescaled plan fires in the same phase of the run.
 /// The result is a pure function of `(plan, n)` — hardware fault sweeps
 /// are as seed-deterministic as simulator ones.
-pub fn split_plan(plan: &FaultPlan, n: usize) -> Vec<FaultPlan> {
+pub(crate) fn split_plan(plan: &FaultPlan, n: usize) -> Vec<FaultPlan> {
     let n = n.max(1);
     let mut spurious: Vec<Vec<u64>> = vec![Vec::new(); n];
     for (i, &t) in plan.spurious().iter().enumerate() {
@@ -80,7 +80,7 @@ pub struct HwFaultLayer {
 }
 
 impl HwFaultLayer {
-    /// Arms `plan` for `n` processes by [`split_plan`].
+    /// Arms `plan` for `n` processes by `split_plan`.
     pub fn new(plan: &FaultPlan, n: usize) -> HwFaultLayer {
         HwFaultLayer::from_assignments(split_plan(plan, n))
     }
@@ -88,7 +88,7 @@ impl HwFaultLayer {
     /// Arms an explicit per-process plan assignment (one plan per
     /// process, in process order) — the targeted form tests and the
     /// conformance suite use to aim a fault at a specific process.
-    pub fn from_assignments<I>(plans: I) -> HwFaultLayer
+    pub(crate) fn from_assignments<I>(plans: I) -> HwFaultLayer
     where
         I: IntoIterator<Item = FaultPlan>,
     {
@@ -98,11 +98,6 @@ impl HwFaultLayer {
                 .map(|plan| Mutex::new(FaultInjector::new(plan)))
                 .collect(),
         }
-    }
-
-    /// The number of per-process injectors.
-    pub fn processes(&self) -> usize {
-        self.per_process.len()
     }
 
     /// The injector owned by `p` (panics if `p` is out of range — the
@@ -175,7 +170,7 @@ mod tests {
             FaultPlan::at([0], [], 1),
             FaultPlan::at([], [(0, true)], 2),
         ]);
-        assert_eq!(layer.processes(), 2);
+        assert_eq!(layer.per_process.len(), 2);
         assert!(!layer.is_empty());
         assert_eq!(
             layer.stats(),

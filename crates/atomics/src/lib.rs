@@ -47,6 +47,6 @@ mod supervisor;
 pub use driver::{
     run_threads_supervised, run_threads_watchdog, HwProcessResult, HwRun, HwRunError,
 };
-pub use fault::{split_plan, HwFaultLayer};
+pub use fault::HwFaultLayer;
 pub use memory::{HwEvent, HwEventKind, HwMemory};
 pub use supervisor::CrashSupervisor;

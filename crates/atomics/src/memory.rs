@@ -218,29 +218,12 @@ impl HwMemory {
 
     /// Arms the memory-fault adversary: `plan`'s global-event thresholds
     /// are re-timed onto each process's private access clock (see
-    /// [`crate::fault::split_plan`]), so the delivered fault stream is
+    /// `crate::fault::split_plan`), so the delivered fault stream is
     /// deterministic across thread interleavings. Stats are surfaced by
     /// [`HwMemory::fault_stats`] and every delivery is stamped into the
     /// [`HwEvent`] history.
     pub fn with_faults(mut self, plan: &FaultPlan) -> HwMemory {
         self.faults = Some(HwFaultLayer::new(plan, self.n));
-        self
-    }
-
-    /// Arms an explicit per-process fault-plan assignment (thresholds
-    /// already in per-process access time) — the targeted form the
-    /// conformance tests use to aim a fault at a specific process.
-    pub fn with_fault_assignments<I>(mut self, plans: I) -> HwMemory
-    where
-        I: IntoIterator<Item = FaultPlan>,
-    {
-        let layer = HwFaultLayer::from_assignments(plans);
-        assert_eq!(
-            layer.processes(),
-            self.n,
-            "one fault plan per process, in process order"
-        );
-        self.faults = Some(layer);
         self
     }
 
@@ -297,7 +280,7 @@ impl HwMemory {
     /// The crash supervisor polls this to realize recovery delays in
     /// logical time (clock ticks are memory activity by the surviving
     /// processes).
-    pub fn clock_now(&self) -> u64 {
+    pub(crate) fn clock_now(&self) -> u64 {
         self.clock.load(Ordering::SeqCst)
     }
 
@@ -307,7 +290,7 @@ impl HwMemory {
     /// the simulator's crash teardown. The slot-parity bits survive: they
     /// are an artifact of the memory's slot pool (resetting them could
     /// overwrite the currently published slot), not algorithm state.
-    pub fn clear_local(&self, p: ProcessId) {
+    pub(crate) fn clear_local(&self, p: ProcessId) {
         self.local(p).links.clear();
     }
 

@@ -38,7 +38,6 @@
 
 use llsc_shmem::{CrashPlan, ProcessId, RecoverySpec};
 use std::panic::panic_any;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, Once};
 
 /// The typed panic payload of an injected crash, so the driver can tell
@@ -84,8 +83,6 @@ pub struct CrashSupervisor {
     /// Indexed by process id; `None` for non-victims.
     victims: Vec<Option<Mutex<VictimState>>>,
     recovery: RecoverySpec,
-    crashes: AtomicU64,
-    respawns: AtomicU64,
 }
 
 impl CrashSupervisor {
@@ -105,32 +102,17 @@ impl CrashSupervisor {
                 crashes: 0,
             }));
         }
-        CrashSupervisor {
-            victims,
-            recovery,
-            crashes: AtomicU64::new(0),
-            respawns: AtomicU64::new(0),
-        }
+        CrashSupervisor { victims, recovery }
     }
 
     /// `true` iff the plan schedules a crash for `p`.
-    pub fn is_victim(&self, p: ProcessId) -> bool {
+    pub(crate) fn is_victim(&self, p: ProcessId) -> bool {
         self.victims.get(p.0).is_some_and(Option::is_some)
     }
 
     /// The recovery regime this supervisor enforces.
     pub fn recovery(&self) -> RecoverySpec {
         self.recovery
-    }
-
-    /// Total crashes delivered across all victims.
-    pub fn crashes_delivered(&self) -> u64 {
-        self.crashes.load(Ordering::Relaxed)
-    }
-
-    /// Total respawns granted across all victims.
-    pub fn respawns(&self) -> u64 {
-        self.respawns.load(Ordering::Relaxed)
     }
 
     /// Called by the drive loop before each of `p`'s actions. Returns
@@ -145,7 +127,6 @@ impl CrashSupervisor {
         if state.next_at.is_some_and(|at| state.steps >= at) {
             state.next_at = None;
             state.crashes += 1;
-            self.crashes.fetch_add(1, Ordering::Relaxed);
             return true;
         }
         state.steps += 1;
@@ -177,7 +158,6 @@ impl CrashSupervisor {
             // Budget 0: the first kill already overruns the allowance.
             return None;
         }
-        self.respawns.fetch_add(1, Ordering::Relaxed);
         if state.crashes < self.recovery.budget {
             state.next_at = Some(state.steps + state.period);
         }
@@ -202,7 +182,8 @@ mod tests {
         for _ in 0..100 {
             assert!(!sup.tick(ProcessId(0)));
         }
-        assert_eq!(sup.crashes_delivered(), 0);
+        assert_eq!(sup.crashes_of(ProcessId(0)), 0);
+        assert_eq!(sup.crashes_of(ProcessId(1)), 0);
     }
 
     #[test]
@@ -226,8 +207,7 @@ mod tests {
         for _ in 0..50 {
             assert!(!sup.tick(p), "budget caps total crashes like the sim");
         }
-        assert_eq!(sup.crashes_delivered(), 2);
-        assert_eq!(sup.respawns(), 2);
+        assert_eq!(sup.crashes_of(p), 2);
     }
 
     #[test]
@@ -237,7 +217,6 @@ mod tests {
         let p = ProcessId(2);
         assert!(sup.tick(p), "threshold 0 crashes before the first action");
         assert_eq!(sup.grant_respawn(p), None, "no respawn allowance at all");
-        assert_eq!(sup.crashes_delivered(), 1);
-        assert_eq!(sup.respawns(), 0);
+        assert_eq!(sup.crashes_of(p), 1);
     }
 }

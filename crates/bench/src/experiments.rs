@@ -85,7 +85,7 @@ pub struct E1Row {
 
 /// E1/E2: Lemma 4.1 and 4.2 over random move configurations, plus the
 /// Section-4 chain (E11). Random configurations fan out over the sweep.
-pub fn e1_secretive_schedules(
+pub(crate) fn e1_secretive_schedules(
     sizes: &[usize],
     configs_per_size: usize,
     sweep: &Sweep,
@@ -168,7 +168,7 @@ pub struct E3Row {
 
 /// E3: Lemma 5.1 — `|UP(X, r)| <= 4^r` across the shipped algorithms,
 /// one `(algorithm, n)` run per trial.
-pub fn e3_up_growth(ns: &[usize], sweep: &Sweep) -> Experiment<E3Row> {
+pub(crate) fn e3_up_growth(ns: &[usize], sweep: &Sweep) -> Experiment<E3Row> {
     let mut table = Table::new(
         "E3 - Lemma 5.1: UP-set growth |UP(X, r)| <= 4^r under the Figure-2 adversary",
         ["algorithm", "n", "rounds", "max |UP|", "4^r cap ok"],
@@ -225,7 +225,11 @@ pub struct E4Row {
 /// subset `S` (exhaustive; keep `n` small) and several toss assignments.
 /// Runs the E4 job's trials in memory; the `2^n` subsets of each run fan
 /// out over the sweep.
-pub fn e4_indistinguishability(ns: &[usize], seeds: &[u64], sweep: &Sweep) -> Experiment<E4Row> {
+pub(crate) fn e4_indistinguishability(
+    ns: &[usize],
+    seeds: &[u64],
+    sweep: &Sweep,
+) -> Experiment<E4Row> {
     let spec = JobSpec {
         seed: sweep.seed,
         ns: ns.to_vec(),
@@ -258,7 +262,7 @@ pub struct E5Row {
 
 /// E5: Theorem 6.1 — winner step counts vs `ceil(log4 n)`, one
 /// `(algorithm, n)` verification per trial.
-pub fn e5_wakeup_lower_bound(ns: &[usize], sweep: &Sweep) -> Experiment<E5Row> {
+pub(crate) fn e5_wakeup_lower_bound(ns: &[usize], sweep: &Sweep) -> Experiment<E5Row> {
     let mut table = Table::new(
         "E5 - Theorem 6.1: wakeup winner's shared-access steps vs ceil(log4 n)",
         [
@@ -328,7 +332,11 @@ pub struct E6Row {
 /// `c * log4(n)` (Lemma 3.1 + Theorem 6.1). Runs the E6 job's trials in
 /// memory; the toss-assignment samples of each `(algorithm, n)` estimate
 /// fan out over the sweep.
-pub fn e6_randomized_expectation(ns: &[usize], samples: u64, sweep: &Sweep) -> Experiment<E6Row> {
+pub(crate) fn e6_randomized_expectation(
+    ns: &[usize],
+    samples: u64,
+    sweep: &Sweep,
+) -> Experiment<E6Row> {
     let spec = JobSpec {
         seed: sweep.seed,
         ns: ns.to_vec(),
@@ -362,7 +370,7 @@ pub struct E7Row {
 /// E7: Theorem 6.2 — all eight wakeup-from-object reductions over the
 /// direct LL/SC implementation of each object, one `(object, n)` run per
 /// trial.
-pub fn e7_reductions(ns: &[usize], sweep: &Sweep) -> Experiment<E7Row> {
+pub(crate) fn e7_reductions(ns: &[usize], sweep: &Sweep) -> Experiment<E7Row> {
     let mut table = Table::new(
         "E7 - Theorem 6.2: wakeup via one shared object (direct LL/SC implementation)",
         [
@@ -428,7 +436,7 @@ pub struct E8Row {
 /// E8/E9: the tightness sweep — worst-case shared ops per operation for
 /// every construction under the Figure-2 adversary. Each
 /// `(n, construction)` measurement is one trial.
-pub fn e8_universal_constructions(ns: &[usize], sweep: &Sweep) -> Experiment<E8Row> {
+pub(crate) fn e8_universal_constructions(ns: &[usize], sweep: &Sweep) -> Experiment<E8Row> {
     let mut table = Table::new(
         "E8/E9 - worst-case shared ops per operation (fetch&increment under the adversary)",
         [
@@ -515,7 +523,7 @@ pub struct E9Row {
 /// E9: schedule ablation — how each construction's worst-case cost depends
 /// on the schedule, complementing E8's adversary-only sweep. Each
 /// `(n, construction)` row (four measurements) is one trial.
-pub fn e9_schedule_ablation(ns: &[usize], sweep: &Sweep) -> Experiment<E9Row> {
+pub(crate) fn e9_schedule_ablation(ns: &[usize], sweep: &Sweep) -> Experiment<E9Row> {
     let mut table = Table::new(
         "E9 - schedule ablation: worst-case shared ops per operation (fetch&increment)",
         [
@@ -592,7 +600,7 @@ pub struct E10Row {
 /// E10: the non-oblivious escape hatch — the direct LL/SC object costs a
 /// constant 2 ops solo (below any growing bound), at the price of `Θ(n)`
 /// under full contention. One `n` per trial.
-pub fn e10_direct_escape_hatch(ns: &[usize], sweep: &Sweep) -> Experiment<E10Row> {
+pub(crate) fn e10_direct_escape_hatch(ns: &[usize], sweep: &Sweep) -> Experiment<E10Row> {
     let mut table = Table::new(
         "E10 - semantics-exploiting direct LL/SC object: solo vs contended",
         [
@@ -674,7 +682,10 @@ pub struct E10bRow {
 /// stack whose solo per-operation cost is a small constant regardless of
 /// structure size (contrast with every oblivious construction's Ω(log n)).
 /// Each initial size (queue + stack measurement) is one trial.
-pub fn e10b_structural_escape_hatches(sizes: &[usize], sweep: &Sweep) -> Experiment<E10bRow> {
+pub(crate) fn e10b_structural_escape_hatches(
+    sizes: &[usize],
+    sweep: &Sweep,
+) -> Experiment<E10bRow> {
     use llsc_objects::{Queue, Stack};
     use llsc_universal::{MsQueue, TreiberStack};
     let mut table = Table::new(
@@ -735,7 +746,7 @@ pub struct E12Row {
 /// E12: `k`-use amortised shared-access cost of the direct LL/SC object
 /// (Corollary 6.1's `k`-use setting, measured from the other side). One
 /// `(n, k)` cell per trial.
-pub fn e12_multi_use(ns: &[usize], ks: &[usize], sweep: &Sweep) -> Experiment<E12Row> {
+pub(crate) fn e12_multi_use(ns: &[usize], ks: &[usize], sweep: &Sweep) -> Experiment<E12Row> {
     use llsc_universal::measure_multi_use;
     let mut table = Table::new(
         "E12 - k-use amortised shared ops per operation (direct LL/SC fetch&increment)",
@@ -803,7 +814,7 @@ pub struct E13Row {
 /// E13: the appendix claims (A.2-A.9) plus Lemma 5.2, exhaustively over
 /// subsets, for every shipped wakeup algorithm. Runs the E13 job's trials
 /// in memory; the `2^n` subsets of each check fan out over the sweep.
-pub fn e13_appendix_claims(ns: &[usize], sweep: &Sweep) -> Experiment<E13Row> {
+pub(crate) fn e13_appendix_claims(ns: &[usize], sweep: &Sweep) -> Experiment<E13Row> {
     let spec = JobSpec {
         seed: sweep.seed,
         ns: ns.to_vec(),
@@ -832,7 +843,7 @@ pub struct E14Row {
 /// E14: the partial-schedule stress portfolio over correct algorithms and
 /// strawmen — what the Figure-2 adversary alone cannot show. Each
 /// algorithm's portfolio schedules fan out over the sweep.
-pub fn e14_stress_portfolio(n: usize, sweep: &Sweep) -> Experiment<E14Row> {
+pub(crate) fn e14_stress_portfolio(n: usize, sweep: &Sweep) -> Experiment<E14Row> {
     use llsc_core::{standard_portfolio, stress_wakeup};
     use llsc_wakeup::strawman_algorithms;
     let mut table = Table::new(
@@ -879,7 +890,10 @@ pub fn e14_stress_portfolio(n: usize, sweep: &Sweep) -> Experiment<E14Row> {
 
 /// E5 extra: the tournament winner across a wide sweep — the tightness
 /// witness for the wakeup problem itself. One `n` per trial.
-pub fn e5_tournament_tightness(ns: &[usize], sweep: &Sweep) -> Experiment<(usize, u64, u64)> {
+pub(crate) fn e5_tournament_tightness(
+    ns: &[usize],
+    sweep: &Sweep,
+) -> Experiment<(usize, u64, u64)> {
     let mut table = Table::new(
         "E5b - tournament wakeup: winner steps vs the log4 bound (tightness for wakeup)",
         ["n", "ceil(log4 n)", "winner steps", "ratio"],
@@ -1031,7 +1045,7 @@ pub(crate) const E20_ALGORITHMS: &[Labeled] = &[
 ///
 /// When the grid is not a runnable job ([`JobSpec::validate`]), e.g. with
 /// no trial per cell.
-fn fault_table(
+pub(crate) fn fault_table(
     experiment: JobExperiment,
     n: usize,
     xs: &[usize],
@@ -1124,56 +1138,11 @@ impl FaultRow {
 
     /// The lower median of the shrunk reproducer sizes; `None` when no
     /// trial was shrunk.
-    pub fn median_shrunk(&self) -> Option<usize> {
+    pub(crate) fn median_shrunk(&self) -> Option<usize> {
         let mut sizes = self.shrunk.clone();
         sizes.sort_unstable();
         (!sizes.is_empty()).then(|| sizes[(sizes.len() - 1) / 2])
     }
-}
-
-/// E15: graceful degradation under crash faults. Each trial runs one
-/// E15 algorithm under a round-robin schedule with `k` processes
-/// crash-faulted at seeded points
-/// ([`CrashPlan::seeded`](llsc_shmem::CrashPlan::seeded)), classifies the
-/// outcome and checks the surviving run prefix against the wakeup
-/// specification. `k = 0` trials must complete — a starved `max_events`
-/// makes them panic, which the panic-isolated sweep reports as
-/// [`TrialFailure`]s instead of aborting the experiment. The trials are
-/// the E15 job's, run in memory.
-pub fn e15_crash_degradation(
-    n: usize,
-    ks: &[usize],
-    reps: usize,
-    max_events: u64,
-    sweep: &Sweep,
-) -> (Experiment<FaultRow>, Vec<TrialFailure>) {
-    fault_table(JobExperiment::E15, n, ks, reps, max_events, sweep)
-}
-
-/// E16: graceful degradation under memory faults. Each trial runs one
-/// hardened E16 algorithm under a round-robin schedule with a seeded
-/// [`FaultPlan`] delivering up to `f` spurious SC
-/// failures and `f` register corruptions inside the early event window, then classifies
-/// the result: **recovered** (terminated, correct answer),
-/// **detected-wrong** (wrong answer, but the algorithm published a
-/// detection), **silent-wrong** (wrong answer, no detection), or
-/// **stalled** (budget exhausted, e.g. an orphaned follower honestly
-/// polling a corrupted log).
-///
-/// Every `f = 0` trial must recover *and* spend exactly as many shared
-/// accesses as its unhardened twin twin under the same seed — the zero-cost
-/// guarantee. A violation panics, which the panic-isolated sweep reports
-/// as a [`TrialFailure`] (with the fault plan in its context) instead of
-/// aborting the experiment. The trials are the E16 job's, run in
-/// memory.
-pub fn e16_fault_degradation(
-    n: usize,
-    fs: &[usize],
-    reps: usize,
-    max_events: u64,
-    sweep: &Sweep,
-) -> (Experiment<FaultRow>, Vec<TrialFailure>) {
-    fault_table(JobExperiment::E16, n, fs, reps, max_events, sweep)
 }
 
 /// The step cap each E17 trial's random-schedule drive runs under.
@@ -1182,30 +1151,6 @@ pub(crate) const E17_MAX_STEPS: u64 = 20_000;
 /// The per-trial replay budget [`crate::repro::shrink_case`] gets when
 /// minimizing a failing chaos trial.
 pub(crate) const E17_SHRINK_BUDGET: usize = 160;
-
-/// E17: combined chaos mode. Each trial composes every adversary the
-/// fault experiments exercise separately — crash faults, memory faults
-/// (spurious SC failures and register corruption), and a seeded random
-/// schedule — into one [`ChaosPlan`], runs a hardened wakeup solution or
-/// its unhardened twin under it, and classifies the result with the shared failure-class
-/// vocabulary ([`crate::repro::classify`]).
-///
-/// Every non-recovered trial's case is shrunk on the spot
-/// ([`crate::repro::shrink_case`]); the cell reports the median
-/// minimal-reproducer size — how small the schedule/fault evidence for
-/// each failure mode gets. `intensity = 0` trials must recover; a
-/// violation panics, which the panic-isolated sweep reports as a
-/// [`TrialFailure`] with an attached reproducer. The trials are the E17
-/// job's, run in memory.
-pub fn e17_chaos_mode(
-    n: usize,
-    intensities: &[usize],
-    reps: usize,
-    max_events: u64,
-    sweep: &Sweep,
-) -> (Experiment<FaultRow>, Vec<TrialFailure>) {
-    fault_table(JobExperiment::E17, n, intensities, reps, max_events, sweep)
-}
 
 /// The crash-recovery regime every E19 trial (and E20's crash-recovery
 /// arm) runs with unless the job overrides it: victims come back `n`
@@ -1219,30 +1164,6 @@ pub(crate) fn e19_recovery_spec(n: usize) -> RecoverySpec {
     }
 }
 
-/// E19: recovery cost vs crash intensity. Each trial runs one
-/// recoverable algorithm under a round-robin schedule with `k` processes
-/// crash-faulted at seeded points and revived `n` events later (crashed
-/// processes lose their local state and re-enter through the algorithm's
-/// recovery section), then classifies the outcome and bills the run's remote memory references
-/// under both the CC and DSM cost models. `k = 0` trials must complete —
-/// a starved `max_events` makes them panic, which the panic-isolated
-/// sweep reports as [`TrialFailure`]s (each carrying a replayable
-/// [`ReproCase`] with its [`RecoverySpec`]) instead of aborting.
-///
-/// Safety is checked per algorithm: the wakeup variants against the
-/// checkable wakeup conditions, the mutex against token distinctness
-/// (see [`crate::repro::run_case_with`]). The trials are the E19 job's,
-/// run in memory.
-pub fn e19_recovery_sweep(
-    n: usize,
-    ks: &[usize],
-    reps: usize,
-    max_events: u64,
-    sweep: &Sweep,
-) -> (Experiment<FaultRow>, Vec<TrialFailure>) {
-    fault_table(JobExperiment::E19, n, ks, reps, max_events, sweep)
-}
-
 /// Algorithm `idx` of E20's algorithms at `n` processes.
 pub fn e20_algorithm(idx: usize, n: usize) -> Box<dyn Algorithm> {
     (E20_ALGORITHMS[idx].1)(n)
@@ -1250,7 +1171,7 @@ pub fn e20_algorithm(idx: usize, n: usize) -> Box<dyn Algorithm> {
 
 /// The recovery regime of E20's crash-recovery arm (`None` for the
 /// hardened trio's memory-fault arm).
-pub fn e20_recovery(idx: usize, n: usize) -> Option<RecoverySpec> {
+pub(crate) fn e20_recovery(idx: usize, n: usize) -> Option<RecoverySpec> {
     (idx >= 3).then(|| e19_recovery_spec(n))
 }
 
@@ -1423,7 +1344,14 @@ mod tests {
 
     #[test]
     fn e19_recovers_crashes_and_bills_rmrs() {
-        let (exp, failures) = e19_recovery_sweep(6, &[0, 2], 3, 2_000_000, &Sweep::sequential());
+        let (exp, failures) = fault_table(
+            JobExperiment::E19,
+            6,
+            &[0, 2],
+            3,
+            2_000_000,
+            &Sweep::sequential(),
+        );
         assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(exp.rows.len(), 6, "3 algorithms x 2 crash counts");
         for r in &exp.rows {
@@ -1510,7 +1438,14 @@ mod tests {
 
     #[test]
     fn e15_classifies_crash_outcomes_and_stays_safe() {
-        let (exp, failures) = e15_crash_degradation(8, &[0, 2], 3, 2_000_000, &Sweep::sequential());
+        let (exp, failures) = fault_table(
+            JobExperiment::E15,
+            8,
+            &[0, 2],
+            3,
+            2_000_000,
+            &Sweep::sequential(),
+        );
         assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(exp.rows.len(), 8, "4 algorithms x 2 crash counts");
         let mut stranded = 0;
@@ -1545,7 +1480,7 @@ mod tests {
 
     #[test]
     fn e15_starved_budget_surfaces_isolated_failures() {
-        let (exp, failures) = e15_crash_degradation(8, &[0], 2, 10, &Sweep::sequential());
+        let (exp, failures) = fault_table(JobExperiment::E15, 8, &[0], 2, 10, &Sweep::sequential());
         assert!(!failures.is_empty(), "starved k=0 trials must panic");
         assert!(failures
             .iter()
@@ -1561,10 +1496,23 @@ mod tests {
 
     #[test]
     fn e15_is_identical_across_thread_counts() {
-        let (base, base_f) = e15_crash_degradation(8, &[0, 1], 2, 2_000_000, &Sweep::sequential());
+        let (base, base_f) = fault_table(
+            JobExperiment::E15,
+            8,
+            &[0, 1],
+            2,
+            2_000_000,
+            &Sweep::sequential(),
+        );
         for threads in [2, 4] {
-            let (par, par_f) =
-                e15_crash_degradation(8, &[0, 1], 2, 2_000_000, &Sweep::with_threads(threads));
+            let (par, par_f) = fault_table(
+                JobExperiment::E15,
+                8,
+                &[0, 1],
+                2,
+                2_000_000,
+                &Sweep::with_threads(threads),
+            );
             assert_eq!(par.table.render(), base.table.render(), "threads={threads}");
             assert_eq!(par_f.len(), base_f.len());
         }
@@ -1572,7 +1520,14 @@ mod tests {
 
     #[test]
     fn e16_fault_free_trials_recover_at_twin_cost() {
-        let (exp, failures) = e16_fault_degradation(8, &[0], 2, 2_000_000, &Sweep::sequential());
+        let (exp, failures) = fault_table(
+            JobExperiment::E16,
+            8,
+            &[0],
+            2,
+            2_000_000,
+            &Sweep::sequential(),
+        );
         // The zero-cost comparison runs inside each trial; a mismatch
         // would surface here as a failure.
         assert!(failures.is_empty(), "{failures:?}");
@@ -1591,7 +1546,14 @@ mod tests {
 
     #[test]
     fn e16_classifies_every_faulty_trial() {
-        let (exp, failures) = e16_fault_degradation(8, &[1, 4], 3, 2_000_000, &Sweep::sequential());
+        let (exp, failures) = fault_table(
+            JobExperiment::E16,
+            8,
+            &[1, 4],
+            3,
+            2_000_000,
+            &Sweep::sequential(),
+        );
         assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(exp.rows.len(), 12, "6 algorithms x 2 fault budgets");
         let mut injected_total = 0;
@@ -1617,10 +1579,23 @@ mod tests {
 
     #[test]
     fn e16_is_identical_across_thread_counts() {
-        let (base, base_f) = e16_fault_degradation(8, &[0, 2], 2, 2_000_000, &Sweep::sequential());
+        let (base, base_f) = fault_table(
+            JobExperiment::E16,
+            8,
+            &[0, 2],
+            2,
+            2_000_000,
+            &Sweep::sequential(),
+        );
         for threads in [2, 4] {
-            let (par, par_f) =
-                e16_fault_degradation(8, &[0, 2], 2, 2_000_000, &Sweep::with_threads(threads));
+            let (par, par_f) = fault_table(
+                JobExperiment::E16,
+                8,
+                &[0, 2],
+                2,
+                2_000_000,
+                &Sweep::with_threads(threads),
+            );
             assert_eq!(par.table.render(), base.table.render(), "threads={threads}");
             assert_eq!(par_f.len(), base_f.len());
         }
@@ -1628,7 +1603,7 @@ mod tests {
 
     #[test]
     fn e16_starved_budget_surfaces_isolated_failures_with_context() {
-        let (exp, failures) = e16_fault_degradation(8, &[0], 1, 40, &Sweep::sequential());
+        let (exp, failures) = fault_table(JobExperiment::E16, 8, &[0], 1, 40, &Sweep::sequential());
         assert!(!failures.is_empty(), "starved f=0 trials must panic");
         assert!(failures
             .iter()
@@ -1666,10 +1641,18 @@ mod tests {
     fn starved_failures_carry_replayable_reproducers() {
         type Starved = fn(&Sweep) -> Vec<TrialFailure>;
         let tables: [(&str, Starved); 4] = [
-            ("e15", |s| e15_crash_degradation(8, &[0], 1, 40, s).1),
-            ("e16", |s| e16_fault_degradation(8, &[0], 1, 40, s).1),
-            ("e17", |s| e17_chaos_mode(6, &[0], 4, 40, s).1),
-            ("e19", |s| e19_recovery_sweep(8, &[0], 1, 40, s).1),
+            ("e15", |s| {
+                fault_table(JobExperiment::E15, 8, &[0], 1, 40, s).1
+            }),
+            ("e16", |s| {
+                fault_table(JobExperiment::E16, 8, &[0], 1, 40, s).1
+            }),
+            ("e17", |s| {
+                fault_table(JobExperiment::E17, 6, &[0], 4, 40, s).1
+            }),
+            ("e19", |s| {
+                fault_table(JobExperiment::E19, 8, &[0], 1, 40, s).1
+            }),
         ];
         for (tag, starved) in tables {
             let failures = starved(&Sweep::sequential());
@@ -1696,7 +1679,14 @@ mod tests {
 
     #[test]
     fn e17_classifies_chaos_trials_and_shrinks_reproducers() {
-        let (exp, failures) = e17_chaos_mode(4, &[0, 3], 2, 2_000_000, &Sweep::sequential());
+        let (exp, failures) = fault_table(
+            JobExperiment::E17,
+            4,
+            &[0, 3],
+            2,
+            2_000_000,
+            &Sweep::sequential(),
+        );
         assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(exp.rows.len(), 12, "6 algorithms x 2 intensities");
         let mut failing_cells = 0;
@@ -1732,10 +1722,23 @@ mod tests {
 
     #[test]
     fn e17_is_identical_across_thread_counts() {
-        let (base, base_f) = e17_chaos_mode(4, &[0, 2], 1, 2_000_000, &Sweep::sequential());
+        let (base, base_f) = fault_table(
+            JobExperiment::E17,
+            4,
+            &[0, 2],
+            1,
+            2_000_000,
+            &Sweep::sequential(),
+        );
         for threads in [2, 4] {
-            let (par, par_f) =
-                e17_chaos_mode(4, &[0, 2], 1, 2_000_000, &Sweep::with_threads(threads));
+            let (par, par_f) = fault_table(
+                JobExperiment::E17,
+                4,
+                &[0, 2],
+                1,
+                2_000_000,
+                &Sweep::with_threads(threads),
+            );
             assert_eq!(par.table.render(), base.table.render(), "threads={threads}");
             assert_eq!(par_f.len(), base_f.len());
         }
@@ -1743,11 +1746,18 @@ mod tests {
 
     #[test]
     fn tables_are_identical_across_thread_counts() {
-        let base = e1_secretive_schedules(&[4, 9], 6, &Sweep::sequential());
+        let tables = |sweep: &Sweep| {
+            [
+                e1_secretive_schedules(&[4, 9], 6, sweep).table,
+                e5_wakeup_lower_bound(&[4, 16], sweep).table,
+            ]
+        };
+        let base = tables(&Sweep::sequential());
         for threads in [2, 4, 8] {
-            let par = e1_secretive_schedules(&[4, 9], 6, &Sweep::with_threads(threads));
-            assert_eq!(par.table.render(), base.table.render(), "threads={threads}");
-            assert_eq!(par.table.render_json(), base.table.render_json());
+            for (par, base) in tables(&Sweep::with_threads(threads)).iter().zip(&base) {
+                assert_eq!(par.render(), base.render(), "threads={threads}");
+                assert_eq!(par.render_json(), base.render_json());
+            }
         }
     }
 }

@@ -34,9 +34,9 @@
 //! Running an experiment is two lines:
 //!
 //! ```no_run
-//! use llsc_bench::harness::HarnessOpts;
+//! use llsc_bench::{harness::HarnessOpts, registry};
 //! let opts = HarnessOpts::parse(["--threads", "4"]).unwrap();
-//! opts.emit(|sweep| (vec![llsc_bench::e3_up_growth(&[4, 16], sweep).table], vec![]));
+//! opts.emit(|sweep| registry::find("e3").unwrap().run(sweep, None));
 //! ```
 
 use crate::table::Table;

@@ -46,7 +46,7 @@
 //! title plus an ordered column list read off it. A fault trial is one
 //! [`ReproCase`] (`JobSpec::case_for`) run through
 //! [`crate::repro::run_case_with`], so a failure ships the very case that
-//! failed. The direct table functions ([`crate::e4_indistinguishability`]
+//! failed. The direct table functions (`crate::e4_indistinguishability`
 //! and the E6/E13/E15/E16/E17/E19/E20 ones) run the same code over the
 //! whole trial space in memory; the fault tables do so under panic
 //! isolation (`fault_sweep`), reporting failed trials next to the table.
@@ -111,7 +111,7 @@ pub enum JobExperiment {
 
 impl JobExperiment {
     /// Every job experiment, in artifact-tag order.
-    pub const ALL: [JobExperiment; 8] = [
+    pub(crate) const ALL: [JobExperiment; 8] = [
         JobExperiment::E4,
         JobExperiment::E6,
         JobExperiment::E13,
@@ -416,7 +416,7 @@ impl JobSpec {
     }
 
     /// Total trials in the job's flat index space.
-    pub fn total_trials(&self) -> usize {
+    pub(crate) fn total_trials(&self) -> usize {
         self.cells().iter().map(|c| c.len).sum()
     }
 
@@ -745,7 +745,7 @@ pub(crate) struct Cell {
 /// Splits `total` trials into `chunks` contiguous `(start, len)` ranges,
 /// the first `total % chunks` of them one trial longer. Depends only on
 /// its arguments, so chunk boundaries are stable across invocations.
-pub fn chunk_bounds(total: usize, chunks: usize) -> Vec<(usize, usize)> {
+pub(crate) fn chunk_bounds(total: usize, chunks: usize) -> Vec<(usize, usize)> {
     let chunks = chunks.clamp(1, total.max(1));
     let base = total / chunks;
     let extra = total % chunks;
@@ -1021,7 +1021,7 @@ fn checkpoint_dir(dir: &Path) -> PathBuf {
 }
 
 /// The spec file inside a job directory.
-pub fn spec_path(dir: &Path) -> PathBuf {
+pub(crate) fn spec_path(dir: &Path) -> PathBuf {
     dir.join("spec.json")
 }
 
@@ -1031,7 +1031,7 @@ pub fn artifact_path(dir: &Path) -> PathBuf {
 }
 
 /// The manifest inside a job directory.
-pub fn manifest_path(dir: &Path) -> PathBuf {
+pub(crate) fn manifest_path(dir: &Path) -> PathBuf {
     dir.join("manifest.json")
 }
 
@@ -1731,7 +1731,7 @@ pub fn resume_job(dir: &Path, threads: usize, control: &JobControl) -> Result<Jo
 /// # Errors
 ///
 /// A missing or unparseable `spec.json`.
-pub fn load_spec(dir: &Path) -> Result<JobSpec, String> {
+pub(crate) fn load_spec(dir: &Path) -> Result<JobSpec, String> {
     let path = spec_path(dir);
     let text = std::fs::read_to_string(&path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
@@ -2081,16 +2081,13 @@ mod tests {
 
     #[test]
     fn fault_job_artifacts_match_their_direct_tables() {
-        type Direct =
-            fn(usize, &[usize], usize, u64, &Sweep) -> (Experiment<FaultRow>, Vec<TrialFailure>);
-        let tables: [(JobExperiment, Direct); 5] = [
-            (JobExperiment::E15, crate::e15_crash_degradation),
-            (JobExperiment::E16, crate::e16_fault_degradation),
-            (JobExperiment::E17, crate::e17_chaos_mode),
-            (JobExperiment::E19, crate::e19_recovery_sweep),
-            (JobExperiment::E20, crate::e20_chaos_recovery_sweep),
-        ];
-        for (experiment, direct) in tables {
+        for experiment in [
+            JobExperiment::E15,
+            JobExperiment::E16,
+            JobExperiment::E17,
+            JobExperiment::E19,
+            JobExperiment::E20,
+        ] {
             let tag = experiment.tag();
             let dir = scratch_dir(&format!("{tag}-identity"));
             let spec = JobSpec {
@@ -2103,7 +2100,8 @@ mod tests {
             let report = run_job(&dir, &spec, 2, &JobControl::new()).unwrap();
             assert_eq!(report.status, JobStatus::Complete, "{tag}");
             let artifact = std::fs::read_to_string(report.artifact.unwrap()).unwrap();
-            let (direct, failures) = direct(4, &[0, 2], 2, 0, &Sweep::sequential());
+            let (direct, failures) =
+                crate::experiments::fault_table(experiment, 4, &[0, 2], 2, 0, &Sweep::sequential());
             assert!(failures.is_empty(), "{tag}: {failures:?}");
             assert_eq!(
                 artifact,

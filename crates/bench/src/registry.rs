@@ -64,7 +64,7 @@ impl Entry {
     }
 
     /// Whether the entry takes `--max-events`.
-    pub fn takes_event_budget(&self) -> bool {
+    pub(crate) fn takes_event_budget(&self) -> bool {
         matches!(self.body, Body::Faults(_))
     }
 

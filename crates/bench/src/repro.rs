@@ -6,7 +6,7 @@
 //! knows the experiment algorithm catalogs. This module supplies that
 //! glue:
 //!
-//! * [`resolve_algorithm`] — label → constructor over the catalogs of the
+//! * `resolve_algorithm` — label → constructor over the catalogs of the
 //!   E15/E16/E17/E19/E20 fault experiments (plus E16's unhardened twins),
 //!   the same catalogs their tables and jobs build algorithms from;
 //! * [`run_case`] / [`run_case_with`] — execute a case under panic
@@ -44,7 +44,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// catalog that lists it — e.g. `counter-wakeup`, which E15 runs directly
 /// and E16 uses as a twin — so it resolves the same way whichever
 /// experiment recorded it.
-pub fn resolve_algorithm(name: &str, n: usize) -> Option<Box<dyn Algorithm>> {
+pub(crate) fn resolve_algorithm(name: &str, n: usize) -> Option<Box<dyn Algorithm>> {
     JobExperiment::ALL
         .iter()
         .filter_map(JobExperiment::catalog)
@@ -59,8 +59,8 @@ pub fn resolve_algorithm(name: &str, n: usize) -> Option<Box<dyn Algorithm>> {
 ///
 /// The outcome decides first (a stall is a stall whatever the partial
 /// run's safety looks like — matching E16's bucketing); a crashed run is
-/// classed by its `recovery` regime ([`crashed_class`]); only runs that
-/// actually terminated are judged, by [`completed_class`].
+/// classed by its `recovery` regime (`crashed_class`); only runs that
+/// actually terminated are judged, by `completed_class`.
 pub fn classify(
     outcome: &RunOutcome,
     safe: bool,
@@ -79,7 +79,7 @@ pub fn classify(
 /// backend: `respawn-exhausted` under a recovery regime whose budget
 /// grants no respawn (budget 0, where the plan's crash is final; the
 /// hardware supervisor reports it as `RespawnExhausted`), else `crashed`.
-pub fn crashed_class(recovery: Option<RecoverySpec>) -> &'static str {
+pub(crate) fn crashed_class(recovery: Option<RecoverySpec>) -> &'static str {
     match recovery {
         Some(r) if r.budget == 0 => "respawn-exhausted",
         _ => "crashed",
@@ -93,7 +93,7 @@ pub(crate) const COMPLETED_CLASSES: [&str; 3] = ["recovered", "detected-wrong", 
 /// The class of a run that terminated, on either backend: `recovered`
 /// when it is safe, else `detected-wrong` when the hardened telemetry
 /// published a detection, else `silent-wrong`.
-pub fn completed_class(safe: bool, detected: u64) -> &'static str {
+pub(crate) fn completed_class(safe: bool, detected: u64) -> &'static str {
     if safe {
         "recovered"
     } else if detected > 0 {
@@ -107,7 +107,7 @@ pub fn completed_class(safe: bool, detected: u64) -> &'static str {
 /// The recoverable mutex returns tokens, not wakeup bits, so it is judged
 /// on token distinctness over its `verdicts`; every other algorithm by
 /// `wakeup_valid`, the backend's wakeup check.
-pub fn judge_safe<'a>(
+pub(crate) fn judge_safe<'a>(
     algorithm: &str,
     n: usize,
     verdicts: impl IntoIterator<Item = Option<&'a Value>>,

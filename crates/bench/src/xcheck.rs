@@ -13,14 +13,20 @@
 //!   ([`llsc_objects::is_linearizable`]). For a wakeup algorithm, all
 //!   processes must terminate with 0/1, someone must return 1, and no
 //!   winner may respond before every process has taken its first step.
-//! * **Cost** — per-process shared-access counts must land inside an
-//!   envelope derived from simulator sweeps over sequential,
-//!   round-robin, and seeded-random schedules: at least the cheapest
-//!   simulated schedule, at most `2 · max + 2`. The slack is principled:
+//! * **Cost** — per-process shared-access counts (and DSM RMRs) must
+//!   land inside an envelope derived from the simulator, at most
+//!   `2 · max + 2`, where `max` is the costliest of the sequential,
+//!   round-robin and seeded-random schedules. The slack is principled:
 //!   OS preemption can realize adversarial interleavings the sampled
 //!   schedules miss, and LL/SC retry loops pay ~2× under a lost race,
-//!   but an unbounded blow-up (or an impossibly cheap run) means the
-//!   backends disagree about the algorithm, not the scheduler.
+//!   but an unbounded blow-up means the backends disagree about the
+//!   algorithm, not the scheduler. The lower end is the cheapest
+//!   schedule: at `n = 2` the exact minimum over *every* schedule under
+//!   the sampled schedules' toss seed (a depth-first branch-and-bound
+//!   search, see `exact_floor`), so a hardware run below it is a real
+//!   disagreement;
+//!   at `n ≥ 3`, where that search does not fit, the cheapest sampled
+//!   schedule, and the report labels the envelope as sampled.
 //!
 //! E18 then times both backends on the same workloads — a wakeup
 //! algorithm and a universal construction — at several process counts.
@@ -30,9 +36,9 @@
 //! E20 ([`e20_bench`]) runs each seeded chaos plan on both backends and
 //! records the cells whose degradation classes differ. A trial that
 //! terminates is classified on either backend by the same three rules
-//! ([`crate::repro::completed_class`], [`crate::repro::judge_safe`],
+//! (`crate::repro::completed_class`, `crate::repro::judge_safe`,
 //! [`llsc_universal::hardening::detections`]), and a crash victim that
-//! never came back by one more ([`crate::repro::crashed_class`]); only
+//! never came back by one more (`crate::repro::crashed_class`); only
 //! the mapping of any other failed run to its class is per backend. A `silent-wrong`, `panic` or
 //! `respawn-exhausted` trial is a failure and carries a replayable case.
 
@@ -48,7 +54,7 @@ use llsc_objects::{is_linearizable, History, ObjectSpec};
 use llsc_shmem::repro::{ReproCase, ScheduleSpec};
 use llsc_shmem::{
     json, Algorithm, CrashPlan, ExecutionBackend, Executor, ExecutorConfig, FaultPlan, ProcessId,
-    RandomScheduler, RecoverySpec, RoundRobinScheduler, RunError, RunOutcome, Scheduler,
+    RandomScheduler, RecoverySpec, RoundRobinScheduler, Run, RunError, RunOutcome, Scheduler,
     SeededTosses, SequentialScheduler, Value,
 };
 use llsc_universal::hardening::detections;
@@ -108,7 +114,9 @@ pub struct XcheckConfig {
     /// Hardware trials (each with a distinct toss seed).
     pub trials: usize,
     /// Seeds for the simulator's random-interleaving schedules (the
-    /// sequential and round-robin schedules always contribute).
+    /// sequential and round-robin schedules always contribute). They
+    /// give the envelope's upper end, and its lower end at `n ≥ 3`; at
+    /// `n = 2` the lower end is exact over every schedule.
     pub sim_seeds: Vec<u64>,
     /// Per-process action budget before a run is declared divergent.
     pub max_steps: u64,
@@ -164,7 +172,7 @@ pub struct XcheckReport {
     /// Number of processes.
     pub n: usize,
     /// `(min, max)` of the worst per-process count over the simulator
-    /// schedules.
+    /// schedules (the min over every schedule at `n = 2`).
     pub sim_envelope: (u64, u64),
     /// The acceptance interval derived from the envelope.
     pub accept: (u64, u64),
@@ -181,6 +189,9 @@ pub struct XcheckReport {
     /// True iff every trial was safe and — when the envelope is
     /// checked — inside the envelope.
     pub ok: bool,
+    /// Whether both lower ends are exact over every schedule (else
+    /// sampled).
+    exact_floor: bool,
 }
 
 impl XcheckReport {
@@ -188,8 +199,7 @@ impl XcheckReport {
         subject: String,
         kind: &'static str,
         n: usize,
-        sim_envelope: (u64, u64),
-        sim_dsm_envelope: (u64, u64),
+        envelopes: SimEnvelopes,
         trials: Vec<XcheckTrial>,
         envelope_checked: bool,
     ) -> XcheckReport {
@@ -200,20 +210,21 @@ impl XcheckReport {
             subject,
             kind,
             n,
-            sim_envelope,
-            accept: accept_interval(sim_envelope),
-            sim_dsm_envelope,
-            dsm_accept: accept_interval(sim_dsm_envelope),
+            sim_envelope: envelopes.ops,
+            accept: accept_interval(envelopes.ops),
+            sim_dsm_envelope: envelopes.dsm,
+            dsm_accept: accept_interval(envelopes.dsm),
             trials,
             envelope_checked,
             ok,
+            exact_floor: envelopes.exact,
         }
     }
 
     /// A compact human-readable rendering, one line per trial.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "xcheck {kind} {subject}: n={n} sim envelope [{lo}, {hi}] accept [{alo}, {ahi}] dsm [{dlo}, {dhi}] accept [{dalo}, {dahi}]{mode}\n",
+            "xcheck {kind} {subject}: n={n} sim envelope [{lo}, {hi}] accept [{alo}, {ahi}] dsm [{dlo}, {dhi}] accept [{dalo}, {dahi}] ({floor}){mode}\n",
             kind = self.kind,
             subject = self.subject,
             n = self.n,
@@ -225,6 +236,11 @@ impl XcheckReport {
             dhi = self.sim_dsm_envelope.1,
             dalo = self.dsm_accept.0,
             dahi = self.dsm_accept.1,
+            floor = if self.exact_floor {
+                "lower ends exact over every schedule"
+            } else {
+                "sampled"
+            },
             mode = if self.envelope_checked {
                 ""
             } else {
@@ -299,6 +315,93 @@ fn sim_max_costs(
 struct SimEnvelopes {
     ops: (u64, u64),
     dsm: (u64, u64),
+    /// Whether both lower ends are exact over every schedule.
+    exact: bool,
+}
+
+/// The process count at which the envelope's lower ends are exact
+/// ([`exact_floor`]). At `n = 3` the search passed two million prefixes
+/// for the Herlihy construction, so larger `n` keep the sampled floor.
+const EXACT_FLOOR_N: usize = 2;
+
+/// The prefixes [`exact_floor`] may replay before it gives up. The
+/// universal constructions and the wakeup algorithms need at most a few
+/// hundred at `n = 2` (Herlihy's: 503 for shared accesses, 99 for DSM
+/// RMRs); the recoverable mutex, whose waiter spins on a register it
+/// homes, needs 25 739 for shared accesses and passes two million for
+/// DSM RMRs, and keeps its sampled floor.
+const EXACT_FLOOR_BUDGET: usize = 20_000;
+
+/// The simulator executor replaying `picks` from the start: each pick
+/// performs one shared-memory operation of that process. Every process
+/// takes its coin tosses eagerly, up to its next shared operation or its
+/// return: a toss touches no register and its outcome depends only on
+/// the process and its toss index, so it commutes with every other
+/// process's step, and every schedule's counts are those of some pick
+/// list.
+fn replay(
+    alg: &dyn Algorithm,
+    n: usize,
+    toss_seed: u64,
+    picks: &[ProcessId],
+) -> Result<Executor, RunError> {
+    let mut exec = Executor::new(
+        alg,
+        n,
+        Arc::new(SeededTosses::new(toss_seed)),
+        ExecutorConfig::lightweight(),
+    );
+    for p in ProcessId::all(n) {
+        exec.advance_local(p)?;
+    }
+    for &p in picks {
+        exec.step(p)?;
+        exec.advance_local(p)?;
+    }
+    Ok(exec)
+}
+
+/// The exact minimum, over every schedule of `alg` under `toss_seed` that
+/// runs to completion with no process taking more than `cap` shared
+/// accesses, of the worst per-process `cost`, or `start` if that is
+/// lower; `None` once the search passes [`EXACT_FLOOR_BUDGET`] prefixes.
+/// The search is depth-first over pick lists ([`replay`]), kept on an
+/// explicit stack so deep polling runs cannot overflow the call stack.
+/// With `prune`, a prefix whose worst cost already reaches the best
+/// found is cut: costs only grow along a schedule. The cap keeps polling
+/// constructions, whose followers spin until served, finite.
+fn exact_floor(
+    alg: &dyn Algorithm,
+    n: usize,
+    toss_seed: u64,
+    cost: fn(&Run, ProcessId) -> u64,
+    cap: u64,
+    start: u64,
+    prune: bool,
+) -> Result<Option<u64>, RunError> {
+    let mut best = start;
+    let mut stack = vec![Vec::new()];
+    for _ in 0..EXACT_FLOOR_BUDGET {
+        let Some(picks) = stack.pop() else {
+            return Ok(Some(best));
+        };
+        let exec = replay(alg, n, toss_seed, &picks)?;
+        let run = exec.run();
+        let worst = ProcessId::all(n).map(|p| cost(run, p)).max().unwrap_or(0);
+        if (prune && worst >= best) || ProcessId::all(n).any(|p| run.shared_steps(p) > cap) {
+            continue;
+        }
+        if exec.all_terminated() {
+            best = best.min(worst);
+            continue;
+        }
+        for p in ProcessId::all(n).filter(|&p| !exec.is_terminated(p)) {
+            let mut next = picks.clone();
+            next.push(p);
+            stack.push(next);
+        }
+    }
+    Ok(None)
 }
 
 /// The `(min, max)` worst-case count over the envelope schedules that
@@ -307,7 +410,11 @@ struct SimEnvelopes {
 /// sequential schedule (a documented fairness requirement, not a bug) —
 /// so a schedule that exhausts its budget is dropped from the envelope
 /// rather than failing the check. At least one schedule must complete;
-/// if none does, the last error is reported.
+/// if none does, the last error is reported. At [`EXACT_FLOOR_N`]
+/// processes both lower ends are then lowered to the exact minimum over
+/// every schedule ([`exact_floor`]), with each process capped at the
+/// accepted shared-access count, unless either search runs out of
+/// budget.
 fn sim_envelope(
     alg: &dyn Algorithm,
     cfg: &XcheckConfig,
@@ -327,11 +434,20 @@ fn sim_envelope(
             Err(e) => last_err = Some(e),
         }
     }
-    if completed {
-        Ok(SimEnvelopes { ops, dsm })
-    } else {
-        Err(last_err.expect("at least one schedule ran"))
+    if !completed {
+        return Err(last_err.expect("at least one schedule ran"));
     }
+    let mut exact = false;
+    if cfg.n == EXACT_FLOOR_N {
+        let cap = accept_interval(ops).1;
+        let floor = |cost, start| exact_floor(alg, cfg.n, toss_seed, cost, cap, start, true);
+        if let Some(ops_floor) = floor(Run::shared_steps, ops.0)? {
+            if let Some(dsm_floor) = floor(Run::dsm_rmrs, dsm.0)? {
+                (ops.0, dsm.0, exact) = (ops_floor, dsm_floor, true);
+            }
+        }
+    }
+    Ok(SimEnvelopes { ops, dsm, exact })
 }
 
 fn hw_trial(alg: &dyn Algorithm, n: usize, seed: u64, max_steps: u64) -> Result<HwRun, HwRunError> {
@@ -399,8 +515,7 @@ pub fn xcheck_wakeup(alg: &dyn Algorithm, cfg: &XcheckConfig) -> Result<XcheckRe
         alg.name().to_string(),
         "wakeup",
         cfg.n,
-        envelopes.ops,
-        envelopes.dsm,
+        envelopes,
         trials,
         cfg.check_envelope,
     ))
@@ -472,8 +587,7 @@ pub fn xcheck_universal(
         imp.name(),
         "universal",
         cfg.n,
-        envelopes.ops,
-        envelopes.dsm,
+        envelopes,
         trials,
         cfg.check_envelope,
     ))
@@ -522,7 +636,7 @@ pub struct HwChaosRun {
 /// memory, drives the threads (under the crash supervisor when
 /// `recovery` is set), and classifies the result off the history, the
 /// fault-layer stats, and the hardened telemetry registers — by the
-/// simulator's rules ([`completed_class`], [`judge_safe`],
+/// simulator's rules (`completed_class`, `judge_safe`,
 /// [`detections`]), so the two backends' classes are comparable.
 pub fn run_hw_chaos(
     alg: &dyn Algorithm,
@@ -975,7 +1089,7 @@ fn run_hw_case(alg: &dyn Algorithm, n: usize, max_steps: u64) -> Result<CaseCost
 /// or budget-starved run on either backend, a panicked hardware thread,
 /// or the hardware trial watchdog. [`e18_bench`] records the failed case
 /// and keeps going.
-pub fn e18_case(
+pub(crate) fn e18_case(
     workload: &'static str,
     alg: &dyn Algorithm,
     backend: BackendKind,
@@ -1113,8 +1227,16 @@ impl E18Bench {
 mod tests {
     use super::*;
     use llsc_objects::FetchIncrement;
-    use llsc_universal::DirectLlSc;
+    use llsc_universal::{CombiningTreeUniversal, DirectLlSc, HerlihyUniversal};
     use llsc_wakeup::CounterWakeup;
+
+    fn sampled() -> SimEnvelopes {
+        SimEnvelopes {
+            ops: (1, 2),
+            dsm: (1, 2),
+            exact: false,
+        }
+    }
 
     fn small() -> XcheckConfig {
         XcheckConfig {
@@ -1140,8 +1262,7 @@ mod tests {
             "x".into(),
             "universal",
             2,
-            (1, 2),
-            (1, 2),
+            sampled(),
             vec![out_of_envelope.clone()],
             true,
         );
@@ -1150,8 +1271,7 @@ mod tests {
             "x".into(),
             "universal",
             2,
-            (1, 2),
-            (1, 2),
+            sampled(),
             vec![out_of_envelope],
             false,
         );
@@ -1169,8 +1289,7 @@ mod tests {
             "x".into(),
             "universal",
             2,
-            (1, 2),
-            (1, 2),
+            sampled(),
             vec![unsafe_trial],
             false,
         );
@@ -1187,8 +1306,7 @@ mod tests {
             in_envelope: true,
             in_dsm_envelope: false,
         };
-        let report =
-            XcheckReport::finish("x".into(), "wakeup", 2, (1, 2), (1, 2), vec![trial], true);
+        let report = XcheckReport::finish("x".into(), "wakeup", 2, sampled(), vec![trial], true);
         assert!(!report.ok, "a DSM envelope miss is a backend disagreement");
         assert!(report.render().contains("dsm_rmrs="));
     }
@@ -1209,6 +1327,92 @@ mod tests {
         let report = xcheck_universal(&imp, spec.as_ref(), &ops, &small()).expect("runs complete");
         assert!(report.ok, "{}", report.render());
         assert_eq!(report.kind, "universal");
+    }
+
+    /// The direct, naive and Herlihy constructions at `n = 2`, each
+    /// with one fetch&increment per process.
+    fn two_process_constructions() -> Vec<(Box<dyn ObjectImplementation>, Vec<Value>)> {
+        let spec: Arc<dyn ObjectSpec> = Arc::new(FetchIncrement::new(32));
+        let imps: Vec<Box<dyn ObjectImplementation>> = vec![
+            Box::new(DirectLlSc::new(spec.clone())),
+            Box::new(CombiningTreeUniversal::new(spec.clone())),
+            Box::new(HerlihyUniversal::new(spec)),
+        ];
+        imps.into_iter()
+            .map(|imp| (imp, vec![FetchIncrement::op(); 2]))
+            .collect()
+    }
+
+    #[test]
+    fn two_process_floors_are_exact() {
+        let spec = FetchIncrement::new(32);
+        let cfg = XcheckConfig {
+            n: 2,
+            trials: 0,
+            ..XcheckConfig::default()
+        };
+        // (shared accesses, DSM RMRs): the cheapest schedule of each.
+        let floors = [(2, 2), (2, 2), (5, 1)];
+        for ((imp, ops), floor) in two_process_constructions().iter().zip(floors) {
+            let report = xcheck_universal(imp.as_ref(), &spec, ops, &cfg).unwrap();
+            let got = (report.sim_envelope.0, report.sim_dsm_envelope.0);
+            assert_eq!(got, floor, "{}", imp.name());
+            assert_eq!((report.accept.0, report.dsm_accept.0), floor);
+            assert!(report
+                .render()
+                .contains("(lower ends exact over every schedule)"));
+        }
+        let three = XcheckConfig { n: 3, ..cfg };
+        let ops = vec![FetchIncrement::op(); 3];
+        let imp = HerlihyUniversal::new(Arc::new(spec));
+        let report = xcheck_universal(&imp, &spec, &ops, &three).unwrap();
+        assert!(report.render().contains("(sampled)"), "{}", report.render());
+    }
+
+    #[test]
+    fn pruning_keeps_the_two_process_floors() {
+        for (imp, ops) in two_process_constructions() {
+            let alg = ImplAlgorithm::new(imp.as_ref(), &ops);
+            for cost in [Run::shared_steps, Run::dsm_rmrs] {
+                let floor = |start, prune| exact_floor(&alg, 2, 1, cost, 100, start, prune);
+                let pruned = floor(u64::MAX, true).unwrap();
+                assert!(pruned.is_some(), "{}", imp.name());
+                assert_eq!(pruned, floor(u64::MAX, false).unwrap(), "{}", imp.name());
+            }
+        }
+    }
+
+    /// The Herlihy interleaving the sampled schedules missed: p0 announces
+    /// (an access to `announce[0]`, homed at p0), p1 runs a whole attempt
+    /// and applies p0's entry (one remote read of `announce[0]`), then
+    /// p0's LL of the log (homed at p1) finds its entry applied and p0
+    /// returns. p0 pays one remote access, so the worst DSM count is 1.
+    #[test]
+    fn herlihy_announce_then_help_lands_inside_the_envelope() {
+        let (imp, ops) = two_process_constructions().swap_remove(2);
+        let alg = ImplAlgorithm::new(imp.as_ref(), &ops);
+        let (p0, p1) = (ProcessId(0), ProcessId(1));
+        let mut picks = vec![p0];
+        for p in [p1, p0] {
+            while !replay(&alg, 2, 1, &picks).unwrap().is_terminated(p) {
+                picks.push(p);
+            }
+        }
+        let exec = replay(&alg, 2, 1, &picks).unwrap();
+        assert!(exec.all_terminated());
+        let run = exec.run();
+        let worst = |cost: fn(&Run, ProcessId) -> u64| cost(run, p0).max(cost(run, p1));
+        let costs = (worst(Run::shared_steps), worst(Run::dsm_rmrs));
+        assert_eq!(costs, (5, 1));
+        assert_eq!(run.dsm_rmrs(p0), 1, "p0's one remote access");
+        let cfg = XcheckConfig {
+            n: 2,
+            trials: 0,
+            ..XcheckConfig::default()
+        };
+        let report = xcheck_universal(imp.as_ref(), &FetchIncrement::new(32), &ops, &cfg).unwrap();
+        let ((lo, hi), (dlo, dhi)) = (report.accept, report.dsm_accept);
+        assert!((lo..=hi).contains(&costs.0) && (dlo..=dhi).contains(&costs.1));
     }
 
     #[test]

@@ -11,21 +11,19 @@
 //! with the other `llsc` command-line tests in the root `tests/cli.rs`.
 
 use llsc_bench::harness::Sweep;
+use llsc_bench::registry;
 use llsc_bench::table::Table;
 
-/// Small-instance experiment calls that together cover every sweep shape
-/// the harness uses: per-config fan-out (E1), per-(alg, n) fan-out (E5),
-/// per-seed fan-out (E6), nested subset fan-out (E4, E13), and
-/// per-schedule fan-out (E14).
+/// The registry's cheap tables, which together cover the sweep shapes
+/// the harness uses: per-seed fan-out (E6), nested subset fan-out (E4,
+/// E13), and per-schedule fan-out (E14). Per-config (E1) and
+/// per-(alg, n) (E5) fan-out are checked at small sizes by
+/// `experiments`' own `tables_are_identical_across_thread_counts`.
 fn fast_experiments(sweep: &Sweep) -> Vec<Table> {
-    vec![
-        llsc_bench::e1_secretive_schedules(&[4, 16], 4, sweep).table,
-        llsc_bench::e4_indistinguishability(&[4, 5], &[1, 2], sweep).table,
-        llsc_bench::e5_wakeup_lower_bound(&[4, 16], sweep).table,
-        llsc_bench::e6_randomized_expectation(&[4, 8], 8, sweep).table,
-        llsc_bench::e13_appendix_claims(&[4, 5], sweep).table,
-        llsc_bench::e14_stress_portfolio(5, sweep).table,
-    ]
+    ["e4", "e6", "e13", "e14"]
+        .into_iter()
+        .flat_map(|id| registry::find(id).unwrap().run(sweep, None).0)
+        .collect()
 }
 
 #[test]

@@ -4,10 +4,10 @@
 //! and the stray temp file a kill between write and rename leaves).
 
 use llsc_bench::job::{
-    artifact_path, manifest_path, resume_job, run_job, JobControl, JobExperiment, JobSpec,
-    JobStatus,
+    artifact_path, resume_job, run_job, JobControl, JobExperiment, JobSpec, JobStatus,
 };
-use llsc_shmem::{checkpoint, Sweep};
+use llsc_bench::table::Table;
+use llsc_shmem::checkpoint;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -82,7 +82,7 @@ fn kill_after_chunk_one_resumes_byte_identically_at_another_thread_count() {
         first.artifact.is_none(),
         "an interrupted run leaves no artifact"
     );
-    let manifest = std::fs::read_to_string(manifest_path(&dir)).unwrap();
+    let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
     assert!(manifest.contains("\"status\":\"interrupted\""));
 
     // Resume at a different thread count than both the first leg and the
@@ -98,11 +98,14 @@ fn kill_after_chunk_one_resumes_byte_identically_at_another_thread_count() {
 
 #[test]
 fn every_kill_point_resumes_to_the_same_artifact() {
-    let (e16, _) = llsc_bench::e16_fault_degradation(8, &[8], 2, 0, &Sweep::sequential());
+    let e16 = Table::from_json_artifact(&uninterrupted_artifact(&e16_spec(), 1)).unwrap();
+    let column = |name: &str| e16[0].headers().iter().position(|h| h == name).unwrap();
+    let counts = [column("stalled"), column("injected"), column("detected")];
     assert!(
-        e16.rows
+        e16[0]
+            .rows()
             .iter()
-            .any(|r| r.class("stalled") > 0 && r.injected() > 0 && r.detected > 0),
+            .any(|row| counts.iter().all(|&c| row[c] != "0")),
         "some stalled E16 trials carry delivered faults and detections"
     );
     for spec in [e4_spec(), e16_spec()] {
@@ -269,7 +272,7 @@ fn retry_exhaustion_yields_a_partial_artifact_not_a_crash() {
     assert_eq!(report.status, JobStatus::Incomplete);
     assert_eq!(report.failed.len(), 3);
 
-    let manifest = std::fs::read_to_string(manifest_path(&dir)).unwrap();
+    let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
     assert!(manifest.contains("\"status\":\"incomplete\""));
     assert!(manifest.contains("\"incomplete_rows\":["));
     let artifact = std::fs::read_to_string(artifact_path(&dir)).unwrap();
@@ -281,7 +284,7 @@ fn retry_exhaustion_yields_a_partial_artifact_not_a_crash() {
         max_events: 0,
         ..spec
     };
-    llsc_shmem::atomic_write(&llsc_bench::job::spec_path(&dir), fixed.render()).unwrap();
+    llsc_shmem::atomic_write(&dir.join("spec.json"), fixed.render()).unwrap();
     std::fs::remove_dir_all(dir.join("checkpoints")).unwrap();
     let report = resume_job(&dir, 2, &JobControl::new()).unwrap();
     assert_eq!(report.status, JobStatus::Complete);

@@ -3,6 +3,7 @@
 //! repro cases; each case replays byte-identically and shrinks to a
 //! strictly smaller reproducer with the same failure class.
 
+use llsc_bench::registry;
 use llsc_bench::repro::{run_case, shrink_case};
 use llsc_shmem::repro::ReproCase;
 use llsc_shmem::Sweep;
@@ -12,7 +13,9 @@ use llsc_shmem::Sweep;
 /// pipeline.
 #[test]
 fn starved_e16_failures_replay_and_shrink() {
-    let (_, failures) = llsc_bench::e16_fault_degradation(8, &[0], 1, 40, &Sweep::sequential());
+    let (_, failures) = registry::find("e16")
+        .unwrap()
+        .run(&Sweep::sequential(), Some(40));
     assert!(!failures.is_empty(), "starved f=0 trials must fail");
 
     for failure in &failures {

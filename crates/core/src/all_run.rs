@@ -94,7 +94,7 @@ impl RoundedRun {
     /// `val(R, r, Σ)` and `Pset(R, r, Σ)`, borrowed: the value and the
     /// registered process set of `reg` at the end of round `r` (round 0 =
     /// initial configuration).
-    pub fn register_at(&self, reg: RegisterId, r: usize) -> (&Value, &ProcMask) {
+    pub(crate) fn register_at(&self, reg: RegisterId, r: usize) -> (&Value, &ProcMask) {
         static UNIT: Value = Value::Unit;
         static EMPTY: ProcMask = ProcMask::new();
         let end = r
@@ -119,7 +119,7 @@ impl RoundedRun {
 
     /// `true` iff every round recorded its end-of-round register snapshot
     /// ([`AdversaryConfig::record_snapshots`]).
-    pub fn has_snapshots(&self) -> bool {
+    pub(crate) fn has_snapshots(&self) -> bool {
         self.rounds.iter().all(|rec| rec.end_registers.is_some())
     }
 

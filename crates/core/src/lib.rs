@@ -80,7 +80,7 @@ pub use expectation::{
 };
 pub use gray::{gray_mask, GraySubsetBuilder, GrayTrial};
 pub use indist::{check_indistinguishability, IndistReport, IndistViolation};
-pub use rounds::{execute_round, ChangeIndex, MoveOrder, OpSummary, RoundCounts, RoundRecord};
+pub use rounds::{ChangeIndex, MoveOrder, OpSummary, RoundCounts, RoundRecord};
 pub use s_run::{build_s_run, build_s_run_with, SRun, SRunBuilder};
 pub use secretive::{
     flow_report, is_complete, is_secretive, movers, random_move_config, restrict,
@@ -94,7 +94,7 @@ pub use subsets::{
 pub use theorem::{
     ceil_log4, log4, report_from_all_run, verify_lower_bound, LowerBoundReport, Refutation,
 };
-pub use trace::{trace_all_run, trace_round, trace_up_sets};
-pub use upsets::{lemma_5_1_bound, ProcSet, UpSnapshot, UpTracker};
+pub use trace::trace_all_run;
+pub use upsets::{ProcSet, UpSnapshot, UpTracker};
 pub use vecmap::VecMap;
 pub use wakeup::{check_wakeup, WakeupCheck, WakeupViolation};

@@ -241,7 +241,7 @@ impl ChangeIndex {
 /// Panics if `move_order` is [`MoveOrder::Given`] and some mover of this
 /// round does not appear in the given schedule (Claim A.3 guarantees this
 /// cannot happen for the `(S, A)`-run construction).
-pub fn execute_round(
+pub(crate) fn execute_round(
     exec: &mut Executor,
     round: usize,
     participants: &[ProcessId],

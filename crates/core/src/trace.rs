@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 
 /// Renders one round of an `(All, A)`-run (or an `(S, A)`-run, given its
 /// record) as indented text.
-pub fn trace_round(rec: &RoundRecord) -> String {
+pub(crate) fn trace_round(rec: &RoundRecord) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "round {}:", rec.round);
     let tosses: u64 = rec.phase1_tosses.values().sum();
@@ -57,7 +57,7 @@ pub fn trace_round(rec: &RoundRecord) -> String {
 }
 
 /// Renders the `UP` sets of the given round.
-pub fn trace_up_sets(up: &UpTracker, round: usize) -> String {
+pub(crate) fn trace_up_sets(up: &UpTracker, round: usize) -> String {
     let mut out = String::new();
     let snapshot = up.snapshot(round);
     let _ = write!(out, "  UP(p, {round}):");

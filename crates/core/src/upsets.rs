@@ -50,7 +50,7 @@ impl UpSnapshot {
     }
 
     /// The largest `|UP(X, r)|` over all processes and registers.
-    pub fn max_size(&self) -> usize {
+    pub(crate) fn max_size(&self) -> usize {
         let p = self.procs.iter().map(ProcSet::len).max().unwrap_or(0);
         let r = self.regs.values().map(ProcSet::len).max().unwrap_or(0);
         p.max(r)
@@ -58,7 +58,7 @@ impl UpSnapshot {
 }
 
 /// `4^r`, saturating — the Lemma 5.1 bound for round `r`.
-pub fn lemma_5_1_bound(r: usize) -> usize {
+pub(crate) fn lemma_5_1_bound(r: usize) -> usize {
     4usize.saturating_pow(r.min(32) as u32)
 }
 
@@ -141,7 +141,7 @@ impl UpTracker {
     }
 
     /// Whether every round's snapshot is retained (full mode).
-    pub fn has_full_history(&self) -> bool {
+    pub(crate) fn has_full_history(&self) -> bool {
         self.keep_history
     }
 

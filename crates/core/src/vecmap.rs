@@ -55,7 +55,7 @@ impl<K: Ord, V> VecMap<K, V> {
     /// # Panics
     ///
     /// Panics in debug builds if the keys are not strictly increasing.
-    pub fn refill_sorted(&mut self, fill: impl FnOnce(&mut Vec<(K, V)>)) {
+    pub(crate) fn refill_sorted(&mut self, fill: impl FnOnce(&mut Vec<(K, V)>)) {
         self.entries.clear();
         fill(&mut self.entries);
         debug_assert!(self.entries.windows(2).all(|w| w[0].0 < w[1].0));

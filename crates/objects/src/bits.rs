@@ -8,12 +8,12 @@
 //! schoolbook multiplication, all modulo `2^k`.
 
 /// The number of 64-bit limbs needed for `k` bits.
-pub fn limbs_for(k: usize) -> usize {
+pub(crate) fn limbs_for(k: usize) -> usize {
     k.div_ceil(64).max(1)
 }
 
 /// Masks `words` in place so only the low `k` bits survive.
-pub fn mask_to_width(words: &mut [u64], k: usize) {
+pub(crate) fn mask_to_width(words: &mut [u64], k: usize) {
     let full = k / 64;
     for (i, w) in words.iter_mut().enumerate() {
         if i > full || (i == full && k.is_multiple_of(64)) {
@@ -26,7 +26,7 @@ pub fn mask_to_width(words: &mut [u64], k: usize) {
 
 /// Returns `words` resized to exactly `limbs_for(k)` limbs and masked to
 /// `k` bits.
-pub fn normalize(mut words: Vec<u64>, k: usize) -> Vec<u64> {
+pub(crate) fn normalize(mut words: Vec<u64>, k: usize) -> Vec<u64> {
     words.resize(limbs_for(k), 0);
     mask_to_width(&mut words, k);
     words
@@ -57,7 +57,7 @@ pub fn or(a: &[u64], b: &[u64], k: usize) -> Vec<u64> {
 /// # Panics
 ///
 /// Panics if `i >= k`.
-pub fn complement_bit(a: &[u64], i: usize, k: usize) -> Vec<u64> {
+pub(crate) fn complement_bit(a: &[u64], i: usize, k: usize) -> Vec<u64> {
     assert!(i < k, "bit index {i} out of width {k}");
     let mut out = normalize(a.to_vec(), k);
     out[i / 64] ^= 1u64 << (i % 64);
@@ -84,7 +84,7 @@ pub fn add(a: &[u64], b: &[u64], k: usize) -> Vec<u64> {
 }
 
 /// `(a * b) mod 2^k` (schoolbook; `O(limbs²)`).
-pub fn mul(a: &[u64], b: &[u64], k: usize) -> Vec<u64> {
+pub(crate) fn mul(a: &[u64], b: &[u64], k: usize) -> Vec<u64> {
     let limbs = limbs_for(k);
     let mut out = vec![0u64; limbs];
     for i in 0..limbs.min(a.len()) {
@@ -103,13 +103,8 @@ pub fn mul(a: &[u64], b: &[u64], k: usize) -> Vec<u64> {
     out
 }
 
-/// `true` iff all `k` bits are zero.
-pub fn is_zero(a: &[u64]) -> bool {
-    a.iter().all(|&w| w == 0)
-}
-
 /// A `k`-bit string from a small unsigned value.
-pub fn from_u64(v: u64, k: usize) -> Vec<u64> {
+pub(crate) fn from_u64(v: u64, k: usize) -> Vec<u64> {
     normalize(vec![v], k)
 }
 
@@ -160,6 +155,14 @@ mod tests {
         let x = vec![1u64 << 63];
         assert_eq!(mul(&x, &[2], 128), vec![0, 1]);
         assert_eq!(mul(&x, &[2], 64), vec![0], "overflow drops mod 2^64");
+        // Two-limb operands against u128 arithmetic.
+        let (a, b) = (0x0123_4567_89ab_cdef_fedc_ba98_7654_3210u128, u128::MAX / 3);
+        let limbs = |x: u128| [x as u64, (x >> 64) as u64];
+        for k in [65, 100, 128] {
+            let mask = u128::MAX >> (128 - k);
+            let want = (a & mask).wrapping_mul(b & mask) & mask;
+            assert_eq!(mul(&limbs(a), &limbs(b), k), limbs(want), "k={k}");
+        }
     }
 
     #[test]
@@ -171,7 +174,7 @@ mod tests {
         for _ in 0..k {
             v = mul(&v, &[2], k);
         }
-        assert!(is_zero(&v));
+        assert_eq!(v, vec![0; 3]);
     }
 
     #[test]
@@ -189,20 +192,13 @@ mod tests {
         assert!(bit(&c, 69));
         assert!(!bit(&c, 68));
         let back = complement_bit(&c, 69, 70);
-        assert!(is_zero(&back));
+        assert_eq!(back, vec![0; 2]);
     }
 
     #[test]
     #[should_panic(expected = "out of width")]
     fn complement_out_of_width_panics() {
         complement_bit(&[0], 64, 64);
-    }
-
-    #[test]
-    fn zero_detection() {
-        assert!(is_zero(&[0, 0]));
-        assert!(!is_zero(&[0, 1]));
-        assert!(is_zero(&[]));
     }
 
     #[test]

@@ -10,12 +10,13 @@
 use crate::seqspec::{encode_op, op_arg, op_tag, ObjectSpec};
 use llsc_shmem::Value;
 
-const TAG_CAS: i64 = 40;
+pub(crate) const TAG_CAS: i64 = 40;
 const TAG_READ: i64 = 41;
 
 /// A compare&swap register: `cas(expected, new)` installs `new` iff the
 /// state equals `expected`, returning the previous state either way;
-/// `read()` returns the state.
+/// `read()` returns the state. Operations are `(tag, args…)` tuples:
+/// `cas(expected, new)` is `(40, expected, new)`.
 ///
 /// # Examples
 ///
@@ -24,7 +25,7 @@ const TAG_READ: i64 = 41;
 /// use llsc_shmem::Value;
 ///
 /// let c = CasRegister::with_initial(Value::from(0i64));
-/// let op = CasRegister::cas_op(Value::from(0i64), Value::from(1i64));
+/// let op = Value::tuple([40i64, 0, 1].map(Value::from));
 /// let (s, prev) = c.apply(&c.initial(), &op);
 /// assert_eq!(prev, Value::from(0i64));
 /// assert_eq!(s, Value::from(1i64));
@@ -47,11 +48,6 @@ impl CasRegister {
     /// A CAS register initially holding `v`.
     pub fn with_initial(v: Value) -> Self {
         CasRegister { initial: v }
-    }
-
-    /// `cas(expected, new)`.
-    pub fn cas_op(expected: Value, new: Value) -> Value {
-        encode_op(TAG_CAS, [expected, new])
     }
 
     /// `read()`.
@@ -95,7 +91,7 @@ mod tests {
         let c = CasRegister::with_initial(Value::from(0i64));
         let (s, prev) = c.apply(
             &c.initial(),
-            &CasRegister::cas_op(Value::from(0i64), Value::from(7i64)),
+            &encode_op(TAG_CAS, [Value::from(0i64), Value::from(7i64)]),
         );
         assert_eq!(prev, Value::from(0i64));
         assert_eq!(s, Value::from(7i64));
@@ -106,7 +102,7 @@ mod tests {
         let c = CasRegister::with_initial(Value::from(0i64));
         let (s, prev) = c.apply(
             &c.initial(),
-            &CasRegister::cas_op(Value::from(9i64), Value::from(7i64)),
+            &encode_op(TAG_CAS, [Value::from(9i64), Value::from(7i64)]),
         );
         assert_eq!(prev, Value::from(0i64));
         assert_eq!(s, Value::from(0i64));
@@ -121,7 +117,10 @@ mod tests {
         let mut winners = 0;
         for i in 0..5 {
             let before = s.clone();
-            let (next, _) = c.apply(&s, &CasRegister::cas_op(Value::Unit, Value::from(i as i64)));
+            let (next, _) = c.apply(
+                &s,
+                &encode_op(TAG_CAS, [Value::Unit, Value::from(i as i64)]),
+            );
             if next != before {
                 winners += 1;
             }

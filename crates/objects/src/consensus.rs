@@ -6,7 +6,7 @@
 //! constructions). `propose(v)` decides the first proposed value and
 //! returns the decision.
 
-use crate::seqspec::{encode_op, op_arg, op_tag, ObjectSpec};
+use crate::seqspec::{op_arg, op_tag, ObjectSpec};
 use llsc_shmem::Value;
 
 const TAG_PROPOSE: i64 = 50;
@@ -14,7 +14,8 @@ const TAG_PROPOSE: i64 = 50;
 /// A consensus object: the first `propose(v)` fixes the decision to `v`;
 /// every `propose` returns the decided value.
 ///
-/// State: [`Value::Unit`] while undecided, then `(decided,)`.
+/// State: [`Value::Unit`] while undecided, then `(decided,)`. The one
+/// operation, `propose(v)`, is the tuple `(50, v)`.
 ///
 /// # Examples
 ///
@@ -23,8 +24,9 @@ const TAG_PROPOSE: i64 = 50;
 /// use llsc_shmem::Value;
 ///
 /// let c = Consensus::new();
-/// let (s, d1) = c.apply(&c.initial(), &Consensus::propose_op(Value::from(4i64)));
-/// let (_, d2) = c.apply(&s, &Consensus::propose_op(Value::from(9i64)));
+/// let propose = |v: i64| Value::tuple([50, v].map(Value::from));
+/// let (s, d1) = c.apply(&c.initial(), &propose(4));
+/// let (_, d2) = c.apply(&s, &propose(9));
 /// assert_eq!(d1, Value::from(4i64));
 /// assert_eq!(d2, Value::from(4i64), "agreement");
 /// ```
@@ -35,11 +37,6 @@ impl Consensus {
     /// Creates an undecided consensus object.
     pub fn new() -> Self {
         Consensus
-    }
-
-    /// `propose(v)`.
-    pub fn propose_op(v: Value) -> Value {
-        encode_op(TAG_PROPOSE, [v])
     }
 }
 
@@ -71,6 +68,7 @@ impl ObjectSpec for Consensus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seqspec::encode_op;
 
     #[test]
     fn first_proposal_wins_validity_and_agreement() {
@@ -78,7 +76,7 @@ mod tests {
         let mut s = c.initial();
         let mut decisions = Vec::new();
         for i in [5i64, 3, 8] {
-            let (next, d) = c.apply(&s, &Consensus::propose_op(Value::from(i)));
+            let (next, d) = c.apply(&s, &encode_op(TAG_PROPOSE, [Value::from(i)]));
             s = next;
             decisions.push(d);
         }
@@ -92,9 +90,9 @@ mod tests {
         // wraps the value.
         let c = Consensus::new();
         let v = Value::empty_tuple();
-        let (s, d) = c.apply(&c.initial(), &Consensus::propose_op(v.clone()));
+        let (s, d) = c.apply(&c.initial(), &encode_op(TAG_PROPOSE, [v.clone()]));
         assert_eq!(d, v);
-        let (_, d2) = c.apply(&s, &Consensus::propose_op(Value::from(1i64)));
+        let (_, d2) = c.apply(&s, &encode_op(TAG_PROPOSE, [Value::from(1i64)]));
         assert_eq!(d2, v);
     }
 

@@ -50,5 +50,5 @@ pub use history::{History, OpId, OpRecord};
 pub use linearize::{check_linearizability, is_linearizable, LinCheck, MAX_OPS};
 pub use queue::{empty_response as queue_empty_response, Queue};
 pub use register_obj::RwRegister;
-pub use seqspec::{apply_all, encode_op, op_arg, op_tag, ObjectSpec};
+pub use seqspec::{apply_all, op_arg, op_tag, ObjectSpec};
 pub use stack::{empty_response as stack_empty_response, Stack};

@@ -161,6 +161,9 @@ pub fn is_linearizable(spec: &dyn ObjectSpec, history: &History) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cas::TAG_CAS;
+    use crate::register_obj::TAG_WRITE;
+    use crate::seqspec::encode_op;
     use crate::{CasRegister, Counter, FetchIncrement, Queue, RwRegister, Stack};
     use llsc_shmem::ProcessId;
 
@@ -260,7 +263,7 @@ mod tests {
         let r = RwRegister::with_initial(Value::from(0i64));
         // write(1) completes, then a read returns 0: stale.
         let h = History::sequential([
-            (p(0), RwRegister::write_op(Value::from(1i64)), Value::Unit),
+            (p(0), encode_op(TAG_WRITE, [Value::from(1i64)]), Value::Unit),
             (p(1), RwRegister::read_op(), Value::from(0i64)),
         ]);
         assert!(!is_linearizable(&r, &h));
@@ -271,7 +274,7 @@ mod tests {
         let r = RwRegister::with_initial(Value::from(0i64));
         for seen in [0i64, 1i64] {
             let mut h = History::new();
-            let w = h.invoke(p(0), RwRegister::write_op(Value::from(1i64)));
+            let w = h.invoke(p(0), encode_op(TAG_WRITE, [Value::from(1i64)]));
             let rd = h.invoke(p(1), RwRegister::read_op());
             h.respond(w, Value::Unit);
             h.respond(rd, Value::from(seen));
@@ -310,11 +313,11 @@ mod tests {
         let mut h = History::new();
         let a = h.invoke(
             p(0),
-            CasRegister::cas_op(Value::from(0i64), Value::from(1i64)),
+            encode_op(TAG_CAS, [Value::from(0i64), Value::from(1i64)]),
         );
         let b = h.invoke(
             p(1),
-            CasRegister::cas_op(Value::from(0i64), Value::from(2i64)),
+            encode_op(TAG_CAS, [Value::from(0i64), Value::from(2i64)]),
         );
         h.respond(a, Value::from(0i64));
         h.respond(b, Value::from(0i64));

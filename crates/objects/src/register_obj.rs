@@ -10,9 +10,10 @@ use crate::seqspec::{encode_op, op_arg, op_tag, ObjectSpec};
 use llsc_shmem::Value;
 
 const TAG_READ: i64 = 30;
-const TAG_WRITE: i64 = 31;
+pub(crate) const TAG_WRITE: i64 = 31;
 
 /// An atomic read/write register holding an arbitrary [`Value`].
+/// Operations are `(tag, args…)` tuples: `write(v)` is `(31, v)`.
 ///
 /// # Examples
 ///
@@ -21,7 +22,8 @@ const TAG_WRITE: i64 = 31;
 /// use llsc_shmem::Value;
 ///
 /// let r = RwRegister::with_initial(Value::from(1i64));
-/// let (s, ack) = r.apply(&r.initial(), &RwRegister::write_op(Value::from(2i64)));
+/// let write = Value::tuple([31i64, 2].map(Value::from));
+/// let (s, ack) = r.apply(&r.initial(), &write);
 /// assert_eq!(ack, Value::Unit);
 /// let (_, v) = r.apply(&s, &RwRegister::read_op());
 /// assert_eq!(v, Value::from(2i64));
@@ -45,11 +47,6 @@ impl RwRegister {
     /// `read()`: returns the state.
     pub fn read_op() -> Value {
         encode_op(TAG_READ, [])
-    }
-
-    /// `write(v)`: replaces the state, returns `ack`.
-    pub fn write_op(v: Value) -> Value {
-        encode_op(TAG_WRITE, [v])
     }
 }
 
@@ -81,7 +78,7 @@ mod tests {
     #[test]
     fn reads_see_latest_write() {
         let r = RwRegister::new();
-        let (s, _) = r.apply(&r.initial(), &RwRegister::write_op(Value::from(5i64)));
+        let (s, _) = r.apply(&r.initial(), &encode_op(TAG_WRITE, [Value::from(5i64)]));
         let (s2, v) = r.apply(&s, &RwRegister::read_op());
         assert_eq!(v, Value::from(5i64));
         assert_eq!(s2, s);

@@ -38,13 +38,13 @@ pub trait ObjectSpec: Debug + Send + Sync {
 /// Every object module uses this convention, giving each operation of the
 /// type a small integer tag. Constructors in the object modules (e.g.
 /// `Queue::enqueue_op`) are preferred over calling this directly.
-pub fn encode_op<I: IntoIterator<Item = Value>>(tag: i64, args: I) -> Value {
+pub(crate) fn encode_op<I: IntoIterator<Item = Value>>(tag: i64, args: I) -> Value {
     let mut items = vec![Value::from(tag)];
     items.extend(args);
     Value::tuple(items)
 }
 
-/// Decodes the tag of an [`encode_op`]-encoded operation.
+/// Decodes the tag of an `encode_op`-encoded operation.
 pub fn op_tag(op: &Value) -> Option<i128> {
     op.index(0)?.as_int()
 }

@@ -146,7 +146,7 @@ fn bits_match_u128_reference() {
         } else {
             (1u128 << k) - 1
         };
-        let to_limbs = |x: u128| bits::normalize(vec![x as u64, (x >> 64) as u64], k);
+        let to_limbs = |x: u128| bits::and(&[x as u64, (x >> 64) as u64], &[u64::MAX; 2], k);
         let from_limbs = |w: &[u64]| -> u128 {
             (w.first().copied().unwrap_or(0) as u128)
                 | ((w.get(1).copied().unwrap_or(0) as u128) << 64)
@@ -157,11 +157,16 @@ fn bits_match_u128_reference() {
             (a & mask).wrapping_add(b & mask) & mask,
             "seed {case}"
         );
+        // fetch&multiply by a one-limb factor multiplies the wide state
+        // and answers the state normalized to k bits.
+        let (product, previous) =
+            FetchMultiply::new(k).apply(&Value::bits(wa.clone()), &FetchMultiply::op(b as u64));
         assert_eq!(
-            from_limbs(&bits::mul(&wa, &wb, k)),
-            (a & mask).wrapping_mul(b & mask) & mask,
+            from_limbs(product.as_bits().unwrap()),
+            (a & mask).wrapping_mul(u128::from(b as u64)) & mask,
             "seed {case}"
         );
+        assert_eq!(previous.as_bits().unwrap(), wa.as_slice(), "seed {case}");
         assert_eq!(
             from_limbs(&bits::and(&wa, &wb, k)),
             a & b & mask,
@@ -219,7 +224,7 @@ fn multiply_by_two_shifts() {
         }
         let w = state.as_bits().unwrap();
         if doublings >= k {
-            assert!(bits::is_zero(w), "seed {case}");
+            assert!(w.iter().all(|&limb| limb == 0), "seed {case}");
         } else {
             assert!(bits::bit(w, doublings), "seed {case}");
             assert_eq!(
@@ -241,7 +246,9 @@ fn register_and_swap_chains() {
         let reg = RwRegister::new();
         let mut state = reg.initial();
         for v in &values {
-            let (next, _) = reg.apply(&state, &RwRegister::write_op(Value::from(*v)));
+            // `write(v)` is the operation `(31, v)`.
+            let write = Value::tuple([Value::from(31i64), Value::from(*v)]);
+            let (next, _) = reg.apply(&state, &write);
             state = next;
             let (_, read) = reg.apply(&state, &RwRegister::read_op());
             assert_eq!(read, Value::from(*v), "seed {case}");

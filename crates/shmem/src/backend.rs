@@ -18,7 +18,7 @@
 //!   compare-and-swap over `std::sync::atomic`, following Blelloch–Wei
 //!   (arXiv:1911.09671), driven by one OS thread per process.
 //!
-//! The drivers here ([`drive_program`], [`run_sequential`]) are
+//! The drivers here (`drive_program`, [`run_sequential`]) are
 //! backend-agnostic; the thread-per-process driver lives in `llsc-atomics`
 //! next to the memory it exercises. Cross-backend conformance tests live
 //! in `llsc-atomics/tests/conformance.rs`.
@@ -192,7 +192,7 @@ impl ExecutionBackend for SimBackend {
 ///
 /// [`RunError::BudgetExhausted`] when the program has not returned after
 /// `max_steps` actions.
-pub fn drive_program(
+pub(crate) fn drive_program(
     backend: &dyn ExecutionBackend,
     pid: ProcessId,
     prog: &mut dyn Program,

@@ -71,11 +71,6 @@ impl ChaosPlan {
         &self.faults
     }
 
-    /// The seed of the plan's [`RandomScheduler`].
-    pub fn schedule_seed(&self) -> u64 {
-        self.schedule_seed
-    }
-
     /// The schedule layer, as a replayable spec.
     pub fn schedule(&self) -> ScheduleSpec {
         ScheduleSpec::Random {
@@ -174,7 +169,7 @@ mod tests {
             plan.faults().clone(),
             "fault layer is salted"
         );
-        assert_ne!(plan.schedule_seed(), 5, "schedule seed is salted");
+        assert_ne!(plan.schedule_seed, 5, "schedule seed is salted");
     }
 
     #[test]

@@ -112,7 +112,7 @@ pub fn encode(payload: &[u8]) -> Vec<u8> {
 /// # Errors
 ///
 /// A [`CheckpointError`] naming the first integrity check that failed.
-pub fn decode(bytes: &[u8]) -> Result<Vec<u8>, CheckpointError> {
+pub(crate) fn decode(bytes: &[u8]) -> Result<Vec<u8>, CheckpointError> {
     let newline = bytes
         .iter()
         .position(|&b| b == b'\n')
@@ -169,7 +169,7 @@ pub fn file_name(seq: u64) -> String {
 /// Parses a checkpoint sequence number back out of a file name, if the
 /// name matches the `ckpt-<seq>.llsc` scheme (temporary `*.tmp` siblings
 /// deliberately do not).
-pub fn parse_seq(name: &str) -> Option<u64> {
+pub(crate) fn parse_seq(name: &str) -> Option<u64> {
     name.strip_prefix("ckpt-")?
         .strip_suffix(".llsc")?
         .parse()

@@ -179,8 +179,6 @@ pub struct CrashDriver<S> {
     /// Events between a crash and its recovery; `None` when no crash is
     /// ever recovered (crash-stop, or a budget of 0).
     delay: Option<u64>,
-    crashes_delivered: u64,
-    recoveries: u64,
 }
 
 impl<S: Scheduler> CrashDriver<S> {
@@ -208,19 +206,7 @@ impl<S: Scheduler> CrashDriver<S> {
             inner,
             victims,
             delay: recovery.filter(|r| r.budget > 0).map(|r| r.delay.max(1)),
-            crashes_delivered: 0,
-            recoveries: 0,
         }
-    }
-
-    /// Crashes delivered so far (across all victims and re-crashes).
-    pub fn crashes_delivered(&self) -> u64 {
-        self.crashes_delivered
-    }
-
-    /// Recoveries performed so far.
-    pub fn recoveries(&self) -> u64 {
-        self.recoveries
     }
 
     /// Fires every due recovery and due crash at the current event count.
@@ -230,13 +216,10 @@ impl<S: Scheduler> CrashDriver<S> {
     /// crash point (see [`CrashPlan`]).
     fn apply_due(&mut self, exec: &mut Executor, alg: &dyn Algorithm) {
         let now = exec.recorded_events();
-        let (mut crashed, mut recovered) = (0u64, 0u64);
         for v in &mut self.victims {
             if let Some(at) = v.recover_at {
                 if now >= at {
-                    if exec.recover(v.pid, alg) {
-                        recovered += 1;
-                    }
+                    exec.recover(v.pid, alg);
                     v.recover_at = None;
                     if v.crashes_left > 0 {
                         v.next_at = now + v.period;
@@ -245,13 +228,10 @@ impl<S: Scheduler> CrashDriver<S> {
             }
             if v.crashes_left > 0 && v.recover_at.is_none() && now >= v.next_at && exec.crash(v.pid)
             {
-                crashed += 1;
                 v.crashes_left -= 1;
                 v.recover_at = self.delay.map(|d| now + d);
             }
         }
-        self.crashes_delivered += crashed;
-        self.recoveries += recovered;
     }
 
     /// Fires every pending recovery regardless of its threshold — called
@@ -262,10 +242,7 @@ impl<S: Scheduler> CrashDriver<S> {
         let mut revived = false;
         for v in &mut self.victims {
             if v.recover_at.take().is_some() {
-                if exec.recover(v.pid, alg) {
-                    self.recoveries += 1;
-                    revived = true;
-                }
+                revived |= exec.recover(v.pid, alg);
                 if v.crashes_left > 0 {
                     v.next_at = now + v.period;
                 }
@@ -511,10 +488,9 @@ mod tests {
         let mut sched = CrashDriver::new(RoundRobinScheduler::new(), &plan, recovery(3, 1));
         sched.drive(&mut e, &alg, 10_000).unwrap();
         assert_eq!(e.run_outcome(), RunOutcome::Completed);
-        assert_eq!(sched.crashes_delivered(), 1);
-        assert_eq!(sched.recoveries(), 1);
-        assert_eq!(e.run().crash_count(ProcessId(1)), 1);
-        assert_eq!(e.run().recovery_count(ProcessId(1)), 1);
+        let c = e.run().counters();
+        assert_eq!((c.total_crashes(), c.total_recoveries()), (1, 1));
+        assert_eq!((c.crashes[1], c.recoveries[1]), (1, 1));
         assert!(e.run().shared_steps(ProcessId(1)) > 0, "it ran after all");
     }
 
@@ -530,10 +506,9 @@ mod tests {
         let mut sched = CrashDriver::new(RoundRobinScheduler::new(), &plan, recovery(2, 2));
         sched.drive(&mut e, &alg, 10_000).unwrap();
         assert_eq!(e.run_outcome(), RunOutcome::Completed);
-        assert_eq!(sched.crashes_delivered(), 2);
-        assert_eq!(sched.recoveries(), 2);
-        assert_eq!(e.run().crash_count(ProcessId(0)), 2);
-        assert_eq!(e.run().recovery_count(ProcessId(0)), 2);
+        let c = e.run().counters();
+        assert_eq!((c.total_crashes(), c.total_recoveries()), (2, 2));
+        assert_eq!((c.crashes[0], c.recoveries[0]), (2, 2));
     }
 
     #[test]
@@ -546,9 +521,10 @@ mod tests {
                 CrashDriver::new(RoundRobinScheduler::new(), &plan, recovery(1, budget));
             sched.drive(&mut e, &alg, 100_000).unwrap();
             assert_eq!(e.run_outcome(), RunOutcome::Completed);
-            assert_eq!(sched.crashes_delivered(), budget, "budget is spent");
-            assert_eq!(sched.recoveries(), budget, "every crash is recovered");
-            assert_eq!(e.run().crash_count(ProcessId(1)), budget);
+            let c = e.run().counters();
+            assert_eq!(c.total_crashes(), budget, "budget is spent");
+            assert_eq!(c.total_recoveries(), budget, "every crash is recovered");
+            assert_eq!(c.crashes[1], budget);
         }
     }
 
@@ -562,8 +538,8 @@ mod tests {
         let mut sched = CrashDriver::new(RoundRobinScheduler::new(), &plan, recovery(1, 0));
         sched.drive(&mut e, &alg, 100_000).unwrap();
         assert_eq!(e.run_outcome(), RunOutcome::Crashed { pid: ProcessId(1) });
-        assert_eq!(sched.crashes_delivered(), 1);
-        assert_eq!(sched.recoveries(), 0);
+        let c = e.run().counters();
+        assert_eq!((c.total_crashes(), c.total_recoveries()), (1, 0));
     }
 
     #[test]
@@ -578,7 +554,7 @@ mod tests {
         let mut sched = CrashDriver::new(RoundRobinScheduler::new(), &plan, recovery(1_000_000, 1));
         sched.drive(&mut e, &alg, 10_000).unwrap();
         assert_eq!(e.run_outcome(), RunOutcome::Completed);
-        assert_eq!(sched.recoveries(), 1);
+        assert_eq!(e.run().counters().total_recoveries(), 1);
     }
 
     #[test]
@@ -589,11 +565,12 @@ mod tests {
             let plan = CrashPlan::seeded(11, 5, 3, 12);
             let mut sched = CrashDriver::new(RoundRobinScheduler::new(), &plan, recovery(4, 2));
             sched.drive(&mut e, &alg, 100_000).unwrap();
+            let c = e.run().counters();
             (
                 e.run().events().to_vec(),
                 e.run_outcome(),
-                sched.crashes_delivered(),
-                sched.recoveries(),
+                c.total_crashes(),
+                c.total_recoveries(),
             )
         };
         assert_eq!(run_once(), run_once());

@@ -38,7 +38,7 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 /// The temporary sibling `atomic_write` stages `path`'s contents in.
 /// Exposed so directory scanners (the checkpoint loader) can recognise
 /// and ignore the leftovers of a write killed between create and rename.
-pub fn tmp_sibling(path: &Path) -> PathBuf {
+pub(crate) fn tmp_sibling(path: &Path) -> PathBuf {
     let mut name = path
         .file_name()
         .map(|n| n.to_os_string())

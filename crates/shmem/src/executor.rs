@@ -278,7 +278,7 @@ impl Executor {
     }
 
     /// `true` iff `p` has been crash-stopped (see [`Executor::crash`]).
-    pub fn is_crashed(&self, p: ProcessId) -> bool {
+    pub(crate) fn is_crashed(&self, p: ProcessId) -> bool {
         self.run.is_crashed(p)
     }
 
@@ -291,7 +291,7 @@ impl Executor {
     /// `true` iff every process is settled — terminated or crashed — so no
     /// further step is possible. With no crashes this is exactly
     /// [`Executor::all_terminated`].
-    pub fn all_settled(&self) -> bool {
+    pub(crate) fn all_settled(&self) -> bool {
         ProcessId::all(self.n).all(|p| !self.is_runnable(p))
     }
 
@@ -342,7 +342,7 @@ impl Executor {
     }
 
     /// Total events recorded so far (tosses + shared ops + terminations).
-    pub fn recorded_events(&self) -> u64 {
+    pub(crate) fn recorded_events(&self) -> u64 {
         self.recorded_events
     }
 
@@ -377,7 +377,7 @@ impl Executor {
     }
 
     /// The runnable (non-terminated, non-crashed) processes, in id order.
-    pub fn active(&self) -> Vec<ProcessId> {
+    pub(crate) fn active(&self) -> Vec<ProcessId> {
         ProcessId::all(self.n)
             .filter(|p| self.is_runnable(*p))
             .collect()
@@ -898,8 +898,8 @@ mod tests {
         assert!(!exec.recover(ProcessId(1), &alg), "p1 is not crashed");
         assert!(exec.recover(victim, &alg));
         assert!(exec.is_runnable(victim));
-        assert_eq!(exec.run().crash_count(victim), 1);
-        assert_eq!(exec.run().recovery_count(victim), 1);
+        assert_eq!(exec.run().counters().crashes[victim.0], 1);
+        assert_eq!(exec.run().counters().recoveries[victim.0], 1);
         // The respawned program restarts from the top and completes.
         while exec.step_round_robin().unwrap() {}
         assert!(exec.all_terminated());
@@ -1021,7 +1021,7 @@ mod tests {
                 corruptions: 0
             }
         );
-        assert!(exec.run_outcome().is_completed());
+        assert_eq!(exec.run_outcome().into_result(), Ok(()));
         // Cost of the recovery: LL, failed SC, then LL + SC again.
         assert_eq!(exec.run().shared_steps(ProcessId(0)), 4);
     }

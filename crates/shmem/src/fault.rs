@@ -34,14 +34,13 @@ const VALUE_STREAM_SALT: u64 = 0x00FA_171E_57ED_C0DE;
 
 /// A deterministic schedule of memory faults for one run.
 ///
-/// Thresholds are *event counts* ([`Executor::recorded_events`]): a
+/// Thresholds are *event counts* (`Executor::recorded_events`): a
 /// spurious entry with threshold `t` suppresses the first qualifying SC
 /// at or after event `t`; a corruption entry with threshold `t` rewrites
 /// the register observed by the first shared operation at or after event
 /// `t`. Expressing faults in event time (not wall time or thread time)
 /// is what keeps fault sweeps threads-invariant.
 ///
-/// [`Executor::recorded_events`]: crate::Executor::recorded_events
 ///
 /// # Examples
 ///

@@ -302,27 +302,6 @@ impl ProcMask {
         }
     }
 
-    /// Keeps only the ids present in both sets, trimming the window so
-    /// the result stays in the canonical `Eq`/`Hash` form.
-    pub fn intersect_with(&mut self, other: &ProcMask) {
-        self.lo &= other.lo;
-        let start = self.first.max(other.first);
-        let end = self.end().min(other.end());
-        if start >= end {
-            self.hi.clear();
-            self.first = 0;
-            return;
-        }
-        self.hi.truncate(end - self.first);
-        self.hi.drain(..start - self.first);
-        self.first = start;
-        let theirs = &other.hi[start - other.first..];
-        for (dst, src) in self.hi.iter_mut().zip(theirs) {
-            *dst &= src;
-        }
-        self.trim();
-    }
-
     /// Iterates the ids in ascending order.
     pub fn iter(&self) -> ProcMaskIter<'_> {
         ProcMaskIter {

@@ -46,7 +46,7 @@ impl Value {
     }
 
     /// The fields, if this is an object.
-    pub fn as_object(&self) -> Option<&[(String, Value)]> {
+    pub(crate) fn as_object(&self) -> Option<&[(String, Value)]> {
         match self {
             Value::Obj(fields) => Some(fields),
             _ => None,
@@ -66,7 +66,7 @@ impl Value {
     /// # Errors
     ///
     /// Returns `"{what}: expected a string"` when this is not a string.
-    pub fn str_or(&self, what: &str) -> Result<String, String> {
+    pub(crate) fn str_or(&self, what: &str) -> Result<String, String> {
         self.as_str()
             .map(str::to_string)
             .ok_or_else(|| format!("{what}: expected a string"))
@@ -87,7 +87,7 @@ impl Value {
     /// # Errors
     ///
     /// Returns `"{what}: expected an object"` when this is not an object.
-    pub fn object_or(&self, what: &str) -> Result<&[(String, Value)], String> {
+    pub(crate) fn object_or(&self, what: &str) -> Result<&[(String, Value)], String> {
         self.as_object()
             .ok_or_else(|| format!("{what}: expected an object"))
     }
@@ -149,7 +149,7 @@ pub fn push_list<T: ToString>(out: &mut String, key: &str, items: impl IntoItera
 /// # Errors
 ///
 /// Returns `"{what}: missing `{key}`"` when there is no such field.
-pub fn field_or<'a>(value: &'a Value, what: &str, key: &str) -> Result<&'a Value, String> {
+pub(crate) fn field_or<'a>(value: &'a Value, what: &str, key: &str) -> Result<&'a Value, String> {
     value
         .field(key)
         .ok_or_else(|| format!("{what}: missing `{key}`"))

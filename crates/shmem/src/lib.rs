@@ -101,7 +101,7 @@ pub mod repro;
 pub mod rng;
 pub mod sweep;
 
-pub use backend::{drive_program, run_sequential, BackendRun, ExecutionBackend, SimBackend};
+pub use backend::{run_sequential, BackendRun, ExecutionBackend, SimBackend};
 pub use cancel::{panic_message, CancelToken, CANCEL_POLL_EVENTS};
 pub use chaos::ChaosPlan;
 pub use checkpoint::{CheckpointError, LoadedCheckpoint, SkippedCheckpoint};
@@ -117,7 +117,7 @@ pub use outcome::{RunError, RunOutcome};
 pub use process::{Action, Algorithm, Feedback, FnAlgorithm, Program};
 pub use register::RegisterState;
 pub use repro::{Provenance, Replayed, ReproCase, ScheduleSpec, ShrinkReport, TossSpec};
-pub use rmr::{dsm_cost, dsm_home, dsm_remote};
+pub use rmr::{dsm_cost, dsm_home};
 pub use run::{OpCounters, ProcHistory, Run, RunEvent};
 pub use scheduler::{
     ListScheduler, PartitionScheduler, RandomScheduler, RecordingScheduler, RoundRobinScheduler,

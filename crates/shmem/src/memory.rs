@@ -10,7 +10,7 @@ use std::fmt;
 ///
 /// Registers are materialised on first touch; an untouched register behaves
 /// exactly like a register holding its configured initial value (which is
-/// [`Value::Unit`] unless set via [`SharedMemory::set_initial`]). This makes
+/// [`Value::Unit`] unless given to [`SharedMemory::with_initial`]). This makes
 /// the "infinite number of words" of the paper observationally exact.
 ///
 /// Internally the registers live in two tiers: ids below
@@ -24,7 +24,7 @@ use std::fmt;
 /// current. A read (`LL`, `validate`, a move's source) is remote iff the
 /// reader's copy is invalid, and validates it; a write (`SC`, `swap`, a
 /// move's destination) always costs 1, and a mutating one leaves only
-/// the writer's copy valid. [`SharedMemory::apply_charged`] finds the
+/// the writer's copy valid. `SharedMemory::apply_charged` finds the
 /// slot once and returns both the operation's response and its CC
 /// charge. The set sits beside the [`RegisterState`], not inside it, so
 /// snapshots and the checkers that compare them see only value and
@@ -38,9 +38,9 @@ use std::fmt;
 /// let p = ProcessId(0);
 /// let r = RegisterId(1_000_000); // any register exists
 /// assert_eq!(mem.apply(p, &Operation::Ll(r)), Response::Value(Value::Unit));
-/// let (resp, cc) = mem.apply_charged(p, &Operation::Sc(r, Value::from(1i64)));
+/// let resp = mem.apply(p, &Operation::Sc(r, Value::from(1i64)));
 /// assert_eq!(resp.flag(), Some(true));
-/// assert_eq!(cc, 1, "a write always reaches the interconnect");
+/// assert_eq!(mem.stats().successful_scs, 1);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct SharedMemory {
@@ -96,20 +96,6 @@ impl SharedMemory {
             initial: initial.into_iter().collect(),
             ..SharedMemory::default()
         }
-    }
-
-    /// Sets the initial value of `reg`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reg` has already been touched by an operation: initial
-    /// values are part of the experiment setup, not of its execution.
-    pub fn set_initial(&mut self, reg: RegisterId, value: Value) {
-        assert!(
-            self.slot(reg).is_none(),
-            "set_initial({reg}) after the register was touched"
-        );
-        self.initial.insert(reg, value);
     }
 
     fn initial_value(&self, reg: RegisterId) -> Value {
@@ -171,7 +157,7 @@ impl SharedMemory {
     }
 
     /// Whether `p` is currently in `Pset(reg)` (omniscient view).
-    pub fn peek_linked(&self, reg: RegisterId, p: ProcessId) -> bool {
+    pub(crate) fn peek_linked(&self, reg: RegisterId, p: ProcessId) -> bool {
         self.slot(reg).is_some_and(|s| s.state.linked(p))
     }
 
@@ -183,7 +169,7 @@ impl SharedMemory {
 
     /// Applies `op` on behalf of process `p` and returns the response,
     /// following the Section-3 semantics exactly. The CC cache state is
-    /// updated as by [`SharedMemory::apply_charged`].
+    /// updated as by `SharedMemory::apply_charged`.
     pub fn apply(&mut self, p: ProcessId, op: &Operation) -> Response {
         self.apply_charged(p, op).0
     }
@@ -192,7 +178,7 @@ impl SharedMemory {
     /// together with the operation's cache-coherent RMR charge (0, 1, or
     /// 2 for a move): each register the operation touches is found once,
     /// and its valid-copy set is charged and updated in the same slot.
-    pub fn apply_charged(&mut self, p: ProcessId, op: &Operation) -> (Response, u64) {
+    pub(crate) fn apply_charged(&mut self, p: ProcessId, op: &Operation) -> (Response, u64) {
         self.stats.record(op.kind());
         match op {
             Operation::Ll(r) => {
@@ -426,14 +412,6 @@ mod tests {
             mem.apply(P0, &Operation::Ll(RegisterId(0))),
             Response::Value(int(5))
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "after the register was touched")]
-    fn set_initial_after_touch_panics() {
-        let mut mem = SharedMemory::new();
-        mem.apply(P0, &Operation::Ll(RegisterId(0)));
-        mem.set_initial(RegisterId(0), int(1));
     }
 
     #[test]

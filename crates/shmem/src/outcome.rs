@@ -142,15 +142,6 @@ pub enum RunOutcome {
 }
 
 impl RunOutcome {
-    /// `true` iff the run completed (every process terminated) — with or
-    /// without injected faults.
-    pub fn is_completed(&self) -> bool {
-        matches!(
-            self,
-            RunOutcome::Completed | RunOutcome::FaultInjected { .. }
-        )
-    }
-
     /// The outcome as a `Result`: `Ok(())` for the completing arms
     /// ([`RunOutcome::Completed`] and [`RunOutcome::FaultInjected`] —
     /// every process terminated), otherwise the corresponding
@@ -223,11 +214,9 @@ mod tests {
             RunError::Crashed { pid: ProcessId(0) },
         ] {
             let o = RunOutcome::from(e);
-            assert!(!o.is_completed());
             assert_eq!(o.into_result(), Err(e));
         }
         assert_eq!(RunOutcome::Completed.into_result(), Ok(()));
-        assert!(RunOutcome::Completed.is_completed());
     }
 
     #[test]
@@ -236,8 +225,7 @@ mod tests {
             spurious_sc: 2,
             corruptions: 1,
         };
-        assert!(o.is_completed(), "every process terminated");
-        assert_eq!(o.into_result(), Ok(()));
+        assert_eq!(o.into_result(), Ok(()), "every process terminated");
         assert_eq!(o.label(), "fault-injected");
         let s = o.to_string();
         assert!(s.contains("2 spurious"), "{s}");

@@ -96,7 +96,7 @@ impl RegisterState {
     /// (a copy of the source register's value) and `Pset` is emptied.
     /// The move's source register is left untouched by construction —
     /// `move` reads it without calling any mutator.
-    pub fn receive_move(&mut self, moved: Value) {
+    pub(crate) fn receive_move(&mut self, moved: Value) {
         self.value = moved;
         self.pset.clear();
     }

@@ -889,7 +889,7 @@ mod tests {
         };
         let first = execute(&recovering, &alg);
         assert_eq!(first.outcome, RunOutcome::Completed);
-        assert_eq!(first.exec.run().recovery_count(ProcessId(1)), 1);
+        assert_eq!(first.exec.run().counters().recoveries[1], 1);
         let second = execute(&recovering, &alg);
         assert_eq!(first.exec.run().events(), second.exec.run().events());
         assert_eq!(first.trace, second.trace);

@@ -55,7 +55,7 @@ pub fn dsm_home(reg: RegisterId, n: usize) -> ProcessId {
 }
 
 /// `true` iff `p`'s access to `reg` is remote in the DSM model.
-pub fn dsm_remote(p: ProcessId, reg: RegisterId, n: usize) -> bool {
+pub(crate) fn dsm_remote(p: ProcessId, reg: RegisterId, n: usize) -> bool {
     dsm_home(reg, n) != p
 }
 

@@ -49,12 +49,6 @@ impl RunEvent {
             | RunEvent::Terminated { pid, .. } => *pid,
         }
     }
-
-    /// `true` iff this is a shared-memory step (the steps counted by the
-    /// shared-access time complexity measure).
-    pub fn is_shared(&self) -> bool {
-        matches!(self, RunEvent::SharedOp { .. })
-    }
 }
 
 impl fmt::Display for RunEvent {
@@ -388,7 +382,7 @@ impl Run {
     /// # Panics
     ///
     /// Panics under the same conditions as [`Run::record`].
-    pub fn record_shared(&mut self, pid: ProcessId, op: &Operation, resp: &Response) {
+    pub(crate) fn record_shared(&mut self, pid: ProcessId, op: &Operation, resp: &Response) {
         self.check_live(pid);
         self.shared_steps[pid.0] += 1;
         self.note_step(pid);
@@ -480,7 +474,7 @@ impl Run {
     /// executor calls this right after [`Run::record_shared`]; the run
     /// itself only aggregates (remoteness is decided by the executor's
     /// cache/home tracking).
-    pub fn record_rmrs(&mut self, pid: ProcessId, cc: u64, dsm: u64) {
+    pub(crate) fn record_rmrs(&mut self, pid: ProcessId, cc: u64, dsm: u64) {
         self.cc_rmrs[pid.0] += cc;
         self.dsm_rmrs[pid.0] += dsm;
     }
@@ -493,16 +487,6 @@ impl Run {
     /// `p`'s remote memory references under the DSM model.
     pub fn dsm_rmrs(&self, p: ProcessId) -> u64 {
         self.dsm_rmrs[p.0]
-    }
-
-    /// The number of crashes `p` has suffered.
-    pub fn crash_count(&self, p: ProcessId) -> u64 {
-        self.crash_counts[p.0]
-    }
-
-    /// The number of times `p` has recovered from a crash.
-    pub fn recovery_count(&self, p: ProcessId) -> u64 {
-        self.recovery_counts[p.0]
     }
 
     /// The value `p` returned, if `p` has terminated.
@@ -533,7 +517,7 @@ impl Run {
     ///
     /// Panics if `p` is out of range or has already terminated (a
     /// terminated process cannot crash).
-    pub fn mark_crashed(&mut self, p: ProcessId) {
+    pub(crate) fn mark_crashed(&mut self, p: ProcessId) {
         assert!(p.0 < self.n, "crash for out-of-range {p}");
         assert!(self.verdicts[p.0].is_none(), "crash for terminated {p}");
         self.crashed[p.0] = true;
@@ -549,7 +533,7 @@ impl Run {
     /// # Panics
     ///
     /// Panics if `p` is out of range or not currently crashed.
-    pub fn clear_crash(&mut self, p: ProcessId) {
+    pub(crate) fn clear_crash(&mut self, p: ProcessId) {
         assert!(p.0 < self.n, "recovery for out-of-range {p}");
         assert!(self.crashed[p.0], "recovery for non-crashed {p}");
         self.crashed[p.0] = false;
@@ -557,7 +541,7 @@ impl Run {
     }
 
     /// `true` iff `p` has been crash-stopped.
-    pub fn is_crashed(&self, p: ProcessId) -> bool {
+    pub(crate) fn is_crashed(&self, p: ProcessId) -> bool {
         self.crashed[p.0]
     }
 
@@ -577,15 +561,6 @@ impl Run {
             events: &self.events,
             indices: &self.histories[p.0],
         }
-    }
-
-    /// The index (into [`Run::events`]) of `p`'s first event of any kind
-    /// (toss, shared op, or termination), or `None` if `p` has none or
-    /// the run records no details. The wakeup checker reads
-    /// [`Run::first_step_event`] instead, which does not count
-    /// termination as a step and is kept in both recording modes.
-    pub fn first_step_index(&self, p: ProcessId) -> Option<usize> {
-        self.histories[p.0].first().map(|&k| position(k))
     }
 
     /// The number of `p`'s first toss or shared-memory operation among
@@ -737,12 +712,12 @@ mod tests {
             assert!(run.events().is_empty());
             for p in ProcessId::all(2) {
                 assert!(run.history(p).is_empty());
-                assert_eq!(run.first_step_index(p), None);
+                assert_eq!(run.first_step_event(p), None);
             }
             // Positions restart at the front of the emptied log.
             run.record(op_event(0));
+            assert_eq!(run.first_step_event(ProcessId(0)), Some(0));
             if !lightweight {
-                assert_eq!(run.first_step_index(ProcessId(0)), Some(0));
                 assert!(run.history(ProcessId(0)).iter().eq([&op_event(0)]));
             }
         }
@@ -791,11 +766,9 @@ mod tests {
         let mut run = Run::new(3);
         run.record(op_event(1));
         run.record(op_event(0));
-        assert_eq!(run.first_step_index(ProcessId(1)), Some(0));
-        assert_eq!(run.first_step_index(ProcessId(0)), Some(1));
-        assert_eq!(run.first_step_index(ProcessId(2)), None);
-        assert!(run.first_step_event(ProcessId(0)).is_some());
-        assert!(run.first_step_event(ProcessId(2)).is_none());
+        assert_eq!(run.first_step_event(ProcessId(1)), Some(0));
+        assert_eq!(run.first_step_event(ProcessId(0)), Some(1));
+        assert_eq!(run.first_step_event(ProcessId(2)), None);
     }
 
     #[test]
@@ -913,9 +886,8 @@ mod tests {
         // same process is counted separately.
         run.record(op_event(0));
         run.mark_crashed(ProcessId(0));
-        assert_eq!(run.crash_count(ProcessId(0)), 2);
-        assert_eq!(run.recovery_count(ProcessId(0)), 1);
         let c = run.counters();
+        assert_eq!((c.crashes[0], c.recoveries[0]), (2, 1));
         assert_eq!(c.total_crashes(), 2);
         assert_eq!(c.total_recoveries(), 1);
         assert_eq!(c.crashes, vec![2, 0]);

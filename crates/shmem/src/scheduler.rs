@@ -175,7 +175,7 @@ impl<S: Scheduler> RecordingScheduler<S> {
     }
 
     /// Consumes the wrapper and returns the recorded trace.
-    pub fn into_trace(self) -> Vec<ProcessId> {
+    pub(crate) fn into_trace(self) -> Vec<ProcessId> {
         self.trace
     }
 }
@@ -229,7 +229,7 @@ impl Scheduler for RandomScheduler {
 mod tests {
     use super::*;
     use crate::dsl::{done, ll};
-    use crate::{Algorithm, ExecutorConfig, FnAlgorithm, RegisterId, Value, ZeroTosses};
+    use crate::{Algorithm, ExecutorConfig, FnAlgorithm, RegisterId, RunEvent, Value, ZeroTosses};
 
     fn two_ll_alg() -> impl Algorithm {
         FnAlgorithm::new("two-ll", |_pid, _n| {
@@ -271,7 +271,7 @@ mod tests {
             .run()
             .events()
             .iter()
-            .filter(|ev| ev.is_shared())
+            .filter(|ev| matches!(ev, RunEvent::SharedOp { .. }))
             .map(|ev| ev.pid().0)
             .collect();
         assert_eq!(pids, vec![0, 0, 1, 1]);
@@ -287,7 +287,7 @@ mod tests {
             .run()
             .events()
             .iter()
-            .filter(|ev| ev.is_shared())
+            .filter(|ev| matches!(ev, RunEvent::SharedOp { .. }))
             .map(|ev| ev.pid().0)
             .collect();
         assert_eq!(pids, vec![1, 0, 1, 0]);

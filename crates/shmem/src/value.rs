@@ -38,7 +38,7 @@ use std::sync::Arc;
 /// use llsc_shmem::Value;
 /// let v = Value::tuple([Value::from(1i64), Value::from(true)]);
 /// assert_eq!(v.index(0).and_then(Value::as_int), Some(1));
-/// assert_eq!(v.index(1).and_then(Value::as_bool), Some(true));
+/// assert_eq!(v.index(1), Some(&Value::from(true)));
 /// assert_eq!(v.to_string(), "(1, true)");
 /// ```
 // The manual `PartialEq` below is structural-equality-consistent with the
@@ -130,14 +130,6 @@ impl Value {
         }
     }
 
-    /// Returns the boolean payload, if this is a [`Value::Bool`].
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Returns the process name, if this is a [`Value::Pid`].
     pub fn as_pid(&self) -> Option<ProcessId> {
         match self {
@@ -199,21 +191,6 @@ impl Value {
         let ws = self.as_bits()?;
         let (word, off) = (i / 64, i % 64);
         Some(ws.get(word).is_some_and(|w| (w >> off) & 1 == 1))
-    }
-
-    /// Returns a copy of this bit string with bit `i` set to `b`.
-    ///
-    /// Returns `None` for non-bit-strings or out-of-width indices.
-    pub fn with_bit(&self, i: usize, b: bool) -> Option<Value> {
-        let mut ws = self.as_bits()?.to_vec();
-        let (word, off) = (i / 64, i % 64);
-        let w = ws.get_mut(word)?;
-        if b {
-            *w |= 1 << off;
-        } else {
-            *w &= !(1 << off);
-        }
-        Some(Value::bits(ws))
     }
 
     /// A 64-bit structural checksum of the value term (FNV-1a over a
@@ -353,11 +330,9 @@ mod tests {
     #[test]
     fn accessors_match_variants() {
         assert_eq!(Value::from(5i64).as_int(), Some(5));
-        assert_eq!(Value::from(true).as_bool(), Some(true));
         assert_eq!(Value::from(ProcessId(2)).as_pid(), Some(ProcessId(2)));
         assert_eq!(Value::from(RegisterId(9)).as_reg(), Some(RegisterId(9)));
         assert_eq!(Value::Unit.as_int(), None);
-        assert_eq!(Value::from(1i64).as_bool(), None);
     }
 
     #[test]
@@ -378,13 +353,9 @@ mod tests {
         assert_eq!(z.bit(127), Some(false));
         // Out-of-width bits read as zero.
         assert_eq!(z.bit(500), Some(false));
-        let v = z.with_bit(70, true).unwrap();
+        let v = Value::bits(vec![0, 1 << 6]);
         assert_eq!(v.bit(70), Some(true));
         assert_eq!(v.bit(69), Some(false));
-        let back = v.with_bit(70, false).unwrap();
-        assert_eq!(back, Value::zero_bits(2));
-        // Setting out of width fails rather than silently growing.
-        assert_eq!(z.with_bit(128, true), None);
     }
 
     #[test]
@@ -398,7 +369,6 @@ mod tests {
     #[test]
     fn bit_on_non_bits_is_none() {
         assert_eq!(Value::from(3i64).bit(0), None);
-        assert_eq!(Value::Unit.with_bit(0, true), None);
     }
 
     #[test]

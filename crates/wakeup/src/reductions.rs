@@ -115,7 +115,7 @@ impl ReductionKind {
 
     /// The operation process `pid` applies (the first one, for
     /// `ReadIncrement`).
-    pub fn op_for(&self, pid: ProcessId, n: usize) -> Value {
+    pub(crate) fn op_for(&self, pid: ProcessId, n: usize) -> Value {
         match self {
             ReductionKind::FetchIncrement => FetchIncrement::op(),
             ReductionKind::FetchAnd => FetchAnd::op_clear_bit(pid.0, n),

@@ -59,7 +59,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
         eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
+        return ExitCode::from(2);
     };
     // The job subcommand takes a positional action, maps job outcomes to
     // its own exit codes (0 complete, 1 incomplete, 130 interrupted), and
@@ -88,28 +88,49 @@ fn main() -> ExitCode {
         };
     }
     let result = match SUBCOMMAND_FLAGS.iter().find(|(name, _)| name == cmd) {
-        Some((name, allowed)) => parse_opts(rest, name, allowed).and_then(|opts| match *name {
-            "wakeup" => cmd_wakeup(&opts),
-            "trace" => cmd_trace(&opts),
-            "stress" => cmd_stress(&opts),
-            "indist" => cmd_indist(&opts),
-            "secretive" => cmd_secretive(&opts),
-            "universal" => cmd_universal(&opts),
-            "xcheck" => cmd_xcheck(&opts),
-            _ => cmd_list(),
-        }),
+        Some((name, allowed)) => parse_opts(rest, name, allowed)
+            .map_err(Failure::Usage)
+            .and_then(|opts| match *name {
+                "wakeup" => cmd_wakeup(&opts),
+                "trace" => cmd_trace(&opts),
+                "stress" => cmd_stress(&opts),
+                "indist" => cmd_indist(&opts),
+                "secretive" => cmd_secretive(&opts),
+                "universal" => cmd_universal(&opts),
+                "xcheck" => cmd_xcheck(&opts),
+                _ => cmd_list(),
+            }),
         None if matches!(cmd.as_str(), "help" | "--help" | "-h") => {
             println!("{USAGE}");
             Ok(())
         }
-        None => Err(format!("unknown subcommand `{cmd}`")),
+        None => Err(Failure::Usage(format!("unknown subcommand `{cmd}`"))),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(Failure::Usage(e)) => {
             eprintln!("error: {e}\n\n{USAGE}");
+            ExitCode::from(2)
+        }
+        Err(Failure::Failed(e)) => {
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Why a generic subcommand stopped: misuse — a bad, missing or unknown
+/// argument — exits 2 after the usage text; a run or check that failed
+/// exits 1 without it.
+enum Failure {
+    Usage(String),
+    Failed(String),
+}
+
+/// The argument parsers' errors are misuse.
+impl From<String> for Failure {
+    fn from(e: String) -> Failure {
+        Failure::Usage(e)
     }
 }
 
@@ -278,11 +299,11 @@ impl Opts {
     /// Writes the subcommand's result tables as a `{"tables":[…]}`
     /// artifact when `--json` was given — the same schema `llsc table`
     /// emits.
-    fn emit_json(&self, tables: &[&Table]) -> Result<(), String> {
+    fn emit_json(&self, tables: &[&Table]) -> Result<(), Failure> {
         if let Some(path) = self.json() {
             let artifact = Table::render_json_artifact(tables);
             llsc_lowerbound::shmem::atomic_write(&path, artifact)
-                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+                .map_err(|e| Failure::Failed(format!("cannot write {}: {e}", path.display())))?;
             eprintln!("wrote {}", path.display());
         }
         Ok(())
@@ -348,7 +369,7 @@ fn all_algorithms() -> Vec<Box<dyn Algorithm>> {
         .collect()
 }
 
-fn cmd_list() -> Result<(), String> {
+fn cmd_list() -> Result<(), Failure> {
     println!("execution backends:");
     for (name, what) in [
         ("sim", "deterministic discrete-event simulator"),
@@ -455,7 +476,7 @@ fn cmd_table(args: &[String]) -> ExitCode {
     })
 }
 
-fn cmd_xcheck(opts: &Opts) -> Result<(), String> {
+fn cmd_xcheck(opts: &Opts) -> Result<(), Failure> {
     let n = opts.int("n", 4, 2)?;
     let trials = opts.int("trials", 8, 1)?;
     let cfg = XcheckConfig {
@@ -482,7 +503,8 @@ fn cmd_xcheck(opts: &Opts) -> Result<(), String> {
             opts.alg()?
         };
         reports.push(
-            xcheck_wakeup(alg.as_ref(), &cfg).map_err(|e| format!("xcheck wakeup failed: {e}"))?,
+            xcheck_wakeup(alg.as_ref(), &cfg)
+                .map_err(|e| Failure::Failed(format!("xcheck wakeup failed: {e}")))?,
         );
     }
     if opts.flags.contains_key("imp") || default_both {
@@ -491,7 +513,7 @@ fn cmd_xcheck(opts: &Opts) -> Result<(), String> {
         let ops = vec![FetchIncrement::op(); n];
         reports.push(
             xcheck_universal(imp.as_ref(), spec.as_ref(), &ops, &cfg)
-                .map_err(|e| format!("xcheck universal failed: {e}"))?,
+                .map_err(|e| Failure::Failed(format!("xcheck universal failed: {e}")))?,
         );
     }
     let mut failed = false;
@@ -500,7 +522,9 @@ fn cmd_xcheck(opts: &Opts) -> Result<(), String> {
         failed |= !report.ok;
     }
     if failed {
-        return Err("cross-validation FAILED: the backends disagree".into());
+        return Err(Failure::Failed(
+            "cross-validation FAILED: the backends disagree".into(),
+        ));
     }
     Ok(())
 }
@@ -605,7 +629,7 @@ fn universal_imp(
     )
 }
 
-fn cmd_wakeup(opts: &Opts) -> Result<(), String> {
+fn cmd_wakeup(opts: &Opts) -> Result<(), Failure> {
     let alg = opts.alg()?;
     let n = opts.n()?;
     // A refutation rebuilds the detailed runs it needs, so the measured
@@ -616,7 +640,7 @@ fn cmd_wakeup(opts: &Opts) -> Result<(), String> {
         opts.toss()?,
         &AdversaryConfig::lightweight(),
     )
-    .map_err(|e| format!("wakeup run failed: {e}"))?;
+    .map_err(|e| Failure::Failed(format!("wakeup run failed: {e}")))?;
     println!("{rep}");
     println!("wakeup: {}", rep.wakeup);
     if let Some(refutation) = &rep.refutation {
@@ -655,16 +679,16 @@ fn cmd_wakeup(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_trace(opts: &Opts) -> Result<(), String> {
+fn cmd_trace(opts: &Opts) -> Result<(), Failure> {
     let alg = opts.alg()?;
     let n = opts.n()?;
     let all = build_all_run(alg.as_ref(), n, opts.toss()?, &AdversaryConfig::default())
-        .map_err(|e| format!("trace run failed: {e}"))?;
+        .map_err(|e| Failure::Failed(format!("trace run failed: {e}")))?;
     print!("{}", trace_all_run(&all, 50));
     Ok(())
 }
 
-fn cmd_stress(opts: &Opts) -> Result<(), String> {
+fn cmd_stress(opts: &Opts) -> Result<(), Failure> {
     let alg = opts.alg()?;
     let n = opts.n()?;
     let sweep = opts.sweep()?;
@@ -676,7 +700,7 @@ fn cmd_stress(opts: &Opts) -> Result<(), String> {
         5_000_000,
         &sweep,
     )
-    .map_err(|e| format!("stress run failed: {e}"))?;
+    .map_err(|e| Failure::Failed(format!("stress run failed: {e}")))?;
     println!("{report}");
     for f in &report.failures {
         println!("  under {}:", f.schedule);
@@ -699,22 +723,24 @@ fn cmd_stress(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_indist(opts: &Opts) -> Result<(), String> {
+fn cmd_indist(opts: &Opts) -> Result<(), Failure> {
     let alg = opts.alg()?;
     let n = opts.n()?;
     if n > 12 {
-        return Err("indist enumerates all 2^n subsets; use --n <= 12".into());
+        return Err(Failure::Usage(
+            "indist enumerates all 2^n subsets; use --n <= 12".into(),
+        ));
     }
     let toss = opts.toss()?;
     let cfg = AdversaryConfig::default();
     let sweep = opts.sweep()?;
     let report = indist_all_subsets(alg.as_ref(), n, toss, &cfg, true, &sweep)
-        .map_err(|e| format!("indist run failed: {e}"))?;
+        .map_err(|e| Failure::Failed(format!("indist run failed: {e}")))?;
     if !report.ok() {
         for v in &report.violations {
             println!("VIOLATION for {v}");
         }
-        return Err("indistinguishability violated".into());
+        return Err(Failure::Failed("indistinguishability violated".into()));
     }
     println!(
         "Lemma 5.2 + appendix claims: all {} subsets pass ({} comparisons, {} claim instances, 0 violations)",
@@ -743,7 +769,7 @@ fn cmd_indist(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_secretive(opts: &Opts) -> Result<(), String> {
+fn cmd_secretive(opts: &Opts) -> Result<(), Failure> {
     let n = opts.n()?;
     let cfg = match opts.seed()? {
         None => {
@@ -881,7 +907,7 @@ fn cmd_shrink(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_universal(opts: &Opts) -> Result<(), String> {
+fn cmd_universal(opts: &Opts) -> Result<(), Failure> {
     let n = opts.n()?;
     let spec = Arc::new(FetchIncrement::new(32));
     let imp = universal_imp(opts, &spec, "adt")?;
@@ -897,7 +923,7 @@ fn cmd_universal(opts: &Opts) -> Result<(), String> {
         "random" => ScheduleKind::RandomInterleave {
             seed: opts.seed()?.unwrap_or(1),
         },
-        other => return Err(format!("unknown --schedule `{other}`")),
+        other => return Err(Failure::Usage(format!("unknown --schedule `{other}`"))),
     };
     let cfg = MeasureConfig {
         check_linearizability: n <= 64,
@@ -905,7 +931,7 @@ fn cmd_universal(opts: &Opts) -> Result<(), String> {
     };
     let ops = vec![FetchIncrement::op(); n];
     let result = measure(imp.as_ref(), spec.as_ref(), n, &ops, schedule, &cfg)
-        .map_err(|e| format!("universal run failed: {e}"))?;
+        .map_err(|e| Failure::Failed(format!("universal run failed: {e}")))?;
     println!("{result}");
     println!("per-process ops: {:?}", result.per_process_ops);
     Ok(())

@@ -1,7 +1,8 @@
 //! The `llsc table` and `llsc bench` front ends, driven through the real
 //! binary: thread-count invariance of a table's stdout and artifact,
-//! the usage errors (an unknown flag is one on every subcommand), and
-//! the E18 and E20 artifacts' schemas.
+//! the usage errors (an unknown flag is one on every subcommand), a
+//! failed check told apart from misuse, and the E18 and E20 artifacts'
+//! schemas.
 
 use llsc_lowerbound::bench::table::Table;
 use std::process::{Command, Output};
@@ -192,7 +193,7 @@ fn every_subcommand_rejects_a_flag_it_does_not_read() {
                 "--bogus",
                 "1",
             ][..],
-            1,
+            2,
         ),
     ] {
         let out = llsc(args);
@@ -202,4 +203,36 @@ fn every_subcommand_rejects_a_flag_it_does_not_read() {
         assert!(err.contains("error: unknown flag"), "{err}");
     }
     assert!(!dir.exists(), "the refused job wrote nothing");
+}
+
+#[test]
+fn a_failed_check_exits_1_and_misuse_exits_2_with_the_usage_text() {
+    // Nobody returns 1 under `strawman-silent`, so every hardware history
+    // fails the wakeup check: a verdict, not misuse.
+    let out = llsc(&[
+        "xcheck",
+        "--alg",
+        "strawman-silent",
+        "--n",
+        "2",
+        "--trials",
+        "1",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("  FAIL"));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("cross-validation FAILED"), "{err}");
+    assert!(!err.contains("usage:"), "{err}");
+
+    for args in [
+        &["xcheck", "--bogus", "1"][..],
+        &["xcheck", "--n", "x"][..],
+        &["frobnicate"][..],
+    ] {
+        let out = llsc(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "nothing runs: {args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("error: ") && err.contains("usage:"), "{err}");
+    }
 }

@@ -215,9 +215,14 @@ fn history_views_match_the_event_log() {
                     run.events().iter().filter(|e| e.pid() == p).collect();
                 let history: Vec<&RunEvent> = run.history(p).iter().collect();
                 assert_eq!(history, filtered, "{} n={n} {p}", alg.name());
+                // Its first step is its first toss or shared operation.
+                let first_step = run
+                    .events()
+                    .iter()
+                    .position(|e| e.pid() == p && !matches!(e, RunEvent::Terminated { .. }));
                 assert_eq!(
-                    run.first_step_index(p),
-                    run.events().iter().position(|e| e.pid() == p),
+                    run.first_step_event(p),
+                    first_step.map(|i| i as u64),
                     "{} n={n} {p}",
                     alg.name()
                 );
