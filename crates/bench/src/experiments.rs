@@ -71,16 +71,11 @@ fn alg_size_pairs(algs: usize, ns: &[usize]) -> Vec<(usize, usize)> {
 
 /// One row of E1: secretive-schedule statistics for a configuration size.
 #[derive(Clone, Debug)]
-pub struct E1Row {
-    /// Number of moving processes.
-    pub n: usize,
-    /// Configurations tried.
-    pub configs: usize,
+pub(crate) struct E1Row {
     /// Worst movers-list length over all registers and configurations
     /// (Lemma 4.1 caps this at 2).
-    pub worst_movers: usize,
-    /// Number of Lemma 4.2 restriction checks performed (all must hold).
-    pub restriction_checks: usize,
+    #[cfg(test)]
+    pub(crate) worst_movers: usize,
 }
 
 /// E1/E2: Lemma 4.1 and 4.2 over random move configurations, plus the
@@ -142,10 +137,8 @@ pub(crate) fn e1_secretive_schedules(
             "PASS".to_string(),
         ]);
         rows.push(E1Row {
-            n,
-            configs: configs_per_size + 1,
+            #[cfg(test)]
             worst_movers: worst,
-            restriction_checks,
         });
     }
     Experiment { table, rows }
@@ -153,17 +146,17 @@ pub(crate) fn e1_secretive_schedules(
 
 /// One row of E3: UP growth for one algorithm at one `n`.
 #[derive(Clone, Debug)]
-pub struct E3Row {
+pub(crate) struct E3Row {
     /// Algorithm name.
-    pub algorithm: String,
+    pub(crate) algorithm: String,
     /// Number of processes.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Rounds of the `(All, A)`-run.
-    pub rounds: usize,
+    pub(crate) rounds: usize,
     /// The largest `|UP(X, r)|` observed (at the final round).
-    pub max_up: usize,
+    pub(crate) max_up: usize,
     /// Whether `|UP(X, r)| <= 4^r` held at every round.
-    pub lemma_5_1: bool,
+    pub(crate) lemma_5_1: bool,
 }
 
 /// E3: Lemma 5.1 — `|UP(X, r)| <= 4^r` across the shipped algorithms,
@@ -208,17 +201,17 @@ pub(crate) fn e3_up_growth(ns: &[usize], sweep: &Sweep) -> Experiment<E3Row> {
 
 /// One row of E4: indistinguishability checking for one algorithm/n.
 #[derive(Clone, Debug)]
-pub struct E4Row {
+pub(crate) struct E4Row {
     /// Algorithm name.
-    pub algorithm: String,
+    pub(crate) algorithm: String,
     /// Number of processes.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Subsets `S` tested.
-    pub subsets: usize,
+    pub(crate) subsets: usize,
     /// Individual state comparisons performed.
-    pub comparisons: usize,
+    pub(crate) comparisons: usize,
     /// Violations found (must be 0).
-    pub violations: usize,
+    pub(crate) violations: usize,
 }
 
 /// E4: Lemma 5.2 — `(All, A)` vs `(S, A)` indistinguishability over every
@@ -245,19 +238,20 @@ pub(crate) fn e4_indistinguishability(
 
 /// One row of E5: the wakeup lower bound for one algorithm at one `n`.
 #[derive(Clone, Debug)]
-pub struct E5Row {
+pub(crate) struct E5Row {
     /// Algorithm name.
-    pub algorithm: String,
+    pub(crate) algorithm: String,
     /// Number of processes.
-    pub n: usize,
+    pub(crate) n: usize,
     /// `ceil(log4 n)` — the Theorem 6.1 bound.
-    pub bound: u64,
+    pub(crate) bound: u64,
     /// The winner's measured shared-access step count.
-    pub winner_steps: u64,
+    pub(crate) winner_steps: u64,
     /// `t(R)`: the worst process's step count.
-    pub max_steps: u64,
+    pub(crate) max_steps: u64,
     /// Whether the bound held.
-    pub holds: bool,
+    #[cfg(test)]
+    pub(crate) holds: bool,
 }
 
 /// E5: Theorem 6.1 — winner step counts vs `ceil(log4 n)`, one
@@ -291,6 +285,7 @@ pub(crate) fn e5_wakeup_lower_bound(ns: &[usize], sweep: &Sweep) -> Experiment<E
             bound: ceil_log4(n),
             winner_steps: rep.winner_steps,
             max_steps: rep.max_steps,
+            #[cfg(test)]
             holds: rep.bound_holds,
         }
     });
@@ -309,23 +304,23 @@ pub(crate) fn e5_wakeup_lower_bound(ns: &[usize], sweep: &Sweep) -> Experiment<E
 
 /// One row of E6: expected complexity of a randomized algorithm.
 #[derive(Clone, Debug)]
-pub struct E6Row {
+pub(crate) struct E6Row {
     /// Algorithm name.
-    pub algorithm: String,
+    pub(crate) algorithm: String,
     /// Number of processes.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Empirical termination rate `c`.
-    pub termination_rate: f64,
+    pub(crate) termination_rate: f64,
     /// Mean winner steps over terminating runs.
-    pub mean_winner_steps: f64,
+    pub(crate) mean_winner_steps: f64,
     /// Minimum winner steps (the Lemma 3.1 `k`).
-    pub min_winner_steps: u64,
+    pub(crate) min_winner_steps: u64,
     /// The Lemma 3.1 bound `c * k`.
-    pub lemma_3_1_bound: f64,
+    pub(crate) lemma_3_1_bound: f64,
     /// `log4 n`.
-    pub log4_n: f64,
+    pub(crate) log4_n: f64,
     /// Whether every terminating sample's winner met `ceil(log4 n)`.
-    pub all_meet_bound: bool,
+    pub(crate) all_meet_bound: bool,
 }
 
 /// E6: the randomized bound — sampled expected complexity vs
@@ -352,19 +347,17 @@ pub(crate) fn e6_randomized_expectation(
 
 /// One row of E7: a Theorem 6.2 reduction at one `n`.
 #[derive(Clone, Debug)]
-pub struct E7Row {
+pub(crate) struct E7Row {
     /// The reduction (object type).
-    pub kind: ReductionKind,
+    pub(crate) kind: ReductionKind,
     /// Number of processes.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Ops per process on the object (`k` of Corollary 6.1).
-    pub ops_per_process: u32,
+    pub(crate) ops_per_process: u32,
     /// Winner's shared steps.
-    pub winner_steps: u64,
+    pub(crate) winner_steps: u64,
     /// `ceil(log4 n)`.
-    pub bound: u64,
-    /// Whether wakeup held and the bound held.
-    pub ok: bool,
+    pub(crate) bound: u64,
 }
 
 /// E7: Theorem 6.2 — all eight wakeup-from-object reductions over the
@@ -394,15 +387,13 @@ pub(crate) fn e7_reductions(ns: &[usize], sweep: &Sweep) -> Experiment<E7Row> {
         let alg = ObjectWakeup::direct(kind, n);
         let rep = verify_lower_bound(&alg, n, Arc::new(ZeroTosses), &cfg)
             .expect("E7 reduction runs stay within the default executor budgets");
-        let ok = rep.wakeup.ok() && rep.bound_holds;
-        assert!(ok, "{kind} n={n}");
+        assert!(rep.wakeup.ok() && rep.bound_holds, "{kind} n={n}");
         E7Row {
             kind,
             n,
             ops_per_process: kind.ops_per_process(),
             winner_steps: rep.winner_steps,
             bound: ceil_log4(n),
-            ok,
         }
     });
     for r in &rows {
@@ -420,17 +411,15 @@ pub(crate) fn e7_reductions(ns: &[usize], sweep: &Sweep) -> Experiment<E7Row> {
 
 /// One row of E8/E9: construction costs at one `n`.
 #[derive(Clone, Debug)]
-pub struct E8Row {
-    /// Number of processes.
-    pub n: usize,
+pub(crate) struct E8Row {
     /// ADT Group-Update tree, adversary schedule.
-    pub adt: u64,
+    pub(crate) adt: u64,
     /// Naive LL/SC combining tree, adversary schedule.
-    pub naive_tree: u64,
+    pub(crate) naive_tree: u64,
     /// Herlihy announce-and-help, adversary schedule.
-    pub herlihy: u64,
+    pub(crate) herlihy: u64,
     /// Direct LL/SC object, adversary schedule.
-    pub direct: u64,
+    pub(crate) direct: u64,
 }
 
 /// E8/E9: the tightness sweep — worst-case shared ops per operation for
@@ -482,7 +471,6 @@ pub(crate) fn e8_universal_constructions(ns: &[usize], sweep: &Sweep) -> Experim
     let mut rows = Vec::new();
     for (group, &n) in costs.chunks_exact(IMPS).zip(ns) {
         let row = E8Row {
-            n,
             adt: group[0],
             naive_tree: group[1],
             herlihy: group[2],
@@ -503,21 +491,21 @@ pub(crate) fn e8_universal_constructions(ns: &[usize], sweep: &Sweep) -> Experim
 
 /// One row of E9: one construction under every schedule.
 #[derive(Clone, Debug)]
-pub struct E9Row {
+pub(crate) struct E9Row {
     /// The construction's name.
-    pub implementation: String,
+    pub(crate) implementation: String,
     /// Number of processes.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Worst-case ops under the contention-free sequential schedule
     /// (`None` where the schedule is unsupported — the ADT tree's
     /// followers poll and need fairness).
-    pub sequential: Option<u64>,
+    pub(crate) sequential: Option<u64>,
     /// Worst-case ops under round-robin.
-    pub round_robin: u64,
+    pub(crate) round_robin: u64,
     /// Worst-case ops under a seeded random interleaving.
-    pub random: u64,
+    pub(crate) random: u64,
     /// Worst-case ops under the Figure-2 adversary.
-    pub adversary: u64,
+    pub(crate) adversary: u64,
 }
 
 /// E9: schedule ablation — how each construction's worst-case cost depends
@@ -586,15 +574,15 @@ pub(crate) fn e9_schedule_ablation(ns: &[usize], sweep: &Sweep) -> Experiment<E9
 
 /// One row of E10: direct-implementation costs.
 #[derive(Clone, Debug)]
-pub struct E10Row {
+pub(crate) struct E10Row {
     /// Number of processes.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Solo (sequential-schedule) cost.
-    pub solo: u64,
+    pub(crate) solo: u64,
     /// Contended (adversary-schedule) cost.
-    pub contended: u64,
+    pub(crate) contended: u64,
     /// The oblivious `O(log n)` tree under the adversary, for contrast.
-    pub oblivious_tree: u64,
+    pub(crate) oblivious_tree: u64,
 }
 
 /// E10: the non-oblivious escape hatch — the direct LL/SC object costs a
@@ -669,13 +657,13 @@ pub(crate) fn e10_direct_escape_hatch(ns: &[usize], sweep: &Sweep) -> Experiment
 
 /// One row of E10b: structural implementations' solo cost vs data size.
 #[derive(Clone, Debug)]
-pub struct E10bRow {
+pub(crate) struct E10bRow {
     /// Implementation name.
-    pub implementation: String,
+    pub(crate) implementation: String,
     /// Initial items in the structure.
-    pub initial: usize,
+    pub(crate) initial: usize,
     /// Solo shared ops for one operation.
-    pub solo_ops: u64,
+    pub(crate) solo_ops: u64,
 }
 
 /// E10b: the *structural* escape hatches — pointer-based LL/SC queue and
@@ -732,15 +720,15 @@ pub(crate) fn e10b_structural_escape_hatches(
 
 /// One row of E12: multi-use amortised costs of the direct object.
 #[derive(Clone, Debug)]
-pub struct E12Row {
+pub(crate) struct E12Row {
     /// Number of processes.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Operations per process.
-    pub k: usize,
+    pub(crate) k: usize,
     /// Amortised worst cost, solo schedule.
-    pub solo: f64,
+    pub(crate) solo: f64,
     /// Amortised worst cost, adversary schedule.
-    pub adversary: f64,
+    pub(crate) adversary: f64,
 }
 
 /// E12: `k`-use amortised shared-access cost of the direct LL/SC object
@@ -802,13 +790,13 @@ pub(crate) fn e12_multi_use(ns: &[usize], ks: &[usize], sweep: &Sweep) -> Experi
 
 /// One row of E13: appendix-claims checking for one algorithm.
 #[derive(Clone, Debug)]
-pub struct E13Row {
+pub(crate) struct E13Row {
     /// Algorithm name.
-    pub algorithm: String,
+    pub(crate) algorithm: String,
     /// Number of processes (subsets are exhaustive).
-    pub n: usize,
+    pub(crate) n: usize,
     /// Total violations over all subsets (claims + Lemma 5.2).
-    pub violations: usize,
+    pub(crate) violations: usize,
 }
 
 /// E13: the appendix claims (A.2-A.9) plus Lemma 5.2, exhaustively over
@@ -827,23 +815,11 @@ pub(crate) fn e13_appendix_claims(ns: &[usize], sweep: &Sweep) -> Experiment<E13
     exp
 }
 
-/// One row of E14: stress-portfolio outcomes.
-#[derive(Clone, Debug)]
-pub struct E14Row {
-    /// Algorithm name.
-    pub algorithm: String,
-    /// Schedules tried.
-    pub tried: usize,
-    /// Schedules passed.
-    pub passed: usize,
-    /// Whether the algorithm is expected to pass everything.
-    pub expected_clean: bool,
-}
-
 /// E14: the partial-schedule stress portfolio over correct algorithms and
 /// strawmen — what the Figure-2 adversary alone cannot show. Each
-/// algorithm's portfolio schedules fan out over the sweep.
-pub(crate) fn e14_stress_portfolio(n: usize, sweep: &Sweep) -> Experiment<E14Row> {
+/// algorithm's portfolio schedules fan out over the sweep. No typed rows:
+/// the table is all anything reads.
+pub(crate) fn e14_stress_portfolio(n: usize, sweep: &Sweep) -> Table {
     use llsc_core::{standard_portfolio, stress_wakeup};
     use llsc_wakeup::strawman_algorithms;
     let mut table = Table::new(
@@ -851,7 +827,6 @@ pub(crate) fn e14_stress_portfolio(n: usize, sweep: &Sweep) -> Experiment<E14Row
         ["algorithm", "tried", "passed", "verdict"],
     );
     let portfolio = standard_portfolio(n, 4);
-    let mut rows = Vec::new();
     let cases: Vec<(Box<dyn Algorithm>, bool)> = correct_algorithms()
         .into_iter()
         .map(|a| (a, true))
@@ -878,14 +853,8 @@ pub(crate) fn e14_stress_portfolio(n: usize, sweep: &Sweep) -> Experiment<E14Row
             report.passed.to_string(),
             if report.ok() { "clean" } else { "caught" }.to_string(),
         ]);
-        rows.push(E14Row {
-            algorithm: alg.name().to_string(),
-            tried: report.schedules_tried,
-            passed: report.passed,
-            expected_clean,
-        });
     }
-    Experiment { table, rows }
+    table
 }
 
 /// E5 extra: the tournament winner across a wide sweep — the tightness

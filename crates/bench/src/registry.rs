@@ -168,7 +168,7 @@ pub const REGISTRY: &[Entry] = &[
         vec![crate::e13_appendix_claims(&JobSpec::default_for(JobExperiment::E13).ns, s).table]
     }),
     Entry::tables("e14", "E14: wakeup stress under partial schedules", |s| {
-        vec![crate::e14_stress_portfolio(8, s).table]
+        vec![crate::e14_stress_portfolio(8, s)]
     }),
     Entry::faults("e15", "E15: crash-fault degradation", JobExperiment::E15),
     Entry::faults(

@@ -37,7 +37,7 @@ use crate::durable::{atomic_write, fnv64};
 const MAGIC: &str = "llsc-job-checkpoint";
 /// Format revision this module reads and writes.
 const VERSION: &str = "v1";
-/// How many checkpoint files [`write`] retains (newest first).
+/// How many checkpoint files [`write()`] retains (newest first).
 const KEEP: usize = 2;
 
 /// Why a checkpoint file failed to decode.

@@ -972,7 +972,11 @@ mod tests {
             exec.swap_run(&mut previous);
             assert!(previous.is_terminating());
             assert_eq!(previous.is_detailed(), !lightweight);
-            assert_eq!(previous.events(), first_events, "the second trial's run");
+            assert_eq!(
+                previous.events().to_vec(),
+                first_events,
+                "the second trial's run"
+            );
             assert!(exec.run().event_count() > 0, "the taken-back run is stale");
             exec.reset(&alg);
             assert_eq!(exec.run().event_count(), 0, "reset clears it");

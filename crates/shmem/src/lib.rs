@@ -118,7 +118,7 @@ pub use process::{Action, Algorithm, Feedback, FnAlgorithm, Program};
 pub use register::RegisterState;
 pub use repro::{Provenance, Replayed, ReproCase, ScheduleSpec, ShrinkReport, TossSpec};
 pub use rmr::{dsm_cost, dsm_home};
-pub use run::{OpCounters, ProcHistory, Run, RunEvent};
+pub use run::{Events, OpCounters, ProcHistory, Run, RunEvent};
 pub use scheduler::{
     ListScheduler, PartitionScheduler, RandomScheduler, RecordingScheduler, RoundRobinScheduler,
     Scheduler, SequentialScheduler,

@@ -3,7 +3,9 @@
 
 use crate::{Operation, ProcessId, Response, Value};
 use std::fmt;
+use std::iter::Flatten;
 use std::ops::Range;
+use std::slice;
 
 /// One event of a run: a single step by a single process.
 ///
@@ -67,9 +69,105 @@ impl fmt::Display for RunEvent {
     }
 }
 
+/// `log2` of [`CHUNK`].
+const CHUNK_BITS: u32 = 10;
+
+/// Events per chunk of a detailed run's log: 1024 x 112 B = 112 KiB.
+/// Under glibc's default 128 KiB mmap threshold, so chunks come from the
+/// heap instead of each being mapped and faulted in afresh: 2^11- and
+/// 2^12-event chunks were, and read `adversary-large-n` `wall_s` 4–8 %
+/// above 1024-event ones.
+const CHUNK: usize = 1 << CHUNK_BITS;
+
+/// The chunk and the slot within it of log position `k` (lossless:
+/// positions are `u32` and `usize` is at least 32 bits wide on every
+/// supported target).
+fn locate(k: u32) -> (usize, usize) {
+    let k = usize::try_from(k).expect("usize holds every u32");
+    (k >> CHUNK_BITS, k & (CHUNK - 1))
+}
+
+/// A borrowed view of a detailed run's event log, in execution order
+/// (see [`Run::events`]).
+///
+/// The log is stored in fixed chunks, so the view is not one slice; it
+/// iterates, indexes and compares like one. Two views are equal iff they
+/// hold equal events in the same order.
+#[derive(Clone, Copy)]
+pub struct Events<'a> {
+    /// The chunks holding the events: full up to the last non-empty one,
+    /// then empty ones a [`Run::reset`] kept.
+    chunks: &'a [Vec<RunEvent>],
+    len: usize,
+}
+
+/// The iterator over an [`Events`] view.
+type EventsIter<'a> = Flatten<slice::Iter<'a, Vec<RunEvent>>>;
+
+impl<'a> Events<'a> {
+    /// The number of events.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` iff the log holds no event.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The event at position `k`, or `None` if `k` is out of bounds.
+    pub fn get(&self, k: usize) -> Option<&'a RunEvent> {
+        self.chunks.get(k >> CHUNK_BITS)?.get(k & (CHUNK - 1))
+    }
+
+    /// The events, in order.
+    pub fn iter(&self) -> EventsIter<'a> {
+        self.chunks.iter().flatten()
+    }
+
+    /// The events copied into one vector.
+    pub fn to_vec(&self) -> Vec<RunEvent> {
+        self.iter().cloned().collect()
+    }
+}
+
+impl<'a> IntoIterator for Events<'a> {
+    type Item = &'a RunEvent;
+    type IntoIter = EventsIter<'a>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<'a> IntoIterator for &Events<'a> {
+    type Item = &'a RunEvent;
+    type IntoIter = EventsIter<'a>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for Events<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Events<'_> {}
+
+impl fmt::Debug for Events<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// A process's *interaction history*: everything it has locally observed
 /// — its tosses, shared operations with their responses, and its
-/// termination — as a borrowed view of its events in [`Run::events`].
+/// termination — as a borrowed view of its events in [`Run::events`]:
+/// the log's chunks plus the process's list of log positions, each
+/// looked up as (chunk, slot). Nothing is copied.
 ///
 /// For a deterministic-given-coins program, the interaction history (plus
 /// the program text) determines the process's automaton state. The
@@ -83,8 +181,8 @@ impl fmt::Display for RunEvent {
 /// prefix before it, which has already compared equal.
 #[derive(Clone, Copy)]
 pub struct ProcHistory<'a> {
-    events: &'a [RunEvent],
-    /// Positions in `events` of this process's events, in order.
+    chunks: &'a [Vec<RunEvent>],
+    /// Log positions of this process's events, in order.
     indices: &'a [u32],
 }
 
@@ -115,15 +213,18 @@ impl<'a> ProcHistory<'a> {
     /// Panics if `range` is out of bounds, like slice indexing.
     pub fn range(&self, range: Range<usize>) -> ProcHistory<'a> {
         ProcHistory {
-            events: self.events,
+            chunks: self.chunks,
             indices: &self.indices[range],
         }
     }
 
     /// The history's events, in order.
     pub fn iter(&self) -> impl Iterator<Item = &'a RunEvent> + 'a {
-        let events = self.events;
-        self.indices.iter().map(move |&k| &events[position(k)])
+        let chunks = self.chunks;
+        self.indices.iter().map(move |&k| {
+            let (chunk, slot) = locate(k);
+            &chunks[chunk][slot]
+        })
     }
 }
 
@@ -141,12 +242,6 @@ impl fmt::Debug for ProcHistory<'_> {
     }
 }
 
-/// The `events` position an index entry names (lossless: indices are
-/// `u32` and `usize` is at least 32 bits wide on every supported target).
-fn position(k: u32) -> usize {
-    usize::try_from(k).expect("usize holds every u32")
-}
-
 /// A recorded run: the global event sequence plus per-process accounting.
 ///
 /// Implements the complexity bookkeeping of Section 3: `t(p_i, R)` — the
@@ -157,13 +252,16 @@ pub struct Run {
     n: usize,
     details: bool,
     /// Every event, in execution order: the only copy of each operation
-    /// and response (empty in lightweight mode).
-    events: Vec<RunEvent>,
+    /// and response (empty in lightweight mode). Event `k` sits in chunk
+    /// `k / CHUNK`; the first chunk grows like a `Vec` up to [`CHUNK`]
+    /// events, later ones are allocated at that size, so growth never
+    /// moves an event. [`Run::reset`] empties the chunks but keeps them.
+    chunks: Vec<Vec<RunEvent>>,
     /// Total events recorded, maintained even in lightweight mode (where
-    /// `events` itself stays empty).
+    /// the log stays empty); in detailed mode, the log's length.
     event_count: u64,
-    /// Per process, the positions in `events` of its events, in order:
-    /// the index lists behind [`Run::history`].
+    /// Per process, the log positions of its events, in order: the index
+    /// lists behind [`Run::history`].
     histories: Vec<Vec<u32>>,
     shared_steps: Vec<u64>,
     tosses: Vec<u64>,
@@ -287,11 +385,13 @@ impl Run {
     /// Creates an empty *lightweight* run: only step/toss counters and
     /// verdicts are kept; [`Run::events`] and [`Run::history`] stay empty.
     ///
-    /// Lightweight runs cut memory from `O(total events x value size)` to
-    /// `O(n)`, which is what the large measurement sweeps need. They keep
-    /// what the wakeup checker reads (verdicts and the event numbers of
-    /// each process's first step and termination) but cannot feed the
-    /// indistinguishability checker, which compares histories.
+    /// Lightweight runs cut memory from `O(total events x value size)` —
+    /// a detailed run's log, appended in 112 KiB chunks that are never
+    /// copied as it grows — to `O(n)`, which is what the large
+    /// measurement sweeps need. They keep what the wakeup checker reads
+    /// (verdicts and the event numbers of each process's first step and
+    /// termination) but cannot feed the indistinguishability checker,
+    /// which compares histories.
     pub fn lightweight(n: usize) -> Self {
         Run::with_details(n, false)
     }
@@ -300,7 +400,7 @@ impl Run {
         Run {
             n,
             details,
-            events: Vec::new(),
+            chunks: Vec::new(),
             event_count: 0,
             histories: vec![Vec::new(); n],
             shared_steps: vec![0; n],
@@ -349,10 +449,10 @@ impl Run {
                 self.terminations[pid.0] = Some(self.event_count);
             }
         }
-        self.event_count += 1;
         if self.details {
             self.push_event(ev);
         }
+        self.event_count += 1;
     }
 
     /// Notes that the event about to be numbered is a step (a toss or a
@@ -361,17 +461,27 @@ impl Run {
         self.first_steps[pid.0].get_or_insert(self.event_count);
     }
 
-    /// Appends a detailed event to the log and its position to the
-    /// process's index list.
+    /// Appends a detailed event to the log as event number
+    /// `event_count`, and its position to the process's index list.
     ///
     /// # Panics
     ///
     /// Panics if the log already holds `u32::MAX + 1` events.
     fn push_event(&mut self, ev: RunEvent) {
-        let k = u32::try_from(self.events.len())
+        let k = u32::try_from(self.event_count)
             .expect("a detailed run holds at most 2^32 events; record longer runs lightweight");
         self.histories[ev.pid().0].push(k);
-        self.events.push(ev);
+        let (chunk, _) = locate(k);
+        match self.chunks.get_mut(chunk) {
+            Some(events) => events.push(ev),
+            None => {
+                // The first chunk grows from empty, so a short run
+                // allocates no more than a plain `Vec` would.
+                let mut events = Vec::with_capacity(if chunk == 0 { 0 } else { CHUNK });
+                events.push(ev);
+                self.chunks.push(events);
+            }
+        }
     }
 
     /// Records a shared-memory step from borrowed parts: equivalent to
@@ -386,7 +496,6 @@ impl Run {
         self.check_live(pid);
         self.shared_steps[pid.0] += 1;
         self.note_step(pid);
-        self.event_count += 1;
         if self.details {
             self.push_event(RunEvent::SharedOp {
                 pid,
@@ -394,16 +503,20 @@ impl Run {
                 resp: resp.clone(),
             });
         }
+        self.event_count += 1;
     }
 
     /// Clears the run in place for reuse: counters zeroed, events,
-    /// histories, verdicts, and crash flags emptied — while every buffer
-    /// keeps its allocation. The recording mode and process count are
-    /// unchanged; after a reset the run is observationally a freshly
-    /// constructed one. This is the reusable-trial-context primitive
-    /// behind [`Executor::reset`](crate::Executor::reset).
+    /// histories, verdicts, and crash flags emptied — while every buffer,
+    /// each chunk of the event log included, keeps its allocation. The
+    /// recording mode and process count are unchanged; after a reset the
+    /// run is observationally a freshly constructed one. This is the
+    /// reusable-trial-context primitive behind
+    /// [`Executor::reset`](crate::Executor::reset).
     pub fn reset(&mut self) {
-        self.events.clear();
+        for chunk in &mut self.chunks {
+            chunk.clear();
+        }
         self.event_count = 0;
         for h in &mut self.histories {
             h.clear();
@@ -428,9 +541,19 @@ impl Run {
         assert!(!self.crashed[pid.0], "event for crashed {pid}");
     }
 
-    /// The global event sequence, in execution order.
-    pub fn events(&self) -> &[RunEvent] {
-        &self.events
+    /// The global event sequence, in execution order (empty in
+    /// lightweight mode): a borrowed view of the chunked log, so nothing
+    /// is copied.
+    pub fn events(&self) -> Events<'_> {
+        let len = if self.details {
+            usize::try_from(self.event_count).expect("the log's length fits in memory")
+        } else {
+            0
+        };
+        Events {
+            chunks: &self.chunks,
+            len,
+        }
     }
 
     /// Total events recorded, including in lightweight mode (where
@@ -558,7 +681,7 @@ impl Run {
     /// (empty in lightweight mode).
     pub fn history(&self, p: ProcessId) -> ProcHistory<'_> {
         ProcHistory {
-            events: &self.events,
+            chunks: &self.chunks,
             indices: &self.histories[p.0],
         }
     }
@@ -581,13 +704,9 @@ impl Run {
 
 impl fmt::Display for Run {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "run of {} processes, {} events:",
-            self.n,
-            self.events.len()
-        )?;
-        for ev in &self.events {
+        let events = self.events();
+        writeln!(f, "run of {} processes, {} events:", self.n, events.len())?;
+        for ev in events {
             writeln!(f, "  {ev}")?;
         }
         Ok(())
@@ -906,5 +1025,153 @@ mod tests {
         run.record(op_event(0));
         let s = run.to_string();
         assert!(s.contains("p0: LL(R0)"));
+    }
+
+    /// The `k`-th event of a varied `n`-process run (`seed` varies it):
+    /// tosses and shared operations with distinct payloads, so that any
+    /// misplaced event compares unequal.
+    fn varied_event(k: usize, n: usize, seed: usize) -> RunEvent {
+        let pid = ProcessId((k * 7 + k / 3 + seed) % n);
+        let tag = (k * 31 + seed) as u64;
+        if k.is_multiple_of(3) {
+            RunEvent::Toss {
+                pid,
+                index: tag,
+                outcome: tag % 5,
+            }
+        } else {
+            RunEvent::SharedOp {
+                pid,
+                op: Operation::Ll(RegisterId(tag % 5)),
+                resp: Response::Value(Value::from(tag as i64)),
+            }
+        }
+    }
+
+    /// Records `len` varied events, then every process's termination,
+    /// into `run` and returns them as a flat reference log.
+    fn record_varied(run: &mut Run, len: usize, seed: usize) -> Vec<RunEvent> {
+        let n = run.n();
+        let mut flat: Vec<RunEvent> = (0..len).map(|k| varied_event(k, n, seed)).collect();
+        flat.extend(ProcessId::all(n).map(|pid| RunEvent::Terminated {
+            pid,
+            value: Value::from(pid.0 as i64),
+        }));
+        for ev in &flat {
+            run.record(ev.clone());
+        }
+        flat
+    }
+
+    /// `run`'s log, histories and text equal those of the flat `reference`.
+    fn assert_matches_flat(run: &Run, reference: &[RunEvent]) {
+        let events = run.events();
+        assert_eq!(events.len(), reference.len());
+        assert_eq!(events.to_vec(), reference);
+        assert!(events.iter().eq(reference));
+        assert!((&events).into_iter().eq(reference));
+        assert_eq!(format!("{events:?}"), format!("{reference:?}"));
+        for (k, ev) in reference.iter().enumerate() {
+            assert_eq!(events.get(k), Some(ev), "event {k}");
+        }
+        assert_eq!(events.get(reference.len()), None);
+        let mut text = format!(
+            "run of {} processes, {} events:\n",
+            run.n(),
+            reference.len()
+        );
+        for ev in reference {
+            text += &format!("  {ev}\n");
+        }
+        assert_eq!(run.to_string(), text);
+        for p in ProcessId::all(run.n()) {
+            let mine: Vec<&RunEvent> = reference.iter().filter(|e| e.pid() == p).collect();
+            let history = run.history(p);
+            assert_eq!(history.len(), mine.len(), "{p}");
+            assert!(history.iter().eq(mine.iter().copied()), "{p}");
+            for i in (0..=mine.len()).step_by(61).chain([mine.len()]) {
+                assert!(history.prefix(i).iter().eq(mine[..i].iter().copied()));
+            }
+            // Every two-entry window, which includes the entries on either
+            // side of each chunk boundary.
+            for i in 0..mine.len() {
+                let window = i..(i + 2).min(mine.len());
+                assert!(history
+                    .range(window.clone())
+                    .iter()
+                    .eq(mine[window].iter().copied()));
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_log_matches_a_flat_reference() {
+        let mut run = Run::new(5);
+        let reference = record_varied(&mut run, 3 * CHUNK + 300, 0);
+        assert_eq!(run.chunks.len(), 4, "more than three chunks");
+        assert!(run.chunks[..3].iter().all(|c| c.len() == CHUNK));
+        // The entries on either side of each chunk boundary.
+        for b in [CHUNK, 2 * CHUNK, 3 * CHUNK] {
+            assert_eq!(run.events().get(b - 1), Some(&reference[b - 1]));
+            assert_eq!(run.events().get(b), Some(&reference[b]));
+        }
+        assert_matches_flat(&run, &reference);
+        let copy = run.clone();
+        assert_matches_flat(&copy, &reference);
+        assert_eq!(copy.events(), run.events());
+        for p in ProcessId::all(5) {
+            assert_eq!(copy.history(p), run.history(p));
+        }
+    }
+
+    #[test]
+    fn reset_rerecords_like_a_fresh_run_and_keeps_the_chunks() {
+        let mut run = Run::new(4);
+        record_varied(&mut run, 3 * CHUNK + 10, 0);
+        let kept: Vec<(*const RunEvent, usize)> = run
+            .chunks
+            .iter()
+            .map(|c| (c.as_ptr(), c.capacity()))
+            .collect();
+        run.reset();
+        assert!(run.events().is_empty());
+        for len in [2 * CHUNK + 1, CHUNK - 1, 3 * CHUNK + 10] {
+            run.reset();
+            let mut fresh = Run::new(4);
+            let reference = record_varied(&mut fresh, len, 1 + len);
+            assert_eq!(record_varied(&mut run, len, 1 + len), reference);
+            assert_matches_flat(&run, &reference);
+            assert_eq!(run.events(), fresh.events());
+            assert_eq!(run.counters(), fresh.counters());
+            assert_eq!(run.to_string(), fresh.to_string());
+            for p in ProcessId::all(4) {
+                assert_eq!(run.history(p), fresh.history(p));
+            }
+            let now: Vec<_> = run
+                .chunks
+                .iter()
+                .map(|c| (c.as_ptr(), c.capacity()))
+                .collect();
+            assert_eq!(now, kept, "len={len}: the chunk allocations are reused");
+        }
+    }
+
+    #[test]
+    fn growing_the_log_never_moves_an_event() {
+        let mut run = Run::new(3);
+        for k in 0..=CHUNK {
+            run.record(varied_event(k, 3, 0));
+        }
+        let address = |run: &Run, k: usize| run.events().get(k).map(|e| e as *const RunEvent);
+        let (first, second_chunk) = (address(&run, 0), address(&run, CHUNK));
+        for k in CHUNK + 1..5 * CHUNK + 7 {
+            run.record(varied_event(k, 3, 0));
+            assert_eq!(address(&run, 0), first, "event 0 moved at {k}");
+            assert_eq!(
+                address(&run, CHUNK),
+                second_chunk,
+                "event {CHUNK} moved at {k}"
+            );
+        }
     }
 }

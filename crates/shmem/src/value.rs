@@ -14,13 +14,13 @@
 //! the enum word. The two unbounded variants — [`Value::Bits`] and
 //! [`Value::Tuple`] — store their payload behind an [`Arc`] slab, so a
 //! `Value` is a *handle*: cloning one is a reference-count bump, never a
-//! deep copy. The simulator clones register contents constantly (into run
-//! histories, round snapshots, operation responses, and checkpoint
-//! serializers), and with handle semantics every one of those clones is
-//! O(1) regardless of how wide the register word is. The payloads are
-//! immutable once built — "mutation" (e.g. [`Value::with_bit`]) builds a
-//! fresh node — which is exactly what makes the sharing sound across the
-//! sweep worker threads that hold the same `(All, A)`-run.
+//! deep copy. The simulator clones register contents constantly (into the
+//! run's event log and into operation responses), and with handle
+//! semantics every one of those clones is O(1) regardless of how wide the
+//! register word is. The payloads are immutable once built — an algorithm
+//! that sets a bit builds a fresh node with [`Value::bits`] — which is
+//! exactly what makes the sharing sound across the sweep worker threads
+//! that hold the same `(All, A)`-run.
 
 use crate::{ProcessId, RegisterId};
 use std::fmt;

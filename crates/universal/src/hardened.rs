@@ -4,10 +4,10 @@
 //! The seeded [`FaultPlan`](llsc_shmem::FaultPlan) adversary delivers two
 //! fault classes the strong Section-3 model excludes: **spurious SC
 //! failures** (weak-LL/SC semantics) and **transient register corruption**.
-//! The constructions here are hardened twins of [`DirectLlSc`],
-//! [`CombiningTreeUniversal`] and [`AdtTreeUniversal`]
-//! (`crate::{DirectLlSc, CombiningTreeUniversal, AdtTreeUniversal}`)
-//! designed around one invariant: **zero extra shared accesses when no
+//! The constructions here are hardened twins of
+//! [`DirectLlSc`](crate::DirectLlSc),
+//! [`CombiningTreeUniversal`](crate::CombiningTreeUniversal) and
+//! [`AdtTreeUniversal`](crate::AdtTreeUniversal) designed around one invariant: **zero extra shared accesses when no
 //! fault fires** — every check rides on data an operation already returns.
 //!
 //! * [`HardenedDirectLlSc`] keeps `(state, epoch)` in the state register,

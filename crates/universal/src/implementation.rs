@@ -19,7 +19,7 @@ use std::fmt::Debug;
 /// The *shared-access time complexity* of an implementation — the quantity
 /// the paper's lower bound is about — is the number of shared-memory
 /// operations the fragment performs, measured by
-/// [`crate::measure`].
+/// [`crate::measure()`].
 pub trait ObjectImplementation: Debug + Send + Sync {
     /// A short human-readable name, e.g. `"adt-tree"`.
     fn name(&self) -> String;

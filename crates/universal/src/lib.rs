@@ -30,7 +30,7 @@
 //!   operation regardless of data-structure size.
 //!
 //! All three implement [`ObjectImplementation`] and can be instantiated
-//! with any [`llsc_objects::ObjectSpec`]. The [`measure`] harness runs an
+//! with any [`llsc_objects::ObjectSpec`]. The [`measure()`] harness runs an
 //! instance under sequential, round-robin, random, or Figure-2-adversary
 //! schedules, counts shared-memory operations per process (the paper's
 //! complexity measure), and checks linearizability of the observed history.

@@ -9,10 +9,10 @@
 //! * **transient register corruption** — a register's value is silently
 //!   replaced between two accesses.
 //!
-//! The algorithms here are hardened twins of [`CounterWakeup`],
-//! [`RandomizedCounterWakeup`] and [`TournamentWakeup`]
-//! (`crate::{CounterWakeup, RandomizedCounterWakeup, TournamentWakeup}`)
-//! built around two ideas, both **zero-cost when no fault fires** — the
+//! The algorithms here are hardened twins of
+//! [`CounterWakeup`](crate::CounterWakeup),
+//! [`RandomizedCounterWakeup`](crate::RandomizedCounterWakeup) and
+//! [`TournamentWakeup`](crate::TournamentWakeup) built around two ideas, both **zero-cost when no fault fires** — the
 //! acceptance bar for this layer is that at fault rate 0 they perform
 //! *exactly* the same shared-access sequence as their unhardened twins:
 //!

@@ -34,7 +34,7 @@ struct Dense<'a> {
 /// of its operations, each followed by the operating process's
 /// termination when the operation's response ended its program.
 fn assert_matches_dense(base: &RoundedRun, what: &str) {
-    let events = base.run.events();
+    let events = base.run.events().to_vec();
     let mut dense = vec![Dense::default(); base.n];
     let mut k = 0;
     for r in 0..=base.num_rounds() {
